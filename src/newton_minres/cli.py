@@ -215,8 +215,8 @@ def _check_one(alpha, tol, inject_fault):
     prof = extremal.assemble_profile(alpha, tol)
     if inject_fault:
         rho = prof.rho + 1e-2
-        slope = prof.nu.derivative(rho)
-        height0 = prof.nu(rho) - rho * slope
+        value, slope, _ = prof.nu.eval(rho)
+        height0 = value - rho * slope
         prof = extremal.ScaledProfile(alpha=alpha, rho=rho, nu=prof.nu,
                                       slope=slope, height0=height0)
 

@@ -157,8 +157,7 @@ def I_of(rho, alpha, nu):
     rho = float(rho)
     if not 0.0 < rho < 1.0:
         raise DomainError(f"rho must be in (0,1), got {rho}")
-    nr = nu(rho)
-    a = nu.derivative(rho)
+    nr, a, _ = nu.eval(rho)
     b = nr - rho * a
     # eta - q is affine; positivity at both ends covers the whole interval
     if b <= 0.0 or nr - rho <= 0.0:
@@ -176,8 +175,7 @@ def I_closed_form_alpha0(rho, nu_hat):
     rho = float(rho)
     if not 0.0 < rho < 1.0:
         raise DomainError(f"rho must be in (0,1), got {rho}")
-    nr = nu_hat(rho)
-    a = nu_hat.derivative(rho)
+    nr, a, _ = nu_hat.eval(rho)
     b = nr - rho * a
     if b <= 0.0:
         raise DomainError("degenerate continuation: nu - rho*nu' <= 0")
@@ -294,8 +292,8 @@ class ScaledProfile:
 def _assemble_cached(alpha, tol):
     nu = solve_nu(alpha, tol)
     rho = find_switch(alpha, nu)
-    slope = nu.derivative(rho)
-    height0 = nu(rho) - rho * slope
+    value, slope, _ = nu.eval(rho)
+    height0 = value - rho * slope
     return ScaledProfile(alpha=alpha, rho=rho, nu=nu, slope=slope, height0=height0)
 
 
@@ -363,7 +361,9 @@ def variational_coeffs_along(profile):
     (2/3) lam nu'''/nu'' + g_xdot(0,0,0).  Below the switching point the
     same formulas are evaluated along the affine branch (kappa is not an
     arc solution there; that is intentional: the check certifies the
-    assembled composite, not the arc alone).
+    assembled composite, not the arc alone).  The coefficients are only
+    continuous at the switching point t = rho - 1, which is declared as a
+    break.
     """
     alpha = profile.alpha
     ivp = scaled_arc_ivp(alpha)
@@ -373,6 +373,7 @@ def variational_coeffs_along(profile):
     a_lim = -(4.0 / 3.0) * LAM * x3 / xdd0
     b_lim = (2.0 / 3.0) * LAM * x3 / xdd0 + ivp.g_xdot(0.0, 0.0, 0.0)
 
+    @lru_cache(maxsize=1)  # alpha_fn and beta_fn are read at the same t
     def state(t):
         if t >= t_arc_min:
             x, xd, _ = base.eval(t)
@@ -392,7 +393,7 @@ def variational_coeffs_along(profile):
         x, xd = state(t)
         return 2.0 * LAM * (t * xd - 2.0 * x) / (t * x) + ivp.g_xdot(t, x, xd)
 
-    return VariationalCoeffs(alpha_fn, beta_fn, lambda t: 0.0, LAM)
+    return VariationalCoeffs(alpha_fn, beta_fn, lambda t: 0.0, LAM, breaks=(t_arc_min,))
 
 
 def jacobi_check(profile, tol=1e-10, eps=1e-3, n_grid=2000):
@@ -560,7 +561,8 @@ def solve_for_height(M, tol=1e-10):
         nu = solve_nu(alpha, tol)
         rho = find_switch(alpha, nu, hint=last_rho[0])
         last_rho[0] = rho
-        return p0 * (nu(rho) - rho * nu.derivative(rho)) - M
+        value, slope, _ = nu.eval(rho)
+        return p0 * (value - rho * slope) - M
 
     lo = max(np.sqrt(3.0) * (1.0 + 1e-6) + 1e-9, M / _H0_HI)
     hi = M / _H0_LO + 1.0

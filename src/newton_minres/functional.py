@@ -19,7 +19,9 @@ Two independent evaluation routes are kept deliberately separate:
 
 Profile/solution arguments are duck-typed: anything exposing the accessors
 used here works, which keeps this module import-independent from the solver
-modules.
+modules.  A profile whose arc ends at the singular point v = p must expose
+the solver's movable-frame solution (x = nu - q against t = q - 1) as
+`profile.nu.base`: the arc integrands read x from it, free of cancellation.
 """
 
 import os
@@ -162,13 +164,6 @@ def pmp_derivatives(pt, which):
 # 1-D functionals
 # ---------------------------------------------------------------------------
 
-def _arc_frame(profile):
-    """(base_solution_in_movable_frame, nu''(1)) for stable arc evaluation."""
-    base = getattr(profile.nu, "base", None)
-    nu2 = profile.nu.second(1.0)
-    return base, nu2
-
-
 def J_scaled(profile):
     """Scaled functional bracket: int_0^rho g(affine) + int_rho^1 g(arc).
 
@@ -181,20 +176,15 @@ def J_scaled(profile):
     rho = profile.rho
     a = profile.slope
     b = profile.height0
-    base, nu2 = _arc_frame(profile)
-    lim = np.sqrt(nu2) / (1.0 + alpha)
+    base = profile.nu.base
+    lim = np.sqrt(profile.nu.second(1.0)) / (1.0 + alpha)
 
     aff = quad_value(lambda q: lagrangian_value(q, b + a * q, a, alpha), 0.0, rho)
 
     def arc_g(q):
         if q > 1.0 - 1e-9:
             return lim
-        t = q - 1.0
-        if base is not None:
-            x, xd, _ = base.eval(t)
-        else:
-            x = profile.nu(q) - q
-            xd = profile.nu.derivative(q) - 1.0
+        x, xd, _ = base.eval(q - 1.0)
         s = np.sqrt(x * (x + 2.0 * q))
         w = x + q
         d = w * w + alpha
@@ -208,8 +198,8 @@ def J_unscaled(sol):
     """Direct quadrature of f along the curve v(p) on [0, p0].
 
     Works on anything exposing p0, v(p), v_deriv(p); a curve hitting the
-    singular endpoint v(p0) = p0 must also expose profile.nu (solver output)
-    so the movable frame can be used near the endpoint.
+    singular endpoint v(p0) = p0 must also expose profile.nu.base (solver
+    output) so the movable frame can be used near the endpoint.
     """
     p0 = sol.p0
     r = getattr(sol, "r", None)
@@ -223,9 +213,9 @@ def J_unscaled(sol):
         return quad_value(fp, 0.0, p0)
 
     profile = sol.profile
-    base, nu2 = _arc_frame(profile)
+    base = profile.nu.base
     rho = profile.rho
-    lim = np.sqrt(nu2) / (p0 * (1.0 + p0 * p0))
+    lim = np.sqrt(profile.nu.second(1.0)) / (p0 * (1.0 + p0 * p0))
 
     def fp_flat(p):
         return lagrangian_value(p, sol.v(p), sol.v_deriv(p), 1.0)
@@ -234,12 +224,7 @@ def J_unscaled(sol):
         # f at p = p0*q, written in x = nu - q to keep v - p accurate
         if q > 1.0 - 1e-9:
             return lim
-        t = q - 1.0
-        if base is not None:
-            x, xd, _ = base.eval(t)
-        else:
-            x = profile.nu(q) - q
-            xd = profile.nu.derivative(q) - 1.0
+        x, xd, _ = base.eval(q - 1.0)
         v = p0 * (x + q)
         vp = xd + 1.0
         s = p0 * np.sqrt(x * (x + 2.0 * q))
@@ -291,20 +276,14 @@ def gamma_form_J(sol):
         return total + f_end + atom
 
     profile = sol.profile
-    base, nu2 = _arc_frame(profile)
+    base = profile.nu.base
     rho = profile.rho
 
     def gamma_arc(q):
         # gamma at p = p0*q; the first and third terms cancel to O(sqrt(1-q))
         if q > 1.0 - 1e-9:
             return 0.0
-        t = q - 1.0
-        if base is not None:
-            x, xd, xdd = base.eval(t)
-        else:
-            x = profile.nu(q) - q
-            xd = profile.nu.derivative(q) - 1.0
-            xdd = profile.nu.second(q)
+        x, xd, xdd = base.eval(q - 1.0)
         w = x + q
         v = p0 * w
         vp = xd + 1.0

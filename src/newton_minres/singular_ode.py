@@ -32,8 +32,12 @@ The same machinery integrates the linearized (variational) equation
 with y(0) = 0 and prescribed y'(0); the coefficient 4*lam*(t*y'-y)/t^2 is
 what the lam*x'^2/x term contributes after linearization along a seed-built
 solution.  Indicial roots at t=0 are 1 and 4*lam; for lam in (-1/2, 0) the
-second mode decays when integrating outward, so a short quadratic Taylor
-start is stable.
+second mode decays when integrating outward, so a quadratic Taylor start at
+a short offset tau_v replaces the seed.  DOP853 runs from there, and y'' at
+Chebyshev-Lobatto nodes is fitted and integrated twice as in step 3, with
+one series per interval on which the coefficients are smooth: each piece
+starts from the exact data (y(0) = 0, y'(0)) or from the previous piece's
+y and y' at the shared break.
 """
 
 import numpy as np
@@ -42,12 +46,10 @@ from scipy.integrate import solve_ivp
 
 from .errors import BlowUp, ContractionFailure, DomainError
 
-# step cap for the variational solve, whose quintic-Hermite pieces sit
-# between accepted steps
-H_MAX = 5.0e-3
 # Chebyshev-Lobatto points used for the seed (even count: no node at t=0)
 N_CHEB = 48
-# Chebyshev-Lobatto points for the series across a whole arc
+# Chebyshev-Lobatto points for the series across a whole arc (and for
+# each smooth piece of a variational solution)
 N_ARC = 64
 RHO_TARGET_FLOOR = 0.9
 PICARD_MAX_ITER = 200
@@ -57,9 +59,10 @@ _DOMAIN_SLACK = 1e-11
 class SingularIVP:
     """Problem definition for x'' = lam*x'^2/x + g(t, x, x'), x(0)=x'(0)=0.
 
-    g, g_x, g_xdot are callables of (t, x, xdot); g_origin is g(0,0,0).
-    The partials are only used to size the seed interval, so sampled
-    accuracy is enough.
+    g, g_x, g_xdot are callables of (t, x, xdot) that must accept numpy
+    arrays (elementwise); a constant may be returned as a scalar.
+    g_origin is g(0,0,0).  The partials are only used to size the seed
+    interval, so sampled accuracy is enough.
     """
 
     def __init__(self, lam, g, g_x, g_xdot, g_origin):
@@ -82,57 +85,13 @@ def accel_at_origin(ivp):
 
 
 def _call_vec(fn, t, x, xd):
-    """Call fn on arrays, falling back to a python loop for scalar-only fns."""
-    try:
-        out = fn(t, x, xd)
-        out = np.asarray(out, dtype=float)
-        if out.shape != np.shape(t):
-            raise ValueError
-        return out
-    except (TypeError, ValueError):
-        return np.array([fn(ti, xi, di) for ti, xi, di in zip(np.atleast_1d(t), np.atleast_1d(x), np.atleast_1d(xd))])
+    """fn on arrays; a constant returned as a scalar is broadcast to t's shape."""
+    return np.broadcast_to(np.asarray(fn(t, x, xd), float), np.shape(t))
 
 
 # ---------------------------------------------------------------------------
 # dense solution container
 # ---------------------------------------------------------------------------
-
-def _hermite5_coeffs(h, x0, xd0, xdd0, x1, xd1, xdd1):
-    """Quintic matching value/slope/curvature at both ends, in s=(t-t0)/h."""
-    m0 = xd0 * h
-    m1 = xd1 * h
-    k0 = xdd0 * h * h
-    k1 = xdd1 * h * h
-    d = x1 - x0
-    c3 = 10.0 * d - 6.0 * m0 - 4.0 * m1 - 1.5 * k0 + 0.5 * k1
-    c4 = -15.0 * d + 8.0 * m0 + 7.0 * m1 + 1.5 * k0 - k1
-    c5 = 6.0 * d - 3.0 * (m0 + m1) - 0.5 * (k0 - k1)
-    return np.array([x0, m0, 0.5 * k0, c3, c4, c5])
-
-
-class _Hermite5Segment:
-    """Quintic Hermite piece on [t0, t0+h] (h may be negative)."""
-
-    __slots__ = ("t0", "h", "c")
-
-    def __init__(self, t0, t1, x0, xd0, xdd0, x1, xd1, xdd1):
-        self.t0 = float(t0)
-        self.h = float(t1 - t0)
-        self.c = _hermite5_coeffs(self.h, x0, xd0, xdd0, x1, xd1, xdd1)
-
-    def eval(self, t):
-        s = (np.asarray(t, float) - self.t0) / self.h
-        c = self.c
-        x = ((((c[5] * s + c[4]) * s + c[3]) * s + c[2]) * s + c[1]) * s + c[0]
-        xd = (((5 * c[5] * s + 4 * c[4]) * s + 3 * c[3]) * s + 2 * c[2]) * s + c[1]
-        xdd = ((20 * c[5] * s + 12 * c[4]) * s + 6 * c[3]) * s + 2 * c[2]
-        return x, xd / self.h, xdd / (self.h * self.h)
-
-    def third(self, t):
-        s = (np.asarray(t, float) - self.t0) / self.h
-        c = self.c
-        return ((60 * c[5] * s + 24 * c[4]) * s + 6 * c[3]) / self.h ** 3
-
 
 class _ChebSegment:
     """Chebyshev series piece: coefficients live on s=(t-mid)/half in [-1,1].
@@ -153,12 +112,11 @@ class _ChebSegment:
         self.c3 = _cheb.chebder(c2) / self.half
 
     def eval(self, t):
-        s = (np.asarray(t, float) - self.mid) / self.half
-        return tuple(_cheb.chebval(s, self.c))
+        """(x, x', x'') stacked along the first axis."""
+        return _cheb.chebval((t - self.mid) / self.half, self.c)
 
     def third(self, t):
-        s = (np.asarray(t, float) - self.mid) / self.half
-        return _cheb.chebval(s, self.c3)
+        return _cheb.chebval((t - self.mid) / self.half, self.c3)
 
 
 class DenseSolution:
@@ -178,29 +136,35 @@ class DenseSolution:
         self.domain = (float(bp[0]), float(bp[-1]))
         self.info = dict(info) if info else {}
 
-    def _indices(self, t):
+    def _on_segments(self, t, method):
+        """method(segment, times) with each point on its own segment.
+
+        The leading axes of method's result are kept; the trailing ones
+        follow the shape of t.
+        """
         lo, hi = self.domain
         slack = _DOMAIN_SLACK * max(1.0, abs(lo), abs(hi))
         t = np.asarray(t, float)
         if np.any(t < lo - slack) or np.any(t > hi + slack):
             raise DomainError(f"evaluation at t outside [{lo}, {hi}]")
-        tc = np.clip(t, lo, hi)
-        idx = np.searchsorted(self.breakpoints, tc, side="right") - 1
-        return tc, np.clip(idx, 0, len(self.segments) - 1)
+        t = np.clip(t, lo, hi)
+        if len(self.segments) == 1:
+            return method(self.segments[0], t)
+        flat = t.ravel()
+        idx = np.searchsorted(self.breakpoints[1:-1], flat, side="right")
+        out = None
+        for k, seg in enumerate(self.segments):
+            on = idx == k
+            part = method(seg, flat[on])
+            if out is None:
+                out = np.empty(part.shape[:-1] + flat.shape)
+            out[..., on] = part
+        return out.reshape(out.shape[:-1] + t.shape)
 
     def eval(self, t):
-        scalar = np.ndim(t) == 0
-        tc, idx = self._indices(t)
-        tc = np.atleast_1d(tc)
-        idx = np.atleast_1d(idx)
-        x = np.empty_like(tc)
-        xd = np.empty_like(tc)
-        xdd = np.empty_like(tc)
-        for k in np.unique(idx):
-            m = idx == k
-            x[m], xd[m], xdd[m] = self.segments[k].eval(tc[m])
-        if scalar:
-            return float(x[0]), float(xd[0]), float(xdd[0])
+        x, xd, xdd = self._on_segments(t, _ChebSegment.eval)
+        if np.ndim(t) == 0:
+            return float(x), float(xd), float(xdd)
         return x, xd, xdd
 
     def __call__(self, t):
@@ -213,15 +177,8 @@ class DenseSolution:
         return self.eval(t)[2]
 
     def third(self, t):
-        scalar = np.ndim(t) == 0
-        tc, idx = self._indices(t)
-        tc = np.atleast_1d(tc)
-        idx = np.atleast_1d(idx)
-        out = np.empty_like(tc)
-        for k in np.unique(idx):
-            m = idx == k
-            out[m] = self.segments[k].third(tc[m])
-        return float(out[0]) if scalar else out
+        out = self._on_segments(t, _ChebSegment.third)
+        return float(out) if np.ndim(t) == 0 else out
 
     def to_samples(self, n):
         """(t, x, xdot) on n uniform points across the domain."""
@@ -235,7 +192,8 @@ class MappedSolution(DenseSolution):
 
     value(q) = base(q + offset) + add0 + add1*q, so slope(q) = base' + add1.
     Used to present the arc computed in movable-frame coordinates
-    (x = value - q, t = q - q_right) as the profile itself.
+    (x = value - q, t = q - q_right) as the profile itself.  The base
+    enforces the domain.
     """
 
     def __init__(self, base, offset, add0=0.0, add1=0.0):
@@ -249,18 +207,12 @@ class MappedSolution(DenseSolution):
         self.info = base.info
 
     def eval(self, q):
-        scalar = np.ndim(q) == 0
-        qa = np.atleast_1d(np.asarray(q, float))
-        lo, hi = self.domain
-        slack = _DOMAIN_SLACK * max(1.0, abs(lo), abs(hi))
-        if np.any(qa < lo - slack) or np.any(qa > hi + slack):
-            raise DomainError(f"evaluation at q outside [{lo}, {hi}]")
-        qa = np.clip(qa, lo, hi)
-        x, xd, xdd = self.base.eval(qa + self.offset)
-        x = x + self.add0 + self.add1 * qa
+        q = np.asarray(q, float)
+        x, xd, xdd = self.base.eval(q + self.offset)
+        x = x + self.add0 + self.add1 * q
         xd = xd + self.add1
-        if scalar:
-            return float(x[0]), float(xd[0]), float(xdd[0])
+        if q.ndim == 0:
+            return float(x), float(xd), float(xdd)
         return x, xd, xdd
 
     def third(self, q):
@@ -454,11 +406,14 @@ def integrate(ivp, t_end, tol=1e-10, epsilon=0.1):
 class VariationalCoeffs:
     """Coefficients of y'' = 4*lam*(t*y'-y)/t^2 + alpha(t)*y/t + beta(t)*y' + sigma(t).
 
-    alpha_fn/beta_fn/sigma_fn must be finite at t=0 (stabilized forms); lam
-    must lie in (-1/2, 0) so the singular indicial mode decays outward.
+    alpha_fn/beta_fn/sigma_fn are scalar callables that must be finite at
+    t=0 (stabilized forms); lam must lie in (-1/2, 0) so the singular
+    indicial mode decays outward.  `breaks` lists the points where the
+    coefficients are continuous but not smooth; the solution gets one
+    Chebyshev series per smooth interval between them.
     """
 
-    def __init__(self, alpha_fn, beta_fn, sigma_fn, lam):
+    def __init__(self, alpha_fn, beta_fn, sigma_fn, lam, breaks=()):
         lam = float(lam)
         if not -0.5 < lam < 0.0:
             raise DomainError(f"need -1/2 < lam < 0, got {lam}")
@@ -466,6 +421,7 @@ class VariationalCoeffs:
         self.beta_fn = beta_fn
         self.sigma_fn = sigma_fn
         self.lam = lam
+        self.breaks = tuple(float(b) for b in breaks)
 
 
 def variational_accel_at_origin(coeffs, ydot0):
@@ -479,8 +435,9 @@ def variational_accel_at_origin(coeffs, ydot0):
 def integrate_variational(coeffs, ydot0, t_end, tol=1e-10):
     """Solve the variational equation with y(0)=0, y'(0)=ydot0 out to t_end.
 
-    Starts from the quadratic Taylor state at a short offset tau_v (cubed
-    truncation error ~ tol) and continues with DOP853; returns a
+    Starts DOP853 from the quadratic Taylor state at a short offset tau_v
+    and rebuilds the solution as one Chebyshev series per smooth interval
+    (0, the coefficient breaks and t_end delimit them); returns a
     DenseSolution like `integrate`.
     """
     t_end = float(t_end)
@@ -489,42 +446,51 @@ def integrate_variational(coeffs, ydot0, t_end, tol=1e-10):
     lam = coeffs.lam
     ydd0 = variational_accel_at_origin(coeffs, ydot0)
     d = 1.0 if t_end > 0 else -1.0
-    tau_v = min(0.01, max(1e-4, (6.0 * tol) ** (1.0 / 3.0)))
+    # the series is anchored at t=0, so the start's slope error
+    # y'''*tau_v^2/2 reaches the result: tau_v sits a factor 4 below the
+    # (6*tol)^(1/3) that the Taylor value error alone would allow
+    tau_v = 0.25 * min(0.01, max(1e-4, (6.0 * tol) ** (1.0 / 3.0)))
 
-    def rhs(t, z):
-        y, yd = z
-        return (yd, 4.0 * lam * (t * yd - y) / (t * t)
+    def accel(t, y, yd):
+        return (4.0 * lam * (t * yd - y) / (t * t)
                 + coeffs.alpha_fn(t) * y / t + coeffs.beta_fn(t) * yd + coeffs.sigma_fn(t))
 
-    def quad_state(t):
+    def taylor(t):
         return ydot0 * t + 0.5 * ydd0 * t * t, ydot0 + ydd0 * t
 
-    if abs(t_end) <= tau_v:
-        y1, yd1 = quad_state(t_end)
-        ydd1 = rhs(t_end, (y1, yd1))[1]
-        seg = _Hermite5Segment(0.0, t_end, 0.0, ydot0, ydd0, y1, yd1, ydd1)
-        bp = [min(t_end, 0.0), max(t_end, 0.0)]
-        return DenseSolution(bp, [seg], info={"tau": abs(t_end), "ydd0": ydd0})
+    state = taylor
+    if abs(t_end) > tau_v:
+        res = solve_ivp(lambda t, z: (z[1], accel(t, z[0], z[1])), (d * tau_v, t_end),
+                        taylor(d * tau_v), method="DOP853",
+                        rtol=max(tol, 1e-13), atol=0.01 * tol, dense_output=True)
+        if not res.success:
+            raise BlowUp(f"variational integration failed: {res.message}")
+        state = res.sol
 
-    yt, ydt = quad_state(d * tau_v)
-    res = solve_ivp(rhs, (d * tau_v, t_end), (yt, ydt), method="DOP853",
-                    rtol=max(tol, 1e-13), atol=0.01 * tol, max_step=H_MAX)
-    if not res.success:
-        raise BlowUp(f"variational integration failed: {res.message}")
-
-    ts = res.t
-    ys, yds = res.y
-    ydds = np.array([rhs(ti, (yi, ydi))[1] for ti, yi, ydi in zip(ts, ys, yds)])
-
-    ydd_t = rhs(d * tau_v, (yt, ydt))[1]
-    segs = [_Hermite5Segment(0.0, d * tau_v, 0.0, ydot0, ydd0, yt, ydt, ydd_t)]
-    bps = [0.0, d * tau_v]
-    for i in range(len(ts) - 1):
-        segs.append(_Hermite5Segment(ts[i], ts[i + 1],
-                                     ys[i], yds[i], ydds[i],
-                                     ys[i + 1], yds[i + 1], ydds[i + 1]))
-        bps.append(ts[i + 1])
+    # one piece per smooth interval, built outward from t=0 like the arc in
+    # `integrate`: y'' at Chebyshev-Lobatto nodes (ydd0 at t=0, the Taylor
+    # state for |t| <= tau_v, the dense output beyond), fitted once and
+    # integrated twice from the piece's inner end, where y and y' are taken
+    # exactly from the data (first piece) or from the previous piece
+    ends = [0.0, *sorted({b for b in coeffs.breaks if 0.0 < d * b < d * t_end}, key=abs), t_end]
+    s = np.cos(np.pi * np.arange(N_ARC) / (N_ARC - 1))
+    y_in, yd_in = 0.0, float(ydot0)
+    segs = []
+    for t_in, t_out in zip(ends[:-1], ends[1:]):
+        mid, half = 0.5 * (t_in + t_out), 0.5 * abs(t_out - t_in)
+        t = mid + half * s
+        ydd = np.empty(N_ARC)
+        for i, ti in enumerate(t):
+            if ti == 0.0:
+                ydd[i] = ydd0
+            else:
+                ydd[i] = accel(ti, *(taylor(ti) if abs(ti) <= tau_v else state(ti)))
+        c2 = _cheb.chebfit(s, ydd, N_ARC - 1)
+        c1 = _cheb.chebint(c2, k=yd_in, lbnd=-d, scl=half)  # s = -d at t_in
+        c0 = _cheb.chebint(c1, k=y_in, lbnd=-d, scl=half)
+        seg = _ChebSegment(mid, half, c0, c1, c2)
+        y_in, yd_in, _ = seg.eval(t_out)
+        segs.append(seg)
     if d < 0:
-        bps = bps[::-1]
-        segs = segs[::-1]
-    return DenseSolution(bps, segs, info={"tau": tau_v, "ydd0": ydd0})
+        segs.reverse()
+    return DenseSolution(sorted(ends), segs, info={"tau": tau_v, "ydd0": ydd0})

@@ -72,6 +72,35 @@ def test_solve_infeasible_height_is_a_solver_error(capsys):
     assert "error" in err
 
 
+GOLDEN_SOLVE = """\
+{
+  "M": 1.0000000e+00,
+  "p0": 3.7164698e+00,
+  "r": 1.2207655e+00,
+  "slope0": 6.3245046e-01,
+  "J": 5.9779091e-01,
+  "resistance": 1.1955818e+00
+}
+"""
+
+GOLDEN_CONSTANTS = """\
+{
+  "switch_radius": 1.0898362e-01,
+  "flat_height": 3.1573590e-01,
+  "arc_value_at_zero": 3.1575953e-01,
+  "switch_slope": 5.3006771e-01,
+  "arc_slope_at_zero": 5.3505532e-01,
+  "J_limit": 1.0734493e+01
+}
+"""
+
+
+def test_default_output_bytes_are_pinned(capsys):
+    # any solver change must leave the default 8-digit output untouched
+    assert run(capsys, "solve", "--M", "1.0") == (0, GOLDEN_SOLVE, "")
+    assert run(capsys, "constants") == (0, GOLDEN_CONSTANTS, "")
+
+
 def test_solve_deterministic_bytes(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run(capsys, "solve", "--M", "1.0", "--out", str(a))[0] == 0

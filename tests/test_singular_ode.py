@@ -8,6 +8,8 @@ in the limit.  Everything else is checked against the equation itself
 records in info.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +26,6 @@ from newton_minres import (
     picard_seed,
     variational_accel_at_origin,
 )
-from newton_minres.singular_ode import _Hermite5Segment
 
 TOL = 1e-10
 
@@ -45,6 +46,17 @@ def test_rejects_degenerate_indicial_exponent():
     for lam in (0.0, 0.375, -0.375, 0.5, -1.0):
         with pytest.raises(DomainError):
             SingularIVP(lam, lambda t, x, xd: 1.0, _zero, _zero, g_origin=1.0)
+
+
+def test_scalar_only_forcing_is_rejected():
+    # g must work on arrays; a scalar-only g fails loudly instead of being
+    # looped over point by point
+    def g(t, x, xd):
+        return 1.5 + 0.1 * math.cos(t)
+
+    ivp = SingularIVP(-0.25, g, _zero, _zero, g_origin=1.6)
+    with pytest.raises(TypeError):
+        picard_seed(ivp, 0.1, tol=TOL)
 
 
 def test_rejects_zero_origin_forcing():
@@ -113,21 +125,6 @@ def test_seed_shrinks_band_when_lam_term_leaves_no_room():
 # ---------------------------------------------------------------------------
 # dense solutions
 # ---------------------------------------------------------------------------
-
-def test_quintic_segment_reproduces_quintic():
-    poly = np.polynomial.Polynomial([0.3, -1.0, 0.0, -2.0, 0.0, 1.0])
-    d1 = poly.deriv(1)
-    d2 = poly.deriv(2)
-    d3 = poly.deriv(3)
-    t0, t1 = 0.3, 0.8
-    seg = _Hermite5Segment(t0, t1, poly(t0), d1(t0), d2(t0), poly(t1), d1(t1), d2(t1))
-    ts = np.linspace(t0, t1, 17)
-    x, xd, xdd = seg.eval(ts)
-    np.testing.assert_allclose(x, poly(ts), rtol=0, atol=1e-13)
-    np.testing.assert_allclose(xd, d1(ts), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(xdd, d2(ts), rtol=0, atol=1e-11)
-    np.testing.assert_allclose(seg.third(ts), d3(ts), rtol=0, atol=1e-10)
-
 
 def test_solution_domain_is_enforced():
     sol = integrate(const_ivp(), 0.5, tol=TOL)
@@ -231,3 +228,52 @@ def test_variational_solution_scales_linearly_in_data(c, ydot0):
     ts = np.linspace(0.05, 0.5, 7)
     np.testing.assert_allclose(scaled(ts), c * base(ts),
                                rtol=1e-8, atol=1e-10)
+
+
+# manufactured solution y = sin t + (tb - t)^3 for t < tb: y'' is continuous
+# with a kink at tb, as zeta's is at the switching point, and the kinked
+# coefficient a(t) = 0.8|t - tb| makes tb a break of the equation
+_TB, _B = -0.4, 0.3
+
+
+def _kinked_exact(t):
+    k = np.maximum(_TB - t, 0.0)
+    return np.sin(t) + k ** 3, np.cos(t) - 3.0 * k * k, -np.sin(t) + 6.0 * k
+
+
+def _kinked_coeffs(breaks, lam=-0.25):
+    def a_fn(t):
+        return 0.8 * abs(t - _TB)
+
+    def sigma_fn(t):
+        y, yd, ydd = _kinked_exact(t)
+        if t == 0.0:  # limits of (t*y' - y)/t^2 and y/t
+            return (1.0 - 2.0 * lam) * ydd - (a_fn(0.0) + _B) * yd
+        return ydd - 4.0 * lam * (t * yd - y) / (t * t) - a_fn(t) * y / t - _B * yd
+
+    return VariationalCoeffs(a_fn, lambda t: _B, sigma_fn, lam, breaks=breaks)
+
+
+def _max_err(sol, lo, hi):
+    ts = np.linspace(lo, hi, 401)
+    return np.max(np.abs(sol(ts) - _kinked_exact(ts)[0]))
+
+
+def test_variational_pieces_meet_at_declared_break():
+    sol = integrate_variational(_kinked_coeffs((_TB,)), 1.0, -1.0, tol=TOL)
+    assert len(sol.segments) == 2
+    assert _max_err(sol, -1.0, _TB) <= 1e-7
+    assert _max_err(sol, _TB, 0.0) <= 1e-7
+    # value and slope carry over from the inner piece to the outer one
+    h = 1e-12
+    y_lo, yd_lo, _ = sol.eval(_TB - h)
+    y_hi, yd_hi, _ = sol.eval(_TB + h)
+    assert abs(y_lo - y_hi) <= 1e-11
+    assert abs(yd_lo - yd_hi) <= 1e-11
+
+
+def test_variational_without_break_misses_the_kink():
+    split = integrate_variational(_kinked_coeffs((_TB,)), 1.0, -1.0, tol=TOL)
+    whole = integrate_variational(_kinked_coeffs(()), 1.0, -1.0, tol=TOL)
+    assert len(whole.segments) == 1
+    assert _max_err(whole, -1.0, 0.0) > 100.0 * _max_err(split, -1.0, 0.0)
