@@ -8,6 +8,7 @@ formatted explicitly so repeated runs are byte-identical.
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -69,9 +70,38 @@ def _positive(text):
         x = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not x > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not (x > 0.0 and math.isfinite(x)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return x
+
+
+def _numbers(text):
+    """Comma-separated finite numbers, at least one."""
+    try:
+        xs = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        xs = []
+    if not xs or not all(map(math.isfinite, xs)):
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated finite numbers, got {text!r}")
+    return xs
+
+
+def _resolution(text):
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if n < 8:
+        raise argparse.ArgumentTypeError(f"must be >= 8, got {n}")
+    return n
+
+
+def _even_resolution(text):
+    n = _resolution(text)
+    if n % 2:
+        raise argparse.ArgumentTypeError(f"must be even, got {n}")
+    return n
 
 
 def _add_size_arg(sub):
@@ -100,14 +130,14 @@ def build_parser():
 
     s = sp.add_parser("solve", help="solve for a given height or edge slope")
     _add_size_arg(s)
-    s.add_argument("--tol", type=float, default=1e-10)
+    s.add_argument("--tol", type=_positive, default=1e-10)
     s.add_argument("--format", choices=("json", "text"), default="json")
     s.add_argument("--out", default=None)
 
     t = sp.add_parser("table", help="solve a list of heights, print a table")
-    t.add_argument("--rows", default=DEFAULT_TABLE_ROWS,
+    t.add_argument("--rows", type=_numbers, default=DEFAULT_TABLE_ROWS,
                    help="comma-separated heights M")
-    t.add_argument("--tol", type=float, default=1e-10)
+    t.add_argument("--tol", type=_positive, default=1e-10)
     t.add_argument("--format", choices=("csv", "json"), default="csv")
     t.add_argument("--out", default=None)
 
@@ -116,24 +146,24 @@ def build_parser():
     c.add_argument("--out", default=None)
 
     k = sp.add_parser("check", help="run the optimality-certificate battery")
-    k.add_argument("--alpha", action="append", default=None,
+    k.add_argument("--alpha", type=_numbers, action="append", default=None,
                    help="scale parameter(s) in [0, 1/3); repeat or comma-separate")
-    k.add_argument("--tol", type=float, default=1e-10)
+    k.add_argument("--tol", type=_positive, default=1e-10)
     k.add_argument("--inject-fault", action="store_true",
                    help="perturb the switching radius to demonstrate detection")
     k.add_argument("--out", default=None)
 
     m = sp.add_parser("mesh", help="triangulate the body and write an OBJ file")
     _add_size_arg(m)
-    m.add_argument("--tol", type=float, default=1e-10)
-    m.add_argument("--resolution", type=int, default=1024,
+    m.add_argument("--tol", type=_positive, default=1e-10)
+    m.add_argument("--resolution", type=_resolution, default=1024,
                    help="curve sample count (rim fan uses resolution/4)")
     m.add_argument("--out", required=True, help="output .obj path")
 
     r = sp.add_parser("resistance", help="direct drag integral vs 2*J")
     _add_size_arg(r)
-    r.add_argument("--tol", type=float, default=1e-10)
-    r.add_argument("--resolution", type=int, default=800,
+    r.add_argument("--tol", type=_positive, default=1e-10)
+    r.add_argument("--resolution", type=_even_resolution, default=800,
                    help="radial grid size of the direct integral")
     r.add_argument("--out", default=None)
     return ap
@@ -151,15 +181,7 @@ def _cmd_solve(args):
 
 
 def _cmd_table(args):
-    try:
-        heights = [float(tok) for tok in args.rows.split(",") if tok.strip()]
-    except ValueError:
-        print(f"newton-minres table: error: --rows must be comma-separated "
-              f"numbers, got {args.rows!r}", file=sys.stderr)
-        return 1
-    if not heights:
-        print("newton-minres table: error: --rows is empty", file=sys.stderr)
-        return 1
+    heights = args.rows
 
     def row(m):
         try:
@@ -260,8 +282,8 @@ def _check_one(alpha, tol, inject_fault):
 
 
 def _cmd_check(args):
-    toks = args.alpha if args.alpha is not None else [DEFAULT_CHECK_ALPHAS]
-    alphas = [float(t) for chunk in toks for t in chunk.split(",") if t.strip()]
+    lists = args.alpha if args.alpha is not None else [_numbers(DEFAULT_CHECK_ALPHAS)]
+    alphas = [a for chunk in lists for a in chunk]
     reports = [_check_one(a, args.tol, args.inject_fault) for a in alphas]
     ok = all(r["pass"] for r in reports)
     text = _jdump({"pass": ok, "alphas": alphas, "reports": reports})
@@ -271,9 +293,8 @@ def _cmd_check(args):
 
 def _cmd_mesh(args):
     sol = _solution_from_args(args)
-    n_profile = max(int(args.resolution), 8)
-    mesh = geometry.build_mesh(sol, n_profile=n_profile,
-                               n_circle=max(n_profile // 4, 4))
+    mesh = geometry.build_mesh(sol, n_profile=args.resolution,
+                               n_circle=max(args.resolution // 4, 4))
     watertight = geometry.mesh_is_watertight(mesh)
     out = Path(args.out)
     geometry.export_obj(mesh, out)

@@ -13,9 +13,10 @@ Two independent evaluation routes are kept deliberately separate:
   unscaled problem (c=1) and the scaled one (c=alpha);
 
 * the 2-D route: `resistance_direct` integrates 1/(1+|grad u|^2) over the
-  unit disk with finite-difference gradients of the body height function —
-  it never touches the 1-D machinery, so agreement between the two is a real
-  consistency check, not a tautology.
+  unit disk.  A body with a `gradient(x1, x2)` method (BodyEvaluator) supplies
+  exact gradients from the hull geometry; any other height callable gets
+  central differences.  Either way it never touches the 1-D machinery, so
+  agreement between the two is a real consistency check, not a tautology.
 
 Profile/solution arguments are duck-typed: anything exposing the accessors
 used here works, which keeps this module import-independent from the solver
@@ -47,7 +48,7 @@ def quad_value(f, a, b, **kw):
     return out[0]
 # relative width of the endpoint branch where the removable v=p limit is used
 _END_BAND = 1e-9
-# finite-difference step for resistance_direct gradients
+# finite-difference step for resistance_direct on plain height callables
 FD_H = 1e-5
 
 
@@ -304,10 +305,22 @@ def gamma_form_J(sol):
 # ---------------------------------------------------------------------------
 
 def _grid_sum(u, n):
-    """Midpoint-rule integral of 1/(1+|grad u|^2) over the unit disk."""
-    h = FD_H
-    if 0.5 / n <= h:
-        raise DomainError(f"grid n={n} too fine for FD step h={h}")
+    """Midpoint-rule integral of 1/(1+|grad u|^2) over the unit disk.
+
+    The gradient is u.gradient(x1, x2) -> (ux, uy) when u has one (exact,
+    e.g. BodyEvaluator); a plain callable gets central differences with
+    step FD_H, which the grid spacing must exceed.
+    """
+    grad = getattr(u, "gradient", None)
+    if grad is None:
+        h = FD_H
+        if 0.5 / n <= h:
+            raise DomainError(f"grid n={n} too fine for FD step h={h}")
+
+        def grad(x, y):
+            return ((u(x + h, y) - u(x - h, y)) / (2.0 * h),
+                    (u(x, y + h) - u(x, y - h)) / (2.0 * h))
+
     dr = 1.0 / n
     dth = 2.0 * np.pi / n
     radii = (np.arange(n) + 0.5) * dr
@@ -321,10 +334,7 @@ def _grid_sum(u, n):
     def one_block(block):
         i0, i1 = block
         r = radii[i0:i1][:, None]
-        x = r * ct[None, :]
-        y = r * st[None, :]
-        ux = (u(x + h, y) - u(x - h, y)) / (2.0 * h)
-        uy = (u(x, y + h) - u(x, y - h)) / (2.0 * h)
+        ux, uy = grad(r * ct[None, :], r * st[None, :])
         s = 1.0 / (1.0 + ux * ux + uy * uy)
         return float(np.sum(s * r) * dr * dth)
 
@@ -340,8 +350,11 @@ def _grid_sum(u, n):
 def resistance_direct(body, n=800):
     """2-D resistance of a body height function by direct grid quadrature.
 
-    body must map (x1, x2) arrays to u values.  Uses midpoint polar grids at
-    n and n//2 with central-difference gradients and one Richardson step.
+    body maps (x1, x2) arrays to u values.  Uses midpoint polar grids at n
+    and n//2 and one Richardson step.  Gradients come from body.gradient
+    when the body has that method (BodyEvaluator: exact, from the hull
+    geometry alone); otherwise from central differences of body with step
+    FD_H.  The grid never samples x2 = 0.
     """
     n = int(n)
     if n < 8 or n % 2:

@@ -12,12 +12,24 @@ Two independent height evaluators:
 
 * the hull route (fast, vectorized): every boundary point lies on a segment
   from a curve point (y, 0, w(y)) to a rim point, and the segment through a
-  given (x1, x2) at parameter y has height lam(y; x)*w(y) with
+  given (x1, x2) at parameter y has height lam(y; x)*w(y) with lam the
+  smaller root of A*lam^2 - 2*B*lam + C = 0,
 
-      lam = (B - sqrt(B^2 - A*C)) / A,  A = 1-y^2, B = 1-x1*y, C = 1-|x|^2;
+      lam = C / (B + sqrt(D)),  A = 1-y^2, B = 1-x1*y, C = 1-|x|^2,
+      D = B^2 - A*C = (x1-y)^2 + x2^2*A;
 
   minimizing over y gives u(x1, x2) (coarse lattice + vectorized golden
-  section).  The discriminant is >= (x1-y)^2, so it never goes negative.
+  section).  Because u = min_y lam(y; x)*w(y) over a fixed y range, its
+  gradient is the x-gradient of the chord height at the minimizer y*
+  (Danskin's envelope theorem); implicit differentiation of the quadratic
+  gives
+
+      grad u = w(y*) * ((y*lam - x1) / sqrt(D), -x2 / sqrt(D)),
+
+  which holds at y* = +-1 too.  D vanishes only on the ridge x2 = 0 at
+  y* = x1: u has a crease along the cross-section curve, and the gradient
+  is not defined there (the midpoint grids of the 2-D oracle never sample
+  x2 = 0).
 
 * the conjugate route (slow, used for cross-checks): u as the biconjugate
   sup_p <p, x> - max(|p|, v(|p1|)) over a polar grid with coordinatewise
@@ -31,7 +43,16 @@ import numpy as np
 from .errors import DomainError, EvaluationError
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-_CHUNK = 120_000
+_CHUNK = 40_000   # points per vectorized pass; sized to stay in cache
+
+
+def _chord(y, x1, x2sq, c):
+    """lam and sqrt(D) of the chord from curve point y through (x1, x2).
+
+    C / (B + sqrt(D)) has no cancellation and needs no branch at y = +-1.
+    """
+    sd = np.sqrt((x1 - y) ** 2 + x2sq * (1.0 - y * y))
+    return c / np.maximum(1.0 - x1 * y + sd, 1e-300), sd
 
 
 # ---------------------------------------------------------------------------
@@ -165,17 +186,10 @@ class BodyEvaluator:
         out = self.table.eval(y)
         return float(out) if out.ndim == 0 else out
 
-    def _lam(self, y, w, x1, c):
-        a = 1.0 - y * y
-        b = 1.0 - x1 * y
-        disc = np.maximum(b * b - a * c, 0.0)
-        lam = np.where(a > 1e-12,
-                       (b - np.sqrt(disc)) / np.where(a > 1e-12, a, 1.0),
-                       c / np.maximum(2.0 * b, 1e-300))
-        return lam * w
-
-    def _chunk(self, x1, x2):
-        c = 1.0 - x1 * x1 - x2 * x2
+    def _minimize(self, x1, x2):
+        """Minimizing generator y* and chord height lam(y*)*w(y*) per point."""
+        x2sq = x2 * x2
+        c = 1.0 - x1 * x1 - x2sq
         if np.any(c < -1e-9):
             raise EvaluationError("point outside the unit disk")
         c = np.maximum(c, 0.0)
@@ -183,7 +197,7 @@ class BodyEvaluator:
         best = np.zeros_like(x1)           # value from rim supports (y=+-1)
         bestj = np.zeros(x1.shape, dtype=np.int32)
         for j, (yc, wc) in enumerate(zip(self.cand, self.cand_w)):
-            f = self._lam(yc, wc, x1, c)
+            f = _chord(yc, x1, x2sq, c)[0] * wc
             m = f < best
             best = np.where(m, f, best)
             bestj[m] = j
@@ -192,7 +206,7 @@ class BodyEvaluator:
         lo = self.cand[np.maximum(bestj - 1, 0)]
         hi = self.cand[np.minimum(bestj + 1, lastj)]
 
-        fy = lambda y: self._lam(y, self.table.eval(y), x1, c)
+        fy = lambda y: _chord(y, x1, x2sq, c)[0] * self.table.eval(y)
         a, b = lo, hi
         cpt = b - _INVPHI * (b - a)
         dpt = a + _INVPHI * (b - a)
@@ -211,11 +225,26 @@ class BodyEvaluator:
             new_fc = np.where(m, fp, fd)
             new_fd = np.where(m, fc, fp)
             cpt, dpt, fc, fd = new_c, new_d, new_fc, new_fd
-        mid = fy(0.5 * (a + b))
-        out = np.minimum(best, np.minimum(np.minimum(fc, fd), mid))
-        return np.minimum(out, 0.0)
+        mid = 0.5 * (a + b)
+        ys = np.stack([self.cand[bestj], cpt, dpt, mid])
+        fs = np.stack([best, fc, fd, fy(mid)])
+        k = np.argmin(fs, axis=0)
+        pick = np.arange(len(x1))
+        return ys[k, pick], fs[k, pick], x2sq, c
 
-    def __call__(self, x1, x2):
+    def _height(self, x1, x2):
+        return np.minimum(self._minimize(x1, x2)[1], 0.0)
+
+    def _gradient(self, x1, x2):
+        # Danskin: grad u = w(y*) grad_x lam(y*; x), from implicit
+        # differentiation of A lam^2 - 2 B lam + C = 0
+        y, _, x2sq, c = self._minimize(x1, x2)
+        lam, sd = _chord(y, x1, x2sq, c)
+        w = self.table.eval(y)
+        return w * (y * lam - x1) / sd, -w * x2 / sd
+
+    def _map(self, fn, k, x1, x2):
+        """fn (k outputs per point) over the broadcast points, chunk by chunk."""
         x1a = np.asarray(x1, float)
         x2a = np.asarray(x2, float)
         scalar = x1a.ndim == 0 and x2a.ndim == 0
@@ -223,13 +252,27 @@ class BodyEvaluator:
         shape = x1f.shape
         x1f = x1f.reshape(-1)
         x2f = x2f.reshape(-1)
-        out = np.empty(x1f.shape)
+        out = np.empty((k, len(x1f)))
         for i in range(0, len(x1f), _CHUNK):
             sl = slice(i, i + _CHUNK)
-            out[sl] = self._chunk(x1f[sl], x2f[sl])
+            out[:, sl] = fn(x1f[sl], x2f[sl])
         if scalar:
-            return float(out[0])
-        return out.reshape(shape)
+            return out[:, 0].tolist()
+        return out.reshape((k,) + shape)
+
+    def __call__(self, x1, x2):
+        return self._map(self._height, 1, x1, x2)[0]
+
+    def gradient(self, x1, x2):
+        """Exact gradient (u_x1, u_x2) of the height function.
+
+        One minimization per point, then the envelope theorem at the
+        minimizing generator y*; same broadcasting and errors as calling
+        the evaluator.  Undefined on the ridge x2 = 0 (the cross-section
+        curve, where u has a crease).
+        """
+        ux, uy = self._map(self._gradient, 2, x1, x2)
+        return ux, uy
 
     evaluate = __call__
 

@@ -5,6 +5,7 @@ Exit-code contract: 0 success, 1 usage error, 2 solver/validity/IO error,
 fixed invocation.
 """
 
+import hashlib
 import json
 import re
 
@@ -99,6 +100,39 @@ def test_default_output_bytes_are_pinned(capsys):
     # any solver change must leave the default 8-digit output untouched
     assert run(capsys, "solve", "--M", "1.0") == (0, GOLDEN_SOLVE, "")
     assert run(capsys, "constants") == (0, GOLDEN_CONSTANTS, "")
+
+
+GOLDEN_MESH_SIDECAR = """\
+{
+  "M": 1.0000000e+00,
+  "p0": 3.7164698e+00,
+  "r": 1.2207655e+00,
+  "slope0": 6.3245046e-01,
+  "J": 5.9779091e-01,
+  "resistance": 1.1955818e+00,
+  "n_vertices": 438,
+  "n_faces": 562,
+  "watertight": true
+}
+"""
+
+GOLDEN_MESH_OBJ_SHA256 = "bbadac174ada07b041eb7c778eff9e55fed0a9f69d5e1a265485652367270c02"
+
+
+def test_mesh_output_bytes_are_pinned(capsys, tmp_path):
+    out = tmp_path / "body.obj"
+    side = tmp_path / "body.json"
+    stdout = ("{\n"
+              f'  "out": {json.dumps(str(out))},\n'
+              f'  "sidecar": {json.dumps(str(side))},\n'
+              '  "n_vertices": 438,\n'
+              '  "n_faces": 562,\n'
+              '  "watertight": true\n'
+              "}\n")
+    assert run(capsys, "mesh", "--M", "1.0", "--resolution", "64",
+               "--out", str(out)) == (0, stdout, "")
+    assert side.read_text() == GOLDEN_MESH_SIDECAR
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_MESH_OBJ_SHA256
 
 
 def test_solve_deterministic_bytes(capsys, tmp_path):
@@ -219,3 +253,32 @@ def test_resistance_matches_functional_value(capsys):
     assert d["two_J"] == pytest.approx(2.0 * 0.350482, rel=5e-4)
     assert d["resistance_direct"] == pytest.approx(0.700964, rel=1e-2)
     assert d["rel_diff"] < 1e-2
+
+
+# ---------------------------------------------------------------------------
+# usage errors are rejected while parsing: exit 1, a message, no traceback
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, message", [
+    (("resistance", "--M", "1", "--resolution", "7"), "must be >= 8"),
+    (("resistance", "--M", "1", "--resolution", "9"), "must be even"),
+    (("resistance", "--M", "1", "--resolution", "x"), "not an integer"),
+    (("mesh", "--M", "1", "--resolution", "0", "--out", "unused.obj"), "must be >= 8"),
+    (("mesh", "--M", "1", "--resolution", "7", "--out", "unused.obj"), "must be >= 8"),
+    (("check", "--alpha", "foo"), "comma-separated finite numbers"),
+    (("check", "--alpha", "0,nan"), "comma-separated finite numbers"),
+    (("solve", "--M", "inf"), "finite"),
+    (("solve", "--p0", "inf"), "finite"),
+    (("solve", "--M", "1", "--tol", "-1"), "must be positive"),
+    (("solve", "--M", "1", "--tol", "nan"), "must be positive"),
+    (("table", "--tol", "0"), "must be positive"),
+    (("check", "--tol", "nan"), "must be positive"),
+    (("mesh", "--M", "1", "--tol", "inf", "--out", "unused.obj"), "finite"),
+    (("resistance", "--M", "1", "--tol", "-1"), "must be positive"),
+])
+def test_bad_input_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err

@@ -27,6 +27,7 @@ from newton_minres import (
     resistance_direct,
     thread_count,
 )
+from newton_minres import functional
 from newton_minres.functional import quad_value
 
 
@@ -188,6 +189,19 @@ def test_direct_resistance_vs_functional_value(solved):
     body = BodyEvaluator(sol)
     # cheap-resolution sanity run; the acceptance test does the full-n version
     val = resistance_direct(body, n=200)
+    assert val == pytest.approx(2.0 * sol.J, rel=1e-2)
+
+
+def test_direct_resistance_never_calls_the_1d_functional(solved, monkeypatch):
+    # the 2-D route is a cross-check only while it shares nothing with 1-D
+    sol = solved(1.0)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("2-D oracle called into the 1-D functional")
+
+    for name in ("quad_value", "J_scaled", "J_unscaled", "gamma_form_J"):
+        monkeypatch.setattr(functional, name, forbidden)
+    val = resistance_direct(BodyEvaluator(sol), n=64)
     assert val == pytest.approx(2.0 * sol.J, rel=1e-2)
 
 

@@ -178,6 +178,39 @@ def test_sup_route_matches_hull_route(sol, ev):
         body_evaluate(ev, 0.9, 0.9)
 
 
+@pytest.mark.parametrize("M", [0.5, 1.5])
+def test_gradient_matches_central_differences(solved, M):
+    body = BodyEvaluator(solved(M))
+    rng = np.random.default_rng(RNG_SEED + 4)
+    th = rng.uniform(0.0, 2.0 * np.pi, 400)
+    rr = 0.98 * np.sqrt(rng.uniform(0.0, 1.0, 400))
+    x1, x2 = rr * np.cos(th), rr * np.sin(th)
+    keep = np.abs(x2) >= 1e-2          # off the ridge x2 = 0, where u creases
+    x1, x2 = x1[keep], x2[keep]
+    assert len(x1) >= 200
+    ux, uy = body.gradient(x1, x2)
+    h = 1e-6
+    fx = (body(x1 + h, x2) - body(x1 - h, x2)) / (2.0 * h)
+    fy = (body(x1, x2 + h) - body(x1, x2 - h)) / (2.0 * h)
+    np.testing.assert_allclose(ux, fx, rtol=0.0, atol=1e-5)
+    np.testing.assert_allclose(uy, fy, rtol=0.0, atol=1e-5)
+
+
+def test_gradient_mirror_symmetry_and_domain(ev):
+    rng = np.random.default_rng(RNG_SEED + 5)
+    th = rng.uniform(0.0, np.pi, 300)
+    rr = np.sqrt(rng.uniform(0.0, 1.0, 300))
+    x1, x2 = rr * np.cos(th), rr * np.sin(th)
+    ux, uy = ev.gradient(x1, x2)
+    mx, my = ev.gradient(x1, -x2)
+    assert np.array_equal(mx, ux)      # u_x1 even in x2
+    assert np.array_equal(my, -uy)     # u_x2 odd in x2
+    gx, gy = ev.gradient(0.3, 0.4)
+    assert isinstance(gx, float) and isinstance(gy, float)
+    with pytest.raises(EvaluationError):
+        ev.gradient(1.01, 0.1)
+
+
 # ---------------------------------------------------------------------------
 # mesh
 # ---------------------------------------------------------------------------
