@@ -25,7 +25,7 @@ from .functional import (
 )
 from .extremal import (
     ScaledProfile, ExtremalSolution, AdjointProfile, LimitConstants,
-    nu_derivatives_at_one, scaled_arc_ivp, unscaled_arc_ivp, solve_nu,
+    nu_derivatives_at_one, scaled_arc_ivp, solve_nu,
     I_of, I_closed_form_alpha0, find_switch, assemble_profile,
     adjoint_omega, jacobi_check, field_jacobian_check, abel_residual,
     endpoint_weight_quadrature, endpoint_weight_closed_form,

@@ -83,36 +83,6 @@ def scaled_arc_ivp(alpha):
     return SingularIVP(LAM, g, g_x, g_xdot, g0)
 
 
-def unscaled_arc_ivp(p0):
-    """SingularIVP for the unscaled arc (t=p-p0, x=v-p).
-
-    Degenerates (g(0,0,0)=0) exactly at p0 = 1/sqrt(3), the scale where the
-    validity range collapses; the constructor rejects it.
-    """
-    p0 = float(p0)
-    if p0 <= 0.0:
-        raise DomainError(f"p0 must be positive, got {p0}")
-
-    def g(t, x, xd):
-        w = x + t + p0
-        return (-0.25 * (xd + 2.0) ** 2 / (x + 2.0 * t + 2.0 * p0)
-                + 2.0 * w * (xd + 1.0) ** 2 / (1.0 + w * w))
-
-    def g_x(t, x, xd):
-        w = x + t + p0
-        d = 1.0 + w * w
-        return (0.25 * (xd + 2.0) ** 2 / (x + 2.0 * t + 2.0 * p0) ** 2
-                + 2.0 * (xd + 1.0) ** 2 * (1.0 - w * w) / (d * d))
-
-    def g_xdot(t, x, xd):
-        w = x + t + p0
-        return (-0.5 * (xd + 2.0) / (x + 2.0 * t + 2.0 * p0)
-                + 4.0 * w * (xd + 1.0) / (1.0 + w * w))
-
-    g0 = (3.0 * p0 * p0 - 1.0) / (2.0 * p0 * (1.0 + p0 * p0))
-    return SingularIVP(LAM, g, g_x, g_xdot, g0)
-
-
 @lru_cache(maxsize=64)
 def _solve_nu_base(alpha, tol):
     return integrate(scaled_arc_ivp(alpha), -1.0, tol=tol)

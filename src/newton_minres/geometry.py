@@ -18,22 +18,14 @@ Two independent height evaluators:
       lam = C / (B + sqrt(D)),  A = 1-y^2, B = 1-x1*y, C = 1-|x|^2,
       D = B^2 - A*C = (x1-y)^2 + x2^2*A;
 
-  minimizing over y gives u(x1, x2) (coarse lattice + vectorized golden
-  section).  Because u = min_y lam(y; x)*w(y) over a fixed y range, its
-  gradient is the x-gradient of the chord height at the minimizer y*
-  (Danskin's envelope theorem); implicit differentiation of the quadratic
-  gives
-
-      grad u = w(y*) * ((y*lam - x1) / sqrt(D), -x2 / sqrt(D)),
-
-  which holds at y* = +-1 too.  D vanishes only on the ridge x2 = 0 at
-  y* = x1: u has a crease along the cross-section curve, and the gradient
-  is not defined there (the midpoint grids of the 2-D oracle never sample
-  x2 = 0).
+  u(x1, x2) is the minimum over y (see BodyEvaluator).  By Danskin's
+  envelope theorem its gradient is the x-gradient of the chord height at the
+  minimizer y*, grad u = w(y*) * (y*lam - x1, -x2) / sqrt(D), also at
+  y* = +-1.  D vanishes only on the ridge x2 = 0 at y* = x1, where u creases
+  and the gradient is undefined (the 2-D oracle's grids never sample x2 = 0).
 
 * the conjugate route (slow, used for cross-checks): u as the biconjugate
-  sup_p <p, x> - max(|p|, v(|p1|)) over a polar grid with coordinatewise
-  golden refinement.
+  sup_p <p, x> - max(|p|, v(|p1|)), by a 1-D search (see body_evaluate).
 """
 
 from dataclasses import dataclass, field
@@ -162,21 +154,39 @@ def export_profile_csv(curve, path):
 # ---------------------------------------------------------------------------
 
 class BodyEvaluator:
-    """Vectorized height function u(x1, x2) of the body (hull route)."""
+    """Vectorized height function u(x1, x2) of the body (hull route).
 
-    def __init__(self, sol, n_table=4097, n_coarse=97, golden_iters=48):
+    u = min(0, min over y in [-1, 1] of F(y) = lam(y; x)*w(y)), with w the
+    table's cubic-Hermite interpolant.  The minimization uses F's structure:
+
+    * side lemma: for x1, y >= 0, B and D are no larger at +y than at -y, so
+      lam(y) >= lam(-y) and, as w <= 0 is even, F(y) <= F(-y).  Only
+      y*sign(x1) in [0, 1] is searched.
+    * flat and corner branches, closed form: on |y| <= slope0, F = -M*lam.
+      lam is quasi-concave in y: for t in [0, 1], lam >= t exactly when
+      |x - t*(y, 0)| <= 1 - t, a disk cut by a line, an interval of y.  Its
+      peak, where x1 = y*lam, is y = x1/(1 - |x2|); clipped to [-slope0,
+      slope0] it minimizes F there, and the clip is the corner.
+    * curved branch, y in [slope0, 1]: F' = lam*G, G = (x1 - y*lam)*w/sqrt(D)
+      + w'.  A 17-node lattice picks the node of least F and the side where G
+      changes sign; safeguarded Newton steps on G, with G' from the same
+      cubic's w, w', w'', converge in that bracket.  F's unimodality on this
+      side is not proven, which is why the lattice stays.  A point still
+      moving after twice the halvings from the lattice step to the tolerance
+      raises EvaluationError.
+    * u is the least of the flat/corner value, the curved value and 0 (rim).
+    """
+
+    def __init__(self, sol, n_table=4097):
         self.sol = sol
-        self.table = _VStarTable(sol, n_table)
-        s0 = self.table.s0
-        step = max(1, (n_table - 1) // n_coarse)
-        curv = self.table.y_nodes[::step]
-        if curv[-1] != 1.0:
-            curv = np.append(curv, 1.0)
-        flat = np.linspace(-s0, s0, 9)
-        # unique: duplicate candidates break the [j-1, j+1] bracket around ties
-        self.cand = np.unique(np.concatenate([-curv[::-1], flat, curv]))
-        self.cand_w = self.table.eval(self.cand)
-        self.golden_iters = int(golden_iters)
+        self.table = table = _VStarTable(sol, n_table)
+        z, m = table.z_nodes, table.p_nodes * table.h
+        # power form of each Hermite piece: w = ((c3*s + c2)*s + c1)*s + c0
+        self.coef = np.column_stack([
+            z[:-1], m[:-1], 3.0 * (z[1:] - z[:-1]) - 2.0 * m[:-1] - m[1:],
+            2.0 * (z[:-1] - z[1:]) + m[:-1] + m[1:]])
+        self.lat_y = np.linspace(table.s0, 1.0, 17)
+        self.lat_w, self.lat_p, _ = self._jet(self.lat_y)
 
     def vstar(self, y):
         """Cross-section height w(y) (vectorized; even in y)."""
@@ -186,58 +196,80 @@ class BodyEvaluator:
         out = self.table.eval(y)
         return float(out) if out.ndim == 0 else out
 
+    def _jet(self, y):
+        """w, w', w'' of the Hermite interpolant at y in [slope0, 1]."""
+        h = self.table.h
+        s = (y - self.table.s0) / h
+        j = np.minimum(s.astype(np.intp), len(self.coef) - 1)
+        s = s - j
+        c0, c1, c2, c3 = self.coef[j].T
+        w = ((c3 * s + c2) * s + c1) * s + c0
+        wp = ((3.0 * c3 * s + 2.0 * c2) * s + c1) / h
+        wpp = (6.0 * c3 * s + 2.0 * c2) / (h * h)
+        return w, wp, wpp
+
+    def _curved(self, a, x2sq, c):
+        """Minimizer and value of F on y in [slope0, 1], for x1 = a >= 0."""
+        lat_y, last, tol = self.lat_y, len(self.lat_y) - 1, 1e-13
+        best, j = np.full(a.shape, np.inf), np.zeros(a.shape, dtype=np.intp)
+        for k, (yk, wk) in enumerate(zip(lat_y, self.lat_w)):
+            f = _chord(yk, a, x2sq, c)[0] * wk
+            j[f < best] = k
+            best = np.minimum(f, best)
+        y = out = lat_y[j]
+        lam, sd = _chord(y, a, x2sq, c)
+        g = (a - y * lam) * self.lat_w[j] + sd * self.lat_p[j]   # sqrt(D)*G
+        lo = np.where(g < 0.0, y, lat_y[np.maximum(j - 1, 0)])
+        hi = np.where(g > 0.0, y, lat_y[np.minimum(j + 1, last)])
+        idx = np.flatnonzero(hi - lo > tol)   # the rest stop at a lattice end
+        state = [v[idx] for v in (y, lo, hi, hi - lo, a, x2sq, c)]
+        # a bisection halves the bracket; Newton runs only while it halves the step
+        for _ in range(2 * int(np.ceil(np.log2((1.0 - self.table.s0) / last / tol)))):
+            y, lo, hi, step, xa, xx, cc = state
+            lam, sd = _chord(y, xa, xx, cc)
+            sd = np.maximum(sd, 1e-300)
+            w, wp, wpp = self._jet(y)
+            q = (xa - y * lam) / sd             # lam' = lam*q, bounded
+            dsd = (y * (1.0 - xx) - xa) / sd     # (sqrt D)', bounded
+            g = q * w + wp
+            gp = (-lam * (1.0 + y * q) - q * dsd) * w / sd + q * wp + wpp
+            lo, hi = np.where(g < 0.0, y, lo), np.where(g > 0.0, y, hi)
+            dy = -g / gp
+            done = ((gp > 0.0) & (np.abs(dy) <= tol)) | (hi - lo <= tol)
+            newton = done | ((y + dy > lo) & (y + dy < hi) & (np.abs(dy) <= 0.5 * step))
+            yn = np.clip(np.where(newton, y + dy, 0.5 * (lo + hi)), lo, hi)
+            step = np.abs(yn - y)
+            done |= step <= tol
+            out[idx[done]] = yn[done]
+            idx = idx[~done]
+            state = [v[~done] for v in (yn, lo, hi, step, xa, xx, cc)]
+            if not len(idx):
+                break
+        else:
+            raise EvaluationError(f"hull minimizer did not converge at {len(idx)} point(s)")
+        return out, _chord(out, a, x2sq, c)[0] * self._jet(out)[0]
+
     def _minimize(self, x1, x2):
-        """Minimizing generator y* and chord height lam(y*)*w(y*) per point."""
+        """Minimizing generator y* and height min(0, lam(y*)*w(y*)) per point."""
         x2sq = x2 * x2
         c = 1.0 - x1 * x1 - x2sq
         if np.any(c < -1e-9):
             raise EvaluationError("point outside the unit disk")
         c = np.maximum(c, 0.0)
-
-        best = np.zeros_like(x1)           # value from rim supports (y=+-1)
-        bestj = np.zeros(x1.shape, dtype=np.int32)
-        for j, (yc, wc) in enumerate(zip(self.cand, self.cand_w)):
-            f = _chord(yc, x1, x2sq, c)[0] * wc
-            m = f < best
-            best = np.where(m, f, best)
-            bestj[m] = j
-
-        lastj = len(self.cand) - 1
-        lo = self.cand[np.maximum(bestj - 1, 0)]
-        hi = self.cand[np.minimum(bestj + 1, lastj)]
-
-        fy = lambda y: _chord(y, x1, x2sq, c)[0] * self.table.eval(y)
-        a, b = lo, hi
-        cpt = b - _INVPHI * (b - a)
-        dpt = a + _INVPHI * (b - a)
-        fc = fy(cpt)
-        fd = fy(dpt)
-        for _ in range(self.golden_iters):
-            m = fc < fd
-            a = np.where(m, a, cpt)
-            b = np.where(m, dpt, b)
-            cn = b - _INVPHI * (b - a)
-            dn = a + _INVPHI * (b - a)
-            probe = np.where(m, cn, dn)
-            fp = fy(probe)
-            new_c = np.where(m, cn, dpt)
-            new_d = np.where(m, cpt, dn)
-            new_fc = np.where(m, fp, fd)
-            new_fd = np.where(m, fc, fp)
-            cpt, dpt, fc, fd = new_c, new_d, new_fc, new_fd
-        mid = 0.5 * (a + b)
-        ys = np.stack([self.cand[bestj], cpt, dpt, mid])
-        fs = np.stack([best, fc, fd, fy(mid)])
-        k = np.argmin(fs, axis=0)
-        pick = np.arange(len(x1))
-        return ys[k, pick], fs[k, pick], x2sq, c
+        s0 = self.table.s0   # flat/corner branch: the clipped peak of lam
+        yf = np.clip(x1 / np.maximum(1.0 - np.abs(x2), 1e-300), -s0, s0)
+        ff = -self.table.M * _chord(yf, x1, x2sq, c)[0]
+        yc, fc = self._curved(np.abs(x1), x2sq, c)
+        flat = ff <= fc
+        f = np.minimum(np.where(flat, ff, fc), 0.0)
+        y = np.where(flat, yf, np.copysign(yc, x1))
+        return np.where(f < 0.0, y, np.copysign(1.0, x1)), f, x2sq, c  # rim: w = 0
 
     def _height(self, x1, x2):
-        return np.minimum(self._minimize(x1, x2)[1], 0.0)
+        return self._minimize(x1, x2)[1]
 
     def _gradient(self, x1, x2):
-        # Danskin: grad u = w(y*) grad_x lam(y*; x), from implicit
-        # differentiation of A lam^2 - 2 B lam + C = 0
+        # Danskin: grad u = w(y*) grad_x lam(y*; x), lam implicit in its quadratic
         y, _, x2sq, c = self._minimize(x1, x2)
         lam, sd = _chord(y, x1, x2sq, c)
         w = self.table.eval(y)
@@ -273,8 +305,6 @@ class BodyEvaluator:
         """
         ux, uy = self._map(self._gradient, 2, x1, x2)
         return ux, uy
-
-    evaluate = __call__
 
 
 def body_evaluate(ev, x1, x2):

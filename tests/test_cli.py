@@ -135,6 +135,15 @@ def test_mesh_output_bytes_are_pinned(capsys, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_MESH_OBJ_SHA256
 
 
+def test_resistance_output_is_pinned(capsys):
+    # rel_diff is a difference of nearly equal numbers, so only its inputs
+    # are pinned at 8 digits
+    code, out, _ = run(capsys, "resistance", "--M", "1.0", "--resolution", "64")
+    assert code == 0
+    assert '  "resistance_direct": 1.1956689e+00,\n' in out
+    assert '  "two_J": 1.1955818e+00,\n' in out
+
+
 def test_solve_deterministic_bytes(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run(capsys, "solve", "--M", "1.0", "--out", str(a))[0] == 0

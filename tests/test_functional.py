@@ -205,6 +205,17 @@ def test_direct_resistance_never_calls_the_1d_functional(solved, monkeypatch):
     assert val == pytest.approx(2.0 * sol.J, rel=1e-2)
 
 
+def test_direct_resistance_is_independent_of_thread_count(solved, monkeypatch):
+    # n = 480 splits the fine grid into 2 row blocks, so 2 threads really
+    # share the work; partial sums are added in block order either way
+    body = BodyEvaluator(solved(1.0))
+    vals = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("NEWTON_MINRES_THREADS", threads)
+        vals.append(resistance_direct(body, n=480))
+    assert vals[0] == vals[1]
+
+
 # ---------------------------------------------------------------------------
 # small utilities
 # ---------------------------------------------------------------------------

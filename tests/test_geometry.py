@@ -21,7 +21,7 @@ from newton_minres import (
     mesh_boundary_report,
     mesh_is_watertight,
 )
-from newton_minres.geometry import _INVPHI
+from newton_minres.geometry import _INVPHI, _chord
 
 RNG_SEED = 20240817
 
@@ -176,6 +176,48 @@ def test_sup_route_matches_hull_route(sol, ev):
         assert body_evaluate(ev, x, y) == pytest.approx(float(ev(x, y)), abs=1e-7)
     with pytest.raises(EvaluationError):
         body_evaluate(ev, 0.9, 0.9)
+
+
+def _disk_points(seed, n, rmax=0.98):
+    rng = np.random.default_rng(seed)
+    th = rng.uniform(0.0, 2.0 * np.pi, n)
+    rr = rmax * np.sqrt(rng.uniform(0.0, 1.0, n))
+    return rr * np.cos(th), rr * np.sin(th)
+
+
+@pytest.mark.parametrize("M", [0.5, 1.0, 3.0, 10.0])
+def test_minimizer_beats_brute_force(solved, M):
+    # u = min over y of lam(y; x)*w(y): no point may come out above the
+    # minimum over a dense y grid
+    body = BodyEvaluator(solved(M))
+    x1, x2 = _disk_points(RNG_SEED + 6, 2000)
+    u = body(x1, x2)
+    x2sq = x2 * x2
+    c = 1.0 - x1 * x1 - x2sq
+    grid = np.linspace(-1.0, 1.0, 20_001)
+    brute = np.zeros_like(x1)
+    for ys in np.array_split(grid, 40):
+        w = body.vstar(ys)[:, None]
+        f = _chord(ys[:, None], x1, x2sq, c)[0] * w
+        brute = np.minimum(brute, f.min(axis=0))
+    assert np.all(u <= brute + 1e-13)
+
+
+@pytest.mark.parametrize("M", [0.5, 1.0, 3.0, 10.0])
+def test_minimizer_flat_branch_is_closed_form(solved, M):
+    # on the flat bottom the minimizing generator is x1/(1 - |x2|) exactly,
+    # where x1 = y*lam; there u = -M*(1 - |x2|), so u_x1 vanishes up to the
+    # round-off of a gradient of size M, which grows like M/|x2| (ridge cut)
+    body = BodyEvaluator(solved(M))
+    x1, x2 = _disk_points(RNG_SEED + 7, 2000)
+    y = body._minimize(x1, x2)[0]
+    flat = np.abs(y) < solved(M).slope0
+    assert flat.sum() >= 500
+    np.testing.assert_allclose(y[flat], x1[flat] / (1.0 - np.abs(x2[flat])),
+                               rtol=0.0, atol=1e-14)
+    keep = flat & (np.abs(x2) >= 1e-2)
+    ux, _ = body.gradient(x1[keep], x2[keep])
+    assert np.max(np.abs(ux)) <= 1e-14 * M
 
 
 @pytest.mark.parametrize("M", [0.5, 1.5])
