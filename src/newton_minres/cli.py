@@ -252,7 +252,7 @@ def _check_one(alpha, tol, inject_fault):
     verdicts["adjoint_negative"] = (bool(np.all(adj.omega[interior] < 0.0))
                                     and abs(adj.omega[0]) < 1e-8)
 
-    min_abs, _ = extremal.jacobi_check(prof, tol=tol)
+    min_abs, _ = extremal.jacobi_check(prof)
     verdicts["no_conjugate_point"] = min_abs > 0.0
 
     try:

@@ -322,18 +322,18 @@ def variational_coeffs_along(profile):
     """Linearization of the arc equation along the assembled kappa.
 
     Written in the frame t = q-1, x = kappa - q; the coefficient functions
-    use the cancellation-free forms
+    take arrays of t and use the cancellation-free forms
 
         alpha_fn = lam (2x - t x')(2x + t x')/(t x^2) + t g_x,
         beta_fn  = 2 lam (t x' - 2x)/(t x) + g_xdot,
 
     finite at t=0 with limits -(4/3) lam nu'''/nu'' and
-    (2/3) lam nu'''/nu'' + g_xdot(0,0,0).  Below the switching point the
-    same formulas are evaluated along the affine branch (kappa is not an
-    arc solution there; that is intentional: the check certifies the
-    assembled composite, not the arc alone).  The coefficients are only
-    continuous at the switching point t = rho - 1, which is declared as a
-    break.
+    (2/3) lam nu'''/nu'' + g_xdot(0,0,0), returned at t=0 itself.  Below
+    the switching point the same formulas are evaluated along the affine
+    branch (kappa is not an arc solution there; that is intentional: the
+    check certifies the assembled composite, not the arc alone).  The
+    coefficients are only continuous at the switching point t = rho - 1,
+    which is declared as a break.
     """
     alpha = profile.alpha
     ivp = scaled_arc_ivp(alpha)
@@ -343,38 +343,39 @@ def variational_coeffs_along(profile):
     a_lim = -(4.0 / 3.0) * LAM * x3 / xdd0
     b_lim = (2.0 / 3.0) * LAM * x3 / xdd0 + ivp.g_xdot(0.0, 0.0, 0.0)
 
-    @lru_cache(maxsize=1)  # alpha_fn and beta_fn are read at the same t
     def state(t):
-        if t >= t_arc_min:
-            x, xd, _ = base.eval(t)
-            return x, xd
-        q = t + 1.0
-        return profile.height0 + (profile.slope - 1.0) * q, profile.slope - 1.0
+        on_arc = t >= t_arc_min
+        x, xd, _ = base.eval(np.where(on_arc, t, 0.0))
+        x_aff = profile.height0 + (profile.slope - 1.0) * (t + 1.0)
+        return np.where(on_arc, x, x_aff), np.where(on_arc, xd, profile.slope - 1.0)
 
-    def alpha_fn(t):
-        if t == 0.0:
-            return a_lim
-        x, xd = state(t)
-        return LAM * (2.0 * x - t * xd) * (2.0 * x + t * xd) / (t * x * x) + t * ivp.g_x(t, x, xd)
+    def off_rim(limit, formula):
+        """Array coefficient: formula(t, x, x') for t != 0, limit at t = 0."""
+        def fn(t):
+            t = np.asarray(t, float)
+            out = np.full(t.shape, limit)
+            off = t != 0.0
+            out[off] = formula(t[off], *state(t[off]))
+            return out
+        return fn
 
-    def beta_fn(t):
-        if t == 0.0:
-            return b_lim
-        x, xd = state(t)
-        return 2.0 * LAM * (t * xd - 2.0 * x) / (t * x) + ivp.g_xdot(t, x, xd)
-
+    alpha_fn = off_rim(a_lim, lambda t, x, xd: (
+        LAM * (2.0 * x - t * xd) * (2.0 * x + t * xd) / (t * x * x) + t * ivp.g_x(t, x, xd)))
+    beta_fn = off_rim(b_lim, lambda t, x, xd: (
+        2.0 * LAM * (t * xd - 2.0 * x) / (t * x) + ivp.g_xdot(t, x, xd)))
     return VariationalCoeffs(alpha_fn, beta_fn, lambda t: 0.0, LAM, breaks=(t_arc_min,))
 
 
-def jacobi_check(profile, tol=1e-10, eps=1e-3, n_grid=2000):
+def jacobi_check(profile, eps=1e-3, n_grid=2000):
     """Conjugate-point scan: solve the linearized equation with
     zeta(1)=0, zeta'(1)=1 and report (min |zeta| on [0, 1-eps], zeta).
 
-    A zero of zeta inside [0, 1) would be a conjugate point and kill local
+    The solve is a fixed linear collocation that no tolerance steers.  A
+    zero of zeta inside [0, 1) would be a conjugate point and kill local
     optimality; min_abs = 0.0 is returned if a sign change is detected.
     """
     coeffs = variational_coeffs_along(profile)
-    y = integrate_variational(coeffs, 1.0, -1.0, tol=tol)
+    y = integrate_variational(coeffs, 1.0, -1.0)
     zeta = MappedSolution(y, offset=-1.0)
     qs = np.linspace(0.0, 1.0 - eps, int(n_grid))
     vals = zeta(qs)

@@ -50,6 +50,7 @@ def quad_value(f, a, b, **kw):
 _END_BAND = 1e-9
 # finite-difference step for resistance_direct on plain height callables
 FD_H = 1e-5
+P0_MAX = 1e76  # J_unscaled divides by (1 + v^2)^2, v <= p0: overflows past 1.16e77
 
 
 def thread_count():
@@ -200,9 +201,12 @@ def J_unscaled(sol):
 
     Works on anything exposing p0, v(p), v_deriv(p); a curve hitting the
     singular endpoint v(p0) = p0 must also expose profile.nu.base (solver
-    output) so the movable frame can be used near the endpoint.
+    output) so the movable frame can be used near the endpoint.  p0 > P0_MAX
+    (alpha < 1e-152) raises DomainError.
     """
     p0 = sol.p0
+    if p0 > P0_MAX:
+        raise DomainError(f"p0={p0:.3e} > {P0_MAX:.0e}: the unscaled integrand overflows")
     r = getattr(sol, "r", None)
     singular_end = abs(sol.v(p0) - p0) < 1e-8 * max(1.0, p0)
 

@@ -25,20 +25,23 @@ a parabola, so x'^2/x stays finite).  The strategy:
    once and integrated twice from t=0, so evaluation needs no live
    integrator state and x(0) = x'(0) = 0 hold exactly.
 
-The same machinery integrates the linearized (variational) equation
+The linearized (variational) equation
 
     y'' = 4*lam*(t*y' - y)/t^2 + alpha(t)*y/t + beta(t)*y' + sigma(t)
 
-with y(0) = 0 and prescribed y'(0); the coefficient 4*lam*(t*y'-y)/t^2 is
-what the lam*x'^2/x term contributes after linearization along a seed-built
-solution.  Indicial roots at t=0 are 1 and 4*lam; for lam in (-1/2, 0) the
-second mode decays when integrating outward, so a quadratic Taylor start at
-a short offset tau_v replaces the seed.  DOP853 runs from there, and y'' at
-Chebyshev-Lobatto nodes is fitted and integrated twice as in step 3, with
-one series per interval on which the coefficients are smooth: each piece
-starts from the exact data (y(0) = 0, y'(0)) or from the previous piece's
-y and y' at the shared break.
+with y(0) = 0 and prescribed y'(0) is linear, so it needs no stepper: the
+coefficient 4*lam*(t*y'-y)/t^2 is what the lam*x'^2/x term contributes
+after linearization along a seed-built solution.  On each interval where
+the coefficients are smooth, y'' at Chebyshev-Lobatto nodes is the
+unknown; y' and y are its exact Chebyshev integrals from the piece's inner
+end, where they are taken from the data (y(0) = 0, y'(0)) or from the
+previous piece at the shared break.  Collocating the equation at the nodes
+(y''(0) from the t->0 balance at the origin node) gives one dense linear
+system per piece.  The singular term is harmless there: with
+y = y'(0)*t + t^2*z it reads z + t*z'.
 """
+
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -84,9 +87,9 @@ def accel_at_origin(ivp):
     return ivp.g_origin / (1.0 - 2.0 * ivp.lam)
 
 
-def _call_vec(fn, t, x, xd):
+def _call_vec(fn, t, *args):
     """fn on arrays; a constant returned as a scalar is broadcast to t's shape."""
-    return np.broadcast_to(np.asarray(fn(t, x, xd), float), np.shape(t))
+    return np.broadcast_to(np.asarray(fn(t, *args), float), np.shape(t))
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +409,11 @@ def integrate(ivp, t_end, tol=1e-10, epsilon=0.1):
 class VariationalCoeffs:
     """Coefficients of y'' = 4*lam*(t*y'-y)/t^2 + alpha(t)*y/t + beta(t)*y' + sigma(t).
 
-    alpha_fn/beta_fn/sigma_fn are scalar callables that must be finite at
-    t=0 (stabilized forms); lam must lie in (-1/2, 0) so the singular
-    indicial mode decays outward.  `breaks` lists the points where the
-    coefficients are continuous but not smooth; the solution gets one
+    alpha_fn/beta_fn/sigma_fn are callables of t that must accept numpy
+    arrays (elementwise; a constant may be returned as a scalar) and be
+    finite at t=0 (stabilized forms); lam must lie in (-1/2, 0) so the
+    singular indicial mode decays outward.  `breaks` lists the points where
+    the coefficients are continuous but not smooth; the solution gets one
     Chebyshev series per smooth interval between them.
     """
 
@@ -426,66 +430,56 @@ class VariationalCoeffs:
 
 def variational_accel_at_origin(coeffs, ydot0):
     """y''(0) from the t->0 balance of the variational equation."""
-    a0 = float(coeffs.alpha_fn(0.0))
-    b0 = float(coeffs.beta_fn(0.0))
-    s0 = float(coeffs.sigma_fn(0.0))
+    a0, b0, s0 = (float(fn(0.0)) for fn in (coeffs.alpha_fn, coeffs.beta_fn, coeffs.sigma_fn))
     return ((a0 + b0) * ydot0 + s0) / (1.0 - 2.0 * coeffs.lam)
 
 
-def integrate_variational(coeffs, ydot0, t_end, tol=1e-10):
+@lru_cache(maxsize=2)
+def _lobatto_integrals(d):
+    """Lobatto nodes s and the matrices taking values there to their
+    interpolant's coefficients (fit) and to its exact first and second
+    integrals from s = -d, read at the nodes (int1, int2)."""
+    s = np.cos(np.pi * np.arange(N_ARC) / (N_ARC - 1))
+    fit = np.linalg.inv(_cheb.chebvander(s, N_ARC - 1))
+    c1 = _cheb.chebint(fit, lbnd=-d)
+    c2 = _cheb.chebint(c1, lbnd=-d)
+    return s, fit, _cheb.chebvander(s, N_ARC) @ c1, _cheb.chebvander(s, N_ARC + 1) @ c2
+
+
+def integrate_variational(coeffs, ydot0, t_end):
     """Solve the variational equation with y(0)=0, y'(0)=ydot0 out to t_end.
 
-    Starts DOP853 from the quadratic Taylor state at a short offset tau_v
-    and rebuilds the solution as one Chebyshev series per smooth interval
-    (0, the coefficient breaks and t_end delimit them); returns a
-    DenseSolution like `integrate`.
+    One linear collocation solve for y'' at the N_ARC Lobatto nodes of each
+    smooth interval (0, the coefficient breaks and t_end delimit them);
+    returns a DenseSolution of one Chebyshev series per interval.
     """
     t_end = float(t_end)
     if t_end == 0.0:
         raise DomainError("t_end must be nonzero")
-    lam = coeffs.lam
     ydd0 = variational_accel_at_origin(coeffs, ydot0)
     d = 1.0 if t_end > 0 else -1.0
-    # the series is anchored at t=0, so the start's slope error
-    # y'''*tau_v^2/2 reaches the result: tau_v sits a factor 4 below the
-    # (6*tol)^(1/3) that the Taylor value error alone would allow
-    tau_v = 0.25 * min(0.01, max(1e-4, (6.0 * tol) ** (1.0 / 3.0)))
-
-    def accel(t, y, yd):
-        return (4.0 * lam * (t * yd - y) / (t * t)
-                + coeffs.alpha_fn(t) * y / t + coeffs.beta_fn(t) * yd + coeffs.sigma_fn(t))
-
-    def taylor(t):
-        return ydot0 * t + 0.5 * ydd0 * t * t, ydot0 + ydd0 * t
-
-    state = taylor
-    if abs(t_end) > tau_v:
-        res = solve_ivp(lambda t, z: (z[1], accel(t, z[0], z[1])), (d * tau_v, t_end),
-                        taylor(d * tau_v), method="DOP853",
-                        rtol=max(tol, 1e-13), atol=0.01 * tol, dense_output=True)
-        if not res.success:
-            raise BlowUp(f"variational integration failed: {res.message}")
-        state = res.sol
-
-    # one piece per smooth interval, built outward from t=0 like the arc in
-    # `integrate`: y'' at Chebyshev-Lobatto nodes (ydd0 at t=0, the Taylor
-    # state for |t| <= tau_v, the dense output beyond), fitted once and
-    # integrated twice from the piece's inner end, where y and y' are taken
-    # exactly from the data (first piece) or from the previous piece
+    s, fit, int1, int2 = _lobatto_integrals(d)
     ends = [0.0, *sorted({b for b in coeffs.breaks if 0.0 < d * b < d * t_end}, key=abs), t_end]
-    s = np.cos(np.pi * np.arange(N_ARC) / (N_ARC - 1))
     y_in, yd_in = 0.0, float(ydot0)
     segs = []
     for t_in, t_out in zip(ends[:-1], ends[1:]):
         mid, half = 0.5 * (t_in + t_out), 0.5 * abs(t_out - t_in)
         t = mid + half * s
-        ydd = np.empty(N_ARC)
-        for i, ti in enumerate(t):
-            if ti == 0.0:
-                ydd[i] = ydd0
-            else:
-                ydd[i] = accel(ti, *(taylor(ti) if abs(ti) <= tau_v else state(ti)))
-        c2 = _cheb.chebfit(s, ydd, N_ARC - 1)
+        a, b, sig = (_call_vec(fn, t) for fn in (coeffs.alpha_fn, coeffs.beta_fn, coeffs.sigma_fn))
+        at0 = t == 0.0  # the origin node of the first piece takes u = ydd0
+        tc, ac, bc = np.where(at0, 1.0, t)[:, None], a[:, None], b[:, None]
+
+        def linear(y, yd):  # the right side without sigma, row by row
+            return 4.0 * coeffs.lam * (tc * yd - y) / (tc * tc) + ac * y / tc + bc * yd
+
+        # for u = y'' at the nodes: y = y0 + Y @ u and y' = yd_in + Yd @ u
+        y0 = y_in + yd_in * (t - t_in)
+        Y, Yd = half * half * int2, half * int1
+        A = np.eye(N_ARC) - linear(Y, Yd)
+        rhs = linear(y0[:, None], yd_in)[:, 0] + sig
+        A[at0] = np.eye(N_ARC)[at0]
+        rhs[at0] = ydd0
+        c2 = fit @ np.linalg.solve(A, rhs)
         c1 = _cheb.chebint(c2, k=yd_in, lbnd=-d, scl=half)  # s = -d at t_in
         c0 = _cheb.chebint(c1, k=y_in, lbnd=-d, scl=half)
         seg = _ChebSegment(mid, half, c0, c1, c2)
@@ -493,4 +487,4 @@ def integrate_variational(coeffs, ydot0, t_end, tol=1e-10):
         segs.append(seg)
     if d < 0:
         segs.reverse()
-    return DenseSolution(sorted(ends), segs, info={"tau": tau_v, "ydd0": ydd0})
+    return DenseSolution(sorted(ends), segs, info={"ydd0": ydd0})

@@ -7,11 +7,21 @@ fixed invocation.
 
 import hashlib
 import json
+import math
 import re
+import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from newton_minres.cli import main
+from newton_minres import DomainError, NoRoot
+from newton_minres.cli import _check_one, main
+from newton_minres.functional import P0_MAX
+
+# a fresh _check_one call costs about 0.2-0.3 s (three arc solves for the
+# field Jacobian plus the adjoint quadratures), so this keeps the property
+# test within about 10 s
+MAX_CHECK_EXAMPLES = 25
 
 
 def run(capsys, *argv):
@@ -231,6 +241,101 @@ def test_check_injected_fault_is_caught(capsys):
     assert d["pass"] is False
     verdicts = d["reports"][0]["verdicts"]
     assert verdicts["switching_zero"] is False
+
+
+GOLDEN_CHECK = """\
+{
+  "pass": true,
+  "alphas": [
+    0.0000000e+00,
+    1.0000000e-02,
+    1.0000000e-01
+  ],
+  "reports": [
+    {
+      "alpha": 0.0000000e+00,
+      "rho": 1.0898362e-01,
+      "switch_integral": -3.0215945e-16,
+      "verdicts": {
+        "switching_zero": true,
+        "adjoint_negative": true,
+        "no_conjugate_point": true,
+        "field_sign_constant": true,
+        "endpoint_taylor": true,
+        "switching_closed_form": true,
+        "abel_reduction": true
+      },
+      "pass": true
+    },
+    {
+      "alpha": 1.0000000e-02,
+      "rho": 1.4420312e-01,
+      "switch_integral": 1.6347468e-16,
+      "verdicts": {
+        "switching_zero": true,
+        "adjoint_negative": true,
+        "no_conjugate_point": true,
+        "field_sign_constant": true,
+        "endpoint_taylor": true,
+        "scaling_identity": true
+      },
+      "pass": true
+    },
+    {
+      "alpha": 1.0000000e-01,
+      "rho": 3.9697116e-01,
+      "switch_integral": -9.7144515e-17,
+      "verdicts": {
+        "switching_zero": true,
+        "adjoint_negative": true,
+        "no_conjugate_point": true,
+        "field_sign_constant": true,
+        "endpoint_taylor": true,
+        "scaling_identity": true
+      },
+      "pass": true
+    }
+  ]
+}
+"""
+
+
+def test_check_output_bytes_are_pinned(capsys):
+    # check prints only the Jacobi verdict, never zeta itself, so a change
+    # of the variational solver must leave these bytes untouched
+    assert run(capsys, "check") == (0, GOLDEN_CHECK, "")
+
+
+def test_check_at_tight_tol_stays_fast(capsys):
+    # the tol reaches the arc solve only; the Jacobi solve is a fixed
+    # linear collocation whose cost does not grow with it
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "check", "--alpha", "0.1", "--tol", "1e-12")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+    assert elapsed < 10.0, f"check --tol 1e-12 took {elapsed:.1f} s"
+
+
+@settings(max_examples=MAX_CHECK_EXAMPLES, deadline=None)
+@given(st.floats(0.0, 0.32))
+@example(0.0)
+@example(5e-324)
+@example(0.32)
+def test_check_verdicts_pass_across_the_family(alpha):
+    # every certificate holds on the validity range, or the solver refuses
+    # with the documented NoRoot; beyond P0_MAX (alpha below about 1e-152)
+    # the unscaled functional behind the scaling identity is refused
+    if alpha > 0.0 and 1.0 / math.sqrt(alpha) > P0_MAX:
+        with pytest.raises(DomainError, match="integrand overflows"):
+            _check_one(alpha, 1e-10, False)
+        return
+    try:
+        report = _check_one(alpha, 1e-10, False)
+    except NoRoot:
+        return
+    assert all(report["verdicts"].values()), report["verdicts"]
+    assert abs(report["switch_integral"]) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,8 @@ from newton_minres import (
     solve_nu,
     unscale,
 )
-from newton_minres.extremal import scaled_lagrangian, variational_coeffs_along
+from newton_minres.extremal import (scaled_arc_ivp, scaled_lagrangian,
+                                   variational_coeffs_along)
 
 RHO_HAT = 0.108984
 
@@ -205,6 +206,30 @@ def test_variational_coefficients_finite_at_rim():
     for fn in (coeffs.alpha_fn, coeffs.beta_fn, coeffs.sigma_fn):
         assert np.isfinite(fn(0.0))
         assert fn(-1e-3) == pytest.approx(fn(0.0), abs=5e-2)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1])
+def test_variational_coefficients_linearize_the_arc_operator(alpha):
+    # y'' = 4 lam (t y' - y)/t^2 + alpha_fn y/t + beta_fn y' must be the
+    # linearization of F = lam x'^2/x + g along kappa on both branches, so
+    # t F_x + 4 lam/t = alpha_fn and F_xd - 4 lam/t = beta_fn, with F_x and
+    # F_xd from central differences of the nonlinear right side
+    prof = assemble_profile(alpha)
+    coeffs = variational_coeffs_along(prof)
+    g = scaled_arc_ivp(alpha).g
+
+    def F(t, x, xd):
+        return coeffs.lam * xd * xd / x + g(t, x, xd)
+
+    t = np.linspace(-0.95, -0.1, 18)
+    x = prof.kappa(t + 1.0) - (t + 1.0)
+    xd = prof.kappa_deriv(t + 1.0) - 1.0
+    hx, h = 1e-5 * x, 1e-6  # F ~ 1/x, and x = O(t^2) is small near the rim
+    f_x = (F(t, x + hx, xd) - F(t, x - hx, xd)) / (2.0 * hx)
+    f_xd = (F(t, x, xd + h) - F(t, x, xd - h)) / (2.0 * h)
+    lam4 = 4.0 * coeffs.lam / t
+    np.testing.assert_allclose(coeffs.alpha_fn(t), t * f_x + lam4, rtol=0.0, atol=1e-7)
+    np.testing.assert_allclose(coeffs.beta_fn(t), f_xd - lam4, rtol=0.0, atol=1e-7)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.01, 0.1])
