@@ -236,11 +236,7 @@ def _cmd_constants(args):
 def _check_one(alpha, tol, inject_fault):
     prof = extremal.assemble_profile(alpha, tol)
     if inject_fault:
-        rho = prof.rho + 1e-2
-        value, slope, _ = prof.nu.eval(rho)
-        height0 = value - rho * slope
-        prof = extremal.ScaledProfile(alpha=alpha, rho=rho, nu=prof.nu,
-                                      slope=slope, height0=height0)
+        prof = extremal.ScaledProfile.at_switch(alpha, prof.nu, prof.rho + 1e-2)
 
     verdicts = {}
     switch_val = extremal.I_of(prof.rho, alpha, prof.nu)

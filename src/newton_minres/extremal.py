@@ -21,7 +21,7 @@ a genuine local minimizer, not just a stationary point.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -34,7 +34,8 @@ from .singular_ode import (MappedSolution, SingularIVP, integrate,
 
 LAM = -0.25
 ALPHA_MAX = 1.0 / 3.0
-# global bounds on the flat height over the validity range, used to bracket p0
+# the flat height is below _H0_HI on the validity range and above _H0_LO for
+# p0 >= 2.43 only (it falls to about 0.05 as alpha -> 1/3): see solve_for_height
 _H0_LO, _H0_HI = 0.20, 0.3158
 _VALIDITY_MSG = ("alpha = {:.6g} is outside [0, 1/3): the switching-integral "
                  "uniqueness hypothesis fails there (endpoint weight changes sign at 1/3)")
@@ -157,11 +158,12 @@ def I_closed_form_alpha0(rho, nu_hat):
     return bracket / (4.0 * b * b)
 
 
-def find_switch(alpha, nu=None, hint=None, tol=1e-12):
+def find_switch(alpha, nu=None, tol=1e-12):
     """Zero of I(., alpha, nu): the switching radius rho.
 
-    Scans upward from small rho for the first sign change (I < 0 below the
-    root, > 0 above), then refines with brentq and verifies |I(rho)| < 1e-12.
+    Scans rho = 0.015, 0.035, ... upward for the first sign change (I < 0
+    below the root, > 0 above), refines with brentq and verifies |I(rho)| <
+    1e-12.  No warm start: assemble_profile's cache calls this once per alpha.
     """
     alpha = float(alpha)
     if not 0.0 <= alpha < ALPHA_MAX:
@@ -172,25 +174,17 @@ def find_switch(alpha, nu=None, hint=None, tol=1e-12):
     def f(r):
         return I_of(r, alpha, nu)
 
-    lo = hi = None
-    if hint is not None and 0.02 < hint < 0.95:
-        a0, b0 = max(0.01, hint - 0.05), min(0.985, hint + 0.05)
-        fa, fb = f(a0), f(b0)
-        if fa < 0.0 < fb:
-            lo, hi = a0, b0
-    if lo is None:
-        grid = np.arange(0.015, 0.985, 0.02)
-        fprev = f(grid[0])
-        if fprev > 0.0:
-            raise NoRoot(f"I already positive at rho={grid[0]:.3f}; no bracket found")
-        for qa, qb in zip(grid[:-1], grid[1:]):
-            fnext = f(qb)
-            if fprev < 0.0 <= fnext:
-                lo, hi = qa, qb
-                break
-            fprev = fnext
-        else:
-            raise NoRoot(f"switching integral has no sign change on [{grid[0]}, {grid[-1]}]")
+    grid = np.arange(0.015, 0.985, 0.02)
+    fprev = f(grid[0])
+    if fprev > 0.0:
+        raise NoRoot(f"I already positive at rho={grid[0]:.3f}; no bracket found")
+    for lo, hi in zip(grid[:-1], grid[1:]):
+        fnext = f(hi)
+        if fprev < 0.0 <= fnext:
+            break
+        fprev = fnext
+    else:
+        raise NoRoot(f"switching integral has no sign change on [{grid[0]}, {grid[-1]}]")
 
     root = brentq(f, lo, hi, xtol=max(tol, 1e-13), rtol=4.0 * np.finfo(float).eps)
     if abs(f(root)) > 1e-12:
@@ -206,15 +200,21 @@ def find_switch(alpha, nu=None, hint=None, tol=1e-12):
 class ScaledProfile:
     """Assembled scaled profile: affine on [0, rho], arc on [rho, 1].
 
-    kappa(q) = height0 + slope*q below rho and nu(q) above; by construction
-    value and slope match at rho, so kappa is C^1 and convex.
+    kappa(q) = height0 + slope*q below rho and nu(q) above; at_switch matches
+    value and slope at rho, so kappa is C^1 and convex.  The accessors take
+    their column of eval, which reads the arc once.
     """
     alpha: float
     rho: float
     nu: object
     slope: float
     height0: float
-    q_min: float = 0.0
+
+    @classmethod
+    def at_switch(cls, alpha, nu, rho):
+        """The profile that leaves the arc nu along its tangent at rho."""
+        value, slope, _ = nu.eval(rho)
+        return cls(alpha=alpha, rho=rho, nu=nu, slope=slope, height0=value - rho * slope)
 
     def __post_init__(self):
         if not 0.0 < self.rho < 1.0:
@@ -230,41 +230,33 @@ class ScaledProfile:
         if np.any(val - qs <= 0.0) or np.any(second <= 0.0):
             raise DomainError("arc violates nu > q or convexity on [rho, 1)")
 
-    def _split(self, q):
+    def eval(self, q):
+        """(kappa, kappa', kappa'') at q in [0, 1]."""
         q = np.asarray(q, float)
         if np.any(q < -1e-12) or np.any(q > 1.0 + 1e-12):
             raise DomainError("kappa evaluated outside [0, 1]")
-        return np.clip(q, 0.0, 1.0), q >= self.rho
+        on_arc = q >= self.rho
+        q = np.clip(q, 0.0, 1.0)
+        out = np.array([self.height0 + self.slope * q, np.full_like(q, self.slope),
+                        np.zeros_like(q)])
+        if np.any(on_arc):
+            out = np.where(on_arc, self.nu.eval(np.where(on_arc, q, 1.0)), out)
+        return tuple(map(float, out)) if q.ndim == 0 else tuple(out)
 
     def kappa(self, q):
-        qc, on_arc = self._split(q)
-        out = self.height0 + self.slope * qc
-        if np.any(on_arc):
-            out = np.where(on_arc, self.nu(np.where(on_arc, qc, 1.0)), out)
-        return float(out) if out.ndim == 0 else out
+        return self.eval(q)[0]
 
     def kappa_deriv(self, q):
-        qc, on_arc = self._split(q)
-        out = np.full_like(qc, self.slope)
-        if np.any(on_arc):
-            out = np.where(on_arc, self.nu.derivative(np.where(on_arc, qc, 1.0)), out)
-        return float(out) if out.ndim == 0 else out
+        return self.eval(q)[1]
 
     def kappa_second(self, q):
-        qc, on_arc = self._split(q)
-        out = np.zeros_like(qc)
-        if np.any(on_arc):
-            out = np.where(on_arc, self.nu.second(np.where(on_arc, qc, 1.0)), out)
-        return float(out) if out.ndim == 0 else out
+        return self.eval(q)[2]
 
 
 @lru_cache(maxsize=64)
 def _assemble_cached(alpha, tol):
     nu = solve_nu(alpha, tol)
-    rho = find_switch(alpha, nu)
-    value, slope, _ = nu.eval(rho)
-    height0 = value - rho * slope
-    return ScaledProfile(alpha=alpha, rho=rho, nu=nu, slope=slope, height0=height0)
+    return ScaledProfile.at_switch(alpha, nu, find_switch(alpha, nu))
 
 
 def assemble_profile(alpha, tol=1e-10):
@@ -401,8 +393,7 @@ def field_jacobian_check(alpha, delta_alpha=None):
 
     qs = np.linspace(0.0, 0.99, 241)
     prof = assemble_profile(alpha)
-    kap = prof.kappa(qs)
-    kp = prof.kappa_deriv(qs)
+    kap, kp, _ = prof.eval(qs)
     kap_hi = assemble_profile(alpha + da).kappa(qs)
     if alpha - da >= 0.0:
         kap_lo = assemble_profile(alpha - da).kappa(qs)
@@ -517,42 +508,30 @@ def unscale(profile, p0):
 def solve_for_height(M, tol=1e-10):
     """Synthesize the extremal solution with prescribed height M.
 
-    Matches p0 * height0(1/p0^2) = M by bracketed root-finding over p0;
-    p0 * height0 is increasing in p0, and height0 is bounded in
-    [0.2055, 0.31576] over the validity range, which gives the bracket.
+    Matches p0 * height0(1/p0^2) = M by brentq over p0, through
+    assemble_profile's cache.  p0 * height0 increases with p0, from about
+    0.0869 at the validity edge p0 = sqrt(3); height0 < _H0_HI bounds the
+    root below, and hi = max(M/_H0_LO, lo) + 1 >= 2.73 bounds it above,
+    as height0 > _H0_LO there.
     """
     M = float(M)
     if not M > 0.0:
         raise NoRoot(f"height must be positive, got M={M}")
 
-    last_rho = [None]
-
     def h(p0):
-        alpha = 1.0 / (p0 * p0)
-        nu = solve_nu(alpha, tol)
-        rho = find_switch(alpha, nu, hint=last_rho[0])
-        last_rho[0] = rho
-        value, slope, _ = nu.eval(rho)
-        return p0 * (value - rho * slope) - M
+        return p0 * assemble_profile(1.0 / (p0 * p0), tol).height0 - M
 
     lo = max(np.sqrt(3.0) * (1.0 + 1e-6) + 1e-9, M / _H0_HI)
-    hi = M / _H0_LO + 1.0
+    hi = max(M / _H0_LO, lo) + 1.0
     flo = h(lo)
     if flo >= 0.0:
         raise NoRoot(f"M={M} below the reachable range (min height "
-                     f"~ {lo * 0.205:.3f} at the validity edge)")
-    fhi = h(hi)
-    for _ in range(8):
-        if fhi > 0.0:
-            break
-        hi *= 1.5
-        fhi = h(hi)
-    else:
+                     f"{flo + M:.4g} at the validity edge)")
+    if h(hi) <= 0.0:
         raise NoRoot(f"could not bracket p0 for M={M}")
 
     p0 = brentq(h, lo, hi, xtol=1e-10, rtol=1e-13)
-    profile = assemble_profile(1.0 / (p0 * p0), tol)
-    return unscale(profile, p0)
+    return unscale(assemble_profile(1.0 / (p0 * p0), tol), p0)
 
 
 LimitConstants = namedtuple("LimitConstants", ["r_hat", "M_hat", "slope_hat", "J_hat"])

@@ -52,39 +52,58 @@ def _chord(y, x1, x2sq, c):
 # ---------------------------------------------------------------------------
 
 class _VStarTable:
-    """Dense cubic-Hermite table of w(y) on [slope0, 1] with exact slope p(y)."""
+    """Cubic-Hermite interpolant of w(y) on [slope0, 1] through exact w and
+    slope p(y) at uniform nodes, one power-form row (c0..c3) per piece:
+    w = ((c3*s + c2)*s + c1)*s + c0, s in [0, 1].  eval and jet share _piece.
+    """
 
     def __init__(self, sol, n_nodes=4097):
         s0 = float(sol.slope0)
-        p0 = float(sol.p0)
-        r = float(sol.r)
         self.sol = sol
         self.s0 = s0
         self.M = float(sol.M)
+        self.r, self.p0 = float(sol.r), float(sol.p0)
         self.y_nodes = np.linspace(s0, 1.0, int(n_nodes))
         self.h = (1.0 - s0) / (int(n_nodes) - 1)
 
-        dense_p = np.linspace(r, p0, 2 * int(n_nodes) + 1)
+        dense_p = np.linspace(self.r, self.p0, 2 * int(n_nodes) + 1)
         dense_y = np.asarray(sol.v_deriv(dense_p), float)
         dense_y[0], dense_y[-1] = s0, 1.0  # exactize the monotone table ends
-        p = np.interp(self.y_nodes, dense_y, dense_p)
-        for _ in range(2):
-            resid = np.asarray(sol.v_deriv(p), float) - self.y_nodes
-            p = np.clip(p - resid / np.asarray(sol.v_second(p), float), r, p0)
-        p[0], p[-1] = r, p0
+        p = self._newton(np.interp(self.y_nodes, dense_y, dense_p), self.y_nodes)
+        p[0], p[-1] = self.r, self.p0
         self.p_nodes = p
-        self.z_nodes = p * self.y_nodes - np.asarray(sol.v(p), float)
+        self.z_nodes = z = p * self.y_nodes - np.asarray(sol.v(p), float)
+        m = p * self.h
+        self.coef = np.column_stack([
+            z[:-1], m[:-1], 3.0 * (z[1:] - z[:-1]) - 2.0 * m[:-1] - m[1:],
+            2.0 * (z[:-1] - z[1:]) + m[:-1] + m[1:]])
+
+    def _newton(self, p, y):
+        """Two Newton steps on v'(p) = y from p, kept in [r, p0]."""
+        sol = self.sol
+        for _ in range(2):
+            resid = np.asarray(sol.v_deriv(p), float) - y
+            p = np.clip(p - resid / np.asarray(sol.v_second(p), float), self.r, self.p0)
+        return p
 
     def p_of_slope(self, yabs):
         """Generator parameter p with v'(p) = y, vectorized, y in [slope0, 1]."""
         yabs = np.asarray(yabs, float)
-        p = np.interp(yabs, self.y_nodes, self.p_nodes)
-        sol = self.sol
-        for _ in range(2):
-            resid = np.asarray(sol.v_deriv(p), float) - yabs
-            p = np.clip(p - resid / np.asarray(sol.v_second(p), float),
-                        self.p_nodes[0], self.p_nodes[-1])
-        return p
+        return self._newton(np.interp(yabs, self.y_nodes, self.p_nodes), yabs)
+
+    def _piece(self, y):
+        """Coefficients (c0, c1, c2, c3) and local s of y in [slope0, 1]."""
+        s = (y - self.s0) / self.h
+        j = np.minimum(s.astype(np.intp), len(self.coef) - 1)
+        return self.coef[j].T, s - j
+
+    def jet(self, y):
+        """w, w', w'' at y in [slope0, 1]."""
+        (c0, c1, c2, c3), s = self._piece(y)
+        h = self.h
+        return (((c3 * s + c2) * s + c1) * s + c0,
+                ((3.0 * c3 * s + 2.0 * c2) * s + c1) / h,
+                (6.0 * c3 * s + 2.0 * c2) / (h * h))
 
     def eval(self, y):
         """w(y) for y in [-1, 1] (even; flat -M inside [-slope0, slope0])."""
@@ -92,18 +111,8 @@ class _VStarTable:
         ya = np.minimum(ya, 1.0)
         out = np.full(ya.shape, -self.M)
         m = ya > self.s0
-        if np.any(m):
-            s = (ya[m] - self.s0) / self.h
-            j = np.clip(s.astype(int), 0, len(self.y_nodes) - 2)
-            s = s - j
-            z0 = self.z_nodes[j]
-            z1 = self.z_nodes[j + 1]
-            m0 = self.p_nodes[j] * self.h
-            m1 = self.p_nodes[j + 1] * self.h
-            s2 = s * s
-            s3 = s2 * s
-            out[m] = (z0 * (2 * s3 - 3 * s2 + 1) + m0 * (s3 - 2 * s2 + s)
-                      + z1 * (-2 * s3 + 3 * s2) + m1 * (s3 - s2))
+        (c0, c1, c2, c3), s = self._piece(ya[m])
+        out[m] = ((c3 * s + c2) * s + c1) * s + c0
         return out
 
 
@@ -157,7 +166,7 @@ class BodyEvaluator:
     """Vectorized height function u(x1, x2) of the body (hull route).
 
     u = min(0, min over y in [-1, 1] of F(y) = lam(y; x)*w(y)), with w the
-    table's cubic-Hermite interpolant.  The minimization uses F's structure:
+    table's piecewise cubic.  The minimization uses F's structure:
 
     * side lemma: for x1, y >= 0, B and D are no larger at +y than at -y, so
       lam(y) >= lam(-y) and, as w <= 0 is even, F(y) <= F(-y).  Only
@@ -167,26 +176,23 @@ class BodyEvaluator:
       |x - t*(y, 0)| <= 1 - t, a disk cut by a line, an interval of y.  Its
       peak, where x1 = y*lam, is y = x1/(1 - |x2|); clipped to [-slope0,
       slope0] it minimizes F there, and the clip is the corner.
+    * ridge, x2 = 0: lam(|x1|) = 1 and w is convex, so y* = |x1| (clipped to
+      [slope0, 1]) with no search, and u = w(x1) bit for bit.
     * curved branch, y in [slope0, 1]: F' = lam*G, G = (x1 - y*lam)*w/sqrt(D)
       + w'.  A 17-node lattice picks the node of least F and the side where G
-      changes sign; safeguarded Newton steps on G, with G' from the same
-      cubic's w, w', w'', converge in that bracket.  F's unimodality on this
-      side is not proven, which is why the lattice stays.  A point still
-      moving after twice the halvings from the lattice step to the tolerance
-      raises EvaluationError.
+      changes sign; safeguarded Newton steps on G, with G' from the cubic's
+      jet, converge in that bracket.  F's unimodality on this side is not
+      proven, which is why the lattice stays.  A point still moving after
+      twice the halvings from the lattice step to the tolerance raises
+      EvaluationError.
     * u is the least of the flat/corner value, the curved value and 0 (rim).
     """
 
     def __init__(self, sol, n_table=4097):
         self.sol = sol
         self.table = table = _VStarTable(sol, n_table)
-        z, m = table.z_nodes, table.p_nodes * table.h
-        # power form of each Hermite piece: w = ((c3*s + c2)*s + c1)*s + c0
-        self.coef = np.column_stack([
-            z[:-1], m[:-1], 3.0 * (z[1:] - z[:-1]) - 2.0 * m[:-1] - m[1:],
-            2.0 * (z[:-1] - z[1:]) + m[:-1] + m[1:]])
         self.lat_y = np.linspace(table.s0, 1.0, 17)
-        self.lat_w, self.lat_p, _ = self._jet(self.lat_y)
+        self.lat_w, self.lat_p, _ = table.jet(self.lat_y)
 
     def vstar(self, y):
         """Cross-section height w(y) (vectorized; even in y)."""
@@ -196,20 +202,15 @@ class BodyEvaluator:
         out = self.table.eval(y)
         return float(out) if out.ndim == 0 else out
 
-    def _jet(self, y):
-        """w, w', w'' of the Hermite interpolant at y in [slope0, 1]."""
-        h = self.table.h
-        s = (y - self.table.s0) / h
-        j = np.minimum(s.astype(np.intp), len(self.coef) - 1)
-        s = s - j
-        c0, c1, c2, c3 = self.coef[j].T
-        w = ((c3 * s + c2) * s + c1) * s + c0
-        wp = ((3.0 * c3 * s + 2.0 * c2) * s + c1) / h
-        wpp = (6.0 * c3 * s + 2.0 * c2) / (h * h)
-        return w, wp, wpp
-
     def _curved(self, a, x2sq, c):
         """Minimizer and value of F on y in [slope0, 1], for x1 = a >= 0."""
+        out = np.clip(a, self.table.s0, 1.0)   # exact on the ridge x2 = 0
+        off = x2sq > 0.0
+        out[off] = self._search(a[off], x2sq[off], c[off])
+        return out, _chord(out, a, x2sq, c)[0] * self.table.jet(out)[0]
+
+    def _search(self, a, x2sq, c):
+        """The curved branch's minimizer off the ridge: lattice, then Newton."""
         lat_y, last, tol = self.lat_y, len(self.lat_y) - 1, 1e-13
         best, j = np.full(a.shape, np.inf), np.zeros(a.shape, dtype=np.intp)
         for k, (yk, wk) in enumerate(zip(lat_y, self.lat_w)):
@@ -228,7 +229,7 @@ class BodyEvaluator:
             y, lo, hi, step, xa, xx, cc = state
             lam, sd = _chord(y, xa, xx, cc)
             sd = np.maximum(sd, 1e-300)
-            w, wp, wpp = self._jet(y)
+            w, wp, wpp = self.table.jet(y)
             q = (xa - y * lam) / sd             # lam' = lam*q, bounded
             dsd = (y * (1.0 - xx) - xa) / sd     # (sqrt D)', bounded
             g = q * w + wp
@@ -247,7 +248,7 @@ class BodyEvaluator:
                 break
         else:
             raise EvaluationError(f"hull minimizer did not converge at {len(idx)} point(s)")
-        return out, _chord(out, a, x2sq, c)[0] * self._jet(out)[0]
+        return out
 
     def _minimize(self, x1, x2):
         """Minimizing generator y* and height min(0, lam(y*)*w(y*)) per point."""
@@ -406,7 +407,6 @@ def build_mesh(sol, n_profile=1024, n_circle=256):
 
     y = np.linspace(s0, 1.0, P)
     z = table.eval(y)
-    z[0] = -M
     pcur = table.p_of_slope(y)
     cphi = np.clip(pcur / np.asarray(sol.v(pcur), float), 0.0, 1.0)
     phi = np.arccos(cphi)             # decreasing: corner angle -> 0

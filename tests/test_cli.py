@@ -14,7 +14,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from newton_minres import DomainError, NoRoot
+from newton_minres import DomainError, NoRoot, solve_for_height
 from newton_minres.cli import _check_one, main
 from newton_minres.functional import P0_MAX
 
@@ -22,6 +22,8 @@ from newton_minres.functional import P0_MAX
 # field Jacobian plus the adjoint quadratures), so this keeps the property
 # test within about 10 s
 MAX_CHECK_EXAMPLES = 25
+# a fresh height costs about 0.2-0.5 s (the height root, then _check_one)
+MAX_HEIGHT_EXAMPLES = 10
 
 
 def run(capsys, *argv):
@@ -81,6 +83,18 @@ def test_solve_infeasible_height_is_a_solver_error(capsys):
     code, _, err = run(capsys, "solve", "--M", "0.01")
     assert code == 2
     assert "error" in err
+
+
+def test_solve_reaches_down_to_the_validity_edge(capsys):
+    # the flat height falls to about 0.05 as alpha -> 1/3, so heights down
+    # to about 0.0869 (p0 -> sqrt(3)) are reachable; below, the error names
+    # the least reachable height
+    code, out, _ = run(capsys, "solve", "--M", "0.1")
+    assert code == 0
+    assert json.loads(out)["M"] == pytest.approx(0.1, rel=1e-8)
+    code, _, err = run(capsys, "solve", "--M", "0.05")
+    assert code == 2
+    assert "min height 0.08686 at the validity edge" in err
 
 
 GOLDEN_SOLVE = """\
@@ -165,6 +179,84 @@ def test_solve_deterministic_bytes(capsys, tmp_path):
 # table
 # ---------------------------------------------------------------------------
 
+GOLDEN_TABLE_JSON = """\
+[
+  {
+    "M": 5.0000000e-01,
+    "p0": 2.4333731e+00,
+    "r": 1.3355916e+00,
+    "vprime0": 7.4466915e-01,
+    "J": 1.0630893e+00,
+    "error": null
+  },
+  {
+    "M": 1.0000000e+00,
+    "p0": 3.7164698e+00,
+    "r": 1.2207655e+00,
+    "vprime0": 6.3245046e-01,
+    "J": 5.9779091e-01,
+    "error": null
+  },
+  {
+    "M": 1.5000000e+00,
+    "p0": 5.1485617e+00,
+    "r": 1.1966927e+00,
+    "vprime0": 5.8644421e-01,
+    "J": 3.5048200e-01,
+    "error": null
+  },
+  {
+    "M": 2.0000000e+00,
+    "p0": 6.6435445e+00,
+    "r": 1.2358478e+00,
+    "vprime0": 5.6489984e-01,
+    "J": 2.2251196e-01,
+    "error": null
+  },
+  {
+    "M": 2.5000000e+00,
+    "p0": 8.1698618e+00,
+    "r": 1.3153950e+00,
+    "vprime0": 5.5346692e-01,
+    "J": 1.5152359e-01,
+    "error": null
+  },
+  {
+    "M": 5.0000000e+00,
+    "p0": 1.5965314e+01,
+    "r": 1.9645612e+00,
+    "vprime0": 5.3634824e-01,
+    "J": 4.1450040e-02,
+    "error": null
+  },
+  {
+    "M": 1.0000000e+01,
+    "p0": 3.1737144e+01,
+    "r": 3.5728312e+00,
+    "vprime0": 5.3166819e-01,
+    "J": 1.0614284e-02,
+    "error": null
+  },
+  {
+    "M": 5.0000000e+01,
+    "p0": 1.5837325e+02,
+    "r": 1.7283003e+01,
+    "vprime0": 5.3013213e-01,
+    "J": 4.2790490e-04,
+    "error": null
+  },
+  {
+    "M": 1.0000000e+02,
+    "p0": 3.1672693e+02,
+    "r": 3.4529504e+01,
+    "vprime0": 5.3008382e-01,
+    "J": 1.0700249e-04,
+    "error": null
+  }
+]
+"""
+
+
 def test_table_default_rows(capsys):
     code, out, _ = run(capsys, "table")
     assert code == 0
@@ -174,6 +266,7 @@ def test_table_default_rows(capsys):
     row = dict(zip(lines[0].split(","), lines[2].split(",")))
     assert float(row["M"]) == 1.0
     assert float(row["p0"]) == pytest.approx(3.71647, rel=1e-4)
+    assert run(capsys, "table", "--format", "json") == (0, GOLDEN_TABLE_JSON, "")
 
 
 def test_table_bad_rows_are_usage_errors(capsys):
@@ -335,6 +428,25 @@ def test_check_verdicts_pass_across_the_family(alpha):
     except NoRoot:
         return
     assert all(report["verdicts"].values()), report["verdicts"]
+    assert abs(report["switch_integral"]) < 1e-12
+
+
+@settings(max_examples=MAX_HEIGHT_EXAMPLES, deadline=None)
+@given(st.floats(math.log(0.0869), math.log(100.0)).map(math.exp))
+@example(0.0885)
+@example(0.1)
+@example(0.146)
+@example(0.5)
+@example(100.0)
+def test_check_verdicts_pass_across_the_heights(M):
+    # down to the validity edge the solved height's scale parameter passes
+    # every certificate, or the height root refuses with the documented NoRoot
+    try:
+        sol = solve_for_height(M)
+    except NoRoot:
+        return
+    report = _check_one(1.0 / (sol.p0 * sol.p0), 1e-10, False)
+    assert all(report["verdicts"].values()), (M, report["verdicts"])
     assert abs(report["switch_integral"]) < 1e-12
 
 

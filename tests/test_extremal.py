@@ -30,6 +30,7 @@ from newton_minres import (
     solve_nu,
     unscale,
 )
+from newton_minres import extremal
 from newton_minres.extremal import (scaled_arc_ivp, scaled_lagrangian,
                                    variational_coeffs_along)
 
@@ -309,6 +310,28 @@ def test_solve_for_height_roundtrip(solved):
     vs = sol.v(ps)
     assert np.all(vs >= ps - 1e-9)
     assert np.all(vs <= ps + 1.5 + 1e-9)
+
+
+def test_solve_for_height_locates_each_switch_once(monkeypatch):
+    # every height evaluation goes through assemble_profile's cache, so
+    # brentq's repeated bracket ends and the final profile solve nothing anew
+    calls = {"find_switch": 0, "integrate": 0}
+
+    def counted(name):
+        fn = getattr(extremal, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(extremal, name, counted(name))
+    extremal._solve_nu_base.cache_clear()
+    extremal._assemble_cached.cache_clear()
+    solve_for_height(1.0)
+    assert calls["integrate"] > 0
+    assert calls["find_switch"] == calls["integrate"]
 
 
 def test_solve_for_height_rejects_nonpositive():

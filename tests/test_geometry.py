@@ -139,6 +139,9 @@ def test_evaluator_basic_values(sol, ev):
 def test_evaluator_section_is_cross_section(sol, ev):
     x1 = np.linspace(-1.0, 1.0, 41)
     np.testing.assert_allclose(ev(x1, np.zeros_like(x1)), ev.vstar(x1), atol=1e-8)
+    # on the ridge the minimizer is y* = |x1| exactly, read from the same cubic
+    x1 = np.linspace(-1.0, 1.0, 2001)
+    assert np.array_equal(ev(x1, np.zeros_like(x1)), ev.vstar(x1))
 
 
 def test_evaluator_symmetries_and_range(sol, ev):
