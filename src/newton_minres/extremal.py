@@ -41,8 +41,8 @@ _VALIDITY_MSG = ("alpha = {:.6g} is outside [0, 1/3): the switching-integral "
                  "uniqueness hypothesis fails there (endpoint weight changes sign at 1/3)")
 
 
-def nu_derivatives_at_one(alpha, order=3):
-    """[nu(1), nu'(1), nu''(1), nu'''(1)] truncated to `order`.
+def nu_derivatives_at_one(alpha):
+    """[nu(1), nu'(1), nu''(1), nu'''(1)].
 
     Closed forms from the Taylor balance of the arc equation at q=1:
     nu''(1) = (3-alpha)/(3(1+alpha)), nu'''(1) = (3+2a+a^2)/(2(1+a)^2).
@@ -50,12 +50,9 @@ def nu_derivatives_at_one(alpha, order=3):
     alpha = float(alpha)
     if alpha < 0.0:
         raise DomainError(f"alpha must be >= 0, got {alpha}")
-    if not 0 <= order <= 3:
-        raise DomainError(f"order must be in 0..3, got {order}")
-    vals = [1.0, 1.0,
+    return [1.0, 1.0,
             (3.0 - alpha) / (3.0 * (1.0 + alpha)),
             (3.0 + 2.0 * alpha + alpha * alpha) / (2.0 * (1.0 + alpha) ** 2)]
-    return vals[:order + 1]
 
 
 def scaled_arc_ivp(alpha):
@@ -158,12 +155,13 @@ def I_closed_form_alpha0(rho, nu_hat):
     return bracket / (4.0 * b * b)
 
 
-def find_switch(alpha, nu=None, tol=1e-12):
+def find_switch(alpha, nu=None):
     """Zero of I(., alpha, nu): the switching radius rho.
 
     Scans rho = 0.015, 0.035, ... upward for the first sign change (I < 0
-    below the root, > 0 above), refines with brentq and verifies |I(rho)| <
-    1e-12.  No warm start: assemble_profile's cache calls this once per alpha.
+    below the root, > 0 above), refines with brentq to xtol 1e-12 and
+    verifies |I(rho)| < 1e-12.  No warm start: assemble_profile's cache
+    calls this once per alpha.
     """
     alpha = float(alpha)
     if not 0.0 <= alpha < ALPHA_MAX:
@@ -186,7 +184,7 @@ def find_switch(alpha, nu=None, tol=1e-12):
     else:
         raise NoRoot(f"switching integral has no sign change on [{grid[0]}, {grid[-1]}]")
 
-    root = brentq(f, lo, hi, xtol=max(tol, 1e-13), rtol=4.0 * np.finfo(float).eps)
+    root = brentq(f, lo, hi, xtol=1e-12, rtol=4.0 * np.finfo(float).eps)
     if abs(f(root)) > 1e-12:
         raise NoRoot(f"refined switching point is not a clean zero: I={f(root):.3e}")
     return float(root)
@@ -285,8 +283,9 @@ class AdjointProfile:
         return self.samples[:, 1]
 
 
-def adjoint_omega(profile, n=201):
-    """Adjoint certificate omega(qt) = 1/4 int_qt^rho (qt-q) G(q) dq.
+def adjoint_omega(profile):
+    """Adjoint certificate omega(qt) = 1/4 int_qt^rho (qt-q) G(q) dq, at 201
+    points qt evenly spaced on [0, rho].
 
     G = L_{eta' eta'} * R along the affine continuation; omega(0) = -I(rho),
     and local optimality of the flat cut needs omega < 0 on (0, rho).
@@ -300,7 +299,7 @@ def adjoint_omega(profile, n=201):
         e = a * q + b
         return np.sqrt(e * e - q * q) / (e * e + alpha) ** 2 * _arc_rhs(q, e, a, alpha)
 
-    qt = np.linspace(0.0, rho, int(n))
+    qt = np.linspace(0.0, rho, 201)
     om = np.empty_like(qt)
     for i, q0 in enumerate(qt):
         if q0 >= rho:
@@ -358,9 +357,10 @@ def variational_coeffs_along(profile):
     return VariationalCoeffs(alpha_fn, beta_fn, lambda t: 0.0, LAM, breaks=(t_arc_min,))
 
 
-def jacobi_check(profile, eps=1e-3, n_grid=2000):
+def jacobi_check(profile, eps=1e-3):
     """Conjugate-point scan: solve the linearized equation with
-    zeta(1)=0, zeta'(1)=1 and report (min |zeta| on [0, 1-eps], zeta).
+    zeta(1)=0, zeta'(1)=1 and report (min |zeta| on [0, 1-eps], zeta),
+    sampled at 2000 evenly spaced points.
 
     The solve is a fixed linear collocation that no tolerance steers.  A
     zero of zeta inside [0, 1) would be a conjugate point and kill local
@@ -369,7 +369,7 @@ def jacobi_check(profile, eps=1e-3, n_grid=2000):
     coeffs = variational_coeffs_along(profile)
     y = integrate_variational(coeffs, 1.0, -1.0)
     zeta = MappedSolution(y, offset=-1.0)
-    qs = np.linspace(0.0, 1.0 - eps, int(n_grid))
+    qs = np.linspace(0.0, 1.0 - eps, 2000)
     vals = zeta(qs)
     if np.any(vals[:-1] * vals[1:] < 0.0):
         return 0.0, zeta
@@ -497,7 +497,7 @@ def unscale(profile, p0):
     p0 = float(p0)
     if profile.alpha <= 0.0:
         raise InconsistentScale("alpha = 0 profile has no finite p0 (it is the scale-out limit)")
-    if abs(p0 - 1.0 / np.sqrt(profile.alpha)) > 1e-12 * p0:
+    if not np.isfinite(p0) or abs(p0 - 1.0 / np.sqrt(profile.alpha)) > 1e-12 * p0:
         raise InconsistentScale(
             f"p0={p0!r} inconsistent with alpha={profile.alpha!r} (need p0 = 1/sqrt(alpha))")
     J = profile.alpha * J_scaled(profile)
@@ -515,8 +515,8 @@ def solve_for_height(M, tol=1e-10):
     as height0 > _H0_LO there.
     """
     M = float(M)
-    if not M > 0.0:
-        raise NoRoot(f"height must be positive, got M={M}")
+    if not 0.0 < M < np.inf:
+        raise NoRoot(f"height must be positive and finite, got M={M}")
 
     def h(p0):
         return p0 * assemble_profile(1.0 / (p0 * p0), tol).height0 - M

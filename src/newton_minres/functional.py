@@ -34,18 +34,17 @@ from scipy.integrate import quad
 
 from .errors import DomainError
 
-QUAD_KW = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
 
-
-def quad_value(f, a, b, **kw):
+def quad_value(f, a, b):
     """Adaptive quadrature returning just the value.
 
     full_output=1 keeps quadpack from warning when it stops at roundoff
     level, which is routine for the sqrt-type endpoint integrands here; the
     accuracy actually achieved is pinned by tests instead.
     """
-    out = quad(f, a, b, full_output=1, **{**QUAD_KW, **kw})
-    return out[0]
+    return quad(f, a, b, epsabs=1e-13, epsrel=1e-12, limit=200, full_output=1)[0]
+
+
 # relative width of the endpoint branch where the removable v=p limit is used
 _END_BAND = 1e-9
 # finite-difference step for resistance_direct on plain height callables

@@ -188,9 +188,9 @@ class BodyEvaluator:
     * u is the least of the flat/corner value, the curved value and 0 (rim).
     """
 
-    def __init__(self, sol, n_table=4097):
+    def __init__(self, sol):
         self.sol = sol
-        self.table = table = _VStarTable(sol, n_table)
+        self.table = table = _VStarTable(sol)
         self.lat_y = np.linspace(table.s0, 1.0, 17)
         self.lat_w, self.lat_p, _ = table.jet(self.lat_y)
 

@@ -14,9 +14,10 @@ a parabola, so x'^2/x stays finite).  The strategy:
 
    run in a band of relative half-width eps around the osculating parabola
    x0(t) = xdd0*t^2/2, with xdd0 = g(0,0,0)/(1-2*lam).  The iteration is a
-   contraction once eps and tau are small enough; both are shrunk by halving
-   until sampled bounds certify a contraction factor rho <= rho_target and
-   the band maps into itself;
+   contraction once eps and tau are small enough: eps is halved until the
+   lam-part of the bound leaves room, then tau is the largest of
+   0.5*2^-k, k = 0..59, whose sampled bounds certify a contraction factor
+   rho <= rho_target and a band that maps into itself;
 2. hand the endpoint state to a high-order classical stepper (DOP853) for
    the rest of the interval;
 3. rebuild the whole trajectory as one Chebyshev series: x'' at
@@ -132,8 +133,10 @@ class DenseSolution:
 
     def __init__(self, breakpoints, segments, info=None):
         bp = np.asarray(breakpoints, float)
-        if bp.ndim != 1 or bp.size != len(segments) + 1 or np.any(np.diff(bp) <= 0):
-            raise DomainError("breakpoints must be strictly increasing, one segment per gap")
+        if (bp.ndim != 1 or bp.size != len(segments) + 1
+                or not (np.all(np.isfinite(bp)) and np.all(np.diff(bp) > 0))):
+            raise DomainError("breakpoints must be finite and strictly increasing, "
+                              "one segment per gap")
         self.breakpoints = bp
         self.segments = list(segments)
         self.domain = (float(bp[0]), float(bp[-1]))
@@ -226,22 +229,21 @@ class MappedSolution(DenseSolution):
 # Picard seed
 # ---------------------------------------------------------------------------
 
-def _band_norms(ivp, tau, eps, xdd0):
-    """Sampled sup of |g_x|, |g_xdot|, |g_t| over the seed band."""
+def _band_norms(ivp, taus, eps, xdd0):
+    """Sampled sup of |g_x|, |g_xdot|, |g_t| over the seed band for each tau
+    of the 1-D array taus, from one (tau, x scale, x' scale, time) grid."""
+    tau = taus[:, None, None, None]
     tt = tau * np.array([-1.0, -0.75, -0.5, -0.25, -0.05, 0.0, 0.05, 0.25, 0.5, 0.75, 1.0])
     scales = np.array([1.0 - eps, 1.0, 1.0 + eps])
-    gx = gxd = gt = 0.0
-    ht = 1e-6 * max(tau, 1e-3)
-    for th_x in scales:
-        for th_d in scales:
-            x = 0.5 * xdd0 * tt * tt * th_x
-            xd = xdd0 * tt * th_d
-            gx = max(gx, np.max(np.abs(_call_vec(ivp.g_x, tt, x, xd))))
-            gxd = max(gxd, np.max(np.abs(_call_vec(ivp.g_xdot, tt, x, xd))))
-            gp = _call_vec(ivp.g, tt + ht, x, xd)
-            gm = _call_vec(ivp.g, tt - ht, x, xd)
-            gt = max(gt, np.max(np.abs(gp - gm)) / (2.0 * ht))
-    return gx, gxd, gt
+    x = 0.5 * xdd0 * tt * tt * scales[:, None, None]
+    xd = xdd0 * tt * scales[:, None]
+    tt, x, xd = np.broadcast_arrays(tt, x, xd)
+    ht = 1e-6 * np.maximum(tau, 1e-3)
+    gp = _call_vec(ivp.g, tt + ht, x, xd)
+    gm = _call_vec(ivp.g, tt - ht, x, xd)
+    sup = lambda v: np.max(np.abs(v), axis=(1, 2, 3))
+    return (sup(_call_vec(ivp.g_x, tt, x, xd)), sup(_call_vec(ivp.g_xdot, tt, x, xd)),
+            sup(gp - gm) / (2.0 * ht[:, 0, 0, 0]))
 
 
 def picard_seed(ivp, epsilon, tol=1e-10):
@@ -255,9 +257,10 @@ def picard_seed(ivp, epsilon, tol=1e-10):
         rho(tau, eps) = (8/3)|lam|((1+eps)/(1-eps))^2
                         + (1/2)||g_x|| tau^2 + ||g_xdot|| tau
 
-    leaves no room below the target, and tau is then halved until both
-    rho <= rho_target and the self-map bound hold.  Iteration diffs are
-    recorded in seed.info['picard_diffs'].
+    leaves no room below the target.  tau is then the largest of 0.5*2^-k,
+    k = 0..59, for which both rho <= rho_target and the self-map bound
+    hold; the band norms of all 60 candidates are sampled in one pass.
+    Iteration diffs are recorded in seed.info['picard_diffs'].
     """
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must be in (0,1), got {epsilon}")
@@ -274,37 +277,35 @@ def picard_seed(ivp, epsilon, tol=1e-10):
         if eps < 1e-9:
             raise ContractionFailure("cannot make the lam-term contract for this lam")
 
-    tau = 0.5
-    ok = False
-    for _ in range(60):
-        gx, gxd, gt = _band_norms(ivp, tau, eps, xdd0)
-        rho = lam_term(eps) + 0.5 * gx * tau * tau + gxd * tau
-        # first-iterate drift of xdd away from xdd0: g varies by at most
-        # gt*tau + gxd*|xd| + gx*|x| ~ (gt + gxd*|xdd0|)*tau + gx*|xdd0|*tau^2/2
-        # over the band, and the contraction then keeps the fixed point within
-        # drift/(1-rho); require drift <= (1-rho)*eps*|xdd0|
-        a = gt + gxd * abs(xdd0)
-        b = 0.5 * gx * abs(xdd0)
-        self_map = rho + tau * (a + b * tau) / (eps * abs(xdd0))
-        if rho <= rho_target and self_map <= 1.0:
-            ok = True
-            break
-        tau *= 0.5
-    if not ok:
+    taus = np.ldexp(0.5, -np.arange(60))  # 0.5, 0.25, ..., 2^-60
+    gx, gxd, gt = _band_norms(ivp, taus, eps, xdd0)
+    rho = lam_term(eps) + 0.5 * gx * taus * taus + gxd * taus
+    # first-iterate drift of xdd away from xdd0: g varies by at most
+    # gt*tau + gxd*|xd| + gx*|x| ~ (gt + gxd*|xdd0|)*tau + gx*|xdd0|*tau^2/2
+    # over the band, and the contraction then keeps the fixed point within
+    # drift/(1-rho); require drift <= (1-rho)*eps*|xdd0|
+    a = gt + gxd * abs(xdd0)
+    b = 0.5 * gx * abs(xdd0)
+    self_map = rho + taus * (a + b * taus) / (eps * abs(xdd0))
+    ok = np.flatnonzero((rho <= rho_target) & (self_map <= 1.0))
+    if ok.size == 0:
         raise ContractionFailure(
             f"no tau gives contraction rho<={rho_target:.3f} with band eps={eps:.2e}")
+    tau, rho = float(taus[ok[0]]), float(rho[ok[0]])
 
     # Chebyshev-Lobatto nodes (even count -> none lands exactly on t=0)
     s = np.cos(np.pi * np.arange(N_CHEB) / (N_CHEB - 1))
     t = tau * s
+
+    def series(xdd):  # (x, x', x'') coefficients: x'' fitted, integrated from t=0
+        c2 = _cheb.chebfit(s, xdd, N_CHEB - 1)
+        c1 = _cheb.chebint(c2, lbnd=0.0, scl=tau)
+        return _cheb.chebint(c1, lbnd=0.0, scl=tau), c1, c2
+
     xdd = np.full(N_CHEB, xdd0)
     diffs = []
-    deg = N_CHEB - 1
-    converged = False
     for _ in range(PICARD_MAX_ITER):
-        c2 = _cheb.chebfit(s, xdd, deg)
-        c1 = _cheb.chebint(c2, lbnd=0.0, scl=tau)
-        c0 = _cheb.chebint(c1, lbnd=0.0, scl=tau)
+        c0, c1, _ = series(xdd)
         x = _cheb.chebval(s, c0)
         xd = _cheb.chebval(s, c1)
         if np.any(x * np.sign(xdd0) <= 0.0):
@@ -314,9 +315,8 @@ def picard_seed(ivp, epsilon, tol=1e-10):
         diffs.append(d)
         xdd = new
         if d < 0.1 * tol:
-            converged = True
             break
-    if not converged:
+    else:
         raise ContractionFailure(f"Picard iteration did not reach tol in {PICARD_MAX_ITER} steps")
 
     band_dev = float(np.max(np.abs(xdd - xdd0))) / abs(xdd0)
@@ -324,10 +324,7 @@ def picard_seed(ivp, epsilon, tol=1e-10):
         raise ContractionFailure(
             f"converged iterate leaves the certified band: dev={band_dev:.3e} > eps={eps:.3e}")
 
-    c2 = _cheb.chebfit(s, xdd, deg)
-    c1 = _cheb.chebint(c2, lbnd=0.0, scl=tau)
-    c0 = _cheb.chebint(c1, lbnd=0.0, scl=tau)
-    seg = _ChebSegment(0.0, tau, c0, c1, c2)
+    seg = _ChebSegment(0.0, tau, *series(xdd))
     info = {
         "tau": tau,
         "epsilon": eps,
@@ -345,17 +342,17 @@ def picard_seed(ivp, epsilon, tol=1e-10):
 # full integration
 # ---------------------------------------------------------------------------
 
-def integrate(ivp, t_end, tol=1e-10, epsilon=0.1):
-    """Solve the singular IVP out to t_end (either sign), t_end != 0.
+def integrate(ivp, t_end, tol=1e-10):
+    """Solve the singular IVP out to a finite t_end (either sign), t_end != 0.
 
     Returns a DenseSolution on [t_end, 0] (or [0, t_end]) with a single
-    Chebyshev segment.  Raises BlowUp if the trajectory drives x to 0
-    before reaching t_end.
+    Chebyshev segment, seeded in a requested band of half-width 0.1.
+    Raises BlowUp if the trajectory drives x to 0 before reaching t_end.
     """
     t_end = float(t_end)
-    if t_end == 0.0:
-        raise DomainError("t_end must be nonzero")
-    tau, seed = picard_seed(ivp, epsilon, tol=tol)
+    if not np.isfinite(t_end) or t_end == 0.0:
+        raise DomainError(f"t_end must be finite and nonzero, got {t_end}")
+    tau, seed = picard_seed(ivp, 0.1, tol=tol)
     lo, hi = min(t_end, 0.0), max(t_end, 0.0)
     if abs(t_end) <= tau:
         return DenseSolution([lo, hi], seed.segments, info=seed.info)
@@ -447,15 +444,16 @@ def _lobatto_integrals(d):
 
 
 def integrate_variational(coeffs, ydot0, t_end):
-    """Solve the variational equation with y(0)=0, y'(0)=ydot0 out to t_end.
+    """Solve the variational equation with y(0)=0, y'(0)=ydot0 out to a
+    finite t_end != 0.
 
     One linear collocation solve for y'' at the N_ARC Lobatto nodes of each
     smooth interval (0, the coefficient breaks and t_end delimit them);
     returns a DenseSolution of one Chebyshev series per interval.
     """
     t_end = float(t_end)
-    if t_end == 0.0:
-        raise DomainError("t_end must be nonzero")
+    if not np.isfinite(t_end) or t_end == 0.0:
+        raise DomainError(f"t_end must be finite and nonzero, got {t_end}")
     ydd0 = variational_accel_at_origin(coeffs, ydot0)
     d = 1.0 if t_end > 0 else -1.0
     s, fit, int1, int2 = _lobatto_integrals(d)

@@ -271,6 +271,12 @@ def test_unscale_requires_consistent_parameters():
         unscale(assemble_profile(0.0), 10.0)
 
 
+@pytest.mark.parametrize("p0", [np.nan, np.inf])
+def test_unscale_rejects_nonfinite_p0(p0):
+    with pytest.raises(InconsistentScale):
+        unscale(assemble_profile(0.01), p0)
+
+
 def test_unscale_known_member():
     p0 = 3.71647
     sol = unscale(assemble_profile(1.0 / p0**2), p0)
@@ -339,6 +345,12 @@ def test_solve_for_height_rejects_nonpositive():
         solve_for_height(0.0)
     with pytest.raises(NoRoot):
         solve_for_height(-2.0)
+
+
+@pytest.mark.parametrize("M", [np.nan, np.inf])
+def test_solve_for_height_rejects_nonfinite(M):
+    with pytest.raises(NoRoot, match="finite"):
+        solve_for_height(M)
 
 
 def test_limit_constants_values():

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from newton_minres import (
     BlowUp,
     ContractionFailure,
+    DenseSolution,
     DomainError,
     SingularIVP,
     VariationalCoeffs,
@@ -26,6 +27,8 @@ from newton_minres import (
     picard_seed,
     variational_accel_at_origin,
 )
+from newton_minres import singular_ode
+from newton_minres.extremal import scaled_arc_ivp
 
 TOL = 1e-10
 
@@ -122,6 +125,45 @@ def test_seed_shrinks_band_when_lam_term_leaves_no_room():
     assert seed.info["epsilon"] < 1e-3
 
 
+@pytest.mark.parametrize("alpha, tau, rho_bound, band_dev", [
+    (0.0, 2.0**-10, 0.7402150967439891, 0.0014660606178260593),
+    (0.1, 2.0**-10, 0.7398599597757459, 0.001475064107326015),
+    (0.3, 2.0**-9, 0.741833354756446, 0.0030828005622826797),
+])
+def test_seed_certificate_pins_on_the_family_arc(alpha, tau, rho_bound, band_dev):
+    # exact: the admissible tau is the largest of 0.5*2^-k, and the band
+    # norms behind it are maxima of the same sampled values however the
+    # candidates are evaluated
+    got, seed = picard_seed(scaled_arc_ivp(alpha), 0.1)
+    info = seed.info
+    assert got == info["tau"] == tau
+    assert info["epsilon"] == 0.025
+    assert info["rho_bound"] == rho_bound
+    assert info["band_dev"] == band_dev
+    assert len(info["picard_diffs"]) == 19
+
+
+def test_seed_samples_all_candidate_taus_in_one_pass(monkeypatch):
+    calls = []
+    band_norms = singular_ode._band_norms
+
+    def counted(ivp, taus, eps, xdd0):
+        calls.append(np.shape(taus))
+        return band_norms(ivp, taus, eps, xdd0)
+
+    monkeypatch.setattr(singular_ode, "_band_norms", counted)
+    picard_seed(scaled_arc_ivp(0.1), 0.1)
+    assert calls == [(60,)]
+
+
+def test_seed_fails_cleanly_when_no_tau_contracts():
+    # ||g_xdot|| * 2^-60 is still far above rho_target: no candidate passes
+    ivp = SingularIVP(-0.25, lambda t, x, xd: 1.5, _zero, lambda t, x, xd: 1e30,
+                      g_origin=1.5)
+    with pytest.raises(ContractionFailure, match="no tau gives contraction"):
+        picard_seed(ivp, 0.1, tol=TOL)
+
+
 # ---------------------------------------------------------------------------
 # dense solutions
 # ---------------------------------------------------------------------------
@@ -136,6 +178,13 @@ def test_solution_domain_is_enforced():
         sol.derivative(lo - 1e-6)
     t, x, xd = sol.to_samples(33)
     assert t.shape == x.shape == xd.shape == (33,)
+
+
+@pytest.mark.parametrize("end", [math.nan, math.inf])
+def test_solution_rejects_nonfinite_breakpoints(end):
+    seg = integrate(const_ivp(), 0.5, tol=TOL).segments[0]
+    with pytest.raises(DomainError):
+        DenseSolution([0.0, end], [seg])
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +219,13 @@ def test_integrate_pointwise_residual_within_budget():
     assert np.max(np.abs(resid)) <= 10.0 * TOL
 
 
+@pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf])
+def test_integrate_rejects_nonfinite_end(t_end):
+    # a NaN end would leave the stepper spinning forever
+    with pytest.raises(DomainError, match="finite"):
+        integrate(const_ivp(), t_end, tol=TOL)
+
+
 def test_integrate_raises_on_return_to_zero():
     # forcing turns negative quickly: x comes back to the axis
     def g(t, x, xd):
@@ -195,6 +251,12 @@ def test_scalar_only_variational_coefficient_is_rejected():
                                lambda t: 0.0, -0.25)
     with pytest.raises(TypeError):
         integrate_variational(coeffs, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf])
+def test_variational_rejects_nonfinite_end(t_end):
+    with pytest.raises(DomainError, match="finite"):
+        integrate_variational(_const_coeffs(), 1.0, t_end)
 
 
 def test_variational_accel_closed_form():
