@@ -37,6 +37,9 @@ ALPHA_MAX = 1.0 / 3.0
 # the flat height is below _H0_HI on the validity range and above _H0_LO for
 # p0 >= 2.43 only (it falls to about 0.05 as alpha -> 1/3): see solve_for_height
 _H0_LO, _H0_HI = 0.20, 0.3158
+# past _P0_TOP, alpha = 1/p0^2 leaves the normal doubles; the height there,
+# p0 * height0, is 2.116663e153 (measured), so _M_TOP is the largest height
+_P0_TOP, _M_TOP = 1.0 / np.sqrt(np.finfo(float).tiny), 2.1166e153
 _VALIDITY_MSG = ("alpha = {:.6g} is outside [0, 1/3): the switching-integral "
                  "uniqueness hypothesis fails there (endpoint weight changes sign at 1/3)")
 
@@ -510,19 +513,23 @@ def solve_for_height(M, tol=1e-10):
 
     Matches p0 * height0(1/p0^2) = M by brentq over p0, through
     assemble_profile's cache.  p0 * height0 increases with p0, from about
-    0.0869 at the validity edge p0 = sqrt(3); height0 < _H0_HI bounds the
-    root below, and hi = max(M/_H0_LO, lo) + 1 >= 2.73 bounds it above,
-    as height0 > _H0_LO there.
+    0.0869 at the validity edge p0 = sqrt(3) to _M_TOP at _P0_TOP, where
+    1/p0^2 is the smallest normal double; larger M is refused up front.
+    height0 < _H0_HI bounds the root below, and hi = max(M/_H0_LO, lo) + 1
+    >= 2.73, capped at _P0_TOP, bounds it above, as height0 > _H0_LO there.
     """
     M = float(M)
     if not 0.0 < M < np.inf:
         raise NoRoot(f"height must be positive and finite, got M={M}")
+    if M > _M_TOP:
+        raise NoRoot(f"M={M} above the reachable range (max height {_M_TOP:.5g}, "
+                     f"where 1/p0^2 reaches the smallest normal double)")
 
     def h(p0):
         return p0 * assemble_profile(1.0 / (p0 * p0), tol).height0 - M
 
     lo = max(np.sqrt(3.0) * (1.0 + 1e-6) + 1e-9, M / _H0_HI)
-    hi = max(M / _H0_LO, lo) + 1.0
+    hi = min(max(M / _H0_LO, lo) + 1.0, _P0_TOP)
     flo = h(lo)
     if flo >= 0.0:
         raise NoRoot(f"M={M} below the reachable range (min height "

@@ -13,18 +13,25 @@ a parabola, so x'^2/x stays finite).  The strategy:
        F(x)(t) = int_0^t (t - s) * (lam*x'^2/x + g)(s) ds,
 
    run in a band of relative half-width eps around the osculating parabola
-   x0(t) = xdd0*t^2/2, with xdd0 = g(0,0,0)/(1-2*lam).  The iteration is a
-   contraction once eps and tau are small enough: eps is halved until the
-   lam-part of the bound leaves room, then tau is the largest of
-   0.5*2^-k, k = 0..59, whose sampled bounds certify a contraction factor
-   rho <= rho_target and a band that maps into itself;
+   x0(t) = xdd0*t^2/2, with xdd0 = g(0,0,0)/(1-2*lam).  The iterate is x''
+   at the Chebyshev-Lobatto nodes of [-tau, tau]; x and x' there are two
+   fixed matrix products with it (the exact integrals of its interpolant
+   from t=0).  The iteration is a contraction once eps and tau are small
+   enough: eps is halved until the lam-part of the bound leaves room, then
+   tau is the largest of 0.5*2^-k, k = 0..59, whose sampled bounds certify
+   a contraction factor rho <= rho_target and a band that maps into itself;
 2. hand the endpoint state to a high-order classical stepper (DOP853) for
    the rest of the interval;
 3. rebuild the whole trajectory as one Chebyshev series: x'' at
    Chebyshev-Lobatto nodes (from the seed inside [-tau, tau], from the
-   exact right side along the stepper's dense output beyond it), fitted
-   once and integrated twice from t=0, so evaluation needs no live
-   integrator state and x(0) = x'(0) = 0 hold exactly.
+   exact right side along the stepper's dense output beyond it), mapped
+   to coefficients once and integrated twice from t=0, so evaluation needs
+   no live integrator state and x(0) = x'(0) = 0 hold exactly.
+
+Every fit here is a fixed linear map on node values: `_lobatto_integrals`
+builds, once per node count and anchor, the inverse Chebyshev Vandermonde
+matrix (values to coefficients) and the exact first and second integral
+matrices, and the seed, the arc fit and the variational solve share it.
 
 The linearized (variational) equation
 
@@ -225,6 +232,22 @@ class MappedSolution(DenseSolution):
         return self.base.third(np.asarray(q, float) + self.offset)
 
 
+@lru_cache(maxsize=None)
+def _lobatto_integrals(n, anchor):
+    """The n Chebyshev-Lobatto nodes s of [-1, 1] and three fixed maps on
+    values there: to their interpolant's Chebyshev coefficients (fit, the
+    inverse Vandermonde matrix), and to its exact first and second
+    integrals from s = anchor, read at the nodes (int1, int2).
+
+    Built on first use; the solvers ask for (N_CHEB, 0) and (N_ARC, -1 or 1).
+    """
+    s = np.cos(np.pi * np.arange(n) / (n - 1))
+    fit = np.linalg.inv(_cheb.chebvander(s, n - 1))
+    c1 = _cheb.chebint(fit, lbnd=anchor)
+    c2 = _cheb.chebint(c1, lbnd=anchor)
+    return s, fit, _cheb.chebvander(s, n) @ c1, _cheb.chebvander(s, n + 1) @ c2
+
+
 # ---------------------------------------------------------------------------
 # Picard seed
 # ---------------------------------------------------------------------------
@@ -260,6 +283,9 @@ def picard_seed(ivp, epsilon, tol=1e-10):
     leaves no room below the target.  tau is then the largest of 0.5*2^-k,
     k = 0..59, for which both rho <= rho_target and the self-map bound
     hold; the band norms of all 60 candidates are sampled in one pass.
+    Each iteration maps x'' at the N_CHEB Lobatto nodes to x and x' there
+    with the fixed integral matrices of `_lobatto_integrals`, and the seed
+    series is the fit of the last iterate, integrated twice from t=0.
     Iteration diffs are recorded in seed.info['picard_diffs'].
     """
     if not 0.0 < epsilon < 1.0:
@@ -294,20 +320,15 @@ def picard_seed(ivp, epsilon, tol=1e-10):
     tau, rho = float(taus[ok[0]]), float(rho[ok[0]])
 
     # Chebyshev-Lobatto nodes (even count -> none lands exactly on t=0)
-    s = np.cos(np.pi * np.arange(N_CHEB) / (N_CHEB - 1))
+    s, fit, int1, int2 = _lobatto_integrals(N_CHEB, 0.0)
     t = tau * s
-
-    def series(xdd):  # (x, x', x'') coefficients: x'' fitted, integrated from t=0
-        c2 = _cheb.chebfit(s, xdd, N_CHEB - 1)
-        c1 = _cheb.chebint(c2, lbnd=0.0, scl=tau)
-        return _cheb.chebint(c1, lbnd=0.0, scl=tau), c1, c2
+    X, Xd = tau * tau * int2, tau * int1
 
     xdd = np.full(N_CHEB, xdd0)
     diffs = []
     for _ in range(PICARD_MAX_ITER):
-        c0, c1, _ = series(xdd)
-        x = _cheb.chebval(s, c0)
-        xd = _cheb.chebval(s, c1)
+        x = X @ xdd
+        xd = Xd @ xdd
         if np.any(x * np.sign(xdd0) <= 0.0):
             raise ContractionFailure("iterate left the admissible band (x hit 0)")
         new = lam * xd * xd / x + _call_vec(ivp.g, t, x, xd)
@@ -324,7 +345,9 @@ def picard_seed(ivp, epsilon, tol=1e-10):
         raise ContractionFailure(
             f"converged iterate leaves the certified band: dev={band_dev:.3e} > eps={eps:.3e}")
 
-    seg = _ChebSegment(0.0, tau, *series(xdd))
+    c2 = fit @ xdd
+    c1 = _cheb.chebint(c2, lbnd=0.0, scl=tau)
+    seg = _ChebSegment(0.0, tau, _cheb.chebint(c1, lbnd=0.0, scl=tau), c1, c2)
     info = {
         "tau": tau,
         "epsilon": eps,
@@ -385,15 +408,15 @@ def integrate(ivp, t_end, tol=1e-10):
     # trailing x'' coefficients of the family's arcs stay below 3e-10 for
     # all alpha < 1/3 (below 3e-11 up to alpha = 0.3).
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    s = np.cos(np.pi * np.arange(N_ARC) / (N_ARC - 1))
+    s0 = -d  # t = 0 in s, an endpoint
+    s, fit, _, _ = _lobatto_integrals(N_ARC, s0)
     t = mid + half * s
     inner = np.abs(t) <= tau
     xdd = np.empty(N_ARC)
     xdd[inner] = seed.second(t[inner])
     xs, xds = res.sol(t[~inner])
     xdd[~inner] = ivp.lam * xds * xds / xs + _call_vec(ivp.g, t[~inner], xs, xds)
-    s0 = -mid / half  # t = 0 in s, an endpoint
-    c2 = _cheb.chebfit(s, xdd, N_ARC - 1)
+    c2 = fit @ xdd
     c1 = _cheb.chebint(c2, lbnd=s0, scl=half)
     c0 = _cheb.chebint(c1, lbnd=s0, scl=half)
     return DenseSolution([lo, hi], [_ChebSegment(mid, half, c0, c1, c2)], info=seed.info)
@@ -431,18 +454,6 @@ def variational_accel_at_origin(coeffs, ydot0):
     return ((a0 + b0) * ydot0 + s0) / (1.0 - 2.0 * coeffs.lam)
 
 
-@lru_cache(maxsize=2)
-def _lobatto_integrals(d):
-    """Lobatto nodes s and the matrices taking values there to their
-    interpolant's coefficients (fit) and to its exact first and second
-    integrals from s = -d, read at the nodes (int1, int2)."""
-    s = np.cos(np.pi * np.arange(N_ARC) / (N_ARC - 1))
-    fit = np.linalg.inv(_cheb.chebvander(s, N_ARC - 1))
-    c1 = _cheb.chebint(fit, lbnd=-d)
-    c2 = _cheb.chebint(c1, lbnd=-d)
-    return s, fit, _cheb.chebvander(s, N_ARC) @ c1, _cheb.chebvander(s, N_ARC + 1) @ c2
-
-
 def integrate_variational(coeffs, ydot0, t_end):
     """Solve the variational equation with y(0)=0, y'(0)=ydot0 out to a
     finite t_end != 0.
@@ -456,7 +467,7 @@ def integrate_variational(coeffs, ydot0, t_end):
         raise DomainError(f"t_end must be finite and nonzero, got {t_end}")
     ydd0 = variational_accel_at_origin(coeffs, ydot0)
     d = 1.0 if t_end > 0 else -1.0
-    s, fit, int1, int2 = _lobatto_integrals(d)
+    s, fit, int1, int2 = _lobatto_integrals(N_ARC, -d)
     ends = [0.0, *sorted({b for b in coeffs.breaks if 0.0 < d * b < d * t_end}, key=abs), t_end]
     y_in, yd_in = 0.0, float(ydot0)
     segs = []

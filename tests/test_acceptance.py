@@ -37,6 +37,7 @@ from newton_minres import (
     thread_count,
     unscale,
 )
+from newton_minres import singular_ode
 from newton_minres.extremal import _assemble_cached, _solve_nu_base
 from newton_minres.geometry import _INVPHI
 
@@ -71,6 +72,7 @@ def _cold_caches():
     _solved.cache_clear()
     _solve_nu_base.cache_clear()
     _assemble_cached.cache_clear()
+    singular_ode._lobatto_integrals.cache_clear()
 
 
 def test_criterion_1_parameter_table(capsys):

@@ -9,6 +9,9 @@ records in info.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -126,14 +129,17 @@ def test_seed_shrinks_band_when_lam_term_leaves_no_room():
 
 
 @pytest.mark.parametrize("alpha, tau, rho_bound, band_dev", [
-    (0.0, 2.0**-10, 0.7402150967439891, 0.0014660606178260593),
-    (0.1, 2.0**-10, 0.7398599597757459, 0.001475064107326015),
-    (0.3, 2.0**-9, 0.741833354756446, 0.0030828005622826797),
+    (0.0, 2.0**-10, 0.7402150967439891, 0.0014660606178249491),
+    (0.1, 2.0**-10, 0.7398599597757459, 0.001475064107325636),
+    (0.3, 2.0**-9, 0.741833354756446, 0.0030828005622821984),
 ])
 def test_seed_certificate_pins_on_the_family_arc(alpha, tau, rho_bound, band_dev):
     # exact: the admissible tau is the largest of 0.5*2^-k, and the band
     # norms behind it are maxima of the same sampled values however the
-    # candidates are evaluated
+    # candidates are evaluated.  band_dev is pinned as the fixed Lobatto
+    # maps give it; the least-squares fit they replaced is the same linear
+    # map in exact arithmetic and gave values about 8e-13 (relative) away,
+    # e.g. 0.0014660606178260593 at alpha = 0
     got, seed = picard_seed(scaled_arc_ivp(alpha), 0.1)
     info = seed.info
     assert got == info["tau"] == tau
@@ -141,6 +147,48 @@ def test_seed_certificate_pins_on_the_family_arc(alpha, tau, rho_bound, band_dev
     assert info["rho_bound"] == rho_bound
     assert info["band_dev"] == band_dev
     assert len(info["picard_diffs"]) == 19
+
+
+@pytest.mark.parametrize("n, anchor", [(48, 0.0), (64, -1.0), (64, 1.0)])
+def test_lobatto_maps_are_exact_on_series_of_full_degree(n, anchor):
+    s, fit, int1, int2 = singular_ode._lobatto_integrals(n, anchor)
+    c = np.random.default_rng(n + 7 * int(anchor)).standard_normal(n)
+    v = np.polynomial.chebyshev.chebval(s, c)
+
+    def close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    close(fit @ v, c)
+    c1 = np.polynomial.chebyshev.chebint(c, lbnd=anchor)
+    close(int1 @ v, np.polynomial.chebyshev.chebval(s, c1))
+    close(int2 @ v, np.polynomial.chebyshev.chebval(
+        s, np.polynomial.chebyshev.chebint(c1, lbnd=anchor)))
+
+
+def test_seed_leaves_the_origin_exactly():
+    _, seed = picard_seed(scaled_arc_ivp(0.1), 0.1)
+    x, xd, _ = seed.eval(0.0)
+    assert x == 0.0 and xd == 0.0
+
+
+def test_no_chebyshev_fit_is_a_least_squares_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("chebfit called")
+
+    monkeypatch.setattr(singular_ode._cheb, "chebfit", refuse)
+    picard_seed(scaled_arc_ivp(0.1), 0.1)
+    integrate(scaled_arc_ivp(0.1), -1.0)
+
+
+def test_lobatto_maps_are_not_built_at_import():
+    src = os.path.dirname(os.path.dirname(singular_ode.__file__))
+    code = ("import newton_minres\n"
+            "from newton_minres import singular_ode\n"
+            "print(singular_ode._lobatto_integrals.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "0"
 
 
 def test_seed_samples_all_candidate_taus_in_one_pass(monkeypatch):
