@@ -25,12 +25,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import chebyshev as _cheb
 from scipy.optimize import brentq
 
 from .errors import DomainError, InconsistentScale, NoRoot, SignChange
 from .functional import J_scaled, lagrangian_value, quad_value
-from .singular_ode import (MappedSolution, SingularIVP, integrate,
-                           integrate_variational, VariationalCoeffs)
+from .singular_ode import (N_ARC, MappedSolution, SingularIVP, _lobatto_integrals,
+                           integrate, integrate_variational, VariationalCoeffs)
 
 LAM = -0.25
 ALPHA_MAX = 1.0 / 3.0
@@ -108,10 +109,14 @@ def scaled_lagrangian(q, eta, etap, alpha):
 # switching integral
 # ---------------------------------------------------------------------------
 
-def _arc_rhs(q, e, a, alpha):
-    """Right side of the arc equation evaluated at (q, eta=e, eta'=a)."""
-    return (-0.25 * (a - 1.0) ** 2 / (e - q) - 0.25 * (a + 1.0) ** 2 / (e + q)
-            + 2.0 * e * a * a / (e * e + alpha))
+def _switch_kernel(q, a, b, alpha, weight):
+    """weight * sqrt(eta^2-q^2)/(eta^2+alpha)^2 * R(q, eta, eta') along
+    eta = a*q + b, R the right side of the arc equation: with weight q the
+    switching integrand, with weight 1 the G/4 of adjoint_omega."""
+    e = a * q + b
+    rhs = (-0.25 * (a - 1.0) ** 2 / (e - q) - 0.25 * (a + 1.0) ** 2 / (e + q)
+           + 2.0 * e * a * a / (e * e + alpha))
+    return weight * np.sqrt(e * e - q * q) / (e * e + alpha) ** 2 * rhs
 
 
 def I_of(rho, alpha, nu):
@@ -133,12 +138,7 @@ def I_of(rho, alpha, nu):
     # eta - q is affine; positivity at both ends covers the whole interval
     if b <= 0.0 or nr - rho <= 0.0:
         raise DomainError("tangent continuation leaves the admissible region eta > q")
-
-    def kern(q):
-        e = a * q + b
-        return q * np.sqrt(e * e - q * q) / (e * e + alpha) ** 2 * _arc_rhs(q, e, a, alpha)
-
-    return quad_value(kern, 0.0, rho)
+    return quad_value(lambda q: _switch_kernel(q, a, b, alpha, q), 0.0, rho)
 
 
 def I_closed_form_alpha0(rho, nu_hat):
@@ -161,10 +161,11 @@ def I_closed_form_alpha0(rho, nu_hat):
 def find_switch(alpha, nu=None):
     """Zero of I(., alpha, nu): the switching radius rho.
 
-    Scans rho = 0.015, 0.035, ... upward for the first sign change (I < 0
-    below the root, > 0 above), refines with brentq to xtol 1e-12 and
-    verifies |I(rho)| < 1e-12.  No warm start: assemble_profile's cache
-    calls this once per alpha.
+    Scans rho = 0.015, 0.035, ... for the first sign change (I < 0 below
+    the root, > 0 above), all 49 points in one fixed-rule pass; refines
+    with brentq on the adaptive I_of to xtol 1e-12 and verifies
+    |I(rho)| < 1e-12.  No warm start: assemble_profile's cache calls this
+    once per alpha.
     """
     alpha = float(alpha)
     if not 0.0 <= alpha < ALPHA_MAX:
@@ -176,18 +177,22 @@ def find_switch(alpha, nu=None):
         return I_of(r, alpha, nu)
 
     grid = np.arange(0.015, 0.985, 0.02)
-    fprev = f(grid[0])
-    if fprev > 0.0:
+    s, _, int1, _ = _lobatto_integrals(N_ARC, -1.0)
+    nr, a, _ = nu.eval(grid[:, None])
+    q = np.outer(0.5 * grid, s + 1.0)  # Lobatto nodes of each [0, rho]
+    scan = 0.5 * grid * (_switch_kernel(q, a, nr - grid[:, None] * a, alpha, q) @ int1[0])
+    if scan[0] > 0.0:
         raise NoRoot(f"I already positive at rho={grid[0]:.3f}; no bracket found")
-    for lo, hi in zip(grid[:-1], grid[1:]):
-        fnext = f(hi)
-        if fprev < 0.0 <= fnext:
-            break
-        fprev = fnext
-    else:
+    ups = np.flatnonzero((scan[:-1] < 0.0) & (scan[1:] >= 0.0))
+    if not ups.size:
         raise NoRoot(f"switching integral has no sign change on [{grid[0]}, {grid[-1]}]")
+    lo, hi = grid[ups[0]], grid[ups[0] + 1]
 
-    root = brentq(f, lo, hi, xtol=1e-12, rtol=4.0 * np.finfo(float).eps)
+    try:
+        root = brentq(f, lo, hi, xtol=1e-12, rtol=4.0 * np.finfo(float).eps)
+    except ValueError:
+        raise NoRoot(f"adaptive I does not change sign on the scanned bracket: "
+                     f"I({lo:.3f}) = {f(lo):.3e}, I({hi:.3f}) = {f(hi):.3e}") from None
     if abs(f(root)) > 1e-12:
         raise NoRoot(f"refined switching point is not a clean zero: I={f(root):.3e}")
     return float(root)
@@ -292,23 +297,16 @@ def adjoint_omega(profile):
 
     G = L_{eta' eta'} * R along the affine continuation; omega(0) = -I(rho),
     and local optimality of the flat cut needs omega < 0 on (0, rho).
+    omega'' = -G/4 with omega(rho) = omega'(rho) = 0: the fixed second
+    integral from rho on N_ARC Lobatto nodes, read through its interpolant.
     """
     rho = profile.rho
-    a = profile.slope
-    b = profile.height0
-    alpha = profile.alpha
-
-    def kern(q):
-        e = a * q + b
-        return np.sqrt(e * e - q * q) / (e * e + alpha) ** 2 * _arc_rhs(q, e, a, alpha)
-
+    s, fit, _, int2 = _lobatto_integrals(N_ARC, 1.0)
+    kern = _switch_kernel(0.5 * rho * (s + 1.0), profile.slope, profile.height0,
+                          profile.alpha, 1.0)
     qt = np.linspace(0.0, rho, 201)
-    om = np.empty_like(qt)
-    for i, q0 in enumerate(qt):
-        if q0 >= rho:
-            om[i] = 0.0
-        else:
-            om[i] = quad_value(lambda q: (q0 - q) * kern(q), q0, rho)
+    om = -(0.5 * rho) ** 2 * _cheb.chebval(2.0 * qt / rho - 1.0, fit @ (int2 @ kern))
+    om[-1] = 0.0
     return AdjointProfile(np.column_stack([qt, om]))
 
 
@@ -379,18 +377,18 @@ def jacobi_check(profile, eps=1e-3):
     return float(np.min(np.abs(vals))), zeta
 
 
-def field_jacobian_check(alpha, delta_alpha=None):
+def field_jacobian_check(alpha):
     """Sign of the embedding-field Jacobian bracket q*kappa' - kappa + 2*alpha*dkappa/dalpha.
 
     Constant sign on [0, 1-0.01] means the one-parameter family of profiles
     fans out into a proper field around this member.  Central difference in
-    alpha (forward at alpha=0, where the 2*alpha factor kills the term
-    anyway).  Raises SignChange if the sign is not constant.
+    alpha with step max(1e-3*alpha, 1e-5), forward at alpha=0 where the
+    2*alpha factor kills the term.  Raises SignChange if the sign varies.
     """
     alpha = float(alpha)
     if not 0.0 <= alpha < ALPHA_MAX:
         raise NoRoot(_VALIDITY_MSG.format(alpha))
-    da = delta_alpha if delta_alpha is not None else max(1e-3 * alpha, 1e-5)
+    da = max(1e-3 * alpha, 1e-5)
     if alpha + da >= ALPHA_MAX:
         da = 0.5 * (ALPHA_MAX - alpha)
 

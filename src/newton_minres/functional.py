@@ -18,11 +18,11 @@ Two independent evaluation routes are kept deliberately separate:
   central differences.  Either way it never touches the 1-D machinery, so
   agreement between the two is a real consistency check, not a tautology.
 
-Profile/solution arguments are duck-typed: anything exposing the accessors
-used here works, which keeps this module import-independent from the solver
-modules.  A profile whose arc ends at the singular point v = p must expose
-the solver's movable-frame solution (x = nu - q against t = q - 1) as
-`profile.nu.base`: the arc integrands read x from it, free of cancellation.
+Profile/solution arguments are duck-typed; the one solver import is the
+fixed Lobatto rule of `singular_ode`, for J_scaled.  A profile whose arc ends
+at the singular point v = p must expose the solver's movable-frame solution
+(x = nu - q against t = q - 1) as `profile.nu.base`: the arc integrands read
+x from it, free of cancellation.
 """
 
 import os
@@ -33,10 +33,12 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError
+from .singular_ode import N_ARC, _lobatto_integrals
 
 
 def quad_value(f, a, b):
-    """Adaptive quadrature returning just the value.
+    """Adaptive quadrature returning just the value: the reference route of
+    I_of, J_unscaled, gamma_form_J and the endpoint weight.
 
     full_output=1 keeps quadpack from warning when it stops at roundoff
     level, which is routine for the sqrt-type endpoint integrands here; the
@@ -169,30 +171,28 @@ def J_scaled(profile):
     """Scaled functional bracket: int_0^rho g(affine) + int_rho^1 g(arc).
 
     The full scaled value of the original functional is alpha * J_scaled.
-    Arc integrand is evaluated in the movable frame x = nu - q to avoid
-    cancellation near q = 1, where the integrand tends to
+    Both parts use the Clenshaw-Curtis rule on N_ARC Lobatto nodes.  The
+    arc integrand is evaluated in the movable frame x = nu - q to avoid
+    cancellation near q = 1; the q = 1 node takes its limit
     sqrt(nu''(1))/(1+alpha).
     """
     alpha = profile.alpha
     rho = profile.rho
     a = profile.slope
     b = profile.height0
-    base = profile.nu.base
+    s, _, int1, _ = _lobatto_integrals(N_ARC, -1.0)
+    w = 0.5 * int1[0]  # weights of [0, 1] at the nodes (s + 1)/2
+
+    q = 0.5 * rho * (s + 1.0)
+    aff = rho * (w @ lagrangian_value(q, b + a * q, a, alpha))
+
+    q = rho + 0.5 * (1.0 - rho) * (s[1:] + 1.0)  # s[0] = 1 is the q = 1 node
+    x, xd, _ = profile.nu.base.eval(q - 1.0)
+    sq = np.sqrt(x * (x + 2.0 * q))
+    d = (x + q) ** 2 + alpha
+    g = 2.0 * sq * (xd + 1.0) ** 2 / (d * d) - (q * xd - x) / ((x + q) * d * sq)
     lim = np.sqrt(profile.nu.second(1.0)) / (1.0 + alpha)
-
-    aff = quad_value(lambda q: lagrangian_value(q, b + a * q, a, alpha), 0.0, rho)
-
-    def arc_g(q):
-        if q > 1.0 - 1e-9:
-            return lim
-        x, xd, _ = base.eval(q - 1.0)
-        s = np.sqrt(x * (x + 2.0 * q))
-        w = x + q
-        d = w * w + alpha
-        return 2.0 * s * (xd + 1.0) ** 2 / (d * d) - (q * xd - x) / (w * d * s)
-
-    arc = quad_value(arc_g, rho, 1.0)
-    return aff + arc
+    return float(aff + (1.0 - rho) * (w[0] * lim + w[1:] @ g))
 
 
 def J_unscaled(sol):

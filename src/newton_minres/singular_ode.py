@@ -239,7 +239,8 @@ def _lobatto_integrals(n, anchor):
     inverse Vandermonde matrix), and to its exact first and second
     integrals from s = anchor, read at the nodes (int1, int2).
 
-    Built on first use; the solvers ask for (N_CHEB, 0) and (N_ARC, -1 or 1).
+    Built on first use, for (N_CHEB, 0) and (N_ARC, -1 or 1).  Row 0 of int1
+    at anchor -1 is the Clenshaw-Curtis rule on [-1, 1].
     """
     s = np.cos(np.pi * np.arange(n) / (n - 1))
     fit = np.linalg.inv(_cheb.chebvander(s, n - 1))

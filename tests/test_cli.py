@@ -18,9 +18,9 @@ from newton_minres import DomainError, NoRoot, solve_for_height
 from newton_minres.cli import _check_one, main
 from newton_minres.functional import P0_MAX
 
-# a fresh _check_one call costs about 0.2-0.3 s (three arc solves for the
-# field Jacobian plus the adjoint quadratures), so this keeps the property
-# test within about 10 s
+# a fresh _check_one call costs about 0.07-0.1 s on two vCPUs (mostly the
+# three arc solves for the field Jacobian), so this keeps the property test
+# within a few seconds
 MAX_CHECK_EXAMPLES = 25
 # a fresh height costs about 0.2-0.5 s (the height root, then _check_one)
 MAX_HEIGHT_EXAMPLES = 10

@@ -8,6 +8,8 @@ finite differences of the solved curves.
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from newton_minres import (
     DomainError,
@@ -30,7 +32,7 @@ from newton_minres import (
     solve_nu,
     unscale,
 )
-from newton_minres import extremal
+from newton_minres import extremal, functional
 from newton_minres.extremal import (scaled_arc_ivp, scaled_lagrangian,
                                    variational_coeffs_along)
 
@@ -130,6 +132,64 @@ def test_switch_radius_along_family():
     assert find_switch(1.0 / 316.727**2) == pytest.approx(0.109020, abs=1e-4)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1e-300, 0.01, 0.1, 0.2, 0.3, 0.3333])
+def test_switch_scan_brackets_like_the_adaptive_scan(alpha, monkeypatch):
+    # reference: the scalar scan over the same grid with the adaptive I_of,
+    # then the same brentq refine; find_switch must reproduce both exactly
+    nu = solve_nu(alpha)
+    grid = np.arange(0.015, 0.985, 0.02)
+    vals = [I_of(r, alpha, nu) for r in grid]
+    i = next(i for i in range(len(grid) - 1) if vals[i] < 0.0 <= vals[i + 1])
+    ref = brentq(lambda r: I_of(r, alpha, nu), grid[i], grid[i + 1],
+                 xtol=1e-12, rtol=4.0 * np.finfo(float).eps)
+    brackets = []
+
+    def recording(f, a, b, **kwargs):
+        brackets.append((a, b))
+        return brentq(f, a, b, **kwargs)
+
+    monkeypatch.setattr(extremal, "brentq", recording)
+    assert find_switch(alpha, nu) == ref
+    assert brackets == [(grid[i], grid[i + 1])]
+
+
+def test_switch_refine_disagreeing_with_scan_is_no_root(monkeypatch):
+    nu = solve_nu(0.0)
+    monkeypatch.setattr(extremal, "I_of", lambda rho, alpha, nu: 1.0)
+    with pytest.raises(NoRoot, match=r"I\(0\.095\) = 1\.000e\+00, I\(0\.115\) = 1\.000e\+00"):
+        find_switch(0.0, nu)
+
+
+def test_switch_adjoint_and_J_scaled_make_no_adaptive_quad(monkeypatch):
+    prof = assemble_profile(0.1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("quad_value called")
+
+    with monkeypatch.context() as m:
+        m.setattr(functional, "quad_value", refuse)
+        m.setattr(extremal, "quad_value", refuse)
+        functional.J_scaled(prof)
+        adjoint_omega(prof)
+
+    # find_switch reaches the adaptive I_of only from the refine and the check
+    calls = {"I_of": 0, "refine": 0}
+
+    def counted_I_of(*args):
+        calls["I_of"] += 1
+        return I_of(*args)
+
+    def counted_brentq(f, a, b, **kwargs):
+        root, info = brentq(f, a, b, full_output=True, **kwargs)
+        calls["refine"] += info.function_calls
+        return root
+
+    monkeypatch.setattr(extremal, "I_of", counted_I_of)
+    monkeypatch.setattr(extremal, "brentq", counted_brentq)
+    find_switch(0.1, prof.nu)
+    assert 0 < calls["I_of"] <= calls["refine"] + 1
+
+
 def test_switch_rejects_invalid_family_parameter():
     for alpha in (1.0 / 3.0, 0.35, 0.5):
         with pytest.raises(NoRoot, match="hypothesis"):
@@ -171,10 +231,24 @@ def test_profile_height_times_slope_scale():
 # optimality certificates
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("alpha", [0.0, 0.01, 0.1])
+@pytest.mark.parametrize("alpha", [0.0, 0.01, 0.1, 0.3333])
 def test_adjoint_deficiency_negative_inside_flat(alpha):
     prof = assemble_profile(alpha)
     adj = adjoint_omega(prof)
+    # adaptive reference: omega(qt) = int_qt^rho (qt-q) G(q)/4 dq
+    a, b, rho = prof.slope, prof.height0, prof.rho
+
+    def quarter_G(q):
+        e = a * q + b
+        rhs = (-0.25 * (a - 1.0) ** 2 / (e - q) - 0.25 * (a + 1.0) ** 2 / (e + q)
+               + 2.0 * e * a * a / (e * e + alpha))
+        return np.sqrt(e * e - q * q) / (e * e + alpha) ** 2 * rhs
+
+    for i in range(0, 201, 20):
+        q0 = adj.q[i]
+        ref = quad(lambda q: (q0 - q) * quarter_G(q), q0, rho,
+                   epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+        assert abs(adj.omega[i] - ref) <= 1e-13
     interior = (adj.q > 0.01) & (adj.q < prof.rho - 0.01)
     assert np.all(adj.omega[interior] < 0.0)
     # at the center the deficiency is minus the switching integral: zero here
@@ -239,7 +313,8 @@ def test_field_jacobian_sign_constant(alpha):
 
 
 def test_field_jacobian_spot_example():
-    assert field_jacobian_check(0.01, 1e-3) == -1
+    # the step max(1e-3*alpha, 1e-5) would cross 1/3 here and is halved back
+    assert field_jacobian_check(0.3331) == -1
 
 
 def test_first_order_reduction_residual():

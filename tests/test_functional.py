@@ -9,6 +9,7 @@ share no code beyond the integrand itself.
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from hypothesis import given, settings, strategies as st
 
 from newton_minres import (
@@ -121,6 +122,31 @@ def test_bracket_route_far_along_the_family(solved):
     sol = solved(50.0)
     j_bracket = sol.profile.alpha * J_scaled(sol.profile)
     assert j_bracket == pytest.approx(4.27905e-4, abs=5e-7)
+
+
+def _J_scaled_by_quad(profile):
+    """Adaptive reference for J_scaled: both parts by scipy's quad, the arc
+    part in the movable frame x = nu - q with its limit at q = 1."""
+    alpha, rho, a, b = profile.alpha, profile.rho, profile.slope, profile.height0
+    lim = np.sqrt(profile.nu.second(1.0)) / (1.0 + alpha)
+
+    def arc(q):
+        if q > 1.0 - 1e-9:
+            return lim
+        x, xd, _ = profile.nu.base.eval(q - 1.0)
+        s = np.sqrt(x * (x + 2.0 * q))
+        d = (x + q) ** 2 + alpha
+        return 2.0 * s * (xd + 1.0) ** 2 / (d * d) - (q * xd - x) / ((x + q) * d * s)
+
+    opts = dict(epsabs=1e-14, epsrel=1e-13, limit=200)
+    return (quad(lambda q: lagrangian_value(q, b + a * q, a, alpha), 0.0, rho, **opts)[0]
+            + quad(arc, rho, 1.0, **opts)[0])
+
+
+@pytest.mark.parametrize("M", [0.5, 1.0, 1.5, 2.0, 2.5, 5.0, 10.0, 50.0, 100.0])
+def test_scaled_bracket_matches_adaptive_reference(solved, M):
+    prof = solved(M).profile
+    assert J_scaled(prof) == pytest.approx(_J_scaled_by_quad(prof), rel=1e-12, abs=0.0)
 
 
 class _SyntheticCurve:
