@@ -15,7 +15,8 @@ class ContractionFailure(SolverError):
 
 
 class BlowUp(SolverError):
-    """ODE trajectory left the admissible region before reaching the target."""
+    """ODE arc not solved out to the target: x left the admissible region,
+    or the solve did not converge or failed its residual or seed checks."""
 
 
 class DomainError(SolverError):

@@ -8,30 +8,32 @@ with 0 < |lam| < 3/8 and g(0,0,0) != 0.  Classical steppers cannot start at
 t=0 because the first term is 0/0 there (the solution leaves the origin like
 a parabola, so x'^2/x stays finite).  The strategy:
 
-1. build a small analytic seed on [-tau, tau] by Picard iteration of
+1. solve for x'' at the Chebyshev-Lobatto nodes of the whole interval by
+   Newton collocation: x and x' at the nodes are two fixed matrix products
+   with it (the exact integrals of its interpolant from t=0, so x(0) =
+   x'(0) = 0 hold exactly), the origin node takes x'' = xdd0 =
+   g(0,0,0)/(1-2*lam), and every other node the equation itself.  Newton
+   starts from the osculating parabola x0(t) = xdd0*t^2/2, and the result
+   is one Chebyshev series for (x, x', x''), checked by its residual on an
+   oversampled grid and its trailing coefficients;
+2. cross-check it near the origin against a small analytic seed on
+   [-tau, tau], built independently by Picard iteration of
 
-       F(x)(t) = int_0^t (t - s) * (lam*x'^2/x + g)(s) ds,
+       F(x)(t) = int_0^t (t - s) * (lam*x'^2/x + g)(s) ds
 
-   run in a band of relative half-width eps around the osculating parabola
-   x0(t) = xdd0*t^2/2, with xdd0 = g(0,0,0)/(1-2*lam).  The iterate is x''
-   at the Chebyshev-Lobatto nodes of [-tau, tau]; x and x' there are two
-   fixed matrix products with it (the exact integrals of its interpolant
-   from t=0).  The iteration is a contraction once eps and tau are small
-   enough: eps is halved until the lam-part of the bound leaves room, then
-   tau is the largest of 0.5*2^-k, k = 0..59, whose sampled bounds certify
-   a contraction factor rho <= rho_target and a band that maps into itself;
-2. hand the endpoint state to a high-order classical stepper (DOP853) for
-   the rest of the interval;
-3. rebuild the whole trajectory as one Chebyshev series: x'' at
-   Chebyshev-Lobatto nodes (from the seed inside [-tau, tau], from the
-   exact right side along the stepper's dense output beyond it), mapped
-   to coefficients once and integrated twice from t=0, so evaluation needs
-   no live integrator state and x(0) = x'(0) = 0 hold exactly.
+   in a band of relative half-width eps around x0, with the same two
+   matrix products on its own Lobatto nodes.  The iteration is a
+   contraction once eps and tau are small enough: eps is halved until the
+   lam-part of the bound leaves room, then tau is the largest of
+   0.5*2^-k, k = 0..59, whose sampled bounds certify a contraction factor
+   rho <= rho_target and a band that maps into itself.  The arc must agree
+   with the seed and stay in its band there.
 
 Every fit here is a fixed linear map on node values: `_lobatto_integrals`
 builds, once per node count and anchor, the inverse Chebyshev Vandermonde
 matrix (values to coefficients) and the exact first and second integral
-matrices, and the seed, the arc fit and the variational solve share it.
+matrices, and the seed, the arc collocation and the variational solve
+share it.
 
 The linearized (variational) equation
 
@@ -39,7 +41,7 @@ The linearized (variational) equation
 
 with y(0) = 0 and prescribed y'(0) is linear, so it needs no stepper: the
 coefficient 4*lam*(t*y'-y)/t^2 is what the lam*x'^2/x term contributes
-after linearization along a seed-built solution.  On each interval where
+after linearization along a solved arc.  On each interval where
 the coefficients are smooth, y'' at Chebyshev-Lobatto nodes is the
 unknown; y' and y are its exact Chebyshev integrals from the piece's inner
 end, where they are taken from the data (y(0) = 0, y'(0)) or from the
@@ -53,7 +55,8 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
-from scipy.integrate import solve_ivp
+# unused here: perfbench/spans.py wraps this module binding by name
+from scipy.integrate import solve_ivp  # noqa: F401
 
 from .errors import BlowUp, ContractionFailure, DomainError
 
@@ -64,6 +67,14 @@ N_CHEB = 48
 N_ARC = 64
 RHO_TARGET_FLOOR = 0.9
 PICARD_MAX_ITER = 200
+NEWTON_MAX_ITER = 30
+# the arc's Newton stops at max|du| <= NEWTON_STEP_FLOOR*max|u|, a round-off
+# floor: at alpha = 0 the increments stall near 1e-15
+NEWTON_STEP_FLOOR = 1e-13
+# the arc series' residual and its last ARC_TAIL x'' coefficients, relative
+# to max|x''|: about 1e-10 on the family's arcs, 2e-8 at alpha = 0.4
+ARC_BUDGET = 1e-6
+ARC_TAIL = 4
 _DOMAIN_SLACK = 1e-11
 
 
@@ -72,8 +83,10 @@ class SingularIVP:
 
     g, g_x, g_xdot are callables of (t, x, xdot) that must accept numpy
     arrays (elementwise); a constant may be returned as a scalar.
-    g_origin is g(0,0,0).  The partials are only used to size the seed
-    interval, so sampled accuracy is enough.
+    g_origin is g(0,0,0).  The partials size the seed interval and make
+    the Jacobian of the arc's Newton collocation, so they should be
+    exact: a wrong partial slows or stalls Newton (BlowUp); the arc's residual
+    check, which reads only g, decides whether the result is kept.
     """
 
     def __init__(self, lam, g, g_x, g_xdot, g_origin):
@@ -366,12 +379,50 @@ def picard_seed(ivp, epsilon, tol=1e-10):
 # full integration
 # ---------------------------------------------------------------------------
 
+def _collocation_matrix(r0, r1, X, Xd):
+    """I - diag(r0) @ X - diag(r1) @ Xd: the integral-form collocation
+    operator of a linear equation u = r0*y + r1*y' + (data) for u = y'' at
+    the nodes, with y = X @ u and y' = Xd @ u plus their initial data.  A
+    row with r0 = r1 = 0 is an identity row: it pins u at that node."""
+    return np.eye(len(r0)) - r0[:, None] * X - r1[:, None] * Xd
+
+
+def _arc_system(ivp, t, X, Xd, xdd0, u):
+    """Newton residual F(u) and Jacobian of the arc collocation at nodes t:
+    u = xdd0 at the origin node and u = lam*x'^2/x + g(t, x, x') at the
+    others, where x must keep the sign of xdd0."""
+    rest = t != 0.0
+    t, x, xd = t[rest], (X @ u)[rest], (Xd @ u)[rest]
+    bad = x * np.sign(xdd0) <= 0.0
+    if np.any(bad):
+        raise BlowUp(f"x reached 0 at t={t[bad][np.argmin(np.abs(t[bad]))]:.6g} "
+                     f"on the arc's Newton iterate")
+    q = xd / x
+    F = u - xdd0
+    F[rest] = u[rest] - ivp.lam * xd * q - _call_vec(ivp.g, t, x, xd)
+    r0, r1 = np.zeros_like(u), np.zeros_like(u)
+    r0[rest] = _call_vec(ivp.g_x, t, x, xd) - ivp.lam * q * q
+    r1[rest] = _call_vec(ivp.g_xdot, t, x, xd) + 2.0 * ivp.lam * q
+    return F, _collocation_matrix(r0, r1, X, Xd)
+
+
 def integrate(ivp, t_end, tol=1e-10):
     """Solve the singular IVP out to a finite t_end (either sign), t_end != 0.
 
     Returns a DenseSolution on [t_end, 0] (or [0, t_end]) with a single
-    Chebyshev segment, seeded in a requested band of half-width 0.1.
-    Raises BlowUp if the trajectory drives x to 0 before reaching t_end.
+    Chebyshev segment, solved by Newton collocation (module docstring, step
+    1) to the round-off floor NEWTON_STEP_FLOOR.  tol steers only the stop
+    of the Picard seed (requested band 0.1), which cross-checks the arc on
+    [-tau, tau] and is the whole solution when |t_end| <= tau.
+
+    Raises BlowUp if an iterate has x*sign(xdd0) <= 0 off the origin, if
+    Newton takes more than NEWTON_MAX_ITER steps, if the residual beyond
+    the seed or the last ARC_TAIL x'' coefficients exceed
+    ARC_BUDGET*max|x''|, or if the arc's x'' leaves the seed's certified
+    band or differs from the seed's by more than ARC_BUDGET*|xdd0|.  info
+    adds newton_iters, residual (the max on 2*N_ARC points beyond the seed)
+    and radius_estimate = ||F||*||J^-1|| (max norm, last iterate), a
+    Kantorovich-style size of the correction left, not a proof.
     """
     t_end = float(t_end)
     if not np.isfinite(t_end) or t_end == 0.0:
@@ -382,45 +433,54 @@ def integrate(ivp, t_end, tol=1e-10):
         return DenseSolution([lo, hi], seed.segments, info=seed.info)
 
     d = 1.0 if t_end > 0 else -1.0
-    x0, xd0, _ = seed.eval(d * tau)
-    sgn = np.sign(accel_at_origin(ivp))
-
-    def fun(t, y):
-        return (y[1], ivp.lam * y[1] * y[1] / y[0] + ivp.g(t, y[0], y[1]))
-
-    def hit_zero(t, y):
-        return y[0] * sgn
-
-    hit_zero.terminal = True
-    res = solve_ivp(fun, (d * tau, t_end), (x0, xd0), method="DOP853",
-                    rtol=max(tol, 1e-13), atol=0.01 * tol,
-                    events=hit_zero, dense_output=True)
-    if res.status == 1:
-        raise BlowUp(f"x reached 0 at t={res.t_events[0][0]:.6g} before t_end={t_end}")
-    if not res.success:
-        raise BlowUp(f"integration failed: {res.message}")
-
-    # x'' at Chebyshev-Lobatto nodes on the whole arc: from the seed inside
-    # [-tau, tau] (the node at t=0 is 0/0 for the lam-term) and from the
-    # exact RHS along the dense output beyond it.  Only (x, x') are read
-    # off the dense output, never differentiated, so its between-step
-    # wobble stays at the local-error scale.  Fitting x'' and integrating
-    # twice from t=0 keeps x(0) = x'(0) = 0 exact.  With N_ARC nodes the
-    # trailing x'' coefficients of the family's arcs stay below 3e-10 for
-    # all alpha < 1/3 (below 3e-11 up to alpha = 0.3).
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     s0 = -d  # t = 0 in s, an endpoint
-    s, fit, _, _ = _lobatto_integrals(N_ARC, s0)
+    s, fit, int1, int2 = _lobatto_integrals(N_ARC, s0)
     t = mid + half * s
-    inner = np.abs(t) <= tau
-    xdd = np.empty(N_ARC)
-    xdd[inner] = seed.second(t[inner])
-    xs, xds = res.sol(t[~inner])
-    xdd[~inner] = ivp.lam * xds * xds / xs + _call_vec(ivp.g, t[~inner], xs, xds)
-    c2 = fit @ xdd
+    X, Xd = half * half * int2, half * int1
+    xdd0 = accel_at_origin(ivp)
+
+    u = np.full(N_ARC, xdd0)  # the osculating parabola
+    for k in range(1, NEWTON_MAX_ITER + 1):
+        F, J = _arc_system(ivp, t, X, Xd, xdd0, u)
+        try:
+            du = np.linalg.solve(J, F)
+        except np.linalg.LinAlgError as exc:
+            raise BlowUp(f"arc Newton step failed: {exc}") from exc
+        u = u - du
+        if np.max(np.abs(du)) <= NEWTON_STEP_FLOOR * np.max(np.abs(u)):
+            break
+    else:
+        raise BlowUp(f"arc Newton collocation did not converge in {NEWTON_MAX_ITER} steps")
+    F, J = _arc_system(ivp, t, X, Xd, xdd0, u)
+    radius = float(np.max(np.abs(F)) * np.linalg.norm(np.linalg.inv(J), np.inf))
+
+    c2 = fit @ u
     c1 = _cheb.chebint(c2, lbnd=s0, scl=half)
     c0 = _cheb.chebint(c1, lbnd=s0, scl=half)
-    return DenseSolution([lo, hi], [_ChebSegment(mid, half, c0, c1, c2)], info=seed.info)
+    seg = _ChebSegment(mid, half, c0, c1, c2)
+
+    scale = np.max(np.abs(u))
+    tail = np.max(np.abs(c2[-ARC_TAIL:]))
+    # beyond the seed, where x'^2/x is well conditioned
+    tr = np.linspace(d * tau, t_end, 2 * N_ARC)
+    x, xd, xdd = seg.eval(tr)
+    if np.any(x * np.sign(xdd0) <= 0.0):
+        raise BlowUp("the arc series reaches x = 0 between its nodes")
+    residual = float(np.max(np.abs(xdd - ivp.lam * xd * xd / x - _call_vec(ivp.g, tr, x, xd))))
+    if not (residual <= ARC_BUDGET * scale and tail <= ARC_BUDGET * scale):  # NaN fails
+        raise BlowUp(f"arc series misses its budget: residual {residual:.2e}, "
+                     f"tail {tail:.2e}, max|x''| {scale:.3g}")
+    # the seed, an independent solve, bounds the arc on [-tau, tau]
+    ts = d * tau * np.linspace(0.0, 1.0, 9)
+    xdd = seg.eval(ts)[2]
+    gap = np.max(np.abs(xdd - seed.second(ts)))
+    dev = np.max(np.abs(xdd - xdd0))
+    if not (gap <= ARC_BUDGET * abs(xdd0) and dev <= 1.05 * seed.info["epsilon"] * abs(xdd0)):
+        raise BlowUp(f"arc disagrees with the Picard seed on [-tau, tau]: "
+                     f"|x'' - seed| {gap:.2e}, |x'' - xdd0| {dev:.2e}")
+    info = dict(seed.info, newton_iters=k, residual=residual, radius_estimate=radius)
+    return DenseSolution([lo, hi], [seg], info=info)
 
 
 # ---------------------------------------------------------------------------
@@ -476,19 +536,16 @@ def integrate_variational(coeffs, ydot0, t_end):
         mid, half = 0.5 * (t_in + t_out), 0.5 * abs(t_out - t_in)
         t = mid + half * s
         a, b, sig = (_call_vec(fn, t) for fn in (coeffs.alpha_fn, coeffs.beta_fn, coeffs.sigma_fn))
-        at0 = t == 0.0  # the origin node of the first piece takes u = ydd0
-        tc, ac, bc = np.where(at0, 1.0, t)[:, None], a[:, None], b[:, None]
-
-        def linear(y, yd):  # the right side without sigma, row by row
-            return 4.0 * coeffs.lam * (tc * yd - y) / (tc * tc) + ac * y / tc + bc * yd
-
-        # for u = y'' at the nodes: y = y0 + Y @ u and y' = yd_in + Yd @ u
+        # the right side without sigma is r0*y + r1*y'; the origin node of
+        # the first piece takes u = ydd0 (r0 = r1 = 0 there)
+        live = t != 0.0
+        tc = np.where(live, t, 1.0)
+        r0 = np.where(live, a / tc - 4.0 * coeffs.lam / (tc * tc), 0.0)
+        r1 = np.where(live, 4.0 * coeffs.lam / tc + b, 0.0)
+        # for u = y'' at the nodes: y = y0 + half^2*int2 @ u, y' = yd_in + half*int1 @ u
         y0 = y_in + yd_in * (t - t_in)
-        Y, Yd = half * half * int2, half * int1
-        A = np.eye(N_ARC) - linear(Y, Yd)
-        rhs = linear(y0[:, None], yd_in)[:, 0] + sig
-        A[at0] = np.eye(N_ARC)[at0]
-        rhs[at0] = ydd0
+        A = _collocation_matrix(r0, r1, half * half * int2, half * int1)
+        rhs = np.where(live, r0 * y0 + r1 * yd_in + sig, ydd0)
         c2 = fit @ np.linalg.solve(A, rhs)
         c1 = _cheb.chebint(c2, k=yd_in, lbnd=-d, scl=half)  # s = -d at t_in
         c0 = _cheb.chebint(c1, k=y_in, lbnd=-d, scl=half)

@@ -1,5 +1,6 @@
-"""Shared fixtures.  Full solves cost ~0.5-2 s each, so they are memoized
-once per session and handed to tests through the `solved` fixture."""
+"""Shared fixtures.  A full height solve costs about 0.03 s, and many
+tests read the same few heights, so solves are memoized once per session
+and handed to tests through the `solved` fixture."""
 
 import functools
 

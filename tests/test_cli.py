@@ -18,11 +18,11 @@ from newton_minres import DomainError, NoRoot, solve_for_height
 from newton_minres.cli import _check_one, main
 from newton_minres.functional import P0_MAX
 
-# a fresh _check_one call costs about 0.07-0.1 s on two vCPUs (mostly the
+# a fresh _check_one call costs about 0.02-0.03 s on two vCPUs (mostly the
 # three arc solves for the field Jacobian), so this keeps the property test
-# within a few seconds
+# within a second
 MAX_CHECK_EXAMPLES = 25
-# a fresh height costs about 0.2-0.5 s (the height root, then _check_one)
+# a fresh height costs about 0.05 s (the height root, then _check_one)
 MAX_HEIGHT_EXAMPLES = 10
 
 
@@ -152,7 +152,11 @@ GOLDEN_MESH_SIDECAR = """\
 }
 """
 
-GOLDEN_MESH_OBJ_SHA256 = "bbadac174ada07b041eb7c778eff9e55fed0a9f69d5e1a265485652367270c02"
+# the OBJ prints 11 digits, whose last follows the arc solver's round-off:
+# Newton collocation in place of DOP853 moved 72 of the 438 vertex lines
+# by one unit there (bbadac17... -> 2275855b...); the 8-digit vertex pin
+# below did not move
+GOLDEN_MESH_OBJ_SHA256 = "2275855b953098f6aab6091e4c8ee56195d449ce7d2cfb454c0d2568f19f255c"
 
 
 def test_mesh_output_bytes_are_pinned(capsys, tmp_path):
@@ -169,6 +173,25 @@ def test_mesh_output_bytes_are_pinned(capsys, tmp_path):
                "--out", str(out)) == (0, stdout, "")
     assert side.read_text() == GOLDEN_MESH_SIDECAR
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_MESH_OBJ_SHA256
+
+
+# sha256 of the vertices of `mesh --M 1.0 --resolution 64`, one line each,
+# reformatted with .7e: the OBJ's 11 digits follow the arc solver's
+# round-off, its first 8 are the body itself (no coordinate lies within
+# 1e-3 of a unit of the 8th digit of a rounding boundary)
+GOLDEN_MESH_VERTICES_8_DIGITS_SHA256 = (
+    "a877884efb8fd64fbe3d306519fcc9c2e9dd0882e421a02c7b01890de00c557e")
+
+
+def test_mesh_vertices_are_pinned_at_eight_digits(capsys, tmp_path):
+    out = tmp_path / "body.obj"
+    assert run(capsys, "mesh", "--M", "1.0", "--resolution", "64",
+               "--out", str(out))[0] == 0
+    rows = [line.split()[1:] for line in out.read_text().splitlines()
+            if line.startswith("v ")]
+    assert len(rows) == 438
+    text = "".join(" ".join(f"{float(v):.7e}" for v in row) + "\n" for row in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_MESH_VERTICES_8_DIGITS_SHA256
 
 
 def test_resistance_output_is_pinned(capsys):
@@ -360,7 +383,7 @@ GOLDEN_CHECK = """\
     {
       "alpha": 0.0000000e+00,
       "rho": 1.0898362e-01,
-      "switch_integral": -3.8217759e-16,
+      "switch_integral": -4.7467345e-16,
       "verdicts": {
         "switching_zero": true,
         "adjoint_negative": true,
@@ -375,7 +398,7 @@ GOLDEN_CHECK = """\
     {
       "alpha": 1.0000000e-02,
       "rho": 1.4420312e-01,
-      "switch_integral": 6.9792557e-17,
+      "switch_integral": -4.8029286e-17,
       "verdicts": {
         "switching_zero": true,
         "adjoint_negative": true,
@@ -389,7 +412,7 @@ GOLDEN_CHECK = """\
     {
       "alpha": 1.0000000e-01,
       "rho": 3.9697116e-01,
-      "switch_integral": 4.8572257e-17,
+      "switch_integral": 6.9388939e-17,
       "verdicts": {
         "switching_zero": true,
         "adjoint_negative": true,
@@ -409,9 +432,10 @@ def test_check_output_bytes_are_pinned(capsys):
     # check prints only the Jacobi verdict, never zeta itself, so a change
     # of the variational solver must leave these bytes untouched.  The three
     # switch_integral fields are round-off, I(rho) ~ 1e-16: they are pinned
-    # as the fixed Lobatto values-to-coefficients map gives them, and moved
-    # (e.g. -3.0215945e-16 -> -3.8217759e-16) when it replaced the
-    # least-squares fit, an exactly equivalent linear map
+    # as the Newton-collocated arc gives them.  They moved (e.g.
+    # -3.0215945e-16 -> -3.8217759e-16) when the fixed Lobatto map replaced
+    # the least-squares fit, and again (-3.8217759e-16 -> -4.7467345e-16)
+    # when the arc's node values came from Newton instead of DOP853
     assert run(capsys, "check") == (0, GOLDEN_CHECK, "")
 
 
@@ -424,8 +448,8 @@ def test_check_switch_integrals_are_round_off(capsys):
 
 
 def test_check_at_tight_tol_stays_fast(capsys):
-    # the tol reaches the arc solve only; the Jacobi solve is a fixed
-    # linear collocation whose cost does not grow with it
+    # the tol reaches the Picard seed's stop only; the arc's Newton stop and
+    # the Jacobi solve are fixed collocations whose cost does not grow with it
     start = time.perf_counter()
     code, out, _ = run(capsys, "check", "--alpha", "0.1", "--tol", "1e-12")
     elapsed = time.perf_counter() - start

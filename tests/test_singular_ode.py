@@ -2,10 +2,10 @@
 
 The main oracle is the constant-g problem: for g == g0 the exact solution
 is the parabola x = xdd0*t^2/2 with xdd0 = g0/(1-2*lam), which exercises
-the whole seed/handoff/Chebyshev-rebuild path with zero truncation error
-in the limit.  Everything else is checked against the equation itself
-(pointwise residuals) or against the contraction bookkeeping the seed
-records in info.
+the whole seed and Newton-collocation path with zero truncation error.
+Everything else is checked against the equation itself (pointwise
+residuals), against a tight classical DOP853 solve written here, or
+against the contraction bookkeeping the seed records in info.
 """
 
 import math
@@ -16,6 +16,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
 from newton_minres import (
     BlowUp,
@@ -269,7 +270,7 @@ def test_integrate_pointwise_residual_within_budget():
 
 @pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf])
 def test_integrate_rejects_nonfinite_end(t_end):
-    # a NaN end would leave the stepper spinning forever
+    # a NaN end would put NaN nodes into the arc's collocation
     with pytest.raises(DomainError, match="finite"):
         integrate(const_ivp(), t_end, tol=TOL)
 
@@ -282,6 +283,85 @@ def test_integrate_raises_on_return_to_zero():
     ivp = SingularIVP(-0.25, g, _zero, _zero, g_origin=1.5)
     with pytest.raises(BlowUp):
         integrate(ivp, 3.0, tol=1e-8)
+
+
+def _dop853_reference(ivp, seed, tau, ts):
+    # an independent classical solve of the family arc beyond the seed
+    def rhs(t, y):
+        return (y[1], ivp.lam * y[1] * y[1] / y[0] + ivp.g(t, y[0], y[1]))
+
+    x0, xd0, _ = seed.eval(-tau)
+    res = solve_ivp(rhs, (-tau, -1.0), (x0, xd0), method="DOP853",
+                    rtol=1e-13, atol=1e-15, dense_output=True)
+    assert res.success
+    return res.sol(ts)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.01, 0.1, 0.2, 0.3, 0.333, 0.3333])
+def test_family_arc_matches_a_tight_dop853_reference(alpha):
+    ivp = scaled_arc_ivp(alpha)
+    sol = integrate(ivp, -1.0)
+    tau, seed = picard_seed(ivp, 0.1)
+    assert sol.info["tau"] == tau
+    ts = np.linspace(-1.0, -tau, 801)
+    x_ref, xd_ref = _dop853_reference(ivp, seed, tau, ts)
+    x, xd, xdd = sol.eval(ts)
+    assert np.max(np.abs(x - x_ref)) <= 1e-12
+    assert np.max(np.abs(xd - xd_ref)) <= 1e-11
+    resid = xdd - ivp.lam * xd * xd / x - ivp.g(ts, x, xd)
+    assert np.max(np.abs(resid)) <= 2e-10
+    info = sol.info
+    assert 1 <= info["newton_iters"] < singular_ode.NEWTON_MAX_ITER
+    assert info["residual"] <= 2e-10
+    assert info["radius_estimate"] <= 1e-11
+
+
+def test_integrate_runs_no_classical_stepper(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_ivp called")
+
+    monkeypatch.setattr(singular_ode, "solve_ivp", refuse)
+    sol = integrate(scaled_arc_ivp(0.1), -1.0)
+    assert sol.info["newton_iters"] >= 1
+
+
+def test_integrate_raises_at_the_newton_cap(monkeypatch):
+    monkeypatch.setattr(singular_ode, "NEWTON_MAX_ITER", 2)
+    with pytest.raises(BlowUp, match="did not converge in 2 steps"):
+        integrate(scaled_arc_ivp(0.1), -1.0)
+
+
+def test_integrate_raises_when_the_series_misses_its_budget():
+    # Newton converges at the 64 nodes, but the forcing's wiggles are far
+    # finer than the nodes resolve: the oversampled residual shows it
+    ivp = SingularIVP(-0.25, lambda t, x, xd: 1.5 + 0.5 * np.sin(200.0 * t),
+                      _zero, _zero, g_origin=1.5)
+    with pytest.raises(BlowUp, match="misses its budget"):
+        integrate(ivp, 1.0)
+
+
+def test_integrate_raises_on_a_nan_forcing():
+    # NaN reaches the Newton matrix: a solver error, never numpy's
+    ivp = SingularIVP(-0.25, lambda t, x, xd: 1.5 + np.where(t > 0.9, np.nan, 0.0),
+                      _zero, _zero, g_origin=1.5)
+    with pytest.raises(BlowUp):
+        integrate(ivp, 1.0)
+
+
+@pytest.mark.parametrize("wrong", ["other_arc", "narrow_band"])
+def test_integrate_raises_when_the_seed_disagrees(monkeypatch, wrong):
+    seed_for = singular_ode.picard_seed
+
+    def bad_seed(ivp, epsilon, tol=1e-10):
+        if wrong == "other_arc":
+            return seed_for(scaled_arc_ivp(0.3), epsilon, tol)
+        tau, seed = seed_for(ivp, epsilon, tol)
+        seed.info["epsilon"] = 1e-12  # no arc leaves the parabola that little
+        return tau, seed
+
+    monkeypatch.setattr(singular_ode, "picard_seed", bad_seed)
+    with pytest.raises(BlowUp, match="disagrees with the Picard seed"):
+        integrate(scaled_arc_ivp(0.0), -1.0)
 
 
 # ---------------------------------------------------------------------------
