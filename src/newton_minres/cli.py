@@ -113,8 +113,8 @@ def _add_size_arg(sub):
 def _solution_from_args(args):
     if args.p0 is not None:
         alpha = 1.0 / (args.p0 * args.p0)
-        return extremal.unscale(extremal.assemble_profile(alpha, args.tol), args.p0)
-    return extremal.solve_for_height(args.M, tol=args.tol)
+        return extremal.unscale(extremal.assemble_profile(alpha), args.p0)
+    return extremal.solve_for_height(args.M)
 
 
 def _solution_dict(sol):
@@ -130,14 +130,12 @@ def build_parser():
 
     s = sp.add_parser("solve", help="solve for a given height or edge slope")
     _add_size_arg(s)
-    s.add_argument("--tol", type=_positive, default=1e-10)
     s.add_argument("--format", choices=("json", "text"), default="json")
     s.add_argument("--out", default=None)
 
     t = sp.add_parser("table", help="solve a list of heights, print a table")
     t.add_argument("--rows", type=_numbers, default=DEFAULT_TABLE_ROWS,
                    help="comma-separated heights M")
-    t.add_argument("--tol", type=_positive, default=1e-10)
     t.add_argument("--format", choices=("csv", "json"), default="csv")
     t.add_argument("--out", default=None)
 
@@ -148,21 +146,18 @@ def build_parser():
     k = sp.add_parser("check", help="run the optimality-certificate battery")
     k.add_argument("--alpha", type=_numbers, action="append", default=None,
                    help="scale parameter(s) in [0, 1/3); repeat or comma-separate")
-    k.add_argument("--tol", type=_positive, default=1e-10)
     k.add_argument("--inject-fault", action="store_true",
                    help="perturb the switching radius to demonstrate detection")
     k.add_argument("--out", default=None)
 
     m = sp.add_parser("mesh", help="triangulate the body and write an OBJ file")
     _add_size_arg(m)
-    m.add_argument("--tol", type=_positive, default=1e-10)
     m.add_argument("--resolution", type=_resolution, default=1024,
                    help="curve sample count (rim fan uses resolution/4)")
     m.add_argument("--out", required=True, help="output .obj path")
 
     r = sp.add_parser("resistance", help="direct drag integral vs 2*J")
     _add_size_arg(r)
-    r.add_argument("--tol", type=_positive, default=1e-10)
     r.add_argument("--resolution", type=_even_resolution, default=800,
                    help="radial grid size of the direct integral")
     r.add_argument("--out", default=None)
@@ -185,7 +180,7 @@ def _cmd_table(args):
 
     def row(m):
         try:
-            sol = extremal.solve_for_height(m, tol=args.tol)
+            sol = extremal.solve_for_height(m)
             return (m, sol.p0, sol.r, sol.slope0, sol.J, None)
         except SolverError as exc:
             return (m, None, None, None, None, str(exc))
@@ -233,8 +228,8 @@ def _cmd_constants(args):
     return 0
 
 
-def _check_one(alpha, tol, inject_fault):
-    prof = extremal.assemble_profile(alpha, tol)
+def _check_one(alpha, inject_fault):
+    prof = extremal.assemble_profile(alpha)
     if inject_fault:
         prof = extremal.ScaledProfile.at_switch(alpha, prof.nu, prof.rho + 1e-2)
 
@@ -280,7 +275,7 @@ def _check_one(alpha, tol, inject_fault):
 def _cmd_check(args):
     lists = args.alpha if args.alpha is not None else [_numbers(DEFAULT_CHECK_ALPHAS)]
     alphas = [a for chunk in lists for a in chunk]
-    reports = [_check_one(a, args.tol, args.inject_fault) for a in alphas]
+    reports = [_check_one(a, args.inject_fault) for a in alphas]
     ok = all(r["pass"] for r in reports)
     text = _jdump({"pass": ok, "alphas": alphas, "reports": reports})
     _emit(text, args.out)

@@ -86,17 +86,17 @@ def scaled_arc_ivp(alpha):
 
 
 @lru_cache(maxsize=64)
-def _solve_nu_base(alpha, tol):
-    return integrate(scaled_arc_ivp(alpha), -1.0, tol=tol)
+def _solve_nu_base(alpha):
+    return integrate(scaled_arc_ivp(alpha), -1.0)
 
 
-def solve_nu(alpha, tol=1e-10):
+def solve_nu(alpha):
     """Arc solution nu(q) on [0,1] with nu(1)=nu'(1)=1.
 
     Returned as a view over the movable-frame solution, so downstream code
     can read x = nu - q directly from .base without cancellation.
     """
-    base = _solve_nu_base(float(alpha), float(tol))
+    base = _solve_nu_base(float(alpha))
     return MappedSolution(base, offset=-1.0, add0=0.0, add1=1.0)
 
 
@@ -260,17 +260,17 @@ class ScaledProfile:
 
 
 @lru_cache(maxsize=64)
-def _assemble_cached(alpha, tol):
-    nu = solve_nu(alpha, tol)
+def _assemble_cached(alpha):
+    nu = solve_nu(alpha)
     return ScaledProfile.at_switch(alpha, nu, find_switch(alpha, nu))
 
 
-def assemble_profile(alpha, tol=1e-10):
+def assemble_profile(alpha):
     """Solve the arc, locate the switching radius, return the C^1 profile."""
     alpha = float(alpha)
     if not 0.0 <= alpha < ALPHA_MAX:
         raise NoRoot(_VALIDITY_MSG.format(alpha))
-    return _assemble_cached(alpha, float(tol))
+    return _assemble_cached(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +494,11 @@ class ExtremalSolution:
 
 
 def unscale(profile, p0):
-    """Map a scaled profile to the unscaled frame; requires p0 = 1/sqrt(alpha)."""
+    """Map a scaled profile to the unscaled frame; requires p0 = 1/sqrt(alpha) <= _P0_TOP."""
     p0 = float(p0)
+    if _P0_TOP < p0 < np.inf:
+        raise NoRoot(f"p0={p0!r} above the reachable range (max p0 {_P0_TOP:.5g}, "
+                     f"where 1/p0^2 reaches the smallest normal double)")
     if profile.alpha <= 0.0:
         raise InconsistentScale("alpha = 0 profile has no finite p0 (it is the scale-out limit)")
     if not np.isfinite(p0) or abs(p0 - 1.0 / np.sqrt(profile.alpha)) > 1e-12 * p0:
@@ -506,7 +509,7 @@ def unscale(profile, p0):
                             slope0=profile.slope, J=J, profile=profile)
 
 
-def solve_for_height(M, tol=1e-10):
+def solve_for_height(M):
     """Synthesize the extremal solution with prescribed height M.
 
     Matches p0 * height0(1/p0^2) = M by brentq over p0, through
@@ -524,7 +527,7 @@ def solve_for_height(M, tol=1e-10):
                      f"where 1/p0^2 reaches the smallest normal double)")
 
     def h(p0):
-        return p0 * assemble_profile(1.0 / (p0 * p0), tol).height0 - M
+        return p0 * assemble_profile(1.0 / (p0 * p0)).height0 - M
 
     lo = max(np.sqrt(3.0) * (1.0 + 1e-6) + 1e-9, M / _H0_HI)
     hi = min(max(M / _H0_LO, lo) + 1.0, _P0_TOP)
@@ -536,7 +539,7 @@ def solve_for_height(M, tol=1e-10):
         raise NoRoot(f"could not bracket p0 for M={M}")
 
     p0 = brentq(h, lo, hi, xtol=1e-10, rtol=1e-13)
-    return unscale(assemble_profile(1.0 / (p0 * p0), tol), p0)
+    return unscale(assemble_profile(1.0 / (p0 * p0)), p0)
 
 
 LimitConstants = namedtuple("LimitConstants", ["r_hat", "M_hat", "slope_hat", "J_hat"])

@@ -67,6 +67,7 @@ N_CHEB = 48
 N_ARC = 64
 RHO_TARGET_FLOOR = 0.9
 PICARD_MAX_ITER = 200
+PICARD_STOP = 0.1 * 1e-10
 NEWTON_MAX_ITER = 30
 # the arc's Newton stops at max|du| <= NEWTON_STEP_FLOOR*max|u|, a round-off
 # floor: at alpha = 0 the increments stall near 1e-15
@@ -283,7 +284,7 @@ def _band_norms(ivp, taus, eps, xdd0):
             sup(gp - gm) / (2.0 * ht[:, 0, 0, 0]))
 
 
-def picard_seed(ivp, epsilon, tol=1e-10):
+def picard_seed(ivp, epsilon):
     """Analytic seed on [-tau, tau] via contracting Picard iteration.
 
     Returns (tau, seed) where seed is a DenseSolution whose single segment
@@ -299,8 +300,9 @@ def picard_seed(ivp, epsilon, tol=1e-10):
     hold; the band norms of all 60 candidates are sampled in one pass.
     Each iteration maps x'' at the N_CHEB Lobatto nodes to x and x' there
     with the fixed integral matrices of `_lobatto_integrals`, and the seed
-    series is the fit of the last iterate, integrated twice from t=0.
-    Iteration diffs are recorded in seed.info['picard_diffs'].
+    series is the fit of the last iterate, integrated twice from t=0.  The
+    iteration stops at the first step that moves x'' by less than
+    PICARD_STOP at every node; the diffs are in seed.info['picard_diffs'].
     """
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must be in (0,1), got {epsilon}")
@@ -349,10 +351,11 @@ def picard_seed(ivp, epsilon, tol=1e-10):
         d = float(np.max(np.abs(new - xdd)))
         diffs.append(d)
         xdd = new
-        if d < 0.1 * tol:
+        if d < PICARD_STOP:
             break
     else:
-        raise ContractionFailure(f"Picard iteration did not reach tol in {PICARD_MAX_ITER} steps")
+        raise ContractionFailure(
+            f"Picard iteration did not reach PICARD_STOP in {PICARD_MAX_ITER} steps")
 
     band_dev = float(np.max(np.abs(xdd - xdd0))) / abs(xdd0)
     if band_dev > eps * 1.05:
@@ -406,14 +409,14 @@ def _arc_system(ivp, t, X, Xd, xdd0, u):
     return F, _collocation_matrix(r0, r1, X, Xd)
 
 
-def integrate(ivp, t_end, tol=1e-10):
+def integrate(ivp, t_end):
     """Solve the singular IVP out to a finite t_end (either sign), t_end != 0.
 
     Returns a DenseSolution on [t_end, 0] (or [0, t_end]) with a single
     Chebyshev segment, solved by Newton collocation (module docstring, step
-    1) to the round-off floor NEWTON_STEP_FLOOR.  tol steers only the stop
-    of the Picard seed (requested band 0.1), which cross-checks the arc on
-    [-tau, tau] and is the whole solution when |t_end| <= tau.
+    1) to the round-off floor NEWTON_STEP_FLOOR, so no tolerance steers it.
+    The Picard seed (requested band 0.1, stop PICARD_STOP) cross-checks the
+    arc on [-tau, tau] and is the whole solution when |t_end| <= tau.
 
     Raises BlowUp if an iterate has x*sign(xdd0) <= 0 off the origin, if
     Newton takes more than NEWTON_MAX_ITER steps, if the residual beyond
@@ -427,7 +430,7 @@ def integrate(ivp, t_end, tol=1e-10):
     t_end = float(t_end)
     if not np.isfinite(t_end) or t_end == 0.0:
         raise DomainError(f"t_end must be finite and nonzero, got {t_end}")
-    tau, seed = picard_seed(ivp, 0.1, tol=tol)
+    tau, seed = picard_seed(ivp, 0.1)
     lo, hi = min(t_end, 0.0), max(t_end, 0.0)
     if abs(t_end) <= tau:
         return DenseSolution([lo, hi], seed.segments, info=seed.info)

@@ -63,7 +63,7 @@ def test_scalar_only_forcing_is_rejected():
 
     ivp = SingularIVP(-0.25, g, _zero, _zero, g_origin=1.6)
     with pytest.raises(TypeError):
-        picard_seed(ivp, 0.1, tol=TOL)
+        picard_seed(ivp, 0.1)
 
 
 def test_rejects_zero_origin_forcing():
@@ -83,7 +83,7 @@ def test_accel_at_origin_closed_form():
 
 def test_seed_exact_on_constant_forcing():
     ivp = const_ivp()
-    tau, seed = picard_seed(ivp, 0.1, tol=TOL)
+    tau, seed = picard_seed(ivp, 0.1)
     assert 0.0 < tau <= 1.0
     ts = np.linspace(-tau, tau, 41)
     x, xd, xdd = seed.eval(ts)
@@ -94,7 +94,7 @@ def test_seed_exact_on_constant_forcing():
 
 def test_seed_infos_certify_contraction():
     ivp = const_ivp()
-    tau, seed = picard_seed(ivp, 0.1, tol=TOL)
+    tau, seed = picard_seed(ivp, 0.1)
     info = seed.info
     assert info["tau"] == tau
     # for lam = -1/4 the lam-part of the contraction bound alone forces
@@ -114,7 +114,7 @@ def test_seed_infos_certify_contraction():
 
 def test_seed_second_derivative_matches_origin_accel():
     ivp = const_ivp(-0.25, -2.0)
-    tau, seed = picard_seed(ivp, 0.05, tol=TOL)
+    tau, seed = picard_seed(ivp, 0.05)
     assert abs(seed.second(0.0) - accel_at_origin(ivp)) <= TOL
 
 
@@ -123,7 +123,7 @@ def test_seed_shrinks_band_when_lam_term_leaves_no_room():
     # requested band must either fail or come back drastically narrowed
     ivp = const_ivp(-0.37, 1.5)
     try:
-        tau, seed = picard_seed(ivp, 0.99, tol=TOL)
+        tau, seed = picard_seed(ivp, 0.99)
     except ContractionFailure:
         return
     assert seed.info["epsilon"] < 1e-3
@@ -210,7 +210,7 @@ def test_seed_fails_cleanly_when_no_tau_contracts():
     ivp = SingularIVP(-0.25, lambda t, x, xd: 1.5, _zero, lambda t, x, xd: 1e30,
                       g_origin=1.5)
     with pytest.raises(ContractionFailure, match="no tau gives contraction"):
-        picard_seed(ivp, 0.1, tol=TOL)
+        picard_seed(ivp, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +218,7 @@ def test_seed_fails_cleanly_when_no_tau_contracts():
 # ---------------------------------------------------------------------------
 
 def test_solution_domain_is_enforced():
-    sol = integrate(const_ivp(), 0.5, tol=TOL)
+    sol = integrate(const_ivp(), 0.5)
     lo, hi = sol.domain
     assert (lo, hi) == (0.0, 0.5)
     with pytest.raises(DomainError):
@@ -231,7 +231,7 @@ def test_solution_domain_is_enforced():
 
 @pytest.mark.parametrize("end", [math.nan, math.inf])
 def test_solution_rejects_nonfinite_breakpoints(end):
-    seg = integrate(const_ivp(), 0.5, tol=TOL).segments[0]
+    seg = integrate(const_ivp(), 0.5).segments[0]
     with pytest.raises(DomainError):
         DenseSolution([0.0, end], [seg])
 
@@ -243,7 +243,7 @@ def test_solution_rejects_nonfinite_breakpoints(end):
 def test_integrate_exact_on_constant_forcing_both_directions():
     ivp = const_ivp()
     for t_end in (1.0, -1.0):
-        sol = integrate(ivp, t_end, tol=TOL)
+        sol = integrate(ivp, t_end)
         ts = np.linspace(0.0, t_end, 101)
         x, xd, xdd = sol.eval(ts)
         np.testing.assert_allclose(x, 0.5 * ts * ts, atol=5e-11)
@@ -260,7 +260,7 @@ def test_integrate_pointwise_residual_within_budget():
                       lambda t, x, xd: 0.2,
                       lambda t, x, xd: -0.1,
                       g_origin=1.5)
-    sol = integrate(ivp, 1.0, tol=TOL)
+    sol = integrate(ivp, 1.0)
     tau = sol.info["tau"]
     ts = np.linspace(tau / 2.0, 1.0, 100)
     x, xd, xdd = sol.eval(ts)
@@ -272,7 +272,7 @@ def test_integrate_pointwise_residual_within_budget():
 def test_integrate_rejects_nonfinite_end(t_end):
     # a NaN end would put NaN nodes into the arc's collocation
     with pytest.raises(DomainError, match="finite"):
-        integrate(const_ivp(), t_end, tol=TOL)
+        integrate(const_ivp(), t_end)
 
 
 def test_integrate_raises_on_return_to_zero():
@@ -282,7 +282,7 @@ def test_integrate_raises_on_return_to_zero():
 
     ivp = SingularIVP(-0.25, g, _zero, _zero, g_origin=1.5)
     with pytest.raises(BlowUp):
-        integrate(ivp, 3.0, tol=1e-8)
+        integrate(ivp, 3.0)
 
 
 def _dop853_reference(ivp, seed, tau, ts):
@@ -352,10 +352,10 @@ def test_integrate_raises_on_a_nan_forcing():
 def test_integrate_raises_when_the_seed_disagrees(monkeypatch, wrong):
     seed_for = singular_ode.picard_seed
 
-    def bad_seed(ivp, epsilon, tol=1e-10):
+    def bad_seed(ivp, epsilon):
         if wrong == "other_arc":
-            return seed_for(scaled_arc_ivp(0.3), epsilon, tol)
-        tau, seed = seed_for(ivp, epsilon, tol)
+            return seed_for(scaled_arc_ivp(0.3), epsilon)
+        tau, seed = seed_for(ivp, epsilon)
         seed.info["epsilon"] = 1e-12  # no arc leaves the parabola that little
         return tau, seed
 
