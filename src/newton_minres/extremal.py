@@ -52,7 +52,7 @@ def nu_derivatives_at_one(alpha):
     nu''(1) = (3-alpha)/(3(1+alpha)), nu'''(1) = (3+2a+a^2)/(2(1+a)^2).
     """
     alpha = float(alpha)
-    if alpha < 0.0:
+    if not alpha >= 0.0:
         raise DomainError(f"alpha must be >= 0, got {alpha}")
     return [1.0, 1.0,
             (3.0 - alpha) / (3.0 * (1.0 + alpha)),
@@ -62,7 +62,7 @@ def nu_derivatives_at_one(alpha):
 def scaled_arc_ivp(alpha):
     """SingularIVP for the scaled arc in the movable frame (t=q-1, x=nu-q)."""
     alpha = float(alpha)
-    if alpha < 0.0:
+    if not alpha >= 0.0:
         raise DomainError(f"alpha must be >= 0, got {alpha}")
 
     def g(t, x, xd):
@@ -161,40 +161,39 @@ def I_closed_form_alpha0(rho, nu_hat):
 def find_switch(alpha, nu=None):
     """Zero of I(., alpha, nu): the switching radius rho.
 
-    Scans rho = 0.015, 0.035, ... for the first sign change (I < 0 below
-    the root, > 0 above), all 49 points in one fixed-rule pass; refines
-    with brentq on the adaptive I_of to xtol 1e-12 and verifies
-    |I(rho)| < 1e-12.  No warm start: assemble_profile's cache calls this
-    once per alpha.
+    I is read on one fixed rule, Clenshaw-Curtis on the N_ARC Lobatto nodes
+    of each [0, rho].  Scans rho = 0.015, 0.035, ... for the first sign
+    change (I < 0 below the root, > 0 above), all 49 points in one pass;
+    refines with brentq on the same rule to xtol 1e-12 and verifies
+    |I(rho)| < 1e-12 with one call of the adaptive I_of, an independent
+    quadrature.  No warm start: assemble_profile's cache calls this once
+    per alpha.
     """
     alpha = float(alpha)
     if not 0.0 <= alpha < ALPHA_MAX:
         raise NoRoot(_VALIDITY_MSG.format(alpha))
     if nu is None:
         nu = solve_nu(alpha)
+    s, _, int1, _ = _lobatto_integrals(N_ARC, -1.0)
 
-    def f(r):
-        return I_of(r, alpha, nu)
+    def I(rho):
+        rho = np.atleast_1d(rho)[:, None]
+        nr, a, _ = nu.eval(rho)
+        q = 0.5 * rho * (s + 1.0)  # Lobatto nodes of each [0, rho]
+        return 0.5 * rho[:, 0] * (_switch_kernel(q, a, nr - rho * a, alpha, q) @ int1[0])
 
     grid = np.arange(0.015, 0.985, 0.02)
-    s, _, int1, _ = _lobatto_integrals(N_ARC, -1.0)
-    nr, a, _ = nu.eval(grid[:, None])
-    q = np.outer(0.5 * grid, s + 1.0)  # Lobatto nodes of each [0, rho]
-    scan = 0.5 * grid * (_switch_kernel(q, a, nr - grid[:, None] * a, alpha, q) @ int1[0])
+    scan = I(grid)
     if scan[0] > 0.0:
         raise NoRoot(f"I already positive at rho={grid[0]:.3f}; no bracket found")
     ups = np.flatnonzero((scan[:-1] < 0.0) & (scan[1:] >= 0.0))
     if not ups.size:
         raise NoRoot(f"switching integral has no sign change on [{grid[0]}, {grid[-1]}]")
-    lo, hi = grid[ups[0]], grid[ups[0] + 1]
-
-    try:
-        root = brentq(f, lo, hi, xtol=1e-12, rtol=4.0 * np.finfo(float).eps)
-    except ValueError:
-        raise NoRoot(f"adaptive I does not change sign on the scanned bracket: "
-                     f"I({lo:.3f}) = {f(lo):.3e}, I({hi:.3f}) = {f(hi):.3e}") from None
-    if abs(f(root)) > 1e-12:
-        raise NoRoot(f"refined switching point is not a clean zero: I={f(root):.3e}")
+    root = brentq(lambda r: I(r)[0], grid[ups[0]], grid[ups[0] + 1],
+                  xtol=1e-12, rtol=4.0 * np.finfo(float).eps)
+    resid = I_of(root, alpha, nu)
+    if not abs(resid) < 1e-12:
+        raise NoRoot(f"refined switching point is not a clean zero: I={resid:.3e}")
     return float(root)
 
 
@@ -239,7 +238,7 @@ class ScaledProfile:
     def eval(self, q):
         """(kappa, kappa', kappa'') at q in [0, 1]."""
         q = np.asarray(q, float)
-        if np.any(q < -1e-12) or np.any(q > 1.0 + 1e-12):
+        if not np.all((q >= -1e-12) & (q <= 1.0 + 1e-12)):
             raise DomainError("kappa evaluated outside [0, 1]")
         on_arc = q >= self.rho
         q = np.clip(q, 0.0, 1.0)
@@ -437,7 +436,7 @@ def abel_residual(nu_hat, q):
 def endpoint_weight_quadrature(alpha):
     """int_0^1 sqrt(q)(1-2q) / ((q^2+alpha)^2 sqrt(1-q)) dq, via q = 1-s^2."""
     alpha = float(alpha)
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise DomainError(f"alpha must be positive, got {alpha}")
 
     def f(s):
@@ -451,7 +450,7 @@ def endpoint_weight_quadrature(alpha):
 def endpoint_weight_closed_form(alpha):
     """Closed form of the endpoint weight; zero exactly at alpha = 1/3."""
     alpha = float(alpha)
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     sa = np.sqrt(alpha)
     s1 = np.sqrt(1.0 + alpha)

@@ -83,7 +83,10 @@ class _VStarTable:
         sol = self.sol
         for _ in range(2):
             resid = np.asarray(sol.v_deriv(p), float) - y
-            p = np.clip(p - resid / np.asarray(sol.v_second(p), float), self.r, self.p0)
+            v2 = np.asarray(sol.v_second(p), float)
+            # p = r reads the flat side (v'' = 0, v' = slope0) when r/p0 rounds below rho
+            step = np.divide(resid, v2, out=np.zeros_like(resid), where=v2 > 0.0)
+            p = np.clip(p - step, self.r, self.p0)
         return p
 
     def p_of_slope(self, yabs):
@@ -181,9 +184,16 @@ class BodyEvaluator:
     * curved branch, y in [slope0, 1]: F' = lam*G, G = (x1 - y*lam)*w/sqrt(D)
       + w'.  A 17-node lattice picks the node of least F and the side where G
       changes sign; safeguarded Newton steps on G, with G' from the cubic's
-      jet, converge in that bracket.  F's unimodality on this side is not
-      proven, which is why the lattice stays.  A point still moving after
-      twice the halvings from the lattice step to the tolerance raises
+      jet, converge in that bracket.  G changes sign at most once: inside
+      the disk C = 1 - |x|^2 > 0 and F = -C*|w| / (B + sqrt(D)).  D's
+      discriminant in y is -4*x2^2*C <= 0, so sqrt(D) is the Euclidean norm
+      of an affine map of y, hence convex, and so is B + sqrt(D) > 0.  w is
+      convex with w(1) = 0, so |w| is concave on [slope0, 1].  A
+      nonnegative concave function over a positive convex one is
+      pseudoconcave, so F is pseudoconvex there.  The table's cubic pieces
+      are convex too (w'' > 0 at both ends of each), so this holds for the
+      interpolant the minimizer reads.  A point still moving after twice
+      the halvings from the lattice step to the tolerance raises
       EvaluationError.
     * u is the least of the flat/corner value, the curved value and 0 (rim).
     """
@@ -197,7 +207,7 @@ class BodyEvaluator:
     def vstar(self, y):
         """Cross-section height w(y) (vectorized; even in y)."""
         y = np.asarray(y, float)
-        if np.any(np.abs(y) > 1.0 + 1e-9):
+        if not np.all(np.abs(y) <= 1.0 + 1e-9):
             raise EvaluationError("w is only defined on [-1, 1]")
         out = self.table.eval(y)
         return float(out) if out.ndim == 0 else out
@@ -254,7 +264,7 @@ class BodyEvaluator:
         """Minimizing generator y* and height min(0, lam(y*)*w(y*)) per point."""
         x2sq = x2 * x2
         c = 1.0 - x1 * x1 - x2sq
-        if np.any(c < -1e-9):
+        if not np.all(c >= -1e-9):
             raise EvaluationError("point outside the unit disk")
         c = np.maximum(c, 0.0)
         s0 = self.table.s0   # flat/corner branch: the clipped peak of lam
@@ -327,7 +337,7 @@ def body_evaluate(ev, x1, x2):
     p0 = float(sol.p0)
     x1 = float(x1)
     x2 = float(x2)
-    if x1 * x1 + x2 * x2 > 1.0 + 1e-9:
+    if not x1 * x1 + x2 * x2 <= 1.0 + 1e-9:
         raise EvaluationError("point outside the unit disk")
     ax2 = abs(x2)
 
@@ -395,95 +405,53 @@ def build_mesh(sol, n_profile=1024, n_circle=256):
     the rim point at angle phi, cos(phi) = p / v(p) along its generator.
     The flat part of the curve fans out to the rim arc between the corner
     angle and the axis, and two planar keel triangles connect the corner
-    points to (0, +-1, 0).
+    points to (0, +-1, 0).  One quadrant's index pattern serves all four
+    mirror images across x1 = 0 and x2 = 0.  Vertices: the curve's right
+    and left halves, the two poles, then the ruled rim rows and the fan rim
+    rows of the quadrants (+,+), (-,+), (+,-), (-,-).  Faces: four ruled
+    strips, four fans, the two keels, each turned clockwise in plan view so
+    normals point downward/outward.
     """
     P = int(n_profile)
     C = int(n_circle)
     if P < 8 or C < 4:
         raise DomainError(f"resolution too small: n_profile={P}, n_circle={C}")
     table = _VStarTable(sol, max(2 * P + 1, 1025))
-    s0 = table.s0
-    M = table.M
-
-    y = np.linspace(s0, 1.0, P)
+    y = np.linspace(table.s0, 1.0, P)
     z = table.eval(y)
     pcur = table.p_of_slope(y)
     cphi = np.clip(pcur / np.asarray(sol.v(pcur), float), 0.0, 1.0)
     phi = np.arccos(cphi)             # decreasing: corner angle -> 0
     fan_phi = np.linspace(phi[0], 0.5 * np.pi, C)
 
-    verts = []
+    # quadrant signs of (x1, x2), in vertex order
+    sx, sy = np.array([[1.0], [-1.0], [1.0], [-1.0]]), np.array([[1.0], [1.0], [-1.0], [-1.0]])
 
-    def add(px, py, pz):
-        verts.append((float(px), float(py), float(pz)))
-        return len(verts) - 1
+    def rim(a):
+        return np.column_stack([(sx * np.cos(a)).ravel(), (sy * np.sin(a)).ravel(),
+                                np.zeros(4 * len(a))])
 
-    cr = [add(y[i], 0.0, z[i]) for i in range(P)]            # curve, right half
-    cl = [add(-y[i], 0.0, z[i]) for i in range(P)]           # curve, left half
+    verts = np.vstack([np.column_stack([np.concatenate([y, -y]), np.zeros(2 * P),
+                                        np.concatenate([z, z])]),
+                       [[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]], rim(phi[:-1]), rim(fan_phi[1:-1])])
+    curve = np.arange(2 * P).reshape(2, P)
+    ruled = 2 * P + 2 + np.arange(4 * (P - 1)).reshape(4, P - 1)
+    fan = ruled[-1, -1] + 1 + np.arange(4 * (C - 2)).reshape(4, C - 2)
+    strips, fans = [], []
+    for q in (0, 2, 1, 3):            # faces: right curve half first, upper side first
+        c = curve[q % 2]
+        row = np.append(ruled[q], c[-1])   # the last generator ends on the curve
+        quads = np.column_stack([c[:-1], c[1:], row[1:], c[:-1], row[1:], row[:-1]])
+        strips.append(np.delete(quads.reshape(-1, 3), -2, axis=0))   # drops (a, b, b)
+        ring = np.concatenate([[row[0]], fan[q], [2 * P + q // 2]])   # ends at its pole
+        fans.append(np.column_stack([np.full(C - 1, c[0]), ring[:-1], ring[1:]]))
+    faces = np.vstack(strips + fans + [[[0, P, 2 * P], [0, P, 2 * P + 1]]]).astype(np.int64)
+    (ax, ay), (bx, by), (cx, cy) = verts[faces, :2].transpose(1, 2, 0)
+    flip = ~((bx - ax) * (cy - ay) - (by - ay) * (cx - ax) < 0.0)   # not clockwise
+    faces[flip] = faces[flip][:, [0, 2, 1]]
 
-    def circle_row(side_x, side_y):
-        # ruled rim points; the last one coincides with the curve endpoint
-        row = [add(side_x * np.cos(phi[i]), side_y * np.sin(phi[i]), 0.0)
-               for i in range(P - 1)]
-        row.append(cr[P - 1] if side_x > 0 else cl[P - 1])
-        return row
-
-    def fan_row(side_x, side_y, first_idx, pole_idx):
-        row = [first_idx]
-        row += [add(side_x * np.cos(a), side_y * np.sin(a), 0.0) for a in fan_phi[1:-1]]
-        row.append(pole_idx)
-        return row
-
-    north = add(0.0, 1.0, 0.0)
-    south = add(0.0, -1.0, 0.0)
-
-    ru_r = circle_row(+1.0, +1.0)
-    ru_l = circle_row(-1.0, +1.0)
-    rd_r = circle_row(+1.0, -1.0)
-    rd_l = circle_row(-1.0, -1.0)
-    fu_r = fan_row(+1.0, +1.0, ru_r[0], north)
-    fu_l = fan_row(-1.0, +1.0, ru_l[0], north)
-    fd_r = fan_row(+1.0, -1.0, rd_r[0], south)
-    fd_l = fan_row(-1.0, -1.0, rd_l[0], south)
-
-    va = np.asarray(verts)
-    faces = []
-
-    def tri(i, j, k):
-        # orient clockwise in plan view so normals point downward/outward
-        ax, ay = va[i, 0], va[i, 1]
-        bx, by = va[j, 0], va[j, 1]
-        cx, cy = va[k, 0], va[k, 1]
-        cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-        faces.append((i, j, k) if cross < 0.0 else (i, k, j))
-
-    def ruled_strip(curve, circ):
-        for i in range(P - 1):
-            a, b = curve[i], curve[i + 1]
-            cc, d = circ[i + 1], circ[i]
-            if cc == b:
-                tri(a, b, d)
-            else:
-                tri(a, b, cc)
-                tri(a, cc, d)
-
-    def fan_strip(apex, ring):
-        for j in range(len(ring) - 1):
-            tri(apex, ring[j], ring[j + 1])
-
-    ruled_strip(cr, ru_r)
-    ruled_strip(cr, rd_r)
-    ruled_strip(cl, ru_l)
-    ruled_strip(cl, rd_l)
-    fan_strip(cr[0], fu_r)
-    fan_strip(cr[0], fd_r)
-    fan_strip(cl[0], fu_l)
-    fan_strip(cl[0], fd_l)
-    tri(cr[0], cl[0], north)
-    tri(cr[0], cl[0], south)
-
-    meta = {"M": M, "p0": float(sol.p0), "n_profile": P, "n_circle": C}
-    return BodyMesh(vertices=va, faces=np.asarray(faces, dtype=np.int64), metadata=meta)
+    meta = {"M": table.M, "p0": float(sol.p0), "n_profile": P, "n_circle": C}
+    return BodyMesh(vertices=verts, faces=faces, metadata=meta)
 
 
 def mesh_boundary_report(mesh):

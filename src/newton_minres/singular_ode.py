@@ -172,7 +172,7 @@ class DenseSolution:
         lo, hi = self.domain
         slack = _DOMAIN_SLACK * max(1.0, abs(lo), abs(hi))
         t = np.asarray(t, float)
-        if np.any(t < lo - slack) or np.any(t > hi + slack):
+        if not np.all((t >= lo - slack) & (t <= hi + slack)):
             raise DomainError(f"evaluation at t outside [{lo}, {hi}]")
         t = np.clip(t, lo, hi)
         if len(self.segments) == 1:

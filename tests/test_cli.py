@@ -413,7 +413,7 @@ GOLDEN_CHECK = """\
     {
       "alpha": 0.0000000e+00,
       "rho": 1.0898362e-01,
-      "switch_integral": -4.7467345e-16,
+      "switch_integral": -4.0533700e-16,
       "verdicts": {
         "switching_zero": true,
         "adjoint_negative": true,
@@ -428,7 +428,7 @@ GOLDEN_CHECK = """\
     {
       "alpha": 1.0000000e-02,
       "rho": 1.4420312e-01,
-      "switch_integral": -4.8029286e-17,
+      "switch_integral": -6.0286761e-17,
       "verdicts": {
         "switching_zero": true,
         "adjoint_negative": true,
@@ -442,7 +442,7 @@ GOLDEN_CHECK = """\
     {
       "alpha": 1.0000000e-01,
       "rho": 3.9697116e-01,
-      "switch_integral": 6.9388939e-17,
+      "switch_integral": 7.6327833e-17,
       "verdicts": {
         "switching_zero": true,
         "adjoint_negative": true,
@@ -464,8 +464,11 @@ def test_check_output_bytes_are_pinned(capsys):
     # switch_integral fields are round-off, I(rho) ~ 1e-16: they are pinned
     # as the Newton-collocated arc gives them.  They moved (e.g.
     # -3.0215945e-16 -> -3.8217759e-16) when the fixed Lobatto map replaced
-    # the least-squares fit, and again (-3.8217759e-16 -> -4.7467345e-16)
-    # when the arc's node values came from Newton instead of DOP853
+    # the least-squares fit, again (-3.8217759e-16 -> -4.7467345e-16) when
+    # the arc's node values came from Newton instead of DOP853, and again
+    # (-4.7467345e-16 -> -4.0533700e-16) when the switching root was refined
+    # on the scan's fixed rule instead of the adaptive I_of, which moves rho
+    # by at most 5e-16 at these alphas
     assert run(capsys, "check") == (0, GOLDEN_CHECK, "")
 
 
@@ -538,6 +541,29 @@ def test_mesh_writes_obj_and_sidecar(capsys, tmp_path):
     assert sidecar["watertight"] is True
     nv = sum(1 for ln in out.read_text().splitlines() if ln.startswith("v "))
     assert nv == sidecar["n_vertices"] == summary["n_vertices"]
+
+
+@pytest.mark.parametrize("M", [0.5, 0.52, 0.8, 1.3, 2.2, 3.7, 6.1, 9.9])
+def test_body_commands_hold_across_the_bench_heights(capsys, tmp_path, M):
+    # the bench's body workload draws heights from [0.5, 10] and checks each
+    # resistance/mesh pair this way; the paper rows alone miss most of them
+    code, out, _ = run(capsys, "resistance", "--M", repr(M), "--resolution", "64")
+    assert code == 0
+    res = json.loads(out)
+    assert res["rel_diff"] <= 1e-2
+    assert res["M"] == pytest.approx(M, rel=1e-7, abs=0.0)
+    obj = tmp_path / "body.obj"
+    code, out, _ = run(capsys, "mesh", "--M", repr(M), "--resolution", "64", "--out", str(obj))
+    assert code == 0
+    summary = json.loads(out)
+    sidecar = json.loads((tmp_path / "body.json").read_text())
+    assert summary["watertight"] is True and sidecar["watertight"] is True
+    assert sidecar["M"] == pytest.approx(M, rel=1e-7, abs=0.0)
+    lines = obj.read_text().splitlines()
+    counts = (sum(ln.startswith("v ") for ln in lines), sum(ln.startswith("f ") for ln in lines))
+    # 6P + 4C - 10 vertices and 8P + 4C - 14 faces at P = 64, C = 16
+    assert counts == (summary["n_vertices"], summary["n_faces"]) == (438, 562)
+    assert counts == (sidecar["n_vertices"], sidecar["n_faces"])
 
 
 def test_mesh_requires_output_path(capsys):

@@ -12,7 +12,9 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from newton_minres import (
+    BodyEvaluator,
     DomainError,
+    EvaluationError,
     InconsistentScale,
     NoRoot,
     SignChange,
@@ -21,6 +23,7 @@ from newton_minres import (
     abel_residual,
     adjoint_omega,
     assemble_profile,
+    body_evaluate,
     endpoint_weight_closed_form,
     endpoint_weight_quadrature,
     field_jacobian_check,
@@ -135,7 +138,8 @@ def test_switch_radius_along_family():
 @pytest.mark.parametrize("alpha", [0.0, 1e-300, 0.01, 0.1, 0.2, 0.3, 0.3333])
 def test_switch_scan_brackets_like_the_adaptive_scan(alpha, monkeypatch):
     # reference: the scalar scan over the same grid with the adaptive I_of,
-    # then the same brentq refine; find_switch must reproduce both exactly
+    # then brentq on it; find_switch's fixed rule must pick the same bracket
+    # and land within the refine's xtol of the reference root
     nu = solve_nu(alpha)
     grid = np.arange(0.015, 0.985, 0.02)
     vals = [I_of(r, alpha, nu) for r in grid]
@@ -149,14 +153,15 @@ def test_switch_scan_brackets_like_the_adaptive_scan(alpha, monkeypatch):
         return brentq(f, a, b, **kwargs)
 
     monkeypatch.setattr(extremal, "brentq", recording)
-    assert find_switch(alpha, nu) == ref
+    assert abs(find_switch(alpha, nu) - ref) <= 1e-12
     assert brackets == [(grid[i], grid[i + 1])]
 
 
-def test_switch_refine_disagreeing_with_scan_is_no_root(monkeypatch):
+def test_switch_root_failing_the_adaptive_check_is_no_root(monkeypatch):
+    # the fixed rule's root is verified by one adaptive I_of call
     nu = solve_nu(0.0)
     monkeypatch.setattr(extremal, "I_of", lambda rho, alpha, nu: 1.0)
-    with pytest.raises(NoRoot, match=r"I\(0\.095\) = 1\.000e\+00, I\(0\.115\) = 1\.000e\+00"):
+    with pytest.raises(NoRoot, match=r"not a clean zero: I=1\.000e\+00"):
         find_switch(0.0, nu)
 
 
@@ -172,22 +177,16 @@ def test_switch_adjoint_and_J_scaled_make_no_adaptive_quad(monkeypatch):
         functional.J_scaled(prof)
         adjoint_omega(prof)
 
-    # find_switch reaches the adaptive I_of only from the refine and the check
-    calls = {"I_of": 0, "refine": 0}
+    # find_switch reaches the adaptive I_of once, to verify the root
+    calls = []
 
     def counted_I_of(*args):
-        calls["I_of"] += 1
+        calls.append(args[0])
         return I_of(*args)
 
-    def counted_brentq(f, a, b, **kwargs):
-        root, info = brentq(f, a, b, full_output=True, **kwargs)
-        calls["refine"] += info.function_calls
-        return root
-
     monkeypatch.setattr(extremal, "I_of", counted_I_of)
-    monkeypatch.setattr(extremal, "brentq", counted_brentq)
-    find_switch(0.1, prof.nu)
-    assert 0 < calls["I_of"] <= calls["refine"] + 1
+    rho = find_switch(0.1, prof.nu)
+    assert calls == [rho]
 
 
 def test_switch_rejects_invalid_family_parameter():
@@ -444,3 +443,37 @@ def test_profile_families_deform_continuously():
     na, nb = solve_nu(a), solve_nu(b)
     gap = np.max(np.abs(na.second(qs) - nb.second(qs)))
     assert gap <= 5.0 * abs(b - a)
+
+
+# ---------------------------------------------------------------------------
+# NaN at the evaluation boundaries
+# ---------------------------------------------------------------------------
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda sol, ev: ev(NAN, 0.0), EvaluationError),
+    (lambda sol, ev: ev(np.array([0.1, NAN]), np.array([0.2, 0.3])), EvaluationError),
+    (lambda sol, ev: ev.gradient(NAN, 0.3), EvaluationError),
+    (lambda sol, ev: body_evaluate(ev, NAN, 0.0), EvaluationError),
+    (lambda sol, ev: ev.vstar(NAN), EvaluationError),
+    (lambda sol, ev: solve_nu(0.1).base.eval(NAN), DomainError),
+    (lambda sol, ev: solve_nu(0.1).eval(NAN), DomainError),
+    (lambda sol, ev: solve_nu(0.1).eval(np.array([0.5, NAN])), DomainError),
+    (lambda sol, ev: assemble_profile(0.1).eval(NAN), DomainError),
+    (lambda sol, ev: sol.v(NAN), DomainError),
+    (lambda sol, ev: scaled_arc_ivp(NAN), DomainError),
+    (lambda sol, ev: nu_derivatives_at_one(NAN), DomainError),
+    (lambda sol, ev: solve_nu(NAN), DomainError),
+    (lambda sol, ev: endpoint_weight_quadrature(NAN), DomainError),
+    (lambda sol, ev: endpoint_weight_closed_form(NAN), DomainError),
+], ids=["evaluator", "evaluator-array", "gradient", "body_evaluate", "vstar",
+        "DenseSolution", "MappedSolution", "MappedSolution-array", "ScaledProfile",
+        "ExtremalSolution.v", "scaled_arc_ivp", "nu_derivatives_at_one", "solve_nu",
+        "endpoint_weight_quadrature", "endpoint_weight_closed_form"])
+def test_nan_is_refused_at_each_evaluation_boundary(solved, call, error):
+    # each check is written so that NaN fails it, with the check's own error
+    sol = solved(1.0)
+    with pytest.raises(error):
+        call(sol, BodyEvaluator(sol))

@@ -6,6 +6,9 @@ the main correctness certificate for the 3-D geometry; the conjugate-pair
 roundtrip pins the curve <-> cross-section map.
 """
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -206,6 +209,18 @@ def test_minimizer_beats_brute_force(solved, M):
     assert np.all(u <= brute + 1e-13)
 
 
+@pytest.mark.parametrize("M", [0.0875, 1.0, 10.0, 1e4])
+def test_table_pieces_are_convex(solved, M):
+    # the curved branch's single sign change of G (BodyEvaluator) rests on w
+    # being convex; w_h'' is affine on each Hermite piece, so positive values
+    # at both ends make every piece convex.  The least end value is 2.60 at
+    # M = 0.0875 and grows with M
+    table = BodyEvaluator(solved(M)).table
+    _, _, c2, c3 = table.coef.T
+    ends = np.concatenate([2.0 * c2, 6.0 * c3 + 2.0 * c2]) / (table.h * table.h)
+    assert ends.min() > 0.0
+
+
 @pytest.mark.parametrize("M", [0.5, 1.0, 3.0, 10.0])
 def test_minimizer_flat_branch_is_closed_form(solved, M):
     # on the flat bottom the minimizing generator is x1/(1 - |x2|) exactly,
@@ -268,6 +283,41 @@ def test_mesh_smoke_minimal_resolution(sol):
     assert boundary > 0
     with pytest.raises(DomainError):
         build_mesh(sol, n_profile=4, n_circle=4)
+
+
+# sha256 of faces.tobytes() at M = 1.0: the face order and the orientation
+# of every triangle, which fix the OBJ's f lines
+GOLDEN_MESH_FACES_SHA256 = {
+    (8, 4): "4cec8b6335d2623a13d1ac82b20941e46f410a9adf647bbd3c9c53f5826eb4d2",
+    (33, 5): "9b340e91e9d774140f916519a7fc3bd1f1573df3ed6725672309b41efa629c1d",
+    (1024, 256): "40ddb0bf6c52cd71f5b609ef35a88f3bc188a5cb2c27e851987db79857bde5e5",
+}
+
+
+@pytest.mark.parametrize("P, C", sorted(GOLDEN_MESH_FACES_SHA256))
+def test_mesh_counts_and_faces_are_pinned(sol, P, C):
+    # 2P curve points, 4(P - 1) ruled rim points, 4(C - 2) fan rim points and
+    # two poles; 4(2P - 3) ruled triangles, 4(C - 1) fan triangles, two keels
+    mesh = build_mesh(sol, n_profile=P, n_circle=C)
+    assert mesh.vertices.shape == (6 * P + 4 * C - 10, 3)
+    assert mesh.faces.shape == (8 * P + 4 * C - 14, 3)
+    assert mesh.faces.dtype == np.int64
+    digest = hashlib.sha256(mesh.faces.tobytes()).hexdigest()
+    assert digest == GOLDEN_MESH_FACES_SHA256[(P, C)]
+
+
+def test_mesh_is_finite_where_the_corner_radius_rounds_onto_the_flat(sol):
+    # r = p0*rho can round so that r/p0 < rho (about one height in ten in
+    # [0.5, 10]); v then reads its flat side at p = r, where v'' = 0, and the
+    # conjugate table's Newton step gave the first curve sample a NaN generator
+    r = sol.r
+    while r / sol.p0 >= sol.profile.rho:
+        r = np.nextafter(r, 0.0)
+    rounded = dataclasses.replace(sol, r=r)
+    assert rounded.v_second(r) == 0.0
+    mesh = build_mesh(rounded, n_profile=8, n_circle=4)
+    assert np.all(np.isfinite(mesh.vertices))
+    assert mesh_is_watertight(mesh)
 
 
 def test_mesh_reaches_prescribed_depth(solved):
