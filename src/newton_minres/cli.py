@@ -10,7 +10,8 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
+# unused here: perfbench/spans.py wraps this module binding by name
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from pathlib import Path
 
 import numpy as np
@@ -97,10 +98,10 @@ def _resolution(text):
     return n
 
 
-def _even_resolution(text):
+def _quarter_resolution(text):
     n = _resolution(text)
-    if n % 2:
-        raise argparse.ArgumentTypeError(f"must be even, got {n}")
+    if n % 4:
+        raise argparse.ArgumentTypeError(f"must be a multiple of 4, got {n}")
     return n
 
 
@@ -158,8 +159,8 @@ def build_parser():
 
     r = sp.add_parser("resistance", help="direct drag integral vs 2*J")
     _add_size_arg(r)
-    r.add_argument("--resolution", type=_even_resolution, default=800,
-                   help="radial grid size of the direct integral")
+    r.add_argument("--resolution", type=_quarter_resolution, default=800,
+                   help="radial grid size of the direct integral (a multiple of 4)")
     r.add_argument("--out", default=None)
     return ap
 
@@ -176,8 +177,6 @@ def _cmd_solve(args):
 
 
 def _cmd_table(args):
-    heights = args.rows
-
     def row(m):
         try:
             sol = extremal.solve_for_height(m)
@@ -185,8 +184,7 @@ def _cmd_table(args):
         except SolverError as exc:
             return (m, None, None, None, None, str(exc))
 
-    with ThreadPoolExecutor(max_workers=functional.thread_count()) as pool:
-        rows = list(pool.map(row, heights))
+    rows = [row(m) for m in args.rows]
 
     failed = [r for r in rows if r[5] is not None]
     if args.format == "json":
@@ -328,10 +326,7 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.command](args)
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

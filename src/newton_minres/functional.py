@@ -26,7 +26,8 @@ x from it, free of cancellation.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+# unused here: perfbench/spans.py wraps this module binding by name
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +56,8 @@ P0_MAX = 1e76  # J_unscaled divides by (1 + v^2)^2, v <= p0: overflows past 1.16
 
 
 def thread_count():
-    """Worker cap: NEWTON_MINRES_THREADS if set, else min(cpu, 8)."""
+    """Worker cap for a caller's own pool: NEWTON_MINRES_THREADS if set,
+    else min(cpu, 8).  The package itself starts no threads."""
     env = os.environ.get("NEWTON_MINRES_THREADS")
     if env:
         try:
@@ -312,7 +314,10 @@ def _grid_sum(u, n):
 
     The gradient is u.gradient(x1, x2) -> (ux, uy) when u has one (exact,
     e.g. BodyEvaluator); a plain callable gets central differences with
-    step FD_H, which the grid spacing must exceed.
+    step FD_H, which the grid spacing must exceed.  The polar grid of n by n
+    cells (n even) is symmetric across both axes, so a u that declares
+    mirror_symmetric is summed over the angular cells with theta <= pi/2:
+    weight 4, or 2 for the cell on theta = pi/2 that n = 2 (mod 4) has.
     """
     grad = getattr(u, "gradient", None)
     if grad is None:
@@ -327,27 +332,19 @@ def _grid_sum(u, n):
     dr = 1.0 / n
     dth = 2.0 * np.pi / n
     radii = (np.arange(n) + 0.5) * dr
-    theta = (np.arange(n) + 0.5) * dth
-    ct = np.cos(theta)
-    st = np.sin(theta)
+    fold = getattr(u, "mirror_symmetric", False)
+    k = np.arange((n + 2) // 4 if fold else n)
+    weight = np.where(4 * k + 2 < n, 4.0, 2.0) if fold else np.ones(n)
+    theta = (k + 0.5) * dth
 
-    rows_per = max(1, 200_000 // n)
-    blocks = [(i, min(i + rows_per, n)) for i in range(0, n, rows_per)]
-
-    def one_block(block):
-        i0, i1 = block
-        r = radii[i0:i1][:, None]
-        ux, uy = grad(r * ct[None, :], r * st[None, :])
+    total = 0.0
+    rows_per = max(1, 200_000 // len(k))   # blocks of about 200k points
+    for i in range(0, n, rows_per):
+        r = radii[i:i + rows_per][:, None]
+        ux, uy = grad(r * np.cos(theta), r * np.sin(theta))
         s = 1.0 / (1.0 + ux * ux + uy * uy)
-        return float(np.sum(s * r) * dr * dth)
-
-    workers = thread_count()
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            partials = list(ex.map(one_block, blocks))
-    else:
-        partials = [one_block(b) for b in blocks]
-    return sum(partials)  # fixed block order keeps the result deterministic
+        total += float(np.sum(s * (r * weight)) * dr * dth)
+    return total
 
 
 def resistance_direct(body, n=800):
@@ -357,11 +354,13 @@ def resistance_direct(body, n=800):
     and n//2 and one Richardson step.  Gradients come from body.gradient
     when the body has that method (BodyEvaluator: exact, from the hull
     geometry alone); otherwise from central differences of body with step
-    FD_H.  The grid never samples x2 = 0.
+    FD_H.  n must be a multiple of 4, so both grids have even angle counts
+    and never sample the crease x2 = 0, where the midpoint rule would lose
+    its h^2 error; a mirror_symmetric body is summed over one quadrant.
     """
     n = int(n)
-    if n < 8 or n % 2:
-        raise DomainError(f"n must be even and >= 8, got {n}")
+    if n < 8 or n % 4:
+        raise DomainError(f"n must be a multiple of 4 and >= 8, got {n}")
     coarse = _grid_sum(body, n // 2)
     fine = _grid_sum(body, n)
     return fine + (fine - coarse) / 3.0

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DomainError, EvaluationError
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-_CHUNK = 40_000   # points per vectorized pass; sized to stay in cache
+_CHUNK = 20_000   # points per vectorized pass; a pass's arrays stay in a 2 MiB L2
 
 
 def _chord(y, x1, x2sq, c):
@@ -197,6 +197,10 @@ class BodyEvaluator:
       EvaluationError.
     * u is the least of the flat/corner value, the curved value and 0 (rim).
     """
+
+    # u is even in x1 and in x2 bit for bit (the search runs on |x1|, lam
+    # reads x2 only as x2^2), so resistance_direct sums one quadrant of it
+    mirror_symmetric = True
 
     def __init__(self, sol):
         self.sol = sol
@@ -389,12 +393,13 @@ class BodyMesh:
         if f.size and (f.min() < 0 or f.max() >= len(v)):
             raise DomainError("face indices out of range")
         rad2 = v[:, 0] ** 2 + v[:, 1] ** 2
-        if np.any(rad2 > 1.0 + 1e-9):
+        # written so that a NaN coordinate fails them
+        if not np.all(rad2 <= 1.0 + 1e-9):
             raise DomainError("vertex outside the unit cylinder")
-        if np.any(v[:, 2] > 1e-9):
+        if not np.all(v[:, 2] <= 1e-9):
             raise DomainError("vertex above z = 0")
         m = self.metadata.get("M")
-        if m is not None and np.any(v[:, 2] < -float(m) - 1e-9):
+        if m is not None and not np.all(v[:, 2] >= -float(m) - 1e-9):
             raise DomainError("vertex below z = -M")
 
 

@@ -13,7 +13,7 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from newton_minres import DomainError, NoRoot, singular_ode, solve_for_height
+from newton_minres import DomainError, NoRoot, cli, functional, singular_ode, solve_for_height
 from newton_minres.cli import DEFAULT_TABLE_ROWS, _check_one, main
 from newton_minres.extremal import _P0_TOP, _assemble_cached, _solve_nu_base
 from newton_minres.functional import P0_MAX
@@ -317,7 +317,9 @@ def test_table_default_rows(capsys):
 
 
 def test_table_bytes_do_not_depend_on_the_thread_count(capsys, monkeypatch):
-    # rows run on the table's pool; each thread count starts from cold caches
+    # rows are solved in order and the package starts no threads, so
+    # NEWTON_MINRES_THREADS must not move a byte; each run starts from cold
+    # caches
     rows = DEFAULT_TABLE_ROWS + ",3.3,7.7"
     outputs = []
     for threads in (None, "1", "3"):
@@ -332,6 +334,16 @@ def test_table_bytes_do_not_depend_on_the_thread_count(capsys, monkeypatch):
             outputs.append(run(capsys, "table", "--rows", rows, "--format", fmt))
     assert outputs[0][0] == 0 and outputs[0][1].count("\n") == 12
     assert outputs[0:2] == outputs[2:4] == outputs[4:6]
+
+
+def test_no_command_starts_a_worker_thread(capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a command started a worker pool")
+
+    for mod in (cli, functional):
+        monkeypatch.setattr(mod, "ThreadPoolExecutor", forbidden)
+    assert run(capsys, "table")[0] == 0
+    assert run(capsys, "resistance", "--M", "1.0", "--resolution", "64")[0] == 0
 
 
 def test_table_bad_rows_are_usage_errors(capsys):
@@ -585,7 +597,7 @@ def test_resistance_matches_functional_value(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (("resistance", "--M", "1", "--resolution", "7"), "must be >= 8"),
-    (("resistance", "--M", "1", "--resolution", "9"), "must be even"),
+    (("resistance", "--M", "1", "--resolution", "9"), "must be a multiple of 4"),
     (("resistance", "--M", "1", "--resolution", "x"), "not an integer"),
     (("mesh", "--M", "1", "--resolution", "0", "--out", "unused.obj"), "must be >= 8"),
     (("mesh", "--M", "1", "--resolution", "7", "--out", "unused.obj"), "must be >= 8"),
@@ -599,6 +611,8 @@ def test_resistance_matches_functional_value(capsys):
     (("check", "--tol", "1e-10"), "unrecognized arguments"),
     (("mesh", "--M", "1", "--tol", "1e-10", "--out", "unused.obj"), "unrecognized arguments"),
     (("resistance", "--M", "1", "--tol", "1e-10"), "unrecognized arguments"),
+    # even but not a multiple of 4: the oracle's coarse grid would be odd
+    (("resistance", "--M", "1", "--resolution", "802"), "must be a multiple of 4"),
 ])
 def test_bad_input_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -208,6 +208,10 @@ def test_direct_resistance_rejects_bad_resolution():
         resistance_direct(disk, n=7)
     with pytest.raises(DomainError):
         resistance_direct(disk, n=250 + 1)  # odd
+    with pytest.raises(DomainError):
+        # even but not a multiple of 4: the coarse level n/2 = 401 would
+        # centre a cell on the crease x2 = 0
+        resistance_direct(disk, n=802)
 
 
 def test_direct_resistance_vs_functional_value(solved):
@@ -231,9 +235,33 @@ def test_direct_resistance_never_calls_the_1d_functional(solved, monkeypatch):
     assert val == pytest.approx(2.0 * sol.J, rel=1e-2)
 
 
+class _PlainBody:
+    """A BodyEvaluator without its mirror_symmetric declaration."""
+
+    def __init__(self, ev):
+        self.ev = ev
+
+    def __call__(self, x1, x2):
+        return self.ev(x1, x2)
+
+    def gradient(self, x1, x2):
+        return self.ev.gradient(x1, x2)
+
+
+@pytest.mark.parametrize("n", [64, 320, 804])
+def test_direct_resistance_quadrant_equals_full_disk(solved, n):
+    # 804's coarse level n/2 = 402 has a cell centred on theta = pi/2,
+    # which the quadrant sum weights by 2; 64 and 320 have none
+    ev = BodyEvaluator(solved(1.0))
+    assert ev.mirror_symmetric
+    quadrant = resistance_direct(ev, n=n)
+    full = resistance_direct(_PlainBody(ev), n=n)
+    assert quadrant == pytest.approx(full, rel=1e-14, abs=0.0)
+
+
 def test_direct_resistance_is_independent_of_thread_count(solved, monkeypatch):
-    # n = 480 splits the fine grid into 2 row blocks, so 2 threads really
-    # share the work; partial sums are added in block order either way
+    # the oracle starts no threads; NEWTON_MINRES_THREADS only sizes
+    # callers' own pools, so it must not move the value by a bit
     body = BodyEvaluator(solved(1.0))
     vals = []
     for threads in ("1", "2"):

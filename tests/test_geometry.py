@@ -14,6 +14,7 @@ import pytest
 
 from newton_minres import (
     BodyEvaluator,
+    BodyMesh,
     DomainError,
     EvaluationError,
     body_evaluate,
@@ -271,6 +272,27 @@ def test_gradient_mirror_symmetry_and_domain(ev):
         ev.gradient(1.01, 0.1)
 
 
+@pytest.mark.parametrize("M", [0.5, 1.0, 3.7, 9.9])
+def test_evaluator_is_exactly_mirror_symmetric(solved, M):
+    # resistance_direct sums one quadrant of a body that declares this, so
+    # an asymmetry here would be hidden there
+    body = BodyEvaluator(solved(M))
+    assert body.mirror_symmetric
+    rng = np.random.default_rng(RNG_SEED + 6)
+    th = rng.uniform(0.0, 2.0 * np.pi, 20_000)
+    rr = np.sqrt(rng.uniform(0.0, 1.0, 20_000))
+    x1, x2 = rr * np.cos(th), rr * np.sin(th)
+    keep = x2 != 0.0
+    x1, x2 = x1[keep], x2[keep]
+    u = body(x1, x2)
+    ux, uy = body.gradient(x1, x2)
+    for s1, s2 in ((-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
+        assert np.array_equal(body(s1 * x1, s2 * x2), u)
+        mx, my = body.gradient(s1 * x1, s2 * x2)
+        assert np.array_equal(mx, s1 * ux)     # u_x1 odd in x1, even in x2
+        assert np.array_equal(my, s2 * uy)     # u_x2 even in x1, odd in x2
+
+
 # ---------------------------------------------------------------------------
 # mesh
 # ---------------------------------------------------------------------------
@@ -283,6 +305,15 @@ def test_mesh_smoke_minimal_resolution(sol):
     assert boundary > 0
     with pytest.raises(DomainError):
         build_mesh(sol, n_profile=4, n_circle=4)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_mesh_rejects_a_nan_vertex(sol, axis):
+    mesh = build_mesh(sol, n_profile=64, n_circle=16)
+    v = mesh.vertices.copy()
+    v[100, axis] = np.nan
+    with pytest.raises(DomainError):
+        BodyMesh(v, mesh.faces, mesh.metadata)
 
 
 # sha256 of faces.tobytes() at M = 1.0: the face order and the orientation
