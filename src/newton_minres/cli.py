@@ -95,6 +95,8 @@ def _resolution(text):
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if n < 8:
         raise argparse.ArgumentTypeError(f"must be >= 8, got {n}")
+    if n > 65536:   # about 80 MB plus 4 kB per curve sample; more exhausts memory
+        raise argparse.ArgumentTypeError(f"must be <= 65536, got {n}")
     return n
 
 

@@ -153,12 +153,9 @@ def conjugate_profile(sol, n=512):
 
 def export_profile_csv(curve, path):
     """Write the curve samples as CSV with header x1,z (deterministic bytes)."""
-    rows = ["x1,z"]
-    for x1, z in curve.samples:
-        rows.append(f"{x1:.10e},{z:.10e}")
-    data = "\n".join(rows) + "\n"
+    rows = ("%.10e,%.10e\n" * len(curve.samples)) % tuple(curve.samples.ravel().tolist())
     with open(path, "w") as fh:
-        fh.write(data)
+        fh.write("x1,z\n" + rows)
 
 
 # ---------------------------------------------------------------------------
@@ -179,22 +176,24 @@ class BodyEvaluator:
       |x - t*(y, 0)| <= 1 - t, a disk cut by a line, an interval of y.  Its
       peak, where x1 = y*lam, is y = x1/(1 - |x2|); clipped to [-slope0,
       slope0] it minimizes F there, and the clip is the corner.
-    * ridge, x2 = 0: lam(|x1|) = 1 and w is convex, so y* = |x1| (clipped to
-      [slope0, 1]) with no search, and u = w(x1) bit for bit.
     * curved branch, y in [slope0, 1]: F' = lam*G, G = (x1 - y*lam)*w/sqrt(D)
-      + w'.  A 17-node lattice picks the node of least F and the side where G
-      changes sign; safeguarded Newton steps on G, with G' from the cubic's
-      jet, converge in that bracket.  G changes sign at most once: inside
-      the disk C = 1 - |x|^2 > 0 and F = -C*|w| / (B + sqrt(D)).  D's
-      discriminant in y is -4*x2^2*C <= 0, so sqrt(D) is the Euclidean norm
-      of an affine map of y, hence convex, and so is B + sqrt(D) > 0.  w is
-      convex with w(1) = 0, so |w| is concave on [slope0, 1].  A
-      nonnegative concave function over a positive convex one is
-      pseudoconcave, so F is pseudoconvex there.  The table's cubic pieces
-      are convex too (w'' > 0 at both ends of each), so this holds for the
-      interpolant the minimizer reads.  A point still moving after twice
-      the halvings from the lattice step to the tolerance raises
-      EvaluationError.
+      + w'.  G changes sign at most once: inside the disk C = 1 - |x|^2 > 0
+      and F = -C*|w| / (B + sqrt(D)).  D's discriminant in y is
+      -4*x2^2*C <= 0, so sqrt(D) is the Euclidean norm of an affine map of
+      y, hence convex, and so is B + sqrt(D) > 0.  w is convex with
+      w(1) = 0, so |w| is concave on [slope0, 1].  A nonnegative concave
+      function over a positive convex one is pseudoconcave, so F is
+      pseudoconvex there.  The table's cubic pieces are convex too (w'' > 0
+      at both ends of each), so this holds for the interpolant the
+      minimizer reads.  At the peak of lam, F' = lam*w' > 0, so y* lies in
+      [slope0, hi], hi = the peak clipped to [slope0, 1].  sqrt(D)*G at the
+      ends decides the corner (>= 0 at slope0: y* = slope0) and the ridge
+      x2 = 0, where lam(|x1|) = 1 and sqrt(D) = 0 make it exactly 0 at
+      hi = |x1| (<= 0 at hi: y* = hi, and u = w(x1) bit for bit).  Elsewhere
+      one regula-falsi step starts safeguarded Newton steps on G, with G'
+      from the cubic's jet, inside the bracket.  A point still moving after
+      twice the halvings from the full bracket [slope0, 1] to the tolerance
+      raises EvaluationError.
     * u is the least of the flat/corner value, the curved value and 0 (rim).
     """
 
@@ -204,9 +203,7 @@ class BodyEvaluator:
 
     def __init__(self, sol):
         self.sol = sol
-        self.table = table = _VStarTable(sol)
-        self.lat_y = np.linspace(table.s0, 1.0, 17)
-        self.lat_w, self.lat_p, _ = table.jet(self.lat_y)
+        self.table = _VStarTable(sol)
 
     def vstar(self, y):
         """Cross-section height w(y) (vectorized; even in y)."""
@@ -216,34 +213,30 @@ class BodyEvaluator:
         out = self.table.eval(y)
         return float(out) if out.ndim == 0 else out
 
-    def _curved(self, a, x2sq, c):
-        """Minimizer and value of F on y in [slope0, 1], for x1 = a >= 0."""
-        out = np.clip(a, self.table.s0, 1.0)   # exact on the ridge x2 = 0
-        off = x2sq > 0.0
-        out[off] = self._search(a[off], x2sq[off], c[off])
-        return out, _chord(out, a, x2sq, c)[0] * self.table.jet(out)[0]
+    def _curved(self, a, x2sq, c, hi):
+        """Minimizer of F on y in [slope0, hi] for x1 = a >= 0; F' > 0 past hi."""
+        table, tol = self.table, 1e-13
 
-    def _search(self, a, x2sq, c):
-        """The curved branch's minimizer off the ridge: lattice, then Newton."""
-        lat_y, last, tol = self.lat_y, len(self.lat_y) - 1, 1e-13
-        best, j = np.full(a.shape, np.inf), np.zeros(a.shape, dtype=np.intp)
-        for k, (yk, wk) in enumerate(zip(lat_y, self.lat_w)):
-            f = _chord(yk, a, x2sq, c)[0] * wk
-            j[f < best] = k
-            best = np.minimum(f, best)
-        y = out = lat_y[j]
-        lam, sd = _chord(y, a, x2sq, c)
-        g = (a - y * lam) * self.lat_w[j] + sd * self.lat_p[j]   # sqrt(D)*G
-        lo = np.where(g < 0.0, y, lat_y[np.maximum(j - 1, 0)])
-        hi = np.where(g > 0.0, y, lat_y[np.minimum(j + 1, last)])
-        idx = np.flatnonzero(hi - lo > tol)   # the rest stop at a lattice end
-        state = [v[idx] for v in (y, lo, hi, hi - lo, a, x2sq, c)]
+        def sdg(y):   # sqrt(D)*G, exactly 0 on the ridge at y = |x1|
+            lam, sd = _chord(y, a, x2sq, c)
+            w, wp, _ = table.jet(y)
+            return (a - y * lam) * w + sd * wp
+
+        lo = np.full(a.shape, table.s0)
+        g_lo, g_hi = sdg(lo), sdg(hi)
+        out = np.where(g_lo >= 0.0, lo, hi)
+        idx = np.flatnonzero((g_lo < 0.0) & (g_hi > 0.0))
+        lo, hi, g_lo, g_hi = lo[idx], hi[idx], g_lo[idx], g_hi[idx]
+        y = np.clip(lo - g_lo * (hi - lo) / (g_hi - g_lo), lo, hi)   # regula falsi
+        state = [y, lo, hi, hi - lo, a[idx], x2sq[idx], c[idx]]
         # a bisection halves the bracket; Newton runs only while it halves the step
-        for _ in range(2 * int(np.ceil(np.log2((1.0 - self.table.s0) / last / tol)))):
+        for _ in range(2 * int(np.ceil(np.log2((1.0 - table.s0) / tol)))):
+            if not len(idx):
+                break
             y, lo, hi, step, xa, xx, cc = state
             lam, sd = _chord(y, xa, xx, cc)
             sd = np.maximum(sd, 1e-300)
-            w, wp, wpp = self.table.jet(y)
+            w, wp, wpp = table.jet(y)
             q = (xa - y * lam) / sd             # lam' = lam*q, bounded
             dsd = (y * (1.0 - xx) - xa) / sd     # (sqrt D)', bounded
             g = q * w + wp
@@ -258,9 +251,7 @@ class BodyEvaluator:
             out[idx[done]] = yn[done]
             idx = idx[~done]
             state = [v[~done] for v in (yn, lo, hi, step, xa, xx, cc)]
-            if not len(idx):
-                break
-        else:
+        if len(idx):
             raise EvaluationError(f"hull minimizer did not converge at {len(idx)} point(s)")
         return out
 
@@ -271,10 +262,13 @@ class BodyEvaluator:
         if not np.all(c >= -1e-9):
             raise EvaluationError("point outside the unit disk")
         c = np.maximum(c, 0.0)
-        s0 = self.table.s0   # flat/corner branch: the clipped peak of lam
-        yf = np.clip(x1 / np.maximum(1.0 - np.abs(x2), 1e-300), -s0, s0)
+        s0 = self.table.s0
+        peak = x1 / np.maximum(1.0 - np.abs(x2), 1e-300)   # where lam peaks
+        yf = np.clip(peak, -s0, s0)                          # flat/corner branch
         ff = -self.table.M * _chord(yf, x1, x2sq, c)[0]
-        yc, fc = self._curved(np.abs(x1), x2sq, c)
+        a = np.abs(x1)
+        yc = self._curved(a, x2sq, c, np.clip(np.abs(peak), s0, 1.0))
+        fc = _chord(yc, a, x2sq, c)[0] * self.table.jet(yc)[0]
         flat = ff <= fc
         f = np.minimum(np.where(flat, ff, fc), 0.0)
         y = np.where(flat, yf, np.copysign(yc, x1))
@@ -461,34 +455,25 @@ def build_mesh(sol, n_profile=1024, n_circle=256):
 
 def mesh_boundary_report(mesh):
     """Edge-manifold audit: (nonmanifold edge count, boundary edge count, loop count)."""
-    edges = {}
-    for a, b, c in mesh.faces:
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (min(u, v), max(u, v))
-            edges[key] = edges.get(key, 0) + 1
-    nonmanifold = sum(1 for n in edges.values() if n > 2)
-    boundary = [e for e, n in edges.items() if n == 1]
-
+    n, f = len(mesh.vertices), mesh.faces.astype(np.int64)
+    g = np.roll(f, -1, axis=1)   # the edges (a, b), (b, c), (c, a), each keyed lo*n + hi
+    keys, counts = np.unique(np.minimum(f, g) * n + np.maximum(f, g), return_counts=True)
+    nonmanifold = int(np.count_nonzero(counts > 2))
+    ends = np.divmod(keys[counts == 1], n)
+    if np.any(np.unique(np.concatenate(ends), return_counts=True)[1] != 2):
+        return nonmanifold, len(ends[0]), -1  # boundary is not a disjoint loop union
     adj = {}
-    for u, v in boundary:
+    for u, v in zip(*(e.tolist() for e in ends)):
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    if any(len(nb) != 2 for nb in adj.values()):
-        return nonmanifold, len(boundary), -1  # boundary is not a disjoint loop union
-    loops = 0
-    seen = set()
-    for start in adj:
-        if start in seen:
-            continue
+    loops, unseen = 0, set(adj)
+    while unseen:   # walk each loop from any vertex not yet seen until it closes
         loops += 1
-        cur, prev = start, None
-        while True:
-            seen.add(cur)
-            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-            prev, cur = cur, nxt
-            if cur == start:
-                break
-    return nonmanifold, len(boundary), loops
+        cur = unseen.pop()
+        while nxt := [v for v in adj[cur] if v in unseen]:
+            cur = nxt[0]
+            unseen.remove(cur)
+    return nonmanifold, len(ends[0]), loops
 
 
 def mesh_is_watertight(mesh):
@@ -502,10 +487,8 @@ def export_obj(mesh, path):
     """Write Wavefront OBJ (deterministic bytes); refuses empty meshes."""
     if len(mesh.vertices) == 0 or len(mesh.faces) == 0:
         raise EvaluationError(f"refusing to write empty mesh to {path}")
-    lines = ["# minimal-resistance body mesh"]
-    for x, y, z in mesh.vertices:
-        lines.append(f"v {x:.10e} {y:.10e} {z:.10e}")
-    for a, b, c in mesh.faces:
-        lines.append(f"f {a + 1} {b + 1} {c + 1}")
+    v, f = mesh.vertices, mesh.faces + 1
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("# minimal-resistance body mesh\n"
+                 + ("v %.10e %.10e %.10e\n" * len(v)) % tuple(v.ravel().tolist())
+                 + ("f %d %d %d\n" * len(f)) % tuple(f.ravel().tolist()))

@@ -613,6 +613,9 @@ def test_resistance_matches_functional_value(capsys):
     (("resistance", "--M", "1", "--tol", "1e-10"), "unrecognized arguments"),
     # even but not a multiple of 4: the oracle's coarse grid would be odd
     (("resistance", "--M", "1", "--resolution", "802"), "must be a multiple of 4"),
+    # past the cap a mesh no longer fits in memory: refused, not killed
+    (("mesh", "--M", "1", "--resolution", "65540", "--out", "unused.obj"), "must be <= 65536"),
+    (("resistance", "--M", "1", "--resolution", "65540"), "must be <= 65536"),
 ])
 def test_bad_input_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -124,6 +124,8 @@ def test_profile_csv_export(sol, tmp_path):
     assert len(lines) == 65
     x1, z = map(float, lines[1].split(","))
     assert (x1, z) == (-1.0, pytest.approx(0.0, abs=1e-12))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "4b111a3b54eb9691277273c92f6b889657009fd90cc38cf5e364441d25882186"
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +145,10 @@ def test_evaluator_basic_values(sol, ev):
 def test_evaluator_section_is_cross_section(sol, ev):
     x1 = np.linspace(-1.0, 1.0, 41)
     np.testing.assert_allclose(ev(x1, np.zeros_like(x1)), ev.vstar(x1), atol=1e-8)
-    # on the ridge the minimizer is y* = |x1| exactly, read from the same cubic
-    x1 = np.linspace(-1.0, 1.0, 2001)
+    # on the ridge the minimizer is y* = |x1| exactly, read from the same
+    # cubic, also within 2000 ulps of the corners x1 = +-slope0
+    near = sol.slope0 + np.arange(-2000, 2001) * np.spacing(sol.slope0)
+    x1 = np.concatenate([np.linspace(-1.0, 1.0, 2001), near, -near])
     assert np.array_equal(ev(x1, np.zeros_like(x1)), ev.vstar(x1))
 
 
@@ -208,6 +212,51 @@ def test_minimizer_beats_brute_force(solved, M):
         f = _chord(ys[:, None], x1, x2sq, c)[0] * w
         brute = np.minimum(brute, f.min(axis=0))
     assert np.all(u <= brute + 1e-13)
+
+
+def _golden_minimum(body, x1, x2):
+    """min over y in [-1, 1] of lam(y; x)*w(y), independent of the minimizer:
+    the best node of a 4001-node y grid, then 80 golden-section steps over
+    the two grid cells around it."""
+    x2sq = x2 * x2
+    c = np.maximum(1.0 - x1 * x1 - x2sq, 0.0)
+
+    def F(y):
+        return _chord(y, x1, x2sq, c)[0] * body.vstar(y)
+
+    grid = np.linspace(-1.0, 1.0, 4001)
+    best, j = np.full(x1.shape, np.inf), np.zeros(x1.shape, dtype=np.intp)
+    for ks in np.array_split(np.arange(len(grid)), 40):
+        f = F(grid[ks, None])
+        k = f.argmin(axis=0)
+        fk = f[k, np.arange(len(x1))]
+        j = np.where(fk < best, ks[k], j)
+        best = np.minimum(fk, best)
+    a, b = grid[np.maximum(j - 1, 0)], grid[np.minimum(j + 1, len(grid) - 1)]
+    c1, d1 = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    f1, f2 = F(c1), F(d1)
+    for _ in range(80):
+        left = f1 <= f2                 # the minimum lies in [a, d1]
+        a, b = np.where(left, a, c1), np.where(left, d1, b)
+        c1, d1 = np.where(left, b - _INVPHI * (b - a), d1), np.where(left, c1, a + _INVPHI * (b - a))
+        f1, f2 = np.where(left, F(c1), f2), np.where(left, f1, F(d1))
+    return np.minimum(best, np.minimum(f1, f2))
+
+
+@pytest.mark.parametrize("M", [0.0875, 1.0, 10.0, 1e4])
+def test_minimizer_matches_golden_section_reference(solved, M):
+    # two-sided: u may sit neither above nor below the true minimum by more
+    # than round-off.  One point in six is on the rim, where y* = +-1
+    sol = solved(M)
+    body = BodyEvaluator(sol)
+    rng = np.random.default_rng(RNG_SEED + 8)
+    th = rng.uniform(0.0, 2.0 * np.pi, 3000)
+    rr = np.minimum(1.0, 1.1 * np.sqrt(rng.uniform(0.0, 1.0, 3000)))
+    x1, x2 = rr * np.cos(th), rr * np.sin(th)
+    y, u = body._minimize(x1, x2)[:2]
+    assert np.any(np.abs(y) == sol.slope0) and np.any(np.abs(y) == 1.0)
+    ref = np.minimum(_golden_minimum(body, x1, x2), 0.0)
+    assert np.max(np.abs(u - ref)) <= 1e-14 * max(1.0, M)
 
 
 @pytest.mark.parametrize("M", [0.0875, 1.0, 10.0, 1e4])
@@ -305,6 +354,28 @@ def test_mesh_smoke_minimal_resolution(sol):
     assert boundary > 0
     with pytest.raises(DomainError):
         build_mesh(sol, n_profile=4, n_circle=4)
+
+
+def _drop_faces_at(*vertices):
+    return lambda f: f[~np.isin(f, vertices).any(axis=1)]
+
+
+@pytest.mark.parametrize("damage, report", [
+    (lambda f: f, (0, 312, 1)),
+    (lambda f: np.delete(f, np.s_[::7], axis=0), (0, 467, -1)),
+    (lambda f: np.vstack([f, f[:10]]), (16, 307, -1)),
+    (lambda f: f[:len(f) // 2], (0, 163, -1)),
+    (_drop_faces_at(10), (0, 314, 2)),
+    (_drop_faces_at(10, 40), (0, 316, 3)),
+], ids=["intact", "every-7th-dropped", "first-10-repeated", "first-half",
+        "hole-at-10", "holes-at-10-and-40"])
+def test_boundary_report_on_damaged_meshes(sol, damage, report):
+    # (nonmanifold edges, boundary edges, loops); -1 loops when some boundary
+    # vertex does not have exactly two boundary edges
+    mesh = build_mesh(sol, n_profile=64, n_circle=16)
+    damaged = BodyMesh(mesh.vertices, damage(mesh.faces), mesh.metadata)
+    assert mesh_boundary_report(damaged) == report
+    assert mesh_is_watertight(damaged) == (report == (0, 312, 1))
 
 
 @pytest.mark.parametrize("axis", [0, 1, 2])
