@@ -107,6 +107,12 @@ def _quarter_resolution(text):
     return n
 
 
+def _obj_path(text):
+    if Path(text).suffix == ".json":   # the sidecar would overwrite the mesh
+        raise argparse.ArgumentTypeError(f"must not end in .json, got {text!r}")
+    return text
+
+
 def _add_size_arg(sub):
     g = sub.add_mutually_exclusive_group(required=True)
     g.add_argument("--M", type=_positive, help="prescribed body height")
@@ -157,7 +163,7 @@ def build_parser():
     _add_size_arg(m)
     m.add_argument("--resolution", type=_resolution, default=1024,
                    help="curve sample count (rim fan uses resolution/4)")
-    m.add_argument("--out", required=True, help="output .obj path")
+    m.add_argument("--out", type=_obj_path, required=True, help="output .obj path")
 
     r = sp.add_parser("resistance", help="direct drag integral vs 2*J")
     _add_size_arg(r)
@@ -211,13 +217,13 @@ def _cmd_table(args):
 
 def _cmd_constants(args):
     lc = extremal.limit_constants()
-    prof = extremal.assemble_profile(0.0)
+    nu0, nup0, _ = extremal.assemble_profile(0.0).nu.eval(0.0)
     d = {
         "switch_radius": lc.r_hat,
         "flat_height": lc.M_hat,            # kappa(0) = height of the flat cut
-        "arc_value_at_zero": float(prof.nu(0.0)),
+        "arc_value_at_zero": nu0,
         "switch_slope": lc.slope_hat,       # kappa'(rho)
-        "arc_slope_at_zero": float(prof.nu.derivative(0.0)),
+        "arc_slope_at_zero": nup0,
         "J_limit": lc.J_hat,
     }
     if args.format == "text":
@@ -254,7 +260,7 @@ def _check_one(alpha, inject_fault):
 
     x2, x3 = extremal.nu_derivatives_at_one(alpha)[2:]
     verdicts["endpoint_taylor"] = (
-        abs(prof.nu.second(1.0) - x2) < 1e-6 and abs(prof.nu.third(1.0) - x3) < 1e-6)
+        abs(prof.nu.eval(1.0)[2] - x2) < 1e-6 and abs(prof.nu.third(1.0) - x3) < 1e-6)
 
     if alpha == 0.0:
         closed = extremal.I_closed_form_alpha0(prof.rho, prof.nu)

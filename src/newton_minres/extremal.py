@@ -29,7 +29,7 @@ from numpy.polynomial import chebyshev as _cheb
 from scipy.optimize import brentq
 
 from .errors import DomainError, InconsistentScale, NoRoot, SignChange
-from .functional import J_scaled, lagrangian_value, quad_value
+from .functional import J_scaled, quad_value
 from .singular_ode import (N_ARC, MappedSolution, SingularIVP, _lobatto_integrals,
                            integrate, integrate_variational, VariationalCoeffs)
 
@@ -97,12 +97,7 @@ def solve_nu(alpha):
     can read x = nu - q directly from .base without cancellation.
     """
     base = _solve_nu_base(float(alpha))
-    return MappedSolution(base, offset=-1.0, add0=0.0, add1=1.0)
-
-
-def scaled_lagrangian(q, eta, etap, alpha):
-    """Scaled integrand g(q, eta, eta'): the c=alpha member of the family."""
-    return lagrangian_value(q, eta, etap, alpha)
+    return MappedSolution(base, offset=-1.0, add1=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +201,8 @@ class ScaledProfile:
     """Assembled scaled profile: affine on [0, rho], arc on [rho, 1].
 
     kappa(q) = height0 + slope*q below rho and nu(q) above; at_switch matches
-    value and slope at rho, so kappa is C^1 and convex.  The accessors take
-    their column of eval, which reads the arc once.
+    value and slope at rho, so kappa is C^1 and convex.  eval is the one
+    reader: it returns (kappa, kappa', kappa'') from one read of the arc.
     """
     alpha: float
     rho: float
@@ -228,11 +223,11 @@ class ScaledProfile:
             raise DomainError(f"switch slope out of range: {self.slope}")
         if self.height0 <= 0.0:
             raise DomainError(f"flat height must be positive: {self.height0}")
-        if abs(self.nu(1.0) - 1.0) > 1e-8 or abs(self.nu.derivative(1.0) - 1.0) > 1e-8:
-            raise DomainError("arc does not satisfy nu(1) = nu'(1) = 1")
         qs = np.linspace(self.rho, 0.999, 64)
-        val, _, second = self.nu.eval(qs)
-        if np.any(val - qs <= 0.0) or np.any(second <= 0.0):
+        val, slope, second = self.nu.eval(np.append(qs, 1.0))
+        if abs(val[-1] - 1.0) > 1e-8 or abs(slope[-1] - 1.0) > 1e-8:
+            raise DomainError("arc does not satisfy nu(1) = nu'(1) = 1")
+        if np.any(val[:-1] - qs <= 0.0) or np.any(second[:-1] <= 0.0):
             raise DomainError("arc violates nu > q or convexity on [rho, 1)")
 
     def eval(self, q):
@@ -247,15 +242,6 @@ class ScaledProfile:
         if np.any(on_arc):
             out = np.where(on_arc, self.nu.eval(np.where(on_arc, q, 1.0)), out)
         return tuple(map(float, out)) if q.ndim == 0 else tuple(out)
-
-    def kappa(self, q):
-        return self.eval(q)[0]
-
-    def kappa_deriv(self, q):
-        return self.eval(q)[1]
-
-    def kappa_second(self, q):
-        return self.eval(q)[2]
 
 
 @lru_cache(maxsize=64)
@@ -370,7 +356,7 @@ def jacobi_check(profile, eps=1e-3):
     y = integrate_variational(coeffs, 1.0, -1.0)
     zeta = MappedSolution(y, offset=-1.0)
     qs = np.linspace(0.0, 1.0 - eps, 2000)
-    vals = zeta(qs)
+    vals = zeta.eval(qs)[0]
     if np.any(vals[:-1] * vals[1:] < 0.0):
         return 0.0, zeta
     return float(np.min(np.abs(vals))), zeta
@@ -394,9 +380,9 @@ def field_jacobian_check(alpha):
     qs = np.linspace(0.0, 0.99, 241)
     prof = assemble_profile(alpha)
     kap, kp, _ = prof.eval(qs)
-    kap_hi = assemble_profile(alpha + da).kappa(qs)
+    kap_hi = assemble_profile(alpha + da).eval(qs)[0]
     if alpha - da >= 0.0:
-        kap_lo = assemble_profile(alpha - da).kappa(qs)
+        kap_lo = assemble_profile(alpha - da).eval(qs)[0]
         dk = (kap_hi - kap_lo) / (2.0 * da)
     else:
         dk = (kap_hi - kap) / da
@@ -467,7 +453,9 @@ class ExtremalSolution:
     """Unscaled solution: curve v(p) on [0, p0], with derived quantities.
 
     v(p) = p0 * kappa(p / p0); flat on [0, r], arc on [r, p0]; J is the
-    value of the reduced functional (the body's resistance is 2*J).
+    value of the reduced functional (the body's resistance is 2*J).  eval
+    is the one reader of the curve: (v, v', v'') from one read of the
+    profile.
     """
     p0: float
     M: float
@@ -478,18 +466,14 @@ class ExtremalSolution:
 
     def __post_init__(self):
         ps = np.linspace(0.0, self.p0, 33)
-        vs = self.v(ps)
+        vs = self.eval(ps)[0]
         if np.any(vs < ps - 1e-9) or np.any(vs > ps + self.M + 1e-9):
             raise DomainError("curve violates p <= v <= p + M")
 
-    def v(self, p):
-        return self.p0 * self.profile.kappa(np.asarray(p, float) / self.p0)
-
-    def v_deriv(self, p):
-        return self.profile.kappa_deriv(np.asarray(p, float) / self.p0)
-
-    def v_second(self, p):
-        return self.profile.kappa_second(np.asarray(p, float) / self.p0) / self.p0
+    def eval(self, p):
+        """(v, v', v'') at p in [0, p0]."""
+        k, kp, kpp = self.profile.eval(np.asarray(p, float) / self.p0)
+        return self.p0 * k, kp, kpp / self.p0
 
 
 def unscale(profile, p0):

@@ -18,11 +18,12 @@ Two independent evaluation routes are kept deliberately separate:
   central differences.  Either way it never touches the 1-D machinery, so
   agreement between the two is a real consistency check, not a tautology.
 
-Profile/solution arguments are duck-typed; the one solver import is the
-fixed Lobatto rule of `singular_ode`, for J_scaled.  A profile whose arc ends
-at the singular point v = p must expose the solver's movable-frame solution
-(x = nu - q against t = q - 1) as `profile.nu.base`: the arc integrands read
-x from it, free of cancellation.
+Profile/solution arguments are duck-typed: a curve exposes p0 and
+eval(p) -> (v, v', v''), and the one solver import is the fixed Lobatto
+rule of `singular_ode`, for J_scaled.  A profile whose arc ends at the
+singular point v = p must expose the solver's movable-frame solution
+(x = nu - q against t = q - 1) as `profile.nu.base`: the arc integrands
+read x from it, free of cancellation.
 """
 
 import os
@@ -193,27 +194,28 @@ def J_scaled(profile):
     sq = np.sqrt(x * (x + 2.0 * q))
     d = (x + q) ** 2 + alpha
     g = 2.0 * sq * (xd + 1.0) ** 2 / (d * d) - (q * xd - x) / ((x + q) * d * sq)
-    lim = np.sqrt(profile.nu.second(1.0)) / (1.0 + alpha)
+    lim = np.sqrt(profile.nu.eval(1.0)[2]) / (1.0 + alpha)
     return float(aff + (1.0 - rho) * (w[0] * lim + w[1:] @ g))
 
 
 def J_unscaled(sol):
     """Direct quadrature of f along the curve v(p) on [0, p0].
 
-    Works on anything exposing p0, v(p), v_deriv(p); a curve hitting the
-    singular endpoint v(p0) = p0 must also expose profile.nu.base (solver
-    output) so the movable frame can be used near the endpoint.  p0 > P0_MAX
-    (alpha < 1e-152) raises DomainError.
+    Works on anything exposing p0 and eval(p) -> (v, v', v''); a curve
+    hitting the singular endpoint v(p0) = p0 must also expose
+    profile.nu.base (solver output) so the movable frame can be used near
+    the endpoint.  p0 > P0_MAX (alpha < 1e-152) raises DomainError.
     """
     p0 = sol.p0
     if p0 > P0_MAX:
         raise DomainError(f"p0={p0:.3e} > {P0_MAX:.0e}: the unscaled integrand overflows")
     r = getattr(sol, "r", None)
-    singular_end = abs(sol.v(p0) - p0) < 1e-8 * max(1.0, p0)
+    singular_end = abs(sol.eval(p0)[0] - p0) < 1e-8 * max(1.0, p0)
 
     if not singular_end:
         def fp(p):
-            return f_eval(LagrangianPoint(p, sol.v(p), sol.v_deriv(p)))
+            v, vp, _ = sol.eval(p)
+            return f_eval(LagrangianPoint(p, v, vp))
         if r is not None and 0.0 < r < p0:
             return quad_value(fp, 0.0, r) + quad_value(fp, r, p0)
         return quad_value(fp, 0.0, p0)
@@ -221,10 +223,11 @@ def J_unscaled(sol):
     profile = sol.profile
     base = profile.nu.base
     rho = profile.rho
-    lim = np.sqrt(profile.nu.second(1.0)) / (p0 * (1.0 + p0 * p0))
+    lim = np.sqrt(profile.nu.eval(1.0)[2]) / (p0 * (1.0 + p0 * p0))
 
     def fp_flat(p):
-        return lagrangian_value(p, sol.v(p), sol.v_deriv(p), 1.0)
+        v, vp, _ = sol.eval(p)
+        return lagrangian_value(p, v, vp, 1.0)
 
     def f_arc(q):
         # f at p = p0*q, written in x = nu - q to keep v - p accurate
@@ -254,21 +257,19 @@ def gamma_form_J(sol):
     gamma(p0-) -> 0; both are handled by explicit limit branches.
     """
     p0 = sol.p0
-    v0 = sol.v(0.0)
-    atom = sol.v_deriv(0.0) / (1.0 + v0 * v0)
+    v0, vp0, _ = sol.eval(0.0)
+    atom = vp0 / (1.0 + v0 * v0)
 
-    vend = sol.v(p0)
+    vend, vpend, _ = sol.eval(p0)
     singular_end = abs(vend - p0) < 1e-8 * max(1.0, p0)
     if singular_end:
         f_end = 0.0
     else:
         s_end = np.sqrt(vend * vend - p0 * p0)
-        f_end = -sol.v_deriv(p0) * s_end / (vend * (1.0 + vend * vend))
+        f_end = -vpend * s_end / (vend * (1.0 + vend * vend))
 
     def gamma(p):
-        v = sol.v(p)
-        vp = sol.v_deriv(p)
-        vpp = sol.v_second(p)
+        v, vp, vpp = sol.eval(p)
         s = np.sqrt(v * v - p * p)
         return (-(p * vp - v) / (v * s) + vpp * s / v
                 + vp * (v * vp - p) / (v * s) - vp * vp * s / (v * v)) / (1.0 + v * v)

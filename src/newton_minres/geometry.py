@@ -67,12 +67,12 @@ class _VStarTable:
         self.h = (1.0 - s0) / (int(n_nodes) - 1)
 
         dense_p = np.linspace(self.r, self.p0, 2 * int(n_nodes) + 1)
-        dense_y = np.asarray(sol.v_deriv(dense_p), float)
+        dense_y = sol.eval(dense_p)[1]
         dense_y[0], dense_y[-1] = s0, 1.0  # exactize the monotone table ends
         p = self._newton(np.interp(self.y_nodes, dense_y, dense_p), self.y_nodes)
         p[0], p[-1] = self.r, self.p0
         self.p_nodes = p
-        self.z_nodes = z = p * self.y_nodes - np.asarray(sol.v(p), float)
+        self.z_nodes = z = p * self.y_nodes - sol.eval(p)[0]
         m = p * self.h
         self.coef = np.column_stack([
             z[:-1], m[:-1], 3.0 * (z[1:] - z[:-1]) - 2.0 * m[:-1] - m[1:],
@@ -80,10 +80,9 @@ class _VStarTable:
 
     def _newton(self, p, y):
         """Two Newton steps on v'(p) = y from p, kept in [r, p0]."""
-        sol = self.sol
         for _ in range(2):
-            resid = np.asarray(sol.v_deriv(p), float) - y
-            v2 = np.asarray(sol.v_second(p), float)
+            _, v1, v2 = self.sol.eval(p)
+            resid = v1 - y
             # p = r reads the flat side (v'' = 0, v' = slope0) when r/p0 rounds below rho
             step = np.divide(resid, v2, out=np.zeros_like(resid), where=v2 > 0.0)
             p = np.clip(p - step, self.r, self.p0)
@@ -340,7 +339,7 @@ def body_evaluate(ev, x1, x2):
     ax2 = abs(x2)
 
     def seam_gain(p1):
-        v = np.asarray(sol.v(np.abs(p1)), float)
+        v = sol.eval(np.abs(p1))[0]
         p2 = np.sqrt(np.maximum(v * v - p1 * p1, 0.0))
         return p1 * x1 + ax2 * p2 - v
 
@@ -419,7 +418,7 @@ def build_mesh(sol, n_profile=1024, n_circle=256):
     y = np.linspace(table.s0, 1.0, P)
     z = table.eval(y)
     pcur = table.p_of_slope(y)
-    cphi = np.clip(pcur / np.asarray(sol.v(pcur), float), 0.0, 1.0)
+    cphi = np.clip(pcur / sol.eval(pcur)[0], 0.0, 1.0)
     phi = np.arccos(cphi)             # decreasing: corner angle -> 0
     fan_phi = np.linspace(phi[0], 0.5 * np.pi, C)
 

@@ -121,17 +121,20 @@ def _call_vec(fn, t, *args):
 class _ChebSegment:
     """Chebyshev series piece: coefficients live on s=(t-mid)/half in [-1,1].
 
-    Stores series for x, x', x'' separately (the first two are exact
-    integrals of the third), as the columns of one coefficient array so a
-    single Clenshaw pass evaluates all three.
+    Built from the x'' coefficients c2: x' and x are their exact integrals
+    from s = anchor, where they take the values xd0 and x0.  The three
+    series are the columns of one coefficient array, so a single Clenshaw
+    pass evaluates all three.
     """
 
     __slots__ = ("mid", "half", "c", "c3")
 
-    def __init__(self, mid, half, c0, c1, c2):
+    def __init__(self, mid, half, c2, anchor, x0=0.0, xd0=0.0):
         self.mid = float(mid)
         self.half = float(half)
-        self.c = np.zeros((max(len(c0), len(c1), len(c2)), 3))
+        c1 = _cheb.chebint(c2, k=xd0, lbnd=anchor, scl=self.half)
+        c0 = _cheb.chebint(c1, k=x0, lbnd=anchor, scl=self.half)
+        self.c = np.zeros((len(c0), 3))
         for j, cj in enumerate((c0, c1, c2)):
             self.c[:len(cj), j] = cj
         self.c3 = _cheb.chebder(c2) / self.half
@@ -147,7 +150,8 @@ class _ChebSegment:
 class DenseSolution:
     """Piecewise-analytic solution: sorted breakpoints + one segment per gap.
 
-    Evaluation outside [breakpoints[0], breakpoints[-1]] raises DomainError.
+    eval(t) is the one reader: it returns (x, x', x'') and raises
+    DomainError outside [breakpoints[0], breakpoints[-1]].
     `info` carries construction metadata (seed half-width, Picard diff
     history, ...) so convergence claims stay checkable after the fact.
     """
@@ -194,39 +198,23 @@ class DenseSolution:
             return float(x), float(xd), float(xdd)
         return x, xd, xdd
 
-    def __call__(self, t):
-        return self.eval(t)[0]
-
-    def derivative(self, t):
-        return self.eval(t)[1]
-
-    def second(self, t):
-        return self.eval(t)[2]
-
     def third(self, t):
         out = self._on_segments(t, _ChebSegment.third)
         return float(out) if np.ndim(t) == 0 else out
 
-    def to_samples(self, n):
-        """(t, x, xdot) on n uniform points across the domain."""
-        t = np.linspace(self.domain[0], self.domain[1], int(n))
-        x, xd, _ = self.eval(t)
-        return t, x, xd
-
 
 class MappedSolution(DenseSolution):
-    """Affine re-parameterization of a base solution.
+    """Affine re-parameterization of a base solution: the one frame view.
 
-    value(q) = base(q + offset) + add0 + add1*q, so slope(q) = base' + add1.
-    Used to present the arc computed in movable-frame coordinates
-    (x = value - q, t = q - q_right) as the profile itself.  The base
-    enforces the domain.
+    value(q) = base(q + offset) + add1*q, so slope(q) = base' + add1.
+    Presents the arc computed in movable-frame coordinates (x = value - q,
+    t = q - 1) as nu itself, and the Jacobi field y(t) as zeta(q).  The
+    base enforces the domain.
     """
 
-    def __init__(self, base, offset, add0=0.0, add1=0.0):
+    def __init__(self, base, offset, add1=0.0):
         self.base = base
         self.offset = float(offset)
-        self.add0 = float(add0)
         self.add1 = float(add1)
         self.breakpoints = base.breakpoints - self.offset
         self.segments = base.segments
@@ -236,7 +224,7 @@ class MappedSolution(DenseSolution):
     def eval(self, q):
         q = np.asarray(q, float)
         x, xd, xdd = self.base.eval(q + self.offset)
-        x = x + self.add0 + self.add1 * q
+        x = x + self.add1 * q
         xd = xd + self.add1
         if q.ndim == 0:
             return float(x), float(xd), float(xdd)
@@ -362,9 +350,7 @@ def picard_seed(ivp, epsilon):
         raise ContractionFailure(
             f"converged iterate leaves the certified band: dev={band_dev:.3e} > eps={eps:.3e}")
 
-    c2 = fit @ xdd
-    c1 = _cheb.chebint(c2, lbnd=0.0, scl=tau)
-    seg = _ChebSegment(0.0, tau, _cheb.chebint(c1, lbnd=0.0, scl=tau), c1, c2)
+    seg = _ChebSegment(0.0, tau, fit @ xdd, 0.0)
     info = {
         "tau": tau,
         "epsilon": eps,
@@ -459,15 +445,16 @@ def integrate(ivp, t_end):
     radius = float(np.max(np.abs(F)) * np.linalg.norm(np.linalg.inv(J), np.inf))
 
     c2 = fit @ u
-    c1 = _cheb.chebint(c2, lbnd=s0, scl=half)
-    c0 = _cheb.chebint(c1, lbnd=s0, scl=half)
-    seg = _ChebSegment(mid, half, c0, c1, c2)
+    seg = _ChebSegment(mid, half, c2, s0)
 
     scale = np.max(np.abs(u))
     tail = np.max(np.abs(c2[-ARC_TAIL:]))
-    # beyond the seed, where x'^2/x is well conditioned
+    # the residual beyond the seed, where x'^2/x is well conditioned, and
+    # the seed check on [-tau, tau], from one read of the series
     tr = np.linspace(d * tau, t_end, 2 * N_ARC)
-    x, xd, xdd = seg.eval(tr)
+    ts = d * tau * np.linspace(0.0, 1.0, 9)
+    jet = seg.eval(np.concatenate([tr, ts]))
+    x, xd, xdd = jet[:, :tr.size]
     if np.any(x * np.sign(xdd0) <= 0.0):
         raise BlowUp("the arc series reaches x = 0 between its nodes")
     residual = float(np.max(np.abs(xdd - ivp.lam * xd * xd / x - _call_vec(ivp.g, tr, x, xd))))
@@ -475,9 +462,8 @@ def integrate(ivp, t_end):
         raise BlowUp(f"arc series misses its budget: residual {residual:.2e}, "
                      f"tail {tail:.2e}, max|x''| {scale:.3g}")
     # the seed, an independent solve, bounds the arc on [-tau, tau]
-    ts = d * tau * np.linspace(0.0, 1.0, 9)
-    xdd = seg.eval(ts)[2]
-    gap = np.max(np.abs(xdd - seed.second(ts)))
+    xdd = jet[2, tr.size:]
+    gap = np.max(np.abs(xdd - seed.eval(ts)[2]))
     dev = np.max(np.abs(xdd - xdd0))
     if not (gap <= ARC_BUDGET * abs(xdd0) and dev <= 1.05 * seed.info["epsilon"] * abs(xdd0)):
         raise BlowUp(f"arc disagrees with the Picard seed on [-tau, tau]: "
@@ -549,10 +535,8 @@ def integrate_variational(coeffs, ydot0, t_end):
         y0 = y_in + yd_in * (t - t_in)
         A = _collocation_matrix(r0, r1, half * half * int2, half * int1)
         rhs = np.where(live, r0 * y0 + r1 * yd_in + sig, ydd0)
-        c2 = fit @ np.linalg.solve(A, rhs)
-        c1 = _cheb.chebint(c2, k=yd_in, lbnd=-d, scl=half)  # s = -d at t_in
-        c0 = _cheb.chebint(c1, k=y_in, lbnd=-d, scl=half)
-        seg = _ChebSegment(mid, half, c0, c1, c2)
+        # y and y' start from y_in and yd_in at t_in, where s = -d
+        seg = _ChebSegment(mid, half, fit @ np.linalg.solve(A, rhs), -d, y_in, yd_in)
         y_in, yd_in, _ = seg.eval(t_out)
         segs.append(seg)
     if d < 0:

@@ -99,8 +99,7 @@ def test_criterion_2_limit_constants(capsys):
         t0 = time.perf_counter()
         lc = limit_constants()
         prof = assemble_profile(0.0)
-        nu0 = float(prof.nu(0.0))
-        nup0 = float(prof.nu.derivative(0.0))
+        nu0, nup0, _ = prof.nu.eval(0.0)
         elapsed = time.perf_counter() - t0
 
         assert lc.r_hat == pytest.approx(0.108984, abs=1e-5)
@@ -143,8 +142,7 @@ def test_criterion_4_optimality_certificates(capsys):
             assert abs(adj.omega[0]) < 1e-8, f"adjoint center value at alpha={alpha}"
 
             qs = np.linspace(prof.rho + 1e-3, 0.99, 200)
-            resid = [el_residual(q, prof.kappa(q), prof.kappa_deriv(q),
-                                 prof.kappa_second(q), alpha) for q in qs]
+            resid = [el_residual(q, *prof.eval(q), alpha) for q in qs]
             assert np.max(np.abs(resid)) < 1e-6, f"stationarity residual at alpha={alpha}"
 
             min_abs, _ = jacobi_check(prof, eps=1e-2)
@@ -176,7 +174,7 @@ def test_criterion_6_endpoint_taylor_anchors(capsys):
         for alpha in (0.0, 0.01, 0.1):
             nu = solve_nu(alpha)
             _, _, d2, d3 = nu_derivatives_at_one(alpha)
-            assert abs(nu.second(1.0) - d2) <= 1e-6, f"2nd anchor at alpha={alpha}"
+            assert abs(nu.eval(1.0)[2] - d2) <= 1e-6, f"2nd anchor at alpha={alpha}"
             assert abs(nu.third(1.0) - d3) <= 1e-6, f"3rd anchor at alpha={alpha}"
 
         for p0 in (2.0, 5.0, 10.0):
@@ -184,7 +182,7 @@ def test_criterion_6_endpoint_taylor_anchors(capsys):
             sol = unscale(assemble_profile(alpha), p0)
             v2 = (3.0 * p0**2 - 1.0) / (3.0 * p0 * (1.0 + p0**2))
             v3 = (3.0 * p0**4 + 2.0 * p0**2 + 1.0) / (2.0 * p0**2 * (1.0 + p0**2) ** 2)
-            assert abs(sol.v_second(p0) - v2) <= 1e-6, f"v'' at p0={p0}"
+            assert abs(sol.eval(p0)[2] - v2) <= 1e-6, f"v'' at p0={p0}"
             measured_v3 = sol.profile.nu.third(1.0) / (p0 * p0)
             assert abs(measured_v3 - v3) <= 1e-6, f"v''' at p0={p0}"
 
@@ -217,7 +215,7 @@ def test_criterion_7_convex_geometry(capsys):
                     fd = gain(d)
             flat_cap = p * sol.slope0 + sol.M if p <= sol.r else -np.inf
             best = max(gains[j], fc, fd, flat_cap)
-            assert best == pytest.approx(float(sol.v(p)), abs=1e-7), f"roundtrip at p={p:.3f}"
+            assert best == pytest.approx(sol.eval(p)[0], abs=1e-7), f"roundtrip at p={p:.3f}"
 
         # cross-section corner facts, measured from the curve itself
         lo, hi = 0.0, 1.0

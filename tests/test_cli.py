@@ -616,6 +616,8 @@ def test_resistance_matches_functional_value(capsys):
     # past the cap a mesh no longer fits in memory: refused, not killed
     (("mesh", "--M", "1", "--resolution", "65540", "--out", "unused.obj"), "must be <= 65536"),
     (("resistance", "--M", "1", "--resolution", "65540"), "must be <= 65536"),
+    # the sidecar goes to the .json beside the OBJ: it would overwrite the mesh
+    (("mesh", "--M", "1", "--out", "body.json"), "must not end in .json"),
 ])
 def test_bad_input_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)

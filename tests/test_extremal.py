@@ -35,9 +35,9 @@ from newton_minres import (
     solve_nu,
     unscale,
 )
-from newton_minres import extremal, functional
-from newton_minres.extremal import (scaled_arc_ivp, scaled_lagrangian,
-                                   variational_coeffs_along)
+from newton_minres import extremal, functional, integrate, singular_ode
+from newton_minres.extremal import scaled_arc_ivp, variational_coeffs_along
+from newton_minres.functional import lagrangian_value
 
 RHO_HAT = 0.108984
 
@@ -59,17 +59,17 @@ def test_endpoint_taylor_closed_forms():
 
 def test_solved_arc_hits_endpoint_data():
     nu = solve_nu(0.0)
-    assert nu(1.0) == pytest.approx(1.0, abs=1e-12)
-    assert nu.derivative(1.0) == pytest.approx(1.0, abs=1e-10)
-    assert nu(0.0) == pytest.approx(0.3157595, abs=1e-6)
-    assert nu.derivative(0.0) == pytest.approx(0.5350553, abs=1e-6)
+    assert nu.eval(1.0)[0] == pytest.approx(1.0, abs=1e-12)
+    assert nu.eval(1.0)[1] == pytest.approx(1.0, abs=1e-10)
+    assert nu.eval(0.0)[0] == pytest.approx(0.3157595, abs=1e-6)
+    assert nu.eval(0.0)[1] == pytest.approx(0.5350553, abs=1e-6)
 
 
 def test_solved_arc_taylor_matches_formulas():
     for alpha in (0.0, 0.1):
         nu = solve_nu(alpha)
         _, _, v2, v3 = nu_derivatives_at_one(alpha)
-        assert nu.second(1.0) == pytest.approx(v2, abs=1e-8)
+        assert nu.eval(1.0)[2] == pytest.approx(v2, abs=1e-8)
         assert nu.third(1.0) == pytest.approx(v3, abs=1e-6)
     # fourth derivative at the endpoint, alpha=0: 51/20 (finite difference
     # of the reconstructed third derivative)
@@ -82,7 +82,7 @@ def test_solved_arc_taylor_matches_formulas():
 def test_scaled_integrand_positivity_on_arc():
     nu = solve_nu(0.05)
     qs = np.linspace(0.3, 0.999, 50)
-    vals = [scaled_lagrangian(q, nu(q), nu.derivative(q), 0.05) for q in qs]
+    vals = [lagrangian_value(q, *nu.eval(q)[:2], 0.05) for q in qs]
     assert np.all(np.asarray(vals) > 0.0)
 
 
@@ -209,15 +209,15 @@ def test_switch_residual_small_along_family():
 def test_profile_is_c1_and_convex():
     prof = assemble_profile(0.01)
     rho = prof.rho
-    assert prof.kappa(rho - 1e-12) == pytest.approx(prof.kappa(rho + 1e-12), abs=1e-10)
-    assert prof.kappa_deriv(rho - 1e-12) == pytest.approx(prof.kappa_deriv(rho + 1e-12),
-                                                          abs=1e-8)
+    below, above = prof.eval(rho - 1e-12), prof.eval(rho + 1e-12)
+    assert below[0] == pytest.approx(above[0], abs=1e-10)
+    assert below[1] == pytest.approx(above[1], abs=1e-8)
     qs = np.linspace(0.0, 1.0, 300)
-    second = prof.kappa_second(qs)
+    second = prof.eval(qs)[2]
     assert np.all(second >= -1e-12)
-    assert prof.kappa(0.0) == prof.height0
+    assert prof.eval(0.0)[0] == prof.height0
     with pytest.raises(DomainError):
-        prof.kappa(1.2)
+        prof.eval(1.2)
 
 
 def test_profile_height_times_slope_scale():
@@ -264,9 +264,10 @@ def test_no_conjugate_point(alpha):
     min_abs, zeta = jacobi_check(prof)
     assert min_abs > 0.0
     # normalized data at the rim: zeta(1)=0, zeta'(1)=1
-    assert zeta(1.0) == pytest.approx(0.0, abs=1e-12)
+    z1 = zeta.eval(1.0)[0]
+    assert z1 == pytest.approx(0.0, abs=1e-12)
     h = 1e-6
-    assert (zeta(1.0) - zeta(1.0 - h)) / h == pytest.approx(1.0, abs=1e-4)
+    assert (z1 - zeta.eval(1.0 - h)[0]) / h == pytest.approx(1.0, abs=1e-4)
 
 
 def test_variational_coefficients_finite_at_rim():
@@ -296,8 +297,8 @@ def test_variational_coefficients_linearize_the_arc_operator(alpha):
         return coeffs.lam * xd * xd / x + g(t, x, xd)
 
     t = np.linspace(-0.95, -0.1, 18)
-    x = prof.kappa(t + 1.0) - (t + 1.0)
-    xd = prof.kappa_deriv(t + 1.0) - 1.0
+    kap, kp, _ = prof.eval(t + 1.0)
+    x, xd = kap - (t + 1.0), kp - 1.0
     hx, h = 1e-5 * x, 1e-6  # F ~ 1/x, and x = O(t^2) is small near the rim
     f_x = (F(t, x + hx, xd) - F(t, x - hx, xd)) / (2.0 * hx)
     f_xd = (F(t, x, xd + h) - F(t, x, xd - h)) / (2.0 * h)
@@ -369,8 +370,10 @@ def test_unscale_is_pointwise_covariant():
     prof = assemble_profile(1.0 / p0**2)
     sol = unscale(prof, p0)
     for q in np.linspace(0.0, 1.0, 10):
-        assert sol.v(p0 * q) == pytest.approx(p0 * prof.kappa(q), rel=1e-12)
-        assert sol.v_deriv(p0 * q) == pytest.approx(prof.kappa_deriv(q), rel=1e-12)
+        v, vp, _ = sol.eval(p0 * q)
+        kap, kp, _ = prof.eval(q)
+        assert v == pytest.approx(p0 * kap, rel=1e-12)
+        assert vp == pytest.approx(kp, rel=1e-12)
 
 
 def test_solve_for_height_known_rows(solved):
@@ -383,11 +386,11 @@ def test_solve_for_height_known_rows(solved):
 
 def test_solve_for_height_roundtrip(solved):
     sol = solved(1.5)
-    assert float(sol.v(0.0)) == pytest.approx(1.5, abs=1e-8)
-    assert float(sol.v(sol.p0)) == pytest.approx(sol.p0, abs=1e-8)
+    assert float(sol.eval(0.0)[0]) == pytest.approx(1.5, abs=1e-8)
+    assert float(sol.eval(sol.p0)[0]) == pytest.approx(sol.p0, abs=1e-8)
     # curve stays in the admissible slab p <= v <= p + M
     ps = np.linspace(0.0, sol.p0, 200)
-    vs = sol.v(ps)
+    vs = sol.eval(ps)[0]
     assert np.all(vs >= ps - 1e-9)
     assert np.all(vs <= ps + 1.5 + 1e-9)
 
@@ -412,6 +415,30 @@ def test_solve_for_height_locates_each_switch_once(monkeypatch):
     solve_for_height(1.0)
     assert calls["integrate"] > 0
     assert calls["find_switch"] == calls["integrate"]
+
+
+@pytest.mark.parametrize("setup, call, reads", [
+    (lambda solved: (0.1, solve_nu(0.1), find_switch(0.1)),
+     lambda args: extremal.ScaledProfile.at_switch(*args), 2),
+    (lambda solved: scaled_arc_ivp(0.1), lambda ivp: integrate(ivp, -1.0), 2),
+    (lambda solved: solved(1.0), BodyEvaluator, 4),
+], ids=["ScaledProfile.at_switch", "integrate", "BodyEvaluator"])
+def test_each_caller_reads_the_series_once(monkeypatch, solved, setup, call, reads):
+    # a caller takes the columns it needs from one eval: the profile check
+    # reads nu on its grid and at q = 1 together, the arc check its residual
+    # grid and the seed points together, the conjugate table v' and v''
+    # together in each Newton step
+    arg = setup(solved)
+    count = [0]
+    seg_eval = singular_ode._ChebSegment.eval
+
+    def counted(seg, t):
+        count[0] += 1
+        return seg_eval(seg, t)
+
+    monkeypatch.setattr(singular_ode._ChebSegment, "eval", counted)
+    call(arg)
+    assert count[0] == reads
 
 
 def test_solve_for_height_rejects_nonpositive():
@@ -441,7 +468,7 @@ def test_profile_families_deform_continuously():
     qs = np.linspace(0.2, 1.0, 60)
     a, b = 0.10, 0.11
     na, nb = solve_nu(a), solve_nu(b)
-    gap = np.max(np.abs(na.second(qs) - nb.second(qs)))
+    gap = np.max(np.abs(na.eval(qs)[2] - nb.eval(qs)[2]))
     assert gap <= 5.0 * abs(b - a)
 
 
@@ -462,7 +489,7 @@ NAN = float("nan")
     (lambda sol, ev: solve_nu(0.1).eval(NAN), DomainError),
     (lambda sol, ev: solve_nu(0.1).eval(np.array([0.5, NAN])), DomainError),
     (lambda sol, ev: assemble_profile(0.1).eval(NAN), DomainError),
-    (lambda sol, ev: sol.v(NAN), DomainError),
+    (lambda sol, ev: sol.eval(NAN), DomainError),
     (lambda sol, ev: scaled_arc_ivp(NAN), DomainError),
     (lambda sol, ev: nu_derivatives_at_one(NAN), DomainError),
     (lambda sol, ev: solve_nu(NAN), DomainError),
@@ -470,7 +497,7 @@ NAN = float("nan")
     (lambda sol, ev: endpoint_weight_closed_form(NAN), DomainError),
 ], ids=["evaluator", "evaluator-array", "gradient", "body_evaluate", "vstar",
         "DenseSolution", "MappedSolution", "MappedSolution-array", "ScaledProfile",
-        "ExtremalSolution.v", "scaled_arc_ivp", "nu_derivatives_at_one", "solve_nu",
+        "ExtremalSolution", "scaled_arc_ivp", "nu_derivatives_at_one", "solve_nu",
         "endpoint_weight_quadrature", "endpoint_weight_closed_form"])
 def test_nan_is_refused_at_each_evaluation_boundary(solved, call, error):
     # each check is written so that NaN fails it, with the check's own error

@@ -128,7 +128,7 @@ def _J_scaled_by_quad(profile):
     """Adaptive reference for J_scaled: both parts by scipy's quad, the arc
     part in the movable frame x = nu - q with its limit at q = 1."""
     alpha, rho, a, b = profile.alpha, profile.rho, profile.slope, profile.height0
-    lim = np.sqrt(profile.nu.second(1.0)) / (1.0 + alpha)
+    lim = np.sqrt(profile.nu.eval(1.0)[2]) / (1.0 + alpha)
 
     def arc(q):
         if q > 1.0 - 1e-9:
@@ -156,14 +156,9 @@ class _SyntheticCurve:
         self.M = M
         self.p0 = p0
 
-    def v(self, p):
-        return np.asarray(p, float) + self.M
-
-    def v_deriv(self, p):
-        return np.ones_like(np.asarray(p, float))
-
-    def v_second(self, p):
-        return np.zeros_like(np.asarray(p, float))
+    def eval(self, p):
+        p = np.asarray(p, float)
+        return p + self.M, np.ones_like(p), np.zeros_like(p)
 
 
 def test_routes_agree_on_synthetic_curve():

@@ -112,7 +112,7 @@ def test_conjugate_pair_roundtrip(sol, ev):
                 fd = gain(d)
         # p*y - w(y) caps out at p*s0 + M for p below the corner radius
         best = max(gains[j], fc, fd, p * sol.slope0 + sol.M if p <= sol.r else -np.inf)
-        assert best == pytest.approx(float(sol.v(p)), abs=1e-7)
+        assert best == pytest.approx(sol.eval(p)[0], abs=1e-7)
 
 
 def test_profile_csv_export(sol, tmp_path):
@@ -416,7 +416,7 @@ def test_mesh_is_finite_where_the_corner_radius_rounds_onto_the_flat(sol):
     while r / sol.p0 >= sol.profile.rho:
         r = np.nextafter(r, 0.0)
     rounded = dataclasses.replace(sol, r=r)
-    assert rounded.v_second(r) == 0.0
+    assert rounded.eval(r)[2] == 0.0
     mesh = build_mesh(rounded, n_profile=8, n_circle=4)
     assert np.all(np.isfinite(mesh.vertices))
     assert mesh_is_watertight(mesh)

@@ -115,7 +115,7 @@ def test_seed_infos_certify_contraction():
 def test_seed_second_derivative_matches_origin_accel():
     ivp = const_ivp(-0.25, -2.0)
     tau, seed = picard_seed(ivp, 0.05)
-    assert abs(seed.second(0.0) - accel_at_origin(ivp)) <= TOL
+    assert abs(seed.eval(0.0)[2] - accel_at_origin(ivp)) <= TOL
 
 
 def test_seed_shrinks_band_when_lam_term_leaves_no_room():
@@ -222,11 +222,11 @@ def test_solution_domain_is_enforced():
     lo, hi = sol.domain
     assert (lo, hi) == (0.0, 0.5)
     with pytest.raises(DomainError):
-        sol(hi + 1e-6)
+        sol.eval(hi + 1e-6)
     with pytest.raises(DomainError):
-        sol.derivative(lo - 1e-6)
-    t, x, xd = sol.to_samples(33)
-    assert t.shape == x.shape == xd.shape == (33,)
+        sol.eval(lo - 1e-6)
+    x, xd, xdd = sol.eval(np.linspace(lo, hi, 33))
+    assert x.shape == xd.shape == xdd.shape == (33,)
 
 
 @pytest.mark.parametrize("end", [math.nan, math.inf])
@@ -395,14 +395,14 @@ def test_variational_accel_closed_form():
 def test_variational_zero_data_stays_zero():
     y = integrate_variational(_const_coeffs(a=0.5, b=0.2), 0.0, 1.0)
     ts = np.linspace(0.0, 1.0, 50)
-    assert np.max(np.abs(y(ts))) <= 1e-12
+    assert np.max(np.abs(y.eval(ts)[0])) <= 1e-12
 
 
 def test_variational_linear_solution_is_exact():
     # with a=b=s=0 the equation is y'' = 4*lam*(t*y'-y)/t^2, solved by y=c*t
     y = integrate_variational(_const_coeffs(), 0.7, 1.0)
     ts = np.linspace(0.0, 1.0, 50)
-    np.testing.assert_allclose(y(ts), 0.7 * ts, atol=5e-11)
+    np.testing.assert_allclose(y.eval(ts)[0], 0.7 * ts, atol=5e-11)
 
 
 def test_variational_quadratic_solution_is_exact():
@@ -414,8 +414,9 @@ def test_variational_quadratic_solution_is_exact():
     for t_end in (1.0, -1.0):
         y = integrate_variational(coeffs, 1.0, t_end)
         ts = np.linspace(0.0, t_end, 50)
-        np.testing.assert_allclose(y(ts), ts + ts * ts, rtol=0.0, atol=1e-13)
-        np.testing.assert_allclose(y.second(ts), 2.0, rtol=0.0, atol=1e-11)
+        val, _, second = y.eval(ts)
+        np.testing.assert_allclose(val, ts + ts * ts, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(second, 2.0, rtol=0.0, atol=1e-11)
 
 
 def test_variational_a_priori_bound_on_short_interval():
@@ -427,7 +428,7 @@ def test_variational_a_priori_bound_on_short_interval():
     denom = 1.0 - 2.0 * abs(lam) - (0.5 * a + b) * t0
     bound = ((a + b) * 1.0 + s) / denom
     ts = np.linspace(0.0, t0, 200)
-    assert np.max(np.abs(y.second(ts))) <= bound + 1e-9
+    assert np.max(np.abs(y.eval(ts)[2])) <= bound + 1e-9
 
 
 @settings(max_examples=25, deadline=None)
@@ -438,7 +439,7 @@ def test_variational_solution_scales_linearly_in_data(c, ydot0):
     base = integrate_variational(coeffs, ydot0, 0.5)
     scaled = integrate_variational(coeffs, c * ydot0, 0.5)
     ts = np.linspace(0.05, 0.5, 7)
-    np.testing.assert_allclose(scaled(ts), c * base(ts),
+    np.testing.assert_allclose(scaled.eval(ts)[0], c * base.eval(ts)[0],
                                rtol=1e-8, atol=1e-10)
 
 
@@ -470,7 +471,7 @@ def _kinked_coeffs(breaks, lam=-0.25):
 
 def _max_err(sol, lo, hi):
     ts = np.linspace(lo, hi, 401)
-    return np.max(np.abs(sol(ts) - _kinked_exact(ts)[0]))
+    return np.max(np.abs(sol.eval(ts)[0] - _kinked_exact(ts)[0]))
 
 
 def test_variational_pieces_meet_at_declared_break():
