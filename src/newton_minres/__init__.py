@@ -19,9 +19,8 @@ from .singular_ode import (
     variational_accel_at_origin,
 )
 from .functional import (
-    LagrangianPoint, lagrangian_value, lagrangian_partials, el_residual,
-    f_eval, pmp_derivatives, J_scaled, J_unscaled, gamma_form_J,
-    resistance_direct, thread_count,
+    lagrangian_value, lagrangian_partials, el_residual, J_scaled, J_unscaled,
+    gamma_form_J, resistance_direct, thread_count,
 )
 from .extremal import (
     ScaledProfile, ExtremalSolution, AdjointProfile, LimitConstants,

@@ -41,7 +41,7 @@ _H0_LO, _H0_HI = 0.20, 0.3158
 # past _P0_TOP, alpha = 1/p0^2 leaves the normal doubles; the height there,
 # p0 * height0, is 2.116663e153 (measured), so _M_TOP is the largest height
 _P0_TOP, _M_TOP = 1.0 / np.sqrt(np.finfo(float).tiny), 2.1166e153
-_VALIDITY_MSG = ("alpha = {:.6g} is outside [0, 1/3): the switching-integral "
+_VALIDITY_MSG = ("alpha = {!r} is outside [0, 1/3): the switching-integral "
                  "uniqueness hypothesis fails there (endpoint weight changes sign at 1/3)")
 
 

@@ -19,17 +19,16 @@ Two independent evaluation routes are kept deliberately separate:
   agreement between the two is a real consistency check, not a tautology.
 
 Profile/solution arguments are duck-typed: a curve exposes p0 and
-eval(p) -> (v, v', v''), and the one solver import is the fixed Lobatto
-rule of `singular_ode`, for J_scaled.  A profile whose arc ends at the
-singular point v = p must expose the solver's movable-frame solution
-(x = nu - q against t = q - 1) as `profile.nu.base`: the arc integrands
-read x from it, free of cancellation.
+eval(p) -> (v, v', v''), and r when it has a flat piece; J_unscaled and
+gamma_form_J read nothing else, on a fixed Gauss-Legendre rule.  The one
+solver import is the fixed Lobatto rule of `singular_ode`, for J_scaled,
+which alone reads the solver's movable frame (`profile.nu.base`).
 """
 
 import os
 # unused here: perfbench/spans.py wraps this module binding by name
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -40,7 +39,7 @@ from .singular_ode import N_ARC, _lobatto_integrals
 
 def quad_value(f, a, b):
     """Adaptive quadrature returning just the value: the reference route of
-    I_of, J_unscaled, gamma_form_J and the endpoint weight.
+    I_of and the endpoint weight.
 
     full_output=1 keeps quadpack from warning when it stops at roundoff
     level, which is routine for the sqrt-type endpoint integrands here; the
@@ -49,11 +48,12 @@ def quad_value(f, a, b):
     return quad(f, a, b, epsabs=1e-13, epsrel=1e-12, limit=200, full_output=1)[0]
 
 
-# relative width of the endpoint branch where the removable v=p limit is used
-_END_BAND = 1e-9
 # finite-difference step for resistance_direct on plain height callables
 FD_H = 1e-5
-P0_MAX = 1e76  # J_unscaled divides by (1 + v^2)^2, v <= p0: overflows past 1.16e77
+# J_unscaled and gamma_form_J divide by (1 + v^2)^2, v <= p0: overflow past
+# 1.16e77; `_curve_rule`, which both integrate on, refuses p0 > P0_MAX
+P0_MAX = 1e76
+N_GL = 64  # Gauss-Legendre nodes per smooth piece of the curve
 
 
 def thread_count():
@@ -72,18 +72,6 @@ def thread_count():
 # ---------------------------------------------------------------------------
 # pointwise Lagrangian family
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LagrangianPoint:
-    """Evaluation point (p, v, v') with 0 <= p <= v, v > 0."""
-    p: float
-    v: float
-    vp: float
-
-    def __post_init__(self):
-        if not (self.p >= 0.0 and self.v > 0.0 and self.v >= self.p):
-            raise DomainError(f"need 0 <= p <= v, v > 0; got p={self.p}, v={self.v}")
-
 
 def lagrangian_value(q, y, yp, c):
     """L(q, y, y', c); requires y > q >= 0 pointwise and c >= 0."""
@@ -139,33 +127,6 @@ def el_residual(q, y, yp, ypp, c):
     return (parts["y"] - parts["qyp"] - yp * parts["yyp"]) / parts["ypyp"] - ypp
 
 
-def f_eval(pt, vpp=None):
-    """Unscaled integrand f at a LagrangianPoint (c = 1).
-
-    At the removable endpoint v = p (which requires v' = 1) the value is the
-    limit sqrt(v''/p)/(1+p^2); v'' must then be supplied and positive.
-    Anything else on v <= p raises DomainError.
-    """
-    p, v, vp = pt.p, pt.v, pt.vp
-    if v - p > _END_BAND * max(1.0, p):
-        return lagrangian_value(p, v, vp, 1.0)
-    if abs(vp - 1.0) < 1e-8 and vpp is not None and vpp > 0.0 and p > 0.0:
-        return np.sqrt(vpp / p) / (1.0 + p * p)
-    raise DomainError("f undefined at v = p unless v' = 1 and v'' > 0 is supplied")
-
-
-_WHICH_KEYS = {"v": "y", "vp": "yp", "pvp": "qyp", "vvp": "yyp", "vpvp": "ypyp"}
-
-
-def pmp_derivatives(pt, which):
-    """Partial of f selected by which in {'v','vp','pvp','vvp','vpvp'} (c=1)."""
-    if which not in _WHICH_KEYS:
-        raise DomainError(f"unknown partial {which!r}; choose from {sorted(_WHICH_KEYS)}")
-    if pt.v <= pt.p:
-        raise DomainError("partials are singular at v = p")
-    return lagrangian_partials(pt.p, pt.v, pt.vp, 1.0)[_WHICH_KEYS[which]]
-
-
 # ---------------------------------------------------------------------------
 # 1-D functionals
 # ---------------------------------------------------------------------------
@@ -198,51 +159,38 @@ def J_scaled(profile):
     return float(aff + (1.0 - rho) * (w[0] * lim + w[1:] @ g))
 
 
-def J_unscaled(sol):
-    """Direct quadrature of f along the curve v(p) on [0, p0].
+@lru_cache(maxsize=None)
+def _gauss_legendre(n):
+    """The n-point Gauss-Legendre nodes and weights of [-1, 1], built on
+    first use."""
+    return np.polynomial.legendre.leggauss(n)
 
-    Works on anything exposing p0 and eval(p) -> (v, v', v''); a curve
-    hitting the singular endpoint v(p0) = p0 must also expose
-    profile.nu.base (solver output) so the movable frame can be used near
-    the endpoint.  p0 > P0_MAX (alpha < 1e-152) raises DomainError.
-    """
+
+def _curve_rule(sol):
+    """Nodes p and weights w of the N_GL-point Gauss-Legendre rule on each
+    smooth piece of the curve: [0, r] and [r, p0], or [0, p0] when it has no
+    r in (0, p0).  The nodes are interior, so no endpoint limit is needed.
+    p0 > P0_MAX (alpha < 1e-152) raises DomainError."""
     p0 = sol.p0
     if p0 > P0_MAX:
         raise DomainError(f"p0={p0:.3e} > {P0_MAX:.0e}: the unscaled integrand overflows")
     r = getattr(sol, "r", None)
-    singular_end = abs(sol.eval(p0)[0] - p0) < 1e-8 * max(1.0, p0)
+    ends = np.array([0.0, r, p0] if r is not None and 0.0 < r < p0 else [0.0, p0])
+    x, w = _gauss_legendre(N_GL)
+    lo, half = ends[:-1, None], 0.5 * np.diff(ends)[:, None]
+    return (lo + half * (x + 1.0)).ravel(), (half * w).ravel()
 
-    if not singular_end:
-        def fp(p):
-            v, vp, _ = sol.eval(p)
-            return f_eval(LagrangianPoint(p, v, vp))
-        if r is not None and 0.0 < r < p0:
-            return quad_value(fp, 0.0, r) + quad_value(fp, r, p0)
-        return quad_value(fp, 0.0, p0)
 
-    profile = sol.profile
-    base = profile.nu.base
-    rho = profile.rho
-    lim = np.sqrt(profile.nu.eval(1.0)[2]) / (p0 * (1.0 + p0 * p0))
+def J_unscaled(sol):
+    """Direct quadrature of f along the curve v(p) on [0, p0].
 
-    def fp_flat(p):
-        v, vp, _ = sol.eval(p)
-        return lagrangian_value(p, v, vp, 1.0)
-
-    def f_arc(q):
-        # f at p = p0*q, written in x = nu - q to keep v - p accurate
-        if q > 1.0 - 1e-9:
-            return lim
-        x, xd, _ = base.eval(q - 1.0)
-        v = p0 * (x + q)
-        vp = xd + 1.0
-        s = p0 * np.sqrt(x * (x + 2.0 * q))
-        d = 1.0 + v * v
-        return 2.0 * s * vp * vp / (d * d) - p0 * (q * xd - x) / (v * d * s)
-
-    flat = quad_value(fp_flat, 0.0, rho * p0)
-    arc = p0 * quad_value(f_arc, rho, 1.0)
-    return flat + arc
+    Works on anything exposing p0 and eval(p) -> (v, v', v''), and r when
+    the curve has a flat piece: one read of the curve at the nodes of
+    `_curve_rule`, which differ from J_scaled's Clenshaw-Curtis nodes.
+    """
+    p, w = _curve_rule(sol)
+    v, vp, _ = sol.eval(p)
+    return float(w @ lagrangian_value(p, v, vp, 1.0))
 
 
 def gamma_form_J(sol):
@@ -251,59 +199,21 @@ def gamma_form_J(sol):
     Uses the pointwise identity f = gamma + dF/dp with
     F(p) = -v'*sqrt(v^2-p^2)/(v*(1+v^2)), so
 
-        J = int_0^p0 gamma dp + F(p0) + v'(0+)/(1+v(0)^2).
+        J = int_0^p0 gamma dp + F(p0) + v'(0+)/(1+v(0)^2),
 
-    For curves ending at v(p0) = p0 the boundary term F(p0) vanishes and
-    gamma(p0-) -> 0; both are handled by explicit limit branches.
+    the integral on the rule of `_curve_rule`, read with the two ends in one
+    read of the curve.  F(p0) = 0 at an endpoint v(p0) = p0.
     """
     p0 = sol.p0
-    v0, vp0, _ = sol.eval(0.0)
-    atom = vp0 / (1.0 + v0 * v0)
-
-    vend, vpend, _ = sol.eval(p0)
-    singular_end = abs(vend - p0) < 1e-8 * max(1.0, p0)
-    if singular_end:
-        f_end = 0.0
-    else:
-        s_end = np.sqrt(vend * vend - p0 * p0)
-        f_end = -vpend * s_end / (vend * (1.0 + vend * vend))
-
-    def gamma(p):
-        v, vp, vpp = sol.eval(p)
-        s = np.sqrt(v * v - p * p)
-        return (-(p * vp - v) / (v * s) + vpp * s / v
-                + vp * (v * vp - p) / (v * s) - vp * vp * s / (v * v)) / (1.0 + v * v)
-
-    r = getattr(sol, "r", None)
-    if not singular_end:
-        if r is not None and 0.0 < r < p0:
-            total = quad_value(gamma, 0.0, r) + quad_value(gamma, r, p0)
-        else:
-            total = quad_value(gamma, 0.0, p0)
-        return total + f_end + atom
-
-    profile = sol.profile
-    base = profile.nu.base
-    rho = profile.rho
-
-    def gamma_arc(q):
-        # gamma at p = p0*q; the first and third terms cancel to O(sqrt(1-q))
-        if q > 1.0 - 1e-9:
-            return 0.0
-        x, xd, xdd = base.eval(q - 1.0)
-        w = x + q
-        v = p0 * w
-        vp = xd + 1.0
-        ss = np.sqrt(x * (x + 2.0 * q))          # sqrt(v^2-p^2) = p0*ss
-        num13 = vp * (x * xd + x + q * xd) - (q * xd - x)
-        t13 = num13 / (p0 * w * ss)
-        t2 = (xdd / p0) * ss / w
-        t4 = -vp * vp * ss / (p0 * w * w)
-        return (t13 + t2 + t4) / (1.0 + v * v)
-
-    flat = quad_value(gamma, 0.0, rho * p0)
-    arc = p0 * quad_value(gamma_arc, rho, 1.0)
-    return flat + arc + f_end + atom
+    p, w = _curve_rule(sol)
+    v, vp, vpp = sol.eval(np.append([0.0, p0], p))
+    atom = vp[0] / (1.0 + v[0] ** 2)
+    f_end = -vp[1] * np.sqrt(max(v[1] ** 2 - p0 ** 2, 0.0)) / (v[1] * (1.0 + v[1] ** 2))
+    v, vp, vpp = v[2:], vp[2:], vpp[2:]
+    s = np.sqrt(v * v - p * p)
+    gamma = (-(p * vp - v) / (v * s) + vpp * s / v
+             + vp * (v * vp - p) / (v * s) - vp * vp * s / (v * v)) / (1.0 + v * v)
+    return float(w @ gamma + f_end + atom)
 
 
 # ---------------------------------------------------------------------------

@@ -203,23 +203,20 @@ class DenseSolution:
         return float(out) if np.ndim(t) == 0 else out
 
 
-class MappedSolution(DenseSolution):
+class MappedSolution:
     """Affine re-parameterization of a base solution: the one frame view.
 
     value(q) = base(q + offset) + add1*q, so slope(q) = base' + add1.
     Presents the arc computed in movable-frame coordinates (x = value - q,
-    t = q - 1) as nu itself, and the Jacobi field y(t) as zeta(q).  The
-    base enforces the domain.
+    t = q - 1) as nu itself, and the Jacobi field y(t) as zeta(q).  A plain
+    view: it reads through base.eval and base.third, and the base enforces
+    the domain.
     """
 
     def __init__(self, base, offset, add1=0.0):
         self.base = base
         self.offset = float(offset)
         self.add1 = float(add1)
-        self.breakpoints = base.breakpoints - self.offset
-        self.segments = base.segments
-        self.domain = (float(self.breakpoints[0]), float(self.breakpoints[-1]))
-        self.info = base.info
 
     def eval(self, q):
         q = np.asarray(q, float)

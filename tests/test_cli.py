@@ -95,6 +95,11 @@ def test_solve_reaches_down_to_the_validity_edge(capsys):
     code, _, err = run(capsys, "solve", "--M", "0.05")
     assert code == 2
     assert "min height 0.08686 at the validity edge" in err
+    # p0 just below sqrt(3) names its alpha in full: six digits would
+    # print 0.333333, which reads as inside [0, 1/3)
+    code, out, err = run(capsys, "solve", "--p0", "1.7320508")
+    assert (code, out) == (2, "")
+    assert "alpha = 0.3333333362465956 is outside [0, 1/3)" in err
 
 
 def test_solve_reaches_up_to_the_normal_doubles(capsys):

@@ -422,12 +422,16 @@ def test_solve_for_height_locates_each_switch_once(monkeypatch):
      lambda args: extremal.ScaledProfile.at_switch(*args), 2),
     (lambda solved: scaled_arc_ivp(0.1), lambda ivp: integrate(ivp, -1.0), 2),
     (lambda solved: solved(1.0), BodyEvaluator, 4),
-], ids=["ScaledProfile.at_switch", "integrate", "BodyEvaluator"])
+    (lambda solved: solved(1.0), functional.J_unscaled, 1),
+    (lambda solved: solved(1.0), functional.gamma_form_J, 1),
+], ids=["ScaledProfile.at_switch", "integrate", "BodyEvaluator", "J_unscaled",
+        "gamma_form_J"])
 def test_each_caller_reads_the_series_once(monkeypatch, solved, setup, call, reads):
     # a caller takes the columns it needs from one eval: the profile check
     # reads nu on its grid and at q = 1 together, the arc check its residual
     # grid and the seed points together, the conjugate table v' and v''
-    # together in each Newton step
+    # together in each Newton step, and the two reference routes for J all
+    # their quadrature nodes (gamma_form_J with both ends) together
     arg = setup(solved)
     count = [0]
     seg_eval = singular_ode._ChebSegment.eval

@@ -15,16 +15,13 @@ from hypothesis import given, settings, strategies as st
 from newton_minres import (
     BodyEvaluator,
     DomainError,
-    LagrangianPoint,
     J_scaled,
     J_unscaled,
     assemble_profile,
     el_residual,
-    f_eval,
     gamma_form_J,
     lagrangian_partials,
     lagrangian_value,
-    pmp_derivatives,
     resistance_direct,
     thread_count,
 )
@@ -37,13 +34,14 @@ from newton_minres.functional import quad_value
 # ---------------------------------------------------------------------------
 
 def test_integrand_spot_values():
-    assert f_eval(LagrangianPoint(0.0, 1.0, 0.0)) == pytest.approx(0.5, abs=1e-14)
-    assert f_eval(LagrangianPoint(0.0, 1.0, 1.0)) == pytest.approx(1.0, abs=1e-14)
+    assert lagrangian_value(0.0, 1.0, 0.0, 1.0) == pytest.approx(0.5, abs=1e-14)
+    assert lagrangian_value(0.0, 1.0, 1.0, 1.0) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_integrand_rejects_kink_without_curvature():
+    # at v = p, f is defined only as a limit, which the pointwise L does not take
     with pytest.raises(DomainError):
-        f_eval(LagrangianPoint(0.5, 0.5, 0.3))
+        lagrangian_value(0.5, 0.5, 0.3, 1.0)
 
 
 def test_scaled_integrand_spot_values():
@@ -55,14 +53,14 @@ def test_scaled_integrand_spot_values():
 
 def test_second_slope_derivative_spot_value():
     # 4*sqrt(v^2-p^2)/(v^2+1)^2 at (0, 1): exactly 1
-    assert pmp_derivatives(LagrangianPoint(0.0, 1.0, 0.3), "vpvp") == pytest.approx(1.0)
+    assert lagrangian_partials(0.0, 1.0, 0.3, 1.0)["ypyp"] == pytest.approx(1.0)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.floats(0.0, 3.0), st.floats(0.02, 4.0), st.floats(-1.0, 5.0))
 def test_second_slope_derivative_positive(p, gap, vp):
     v = p + gap
-    assert pmp_derivatives(LagrangianPoint(p, v, vp), "vpvp") > 0.0
+    assert lagrangian_partials(p, v, vp, 1.0)["ypyp"] > 0.0
 
 
 def test_partials_match_finite_differences():
@@ -145,8 +143,13 @@ def _J_scaled_by_quad(profile):
 
 @pytest.mark.parametrize("M", [0.5, 1.0, 1.5, 2.0, 2.5, 5.0, 10.0, 50.0, 100.0])
 def test_scaled_bracket_matches_adaptive_reference(solved, M):
-    prof = solved(M).profile
-    assert J_scaled(prof) == pytest.approx(_J_scaled_by_quad(prof), rel=1e-12, abs=0.0)
+    # the adaptive reference checks both fixed rules: J_scaled's
+    # Clenshaw-Curtis and J_unscaled's Gauss-Legendre
+    sol = solved(M)
+    prof = sol.profile
+    ref = _J_scaled_by_quad(prof)
+    assert J_scaled(prof) == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert J_unscaled(sol) == pytest.approx(prof.alpha * ref, rel=1e-10, abs=0.0)
 
 
 class _SyntheticCurve:

@@ -182,14 +182,17 @@ def test_no_chebyshev_fit_is_a_least_squares_solve(monkeypatch):
 
 
 def test_lobatto_maps_are_not_built_at_import():
+    # neither fixed rule is built at import: the Lobatto maps of the solver
+    # and the Gauss-Legendre rule of J_unscaled and gamma_form_J
     src = os.path.dirname(os.path.dirname(singular_ode.__file__))
     code = ("import newton_minres\n"
-            "from newton_minres import singular_ode\n"
-            "print(singular_ode._lobatto_integrals.cache_info().currsize)")
+            "from newton_minres import functional, singular_ode\n"
+            "print(singular_ode._lobatto_integrals.cache_info().currsize,\n"
+            "      functional._gauss_legendre.cache_info().currsize)")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "0"
+    assert out.split() == ["0", "0"]
 
 
 def test_seed_samples_all_candidate_taus_in_one_pass(monkeypatch):
