@@ -262,18 +262,8 @@ def assemble_profile(alpha):
 # optimality certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AdjointProfile:
-    """Sampled adjoint deficiency omega on [0, rho]; omega(rho)=omega'(rho)=0."""
-    samples: np.ndarray  # shape (n, 2): columns (q, omega)
-
-    @property
-    def q(self):
-        return self.samples[:, 0]
-
-    @property
-    def omega(self):
-        return self.samples[:, 1]
+# sampled adjoint deficiency omega on [0, rho]; omega(rho) = omega'(rho) = 0
+AdjointProfile = namedtuple("AdjointProfile", ["q", "omega"])
 
 
 def adjoint_omega(profile):
@@ -292,25 +282,27 @@ def adjoint_omega(profile):
     qt = np.linspace(0.0, rho, 201)
     om = -(0.5 * rho) ** 2 * _cheb.chebval(2.0 * qt / rho - 1.0, fit @ (int2 @ kern))
     om[-1] = 0.0
-    return AdjointProfile(np.column_stack([qt, om]))
+    return AdjointProfile(qt, om)
 
 
 def variational_coeffs_along(profile):
     """Linearization of the arc equation along the assembled kappa.
 
-    Written in the frame t = q-1, x = kappa - q; the coefficient functions
-    take arrays of t and use the cancellation-free forms
+    Written in the frame t = q-1, x = kappa - q; the coefficient function
+    takes an array of t, reads the state (x, x') once, and returns
+    (alpha, beta, 0) in the cancellation-free forms
 
-        alpha_fn = lam (2x - t x')(2x + t x')/(t x^2) + t g_x,
-        beta_fn  = 2 lam (t x' - 2x)/(t x) + g_xdot,
+        alpha = lam (2x - t x')(2x + t x')/(t x^2) + t g_x,
+        beta  = 2 lam (t x' - 2x)/(t x) + g_xdot,
 
     finite at t=0 with limits -(4/3) lam nu'''/nu'' and
-    (2/3) lam nu'''/nu'' + g_xdot(0,0,0), returned at t=0 itself.  Below
-    the switching point the same formulas are evaluated along the affine
-    branch (kappa is not an arc solution there; that is intentional: the
-    check certifies the assembled composite, not the arc alone).  The
-    coefficients are only continuous at the switching point t = rho - 1,
-    which is declared as a break.
+    (2/3) lam nu'''/nu'' + g_xdot(0,0,0), returned at t=0 itself.  On the
+    arc x is read from the movable-frame series (profile.nu.base), free of
+    the cancellation in kappa - q.  Below the switching point the same
+    formulas are evaluated along the affine branch (kappa is not an arc
+    solution there; that is intentional: the check certifies the assembled
+    composite, not the arc alone).  The coefficients are only continuous
+    at the switching point t = rho - 1, which is declared as a break.
     """
     alpha = profile.alpha
     ivp = scaled_arc_ivp(alpha)
@@ -320,27 +312,21 @@ def variational_coeffs_along(profile):
     a_lim = -(4.0 / 3.0) * LAM * x3 / xdd0
     b_lim = (2.0 / 3.0) * LAM * x3 / xdd0 + ivp.g_xdot(0.0, 0.0, 0.0)
 
-    def state(t):
+    def fn(t):
+        t = np.asarray(t, float)
+        a, b = np.full(t.shape, a_lim), np.full(t.shape, b_lim)
+        off = t != 0.0
+        t = t[off]
         on_arc = t >= t_arc_min
         x, xd, _ = base.eval(np.where(on_arc, t, 0.0))
-        x_aff = profile.height0 + (profile.slope - 1.0) * (t + 1.0)
-        return np.where(on_arc, x, x_aff), np.where(on_arc, xd, profile.slope - 1.0)
+        x = np.where(on_arc, x, profile.height0 + (profile.slope - 1.0) * (t + 1.0))
+        xd = np.where(on_arc, xd, profile.slope - 1.0)
+        a[off] = (LAM * (2.0 * x - t * xd) * (2.0 * x + t * xd) / (t * x * x)
+                  + t * ivp.g_x(t, x, xd))
+        b[off] = 2.0 * LAM * (t * xd - 2.0 * x) / (t * x) + ivp.g_xdot(t, x, xd)
+        return a, b, 0.0
 
-    def off_rim(limit, formula):
-        """Array coefficient: formula(t, x, x') for t != 0, limit at t = 0."""
-        def fn(t):
-            t = np.asarray(t, float)
-            out = np.full(t.shape, limit)
-            off = t != 0.0
-            out[off] = formula(t[off], *state(t[off]))
-            return out
-        return fn
-
-    alpha_fn = off_rim(a_lim, lambda t, x, xd: (
-        LAM * (2.0 * x - t * xd) * (2.0 * x + t * xd) / (t * x * x) + t * ivp.g_x(t, x, xd)))
-    beta_fn = off_rim(b_lim, lambda t, x, xd: (
-        2.0 * LAM * (t * xd - 2.0 * x) / (t * x) + ivp.g_xdot(t, x, xd)))
-    return VariationalCoeffs(alpha_fn, beta_fn, lambda t: 0.0, LAM, breaks=(t_arc_min,))
+    return VariationalCoeffs(fn, LAM, breaks=(t_arc_min,))
 
 
 def jacobi_check(profile, eps=1e-3):
@@ -366,28 +352,24 @@ def field_jacobian_check(alpha):
     """Sign of the embedding-field Jacobian bracket q*kappa' - kappa + 2*alpha*dkappa/dalpha.
 
     Constant sign on [0, 1-0.01] means the one-parameter family of profiles
-    fans out into a proper field around this member.  Central difference in
-    alpha with step max(1e-3*alpha, 1e-5), forward at alpha=0 where the
-    2*alpha factor kills the term.  Raises SignChange if the sign varies.
+    fans out into a proper field around this member.  dkappa/dalpha is the
+    central difference with step da = min(max(1e-3*alpha, 1e-5), alpha,
+    (1/3 - alpha)/2), so alpha +- da stays in [0, 1/3); at alpha = 0,
+    da = 0 and the term, a multiple of alpha, is left out.  Raises
+    SignChange if the sign varies.
     """
     alpha = float(alpha)
     if not 0.0 <= alpha < ALPHA_MAX:
         raise NoRoot(_VALIDITY_MSG.format(alpha))
-    da = max(1e-3 * alpha, 1e-5)
-    if alpha + da >= ALPHA_MAX:
-        da = 0.5 * (ALPHA_MAX - alpha)
+    da = min(max(1e-3 * alpha, 1e-5), alpha, 0.5 * (ALPHA_MAX - alpha))
 
     qs = np.linspace(0.0, 0.99, 241)
-    prof = assemble_profile(alpha)
-    kap, kp, _ = prof.eval(qs)
-    kap_hi = assemble_profile(alpha + da).eval(qs)[0]
-    if alpha - da >= 0.0:
+    kap, kp, _ = assemble_profile(alpha).eval(qs)
+    bracket = qs * kp - kap
+    if da > 0.0:
+        kap_hi = assemble_profile(alpha + da).eval(qs)[0]
         kap_lo = assemble_profile(alpha - da).eval(qs)[0]
-        dk = (kap_hi - kap_lo) / (2.0 * da)
-    else:
-        dk = (kap_hi - kap) / da
-
-    bracket = qs * kp - kap + 2.0 * alpha * dk
+        bracket = bracket + 2.0 * alpha * ((kap_hi - kap_lo) / (2.0 * da))
     scale = np.max(np.abs(bracket))
     signs = np.sign(bracket[np.abs(bracket) > 1e-12 * scale])
     if signs.size == 0 or np.any(signs != signs[0]):

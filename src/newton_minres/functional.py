@@ -22,7 +22,8 @@ Profile/solution arguments are duck-typed: a curve exposes p0 and
 eval(p) -> (v, v', v''), and r when it has a flat piece; J_unscaled and
 gamma_form_J read nothing else, on a fixed Gauss-Legendre rule.  The one
 solver import is the fixed Lobatto rule of `singular_ode`, for J_scaled,
-which alone reads the solver's movable frame (`profile.nu.base`).
+the one route here that reads the solver's movable frame
+(`profile.nu.base`).
 """
 
 import os
@@ -57,15 +58,8 @@ N_GL = 64  # Gauss-Legendre nodes per smooth piece of the curve
 
 
 def thread_count():
-    """Worker cap for a caller's own pool: NEWTON_MINRES_THREADS if set,
-    else min(cpu, 8).  The package itself starts no threads."""
-    env = os.environ.get("NEWTON_MINRES_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise DomainError(f"NEWTON_MINRES_THREADS must be an integer, got {env!r}")
-        return max(1, n)
+    """Worker cap for a caller's own pool: min(cpu, 8).  The package itself
+    starts no threads."""
     return max(1, min(os.cpu_count() or 1, 8))
 
 

@@ -67,6 +67,8 @@ N_CHEB = 48
 N_ARC = 64
 RHO_TARGET_FLOOR = 0.9
 PICARD_MAX_ITER = 200
+# the seed's starting band half-width, halved until the lam-term contracts
+PICARD_BAND = 0.1
 PICARD_STOP = 0.1 * 1e-10
 NEWTON_MAX_ITER = 30
 # the arc's Newton stops at max|du| <= NEWTON_STEP_FLOOR*max|u|, a round-off
@@ -269,35 +271,32 @@ def _band_norms(ivp, taus, eps, xdd0):
             sup(gp - gm) / (2.0 * ht[:, 0, 0, 0]))
 
 
-def picard_seed(ivp, epsilon):
+def picard_seed(ivp):
     """Analytic seed on [-tau, tau] via contracting Picard iteration.
 
     Returns (tau, seed) where seed is a DenseSolution whose single segment
-    is a Chebyshev series for (x, x', x'').  epsilon is the requested band
-    half-width; it is shrunk automatically when the lam-part of the
-    contraction bound
+    is a Chebyshev series for (x, x', x'').  The band half-width eps starts
+    at PICARD_BAND and is halved while the lam-part of the contraction bound
 
         rho(tau, eps) = (8/3)|lam|((1+eps)/(1-eps))^2
                         + (1/2)||g_x|| tau^2 + ||g_xdot|| tau
 
-    leaves no room below the target.  tau is then the largest of 0.5*2^-k,
-    k = 0..59, for which both rho <= rho_target and the self-map bound
-    hold; the band norms of all 60 candidates are sampled in one pass.
-    Each iteration maps x'' at the N_CHEB Lobatto nodes to x and x' there
-    with the fixed integral matrices of `_lobatto_integrals`, and the seed
-    series is the fit of the last iterate, integrated twice from t=0.  The
-    iteration stops at the first step that moves x'' by less than
+    leaves no room below the target; the band used is seed.info['epsilon'].
+    tau is then the largest of 0.5*2^-k, k = 0..59, for which both
+    rho <= rho_target and the self-map bound hold; the band norms of all
+    60 candidates are sampled in one pass.  Each iteration maps x'' at the
+    N_CHEB Lobatto nodes to x and x' there with the fixed integral matrices
+    of `_lobatto_integrals`, and the seed series is the fit of the last
+    iterate, integrated twice from t=0.  The iteration stops at the first step that moves x'' by less than
     PICARD_STOP at every node; the diffs are in seed.info['picard_diffs'].
     """
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"epsilon must be in (0,1), got {epsilon}")
     lam = ivp.lam
     xdd0 = accel_at_origin(ivp)
     base = (8.0 / 3.0) * abs(lam)  # eps -> 0 limit of the lam-term
     rho_target = max(RHO_TARGET_FLOOR, 0.5 * (1.0 + base))
     lam_term = lambda e: base * ((1.0 + e) / (1.0 - e)) ** 2
 
-    eps = float(epsilon)
+    eps = PICARD_BAND
     # leave half the (rho_target - base) gap for the tau-dependent terms
     while lam_term(eps) > base + 0.5 * (rho_target - base):
         eps *= 0.5
@@ -351,7 +350,6 @@ def picard_seed(ivp, epsilon):
     info = {
         "tau": tau,
         "epsilon": eps,
-        "epsilon_requested": float(epsilon),
         "rho_target": rho_target,
         "rho_bound": rho,
         "picard_diffs": diffs,
@@ -398,7 +396,7 @@ def integrate(ivp, t_end):
     Returns a DenseSolution on [t_end, 0] (or [0, t_end]) with a single
     Chebyshev segment, solved by Newton collocation (module docstring, step
     1) to the round-off floor NEWTON_STEP_FLOOR, so no tolerance steers it.
-    The Picard seed (requested band 0.1, stop PICARD_STOP) cross-checks the
+    The Picard seed (band PICARD_BAND, stop PICARD_STOP) cross-checks the
     arc on [-tau, tau] and is the whole solution when |t_end| <= tau.
 
     Raises BlowUp if an iterate has x*sign(xdd0) <= 0 off the origin, if
@@ -413,7 +411,7 @@ def integrate(ivp, t_end):
     t_end = float(t_end)
     if not np.isfinite(t_end) or t_end == 0.0:
         raise DomainError(f"t_end must be finite and nonzero, got {t_end}")
-    tau, seed = picard_seed(ivp, 0.1)
+    tau, seed = picard_seed(ivp)
     lo, hi = min(t_end, 0.0), max(t_end, 0.0)
     if abs(t_end) <= tau:
         return DenseSolution([lo, hi], seed.segments, info=seed.info)
@@ -476,28 +474,27 @@ def integrate(ivp, t_end):
 class VariationalCoeffs:
     """Coefficients of y'' = 4*lam*(t*y'-y)/t^2 + alpha(t)*y/t + beta(t)*y' + sigma(t).
 
-    alpha_fn/beta_fn/sigma_fn are callables of t that must accept numpy
-    arrays (elementwise; a constant may be returned as a scalar) and be
-    finite at t=0 (stabilized forms); lam must lie in (-1/2, 0) so the
-    singular indicial mode decays outward.  `breaks` lists the points where
-    the coefficients are continuous but not smooth; the solution gets one
+    fn(t) returns (alpha, beta, sigma) at t: it must accept numpy arrays
+    (elementwise; a constant may be returned as a scalar) and be finite at
+    t=0 (stabilized forms); lam must lie in (-1/2, 0) so the singular
+    indicial mode decays outward.  `breaks` lists the points where the
+    coefficients are continuous but not smooth; the solution gets one
     Chebyshev series per smooth interval between them.
     """
 
-    def __init__(self, alpha_fn, beta_fn, sigma_fn, lam, breaks=()):
+    def __init__(self, fn, lam, breaks=()):
         lam = float(lam)
         if not -0.5 < lam < 0.0:
             raise DomainError(f"need -1/2 < lam < 0, got {lam}")
-        self.alpha_fn = alpha_fn
-        self.beta_fn = beta_fn
-        self.sigma_fn = sigma_fn
+        self.fn = fn
         self.lam = lam
         self.breaks = tuple(float(b) for b in breaks)
 
 
 def variational_accel_at_origin(coeffs, ydot0):
-    """y''(0) from the t->0 balance of the variational equation."""
-    a0, b0, s0 = (float(fn(0.0)) for fn in (coeffs.alpha_fn, coeffs.beta_fn, coeffs.sigma_fn))
+    """y''(0) from the t->0 balance of the variational equation, from one
+    call of coeffs.fn at t = 0."""
+    a0, b0, s0 = (float(c) for c in coeffs.fn(0.0))
     return ((a0 + b0) * ydot0 + s0) / (1.0 - 2.0 * coeffs.lam)
 
 
@@ -521,7 +518,7 @@ def integrate_variational(coeffs, ydot0, t_end):
     for t_in, t_out in zip(ends[:-1], ends[1:]):
         mid, half = 0.5 * (t_in + t_out), 0.5 * abs(t_out - t_in)
         t = mid + half * s
-        a, b, sig = (_call_vec(fn, t) for fn in (coeffs.alpha_fn, coeffs.beta_fn, coeffs.sigma_fn))
+        a, b, sig = np.broadcast_arrays(t, *coeffs.fn(t))[1:]
         # the right side without sigma is r0*y + r1*y'; the origin node of
         # the first piece takes u = ydd0 (r0 = r1 = 0 there)
         live = t != 0.0

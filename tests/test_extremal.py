@@ -272,22 +272,23 @@ def test_no_conjugate_point(alpha):
 
 def test_variational_coefficients_finite_at_rim():
     coeffs = variational_coeffs_along(assemble_profile(0.0))
+    at_rim = coeffs.fn(0.0)
     # exact t=0 limits: (-4/3)*lam*nu3/nu2 and (2/3)*lam*nu3/nu2 + g_xd(0,0,0)
-    assert coeffs.alpha_fn(0.0) == pytest.approx(0.5, abs=1e-8)
-    assert coeffs.beta_fn(0.0) == pytest.approx(3.25, abs=1e-8)
+    assert at_rim[0] == pytest.approx(0.5, abs=1e-8)
+    assert at_rim[1] == pytest.approx(3.25, abs=1e-8)
     # smooth approach at the scale the integrator actually samples
     # (below ~1e-4 the movable-frame state x = O(t^2) drops under the dense
     # solution's absolute accuracy, so closer probes are meaningless)
-    for fn in (coeffs.alpha_fn, coeffs.beta_fn, coeffs.sigma_fn):
-        assert np.isfinite(fn(0.0))
-        assert fn(-1e-3) == pytest.approx(fn(0.0), abs=5e-2)
+    for near, at in zip(coeffs.fn(-1e-3), at_rim):
+        assert np.isfinite(at)
+        assert near == pytest.approx(at, abs=5e-2)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.1])
 def test_variational_coefficients_linearize_the_arc_operator(alpha):
-    # y'' = 4 lam (t y' - y)/t^2 + alpha_fn y/t + beta_fn y' must be the
+    # y'' = 4 lam (t y' - y)/t^2 + a y/t + b y' must be the
     # linearization of F = lam x'^2/x + g along kappa on both branches, so
-    # t F_x + 4 lam/t = alpha_fn and F_xd - 4 lam/t = beta_fn, with F_x and
+    # t F_x + 4 lam/t = a and F_xd - 4 lam/t = b, with F_x and
     # F_xd from central differences of the nonlinear right side
     prof = assemble_profile(alpha)
     coeffs = variational_coeffs_along(prof)
@@ -303,8 +304,9 @@ def test_variational_coefficients_linearize_the_arc_operator(alpha):
     f_x = (F(t, x + hx, xd) - F(t, x - hx, xd)) / (2.0 * hx)
     f_xd = (F(t, x, xd + h) - F(t, x, xd - h)) / (2.0 * h)
     lam4 = 4.0 * coeffs.lam / t
-    np.testing.assert_allclose(coeffs.alpha_fn(t), t * f_x + lam4, rtol=0.0, atol=1e-7)
-    np.testing.assert_allclose(coeffs.beta_fn(t), f_xd - lam4, rtol=0.0, atol=1e-7)
+    a, b, _ = coeffs.fn(t)
+    np.testing.assert_allclose(a, t * f_x + lam4, rtol=0.0, atol=1e-7)
+    np.testing.assert_allclose(b, f_xd - lam4, rtol=0.0, atol=1e-7)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.01, 0.1])
@@ -313,8 +315,45 @@ def test_field_jacobian_sign_constant(alpha):
 
 
 def test_field_jacobian_spot_example():
-    # the step max(1e-3*alpha, 1e-5) would cross 1/3 here and is halved back
+    # the step 1e-3*alpha would cross 1/3 here: half the distance to 1/3 is taken
     assert field_jacobian_check(0.3331) == -1
+
+
+def test_field_jacobian_at_alpha_zero_solves_one_arc(monkeypatch):
+    # at alpha = 0 the 2*alpha*dkappa/dalpha term is 0: no neighbour is solved
+    calls = [0]
+    integrate_fn = extremal.integrate
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return integrate_fn(*args, **kwargs)
+
+    monkeypatch.setattr(extremal, "integrate", counted)
+    extremal._solve_nu_base.cache_clear()
+    extremal._assemble_cached.cache_clear()
+    assert field_jacobian_check(0.0) == -1
+    assert calls[0] == 1
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.01, 0.1, 0.2, 0.3, 0.33])
+def test_field_bracket_is_the_jacobi_field(alpha):
+    # both certificates read one Jacobi field of the family of extremals:
+    # the field bracket B = q*kappa' - kappa + 2*alpha*dkappa/dalpha and
+    # nu''(1)*zeta both equal -dv/dp0, which vanishes at the rim, so they
+    # agree on the arc.  Within 0.01 of rho the neighbours' switch points
+    # move, and the gap reaches 7e-3 at alpha = 0.33, so that band is left out
+    prof = assemble_profile(alpha)
+    qs = np.linspace(prof.rho + 0.01, 0.99, 400)
+    kap, kp, _ = prof.eval(qs)
+    bracket = qs * kp - kap
+    if alpha > 0.0:
+        da = 1e-3 * alpha
+        dk = (assemble_profile(alpha + da).eval(qs)[0]
+              - assemble_profile(alpha - da).eval(qs)[0]) / (2.0 * da)
+        bracket = bracket + 2.0 * alpha * dk
+    zeta = jacobi_check(prof)[1].eval(qs)[0]
+    nu2 = nu_derivatives_at_one(alpha)[2]
+    assert np.max(np.abs(bracket / (nu2 * zeta) - 1.0)) <= 1e-7
 
 
 def test_first_order_reduction_residual():
@@ -424,14 +463,17 @@ def test_solve_for_height_locates_each_switch_once(monkeypatch):
     (lambda solved: solved(1.0), BodyEvaluator, 4),
     (lambda solved: solved(1.0), functional.J_unscaled, 1),
     (lambda solved: solved(1.0), functional.gamma_form_J, 1),
+    (lambda solved: assemble_profile(0.1), jacobi_check, 7),
 ], ids=["ScaledProfile.at_switch", "integrate", "BodyEvaluator", "J_unscaled",
-        "gamma_form_J"])
+        "gamma_form_J", "jacobi_check"])
 def test_each_caller_reads_the_series_once(monkeypatch, solved, setup, call, reads):
     # a caller takes the columns it needs from one eval: the profile check
     # reads nu on its grid and at q = 1 together, the arc check its residual
     # grid and the seed points together, the conjugate table v' and v''
-    # together in each Newton step, and the two reference routes for J all
-    # their quadrature nodes (gamma_form_J with both ends) together
+    # together in each Newton step, the two reference routes for J all
+    # their quadrature nodes (gamma_form_J with both ends) together, and the
+    # Jacobi field its coefficients once at the origin and once per piece,
+    # its piece ends once each, and zeta on both pieces
     arg = setup(solved)
     count = [0]
     seg_eval = singular_ode._ChebSegment.eval

@@ -23,7 +23,6 @@ from newton_minres import (
     lagrangian_partials,
     lagrangian_value,
     resistance_direct,
-    thread_count,
 )
 from newton_minres import functional
 from newton_minres.functional import quad_value
@@ -257,27 +256,9 @@ def test_direct_resistance_quadrant_equals_full_disk(solved, n):
     assert quadrant == pytest.approx(full, rel=1e-14, abs=0.0)
 
 
-def test_direct_resistance_is_independent_of_thread_count(solved, monkeypatch):
-    # the oracle starts no threads; NEWTON_MINRES_THREADS only sizes
-    # callers' own pools, so it must not move the value by a bit
-    body = BodyEvaluator(solved(1.0))
-    vals = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("NEWTON_MINRES_THREADS", threads)
-        vals.append(resistance_direct(body, n=480))
-    assert vals[0] == vals[1]
-
-
 # ---------------------------------------------------------------------------
 # small utilities
 # ---------------------------------------------------------------------------
-
-def test_thread_count_env_override(monkeypatch):
-    monkeypatch.setenv("NEWTON_MINRES_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("NEWTON_MINRES_THREADS", "0")
-    assert thread_count() >= 1
-
 
 def test_quad_value_handles_endpoint_singularity_quietly():
     import warnings

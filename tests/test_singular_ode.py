@@ -63,7 +63,7 @@ def test_scalar_only_forcing_is_rejected():
 
     ivp = SingularIVP(-0.25, g, _zero, _zero, g_origin=1.6)
     with pytest.raises(TypeError):
-        picard_seed(ivp, 0.1)
+        picard_seed(ivp)
 
 
 def test_rejects_zero_origin_forcing():
@@ -83,7 +83,7 @@ def test_accel_at_origin_closed_form():
 
 def test_seed_exact_on_constant_forcing():
     ivp = const_ivp()
-    tau, seed = picard_seed(ivp, 0.1)
+    tau, seed = picard_seed(ivp)
     assert 0.0 < tau <= 1.0
     ts = np.linspace(-tau, tau, 41)
     x, xd, xdd = seed.eval(ts)
@@ -94,12 +94,11 @@ def test_seed_exact_on_constant_forcing():
 
 def test_seed_infos_certify_contraction():
     ivp = const_ivp()
-    tau, seed = picard_seed(ivp, 0.1)
+    tau, seed = picard_seed(ivp)
     info = seed.info
     assert info["tau"] == tau
     # for lam = -1/4 the lam-part of the contraction bound alone forces
-    # the band below the requested 0.1
-    assert info["epsilon_requested"] == 0.1
+    # the band below its starting 0.1
     assert info["epsilon"] <= 0.1
     assert info["rho_bound"] <= info["rho_target"] + 1e-12
     # successive Picard diffs must contract at least at the certified rate
@@ -112,18 +111,20 @@ def test_seed_infos_certify_contraction():
     assert info["band_dev"] <= 1.05 * info["epsilon"]
 
 
-def test_seed_second_derivative_matches_origin_accel():
+def test_seed_second_derivative_matches_origin_accel(monkeypatch):
+    monkeypatch.setattr(singular_ode, "PICARD_BAND", 0.05)
     ivp = const_ivp(-0.25, -2.0)
-    tau, seed = picard_seed(ivp, 0.05)
+    tau, seed = picard_seed(ivp)
     assert abs(seed.eval(0.0)[2] - accel_at_origin(ivp)) <= TOL
 
 
-def test_seed_shrinks_band_when_lam_term_leaves_no_room():
+def test_seed_shrinks_band_when_lam_term_leaves_no_room(monkeypatch):
     # |lam| = 0.37: the lam-part of the bound is 0.9867 already, so a wide
-    # requested band must either fail or come back drastically narrowed
+    # starting band must either fail or come back drastically narrowed
+    monkeypatch.setattr(singular_ode, "PICARD_BAND", 0.99)
     ivp = const_ivp(-0.37, 1.5)
     try:
-        tau, seed = picard_seed(ivp, 0.99)
+        tau, seed = picard_seed(ivp)
     except ContractionFailure:
         return
     assert seed.info["epsilon"] < 1e-3
@@ -141,7 +142,7 @@ def test_seed_certificate_pins_on_the_family_arc(alpha, tau, rho_bound, band_dev
     # maps give it; the least-squares fit they replaced is the same linear
     # map in exact arithmetic and gave values about 8e-13 (relative) away,
     # e.g. 0.0014660606178260593 at alpha = 0
-    got, seed = picard_seed(scaled_arc_ivp(alpha), 0.1)
+    got, seed = picard_seed(scaled_arc_ivp(alpha))
     info = seed.info
     assert got == info["tau"] == tau
     assert info["epsilon"] == 0.025
@@ -167,7 +168,7 @@ def test_lobatto_maps_are_exact_on_series_of_full_degree(n, anchor):
 
 
 def test_seed_leaves_the_origin_exactly():
-    _, seed = picard_seed(scaled_arc_ivp(0.1), 0.1)
+    _, seed = picard_seed(scaled_arc_ivp(0.1))
     x, xd, _ = seed.eval(0.0)
     assert x == 0.0 and xd == 0.0
 
@@ -177,7 +178,7 @@ def test_no_chebyshev_fit_is_a_least_squares_solve(monkeypatch):
         raise AssertionError("chebfit called")
 
     monkeypatch.setattr(singular_ode._cheb, "chebfit", refuse)
-    picard_seed(scaled_arc_ivp(0.1), 0.1)
+    picard_seed(scaled_arc_ivp(0.1))
     integrate(scaled_arc_ivp(0.1), -1.0)
 
 
@@ -204,7 +205,7 @@ def test_seed_samples_all_candidate_taus_in_one_pass(monkeypatch):
         return band_norms(ivp, taus, eps, xdd0)
 
     monkeypatch.setattr(singular_ode, "_band_norms", counted)
-    picard_seed(scaled_arc_ivp(0.1), 0.1)
+    picard_seed(scaled_arc_ivp(0.1))
     assert calls == [(60,)]
 
 
@@ -213,7 +214,7 @@ def test_seed_fails_cleanly_when_no_tau_contracts():
     ivp = SingularIVP(-0.25, lambda t, x, xd: 1.5, _zero, lambda t, x, xd: 1e30,
                       g_origin=1.5)
     with pytest.raises(ContractionFailure, match="no tau gives contraction"):
-        picard_seed(ivp, 0.1)
+        picard_seed(ivp)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +305,7 @@ def _dop853_reference(ivp, seed, tau, ts):
 def test_family_arc_matches_a_tight_dop853_reference(alpha):
     ivp = scaled_arc_ivp(alpha)
     sol = integrate(ivp, -1.0)
-    tau, seed = picard_seed(ivp, 0.1)
+    tau, seed = picard_seed(ivp)
     assert sol.info["tau"] == tau
     ts = np.linspace(-1.0, -tau, 801)
     x_ref, xd_ref = _dop853_reference(ivp, seed, tau, ts)
@@ -355,10 +356,10 @@ def test_integrate_raises_on_a_nan_forcing():
 def test_integrate_raises_when_the_seed_disagrees(monkeypatch, wrong):
     seed_for = singular_ode.picard_seed
 
-    def bad_seed(ivp, epsilon):
+    def bad_seed(ivp):
         if wrong == "other_arc":
-            return seed_for(scaled_arc_ivp(0.3), epsilon)
-        tau, seed = seed_for(ivp, epsilon)
+            return seed_for(scaled_arc_ivp(0.3))
+        tau, seed = seed_for(ivp)
         seed.info["epsilon"] = 1e-12  # no arc leaves the parabola that little
         return tau, seed
 
@@ -372,14 +373,13 @@ def test_integrate_raises_when_the_seed_disagrees(monkeypatch, wrong):
 # ---------------------------------------------------------------------------
 
 def _const_coeffs(a=0.0, b=0.0, s=0.0, lam=-0.25):
-    return VariationalCoeffs(lambda t: a, lambda t: b, lambda t: s, lam)
+    return VariationalCoeffs(lambda t: (a, b, s), lam)
 
 
 def test_scalar_only_variational_coefficient_is_rejected():
     # the coefficients are read once per piece on the node array; a
     # scalar-only one fails loudly instead of being looped over point by point
-    coeffs = VariationalCoeffs(lambda t: 0.1 * math.cos(t), lambda t: 0.0,
-                               lambda t: 0.0, -0.25)
+    coeffs = VariationalCoeffs(lambda t: (0.1 * math.cos(t), 0.0, 0.0), -0.25)
     with pytest.raises(TypeError):
         integrate_variational(coeffs, 1.0, 0.5)
 
@@ -412,8 +412,8 @@ def test_variational_quadratic_solution_is_exact():
     # y = t + t^2 solves the equation with sigma = 2 - 4*lam - a - b - (a + 2b)*t,
     # so y''(0) = 2 comes from the t->0 balance, in either direction
     a, b, lam = 0.3, 0.2, -0.25
-    coeffs = VariationalCoeffs(lambda t: a, lambda t: b,
-                               lambda t: 2.0 - 4.0 * lam - a - b - (a + 2.0 * b) * t, lam)
+    coeffs = VariationalCoeffs(
+        lambda t: (a, b, 2.0 - 4.0 * lam - a - b - (a + 2.0 * b) * t), lam)
     for t_end in (1.0, -1.0):
         y = integrate_variational(coeffs, 1.0, t_end)
         ts = np.linspace(0.0, t_end, 50)
@@ -469,7 +469,7 @@ def _kinked_coeffs(breaks, lam=-0.25):
         at0 = (1.0 - 2.0 * lam) * ydd - (a_fn(0.0) + _B) * yd
         return np.where(t == 0.0, at0, off)
 
-    return VariationalCoeffs(a_fn, lambda t: _B, sigma_fn, lam, breaks=breaks)
+    return VariationalCoeffs(lambda t: (a_fn(t), _B, sigma_fn(t)), lam, breaks=breaks)
 
 
 def _max_err(sol, lo, hi):
