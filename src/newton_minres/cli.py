@@ -173,15 +173,14 @@ def build_parser():
     return ap
 
 
-def _cmd_solve(args):
-    sol = _solution_from_args(args)
-    d = _solution_dict(sol)
-    if args.format == "text":
-        text = "\n".join(f"{k} = {_fmt(v)}" for k, v in d.items())
-    else:
-        text = _jdump(d)
-    _emit(text, args.out)
+def _emit_record(d, args):
+    text = "\n".join(f"{k} = {_fmt(v)}" for k, v in d.items())
+    _emit(text if args.format == "text" else _jdump(d), args.out)
     return 0
+
+
+def _cmd_solve(args):
+    return _emit_record(_solution_dict(_solution_from_args(args)), args)
 
 
 def _cmd_table(args):
@@ -226,12 +225,7 @@ def _cmd_constants(args):
         "arc_slope_at_zero": nup0,
         "J_limit": lc.J_hat,
     }
-    if args.format == "text":
-        text = "\n".join(f"{k} = {_fmt(v)}" for k, v in d.items())
-    else:
-        text = _jdump(d)
-    _emit(text, args.out)
-    return 0
+    return _emit_record(d, args)
 
 
 def _check_one(alpha, inject_fault):

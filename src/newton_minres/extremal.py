@@ -153,29 +153,34 @@ def I_closed_form_alpha0(rho, nu_hat):
     return bracket / (4.0 * b * b)
 
 
+def _switch_rule(rho, a, b, alpha):
+    """I(rho) along eta = a*q + b, Clenshaw-Curtis on the N_ARC Lobatto nodes
+    of each [0, rho]; the arguments broadcast to one 1-D array."""
+    s, _, int1, _ = _lobatto_integrals(N_ARC, -1.0)
+    rho, a, b, alpha = (v[:, None] for v in np.broadcast_arrays(*np.atleast_1d(rho, a, b, alpha)))
+    q = 0.5 * rho * (s + 1.0)
+    return 0.5 * rho[:, 0] * (_switch_kernel(q, a, b, alpha, q) @ int1[0])
+
+
 def find_switch(alpha, nu=None):
     """Zero of I(., alpha, nu): the switching radius rho.
 
-    I is read on one fixed rule, Clenshaw-Curtis on the N_ARC Lobatto nodes
-    of each [0, rho].  Scans rho = 0.015, 0.035, ... for the first sign
-    change (I < 0 below the root, > 0 above), all 49 points in one pass;
-    refines with brentq on the same rule to xtol 1e-12 and verifies
-    |I(rho)| < 1e-12 with one call of the adaptive I_of, an independent
-    quadrature.  No warm start: assemble_profile's cache calls this once
-    per alpha.
+    I is read through nu.eval on the fixed rule of _switch_rule.  Scans
+    rho = 0.015, 0.035, ... for the first sign change (I < 0 below the
+    root, > 0 above), all 49 points in one pass; refines with brentq on
+    the same rule to xtol 1e-12 and verifies |I(rho)| < 1e-12 with one call
+    of the adaptive I_of, an independent quadrature.  No warm start:
+    assemble_profile's cache calls this once per alpha.
     """
     alpha = float(alpha)
     if not 0.0 <= alpha < ALPHA_MAX:
         raise NoRoot(_VALIDITY_MSG.format(alpha))
     if nu is None:
         nu = solve_nu(alpha)
-    s, _, int1, _ = _lobatto_integrals(N_ARC, -1.0)
 
     def I(rho):
-        rho = np.atleast_1d(rho)[:, None]
         nr, a, _ = nu.eval(rho)
-        q = 0.5 * rho * (s + 1.0)  # Lobatto nodes of each [0, rho]
-        return 0.5 * rho[:, 0] * (_switch_kernel(q, a, nr - rho * a, alpha, q) @ int1[0])
+        return _switch_rule(rho, a, nr - rho * a, alpha)
 
     grid = np.arange(0.015, 0.985, 0.02)
     scan = I(grid)
@@ -337,6 +342,7 @@ def jacobi_check(profile, eps=1e-3):
     The solve is a fixed linear collocation that no tolerance steers.  A
     zero of zeta inside [0, 1) would be a conjugate point and kill local
     optimality; min_abs = 0.0 is returned if a sign change is detected.
+    On [rho, 1], nu''(1)*zeta is also the field bracket (_field_bracket).
     """
     coeffs = variational_coeffs_along(profile)
     y = integrate_variational(coeffs, 1.0, -1.0)
@@ -348,32 +354,40 @@ def jacobi_check(profile, eps=1e-3):
     return float(np.min(np.abs(vals))), zeta
 
 
-def field_jacobian_check(alpha):
-    """Sign of the embedding-field Jacobian bracket q*kappa' - kappa + 2*alpha*dkappa/dalpha.
+def _field_bracket(profile, q):
+    """B = q*kappa' - kappa + 2*alpha*dkappa/dalpha at q, from the Jacobi field.
 
-    Constant sign on [0, 1-0.01] means the one-parameter family of profiles
-    fans out into a proper field around this member.  dkappa/dalpha is the
-    central difference with step da = min(max(1e-3*alpha, 1e-5), alpha,
-    (1/3 - alpha)/2), so alpha +- da stays in [0, 1/3); at alpha = 0,
-    da = 0 and the term, a multiple of alpha, is left out.  Raises
-    SignChange if the sign varies.
+    B = -dv/dp0 of the unscaled family is a Jacobi field with zeta's data
+    at the rim, so B = nu''(1)*zeta on [rho, 1].  On [0, rho] it is affine
+    with slope Y'(rho) + nu''(rho)*2*alpha*rho', Y = 2*alpha*dnu/dalpha =
+    B - q*nu' + nu.  2*alpha*rho' = -D_alpha/D_rho: central differences
+    (eps = 1e-6) of _switch_rule along the tangent of nu + eps*Y at
+    alpha*(1 + 2*eps) and along the tangent at rho + eps.  No neighbour
+    arc is solved, and nothing is divided by alpha.
     """
-    alpha = float(alpha)
-    if not 0.0 <= alpha < ALPHA_MAX:
-        raise NoRoot(_VALIDITY_MSG.format(alpha))
-    da = min(max(1e-3 * alpha, 1e-5), alpha, 0.5 * (ALPHA_MAX - alpha))
+    alpha, rho, s, h0 = profile.alpha, profile.rho, profile.slope, profile.height0
+    nu2 = nu_derivatives_at_one(alpha)[2]
+    z, zd, _ = jacobi_check(profile)[1].eval(np.append(q, rho))
+    n2 = profile.nu.eval(rho)[2]
+    y0, y1 = nu2 * z[-1] + h0, nu2 * zd[-1] - rho * n2  # Y(rho), Y'(rho)
+    ea, er = np.array([[1e-6, -1e-6, 0.0, 0.0], [0.0, 0.0, 1e-6, -1e-6]])
+    d = _switch_rule(rho + er, s + ea * y1 + er * n2,
+                     h0 + ea * (y0 - rho * y1) - er * rho * n2, alpha * (1.0 + 2.0 * ea))
+    slope = y1 - n2 * (d[0] - d[1]) / (d[2] - d[3])
+    return np.where(q >= rho, nu2 * z[:-1], nu2 * z[-1] + slope * (q - rho))
 
-    qs = np.linspace(0.0, 0.99, 241)
-    kap, kp, _ = assemble_profile(alpha).eval(qs)
-    bracket = qs * kp - kap
-    if da > 0.0:
-        kap_hi = assemble_profile(alpha + da).eval(qs)[0]
-        kap_lo = assemble_profile(alpha - da).eval(qs)[0]
-        bracket = bracket + 2.0 * alpha * ((kap_hi - kap_lo) / (2.0 * da))
+
+def field_jacobian_check(alpha):
+    """Sign of the embedding-field bracket (_field_bracket) on [0, 0.99].
+
+    Constant sign means the one-parameter family of profiles fans out into
+    a proper field around this member; raises SignChange if it varies.
+    """
+    bracket = _field_bracket(assemble_profile(alpha), np.linspace(0.0, 0.99, 241))
     scale = np.max(np.abs(bracket))
     signs = np.sign(bracket[np.abs(bracket) > 1e-12 * scale])
     if signs.size == 0 or np.any(signs != signs[0]):
-        raise SignChange(f"field Jacobian bracket changes sign at alpha={alpha}")
+        raise SignChange(f"field Jacobian bracket changes sign at alpha={float(alpha)}")
     return int(signs[0])
 
 

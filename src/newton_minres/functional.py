@@ -67,18 +67,21 @@ def thread_count():
 # pointwise Lagrangian family
 # ---------------------------------------------------------------------------
 
-def lagrangian_value(q, y, yp, c):
-    """L(q, y, y', c); requires y > q >= 0 pointwise and c >= 0."""
-    q = np.asarray(q, float)
-    y = np.asarray(y, float)
-    yp = np.asarray(yp, float)
+def _lagrangian_args(name, q, y, yp, c):
+    """q, y, y' as arrays, s2 = y^2 - q^2, s = sqrt(s2) and d = y^2 + c;
+    raises DomainError, naming the caller, unless y > q >= 0 and c >= 0."""
+    q, y, yp = (np.asarray(v, float) for v in (q, y, yp))
     if c < 0.0:
         raise DomainError(f"c must be >= 0, got {c}")
     s2 = y * y - q * q
     if np.any(s2 <= 0.0) or np.any(y <= 0.0) or np.any(q < 0.0):
-        raise DomainError("lagrangian_value needs y > q >= 0")
-    s = np.sqrt(s2)
-    d = y * y + c
+        raise DomainError(f"{name} needs y > q >= 0")
+    return q, y, yp, s2, np.sqrt(s2), y * y + c
+
+
+def lagrangian_value(q, y, yp, c):
+    """L(q, y, y', c); requires y > q >= 0 pointwise and c >= 0."""
+    q, y, yp, _, s, d = _lagrangian_args("lagrangian_value", q, y, yp, c)
     out = 2.0 * s * yp * yp / (d * d) - (q * yp - y) / (y * d * s)
     return float(out) if out.ndim == 0 else out
 
@@ -91,16 +94,7 @@ def lagrangian_partials(q, y, yp, c):
     L_y - L_qy' - y'*L_yy' = L_y'y' * R with R the arc-equation right side,
     which is what the switching integral and adjoint are built on.
     """
-    q = np.asarray(q, float)
-    y = np.asarray(y, float)
-    yp = np.asarray(yp, float)
-    if c < 0.0:
-        raise DomainError(f"c must be >= 0, got {c}")
-    s2 = y * y - q * q
-    if np.any(s2 <= 0.0) or np.any(y <= 0.0) or np.any(q < 0.0):
-        raise DomainError("lagrangian_partials needs y > q >= 0")
-    s = np.sqrt(s2)
-    d = y * y + c
+    q, y, yp, s2, s, d = _lagrangian_args("lagrangian_partials", q, y, yp, c)
     core = (s2 * (d + 2.0 * y * y) + y * y * d) / (y * y * d * d * s * s2)
     parts = {
         "yp": 4.0 * s * yp / (d * d) - q / (y * d * s),

@@ -73,6 +73,7 @@ class _VStarTable:
         p[0], p[-1] = self.r, self.p0
         self.p_nodes = p
         self.z_nodes = z = p * self.y_nodes - sol.eval(p)[0]
+        z[0] = -self.M  # exact at the corner, where v(r) = M + r*slope0
         m = p * self.h
         self.coef = np.column_stack([
             z[:-1], m[:-1], 3.0 * (z[1:] - z[:-1]) - 2.0 * m[:-1] - m[1:],
@@ -188,11 +189,12 @@ class BodyEvaluator:
       [slope0, hi], hi = the peak clipped to [slope0, 1].  sqrt(D)*G at the
       ends decides the corner (>= 0 at slope0: y* = slope0) and the ridge
       x2 = 0, where lam(|x1|) = 1 and sqrt(D) = 0 make it exactly 0 at
-      hi = |x1| (<= 0 at hi: y* = hi, and u = w(x1) bit for bit).  Elsewhere
-      one regula-falsi step starts safeguarded Newton steps on G, with G'
-      from the cubic's jet, inside the bracket.  A point still moving after
-      twice the halvings from the full bracket [slope0, 1] to the tolerance
-      raises EvaluationError.
+      hi = |x1| (<= 0 at hi: y* = hi, and u = w(x1) bit for bit, but where
+      -M undercuts the cubic by a round-off ulp a few ulps above slope0).
+      Elsewhere one regula-falsi step starts safeguarded Newton steps on G,
+      with G' from the cubic's jet, inside the bracket.  A point still
+      moving after twice the halvings from the full bracket [slope0, 1] to
+      the tolerance raises EvaluationError.
     * u is the least of the flat/corner value, the curved value and 0 (rim).
     """
 

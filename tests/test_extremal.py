@@ -315,24 +315,54 @@ def test_field_jacobian_sign_constant(alpha):
 
 
 def test_field_jacobian_spot_example():
-    # the step 1e-3*alpha would cross 1/3 here: half the distance to 1/3 is taken
     assert field_jacobian_check(0.3331) == -1
 
 
-def test_field_jacobian_at_alpha_zero_solves_one_arc(monkeypatch):
-    # at alpha = 0 the 2*alpha*dkappa/dalpha term is 0: no neighbour is solved
-    calls = [0]
-    integrate_fn = extremal.integrate
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 0.3331])
+def test_field_jacobian_solves_one_arc(alpha, monkeypatch):
+    # dkappa/dalpha comes from the Jacobi field: no neighbour is solved
+    calls = {"integrate": 0, "find_switch": 0}
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return integrate_fn(*args, **kwargs)
+    def counted(name):
+        fn = getattr(extremal, name)
 
-    monkeypatch.setattr(extremal, "integrate", counted)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(extremal, name, counted(name))
     extremal._solve_nu_base.cache_clear()
     extremal._assemble_cached.cache_clear()
-    assert field_jacobian_check(0.0) == -1
-    assert calls[0] == 1
+    assert field_jacobian_check(alpha) == -1
+    assert calls == {"integrate": 1, "find_switch": 1}
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.1, 0.2, 0.3, 0.33])
+def test_field_bracket_against_neighbour_profiles(alpha):
+    # B = q*kappa' - kappa + 2*alpha*dkappa/dalpha on all of [0, 0.99],
+    # flat piece included, against a central difference in alpha
+    prof = assemble_profile(alpha)
+    qs = np.linspace(0.0, 0.99, 241)
+    kap, kp, _ = prof.eval(qs)
+    da = 1e-5
+    dk = (assemble_profile(alpha + da).eval(qs)[0]
+          - assemble_profile(alpha - da).eval(qs)[0]) / (2.0 * da)
+    bracket = extremal._field_bracket(prof, qs)
+    assert np.max(np.abs(bracket - (qs * kp - kap + 2.0 * alpha * dk))) <= 1e-6
+
+
+@pytest.mark.parametrize("p0", [1.8, 2.43337, 3.71647, 8.16986, 30.0, 300.0])
+def test_field_bracket_at_zero_is_the_height_derivative(p0):
+    # B = -dv/dp0 of the unscaled family and v(0) = M = p0*height0(1/p0^2)
+    def height(p):
+        return p * assemble_profile(1.0 / (p * p)).height0
+
+    dp = 1e-5 * p0
+    dM = (height(p0 + dp) - height(p0 - dp)) / (2.0 * dp)
+    b0 = extremal._field_bracket(assemble_profile(1.0 / (p0 * p0)), np.array([0.0]))[0]
+    assert abs(-b0 - dM) <= 1e-8
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.01, 0.1, 0.2, 0.3, 0.33])

@@ -152,6 +152,19 @@ def test_evaluator_section_is_cross_section(sol, ev):
     assert np.array_equal(ev(x1, np.zeros_like(x1)), ev.vstar(x1))
 
 
+@pytest.mark.parametrize("M", [0.0875, 0.5, 1.0, 1.5, 2.5, 10.0])
+def test_table_corner_is_exactly_the_flat_height(solved, M):
+    # the cubic starts at exactly -M, so on the flat bottom and at the
+    # corners the curved branch cannot undercut the flat one by an ulp
+    sol = solved(M)
+    ev = BodyEvaluator(sol)
+    s0 = sol.slope0
+    assert ev.table.jet(np.array([s0]))[0][0] == -sol.M
+    near = s0 - np.arange(0, 2001) * np.spacing(s0)
+    x1 = np.concatenate([np.linspace(-s0, s0, 2001), near, -near])
+    assert np.array_equal(ev(x1, np.zeros_like(x1)), ev.vstar(x1))
+
+
 def test_evaluator_symmetries_and_range(sol, ev):
     rng = np.random.default_rng(RNG_SEED)
     th = rng.uniform(0.0, 2.0 * np.pi, 300)
