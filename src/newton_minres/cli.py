@@ -243,11 +243,11 @@ def _check_one(alpha, inject_fault):
     verdicts["adjoint_negative"] = (bool(np.all(adj.omega[interior] < 0.0))
                                     and abs(adj.omega[0]) < 1e-8)
 
-    min_abs, _ = extremal.jacobi_check(prof)
+    min_abs, zeta = extremal.jacobi_check(prof)
     verdicts["no_conjugate_point"] = min_abs > 0.0
 
     try:
-        extremal.field_jacobian_check(alpha)
+        extremal.field_jacobian_check(prof, zeta)
         verdicts["field_sign_constant"] = True
     except SolverError:
         verdicts["field_sign_constant"] = False

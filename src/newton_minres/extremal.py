@@ -30,8 +30,9 @@ from scipy.optimize import brentq
 
 from .errors import DomainError, InconsistentScale, NoRoot, SignChange
 from .functional import J_scaled, quad_value
-from .singular_ode import (N_ARC, MappedSolution, SingularIVP, _lobatto_integrals,
-                           integrate, integrate_variational, VariationalCoeffs)
+from . import singular_ode
+from .singular_ode import (MappedSolution, SingularIVP, integrate, integrate_variational,
+                           VariationalCoeffs)
 
 LAM = -0.25
 ALPHA_MAX = 1.0 / 3.0
@@ -156,14 +157,14 @@ def I_closed_form_alpha0(rho, nu_hat):
 def _switch_rule(rho, a, b, alpha):
     """I(rho) along eta = a*q + b, Clenshaw-Curtis on the N_ARC Lobatto nodes
     of each [0, rho]; the arguments broadcast to one 1-D array."""
-    s, _, int1, _ = _lobatto_integrals(N_ARC, -1.0)
+    s, _, int1, _ = singular_ode._lobatto_integrals(singular_ode.N_ARC, -1.0)
     rho, a, b, alpha = (v[:, None] for v in np.broadcast_arrays(*np.atleast_1d(rho, a, b, alpha)))
     q = 0.5 * rho * (s + 1.0)
     return 0.5 * rho[:, 0] * (_switch_kernel(q, a, b, alpha, q) @ int1[0])
 
 
-def find_switch(alpha, nu=None):
-    """Zero of I(., alpha, nu): the switching radius rho.
+def find_switch(alpha, nu):
+    """Zero of I(., alpha, nu): the switching radius of the arc nu = solve_nu(alpha).
 
     I is read through nu.eval on the fixed rule of _switch_rule.  Scans
     rho = 0.015, 0.035, ... for the first sign change (I < 0 below the
@@ -175,8 +176,6 @@ def find_switch(alpha, nu=None):
     alpha = float(alpha)
     if not 0.0 <= alpha < ALPHA_MAX:
         raise NoRoot(_VALIDITY_MSG.format(alpha))
-    if nu is None:
-        nu = solve_nu(alpha)
 
     def I(rho):
         nr, a, _ = nu.eval(rho)
@@ -281,7 +280,7 @@ def adjoint_omega(profile):
     integral from rho on N_ARC Lobatto nodes, read through its interpolant.
     """
     rho = profile.rho
-    s, fit, _, int2 = _lobatto_integrals(N_ARC, 1.0)
+    s, fit, _, int2 = singular_ode._lobatto_integrals(singular_ode.N_ARC, 1.0)
     kern = _switch_kernel(0.5 * rho * (s + 1.0), profile.slope, profile.height0,
                           profile.alpha, 1.0)
     qt = np.linspace(0.0, rho, 201)
@@ -334,40 +333,40 @@ def variational_coeffs_along(profile):
     return VariationalCoeffs(fn, LAM, breaks=(t_arc_min,))
 
 
-def jacobi_check(profile, eps=1e-3):
-    """Conjugate-point scan: solve the linearized equation with
-    zeta(1)=0, zeta'(1)=1 and report (min |zeta| on [0, 1-eps], zeta),
+def jacobi_check(profile):
+    """Conjugate-point scan: solve the linearized equation along the profile
+    with zeta(1)=0, zeta'(1)=1 and report (min |zeta| on [0, 0.999], zeta),
     sampled at 2000 evenly spaced points.
 
     The solve is a fixed linear collocation that no tolerance steers.  A
     zero of zeta inside [0, 1) would be a conjugate point and kill local
     optimality; min_abs = 0.0 is returned if a sign change is detected.
-    On [rho, 1], nu''(1)*zeta is also the field bracket (_field_bracket).
+    The field bracket reads the same zeta: pass it to field_jacobian_check.
     """
     coeffs = variational_coeffs_along(profile)
     y = integrate_variational(coeffs, 1.0, -1.0)
     zeta = MappedSolution(y, offset=-1.0)
-    qs = np.linspace(0.0, 1.0 - eps, 2000)
+    qs = np.linspace(0.0, 0.999, 2000)
     vals = zeta.eval(qs)[0]
     if np.any(vals[:-1] * vals[1:] < 0.0):
         return 0.0, zeta
     return float(np.min(np.abs(vals))), zeta
 
 
-def _field_bracket(profile, q):
-    """B = q*kappa' - kappa + 2*alpha*dkappa/dalpha at q, from the Jacobi field.
+def _field_bracket(profile, zeta, q):
+    """B = q*kappa' - kappa + 2*alpha*dkappa/dalpha at q, from zeta = jacobi_check(profile)[1].
 
     B = -dv/dp0 of the unscaled family is a Jacobi field with zeta's data
     at the rim, so B = nu''(1)*zeta on [rho, 1].  On [0, rho] it is affine
     with slope Y'(rho) + nu''(rho)*2*alpha*rho', Y = 2*alpha*dnu/dalpha =
     B - q*nu' + nu.  2*alpha*rho' = -D_alpha/D_rho: central differences
     (eps = 1e-6) of _switch_rule along the tangent of nu + eps*Y at
-    alpha*(1 + 2*eps) and along the tangent at rho + eps.  No neighbour
-    arc is solved, and nothing is divided by alpha.
+    alpha*(1 + 2*eps) and along the tangent at rho + eps.  No arc and no
+    Jacobi field is solved here, and nothing is divided by alpha.
     """
     alpha, rho, s, h0 = profile.alpha, profile.rho, profile.slope, profile.height0
     nu2 = nu_derivatives_at_one(alpha)[2]
-    z, zd, _ = jacobi_check(profile)[1].eval(np.append(q, rho))
+    z, zd, _ = zeta.eval(np.append(q, rho))
     n2 = profile.nu.eval(rho)[2]
     y0, y1 = nu2 * z[-1] + h0, nu2 * zd[-1] - rho * n2  # Y(rho), Y'(rho)
     ea, er = np.array([[1e-6, -1e-6, 0.0, 0.0], [0.0, 0.0, 1e-6, -1e-6]])
@@ -377,17 +376,17 @@ def _field_bracket(profile, q):
     return np.where(q >= rho, nu2 * z[:-1], nu2 * z[-1] + slope * (q - rho))
 
 
-def field_jacobian_check(alpha):
-    """Sign of the embedding-field bracket (_field_bracket) on [0, 0.99].
+def field_jacobian_check(profile, zeta):
+    """Sign of the field bracket (_field_bracket) on [0, 0.99]; zeta = jacobi_check(profile)[1].
 
     Constant sign means the one-parameter family of profiles fans out into
     a proper field around this member; raises SignChange if it varies.
     """
-    bracket = _field_bracket(assemble_profile(alpha), np.linspace(0.0, 0.99, 241))
+    bracket = _field_bracket(profile, zeta, np.linspace(0.0, 0.99, 241))
     scale = np.max(np.abs(bracket))
     signs = np.sign(bracket[np.abs(bracket) > 1e-12 * scale])
     if signs.size == 0 or np.any(signs != signs[0]):
-        raise SignChange(f"field Jacobian bracket changes sign at alpha={float(alpha)}")
+        raise SignChange(f"field Jacobian bracket changes sign at alpha={profile.alpha}")
     return int(signs[0])
 
 

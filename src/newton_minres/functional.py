@@ -21,8 +21,8 @@ Two independent evaluation routes are kept deliberately separate:
 Profile/solution arguments are duck-typed: a curve exposes p0 and
 eval(p) -> (v, v', v''), and r when it has a flat piece; J_unscaled and
 gamma_form_J read nothing else, on a fixed Gauss-Legendre rule.  The one
-solver import is the fixed Lobatto rule of `singular_ode`, for J_scaled,
-the one route here that reads the solver's movable frame
+solver use is the Lobatto rule of `singular_ode` at its N_ARC when called,
+for J_scaled, the one route here that reads the solver's movable frame
 (`profile.nu.base`).
 """
 
@@ -35,7 +35,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError
-from .singular_ode import N_ARC, _lobatto_integrals
+from . import singular_ode
 
 
 def quad_value(f, a, b):
@@ -132,7 +132,7 @@ def J_scaled(profile):
     rho = profile.rho
     a = profile.slope
     b = profile.height0
-    s, _, int1, _ = _lobatto_integrals(N_ARC, -1.0)
+    s, _, int1, _ = singular_ode._lobatto_integrals(singular_ode.N_ARC, -1.0)
     w = 0.5 * int1[0]  # weights of [0, 1] at the nodes (s + 1)/2
 
     q = 0.5 * rho * (s + 1.0)

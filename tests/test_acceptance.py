@@ -145,10 +145,10 @@ def test_criterion_4_optimality_certificates(capsys):
             resid = [el_residual(q, *prof.eval(q), alpha) for q in qs]
             assert np.max(np.abs(resid)) < 1e-6, f"stationarity residual at alpha={alpha}"
 
-            min_abs, _ = jacobi_check(prof, eps=1e-2)
+            min_abs, zeta = jacobi_check(prof)
             assert min_abs > 0.0, f"conjugate point at alpha={alpha}"
 
-            sign = field_jacobian_check(alpha)  # raises SignChange on failure
+            sign = field_jacobian_check(prof, zeta)  # raises SignChange on failure
             assert sign in (-1, 1)
 
 

@@ -13,13 +13,15 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from newton_minres import DomainError, NoRoot, cli, functional, singular_ode, solve_for_height
+from conftest import _solved
+from newton_minres import (DomainError, NoRoot, cli, extremal, functional, geometry,
+                           singular_ode, solve_for_height)
 from newton_minres.cli import DEFAULT_TABLE_ROWS, _check_one, main
 from newton_minres.extremal import _P0_TOP, _assemble_cached, _solve_nu_base
 from newton_minres.functional import P0_MAX
 
-# a fresh _check_one call costs about 0.02-0.03 s on two vCPUs (mostly the
-# three arc solves for the field Jacobian), so this keeps the property test
+# a fresh _check_one call costs about 0.015-0.03 s on two vCPUs (mostly its
+# one arc solve and its one Jacobi field), so this keeps the property test
 # within a second
 MAX_CHECK_EXAMPLES = 25
 # a fresh height costs about 0.05 s (the height root, then _check_one)
@@ -414,6 +416,52 @@ def test_check_injected_fault_is_caught(capsys):
     assert verdicts["switching_zero"] is False
 
 
+def test_check_verdicts_read_one_profile(capsys, monkeypatch):
+    # with --inject-fault every certificate reads the one faulted profile,
+    # whose switching radius is the clean one moved by 1e-2
+    rho = extremal.assemble_profile(0.1).rho
+    seen = {}
+
+    def recording(name):
+        fn = getattr(extremal, name)
+
+        def wrapper(prof, *args):
+            seen.setdefault(name, []).append(prof)
+            return fn(prof, *args)
+        return wrapper
+
+    names = ("adjoint_omega", "jacobi_check", "field_jacobian_check")
+    for name in names:
+        monkeypatch.setattr(extremal, name, recording(name))
+    code, out, _ = run(capsys, "check", "--alpha", "0.1", "--inject-fault")
+    assert code == 3
+    (faulted,) = seen["adjoint_omega"]
+    assert isinstance(faulted, extremal.ScaledProfile)
+    assert faulted.rho == rho + 1e-2
+    assert seen == {name: [faulted] for name in names}
+
+
+def test_check_solves_one_arc_and_one_jacobi_field_per_alpha(capsys, monkeypatch):
+    # from cold caches the default battery (three alphas) solves each arc
+    # once and each profile's Jacobi field once
+    calls = {"integrate": 0, "integrate_variational": 0}
+
+    def counted(name):
+        fn = getattr(extremal, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(extremal, name, counted(name))
+    _solve_nu_base.cache_clear()
+    _assemble_cached.cache_clear()
+    assert run(capsys, "check")[0] == 0
+    assert calls == {"integrate": 3, "integrate_variational": 3}
+
+
 GOLDEN_CHECK = """\
 {
   "pass": true,
@@ -536,6 +584,47 @@ def test_check_verdicts_pass_across_the_heights(M):
     report = _check_one(1.0 / (sol.p0 * sol.p0), False)
     assert all(report["verdicts"].values()), (M, report["verdicts"])
     assert abs(report["switch_integral"]) < 1e-12
+
+
+def test_a_finer_arc_rule_moves_no_printed_digit(capsys, monkeypatch):
+    # every reader takes N_ARC from singular_ode when called, so one
+    # assignment refines the arcs, the Jacobi fields, the switching rule
+    # and the J_scaled rule together; 96 nodes must print what 64 print.
+    # switch_integral is round-off and is left out
+    commands = [("table",), ("table", "--rows", "0.0875,0.2,3,20,1000,1e6"),
+                ("constants",), ("solve", "--M", "1.0")]
+
+    def cold():
+        _solve_nu_base.cache_clear()
+        _assemble_cached.cache_clear()
+        _solved.cache_clear()
+
+    def outputs():
+        cold()
+        code, out, _ = run(capsys, "check", "--alpha", "0,0.01,0.1,0.2,0.3,0.33")
+        reports = [(r["rho"], r["verdicts"]) for r in json.loads(out)["reports"]]
+        return [run(capsys, *argv) for argv in commands], code, reports
+
+    coarse = outputs()
+    sizes = set()
+    lobatto = singular_ode._lobatto_integrals
+
+    def recording(n, anchor):
+        sizes.add(n)
+        return lobatto(n, anchor)
+
+    try:
+        with monkeypatch.context() as m:
+            # wherever the rule is bound, so that a copied node count shows
+            for mod in (singular_ode, extremal, functional, geometry):
+                if hasattr(mod, "_lobatto_integrals"):
+                    m.setattr(mod, "_lobatto_integrals", recording)
+            m.setattr(singular_ode, "N_ARC", 96)
+            fine = outputs()
+    finally:
+        cold()  # no 96-node arc outlives this test
+    assert singular_ode.N_ARC == 64 and 64 not in sizes and 96 in sizes
+    assert fine == coarse and coarse[1] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -121,9 +121,9 @@ def test_switching_integral_endpoint_sign_flips_past_third():
 
 
 def test_switch_radius_and_derivative_at_limit():
-    rho = find_switch(0.0)
-    assert rho == pytest.approx(RHO_HAT, abs=1e-5)
     nu = solve_nu(0.0)
+    rho = find_switch(0.0, nu)
+    assert rho == pytest.approx(RHO_HAT, abs=1e-5)
     assert abs(I_of(rho, 0.0, nu)) < 1e-12
     h = 1e-5
     slope = (I_of(rho + h, 0.0, nu) - I_of(rho - h, 0.0, nu)) / (2.0 * h)
@@ -131,8 +131,9 @@ def test_switch_radius_and_derivative_at_limit():
 
 
 def test_switch_radius_along_family():
-    assert find_switch(1.0 / 2.43337**2) == pytest.approx(0.548904, abs=1e-4)
-    assert find_switch(1.0 / 316.727**2) == pytest.approx(0.109020, abs=1e-4)
+    a1, a2 = 1.0 / 2.43337**2, 1.0 / 316.727**2
+    assert find_switch(a1, solve_nu(a1)) == pytest.approx(0.548904, abs=1e-4)
+    assert find_switch(a2, solve_nu(a2)) == pytest.approx(0.109020, abs=1e-4)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1e-300, 0.01, 0.1, 0.2, 0.3, 0.3333])
@@ -190,9 +191,11 @@ def test_switch_adjoint_and_J_scaled_make_no_adaptive_quad(monkeypatch):
 
 
 def test_switch_rejects_invalid_family_parameter():
+    # alpha is checked before nu is read, so any solved arc will do
+    nu = solve_nu(0.1)
     for alpha in (1.0 / 3.0, 0.35, 0.5):
         with pytest.raises(NoRoot, match="hypothesis"):
-            find_switch(alpha)
+            find_switch(alpha, nu)
 
 
 def test_switch_residual_small_along_family():
@@ -311,11 +314,29 @@ def test_variational_coefficients_linearize_the_arc_operator(alpha):
 
 @pytest.mark.parametrize("alpha", [0.0, 0.01, 0.1])
 def test_field_jacobian_sign_constant(alpha):
-    assert field_jacobian_check(alpha) == -1
+    prof = assemble_profile(alpha)
+    assert field_jacobian_check(prof, jacobi_check(prof)[1]) == -1
 
 
 def test_field_jacobian_spot_example():
-    assert field_jacobian_check(0.3331) == -1
+    prof = assemble_profile(0.3331)
+    assert field_jacobian_check(prof, jacobi_check(prof)[1]) == -1
+
+
+def test_field_jacobian_catches_a_sign_change():
+    # the verdict's failure path: the profile's own zeta keeps one sign, and
+    # a stub field with a zero at q = 0.7, inside (rho, 0.99), flips it
+    prof = assemble_profile(0.1)
+    assert field_jacobian_check(prof, jacobi_check(prof)[1]) == -1
+
+    class Crossing:
+        def eval(self, q):
+            q = np.asarray(q, float)
+            return q - 0.7, np.ones_like(q), np.zeros_like(q)
+
+    assert prof.rho < 0.7
+    with pytest.raises(SignChange, match=r"alpha=0\.1$"):
+        field_jacobian_check(prof, Crossing())
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.3331])
@@ -335,7 +356,8 @@ def test_field_jacobian_solves_one_arc(alpha, monkeypatch):
         monkeypatch.setattr(extremal, name, counted(name))
     extremal._solve_nu_base.cache_clear()
     extremal._assemble_cached.cache_clear()
-    assert field_jacobian_check(alpha) == -1
+    prof = assemble_profile(alpha)
+    assert field_jacobian_check(prof, jacobi_check(prof)[1]) == -1
     assert calls == {"integrate": 1, "find_switch": 1}
 
 
@@ -349,7 +371,7 @@ def test_field_bracket_against_neighbour_profiles(alpha):
     da = 1e-5
     dk = (assemble_profile(alpha + da).eval(qs)[0]
           - assemble_profile(alpha - da).eval(qs)[0]) / (2.0 * da)
-    bracket = extremal._field_bracket(prof, qs)
+    bracket = extremal._field_bracket(prof, jacobi_check(prof)[1], qs)
     assert np.max(np.abs(bracket - (qs * kp - kap + 2.0 * alpha * dk))) <= 1e-6
 
 
@@ -361,7 +383,8 @@ def test_field_bracket_at_zero_is_the_height_derivative(p0):
 
     dp = 1e-5 * p0
     dM = (height(p0 + dp) - height(p0 - dp)) / (2.0 * dp)
-    b0 = extremal._field_bracket(assemble_profile(1.0 / (p0 * p0)), np.array([0.0]))[0]
+    prof = assemble_profile(1.0 / (p0 * p0))
+    b0 = extremal._field_bracket(prof, jacobi_check(prof)[1], np.array([0.0]))[0]
     assert abs(-b0 - dM) <= 1e-8
 
 
@@ -487,7 +510,7 @@ def test_solve_for_height_locates_each_switch_once(monkeypatch):
 
 
 @pytest.mark.parametrize("setup, call, reads", [
-    (lambda solved: (0.1, solve_nu(0.1), find_switch(0.1)),
+    (lambda solved: (0.1, solve_nu(0.1), find_switch(0.1, solve_nu(0.1))),
      lambda args: extremal.ScaledProfile.at_switch(*args), 2),
     (lambda solved: scaled_arc_ivp(0.1), lambda ivp: integrate(ivp, -1.0), 2),
     (lambda solved: solved(1.0), BodyEvaluator, 4),
