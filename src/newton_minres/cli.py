@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import extremal, functional, geometry
-from .errors import SolverError
+from .errors import SignChange, SolverError
 
 DEFAULT_TABLE_ROWS = "0.5,1,1.5,2,2.5,5,10,50,100"
 DEFAULT_CHECK_ALPHAS = "0,0.01,0.1"
@@ -249,7 +249,7 @@ def _check_one(alpha, inject_fault):
     try:
         extremal.field_jacobian_check(prof, zeta)
         verdicts["field_sign_constant"] = True
-    except SolverError:
+    except SignChange:
         verdicts["field_sign_constant"] = False
 
     x2, x3 = extremal.nu_derivatives_at_one(alpha)[2:]
@@ -286,16 +286,12 @@ def _cmd_mesh(args):
     sol = _solution_from_args(args)
     mesh = geometry.build_mesh(sol, n_profile=args.resolution,
                                n_circle=max(args.resolution // 4, 4))
-    watertight = geometry.mesh_is_watertight(mesh)
+    counts = {"n_vertices": len(mesh.vertices), "n_faces": len(mesh.faces),
+              "watertight": geometry.mesh_is_watertight(mesh)}
     out = Path(args.out)
     geometry.export_obj(mesh, out)
-    sidecar = dict(_solution_dict(sol))
-    sidecar.update({"n_vertices": len(mesh.vertices), "n_faces": len(mesh.faces),
-                    "watertight": watertight})
-    out.with_suffix(".json").write_text(_jdump(sidecar) + "\n")
-    print(_jdump({"out": str(out), "sidecar": str(out.with_suffix('.json')),
-                  "n_vertices": len(mesh.vertices), "n_faces": len(mesh.faces),
-                  "watertight": watertight}))
+    out.with_suffix(".json").write_text(_jdump({**_solution_dict(sol), **counts}) + "\n")
+    print(_jdump({"out": str(out), "sidecar": str(out.with_suffix('.json')), **counts}))
     return 0
 
 

@@ -86,19 +86,14 @@ def scaled_arc_ivp(alpha):
     return SingularIVP(LAM, g, g_x, g_xdot, g0)
 
 
-@lru_cache(maxsize=64)
-def _solve_nu_base(alpha):
-    return integrate(scaled_arc_ivp(alpha), -1.0)
-
-
 def solve_nu(alpha):
-    """Arc solution nu(q) on [0,1] with nu(1)=nu'(1)=1.
+    """Arc solution nu(q) on [0,1] with nu(1)=nu'(1)=1, solved afresh on
+    every call (assemble_profile is the cache).
 
     Returned as a view over the movable-frame solution, so downstream code
     can read x = nu - q directly from .base without cancellation.
     """
-    base = _solve_nu_base(float(alpha))
-    return MappedSolution(base, offset=-1.0, add1=1.0)
+    return MappedSolution(integrate(scaled_arc_ivp(alpha), -1.0), offset=-1.0, add1=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,13 @@ a parabola, so x'^2/x stays finite).  The strategy:
        F(x)(t) = int_0^t (t - s) * (lam*x'^2/x + g)(s) ds
 
    in a band of relative half-width eps around x0, with the same two
-   matrix products on its own Lobatto nodes.  The iteration is a
-   contraction once eps and tau are small enough: eps is halved until the
-   lam-part of the bound leaves room, then tau is the largest of
-   0.5*2^-k, k = 0..59, whose sampled bounds certify a contraction factor
-   rho <= rho_target and a band that maps into itself.  The arc must agree
-   with the seed and stay in its band there.
+   matrix products on the N_ARC Lobatto nodes of [-tau, tau].  The
+   iteration is a contraction once eps and tau are small enough: eps is
+   halved until the lam-part of the bound leaves room, then tau is the
+   largest of 0.5*2^-k, k = 0..59, whose sampled bounds certify a
+   contraction factor rho <= rho_target and a band that maps into itself.
+   The seed only checks: the arc, however short, must agree with it and
+   stay in its band on [-h, h], h = min(tau, |t_end|).
 
 Every fit here is a fixed linear map on node values: `_lobatto_integrals`
 builds, once per node count and anchor, the inverse Chebyshev Vandermonde
@@ -60,10 +61,9 @@ from scipy.integrate import solve_ivp  # noqa: F401
 
 from .errors import BlowUp, ContractionFailure, DomainError
 
-# Chebyshev-Lobatto points used for the seed (even count: no node at t=0)
-N_CHEB = 48
-# Chebyshev-Lobatto points for the series across a whole arc (and for
-# each smooth piece of a variational solution)
+# Chebyshev-Lobatto points for the series across a whole arc, for the
+# seed on [-tau, tau] and for each smooth piece of a variational solution;
+# even, so that no seed node lands on t=0
 N_ARC = 64
 RHO_TARGET_FLOOR = 0.9
 PICARD_MAX_ITER = 200
@@ -126,10 +126,10 @@ class _ChebSegment:
     Built from the x'' coefficients c2: x' and x are their exact integrals
     from s = anchor, where they take the values xd0 and x0.  The three
     series are the columns of one coefficient array, so a single Clenshaw
-    pass evaluates all three.
+    pass evaluates all three; x''' is differentiated only when read.
     """
 
-    __slots__ = ("mid", "half", "c", "c3")
+    __slots__ = ("mid", "half", "c")
 
     def __init__(self, mid, half, c2, anchor, x0=0.0, xd0=0.0):
         self.mid = float(mid)
@@ -139,14 +139,14 @@ class _ChebSegment:
         self.c = np.zeros((len(c0), 3))
         for j, cj in enumerate((c0, c1, c2)):
             self.c[:len(cj), j] = cj
-        self.c3 = _cheb.chebder(c2) / self.half
 
     def eval(self, t):
         """(x, x', x'') stacked along the first axis."""
         return _cheb.chebval((t - self.mid) / self.half, self.c)
 
     def third(self, t):
-        return _cheb.chebval((t - self.mid) / self.half, self.c3)
+        xddd = _cheb.chebder(self.c[:, 2]) / self.half
+        return _cheb.chebval((t - self.mid) / self.half, xddd)
 
 
 class DenseSolution:
@@ -240,7 +240,7 @@ def _lobatto_integrals(n, anchor):
     inverse Vandermonde matrix), and to its exact first and second
     integrals from s = anchor, read at the nodes (int1, int2).
 
-    Built on first use, for (N_CHEB, 0) and (N_ARC, -1 or 1).  Row 0 of int1
+    Built on first use, for (N_ARC, 0) and (N_ARC, -1 or 1).  Row 0 of int1
     at anchor -1 is the Clenshaw-Curtis rule on [-1, 1].
     """
     s = np.cos(np.pi * np.arange(n) / (n - 1))
@@ -285,9 +285,10 @@ def picard_seed(ivp):
     tau is then the largest of 0.5*2^-k, k = 0..59, for which both
     rho <= rho_target and the self-map bound hold; the band norms of all
     60 candidates are sampled in one pass.  Each iteration maps x'' at the
-    N_CHEB Lobatto nodes to x and x' there with the fixed integral matrices
-    of `_lobatto_integrals`, and the seed series is the fit of the last
-    iterate, integrated twice from t=0.  The iteration stops at the first step that moves x'' by less than
+    N_ARC Lobatto nodes of [-tau, tau] (the arc's count) to x and x' there
+    with the fixed integral matrices of `_lobatto_integrals`, and the seed
+    series is the fit of the last iterate, integrated twice from t=0.  The
+    iteration stops at the first step that moves x'' by less than
     PICARD_STOP at every node; the diffs are in seed.info['picard_diffs'].
     """
     lam = ivp.lam
@@ -319,12 +320,11 @@ def picard_seed(ivp):
             f"no tau gives contraction rho<={rho_target:.3f} with band eps={eps:.2e}")
     tau, rho = float(taus[ok[0]]), float(rho[ok[0]])
 
-    # Chebyshev-Lobatto nodes (even count -> none lands exactly on t=0)
-    s, fit, int1, int2 = _lobatto_integrals(N_CHEB, 0.0)
+    s, fit, int1, int2 = _lobatto_integrals(N_ARC, 0.0)
     t = tau * s
     X, Xd = tau * tau * int2, tau * int1
 
-    xdd = np.full(N_CHEB, xdd0)
+    xdd = np.full(N_ARC, xdd0)
     diffs = []
     for _ in range(PICARD_MAX_ITER):
         x = X @ xdd
@@ -397,14 +397,14 @@ def integrate(ivp, t_end):
     Chebyshev segment, solved by Newton collocation (module docstring, step
     1) to the round-off floor NEWTON_STEP_FLOOR, so no tolerance steers it.
     The Picard seed (band PICARD_BAND, stop PICARD_STOP) cross-checks the
-    arc on [-tau, tau] and is the whole solution when |t_end| <= tau.
+    arc on [-h, h], h = min(tau, |t_end|).
 
     Raises BlowUp if an iterate has x*sign(xdd0) <= 0 off the origin, if
     Newton takes more than NEWTON_MAX_ITER steps, if the residual beyond
     the seed or the last ARC_TAIL x'' coefficients exceed
     ARC_BUDGET*max|x''|, or if the arc's x'' leaves the seed's certified
     band or differs from the seed's by more than ARC_BUDGET*|xdd0|.  info
-    adds newton_iters, residual (the max on 2*N_ARC points beyond the seed)
+    adds newton_iters, residual (the max on 2*N_ARC points in [h, |t_end|])
     and radius_estimate = ||F||*||J^-1|| (max norm, last iterate), a
     Kantorovich-style size of the correction left, not a proof.
     """
@@ -413,9 +413,6 @@ def integrate(ivp, t_end):
         raise DomainError(f"t_end must be finite and nonzero, got {t_end}")
     tau, seed = picard_seed(ivp)
     lo, hi = min(t_end, 0.0), max(t_end, 0.0)
-    if abs(t_end) <= tau:
-        return DenseSolution([lo, hi], seed.segments, info=seed.info)
-
     d = 1.0 if t_end > 0 else -1.0
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     s0 = -d  # t = 0 in s, an endpoint
@@ -445,9 +442,10 @@ def integrate(ivp, t_end):
     scale = np.max(np.abs(u))
     tail = np.max(np.abs(c2[-ARC_TAIL:]))
     # the residual beyond the seed, where x'^2/x is well conditioned, and
-    # the seed check on [-tau, tau], from one read of the series
-    tr = np.linspace(d * tau, t_end, 2 * N_ARC)
-    ts = d * tau * np.linspace(0.0, 1.0, 9)
+    # the seed check on [-h, h], h = min(tau, |t_end|), from one read
+    dh = d * min(tau, abs(t_end))
+    tr = np.linspace(dh, t_end, 2 * N_ARC)
+    ts = dh * np.linspace(0.0, 1.0, 9)
     jet = seg.eval(np.concatenate([tr, ts]))
     x, xd, xdd = jet[:, :tr.size]
     if np.any(x * np.sign(xdd0) <= 0.0):
@@ -456,12 +454,12 @@ def integrate(ivp, t_end):
     if not (residual <= ARC_BUDGET * scale and tail <= ARC_BUDGET * scale):  # NaN fails
         raise BlowUp(f"arc series misses its budget: residual {residual:.2e}, "
                      f"tail {tail:.2e}, max|x''| {scale:.3g}")
-    # the seed, an independent solve, bounds the arc on [-tau, tau]
+    # the seed, an independent solve, bounds the arc on [-h, h]
     xdd = jet[2, tr.size:]
     gap = np.max(np.abs(xdd - seed.eval(ts)[2]))
     dev = np.max(np.abs(xdd - xdd0))
     if not (gap <= ARC_BUDGET * abs(xdd0) and dev <= 1.05 * seed.info["epsilon"] * abs(xdd0)):
-        raise BlowUp(f"arc disagrees with the Picard seed on [-tau, tau]: "
+        raise BlowUp(f"arc disagrees with the Picard seed near t=0: "
                      f"|x'' - seed| {gap:.2e}, |x'' - xdd0| {dev:.2e}")
     info = dict(seed.info, newton_iters=k, residual=residual, radius_estimate=radius)
     return DenseSolution([lo, hi], [seg], info=info)

@@ -38,7 +38,7 @@ from newton_minres import (
     unscale,
 )
 from newton_minres import singular_ode
-from newton_minres.extremal import _assemble_cached, _solve_nu_base
+from newton_minres.extremal import _assemble_cached
 from newton_minres.geometry import _INVPHI
 
 # (M, p0, r, v'(0+), J) across the height family
@@ -70,7 +70,6 @@ def verdict(capsys, num, name):
 
 def _cold_caches():
     _solved.cache_clear()
-    _solve_nu_base.cache_clear()
     _assemble_cached.cache_clear()
     singular_ode._lobatto_integrals.cache_clear()
 

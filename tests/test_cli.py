@@ -17,7 +17,7 @@ from conftest import _solved
 from newton_minres import (DomainError, NoRoot, cli, extremal, functional, geometry,
                            singular_ode, solve_for_height)
 from newton_minres.cli import DEFAULT_TABLE_ROWS, _check_one, main
-from newton_minres.extremal import _P0_TOP, _assemble_cached, _solve_nu_base
+from newton_minres.extremal import _P0_TOP, _assemble_cached
 from newton_minres.functional import P0_MAX
 
 # a fresh _check_one call costs about 0.015-0.03 s on two vCPUs (mostly its
@@ -330,7 +330,6 @@ def test_table_bytes_do_not_depend_on_the_thread_count(capsys):
     rows = DEFAULT_TABLE_ROWS + ",3.3,7.7"
     outputs = []
     for _ in range(3):
-        _solve_nu_base.cache_clear()
         _assemble_cached.cache_clear()
         singular_ode._lobatto_integrals.cache_clear()
         for fmt in ("csv", "json"):
@@ -441,6 +440,18 @@ def test_check_verdicts_read_one_profile(capsys, monkeypatch):
     assert seen == {name: [faulted] for name in names}
 
 
+def test_check_reports_a_solver_failure_of_the_field_check(capsys, monkeypatch):
+    # only SignChange is a false field verdict; any other solver failure is
+    # an error of the command, not a certificate that failed
+    def failing(prof, zeta):
+        raise DomainError("stub")
+
+    monkeypatch.setattr(extremal, "field_jacobian_check", failing)
+    code, out, err = run(capsys, "check", "--alpha", "0.1")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: stub"
+
+
 def test_check_solves_one_arc_and_one_jacobi_field_per_alpha(capsys, monkeypatch):
     # from cold caches the default battery (three alphas) solves each arc
     # once and each profile's Jacobi field once
@@ -456,7 +467,6 @@ def test_check_solves_one_arc_and_one_jacobi_field_per_alpha(capsys, monkeypatch
 
     for name in calls:
         monkeypatch.setattr(extremal, name, counted(name))
-    _solve_nu_base.cache_clear()
     _assemble_cached.cache_clear()
     assert run(capsys, "check")[0] == 0
     assert calls == {"integrate": 3, "integrate_variational": 3}
@@ -588,14 +598,14 @@ def test_check_verdicts_pass_across_the_heights(M):
 
 def test_a_finer_arc_rule_moves_no_printed_digit(capsys, monkeypatch):
     # every reader takes N_ARC from singular_ode when called, so one
-    # assignment refines the arcs, the Jacobi fields, the switching rule
-    # and the J_scaled rule together; 96 nodes must print what 64 print.
+    # assignment refines the Picard seeds, the arcs, the Jacobi fields, the
+    # switching rule and the J_scaled rule together; 96 nodes must print
+    # what 64 print, and no rule of another size may be built.
     # switch_integral is round-off and is left out
     commands = [("table",), ("table", "--rows", "0.0875,0.2,3,20,1000,1e6"),
                 ("constants",), ("solve", "--M", "1.0")]
 
     def cold():
-        _solve_nu_base.cache_clear()
         _assemble_cached.cache_clear()
         _solved.cache_clear()
 
@@ -623,7 +633,7 @@ def test_a_finer_arc_rule_moves_no_printed_digit(capsys, monkeypatch):
             fine = outputs()
     finally:
         cold()  # no 96-node arc outlives this test
-    assert singular_ode.N_ARC == 64 and 64 not in sizes and 96 in sizes
+    assert singular_ode.N_ARC == 64 and sizes == {96}
     assert fine == coarse and coarse[1] == 0
 
 

@@ -354,7 +354,6 @@ def test_field_jacobian_solves_one_arc(alpha, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(extremal, name, counted(name))
-    extremal._solve_nu_base.cache_clear()
     extremal._assemble_cached.cache_clear()
     prof = assemble_profile(alpha)
     assert field_jacobian_check(prof, jacobi_check(prof)[1]) == -1
@@ -502,7 +501,6 @@ def test_solve_for_height_locates_each_switch_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(extremal, name, counted(name))
-    extremal._solve_nu_base.cache_clear()
     extremal._assemble_cached.cache_clear()
     solve_for_height(1.0)
     assert calls["integrate"] > 0
