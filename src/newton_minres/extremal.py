@@ -26,10 +26,9 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
-from scipy.optimize import brentq
 
 from .errors import DomainError, InconsistentScale, NoRoot, SignChange
-from .functional import J_scaled, quad_value
+from .functional import J_scaled, _panel_rule, quad_value
 from . import singular_ode
 from .singular_ode import (MappedSolution, SingularIVP, integrate, integrate_variational,
                            VariationalCoeffs)
@@ -44,6 +43,66 @@ _H0_LO, _H0_HI = 0.20, 0.3158
 _P0_TOP, _M_TOP = 1.0 / np.sqrt(np.finfo(float).tiny), 2.1166e153
 _VALIDITY_MSG = ("alpha = {!r} is outside [0, 1/3): the switching-integral "
                  "uniqueness hypothesis fails there (endpoint weight changes sign at 1/3)")
+# Gauss-Legendre nodes per panel of I_of's graded rule
+N_PANEL = 16
+
+RootInfo = namedtuple("RootInfo", ["iterations"])
+
+
+def brentq(f, a, b, xtol, rtol, maxiter=100, full_output=False):
+    """Zero of f in [a, b] by Brent's method (Brent 1973, ch. 4), in plain
+    floats with the step rules of scipy.optimize.brentq in its operation
+    order, so roots and iteration counts match it bit for bit.
+
+    Stops at f(x) == 0 or once the bracket's half-width is below
+    (xtol + rtol*|x|)/2; with full_output returns (root, RootInfo).  Raises
+    NoRoot if f(a) and f(b) share a sign, if f is NaN, or after maxiter
+    iterations.
+    """
+    def call(x):
+        fx = float(f(x))
+        if fx != fx:
+            raise NoRoot(f"brentq: f is NaN at x={x!r}")
+        return fx
+
+    def done(x, iterations):
+        return (x, RootInfo(iterations)) if full_output else x
+
+    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0 or fcur == 0.0:
+        return done(xpre if fpre == 0.0 else xcur, 0)
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NoRoot(f"brentq: f({xpre!r}) and f({xcur!r}) have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for it in range(1, maxiter + 1):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return done(xcur, it)
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # a short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = call(xcur)
+    raise NoRoot(f"brentq: no convergence in {maxiter} iterations on [{a!r}, {b!r}]")
 
 
 def nu_derivatives_at_one(alpha):
@@ -110,6 +169,22 @@ def _switch_kernel(q, a, b, alpha, weight):
     return weight * np.sqrt(e * e - q * q) / (e * e + alpha) ** 2 * rhs
 
 
+def _graded_ends(rho, a, b, nr):
+    """Panel ends of I_of on [0, rho]: 0.5*rho, and breaks that double away
+    from the integrand's branch points on the real line, where the
+    continuation eta = a*q + b meets eta = -q (q = -b/(1+a), at distance
+    d = b/(1+a) below 0) and, for a < 1, eta = q (q = rho + (nr-rho)/(1-a)):
+    at distances d, 3d, 7d, ... from the point, inside [0, rho]."""
+    ends = [0.0, 0.5 * rho, rho]
+    for d, origin, sign in ((b / (1.0 + a), 0.0, 1.0),
+                            ((nr - rho) / (1.0 - a) if a < 1.0 else np.inf, rho, -1.0)):
+        k = d
+        while k < 0.5 * rho:
+            ends.append(origin + sign * k)
+            k = 2.0 * k + d
+    return np.unique(ends)
+
+
 def I_of(rho, alpha, nu):
     """Switching integral I(rho): first-variation cost of the tangent cut.
 
@@ -117,7 +192,14 @@ def I_of(rho, alpha, nu):
     the affine continuation eta(q) = nu(rho) + nu'(rho)(q - rho); computed
     through the exact identity with the arc operator,
 
-        I(rho) = int_0^rho q * sqrt(eta^2-q^2)/(eta^2+alpha)^2 * R(q,eta,eta') dq.
+        I(rho) = int_0^rho q * sqrt(eta^2-q^2)/(eta^2+alpha)^2 * R(q,eta,eta') dq,
+
+    on N_PANEL-point Gauss-Legendre panels graded toward the integrand's
+    branch points (_graded_ends): each panel is as long as its distance to
+    the nearer one.  As rho -> 1 the point eta = q closes in on rho at
+    about (1-rho)/2, which one fixed rule on [0, rho] does not resolve.
+    Independent of _switch_rule's Clenshaw-Curtis nodes, so it verifies
+    find_switch's root.
 
     Raises DomainError if the continuation touches eta <= q on [0, rho].
     """
@@ -129,7 +211,8 @@ def I_of(rho, alpha, nu):
     # eta - q is affine; positivity at both ends covers the whole interval
     if b <= 0.0 or nr - rho <= 0.0:
         raise DomainError("tangent continuation leaves the admissible region eta > q")
-    return quad_value(lambda q: _switch_kernel(q, a, b, alpha, q), 0.0, rho)
+    q, w = _panel_rule(_graded_ends(rho, a, b, nr), N_PANEL)
+    return float(w @ _switch_kernel(q, a, b, alpha, q))
 
 
 def I_closed_form_alpha0(rho, nu_hat):
@@ -165,8 +248,9 @@ def find_switch(alpha, nu):
     rho = 0.015, 0.035, ... for the first sign change (I < 0 below the
     root, > 0 above), all 49 points in one pass; refines with brentq on
     the same rule to xtol 1e-12 and verifies |I(rho)| < 1e-12 with one call
-    of the adaptive I_of, an independent quadrature.  No warm start:
-    assemble_profile's cache calls this once per alpha.
+    of I_of, whose graded Gauss-Legendre panels are an independent
+    quadrature.  No warm start: assemble_profile's cache calls this once
+    per alpha.
     """
     alpha = float(alpha)
     if not 0.0 <= alpha < ALPHA_MAX:

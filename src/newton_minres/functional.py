@@ -24,6 +24,11 @@ gamma_form_J read nothing else, on a fixed Gauss-Legendre rule.  The one
 solver use is the Lobatto rule of `singular_ode` at its N_ARC when called,
 for J_scaled, the one route here that reads the solver's movable frame
 (`profile.nu.base`).
+
+Every rule here is a fixed numpy rule: Gauss-Legendre panels
+(`_panel_rule`, which the switching integral I_of reads too) or
+Clenshaw-Curtis.  The one adaptive quadrature, `quad_value`, imports scipy
+when first called; no command calls it, so the package runs on numpy alone.
 """
 
 import os
@@ -32,20 +37,22 @@ from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError
 from . import singular_ode
 
 
 def quad_value(f, a, b):
-    """Adaptive quadrature returning just the value: the reference route of
-    I_of and the endpoint weight.
+    """Adaptive quadrature (scipy's quad) returning just the value: the
+    route of endpoint_weight_quadrature, which only the tests call.  scipy
+    is imported here, on the first call, so no command loads it.
 
     full_output=1 keeps quadpack from warning when it stops at roundoff
     level, which is routine for the sqrt-type endpoint integrands here; the
     accuracy actually achieved is pinned by tests instead.
     """
+    from scipy.integrate import quad
+
     return quad(f, a, b, epsabs=1e-13, epsrel=1e-12, limit=200, full_output=1)[0]
 
 
@@ -154,19 +161,25 @@ def _gauss_legendre(n):
     return np.polynomial.legendre.leggauss(n)
 
 
+def _panel_rule(ends, n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on each panel
+    between consecutive ends.  The nodes are interior, so no endpoint limit
+    is needed."""
+    ends = np.asarray(ends, float)
+    x, w = _gauss_legendre(n)
+    lo, half = ends[:-1, None], 0.5 * np.diff(ends)[:, None]
+    return (lo + half * (x + 1.0)).ravel(), (half * w).ravel()
+
+
 def _curve_rule(sol):
-    """Nodes p and weights w of the N_GL-point Gauss-Legendre rule on each
-    smooth piece of the curve: [0, r] and [r, p0], or [0, p0] when it has no
-    r in (0, p0).  The nodes are interior, so no endpoint limit is needed.
+    """`_panel_rule` with N_GL nodes on each smooth piece of the curve:
+    [0, r] and [r, p0], or [0, p0] when it has no r in (0, p0).
     p0 > P0_MAX (alpha < 1e-152) raises DomainError."""
     p0 = sol.p0
     if p0 > P0_MAX:
         raise DomainError(f"p0={p0:.3e} > {P0_MAX:.0e}: the unscaled integrand overflows")
     r = getattr(sol, "r", None)
-    ends = np.array([0.0, r, p0] if r is not None and 0.0 < r < p0 else [0.0, p0])
-    x, w = _gauss_legendre(N_GL)
-    lo, half = ends[:-1, None], 0.5 * np.diff(ends)[:, None]
-    return (lo + half * (x + 1.0)).ravel(), (half * w).ravel()
+    return _panel_rule([0.0, r, p0] if r is not None and 0.0 < r < p0 else [0.0, p0], N_GL)
 
 
 def J_unscaled(sol):

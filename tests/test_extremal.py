@@ -96,6 +96,34 @@ def test_switching_integral_against_closed_form():
         assert abs(I_of(rho, 0.0, nu) - I_closed_form_alpha0(rho, nu)) <= 1e-8
 
 
+def _seeded_switch_points(n):
+    rng = np.random.default_rng(20240)
+    alphas = rng.uniform(0.0, 0.3333, n)
+    # half the radii spread over [0.0025, 0.99], half log-spaced toward the rim
+    rhos = np.where(np.arange(n) % 2, rng.uniform(0.0025, 0.99, n),
+                    1.0 - 10.0 ** rng.uniform(-4.0, -2.0, n))
+    return list(zip(alphas, rhos))
+
+
+@pytest.mark.parametrize("alpha, rho", _seeded_switch_points(12))
+def test_switching_integral_against_adaptive_quad(alpha, rho):
+    # scipy's quad is the reference of the graded Gauss-Legendre I_of.  The
+    # gap is taken relative to int |integrand|: the integrand changes sign,
+    # and near the root (and near the rim as alpha -> 1/3) I itself is far
+    # below the size of its parts, where both rules read only round-off
+    nu = solve_nu(alpha)
+    nr, a, _ = nu.eval(rho)
+    b = nr - rho * a
+
+    def f(q):
+        return extremal._switch_kernel(q, a, b, alpha, q)
+
+    opts = dict(epsabs=0.0, epsrel=2e-14, limit=500, full_output=1)
+    ref = quad(f, 0.0, rho, **opts)[0]
+    size = quad(lambda q: abs(f(q)), 0.0, rho, **opts)[0]
+    assert abs(I_of(rho, alpha, nu) - ref) <= 1e-12 * size
+
+
 def test_switching_integral_shape():
     nu = solve_nu(0.0)
     # vanishes quadratically (negative side) as the switch moves to center
@@ -136,30 +164,71 @@ def test_switch_radius_along_family():
     assert find_switch(a2, solve_nu(a2)) == pytest.approx(0.109020, abs=1e-4)
 
 
-@pytest.mark.parametrize("alpha", [0.0, 1e-300, 0.01, 0.1, 0.2, 0.3, 0.3333])
+def _brentq_calls(monkeypatch, fn, *args):
+    """fn(*args) and every extremal.brentq call it made, as (f, a, b, kwargs)."""
+    calls, own = [], extremal.brentq
+
+    def recording(f, a, b, **kwargs):
+        calls.append((f, a, b, kwargs))
+        return own(f, a, b, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(extremal, "brentq", recording)
+        return fn(*args), calls
+
+
+def _assert_same_roots(calls):
+    # the port against scipy's brentq on the very calls the package made
+    for f, a, b, kwargs in calls:
+        ours, info = extremal.brentq(f, a, b, full_output=True, **kwargs)
+        theirs, ref = brentq(f, a, b, full_output=True, **kwargs)
+        assert ours == theirs and type(ours) is float
+        assert info.iterations == ref.iterations and type(info.iterations) is int
+
+
+SCAN_ALPHAS = [0.0, 1e-300, 0.01, 0.1, 0.2, 0.3, 0.3333]
+
+
+@pytest.mark.parametrize("alpha", SCAN_ALPHAS)
 def test_switch_scan_brackets_like_the_adaptive_scan(alpha, monkeypatch):
-    # reference: the scalar scan over the same grid with the adaptive I_of,
-    # then brentq on it; find_switch's fixed rule must pick the same bracket
-    # and land within the refine's xtol of the reference root
+    # reference: the scalar scan over the same grid with the graded I_of,
+    # then scipy's brentq on it; find_switch's fixed rule must pick the same
+    # bracket and land within the refine's xtol of the reference root
     nu = solve_nu(alpha)
     grid = np.arange(0.015, 0.985, 0.02)
     vals = [I_of(r, alpha, nu) for r in grid]
     i = next(i for i in range(len(grid) - 1) if vals[i] < 0.0 <= vals[i + 1])
     ref = brentq(lambda r: I_of(r, alpha, nu), grid[i], grid[i + 1],
                  xtol=1e-12, rtol=4.0 * np.finfo(float).eps)
-    brackets = []
+    rho, calls = _brentq_calls(monkeypatch, find_switch, alpha, nu)
+    assert abs(rho - ref) <= 1e-12
+    assert [(a, b) for _, a, b, _ in calls] == [(grid[i], grid[i + 1])]
+    _assert_same_roots(calls)
 
-    def recording(f, a, b, **kwargs):
-        brackets.append((a, b))
-        return brentq(f, a, b, **kwargs)
 
-    monkeypatch.setattr(extremal, "brentq", recording)
-    assert abs(find_switch(alpha, nu) - ref) <= 1e-12
-    assert brackets == [(grid[i], grid[i + 1])]
+@pytest.mark.parametrize("M", [0.0875, 0.5, 1.0, 1.5, 2.0, 2.5, 5.0, 10.0, 50.0, 100.0, 1e6])
+def test_brentq_matches_scipy_on_the_height_root(M, monkeypatch):
+    # solve_for_height's h(p0) on its bracket, for the paper's nine heights
+    # and the two ends of the table's range, and the switching roots of
+    # whatever arcs it solves afresh
+    _, calls = _brentq_calls(monkeypatch, solve_for_height, M)
+    assert sum(kwargs["xtol"] == 1e-10 for *_, kwargs in calls) == 1
+    _assert_same_roots(calls)
+
+
+def test_brentq_refuses_what_it_cannot_solve():
+    with pytest.raises(NoRoot, match="same sign"):
+        extremal.brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12, rtol=1e-15)
+    with pytest.raises(NoRoot, match="no convergence in 2 iterations"):
+        extremal.brentq(lambda x: x ** 3 - 0.3, 0.0, 1.0, xtol=1e-12, rtol=1e-15, maxiter=2)
+    with pytest.raises(NoRoot, match="NaN"):
+        extremal.brentq(lambda x: x if x != 1.0 else np.nan, -1.0, 1.0, xtol=1e-12, rtol=1e-15)
+    assert extremal.brentq(lambda x: x - 1.0, 1.0, 2.0, xtol=1e-12, rtol=1e-15,
+                           full_output=True) == (1.0, extremal.RootInfo(0))
 
 
 def test_switch_root_failing_the_adaptive_check_is_no_root(monkeypatch):
-    # the fixed rule's root is verified by one adaptive I_of call
+    # the fixed rule's root is verified by one I_of call, on its own rule
     nu = solve_nu(0.0)
     monkeypatch.setattr(extremal, "I_of", lambda rho, alpha, nu: 1.0)
     with pytest.raises(NoRoot, match=r"not a clean zero: I=1\.000e\+00"):
@@ -178,7 +247,7 @@ def test_switch_adjoint_and_J_scaled_make_no_adaptive_quad(monkeypatch):
         functional.J_scaled(prof)
         adjoint_omega(prof)
 
-    # find_switch reaches the adaptive I_of once, to verify the root
+    # find_switch reaches I_of once, to verify the root
     calls = []
 
     def counted_I_of(*args):

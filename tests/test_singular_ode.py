@@ -259,6 +259,28 @@ def test_integrate_exact_on_constant_forcing_both_directions():
         np.testing.assert_allclose(xdd, np.ones_like(ts), atol=5e-8)
 
 
+def test_short_arc_checks_its_residual_between_the_seed_and_its_end():
+    # an arc no longer than the seed's tau = 0.5 is split at its middle: the
+    # seed checks [0, t_end/2], the residual [t_end/2, t_end].  The forcing
+    # adds, on [t_end/2, t_end] only, a wiggle that vanishes at the arc's
+    # Lobatto nodes, at the seed's check points k*t_end/8 and at t_end: the
+    # collocation sees constant forcing, and only a residual read between
+    # the nodes finds the equation broken
+    t_end, g0 = 0.01, 1.5
+    ivp0 = const_ivp(g0=g0)
+    assert integrate(ivp0, t_end).info["tau"] == 0.5
+
+    def g(t, x, xd):
+        s = np.clip(2.0 * np.asarray(t) / t_end - 1.0, -1.0, 1.0)
+        theta = np.arccos(s)
+        wiggle = np.sin(63.0 * theta) * np.sin(theta) * s * (s - 0.25) * (s - 0.5) * (s - 0.75)
+        return g0 + np.where((t > 0.5 * t_end) & (t < t_end), wiggle, 0.0)
+
+    ivp = SingularIVP(ivp0.lam, g, _zero, _zero, g_origin=g0)
+    with pytest.raises(BlowUp, match="misses its budget"):
+        integrate(ivp, t_end)
+
+
 def test_integrate_pointwise_residual_within_budget():
     # nonlinearity with all three arguments active
     def g(t, x, xd):
