@@ -186,10 +186,7 @@ def _assert_same_roots(calls):
         assert info.iterations == ref.iterations and type(info.iterations) is int
 
 
-SCAN_ALPHAS = [0.0, 1e-300, 0.01, 0.1, 0.2, 0.3, 0.3333]
-
-
-@pytest.mark.parametrize("alpha", SCAN_ALPHAS)
+@pytest.mark.parametrize("alpha", [0.0, 1e-300, 0.01, 0.1, 0.2, 0.3, 0.3333])
 def test_switch_scan_brackets_like_the_adaptive_scan(alpha, monkeypatch):
     # reference: the scalar scan over the same grid with the graded I_of,
     # then scipy's brentq on it; find_switch's fixed rule must pick the same
