@@ -45,19 +45,21 @@ _VALIDITY_MSG = ("alpha = {!r} is outside [0, 1/3): the switching-integral "
                  "uniqueness hypothesis fails there (endpoint weight changes sign at 1/3)")
 # Gauss-Legendre nodes per panel of I_of's graded rule
 N_PANEL = 16
+# brentq raises NoRoot after this many iterations
+_BRENT_MAXITER = 100
 
 RootInfo = namedtuple("RootInfo", ["iterations"])
 
 
-def brentq(f, a, b, xtol, rtol, maxiter=100, full_output=False):
+def brentq(f, a, b, xtol, rtol, full_output=False):
     """Zero of f in [a, b] by Brent's method (Brent 1973, ch. 4), in plain
     floats with the step rules of scipy.optimize.brentq in its operation
     order, so roots and iteration counts match it bit for bit.
 
     Stops at f(x) == 0 or once the bracket's half-width is below
     (xtol + rtol*|x|)/2; with full_output returns (root, RootInfo).  Raises
-    NoRoot if f(a) and f(b) share a sign, if f is NaN, or after maxiter
-    iterations.
+    NoRoot if f(a) and f(b) share a sign, if f is NaN, or after
+    _BRENT_MAXITER iterations.
     """
     def call(x):
         fx = float(f(x))
@@ -75,7 +77,7 @@ def brentq(f, a, b, xtol, rtol, maxiter=100, full_output=False):
     if (fpre < 0.0) == (fcur < 0.0):
         raise NoRoot(f"brentq: f({xpre!r}) and f({xcur!r}) have the same sign")
     xblk = fblk = spre = scur = 0.0
-    for it in range(1, maxiter + 1):
+    for it in range(1, _BRENT_MAXITER + 1):
         if (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -102,7 +104,7 @@ def brentq(f, a, b, xtol, rtol, maxiter=100, full_output=False):
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
         fcur = call(xcur)
-    raise NoRoot(f"brentq: no convergence in {maxiter} iterations on [{a!r}, {b!r}]")
+    raise NoRoot(f"brentq: no convergence in {_BRENT_MAXITER} iterations on [{a!r}, {b!r}]")
 
 
 def nu_derivatives_at_one(alpha):
@@ -172,11 +174,13 @@ def _switch_kernel(q, a, b, alpha, weight):
 def _graded_ends(rho, a, b, nr):
     """Panel ends of I_of on [0, rho]: 0.5*rho, and breaks that double away
     from the integrand's branch points on the real line, where the
-    continuation eta = a*q + b meets eta = -q (q = -b/(1+a), at distance
-    d = b/(1+a) below 0) and, for a < 1, eta = q (q = rho + (nr-rho)/(1-a)):
-    at distances d, 3d, 7d, ... from the point, inside [0, rho]."""
+    continuation eta = a*q + b meets, for a > -1, eta = -q (q = -b/(1+a), at
+    distance d = b/(1+a) below 0) and, for a < 1, eta = q (q = rho +
+    (nr-rho)/(1-a)): at d, 3d, 7d, ... from 0 (resp. rho), i.e. 2d, 4d,
+    8d, ... from the point, inside [0, rho].  For a <= -1 (resp. a >= 1) the
+    point lies beyond the other end and grades nothing."""
     ends = [0.0, 0.5 * rho, rho]
-    for d, origin, sign in ((b / (1.0 + a), 0.0, 1.0),
+    for d, origin, sign in ((b / (1.0 + a) if a > -1.0 else np.inf, 0.0, 1.0),
                             ((nr - rho) / (1.0 - a) if a < 1.0 else np.inf, rho, -1.0)):
         k = d
         while k < 0.5 * rho:

@@ -124,6 +124,21 @@ def test_switching_integral_against_adaptive_quad(alpha, rho):
     assert abs(I_of(rho, alpha, nu) - ref) <= 1e-12 * size
 
 
+@pytest.mark.parametrize("slope", [-1.0, -2.0])
+def test_switching_integral_with_a_falling_continuation(slope):
+    # a stub nu with nu'(rho) <= -1: eta = -q is never met for q >= 0, so the
+    # graded rule has no break to place below 0 and must still end
+    class Stub:
+        def eval(self, rho):
+            return 0.8, slope, 0.0
+
+    rho, alpha = 0.5, 0.1
+    b = 0.8 - rho * slope
+    ref = quad(lambda q: extremal._switch_kernel(q, slope, b, alpha, q), 0.0, rho,
+               epsabs=0.0, epsrel=2e-14, full_output=1)[0]
+    assert abs(I_of(rho, alpha, Stub()) - ref) <= 1e-12 * abs(ref)
+
+
 def test_switching_integral_shape():
     nu = solve_nu(0.0)
     # vanishes quadratically (negative side) as the switch moves to center
@@ -213,11 +228,12 @@ def test_brentq_matches_scipy_on_the_height_root(M, monkeypatch):
     _assert_same_roots(calls)
 
 
-def test_brentq_refuses_what_it_cannot_solve():
+def test_brentq_refuses_what_it_cannot_solve(monkeypatch):
     with pytest.raises(NoRoot, match="same sign"):
         extremal.brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12, rtol=1e-15)
     with pytest.raises(NoRoot, match="no convergence in 2 iterations"):
-        extremal.brentq(lambda x: x ** 3 - 0.3, 0.0, 1.0, xtol=1e-12, rtol=1e-15, maxiter=2)
+        monkeypatch.setattr(extremal, "_BRENT_MAXITER", 2)
+        extremal.brentq(lambda x: x ** 3 - 0.3, 0.0, 1.0, xtol=1e-12, rtol=1e-15)
     with pytest.raises(NoRoot, match="NaN"):
         extremal.brentq(lambda x: x if x != 1.0 else np.nan, -1.0, 1.0, xtol=1e-12, rtol=1e-15)
     assert extremal.brentq(lambda x: x - 1.0, 1.0, 2.0, xtol=1e-12, rtol=1e-15,

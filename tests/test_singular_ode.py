@@ -263,9 +263,10 @@ def test_short_arc_checks_its_residual_between_the_seed_and_its_end():
     # an arc no longer than the seed's tau = 0.5 is split at its middle: the
     # seed checks [0, t_end/2], the residual [t_end/2, t_end].  The forcing
     # adds, on [t_end/2, t_end] only, a wiggle that vanishes at the arc's
-    # Lobatto nodes, at the seed's check points k*t_end/8 and at t_end: the
-    # collocation sees constant forcing, and only a residual read between
-    # the nodes finds the equation broken
+    # Lobatto nodes and at t_end: the collocation sees constant forcing, and
+    # only a residual read between the nodes finds the equation broken.  It
+    # also vanishes at k*t_end/8, the points an unsplit seed check over
+    # [0, t_end] reads, so a residual read there alone would miss it too
     t_end, g0 = 0.01, 1.5
     ivp0 = const_ivp(g0=g0)
     assert integrate(ivp0, t_end).info["tau"] == 0.5
