@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
 
 from .errors import DomainError, InconsistentScale, NoRoot, SignChange
 from .functional import J_scaled, _panel_rule, quad_value
@@ -360,14 +359,17 @@ def adjoint_omega(profile):
     G = L_{eta' eta'} * R along the affine continuation; omega(0) = -I(rho),
     and local optimality of the flat cut needs omega < 0 on (0, rho).
     omega'' = -G/4 with omega(rho) = omega'(rho) = 0: the fixed second
-    integral from rho on N_ARC Lobatto nodes, read through its interpolant.
+    integral from rho on N_ARC Lobatto nodes, read through its barycentric
+    interpolant.
     """
     rho = profile.rho
-    s, fit, _, int2 = singular_ode._lobatto_integrals(singular_ode.N_ARC, 1.0)
+    s, _, _, int2 = singular_ode._lobatto_integrals(singular_ode.N_ARC, 1.0)
     kern = _switch_kernel(0.5 * rho * (s + 1.0), profile.slope, profile.height0,
                           profile.alpha, 1.0)
+    vals = np.column_stack([int2 @ kern, np.ones(len(s))])
     qt = np.linspace(0.0, rho, 201)
-    om = -(0.5 * rho) ** 2 * _cheb.chebval(2.0 * qt / rho - 1.0, fit @ (int2 @ kern))
+    om = -(0.5 * rho) ** 2 * singular_ode._barycentric(
+        2.0 * qt / rho - 1.0, s, singular_ode._lobatto_weights(len(s)), vals)[:, 0]
     om[-1] = 0.0
     return AdjointProfile(qt, om)
 

@@ -42,9 +42,11 @@ def _chord(y, x1, x2sq, c):
     """lam and sqrt(D) of the chord from curve point y through (x1, x2).
 
     C / (B + sqrt(D)) has no cancellation and needs no branch at y = +-1.
+    lam <= 1 is clamped: on the ridge just below y it reads
+    (1+x1)/(1+y), which can round above 1.
     """
     sd = np.sqrt((x1 - y) ** 2 + x2sq * (1.0 - y * y))
-    return c / np.maximum(1.0 - x1 * y + sd, 1e-300), sd
+    return np.minimum(c / np.maximum(1.0 - x1 * y + sd, 1e-300), 1.0), sd
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,10 @@ Every fit here is a fixed linear map on node values: `_lobatto_integrals`
 builds, once per node count and anchor, the inverse Chebyshev Vandermonde
 matrix (values to coefficients) and the exact first and second integral
 matrices, and the seed, the arc collocation and the variational solve
-share it.
+share it.  Every solved series is read the same way: `_segment_maps`
+builds, once per coefficient count and anchor, the maps from x''
+coefficients to (x, x', x'') at a few more Lobatto nodes, and each read
+is one barycentric interpolation of those node values.
 
 The linearized (variational) equation
 
@@ -126,32 +129,65 @@ def _call_vec(fn, t, *args):
 # dense solution container
 # ---------------------------------------------------------------------------
 
+def _lobatto_weights(n):
+    """Barycentric weights of the n Chebyshev-Lobatto nodes, ordered from
+    s = 1 down to s = -1: (-1)^k, halved at both ends."""
+    w = np.ones(n)
+    w[1::2] = -1.0
+    w[[0, -1]] *= 0.5
+    return w
+
+
+def _barycentric(x, nodes, w, vals):
+    """Rows of the Lobatto interpolant of vals' columns at the 1-D points x,
+    by the second-kind barycentric formula (Berrut and Trefethen 2004).
+
+    vals holds one row per node and a last column of ones, so that one
+    matmul sums the numerators and the denominator; a point on a node
+    reads that node's row.
+    """
+    k = x[:, None] - nodes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(w, k, out=k)
+        r = k @ vals
+        out = r[:, :-1] / r[:, -1:]
+    hit = np.flatnonzero(~np.isfinite(r[:, -1]))
+    if hit.size:
+        out[hit] = vals[np.argmax(np.isinf(k[hit]), axis=1), :-1]
+    return out
+
+
 class _ChebSegment:
-    """Chebyshev series piece: coefficients live on s=(t-mid)/half in [-1,1].
+    """Chebyshev series piece on s=(t-mid)/half in [-1,1].
 
     Built from the x'' coefficients c2: x' and x are their exact integrals
-    from s = anchor, where they take the values xd0 and x0.  The three
-    series are the columns of one coefficient array, so a single Clenshaw
-    pass evaluates all three; x''' is differentiated only when read.
+    from s = anchor, where they take the values xd0 and x0.  The segment
+    keeps (x, x', x'') at the len(c2)+3 Lobatto nodes of `_segment_maps`,
+    enough for x's degree, and eval reads all three from them in one
+    barycentric pass; x''' is differentiated from c2 only when read.
     """
 
-    __slots__ = ("mid", "half", "c")
+    __slots__ = ("mid", "half", "c2", "nodes", "w", "vals")
 
     def __init__(self, mid, half, c2, anchor, x0=0.0, xd0=0.0):
         self.mid = float(mid)
         self.half = float(half)
-        c1 = _cheb.chebint(c2, k=xd0, lbnd=anchor, scl=self.half)
-        c0 = _cheb.chebint(c1, k=x0, lbnd=anchor, scl=self.half)
-        self.c = np.zeros((len(c0), 3))
-        for j, cj in enumerate((c0, c1, c2)):
-            self.c[:len(cj), j] = cj
+        self.c2 = c2
+        self.nodes, self.w, at, maps = _segment_maps(len(c2), float(anchor))
+        self.vals = np.ones((len(self.nodes), 4))
+        x, xd, self.vals[:, 2] = maps @ c2
+        self.vals[:, 0] = self.half * (self.half * x + xd0 * (self.nodes - anchor)) + x0
+        self.vals[:, 1] = self.half * xd + xd0
+        self.vals[at, :2] = x0, xd0
 
     def eval(self, t):
         """(x, x', x'') stacked along the first axis."""
-        return _cheb.chebval((t - self.mid) / self.half, self.c)
+        s = (np.asarray(t, float) - self.mid) / self.half
+        out = _barycentric(s.ravel(), self.nodes, self.w, self.vals)
+        return out.T.reshape((3,) + s.shape)
 
     def third(self, t):
-        xddd = _cheb.chebder(self.c[:, 2]) / self.half
+        xddd = _cheb.chebder(self.c2) / self.half
         return _cheb.chebval((t - self.mid) / self.half, xddd)
 
 
@@ -254,6 +290,29 @@ def _lobatto_integrals(n, anchor):
     c1 = _cheb.chebint(fit, lbnd=anchor)
     c2 = _cheb.chebint(c1, lbnd=anchor)
     return s, fit, _cheb.chebvander(s, n) @ c1, _cheb.chebvander(s, n + 1) @ c2
+
+
+@lru_cache(maxsize=None)
+def _segment_maps(n, anchor):
+    """What a `_ChebSegment` of n x'' coefficients reads its node values
+    through: the n+3 Chebyshev-Lobatto nodes s of [-1, 1], their weights,
+    the index of the node s = anchor, and the (3, n+3, n) maps from the
+    coefficients to x, x' and x'' there, with x and x' the exact first and
+    second integrals from s = anchor (before scaling and initial data).
+
+    n+3 nodes carry x's degree n+1 and make the count odd, and the nodes
+    are taken in sine form, so -1, 0 and 1 are nodes exactly.
+    """
+    m = n + 3
+    s = np.sin(0.5 * np.pi * np.arange(m - 1, -m, -2) / (m - 1))
+    c1 = _cheb.chebint(np.eye(n), lbnd=anchor)
+    c0 = _cheb.chebint(c1, lbnd=anchor)
+    maps = np.stack([_cheb.chebvander(s, n + 1) @ c0, _cheb.chebvander(s, n) @ c1,
+                     _cheb.chebvander(s, n - 1)])
+    w = _lobatto_weights(m)
+    for shared in (s, w, maps):  # every segment of this shape holds them
+        shared.flags.writeable = False
+    return s, w, int(np.flatnonzero(s == anchor)[0]), maps
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,7 @@ def _cold_caches():
     _solved.cache_clear()
     _assemble_cached.cache_clear()
     singular_ode._lobatto_integrals.cache_clear()
+    singular_ode._segment_maps.cache_clear()
 
 
 def test_criterion_1_parameter_table(capsys):

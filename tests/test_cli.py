@@ -12,7 +12,9 @@ import os
 import re
 import subprocess
 import sys
+import traceback
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -335,6 +337,7 @@ def test_table_bytes_do_not_depend_on_the_thread_count(capsys):
     for _ in range(3):
         _assemble_cached.cache_clear()
         singular_ode._lobatto_integrals.cache_clear()
+        singular_ode._segment_maps.cache_clear()
         for fmt in ("csv", "json"):
             outputs.append(run(capsys, "table", "--rows", rows, "--format", fmt))
     assert outputs[0][0] == 0 and outputs[0][1].count("\n") == 12
@@ -475,6 +478,33 @@ def test_check_solves_one_arc_and_one_jacobi_field_per_alpha(capsys, monkeypatch
     assert calls == {"integrate": 3, "integrate_variational": 3}
 
 
+def test_curves_are_read_without_chebyshev_sums(capsys, monkeypatch):
+    # solved curves are read by the barycentric formula on cached node
+    # values: numpy's Clenshaw sums and integrals run only while the cached
+    # Lobatto maps are built, and in third (the x''' that endpoint_taylor reads)
+    cheb = np.polynomial.chebyshev
+    package = os.path.dirname(cli.__file__)
+    callers = set()
+
+    def recorded(fn):
+        def wrapper(*args, **kwargs):
+            callers.add(next(f.name for f in reversed(traceback.extract_stack())
+                             if f.filename.startswith(package)))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("chebval", "chebint"):
+        monkeypatch.setattr(cheb, name, recorded(getattr(cheb, name)))
+    _assemble_cached.cache_clear()
+    singular_ode._lobatto_integrals.cache_clear()
+    singular_ode._segment_maps.cache_clear()
+    solve_for_height(1.0)
+    assert callers == {"_lobatto_integrals", "_segment_maps"}
+    callers.clear()
+    assert run(capsys, "check")[0] == 0
+    assert callers == {"third"}
+
+
 def test_no_command_loads_scipy(tmp_path):
     # the package and every command run on numpy alone: a fresh interpreter
     # holds no scipy module after the import, nor after any command
@@ -510,7 +540,7 @@ GOLDEN_CHECK = """\
     {
       "alpha": 0.0000000e+00,
       "rho": 1.0898362e-01,
-      "switch_integral": -3.9345697e-16,
+      "switch_integral": -3.2959746e-16,
       "verdicts": {
         "switching_zero": true,
         "adjoint_negative": true,
@@ -525,7 +555,7 @@ GOLDEN_CHECK = """\
     {
       "alpha": 1.0000000e-02,
       "rho": 1.4420312e-01,
-      "switch_integral": -6.7220535e-17,
+      "switch_integral": 1.0928758e-16,
       "verdicts": {
         "switching_zero": true,
         "adjoint_negative": true,
@@ -539,7 +569,7 @@ GOLDEN_CHECK = """\
     {
       "alpha": 1.0000000e-01,
       "rho": 3.9697116e-01,
-      "switch_integral": 6.7220535e-17,
+      "switch_integral": -2.9631245e-16,
       "verdicts": {
         "switching_zero": true,
         "adjoint_negative": true,
@@ -569,7 +599,11 @@ def test_check_output_bytes_are_pinned(capsys):
     # -> -3.9345697e-16, -6.0286761e-17 -> -6.7220535e-17, 7.6327833e-17 ->
     # 6.7220535e-17) when I_of went from scipy's adaptive quad to graded
     # Gauss-Legendre panels: rho is unchanged, and any other quadrature of
-    # I(rho) ~ 1e-16 reads other round-off
+    # I(rho) ~ 1e-16 reads other round-off.  And again (-3.9345697e-16 ->
+    # -3.2959746e-16, -6.7220535e-17 -> 1.0928758e-16, 6.7220535e-17 ->
+    # -2.9631245e-16) when the curves were read by the barycentric formula
+    # on node values instead of Clenshaw sums of the series: nu at the
+    # quadrature nodes moves by round-off, rho does not move
     assert run(capsys, "check") == (0, GOLDEN_CHECK, "")
 
 

@@ -36,6 +36,7 @@ from newton_minres import (
     unscale,
 )
 from newton_minres import extremal, functional, integrate, singular_ode
+from newton_minres.cli import DEFAULT_TABLE_ROWS
 from newton_minres.extremal import scaled_arc_ivp, variational_coeffs_along
 from newton_minres.functional import lagrangian_value
 
@@ -587,6 +588,27 @@ def test_solve_for_height_locates_each_switch_once(monkeypatch):
     solve_for_height(1.0)
     assert calls["integrate"] > 0
     assert calls["find_switch"] == calls["integrate"]
+
+
+def test_default_rows_solve_57_arcs_from_cold_caches(monkeypatch):
+    # the height roots of the nine default table rows take 9, 7, 7, 6, 6, 6,
+    # 6, 5, 5 arc solves; a change in how the curves are read must not move
+    # a root's iteration count
+    calls = [0]
+    arc = extremal.integrate
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return arc(*args, **kwargs)
+
+    monkeypatch.setattr(extremal, "integrate", counted)
+    extremal._assemble_cached.cache_clear()
+    per_row = []
+    for M in DEFAULT_TABLE_ROWS.split(","):
+        before = calls[0]
+        solve_for_height(float(M))
+        per_row.append(calls[0] - before)
+    assert per_row == [9, 7, 7, 6, 6, 6, 6, 5, 5] and sum(per_row) == 57
 
 
 @pytest.mark.parametrize("setup, call, reads", [

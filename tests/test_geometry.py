@@ -152,6 +152,17 @@ def test_evaluator_section_is_cross_section(sol, ev):
     assert np.array_equal(ev(x1, np.zeros_like(x1)), ev.vstar(x1))
 
 
+def test_chord_weight_stays_at_most_one_on_the_ridge():
+    # just below y on the ridge lam = (1 + x1)/(1 + y) mathematically, which
+    # rounds above 1 for some y; the flat branch -M*lam would then read
+    # one ulp below -M
+    y = np.random.default_rng(RNG_SEED + 3).uniform(0.3, 0.99, 20000)
+    x1 = np.nextafter(y, 0.0)
+    lam, sd = _chord(y, x1, 0.0, 1.0 - x1 * x1)
+    assert np.all(sd > 0.0)
+    assert np.all((lam <= 1.0) & (lam > 1.0 - 1e-13))
+
+
 @pytest.mark.parametrize("M", [0.0875, 0.5, 1.0, 1.5, 2.5, 10.0])
 def test_table_corner_is_exactly_the_flat_height(solved, M):
     # the cubic starts at exactly -M, so on the flat bottom and at the

@@ -169,6 +169,45 @@ def test_lobatto_maps_are_exact_on_series_of_full_degree(n, anchor):
         s, np.polynomial.chebyshev.chebint(c1, lbnd=anchor)))
 
 
+def _segment_cases():
+    """(segment, anchor, x0, xd0) for an arc, a seed and both pieces of a
+    two-piece variational solution, with the data each was built from."""
+    arc = integrate(scaled_arc_ivp(0.1), -1.0).segments[0]
+    _, seed = picard_seed(scaled_arc_ivp(0.1))
+    outer, inner = integrate_variational(_kinked_coeffs((_TB,)), 1.0, -1.0).segments
+    y, yd, _ = inner.eval(_TB)
+    return [(arc, 1.0, 0.0, 0.0), (seed.segments[0], 0.0, 0.0, 0.0),
+            (inner, 1.0, 0.0, 1.0), (outer, 1.0, y, yd)]
+
+
+def test_segment_reads_agree_with_the_chebyshev_series():
+    # the barycentric reads against numpy's Clenshaw sums of the series the
+    # segment stands for, at its nodes, its anchor, both ends, random
+    # points, a scalar and a 2-D array
+    cheb = np.polynomial.chebyshev
+    rng = np.random.default_rng(11)
+    for seg, anchor, x0, xd0 in _segment_cases():
+        c1 = cheb.chebint(seg.c2, k=xd0, lbnd=anchor, scl=seg.half)
+        c0 = cheb.chebint(c1, k=x0, lbnd=anchor, scl=seg.half)
+        t = seg.mid + seg.half * np.concatenate(
+            [seg.nodes, [anchor, -1.0, 1.0], rng.uniform(-1.0, 1.0, 200)])
+        want = np.array([cheb.chebval((t - seg.mid) / seg.half, c) for c in (c0, c1, seg.c2)])
+        bound = 1e-14 * np.max(np.abs(want), axis=1)
+        got = seg.eval(t)
+        assert got.shape == want.shape
+        assert np.all(np.max(np.abs(got - want), axis=1) <= bound)
+        one = seg.eval(t[-1])
+        assert one.shape == (3,) and np.all(np.abs(one - want[:, -1]) <= bound)
+        grid = seg.eval(t[-12:].reshape(3, 4))
+        assert grid.shape == (3, 3, 4)
+        assert np.all(np.abs(grid - want[:, -12:].reshape(3, 3, 4)) <= bound[:, None, None])
+        # the anchor node holds the initial data exactly
+        at = np.flatnonzero(seg.nodes == anchor)
+        assert at.size == 1
+        np.testing.assert_array_equal(seg.eval(seg.mid + seg.half * seg.nodes[at])[:2, 0],
+                                      [x0, xd0])
+
+
 def test_seed_leaves_the_origin_exactly():
     _, seed = picard_seed(scaled_arc_ivp(0.1))
     x, xd, _ = seed.eval(0.0)
@@ -185,17 +224,19 @@ def test_no_chebyshev_fit_is_a_least_squares_solve(monkeypatch):
 
 
 def test_lobatto_maps_are_not_built_at_import():
-    # neither fixed rule is built at import: the Lobatto maps of the solver
-    # and the Gauss-Legendre rule of J_unscaled and gamma_form_J
+    # no fixed rule is built at import: the Lobatto maps of the solver, the
+    # segments' node maps and the Gauss-Legendre rule of J_unscaled and
+    # gamma_form_J
     src = os.path.dirname(os.path.dirname(singular_ode.__file__))
     code = ("import newton_minres\n"
             "from newton_minres import functional, singular_ode\n"
             "print(singular_ode._lobatto_integrals.cache_info().currsize,\n"
+            "      singular_ode._segment_maps.cache_info().currsize,\n"
             "      functional._gauss_legendre.cache_info().currsize)")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == ["0", "0"]
+    assert out.split() == ["0", "0", "0"]
 
 
 def test_seed_samples_all_candidate_taus_in_one_pass(monkeypatch):
