@@ -81,6 +81,8 @@ NEWTON_STEP_FLOOR = 1e-13
 ARC_BUDGET = 1e-6
 ARC_TAIL = 4
 _DOMAIN_SLACK = 1e-11
+# points per block of a barycentric read (see _barycentric)
+_BARY_ROWS = 512
 
 
 def solve_ivp(*args, **kwargs):
@@ -144,16 +146,20 @@ def _barycentric(x, nodes, w, vals):
 
     vals holds one row per node and a last column of ones, so that one
     matmul sums the numerators and the denominator; a point on a node
-    reads that node's row.
+    reads that node's row.  Points go _BARY_ROWS at a time, so that each
+    block's matmul stays below the size at which BLAS starts threads (an
+    8193-point read then took more CPU time and memory than Clenshaw sums).
     """
-    k = x[:, None] - nodes
+    out = np.empty((len(x), vals.shape[1] - 1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(w, k, out=k)
-        r = k @ vals
-        out = r[:, :-1] / r[:, -1:]
-    hit = np.flatnonzero(~np.isfinite(r[:, -1]))
-    if hit.size:
-        out[hit] = vals[np.argmax(np.isinf(k[hit]), axis=1), :-1]
+        for i in range(0, len(x), _BARY_ROWS):
+            k = x[i:i + _BARY_ROWS, None] - nodes
+            np.divide(w, k, out=k)
+            r = k @ vals
+            out[i:i + _BARY_ROWS] = r[:, :-1] / r[:, -1:]
+            hit = np.flatnonzero(~np.isfinite(r[:, -1]))
+            if hit.size:
+                out[i + hit] = vals[np.argmax(np.isinf(k[hit]), axis=1), :-1]
     return out
 
 
@@ -297,11 +303,11 @@ def _segment_maps(n, anchor):
     """What a `_ChebSegment` of n x'' coefficients reads its node values
     through: the n+3 Chebyshev-Lobatto nodes s of [-1, 1], their weights,
     the index of the node s = anchor, and the (3, n+3, n) maps from the
-    coefficients to x, x' and x'' there, with x and x' the exact first and
+    coefficients to x, x' and x'' there, with x' and x the exact first and
     second integrals from s = anchor (before scaling and initial data).
 
-    n+3 nodes carry x's degree n+1 and make the count odd, and the nodes
-    are taken in sine form, so -1, 0 and 1 are nodes exactly.
+    n+3 nodes carry x's degree n+1, and for the even N_ARC their count is
+    odd; in sine form the nodes -1, 0 and 1 are then exact.
     """
     m = n + 3
     s = np.sin(0.5 * np.pi * np.arange(m - 1, -m, -2) / (m - 1))

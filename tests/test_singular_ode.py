@@ -182,15 +182,16 @@ def _segment_cases():
 
 def test_segment_reads_agree_with_the_chebyshev_series():
     # the barycentric reads against numpy's Clenshaw sums of the series the
-    # segment stands for, at its nodes, its anchor, both ends, random
-    # points, a scalar and a 2-D array
+    # segment stands for, at random points, its nodes, its anchor and both
+    # ends (enough points for several blocks, the node hits in the last),
+    # a scalar and a 2-D array
     cheb = np.polynomial.chebyshev
     rng = np.random.default_rng(11)
     for seg, anchor, x0, xd0 in _segment_cases():
         c1 = cheb.chebint(seg.c2, k=xd0, lbnd=anchor, scl=seg.half)
         c0 = cheb.chebint(c1, k=x0, lbnd=anchor, scl=seg.half)
         t = seg.mid + seg.half * np.concatenate(
-            [seg.nodes, [anchor, -1.0, 1.0], rng.uniform(-1.0, 1.0, 200)])
+            [rng.uniform(-1.0, 1.0, 3 * singular_ode._BARY_ROWS), seg.nodes, [anchor, -1.0, 1.0]])
         want = np.array([cheb.chebval((t - seg.mid) / seg.half, c) for c in (c0, c1, seg.c2)])
         bound = 1e-14 * np.max(np.abs(want), axis=1)
         got = seg.eval(t)
