@@ -31,9 +31,8 @@ from .extremal import (
     unscale, solve_for_height, limit_constants,
 )
 from .geometry import (
-    MaxwellCurve, BodyEvaluator, BodyMesh, conjugate_profile,
-    body_evaluate, build_mesh, mesh_is_watertight, mesh_boundary_report,
-    export_obj, export_profile_csv,
+    BodyEvaluator, BodyMesh, body_evaluate, build_mesh, mesh_is_watertight,
+    mesh_boundary_report, export_obj,
 )
 
 __version__ = "0.1.0"

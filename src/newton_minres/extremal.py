@@ -27,7 +27,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, InconsistentScale, NoRoot, SignChange
-from .functional import J_scaled, _panel_rule, quad_value
+from .functional import J_scaled, _panel_rule
+# unused here: perfbench/spans.py wraps this module binding by name
+from .functional import quad_value  # noqa: F401
 from . import singular_ode
 from .singular_ode import (MappedSolution, SingularIVP, integrate, integrate_variational,
                            VariationalCoeffs)
@@ -171,13 +173,13 @@ def _switch_kernel(q, a, b, alpha, weight):
 
 
 def _graded_ends(rho, a, b, nr):
-    """Panel ends of I_of on [0, rho]: 0.5*rho, and breaks that double away
-    from the integrand's branch points on the real line, where the
-    continuation eta = a*q + b meets, for a > -1, eta = -q (q = -b/(1+a), at
-    distance d = b/(1+a) below 0) and, for a < 1, eta = q (q = rho +
-    (nr-rho)/(1-a)): at d, 3d, 7d, ... from 0 (resp. rho), i.e. 2d, 4d,
-    8d, ... from the point, inside [0, rho].  For a <= -1 (resp. a >= 1) the
-    point lies beyond the other end and grades nothing."""
+    """Panel ends on [0, rho]: 0.5*rho, and breaks that double away from
+    the integrand's singular points on the real line, at distance
+    d = b/(1+a) below 0 if a > -1 and (nr-rho)/(1-a) above rho if a < 1:
+    at d, 3d, 7d, ... from 0 (resp. rho), i.e. 2d, 4d, 8d, ... from the
+    point, inside [0, rho].  For I_of these are where eta = a*q + b meets
+    eta = -q and eta = q; endpoint_weight_quadrature (a = 0, nr = inf)
+    grades toward 0 alone, from the width of its peak there."""
     ends = [0.0, 0.5 * rho, rho]
     for d, origin, sign in ((b / (1.0 + a) if a > -1.0 else np.inf, 0.0, 1.0),
                             ((nr - rho) / (1.0 - a) if a < 1.0 else np.inf, rho, -1.0)):
@@ -358,20 +360,17 @@ def adjoint_omega(profile):
 
     G = L_{eta' eta'} * R along the affine continuation; omega(0) = -I(rho),
     and local optimality of the flat cut needs omega < 0 on (0, rho).
-    omega'' = -G/4 with omega(rho) = omega'(rho) = 0: the fixed second
-    integral from rho on N_ARC Lobatto nodes, read through its barycentric
-    interpolant.
+    omega'' = -G/4 with omega(rho) = omega'(rho) = 0: one series segment on
+    [0, rho] from -G/4 at the N_ARC Lobatto nodes, anchored at rho, where
+    its node holds omega = 0 exactly.
     """
     rho = profile.rho
-    s, _, _, int2 = singular_ode._lobatto_integrals(singular_ode.N_ARC, 1.0)
+    s, fit, _, _ = singular_ode._lobatto_integrals(singular_ode.N_ARC, 1.0)
     kern = _switch_kernel(0.5 * rho * (s + 1.0), profile.slope, profile.height0,
                           profile.alpha, 1.0)
-    vals = np.column_stack([int2 @ kern, np.ones(len(s))])
     qt = np.linspace(0.0, rho, 201)
-    om = -(0.5 * rho) ** 2 * singular_ode._barycentric(
-        2.0 * qt / rho - 1.0, s, singular_ode._lobatto_weights(len(s)), vals)[:, 0]
-    om[-1] = 0.0
-    return AdjointProfile(qt, om)
+    seg = singular_ode._ChebSegment(0.5 * rho, 0.5 * rho, -(fit @ kern), 1.0)
+    return AdjointProfile(qt, seg.eval(qt)[0])
 
 
 def variational_coeffs_along(profile):
@@ -500,17 +499,19 @@ def abel_residual(nu_hat, q):
 # ---------------------------------------------------------------------------
 
 def endpoint_weight_quadrature(alpha):
-    """int_0^1 sqrt(q)(1-2q) / ((q^2+alpha)^2 sqrt(1-q)) dq, via q = 1-s^2."""
+    """int_0^1 sqrt(q)(1-2q) / ((q^2+alpha)^2 sqrt(1-q)) dq, via q = sin^2(phi).
+
+    The substitution leaves 2*s2*(1-2*s2)/(s2^2+alpha)^2, s2 = sin^2(phi),
+    analytic on [0, pi/2]; its peak at phi = 0 has a width of about
+    alpha^(1/4), toward which the N_PANEL-point Gauss-Legendre panels of
+    _graded_ends are graded.
+    """
     alpha = float(alpha)
     if not alpha > 0.0:
         raise DomainError(f"alpha must be positive, got {alpha}")
-
-    def f(s):
-        # dq = -2s ds cancels the 1/sqrt(1-q) = 1/s endpoint singularity
-        return (2.0 * np.sqrt(1.0 - s * s) * (2.0 * s * s - 1.0)
-                / (((1.0 - s * s) ** 2 + alpha) ** 2))
-
-    return quad_value(f, 0.0, 1.0)
+    phi, w = _panel_rule(_graded_ends(0.5 * np.pi, 0.0, 0.5 * alpha ** 0.25, np.inf), N_PANEL)
+    s2 = np.sin(phi) ** 2
+    return float(w @ (2.0 * s2 * (1.0 - 2.0 * s2) / (s2 * s2 + alpha) ** 2))
 
 
 def endpoint_weight_closed_form(alpha):

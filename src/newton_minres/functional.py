@@ -26,9 +26,8 @@ for J_scaled, the one route here that reads the solver's movable frame
 (`profile.nu.base`).
 
 Every rule here is a fixed numpy rule: Gauss-Legendre panels
-(`_panel_rule`, which the switching integral I_of reads too) or
-Clenshaw-Curtis.  The one adaptive quadrature, `quad_value`, imports scipy
-when first called; no command calls it, so the package runs on numpy alone.
+(`_panel_rule`, which the switching integral I_of and the endpoint weight
+read too) or Clenshaw-Curtis, so the package runs on numpy alone.
 """
 
 import os
@@ -42,18 +41,11 @@ from .errors import DomainError
 from . import singular_ode
 
 
-def quad_value(f, a, b):
-    """Adaptive quadrature (scipy's quad) returning just the value: the
-    route of endpoint_weight_quadrature, which only the tests call.  scipy
-    is imported here, on the first call, so no command loads it.
-
-    full_output=1 keeps quadpack from warning when it stops at roundoff
-    level, which is routine for the sqrt-type endpoint integrands here; the
-    accuracy actually achieved is pinned by tests instead.
-    """
-    from scipy.integrate import quad
-
-    return quad(f, a, b, epsabs=1e-13, epsrel=1e-12, limit=200, full_output=1)[0]
+def quad_value(*args, **kwargs):
+    """Placeholder that nothing here calls: perfbench/spans.py wraps this
+    binding on both `functional` and `extremal` by name until the bench
+    reads the stats record of ROADMAP item 1b, which deletes it."""
+    raise NotImplementedError("functional integrates on fixed rules; it has no adaptive quadrature")
 
 
 # finite-difference step for resistance_direct on plain height callables

@@ -1,4 +1,4 @@
-"""Body geometry: conjugate profile, height-function evaluation, meshing.
+"""Body geometry: the conjugate cross-section, height evaluation, meshing.
 
 The body over the unit disk is the convex hull of the rim circle
 {x1^2+x2^2=1, z=0} and the symmetry-plane cross-section curve
@@ -7,6 +7,9 @@ slope curve:
 
     w(x1) = -M                         for |x1| <= slope0,
     w(x1) = p*x1 - v(p), v'(p) = x1    for slope0 < |x1| <= 1.
+
+w is tabulated once per body (_VStarTable) and read through
+BodyEvaluator.vstar.
 
 Two independent height evaluators:
 
@@ -119,45 +122,6 @@ class _VStarTable:
         (c0, c1, c2, c3), s = self._piece(ya[m])
         out[m] = ((c3 * s + c2) * s + c1) * s + c0
         return out
-
-
-@dataclass(frozen=True)
-class MaxwellCurve:
-    """Sampled symmetry-plane cross-section z = w(x1), plus its corner data.
-
-    flat_half_width: half-width of the flat bottom (equals the switch slope),
-    corner_jump: jump of w' at the corner (equals the flat radius r),
-    edge_slope: one-sided |w'| at x1 = +-1 (equals p0).
-    """
-    samples: np.ndarray
-    flat_half_width: float
-    corner_jump: float
-    edge_slope: float
-
-    def __post_init__(self):
-        if self.samples.ndim != 2 or self.samples.shape[1] != 2:
-            raise DomainError("samples must be an (n, 2) array of (x1, z)")
-
-
-def conjugate_profile(sol, n=512):
-    """MaxwellCurve with exactly n uniform samples of w over x1 in [-1, 1]."""
-    n = int(n)
-    if n < 8:
-        raise DomainError(f"need at least 8 samples, got {n}")
-    table = _VStarTable(sol)
-    x1 = np.linspace(-1.0, 1.0, n)
-    z = table.eval(x1)
-    return MaxwellCurve(samples=np.column_stack([x1, z]),
-                        flat_half_width=float(sol.slope0),
-                        corner_jump=float(sol.r),
-                        edge_slope=float(sol.p0))
-
-
-def export_profile_csv(curve, path):
-    """Write the curve samples as CSV with header x1,z (deterministic bytes)."""
-    rows = ("%.10e,%.10e\n" * len(curve.samples)) % tuple(curve.samples.ravel().tolist())
-    with open(path, "w") as fh:
-        fh.write("x1,z\n" + rows)
 
 
 # ---------------------------------------------------------------------------

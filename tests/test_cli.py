@@ -5,6 +5,7 @@ Exit-code contract: 0 success, 1 usage error, 2 solver/validity/IO error,
 fixed invocation.
 """
 
+import ast
 import hashlib
 import json
 import math
@@ -506,26 +507,51 @@ def test_curves_are_read_without_chebyshev_sums(capsys, monkeypatch):
 
 
 def test_no_command_loads_scipy(tmp_path):
-    # the package and every command run on numpy alone: a fresh interpreter
-    # holds no scipy module after the import, nor after any command
+    # the package and every command run on numpy alone: in a fresh
+    # interpreter where any scipy import fails, the import, every command
+    # and the endpoint-weight quadrature run and leave no scipy module
     src = os.path.dirname(os.path.dirname(cli.__file__))
     argvs = [["solve", "--M", "1.0"], ["table"], ["constants"], ["check"],
              ["mesh", "--M", "1.0", "--resolution", "64", "--out", str(tmp_path / "b.obj")],
              ["resistance", "--M", "1.0", "--resolution", "64"]]
     code = ("import json, sys\n"
+            "sys.modules['scipy'] = None\n"
             "def scipy_modules():\n"
-            "    return [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "    return [m for m, mod in sys.modules.items() if mod is not None\n"
+            "            and (m == 'scipy' or m.startswith('scipy.'))]\n"
             "import newton_minres\n"
             "print(json.dumps(['import', 0, scipy_modules()]), file=sys.stderr)\n"
             "from newton_minres import cli\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    status = cli.main(argv)\n"
-            "    print(json.dumps([argv[0], status, scipy_modules()]), file=sys.stderr)\n")
+            "    print(json.dumps([argv[0], status, scipy_modules()]), file=sys.stderr)\n"
+            "weight = newton_minres.endpoint_weight_quadrature(0.1)\n"
+            "print(json.dumps(['endpoint_weight', int(weight > 0.0), scipy_modules()]),\n"
+            "      file=sys.stderr)\n")
     env = dict(os.environ, PYTHONPATH=src)
     err = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
                          check=True, capture_output=True, text=True).stderr
     seen = [json.loads(line) for line in err.splitlines()]
-    assert seen == [[name, 0, []] for name in ["import"] + [a[0] for a in argvs]]
+    names = ["import"] + [a[0] for a in argvs]
+    assert seen == [[name, 0, []] for name in names] + [["endpoint_weight", 1, []]]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # no module of the package imports scipy, not even inside a function,
+    # and pyproject's [project] dependencies name numpy alone
+    pkg = os.path.dirname(cli.__file__)
+    for name in sorted(f for f in os.listdir(pkg) if f.endswith(".py")):
+        with open(os.path.join(pkg, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names]
+        imported += [node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module]
+        assert not [m for m in imported if m.split(".")[0] == "scipy"], name
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(os.path.join(os.path.dirname(os.path.dirname(pkg)), "pyproject.toml"), "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", d).group() for d in deps] == ["numpy"]
 
 
 GOLDEN_CHECK = """\

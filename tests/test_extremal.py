@@ -503,6 +503,11 @@ def test_endpoint_weight_closed_form_vs_quadrature():
     for alpha in (0.1, 0.2, 0.3):
         assert abs(endpoint_weight_quadrature(alpha)
                    - endpoint_weight_closed_form(alpha)) <= 1e-8
+    # the graded rule holds to round-off from the sharp peak at small alpha
+    # to alphas past the validity range
+    for alpha in [*np.geomspace(1e-12, 1.0, 40), 2.0, 100.0]:
+        exact = endpoint_weight_closed_form(alpha)
+        assert endpoint_weight_quadrature(alpha) == pytest.approx(exact, rel=1e-13, abs=0.0)
     assert abs(endpoint_weight_closed_form(1.0 / 3.0)) <= 1e-10
     assert endpoint_weight_closed_form(0.3) > 0.0
     assert endpoint_weight_closed_form(0.4) < 0.0

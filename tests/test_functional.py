@@ -25,7 +25,6 @@ from newton_minres import (
     resistance_direct,
 )
 from newton_minres import functional
-from newton_minres.functional import quad_value
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +254,3 @@ def test_direct_resistance_quadrant_equals_full_disk(solved, n):
     full = resistance_direct(_PlainBody(ev), n=n)
     assert quadrant == pytest.approx(full, rel=1e-14, abs=0.0)
 
-
-# ---------------------------------------------------------------------------
-# small utilities
-# ---------------------------------------------------------------------------
-
-def test_quad_value_handles_endpoint_singularity_quietly():
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        val = quad_value(lambda q: 1.0 / np.sqrt(1.0 - q), 0.0, 1.0)
-    assert val == pytest.approx(2.0, abs=1e-9)
