@@ -46,8 +46,10 @@ _VALIDITY_MSG = ("alpha = {!r} is outside [0, 1/3): the switching-integral "
                  "uniqueness hypothesis fails there (endpoint weight changes sign at 1/3)")
 # Gauss-Legendre nodes per panel of I_of's graded rule
 N_PANEL = 16
-# brentq raises NoRoot after this many iterations
+# brentq and the height root raise NoRoot after this many iterations
 _BRENT_MAXITER = 100
+# the limit flat height limit_constants().M_hat: the start of the height root
+_M_HAT = 0.31574
 
 RootInfo = namedtuple("RootInfo", ["iterations"])
 
@@ -417,19 +419,22 @@ def variational_coeffs_along(profile):
     return VariationalCoeffs(fn, LAM, breaks=(t_arc_min,))
 
 
-def jacobi_check(profile):
-    """Conjugate-point scan: solve the linearized equation along the profile
-    with zeta(1)=0, zeta'(1)=1 and report (min |zeta| on [0, 0.999], zeta),
-    sampled at 2000 evenly spaced points.
+def _jacobi_field(profile):
+    """Jacobi field zeta(1)=0, zeta'(1)=1 along the profile, by a fixed linear collocation."""
+    return MappedSolution(integrate_variational(variational_coeffs_along(profile), 1.0, -1.0),
+                          offset=-1.0)
 
-    The solve is a fixed linear collocation that no tolerance steers.  A
-    zero of zeta inside [0, 1) would be a conjugate point and kill local
+
+def jacobi_check(profile):
+    """Conjugate-point scan: report (min |zeta| on [0, 0.999], zeta) for the
+    Jacobi field zeta = _jacobi_field(profile), sampled at 2000 evenly
+    spaced points.
+
+    A zero of zeta inside [0, 1) would be a conjugate point and kill local
     optimality; min_abs = 0.0 is returned if a sign change is detected.
     The field bracket reads the same zeta: pass it to field_jacobian_check.
     """
-    coeffs = variational_coeffs_along(profile)
-    y = integrate_variational(coeffs, 1.0, -1.0)
-    zeta = MappedSolution(y, offset=-1.0)
+    zeta = _jacobi_field(profile)
     qs = np.linspace(0.0, 0.999, 2000)
     vals = zeta.eval(qs)[0]
     if np.any(vals[:-1] * vals[1:] < 0.0):
@@ -515,14 +520,20 @@ def endpoint_weight_quadrature(alpha):
 
 
 def endpoint_weight_closed_form(alpha):
-    """Closed form of the endpoint weight; zero exactly at alpha = 1/3."""
+    """Closed form of the endpoint weight; zero exactly at alpha = 1/3.  Raises
+    DomainError where it overflows: alpha below about 1e-247 or above 5e102."""
     alpha = float(alpha)
-    if not alpha > 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < alpha < np.inf:
+        raise DomainError(f"alpha must be positive and finite, got {alpha}")
+    alpha = np.float64(alpha)
     sa = np.sqrt(alpha)
     s1 = np.sqrt(1.0 + alpha)
-    return (np.pi * np.sqrt(2.0) / 8.0 * (1.0 - alpha - sa * s1)
-            / (alpha ** 1.25 * (1.0 + alpha) ** 1.5 * np.sqrt(sa + s1)))
+    with np.errstate(over="ignore", divide="ignore"):
+        den = alpha ** 1.25 * (1.0 + alpha) ** 1.5 * np.sqrt(sa + s1)
+        weight = np.pi * np.sqrt(2.0) / 8.0 * (1.0 - alpha - sa * s1) / den
+    if not (den < np.inf and abs(weight) < np.inf):
+        raise DomainError(f"alpha = {float(alpha)!r}: the closed form overflows a double")
+    return weight
 
 
 # ---------------------------------------------------------------------------
@@ -576,12 +587,19 @@ def unscale(profile, p0):
 def solve_for_height(M):
     """Synthesize the extremal solution with prescribed height M.
 
-    Matches p0 * height0(1/p0^2) = M by brentq over p0, through
-    assemble_profile's cache.  p0 * height0 increases with p0, from about
-    0.0869 at the validity edge p0 = sqrt(3) to _M_TOP at _P0_TOP, where
-    1/p0^2 is the smallest normal double; larger M is refused up front.
-    height0 < _H0_HI bounds the root below, and hi = max(M/_H0_LO, lo) + 1
-    >= 2.73, capped at _P0_TOP, bounds it above, as height0 > _H0_LO there.
+    Newton's method on h(p0) = p0 * height0(1/p0^2) - M through
+    assemble_profile's cache, with the exact slope h' = -B(0), the field
+    bracket at q = 0, from the root of the flat-height asymptote
+    M = _M_HAT*p0 - 0.65/p0 (within 1.1e-3 relative for M >= 0.5).  h
+    increases with p0, from about 0.0869 at the validity edge p0 = sqrt(3)
+    to _M_TOP at _P0_TOP, where 1/p0^2 is the smallest normal double;
+    larger M is refused up front.  height0 < _H0_HI bounds the root below,
+    and hi = max(M/_H0_LO, lo) + 1 >= 2.73, capped at _P0_TOP, bounds it
+    above, as height0 > _H0_LO there.  Each h shrinks [lo, hi] by its
+    sign; a step that leaves it evaluates the end it crosses, or bisects
+    if that end is known.  The root is the first iterate that the previous
+    slope puts within 1e-10 + 1e-13*p0 of the next, so the last arc needs
+    no Jacobi field.
     """
     M = float(M)
     if not 0.0 < M < np.inf:
@@ -590,20 +608,29 @@ def solve_for_height(M):
         raise NoRoot(f"M={M} above the reachable range (max height {_M_TOP:.5g}, "
                      f"where 1/p0^2 reaches the smallest normal double)")
 
-    def h(p0):
-        return p0 * assemble_profile(1.0 / (p0 * p0)).height0 - M
-
     lo = max(np.sqrt(3.0) * (1.0 + 1e-6) + 1e-9, M / _H0_HI)
     hi = min(max(M / _H0_LO, lo) + 1.0, _P0_TOP)
-    flo = h(lo)
-    if flo >= 0.0:
-        raise NoRoot(f"M={M} below the reachable range (min height "
-                     f"{flo + M:.4g} at the validity edge)")
-    if h(hi) <= 0.0:
-        raise NoRoot(f"could not bracket p0 for M={M}")
-
-    p0 = brentq(h, lo, hi, xtol=1e-10, rtol=1e-13)
-    return unscale(assemble_profile(1.0 / (p0 * p0)), p0)
+    a, b, unseen = lo, hi, {lo, hi}
+    p = min(max((M + np.sqrt(M * M + 2.6 * _M_HAT)) / (2.0 * _M_HAT), lo), hi)
+    slope = None
+    for _ in range(_BRENT_MAXITER):
+        profile = assemble_profile(1.0 / (p * p))
+        hp = p * profile.height0 - M
+        if p == lo and hp >= 0.0:
+            raise NoRoot(f"M={M} below the reachable range (min height "
+                         f"{hp + M:.4g} at the validity edge)")
+        if p == hi and hp <= 0.0:
+            raise NoRoot(f"could not bracket p0 for M={M}")
+        unseen.discard(p)
+        if hp == 0.0 or (slope is not None and abs(hp / slope) <= 1e-10 + 1e-13 * p):
+            return unscale(profile, p)
+        a, b = (p, b) if hp < 0.0 else (a, p)
+        slope = -float(_field_bracket(profile, _jacobi_field(profile), np.zeros(1))[0])
+        p = p - hp / slope
+        if not a < p < b:
+            end = a if hp > 0.0 else b
+            p = end if end in unseen else 0.5 * (a + b)
+    raise NoRoot(f"height root: no convergence in {_BRENT_MAXITER} iterations for M={M}")
 
 
 LimitConstants = namedtuple("LimitConstants", ["r_hat", "M_hat", "slope_hat", "J_hat"])

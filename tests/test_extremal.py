@@ -221,12 +221,24 @@ def test_switch_scan_brackets_like_the_adaptive_scan(alpha, monkeypatch):
 
 @pytest.mark.parametrize("M", [0.0875, 0.5, 1.0, 1.5, 2.0, 2.5, 5.0, 10.0, 50.0, 100.0, 1e6])
 def test_brentq_matches_scipy_on_the_height_root(M, monkeypatch):
-    # solve_for_height's h(p0) on its bracket, for the paper's nine heights
-    # and the two ends of the table's range, and the switching roots of
-    # whatever arcs it solves afresh
-    _, calls = _brentq_calls(monkeypatch, solve_for_height, M)
-    assert sum(kwargs["xtol"] == 1e-10 for *_, kwargs in calls) == 1
+    # the paper's nine heights and the two ends of the table's range, with
+    # scipy's brentq as the reference twice over: the package's brentq
+    # matches it bit for bit on the switching roots of the arcs the height
+    # root solves (the height root itself calls no brentq), and the Newton
+    # height root lands within brentq's tolerance of scipy's brentq on the
+    # same h(p0) over the bracket [lo, hi] of the height bounds
+    extremal._assemble_cached.cache_clear()
+    sol, calls = _brentq_calls(monkeypatch, solve_for_height, M)
+    assert calls and all(kwargs["xtol"] == 1e-12 for *_, kwargs in calls)
     _assert_same_roots(calls)
+
+    def h(p0):
+        return p0 * assemble_profile(1.0 / (p0 * p0)).height0 - M
+
+    lo = max(np.sqrt(3.0) * (1.0 + 1e-6) + 1e-9, M / extremal._H0_HI)
+    hi = min(max(M / extremal._H0_LO, lo) + 1.0, extremal._P0_TOP)
+    ref = brentq(h, lo, hi, xtol=1e-10, rtol=1e-13)
+    assert abs(sol.p0 - ref) <= 1e-10 + 1e-12 * ref
 
 
 def test_brentq_refuses_what_it_cannot_solve(monkeypatch):
@@ -595,25 +607,57 @@ def test_solve_for_height_locates_each_switch_once(monkeypatch):
     assert calls["find_switch"] == calls["integrate"]
 
 
-def test_default_rows_solve_57_arcs_from_cold_caches(monkeypatch):
-    # the height roots of the nine default table rows take 9, 7, 7, 6, 6, 6,
-    # 6, 5, 5 arc solves; a change in how the curves are read must not move
-    # a root's iteration count
-    calls = [0]
-    arc = extremal.integrate
+def test_default_rows_solve_at_most_24_arcs_from_cold_caches(monkeypatch):
+    # the height root starts at the flat-height asymptote and takes Newton
+    # steps with the slope from the Jacobi field: at most 3 arcs a row, and
+    # one Jacobi field fewer, since the last iterate needs none; below the
+    # validity edge it refuses after the one arc at the bracket's low end
+    calls = {"integrate": 0, "integrate_variational": 0}
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return arc(*args, **kwargs)
+    def counted(name):
+        fn = getattr(extremal, name)
 
-    monkeypatch.setattr(extremal, "integrate", counted)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(extremal, name, counted(name))
     extremal._assemble_cached.cache_clear()
-    per_row = []
+    arcs, fields = [], []
     for M in DEFAULT_TABLE_ROWS.split(","):
-        before = calls[0]
+        before = dict(calls)
         solve_for_height(float(M))
-        per_row.append(calls[0] - before)
-    assert per_row == [9, 7, 7, 6, 6, 6, 6, 5, 5]
+        arcs.append(calls["integrate"] - before["integrate"])
+        fields.append(calls["integrate_variational"] - before["integrate_variational"])
+    assert max(arcs) <= 3 and sum(arcs) <= 24
+    assert fields == [n - 1 for n in arcs]
+
+    extremal._assemble_cached.cache_clear()
+    before = calls["integrate"]
+    with pytest.raises(NoRoot, match="below the reachable range"):
+        solve_for_height(0.05)
+    assert calls["integrate"] - before == 1
+
+
+def test_height_root_safeguard_survives_a_wrong_slope(solved, monkeypatch):
+    # with the slope's sign flipped every Newton step leaves the bracket, so
+    # the root comes from evaluating the bracket ends and bisecting
+    ref = solved(1.0).p0
+    bracket = extremal._field_bracket
+    monkeypatch.setattr(extremal, "_field_bracket", lambda *args: -bracket(*args))
+    assert abs(solve_for_height(1.0).p0 - ref) <= 1e-10 + 1e-12 * ref
+    # its first iterates are cached now, so only the height root's bound acts
+    with monkeypatch.context() as m:
+        m.setattr(extremal, "_BRENT_MAXITER", 3)
+        with pytest.raises(NoRoot, match="height root: no convergence in 3 iterations"):
+            solve_for_height(1.0)
+    # a bracket whose upper end lies below the root is refused
+    monkeypatch.setattr(extremal, "_H0_HI", 1.0)
+    monkeypatch.setattr(extremal, "_H0_LO", 0.9)
+    with pytest.raises(NoRoot, match="could not bracket p0 for M=100.0"):
+        solve_for_height(100.0)
 
 
 @pytest.mark.parametrize("setup, call, reads", [
@@ -668,6 +712,12 @@ def test_limit_constants_values():
     assert lc.J_hat == pytest.approx(10.7344, abs=1e-3)
 
 
+def test_height_root_starts_from_the_limit_flat_height():
+    # the Newton start p0 = (M + sqrt(M^2 + 2.6*M_hat))/(2*M_hat) is the
+    # root of the flat-height asymptote M = M_hat*p0 - 0.65/p0
+    assert abs(extremal._M_HAT - limit_constants().M_hat) <= 1e-5
+
+
 def test_profile_families_deform_continuously():
     # measured Lipschitz-type constant for the arc curvature in alpha is
     # ~2.5 on [0.2, 1]; frozen at 2x to catch discontinuous regressions
@@ -701,10 +751,13 @@ NAN = float("nan")
     (lambda sol, ev: solve_nu(NAN), DomainError),
     (lambda sol, ev: endpoint_weight_quadrature(NAN), DomainError),
     (lambda sol, ev: endpoint_weight_closed_form(NAN), DomainError),
+    (lambda sol, ev: endpoint_weight_closed_form(np.inf), DomainError),
+    (lambda sol, ev: endpoint_weight_closed_form(1e300), DomainError),
 ], ids=["evaluator", "evaluator-array", "gradient", "body_evaluate", "vstar",
         "DenseSolution", "MappedSolution", "MappedSolution-array", "ScaledProfile",
         "ExtremalSolution", "scaled_arc_ivp", "nu_derivatives_at_one", "solve_nu",
-        "endpoint_weight_quadrature", "endpoint_weight_closed_form"])
+        "endpoint_weight_quadrature", "endpoint_weight_closed_form",
+        "endpoint_weight_closed_form-inf", "endpoint_weight_closed_form-1e300"])
 def test_nan_is_refused_at_each_evaluation_boundary(solved, call, error):
     # each check is written so that NaN fails it, with the check's own error
     sol = solved(1.0)
