@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
 
 from .errors import DomainError, InconsistentScale, NoRoot, SignChange
 from .functional import J_scaled, _panel_rule
@@ -46,68 +47,17 @@ _VALIDITY_MSG = ("alpha = {!r} is outside [0, 1/3): the switching-integral "
                  "uniqueness hypothesis fails there (endpoint weight changes sign at 1/3)")
 # Gauss-Legendre nodes per panel of I_of's graded rule
 N_PANEL = 16
-# brentq and the height root raise NoRoot after this many iterations
-_BRENT_MAXITER = 100
+# the height root raises NoRoot after this many iterations
+_HEIGHT_MAXITER = 100
 # the limit flat height limit_constants().M_hat: the start of the height root
 _M_HAT = 0.31574
 
-RootInfo = namedtuple("RootInfo", ["iterations"])
 
-
-def brentq(f, a, b, xtol, rtol, full_output=False):
-    """Zero of f in [a, b] by Brent's method (Brent 1973, ch. 4), in plain
-    floats with the step rules of scipy.optimize.brentq in its operation
-    order, so roots and iteration counts match it bit for bit.
-
-    Stops at f(x) == 0 or once the bracket's half-width is below
-    (xtol + rtol*|x|)/2; with full_output returns (root, RootInfo).  Raises
-    NoRoot if f(a) and f(b) share a sign, if f is NaN, or after
-    _BRENT_MAXITER iterations.
-    """
-    def call(x):
-        fx = float(f(x))
-        if fx != fx:
-            raise NoRoot(f"brentq: f is NaN at x={x!r}")
-        return fx
-
-    def done(x, iterations):
-        return (x, RootInfo(iterations)) if full_output else x
-
-    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0.0 or fcur == 0.0:
-        return done(xpre if fpre == 0.0 else xcur, 0)
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise NoRoot(f"brentq: f({xpre!r}) and f({xcur!r}) have the same sign")
-    xblk = fblk = spre = scur = 0.0
-    for it in range(1, _BRENT_MAXITER + 1):
-        if (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return done(xcur, it)
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry  # a short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = call(xcur)
-    raise NoRoot(f"brentq: no convergence in {_BRENT_MAXITER} iterations on [{a!r}, {b!r}]")
+def brentq(*args, **kwargs):
+    """Placeholder that nothing here calls: perfbench/spans.py wraps this
+    module binding by name until the bench reads the stats record of
+    ROADMAP item 1b, which deletes it."""
+    raise NotImplementedError("extremal finds its roots without Brent's method")
 
 
 def nu_derivatives_at_one(alpha):
@@ -253,11 +203,13 @@ def find_switch(alpha, nu):
 
     I is read through nu.eval on the fixed rule of _switch_rule.  Scans
     rho = 0.015, 0.035, ... for the first sign change (I < 0 below the
-    root, > 0 above), all 49 points in one pass; refines with brentq on
-    the same rule to xtol 1e-12 and verifies |I(rho)| < 1e-12 with one call
-    of I_of, whose graded Gauss-Legendre panels are an independent
-    quadrature.  No warm start: assemble_profile's cache calls this once
-    per alpha.
+    root, > 0 above), all 49 points in one pass.  On that bracket I is
+    smooth, so one more pass at the 16 first-kind Chebyshev points gives
+    its degree-15 interpolant, whose one real root in the bracket, an
+    eigenvalue of the colleague matrix (chebroots), is rho; any other count
+    is NoRoot.  One call of I_of, whose graded Gauss-Legendre panels are an
+    independent quadrature, verifies |I(rho)| < 1e-12.  No warm start:
+    assemble_profile's cache calls this once per alpha.
     """
     alpha = float(alpha)
     if not 0.0 <= alpha < ALPHA_MAX:
@@ -274,8 +226,18 @@ def find_switch(alpha, nu):
     ups = np.flatnonzero((scan[:-1] < 0.0) & (scan[1:] >= 0.0))
     if not ups.size:
         raise NoRoot(f"switching integral has no sign change on [{grid[0]}, {grid[-1]}]")
-    root = brentq(lambda r: I(r)[0], grid[ups[0]], grid[ups[0] + 1],
-                  xtol=1e-12, rtol=4.0 * np.finfo(float).eps)
+    lo, hi = grid[ups[0]], grid[ups[0] + 1]
+
+    def rho_at(x):  # [-1, 1] onto the bracket
+        return 0.5 * (1.0 - x) * lo + 0.5 * (1.0 + x) * hi
+
+    # degree 15: the interpolant through the 16 first-kind Chebyshev points
+    xs = cheb.chebroots(cheb.chebinterpolate(lambda x: I(rho_at(x)), 15))
+    xs = xs[(xs.imag == 0.0) & (np.abs(xs.real) <= 1.0)].real
+    if xs.size != 1:
+        raise NoRoot(f"the switching integral's interpolant has {xs.size} roots "
+                     f"on [{lo:.3f}, {hi:.3f}]")
+    root = rho_at(xs[0])
     resid = I_of(root, alpha, nu)
     if not abs(resid) < 1e-12:
         raise NoRoot(f"refined switching point is not a clean zero: I={resid:.3e}")
@@ -509,14 +471,20 @@ def endpoint_weight_quadrature(alpha):
     The substitution leaves 2*s2*(1-2*s2)/(s2^2+alpha)^2, s2 = sin^2(phi),
     analytic on [0, pi/2]; its peak at phi = 0 has a width of about
     alpha^(1/4), toward which the N_PANEL-point Gauss-Legendre panels of
-    _graded_ends are graded.
+    _graded_ends are graded.  Raises DomainError where the denominator
+    (s2^2+alpha)^2 overflows or underflows to 0: alpha = inf, above about
+    1.3e154 and below about 1.6e-162.
     """
     alpha = float(alpha)
-    if not alpha > 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < alpha < np.inf:
+        raise DomainError(f"alpha must be positive and finite, got {alpha}")
     phi, w = _panel_rule(_graded_ends(0.5 * np.pi, 0.0, 0.5 * alpha ** 0.25, np.inf), N_PANEL)
     s2 = np.sin(phi) ** 2
-    return float(w @ (2.0 * s2 * (1.0 - 2.0 * s2) / (s2 * s2 + alpha) ** 2))
+    with np.errstate(over="ignore"):
+        den = (s2 * s2 + alpha) ** 2
+    if not np.all((0.0 < den) & (den < np.inf)):
+        raise DomainError(f"alpha = {alpha!r}: the integrand's denominator leaves the doubles")
+    return float(w @ (2.0 * s2 * (1.0 - 2.0 * s2) / den))
 
 
 def endpoint_weight_closed_form(alpha):
@@ -613,7 +581,7 @@ def solve_for_height(M):
     a, b, unseen = lo, hi, {lo, hi}
     p = min(max((M + np.sqrt(M * M + 2.6 * _M_HAT)) / (2.0 * _M_HAT), lo), hi)
     slope = None
-    for _ in range(_BRENT_MAXITER):
+    for _ in range(_HEIGHT_MAXITER):
         profile = assemble_profile(1.0 / (p * p))
         hp = p * profile.height0 - M
         if p == lo and hp >= 0.0:
@@ -630,7 +598,7 @@ def solve_for_height(M):
         if not a < p < b:
             end = a if hp > 0.0 else b
             p = end if end in unseen else 0.5 * (a + b)
-    raise NoRoot(f"height root: no convergence in {_BRENT_MAXITER} iterations for M={M}")
+    raise NoRoot(f"height root: no convergence in {_HEIGHT_MAXITER} iterations for M={M}")
 
 
 LimitConstants = namedtuple("LimitConstants", ["r_hat", "M_hat", "slope_hat", "J_hat"])

@@ -180,57 +180,36 @@ def test_switch_radius_along_family():
     assert find_switch(a2, solve_nu(a2)) == pytest.approx(0.109020, abs=1e-4)
 
 
-def _brentq_calls(monkeypatch, fn, *args):
-    """fn(*args) and every extremal.brentq call it made, as (f, a, b, kwargs)."""
-    calls, own = [], extremal.brentq
-
-    def recording(f, a, b, **kwargs):
-        calls.append((f, a, b, kwargs))
-        return own(f, a, b, **kwargs)
-
-    with monkeypatch.context() as m:
-        m.setattr(extremal, "brentq", recording)
-        return fn(*args), calls
-
-
-def _assert_same_roots(calls):
-    # the port against scipy's brentq on the very calls the package made
-    for f, a, b, kwargs in calls:
-        ours, info = extremal.brentq(f, a, b, full_output=True, **kwargs)
-        theirs, ref = brentq(f, a, b, full_output=True, **kwargs)
-        assert ours == theirs and type(ours) is float
-        assert info.iterations == ref.iterations and type(info.iterations) is int
-
-
 @pytest.mark.parametrize("alpha", [0.0, 1e-300, 0.01, 0.1, 0.2, 0.3, 0.3333])
-def test_switch_scan_brackets_like_the_adaptive_scan(alpha, monkeypatch):
+def test_switch_scan_brackets_like_the_adaptive_scan(alpha):
     # reference: the scalar scan over the same grid with the graded I_of,
     # then scipy's brentq on it; find_switch's fixed rule must pick the same
-    # bracket and land within the refine's xtol of the reference root
+    # bracket and its interpolant's root land within 1e-12 of the reference
     nu = solve_nu(alpha)
     grid = np.arange(0.015, 0.985, 0.02)
     vals = [I_of(r, alpha, nu) for r in grid]
     i = next(i for i in range(len(grid) - 1) if vals[i] < 0.0 <= vals[i + 1])
     ref = brentq(lambda r: I_of(r, alpha, nu), grid[i], grid[i + 1],
                  xtol=1e-12, rtol=4.0 * np.finfo(float).eps)
-    rho, calls = _brentq_calls(monkeypatch, find_switch, alpha, nu)
+    rho = find_switch(alpha, nu)
     assert abs(rho - ref) <= 1e-12
-    assert [(a, b) for _, a, b, _ in calls] == [(grid[i], grid[i + 1])]
-    _assert_same_roots(calls)
+    assert grid[i] <= rho <= grid[i + 1]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1e-12, 0.01, 0.05, 0.1, 0.2, 0.3, 0.3333])
+def test_switch_root_is_a_round_off_zero(alpha):
+    # the interpolant's root is a zero of the independent graded rule to
+    # round-off, well inside find_switch's own 1e-12 gate
+    nu = solve_nu(alpha)
+    assert abs(I_of(find_switch(alpha, nu), alpha, nu)) <= 1e-14
 
 
 @pytest.mark.parametrize("M", [0.0875, 0.5, 1.0, 1.5, 2.0, 2.5, 5.0, 10.0, 50.0, 100.0, 1e6])
-def test_brentq_matches_scipy_on_the_height_root(M, monkeypatch):
-    # the paper's nine heights and the two ends of the table's range, with
-    # scipy's brentq as the reference twice over: the package's brentq
-    # matches it bit for bit on the switching roots of the arcs the height
-    # root solves (the height root itself calls no brentq), and the Newton
-    # height root lands within brentq's tolerance of scipy's brentq on the
-    # same h(p0) over the bracket [lo, hi] of the height bounds
-    extremal._assemble_cached.cache_clear()
-    sol, calls = _brentq_calls(monkeypatch, solve_for_height, M)
-    assert calls and all(kwargs["xtol"] == 1e-12 for *_, kwargs in calls)
-    _assert_same_roots(calls)
+def test_brentq_matches_scipy_on_the_height_root(M):
+    # the paper's nine heights and the two ends of the table's range: the
+    # Newton height root lands within the old brentq tolerance of scipy's
+    # brentq on the same h(p0) over the bracket [lo, hi] of the height bounds
+    sol = solve_for_height(M)
 
     def h(p0):
         return p0 * assemble_profile(1.0 / (p0 * p0)).height0 - M
@@ -241,23 +220,21 @@ def test_brentq_matches_scipy_on_the_height_root(M, monkeypatch):
     assert abs(sol.p0 - ref) <= 1e-10 + 1e-12 * ref
 
 
-def test_brentq_refuses_what_it_cannot_solve(monkeypatch):
-    with pytest.raises(NoRoot, match="same sign"):
-        extremal.brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12, rtol=1e-15)
-    with pytest.raises(NoRoot, match="no convergence in 2 iterations"):
-        monkeypatch.setattr(extremal, "_BRENT_MAXITER", 2)
-        extremal.brentq(lambda x: x ** 3 - 0.3, 0.0, 1.0, xtol=1e-12, rtol=1e-15)
-    with pytest.raises(NoRoot, match="NaN"):
-        extremal.brentq(lambda x: x if x != 1.0 else np.nan, -1.0, 1.0, xtol=1e-12, rtol=1e-15)
-    assert extremal.brentq(lambda x: x - 1.0, 1.0, 2.0, xtol=1e-12, rtol=1e-15,
-                           full_output=True) == (1.0, extremal.RootInfo(0))
-
-
 def test_switch_root_failing_the_adaptive_check_is_no_root(monkeypatch):
     # the fixed rule's root is verified by one I_of call, on its own rule
     nu = solve_nu(0.0)
     monkeypatch.setattr(extremal, "I_of", lambda rho, alpha, nu: 1.0)
     with pytest.raises(NoRoot, match=r"not a clean zero: I=1\.000e\+00"):
+        find_switch(0.0, nu)
+
+
+def test_switch_bracket_with_several_roots_is_no_root(monkeypatch):
+    # no fallback: a bracket whose interpolant crosses zero three times is
+    # refused, not narrowed; the cubic is exact in the degree-15 interpolant
+    nu = solve_nu(0.0)
+    monkeypatch.setattr(extremal, "_switch_rule",
+                        lambda rho, a, b, alpha: (rho - 0.3) * (rho - 0.301) * (rho - 0.302))
+    with pytest.raises(NoRoot, match=r"interpolant has 3 roots on \[0\.295, 0\.315\]"):
         find_switch(0.0, nu)
 
 
@@ -650,7 +627,7 @@ def test_height_root_safeguard_survives_a_wrong_slope(solved, monkeypatch):
     assert abs(solve_for_height(1.0).p0 - ref) <= 1e-10 + 1e-12 * ref
     # its first iterates are cached now, so only the height root's bound acts
     with monkeypatch.context() as m:
-        m.setattr(extremal, "_BRENT_MAXITER", 3)
+        m.setattr(extremal, "_HEIGHT_MAXITER", 3)
         with pytest.raises(NoRoot, match="height root: no convergence in 3 iterations"):
             solve_for_height(1.0)
     # a bracket whose upper end lies below the root is refused
@@ -753,13 +730,19 @@ NAN = float("nan")
     (lambda sol, ev: endpoint_weight_closed_form(NAN), DomainError),
     (lambda sol, ev: endpoint_weight_closed_form(np.inf), DomainError),
     (lambda sol, ev: endpoint_weight_closed_form(1e300), DomainError),
+    *((lambda sol, ev, a=a: endpoint_weight_quadrature(a), DomainError)
+      for a in (np.inf, 1e200, 1e300, 1e-250, 1e-300)),
 ], ids=["evaluator", "evaluator-array", "gradient", "body_evaluate", "vstar",
         "DenseSolution", "MappedSolution", "MappedSolution-array", "ScaledProfile",
         "ExtremalSolution", "scaled_arc_ivp", "nu_derivatives_at_one", "solve_nu",
         "endpoint_weight_quadrature", "endpoint_weight_closed_form",
-        "endpoint_weight_closed_form-inf", "endpoint_weight_closed_form-1e300"])
+        "endpoint_weight_closed_form-inf", "endpoint_weight_closed_form-1e300",
+        "endpoint_weight_quadrature-inf", "endpoint_weight_quadrature-1e200",
+        "endpoint_weight_quadrature-1e300", "endpoint_weight_quadrature-1e-250",
+        "endpoint_weight_quadrature-1e-300"])
 def test_nan_is_refused_at_each_evaluation_boundary(solved, call, error):
-    # each check is written so that NaN fails it, with the check's own error
+    # each check is written so that NaN fails it, with the check's own error;
+    # so do the endpoint weights' inf and the alphas where they overflow
     sol = solved(1.0)
     with pytest.raises(error):
         call(sol, BodyEvaluator(sol))
