@@ -100,14 +100,18 @@ def scaled_arc_ivp(alpha):
     return SingularIVP(LAM, g, g_x, g_xdot, g0)
 
 
-def solve_nu(alpha):
+def solve_nu(alpha, start=None):
     """Arc solution nu(q) on [0,1] with nu(1)=nu'(1)=1, solved afresh on
     every call (assemble_profile is the cache).
 
-    Returned as a view over the movable-frame solution, so downstream code
-    can read x = nu - q directly from .base without cancellation.
+    start is None (Newton from the osculating parabola) or a nearby arc
+    solve_nu(alpha'), whose x'' node values Newton starts from: every arc
+    lives on t in [-1, 0] at the same N_ARC nodes.  Returned as a view over
+    the movable-frame solution, so downstream code can read x = nu - q
+    directly from .base without cancellation.
     """
-    return MappedSolution(integrate(scaled_arc_ivp(alpha), -1.0), offset=-1.0, add1=1.0)
+    xdd = None if start is None else start.base.info["xdd_nodes"]
+    return MappedSolution(integrate(scaled_arc_ivp(alpha), -1.0, xdd), offset=-1.0, add1=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +143,7 @@ def _graded_ends(rho, a, b, nr):
         while k < 0.5 * rho:
             ends.append(origin + sign * k)
             k = 2.0 * k + d
-    return np.unique(ends)
+    return np.array(sorted(set(ends)))  # np.unique would import numpy.ma
 
 
 def I_of(rho, alpha, nu):
@@ -297,13 +301,17 @@ class ScaledProfile:
 
 
 @lru_cache(maxsize=64)
-def _assemble_cached(alpha):
-    nu = solve_nu(alpha)
+def _assemble_cached(alpha, start=None):
+    """The profile at alpha, its arc solved from the arc of the profile start
+    if one is given (solve_nu); keyed on start too, so a warm profile is
+    found again only from the same start object."""
+    nu = solve_nu(alpha, None if start is None else start.nu)
     return ScaledProfile.at_switch(alpha, nu, find_switch(alpha, nu))
 
 
 def assemble_profile(alpha):
-    """Solve the arc, locate the switching radius, return the C^1 profile."""
+    """Solve the arc from the osculating parabola, locate the switching
+    radius, return the C^1 profile."""
     alpha = float(alpha)
     if not 0.0 <= alpha < ALPHA_MAX:
         raise NoRoot(_VALIDITY_MSG.format(alpha))
@@ -472,8 +480,9 @@ def endpoint_weight_quadrature(alpha):
     analytic on [0, pi/2]; its peak at phi = 0 has a width of about
     alpha^(1/4), toward which the N_PANEL-point Gauss-Legendre panels of
     _graded_ends are graded.  Raises DomainError where the denominator
-    (s2^2+alpha)^2 overflows or underflows to 0: alpha = inf, above about
-    1.3e154 and below about 1.6e-162.
+    (s2^2+alpha)^2 overflows or falls below the smallest normal double,
+    where it loses digits silently: alpha = inf, above about 1.3e154 and
+    below about 1.5e-154.
     """
     alpha = float(alpha)
     if not 0.0 < alpha < np.inf:
@@ -482,8 +491,9 @@ def endpoint_weight_quadrature(alpha):
     s2 = np.sin(phi) ** 2
     with np.errstate(over="ignore"):
         den = (s2 * s2 + alpha) ** 2
-    if not np.all((0.0 < den) & (den < np.inf)):
-        raise DomainError(f"alpha = {alpha!r}: the integrand's denominator leaves the doubles")
+    if not np.all((np.finfo(float).tiny <= den) & (den < np.inf)):
+        raise DomainError(f"alpha = {alpha!r}: the integrand's denominator leaves "
+                          f"the normal doubles")
     return float(w @ (2.0 * s2 * (1.0 - 2.0 * s2) / den))
 
 
@@ -555,10 +565,13 @@ def unscale(profile, p0):
 def solve_for_height(M):
     """Synthesize the extremal solution with prescribed height M.
 
-    Newton's method on h(p0) = p0 * height0(1/p0^2) - M through
-    assemble_profile's cache, with the exact slope h' = -B(0), the field
-    bracket at q = 0, from the root of the flat-height asymptote
-    M = _M_HAT*p0 - 0.65/p0 (within 1.1e-3 relative for M >= 0.5).  h
+    Newton's method on h(p0) = p0 * height0(1/p0^2) - M, with the exact
+    slope h' = -B(0), the field bracket at q = 0, from the root of the
+    flat-height asymptote M = _M_HAT*p0 - 0.65/p0 (within 1.1e-3 relative
+    for M >= 0.5).  The first arc is assemble_profile's; each later arc's
+    Newton collocation starts from the previous arc's x'' node values
+    (continuation in alpha), which moves it by round-off only, and is
+    cached with that start, so a repeated call solves no arc.  h
     increases with p0, from about 0.0869 at the validity edge p0 = sqrt(3)
     to _M_TOP at _P0_TOP, where 1/p0^2 is the smallest normal double;
     larger M is refused up front.  height0 < _H0_HI bounds the root below,
@@ -580,9 +593,10 @@ def solve_for_height(M):
     hi = min(max(M / _H0_LO, lo) + 1.0, _P0_TOP)
     a, b, unseen = lo, hi, {lo, hi}
     p = min(max((M + np.sqrt(M * M + 2.6 * _M_HAT)) / (2.0 * _M_HAT), lo), hi)
-    slope = None
+    slope = profile = None
     for _ in range(_HEIGHT_MAXITER):
-        profile = assemble_profile(1.0 / (p * p))
+        alpha = 1.0 / (p * p)
+        profile = assemble_profile(alpha) if profile is None else _assemble_cached(alpha, profile)
         hp = p * profile.height0 - M
         if p == lo and hp >= 0.0:
             raise NoRoot(f"M={M} below the reachable range (min height "

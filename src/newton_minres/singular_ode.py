@@ -13,7 +13,8 @@ a parabola, so x'^2/x stays finite).  The strategy:
    with it (the exact integrals of its interpolant from t=0, so x(0) =
    x'(0) = 0 hold exactly), the origin node takes x'' = xdd0 =
    g(0,0,0)/(1-2*lam), and every other node the equation itself.  Newton
-   starts from the osculating parabola x0(t) = xdd0*t^2/2, and the result
+   starts from the osculating parabola x0(t) = xdd0*t^2/2, or from the
+   x'' node values of a nearby arc that the caller passes, and the result
    is one Chebyshev series for (x, x', x''), checked by its residual on an
    oversampled grid and its trailing coefficients;
 2. cross-check it near the origin against a small analytic seed on
@@ -26,10 +27,14 @@ a parabola, so x'^2/x stays finite).  The strategy:
    iteration is a contraction once eps and tau are small enough: eps is
    halved until the lam-part of the bound leaves room, then tau is the
    largest of 0.5*2^-k, k = 0..59, whose sampled bounds certify a
-   contraction factor rho <= rho_target and a band that maps into itself.
-   The seed only checks: the arc, however short, must agree with it and
-   stay in its band on [-h, h], h = tau, or |t_end|/2 on an arc no longer
-   than tau, whose residual is then checked on [h, |t_end|].
+   contraction factor rho <= rho_target and a band that maps into itself
+   (k = 0..15 are sampled first, the rest only if none of them passes).
+   The iteration stops once the contraction bound d*rho/(1-rho) on the
+   distance to the fixed point, d the last step, is within 1e-2 of the
+   arc's agreement budget.  The seed only checks: the arc, however short,
+   must agree with it and stay in its band on [-h, h], h = tau, or
+   |t_end|/2 on an arc no longer than tau, whose residual is then checked
+   on [h, |t_end|].
 
 Every fit here is a fixed linear map on node values: `_lobatto_integrals`
 builds, once per node count and anchor, the inverse Chebyshev Vandermonde
@@ -71,7 +76,6 @@ RHO_TARGET_FLOOR = 0.9
 PICARD_MAX_ITER = 200
 # the seed's starting band half-width, halved until the lam-term contracts
 PICARD_BAND = 0.1
-PICARD_STOP = 0.1 * 1e-10
 NEWTON_MAX_ITER = 30
 # the arc's Newton stops at max|du| <= NEWTON_STEP_FLOOR*max|u|, a round-off
 # floor: at alpha = 0 the increments stall near 1e-15
@@ -354,13 +358,18 @@ def picard_seed(ivp):
 
     leaves no room below the target; the band used is seed.info['epsilon'].
     tau is then the largest of 0.5*2^-k, k = 0..59, for which both
-    rho <= rho_target and the self-map bound hold; the band norms of all
-    60 candidates are sampled in one pass.  Each iteration maps x'' at the
-    N_ARC Lobatto nodes of [-tau, tau] (the arc's count) to x and x' there
-    with the fixed integral matrices of `_lobatto_integrals`, and the seed
-    series is the fit of the last iterate, integrated twice from t=0.  The
-    iteration stops at the first step that moves x'' by less than
-    PICARD_STOP at every node; the diffs are in seed.info['picard_diffs'].
+    rho <= rho_target and the self-map bound hold.  The band norms of
+    k = 0..15 are sampled in one pass, and those of k = 16..59 in a second
+    only if none of the first passes; each candidate's norms are sampled
+    on their own, so the split picks the tau a single pass would.  Each
+    iteration maps x'' at the N_ARC Lobatto nodes of [-tau, tau] (the
+    arc's count) to x and x' there with the fixed integral matrices of
+    `_lobatto_integrals`, and the seed series is the fit of the last
+    iterate, integrated twice from t=0.  The iteration stops at the first
+    step d (max change of x'' over the nodes) whose contraction bound
+    d*rho/(1-rho) on the distance to the fixed point is at most
+    1e-2*ARC_BUDGET*|xdd0|, a hundredth of the budget the arc must agree
+    with the seed to; the diffs are in seed.info['picard_diffs'].
     """
     lam = ivp.lam
     xdd0 = accel_at_origin(ivp)
@@ -375,18 +384,21 @@ def picard_seed(ivp):
         if eps < 1e-9:
             raise ContractionFailure("cannot make the lam-term contract for this lam")
 
-    taus = np.ldexp(0.5, -np.arange(60))  # 0.5, 0.25, ..., 2^-60
-    gx, gxd, gt = _band_norms(ivp, taus, eps, xdd0)
-    rho = lam_term(eps) + 0.5 * gx * taus * taus + gxd * taus
-    # first-iterate drift of xdd away from xdd0: g varies by at most
-    # gt*tau + gxd*|xd| + gx*|x| ~ (gt + gxd*|xdd0|)*tau + gx*|xdd0|*tau^2/2
-    # over the band, and the contraction then keeps the fixed point within
-    # drift/(1-rho); require drift <= (1-rho)*eps*|xdd0|
-    a = gt + gxd * abs(xdd0)
-    b = 0.5 * gx * abs(xdd0)
-    self_map = rho + taus * (a + b * taus) / (eps * abs(xdd0))
-    ok = np.flatnonzero((rho <= rho_target) & (self_map <= 1.0))
-    if ok.size == 0:
+    # 0.5, 0.25, ..., 2^-60; the family's arcs take k = 8 or 9
+    for taus in np.split(np.ldexp(0.5, -np.arange(60)), [16]):
+        gx, gxd, gt = _band_norms(ivp, taus, eps, xdd0)
+        rho = lam_term(eps) + 0.5 * gx * taus * taus + gxd * taus
+        # first-iterate drift of xdd away from xdd0: g varies by at most
+        # gt*tau + gxd*|xd| + gx*|x| ~ (gt + gxd*|xdd0|)*tau + gx*|xdd0|*tau^2/2
+        # over the band, and the contraction then keeps the fixed point within
+        # drift/(1-rho); require drift <= (1-rho)*eps*|xdd0|
+        a = gt + gxd * abs(xdd0)
+        b = 0.5 * gx * abs(xdd0)
+        self_map = rho + taus * (a + b * taus) / (eps * abs(xdd0))
+        ok = np.flatnonzero((rho <= rho_target) & (self_map <= 1.0))
+        if ok.size:
+            break
+    else:
         raise ContractionFailure(
             f"no tau gives contraction rho<={rho_target:.3f} with band eps={eps:.2e}")
     tau, rho = float(taus[ok[0]]), float(rho[ok[0]])
@@ -406,11 +418,11 @@ def picard_seed(ivp):
         d = float(np.max(np.abs(new - xdd)))
         diffs.append(d)
         xdd = new
-        if d < PICARD_STOP:
+        if d * rho / (1.0 - rho) <= 1e-2 * ARC_BUDGET * abs(xdd0):
             break
     else:
         raise ContractionFailure(
-            f"Picard iteration did not reach PICARD_STOP in {PICARD_MAX_ITER} steps")
+            f"Picard iteration did not reach its stop in {PICARD_MAX_ITER} steps")
 
     band_dev = float(np.max(np.abs(xdd - xdd0))) / abs(xdd0)
     if band_dev > eps * 1.05:
@@ -461,14 +473,17 @@ def _arc_system(ivp, t, X, Xd, xdd0, u):
     return F, _collocation_matrix(r0, r1, X, Xd)
 
 
-def integrate(ivp, t_end):
+def integrate(ivp, t_end, start=None):
     """Solve the singular IVP out to a finite t_end (either sign), t_end != 0.
 
     Returns a DenseSolution on [t_end, 0] (or [0, t_end]) with a single
     Chebyshev segment, solved by Newton collocation (module docstring, step
     1) to the round-off floor NEWTON_STEP_FLOOR, so no tolerance steers it.
-    The Picard seed (band PICARD_BAND, stop PICARD_STOP) cross-checks the
-    arc on [-h, h], h = tau, or |t_end|/2 when |t_end| <= tau, so that the
+    Newton starts from the osculating parabola, or from start, x'' at the
+    N_ARC Lobatto nodes of the interval (info['xdd_nodes'] of a nearby
+    problem's arc on the same interval), which moves the result by
+    round-off only.  The Picard seed (picard_seed) cross-checks the arc on
+    [-h, h], h = tau, or |t_end|/2 when |t_end| <= tau, so that the
     residual keeps the interval [h, |t_end|].
 
     Raises BlowUp if an iterate has x*sign(xdd0) <= 0 off the origin, if
@@ -476,9 +491,10 @@ def integrate(ivp, t_end):
     the seed or the last ARC_TAIL x'' coefficients exceed
     ARC_BUDGET*max|x''|, or if the arc's x'' leaves the seed's certified
     band or differs from the seed's by more than ARC_BUDGET*|xdd0|.  info
-    adds newton_iters, residual (the max on 2*N_ARC points in [h, |t_end|])
-    and radius_estimate = ||F||*||J^-1|| (max norm, last iterate), a
-    Kantorovich-style size of the correction left, not a proof.
+    adds newton_iters, residual (the max on 2*N_ARC points in [h, |t_end|]),
+    radius_estimate = ||F||*||J^-1|| (max norm, last iterate), a
+    Kantorovich-style size of the correction left, not a proof, and
+    xdd_nodes, the solved x'' at the nodes.
     """
     t_end = float(t_end)
     if not np.isfinite(t_end) or t_end == 0.0:
@@ -493,7 +509,9 @@ def integrate(ivp, t_end):
     X, Xd = half * half * int2, half * int1
     xdd0 = accel_at_origin(ivp)
 
-    u = np.full(N_ARC, xdd0)  # the osculating parabola
+    u = np.full(N_ARC, xdd0) if start is None else np.array(start, float)
+    if u.shape != (N_ARC,) or not np.all(np.isfinite(u)):
+        raise DomainError(f"start must hold N_ARC = {N_ARC} finite x'' node values")
     for k in range(1, NEWTON_MAX_ITER + 1):
         F, J = _arc_system(ivp, t, X, Xd, xdd0, u)
         try:
@@ -534,7 +552,8 @@ def integrate(ivp, t_end):
     if not (gap <= ARC_BUDGET * abs(xdd0) and dev <= 1.05 * seed.info["epsilon"] * abs(xdd0)):
         raise BlowUp(f"arc disagrees with the Picard seed near t=0: "
                      f"|x'' - seed| {gap:.2e}, |x'' - xdd0| {dev:.2e}")
-    info = dict(seed.info, newton_iters=k, residual=residual, radius_estimate=radius)
+    info = dict(seed.info, newton_iters=k, residual=residual, radius_estimate=radius,
+                xdd_nodes=u)
     return DenseSolution([lo, hi], [seg], info=info)
 
 

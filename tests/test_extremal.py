@@ -564,8 +564,8 @@ def test_solve_for_height_roundtrip(solved):
 
 
 def test_solve_for_height_locates_each_switch_once(monkeypatch):
-    # every height evaluation goes through assemble_profile's cache, so
-    # brentq's repeated bracket ends and the final profile solve nothing anew
+    # every height evaluation goes through _assemble_cached, so each arc
+    # the height root solves locates its switch once
     calls = {"find_switch": 0, "integrate": 0}
 
     def counted(name):
@@ -588,15 +588,22 @@ def test_default_rows_solve_at_most_24_arcs_from_cold_caches(monkeypatch):
     # the height root starts at the flat-height asymptote and takes Newton
     # steps with the slope from the Jacobi field: at most 3 arcs a row, and
     # one Jacobi field fewer, since the last iterate needs none; below the
-    # validity edge it refuses after the one arc at the bracket's low end
+    # validity edge it refuses after the one arc at the bracket's low end.
+    # Each arc after a row's first starts its Newton collocation from the
+    # previous arc (87 steps here; 132 from the parabola), and each seed
+    # stops at its contraction bound (14 Picard iterations; 19 before)
     calls = {"integrate": 0, "integrate_variational": 0}
+    arcs_info = []
 
     def counted(name):
         fn = getattr(extremal, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args, **kwargs)
+            out = fn(*args, **kwargs)
+            if name == "integrate":
+                arcs_info.append(out.info)
+            return out
         return wrapper
 
     for name in calls:
@@ -610,12 +617,43 @@ def test_default_rows_solve_at_most_24_arcs_from_cold_caches(monkeypatch):
         fields.append(calls["integrate_variational"] - before["integrate_variational"])
     assert max(arcs) <= 3 and sum(arcs) <= 24
     assert fields == [n - 1 for n in arcs]
+    assert sum(info["newton_iters"] for info in arcs_info) <= 90
+    assert sum(len(info["picard_diffs"]) for info in arcs_info) <= 23 * 14
 
     extremal._assemble_cached.cache_clear()
     before = calls["integrate"]
     with pytest.raises(NoRoot, match="below the reachable range"):
         solve_for_height(0.05)
     assert calls["integrate"] - before == 1
+
+
+@pytest.mark.parametrize("M", [0.0875, 0.146, 1.0, 10.0, 1e6])
+def test_continued_arcs_are_the_cold_arcs_and_are_cached(M, monkeypatch):
+    # every arc after a row's first starts from the previous arc's x'' node
+    # values; Newton then ends where it ends from the parabola, to
+    # round-off, and a repeated solve finds each warm arc in the cache
+    solved_arcs = []
+
+    def recorded(ivp, t_end, start=None):
+        sol = integrate(ivp, t_end, start)
+        solved_arcs.append((ivp, start is not None, sol))
+        return sol
+
+    monkeypatch.setattr(extremal, "integrate", recorded)
+    extremal._assemble_cached.cache_clear()
+    first = solve_for_height(M)
+    warm = [(ivp, sol) for ivp, is_warm, sol in solved_arcs if is_warm]
+    assert not solved_arcs[0][1] and len(warm) == len(solved_arcs) - 1 >= 1
+    for ivp, sol in warm:
+        cold = integrate(ivp, -1.0).info["xdd_nodes"]
+        gap = np.max(np.abs(sol.info["xdd_nodes"] - cold))
+        assert gap <= 1e-13 * np.max(np.abs(cold))
+    solved_arcs.clear()
+    again = solve_for_height(M)
+    assert solved_arcs == [] and (again.p0, again.J) == (first.p0, first.J)
+    # assemble_profile stays cold: at the root's alpha it solves its own arc
+    assemble_profile(1.0 / (first.p0 * first.p0))
+    assert [is_warm for _, is_warm, _ in solved_arcs] == [False]
 
 
 def test_height_root_safeguard_survives_a_wrong_slope(solved, monkeypatch):
@@ -731,14 +769,15 @@ NAN = float("nan")
     (lambda sol, ev: endpoint_weight_closed_form(np.inf), DomainError),
     (lambda sol, ev: endpoint_weight_closed_form(1e300), DomainError),
     *((lambda sol, ev, a=a: endpoint_weight_quadrature(a), DomainError)
-      for a in (np.inf, 1e200, 1e300, 1e-250, 1e-300)),
+      for a in (np.inf, 1e200, 1e300, 1e-158, 1e-160, 1e-250, 1e-300)),
 ], ids=["evaluator", "evaluator-array", "gradient", "body_evaluate", "vstar",
         "DenseSolution", "MappedSolution", "MappedSolution-array", "ScaledProfile",
         "ExtremalSolution", "scaled_arc_ivp", "nu_derivatives_at_one", "solve_nu",
         "endpoint_weight_quadrature", "endpoint_weight_closed_form",
         "endpoint_weight_closed_form-inf", "endpoint_weight_closed_form-1e300",
         "endpoint_weight_quadrature-inf", "endpoint_weight_quadrature-1e200",
-        "endpoint_weight_quadrature-1e300", "endpoint_weight_quadrature-1e-250",
+        "endpoint_weight_quadrature-1e300", "endpoint_weight_quadrature-1e-158",
+        "endpoint_weight_quadrature-1e-160", "endpoint_weight_quadrature-1e-250",
         "endpoint_weight_quadrature-1e-300"])
 def test_nan_is_refused_at_each_evaluation_boundary(solved, call, error):
     # each check is written so that NaN fails it, with the check's own error;

@@ -131,26 +131,25 @@ def test_seed_shrinks_band_when_lam_term_leaves_no_room(monkeypatch):
 
 
 @pytest.mark.parametrize("alpha, tau, rho_bound, band_dev", [
-    (0.0, 2.0**-10, 0.7402150967439891, 0.0014660606178256153),
-    (0.1, 2.0**-10, 0.7398599597757459, 0.0014750641073261414),
-    (0.3, 2.0**-9, 0.741833354756446, 0.003082800562282359),
+    (0.0, 2.0**-10, 0.7402150967439891, 0.0014660603162974795),
+    (0.1, 2.0**-10, 0.7398599597757459, 0.0014750638032696602),
+    (0.3, 2.0**-9, 0.741833354756446, 0.0030827999340059032),
 ])
 def test_seed_certificate_pins_on_the_family_arc(alpha, tau, rho_bound, band_dev):
     # exact: the admissible tau is the largest of 0.5*2^-k, and the band
     # norms behind it are maxima of the same sampled values however the
     # candidates are evaluated.  band_dev is pinned as the fixed Lobatto
-    # maps give it; the least-squares fit they replaced is the same linear
-    # map in exact arithmetic and gave values about 8e-13 (relative) away,
-    # e.g. 0.0014660606178260593 at alpha = 0.  The seed's rule went from
-    # 48 nodes to N_ARC = 64, which moved band_dev by at most 4.6e-13
-    # (relative; 0.0014660606178249491 on 48 nodes at alpha = 0)
+    # maps give it after the contraction-bound stop, 14 iterations, where
+    # the distance to the fixed point is at most 1e-2*ARC_BUDGET*|xdd0|; the
+    # old stop at steps below 1e-11 ran 19 and gave band_dev about 2e-7
+    # (relative) away, e.g. 0.0014660606178256153 at alpha = 0
     got, seed = picard_seed(scaled_arc_ivp(alpha))
     info = seed.info
     assert got == info["tau"] == tau
     assert info["epsilon"] == 0.025
     assert info["rho_bound"] == rho_bound
     assert info["band_dev"] == band_dev
-    assert len(info["picard_diffs"]) == 19
+    assert len(info["picard_diffs"]) == 14
 
 
 @pytest.mark.parametrize("n, anchor", [(64, 0.0), (64, -1.0), (64, 1.0)])
@@ -240,7 +239,7 @@ def test_lobatto_maps_are_not_built_at_import():
     assert out.split() == ["0", "0", "0"]
 
 
-def test_seed_samples_all_candidate_taus_in_one_pass(monkeypatch):
+def test_seed_samples_the_small_taus_only_when_no_large_one_passes(monkeypatch):
     calls = []
     band_norms = singular_ode._band_norms
 
@@ -250,7 +249,22 @@ def test_seed_samples_all_candidate_taus_in_one_pass(monkeypatch):
 
     monkeypatch.setattr(singular_ode, "_band_norms", counted)
     picard_seed(scaled_arc_ivp(0.1))
-    assert calls == [(60,)]
+    assert calls == [(16,)]
+    # ||g_xdot|| = 1e5 pushes tau below 0.5*2^-15: the first 16 candidates
+    # fail, and the second pass must take the tau of one 60-candidate scan
+    calls.clear()
+    ivp = SingularIVP(-0.25, lambda t, x, xd: 1.5, _zero, lambda t, x, xd: 1e5,
+                      g_origin=1.5)
+    tau, seed = picard_seed(ivp)
+    assert calls == [(16,), (44,)]
+    eps, rho_target, xdd0 = seed.info["epsilon"], seed.info["rho_target"], accel_at_origin(ivp)
+    taus = np.ldexp(0.5, -np.arange(60))
+    gx, gxd, gt = band_norms(ivp, taus, eps, xdd0)
+    rho = (2.0 / 3.0) * ((1.0 + eps) / (1.0 - eps)) ** 2 + 0.5 * gx * taus**2 + gxd * taus
+    drift = taus * (gt + gxd * abs(xdd0) + 0.5 * gx * abs(xdd0) * taus)
+    k = np.flatnonzero((rho <= rho_target) & (rho + drift / (eps * abs(xdd0)) <= 1.0))[0]
+    assert k >= 16
+    assert tau == taus[k] and seed.info["rho_bound"] == rho[k]
 
 
 def test_seed_fails_cleanly_when_no_tau_contracts():
@@ -264,6 +278,12 @@ def test_seed_fails_cleanly_when_no_tau_contracts():
 # ---------------------------------------------------------------------------
 # dense solutions
 # ---------------------------------------------------------------------------
+
+def test_integrate_refuses_a_start_of_the_wrong_shape_or_not_finite():
+    for start in (np.ones(3), np.full(singular_ode.N_ARC, np.nan)):
+        with pytest.raises(DomainError, match="start must hold"):
+            integrate(const_ivp(), -1.0, start)
+
 
 def test_solution_domain_is_enforced():
     sol = integrate(const_ivp(), 0.5)
