@@ -67,8 +67,8 @@ def nu_derivatives_at_one(alpha):
     nu''(1) = (3-alpha)/(3(1+alpha)), nu'''(1) = (3+2a+a^2)/(2(1+a)^2).
     """
     alpha = float(alpha)
-    if not alpha >= 0.0:
-        raise DomainError(f"alpha must be >= 0, got {alpha}")
+    if not 0.0 <= alpha < np.inf:
+        raise DomainError(f"alpha must be finite and >= 0, got {alpha}")
     return [1.0, 1.0,
             (3.0 - alpha) / (3.0 * (1.0 + alpha)),
             (3.0 + 2.0 * alpha + alpha * alpha) / (2.0 * (1.0 + alpha) ** 2)]
@@ -77,8 +77,8 @@ def nu_derivatives_at_one(alpha):
 def scaled_arc_ivp(alpha):
     """SingularIVP for the scaled arc in the movable frame (t=q-1, x=nu-q)."""
     alpha = float(alpha)
-    if not alpha >= 0.0:
-        raise DomainError(f"alpha must be >= 0, got {alpha}")
+    if not 0.0 <= alpha < np.inf:
+        raise DomainError(f"alpha must be finite and >= 0, got {alpha}")
 
     def g(t, x, xd):
         w = x + t + 1.0

@@ -70,7 +70,7 @@ def _lagrangian_args(name, q, y, yp, c):
     """q, y, y' as arrays, s2 = y^2 - q^2, s = sqrt(s2) and d = y^2 + c;
     raises DomainError, naming the caller, unless y > q >= 0 and c >= 0."""
     q, y, yp = (np.asarray(v, float) for v in (q, y, yp))
-    if c < 0.0:
+    if not c >= 0.0:
         raise DomainError(f"c must be >= 0, got {c}")
     s2 = y * y - q * q
     if np.any(s2 <= 0.0) or np.any(y <= 0.0) or np.any(q < 0.0):

@@ -112,8 +112,8 @@ class SingularIVP:
         if not 0.0 < abs(lam) < 0.375:
             raise DomainError(f"need 0 < |lam| < 3/8, got lam={lam}")
         g_origin = float(g_origin)
-        if g_origin == 0.0:
-            raise DomainError("g(0,0,0) must be nonzero (origin acceleration degenerates)")
+        if not 0.0 < abs(g_origin) < np.inf:
+            raise DomainError(f"g(0,0,0) must be finite and nonzero, got {g_origin}")
         self.lam = lam
         self.g = g
         self.g_x = g_x
@@ -174,7 +174,7 @@ class _ChebSegment:
     from s = anchor, where they take the values xd0 and x0.  The segment
     keeps (x, x', x'') at the len(c2)+3 Lobatto nodes of `_segment_maps`,
     enough for x's degree, and eval reads all three from them in one
-    barycentric pass; x''' is differentiated from c2 only when read.
+    barycentric pass.
     """
 
     __slots__ = ("mid", "half", "c2", "nodes", "w", "vals")
@@ -196,16 +196,13 @@ class _ChebSegment:
         out = _barycentric(s.ravel(), self.nodes, self.w, self.vals)
         return out.T.reshape((3,) + s.shape)
 
-    def third(self, t):
-        xddd = _cheb.chebder(self.c2) / self.half
-        return _cheb.chebval((t - self.mid) / self.half, xddd)
-
 
 class DenseSolution:
     """Piecewise-analytic solution: sorted breakpoints + one segment per gap.
 
-    eval(t) is the one reader: it returns (x, x', x'') and raises
-    DomainError outside [breakpoints[0], breakpoints[-1]].
+    eval(t) is the one reader: it returns (x, x', x''), each point read
+    from the segment of its gap, and raises DomainError outside
+    [breakpoints[0], breakpoints[-1]].
     `info` carries construction metadata (seed half-width, Picard diff
     history, ...) so convergence claims stay checkable after the fact.
     """
@@ -221,12 +218,7 @@ class DenseSolution:
         self.domain = (float(bp[0]), float(bp[-1]))
         self.info = dict(info) if info else {}
 
-    def _on_segments(self, t, method):
-        """method(segment, times) with each point on its own segment.
-
-        The leading axes of method's result are kept; the trailing ones
-        follow the shape of t.
-        """
+    def eval(self, t):
         lo, hi = self.domain
         slack = _DOMAIN_SLACK * max(1.0, abs(lo), abs(hi))
         t = np.asarray(t, float)
@@ -234,27 +226,18 @@ class DenseSolution:
             raise DomainError(f"evaluation at t outside [{lo}, {hi}]")
         t = np.clip(t, lo, hi)
         if len(self.segments) == 1:
-            return method(self.segments[0], t)
-        flat = t.ravel()
-        idx = np.searchsorted(self.breakpoints[1:-1], flat, side="right")
-        out = None
-        for k, seg in enumerate(self.segments):
-            on = idx == k
-            part = method(seg, flat[on])
-            if out is None:
-                out = np.empty(part.shape[:-1] + flat.shape)
-            out[..., on] = part
-        return out.reshape(out.shape[:-1] + t.shape)
-
-    def eval(self, t):
-        x, xd, xdd = self._on_segments(t, _ChebSegment.eval)
-        if np.ndim(t) == 0:
+            x, xd, xdd = self.segments[0].eval(t)
+        else:
+            flat = t.ravel()
+            idx = np.searchsorted(self.breakpoints[1:-1], flat, side="right")
+            out = np.empty((3, flat.size))
+            for k, seg in enumerate(self.segments):
+                on = idx == k
+                out[:, on] = seg.eval(flat[on])
+            x, xd, xdd = out.reshape((3,) + t.shape)
+        if t.ndim == 0:
             return float(x), float(xd), float(xdd)
         return x, xd, xdd
-
-    def third(self, t):
-        out = self._on_segments(t, _ChebSegment.third)
-        return float(out) if np.ndim(t) == 0 else out
 
 
 class MappedSolution:
@@ -263,8 +246,7 @@ class MappedSolution:
     value(q) = base(q + offset) + add1*q, so slope(q) = base' + add1.
     Presents the arc computed in movable-frame coordinates (x = value - q,
     t = q - 1) as nu itself, and the Jacobi field y(t) as zeta(q).  A plain
-    view: it reads through base.eval and base.third, and the base enforces
-    the domain.
+    view: it reads through base.eval, and the base enforces the domain.
     """
 
     def __init__(self, base, offset, add1=0.0):
@@ -280,9 +262,6 @@ class MappedSolution:
         if q.ndim == 0:
             return float(x), float(xd), float(xdd)
         return x, xd, xdd
-
-    def third(self, q):
-        return self.base.third(np.asarray(q, float) + self.offset)
 
 
 @lru_cache(maxsize=None)
@@ -599,11 +578,14 @@ def integrate_variational(coeffs, ydot0, t_end):
     t_end = float(t_end)
     if not np.isfinite(t_end) or t_end == 0.0:
         raise DomainError(f"t_end must be finite and nonzero, got {t_end}")
+    ydot0 = float(ydot0)
+    if not np.isfinite(ydot0):
+        raise DomainError(f"ydot0 must be finite, got {ydot0}")
     ydd0 = variational_accel_at_origin(coeffs, ydot0)
     d = 1.0 if t_end > 0 else -1.0
     s, fit, int1, int2 = _lobatto_integrals(N_ARC, -d)
     ends = [0.0, *sorted({b for b in coeffs.breaks if 0.0 < d * b < d * t_end}, key=abs), t_end]
-    y_in, yd_in = 0.0, float(ydot0)
+    y_in, yd_in = 0.0, ydot0
     segs = []
     for t_in, t_out in zip(ends[:-1], ends[1:]):
         mid, half = 0.5 * (t_in + t_out), 0.5 * abs(t_out - t_in)

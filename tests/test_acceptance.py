@@ -170,20 +170,26 @@ def test_criterion_5_analytic_identities(capsys):
 
 
 def test_criterion_6_endpoint_taylor_anchors(capsys):
+    # third derivatives by the one-sided five-point difference of curvature
+    # values at the end, k = 0..4 steps of delta inward
+    delta = 5e-3
+    back = np.arange(5)
+    diff3 = np.array([25.0, -48.0, 36.0, -16.0, 3.0]) / (12.0 * delta)
     with verdict(capsys, 6, "endpoint Taylor anchors"):
         for alpha in (0.0, 0.01, 0.1):
-            nu = solve_nu(alpha)
+            nu2 = solve_nu(alpha).eval(1.0 - delta * back)[2]
             _, _, d2, d3 = nu_derivatives_at_one(alpha)
-            assert abs(nu.eval(1.0)[2] - d2) <= 1e-6, f"2nd anchor at alpha={alpha}"
-            assert abs(nu.third(1.0) - d3) <= 1e-6, f"3rd anchor at alpha={alpha}"
+            assert abs(nu2[0] - d2) <= 1e-6, f"2nd anchor at alpha={alpha}"
+            assert abs(diff3 @ nu2 - d3) <= 1e-6, f"3rd anchor at alpha={alpha}"
 
         for p0 in (2.0, 5.0, 10.0):
             alpha = 1.0 / (p0 * p0)
             sol = unscale(assemble_profile(alpha), p0)
             v2 = (3.0 * p0**2 - 1.0) / (3.0 * p0 * (1.0 + p0**2))
             v3 = (3.0 * p0**4 + 2.0 * p0**2 + 1.0) / (2.0 * p0**2 * (1.0 + p0**2) ** 2)
-            assert abs(sol.eval(p0)[2] - v2) <= 1e-6, f"v'' at p0={p0}"
-            measured_v3 = sol.profile.nu.third(1.0) / (p0 * p0)
+            sol2 = sol.eval(p0 * (1.0 - delta * back))[2]
+            assert abs(sol2[0] - v2) <= 1e-6, f"v'' at p0={p0}"
+            measured_v3 = diff3 @ sol2 / p0
             assert abs(measured_v3 - v3) <= 1e-6, f"v''' at p0={p0}"
 
 

@@ -483,7 +483,8 @@ def test_check_solves_one_arc_and_one_jacobi_field_per_alpha(capsys, monkeypatch
 def test_curves_are_read_without_chebyshev_sums(capsys, monkeypatch):
     # solved curves are read by the barycentric formula on cached node
     # values: numpy's Clenshaw sums and integrals run only while the cached
-    # Lobatto maps are built, and in third (the x''' that endpoint_taylor reads)
+    # Lobatto maps are built, so a warm check (endpoint_taylor's nu''' a
+    # difference of curvature values) runs none
     cheb = np.polynomial.chebyshev
     package = os.path.dirname(cli.__file__)
     callers = set()
@@ -504,7 +505,7 @@ def test_curves_are_read_without_chebyshev_sums(capsys, monkeypatch):
     assert callers == {"_lobatto_integrals", "_segment_maps"}
     callers.clear()
     assert run(capsys, "check")[0] == 0
-    assert callers == {"third"}
+    assert callers == set()
 
 
 def test_no_command_loads_scipy(tmp_path):
@@ -691,12 +692,13 @@ def test_check_verdicts_pass_across_the_heights(M):
     assert abs(report["switch_integral"]) < 1e-12
 
 
-def test_a_finer_arc_rule_moves_no_printed_digit(capsys, monkeypatch):
+@pytest.mark.parametrize("n_arc", [96, 128])
+def test_a_finer_arc_rule_moves_no_printed_digit(capsys, monkeypatch, n_arc):
     # every reader takes N_ARC from singular_ode when called, so one
     # assignment refines the Picard seeds, the arcs, the Jacobi fields, the
-    # switching rule and the J_scaled rule together; 96 nodes must print
-    # what 64 print, and no rule of another size may be built.
-    # switch_integral is round-off and is left out
+    # switching rule and the J_scaled rule together; 96 and 128 nodes must
+    # print what 64 print, check's verdicts included, and no rule of another
+    # size may be built.  switch_integral is round-off and is left out
     commands = [("table",), ("table", "--rows", "0.0875,0.2,3,20,1000,1e6"),
                 ("constants",), ("solve", "--M", "1.0")]
 
@@ -724,11 +726,11 @@ def test_a_finer_arc_rule_moves_no_printed_digit(capsys, monkeypatch):
             for mod in (singular_ode, extremal, functional, geometry):
                 if hasattr(mod, "_lobatto_integrals"):
                     m.setattr(mod, "_lobatto_integrals", recording)
-            m.setattr(singular_ode, "N_ARC", 96)
+            m.setattr(singular_ode, "N_ARC", n_arc)
             fine = outputs()
     finally:
-        cold()  # no 96-node arc outlives this test
-    assert singular_ode.N_ARC == 64 and sizes == {96}
+        cold()  # no finer arc outlives this test
+    assert singular_ode.N_ARC == 64 and sizes == {n_arc}
     assert fine == coarse and coarse[1] == 0
 
 

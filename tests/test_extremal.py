@@ -67,16 +67,19 @@ def test_solved_arc_hits_endpoint_data():
 
 
 def test_solved_arc_taylor_matches_formulas():
+    # the third and fourth derivatives at the endpoint by one-sided
+    # five-point differences of nu'' at q = 1 - k*h, k = 0..4
+    h = 5e-3
+    back = np.arange(5)
     for alpha in (0.0, 0.1):
-        nu = solve_nu(alpha)
+        nu2 = solve_nu(alpha).eval(1.0 - h * back)[2]
         _, _, v2, v3 = nu_derivatives_at_one(alpha)
-        assert nu.eval(1.0)[2] == pytest.approx(v2, abs=1e-8)
-        assert nu.third(1.0) == pytest.approx(v3, abs=1e-6)
-    # fourth derivative at the endpoint, alpha=0: 51/20 (finite difference
-    # of the reconstructed third derivative)
-    nu = solve_nu(0.0)
-    h = 1e-4
-    v4 = (nu.third(1.0) - nu.third(1.0 - h)) / h
+        assert nu2[0] == pytest.approx(v2, abs=1e-8)
+        nu3 = np.dot([25.0, -48.0, 36.0, -16.0, 3.0], nu2) / (12.0 * h)
+        assert nu3 == pytest.approx(v3, abs=1e-6)
+    # fourth derivative at the endpoint, alpha=0: 51/20
+    nu2 = solve_nu(0.0).eval(1.0 - h * back)[2]
+    v4 = np.dot([35.0, -104.0, 114.0, -56.0, 11.0], nu2) / (12.0 * h * h)
     assert v4 == pytest.approx(2.55, abs=2e-2)
 
 
@@ -764,6 +767,10 @@ NAN = float("nan")
     (lambda sol, ev: scaled_arc_ivp(NAN), DomainError),
     (lambda sol, ev: nu_derivatives_at_one(NAN), DomainError),
     (lambda sol, ev: solve_nu(NAN), DomainError),
+    (lambda sol, ev: scaled_arc_ivp(np.inf), DomainError),
+    (lambda sol, ev: nu_derivatives_at_one(np.inf), DomainError),
+    (lambda sol, ev: solve_nu(np.inf), DomainError),
+    (lambda sol, ev: lagrangian_value(0.1, 0.5, 0.3, NAN), DomainError),
     (lambda sol, ev: endpoint_weight_quadrature(NAN), DomainError),
     (lambda sol, ev: endpoint_weight_closed_form(NAN), DomainError),
     (lambda sol, ev: endpoint_weight_closed_form(np.inf), DomainError),
@@ -773,6 +780,8 @@ NAN = float("nan")
 ], ids=["evaluator", "evaluator-array", "gradient", "body_evaluate", "vstar",
         "DenseSolution", "MappedSolution", "MappedSolution-array", "ScaledProfile",
         "ExtremalSolution", "scaled_arc_ivp", "nu_derivatives_at_one", "solve_nu",
+        "scaled_arc_ivp-inf", "nu_derivatives_at_one-inf", "solve_nu-inf",
+        "lagrangian_value-c",
         "endpoint_weight_quadrature", "endpoint_weight_closed_form",
         "endpoint_weight_closed_form-inf", "endpoint_weight_closed_form-1e300",
         "endpoint_weight_quadrature-inf", "endpoint_weight_quadrature-1e200",
@@ -781,7 +790,8 @@ NAN = float("nan")
         "endpoint_weight_quadrature-1e-300"])
 def test_nan_is_refused_at_each_evaluation_boundary(solved, call, error):
     # each check is written so that NaN fails it, with the check's own error;
-    # so do the endpoint weights' inf and the alphas where they overflow
+    # so do an infinite alpha and the alphas where the endpoint weights
+    # overflow
     sol = solved(1.0)
     with pytest.raises(error):
         call(sol, BodyEvaluator(sol))

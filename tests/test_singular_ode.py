@@ -71,6 +71,12 @@ def test_rejects_zero_origin_forcing():
         SingularIVP(-0.25, _zero, _zero, _zero, g_origin=0.0)
 
 
+@pytest.mark.parametrize("g0", [math.nan, math.inf, -math.inf])
+def test_rejects_nonfinite_origin_forcing(g0):
+    with pytest.raises(DomainError, match="finite"):
+        SingularIVP(-0.25, _zero, _zero, _zero, g_origin=g0)
+
+
 def test_accel_at_origin_closed_form():
     assert accel_at_origin(const_ivp(-0.25, 1.5)) == pytest.approx(1.0, abs=1e-15)
     # general: g0/(1-2*lam)
@@ -477,6 +483,12 @@ def test_scalar_only_variational_coefficient_is_rejected():
 def test_variational_rejects_nonfinite_end(t_end):
     with pytest.raises(DomainError, match="finite"):
         integrate_variational(_const_coeffs(), 1.0, t_end)
+
+
+@pytest.mark.parametrize("ydot0", [math.nan, math.inf, -math.inf])
+def test_variational_rejects_nonfinite_slope(ydot0):
+    with pytest.raises(DomainError, match="finite"):
+        integrate_variational(_const_coeffs(), ydot0, -1.0)
 
 
 def test_variational_accel_closed_form():
