@@ -68,10 +68,10 @@ def thread_count():
 
 def _lagrangian_args(name, q, y, yp, c):
     """q, y, y' as arrays, s2 = y^2 - q^2, s = sqrt(s2) and d = y^2 + c;
-    raises DomainError, naming the caller, unless y > q >= 0 and c >= 0."""
+    raises DomainError, naming the caller, unless y > q >= 0 and 0 <= c < inf."""
     q, y, yp = (np.asarray(v, float) for v in (q, y, yp))
-    if not c >= 0.0:
-        raise DomainError(f"c must be >= 0, got {c}")
+    if not 0.0 <= c < np.inf:
+        raise DomainError(f"c must be finite and >= 0, got {c}")
     s2 = y * y - q * q
     if np.any(s2 <= 0.0) or np.any(y <= 0.0) or np.any(q < 0.0):
         raise DomainError(f"{name} needs y > q >= 0")
@@ -79,7 +79,7 @@ def _lagrangian_args(name, q, y, yp, c):
 
 
 def lagrangian_value(q, y, yp, c):
-    """L(q, y, y', c); requires y > q >= 0 pointwise and c >= 0."""
+    """L(q, y, y', c); requires y > q >= 0 pointwise and finite c >= 0."""
     q, y, yp, _, s, d = _lagrangian_args("lagrangian_value", q, y, yp, c)
     out = 2.0 * s * yp * yp / (d * d) - (q * yp - y) / (y * d * s)
     return float(out) if out.ndim == 0 else out

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import DomainError, EvaluationError
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-_CHUNK = 20_000   # points per vectorized pass; a pass's arrays stay in a 2 MiB L2
+_CHUNK = 10_000   # points per vectorized pass; a pass's arrays stay in a 2 MiB L2
 
 
 def _chord(y, x1, x2sq, c):
@@ -58,8 +58,9 @@ def _chord(y, x1, x2sq, c):
 
 class _VStarTable:
     """Cubic-Hermite interpolant of w(y) on [slope0, 1] through exact w and
-    slope p(y) at uniform nodes, one power-form row (c0..c3) per piece:
-    w = ((c3*s + c2)*s + c1)*s + c0, s in [0, 1].  eval and jet share _piece.
+    slope p(y) at uniform nodes; piece j reads w = ((c3*s + c2)*s + c1)*s + c0,
+    s in [0, 1], from column j of the contiguous (4, n) array coef.  eval,
+    value and jet share _piece.
     """
 
     def __init__(self, sol, n_nodes=4097):
@@ -80,7 +81,7 @@ class _VStarTable:
         self.z_nodes = z = p * self.y_nodes - sol.eval(p)[0]
         z[0] = -self.M  # exact at the corner, where v(r) = M + r*slope0
         m = p * self.h
-        self.coef = np.column_stack([
+        self.coef = np.array([
             z[:-1], m[:-1], 3.0 * (z[1:] - z[:-1]) - 2.0 * m[:-1] - m[1:],
             2.0 * (z[:-1] - z[1:]) + m[:-1] + m[1:]])
 
@@ -102,8 +103,13 @@ class _VStarTable:
     def _piece(self, y):
         """Coefficients (c0, c1, c2, c3) and local s of y in [slope0, 1]."""
         s = (y - self.s0) / self.h
-        j = np.minimum(s.astype(np.intp), len(self.coef) - 1)
-        return self.coef[j].T, s - j
+        j = np.minimum(s.astype(np.intp), self.coef.shape[1] - 1)
+        return np.take(self.coef, j, axis=1), s - j
+
+    def value(self, y):
+        """w at y in [slope0, 1]."""
+        (c0, c1, c2, c3), s = self._piece(y)
+        return ((c3 * s + c2) * s + c1) * s + c0
 
     def jet(self, y):
         """w, w', w'' at y in [slope0, 1]."""
@@ -119,8 +125,7 @@ class _VStarTable:
         ya = np.minimum(ya, 1.0)
         out = np.full(ya.shape, -self.M)
         m = ya > self.s0
-        (c0, c1, c2, c3), s = self._piece(ya[m])
-        out[m] = ((c3 * s + c2) * s + c1) * s + c0
+        out[m] = self.value(ya[m])
         return out
 
 
@@ -162,6 +167,9 @@ class BodyEvaluator:
       moving after twice the halvings from the full bracket [slope0, 1] to
       the tolerance raises EvaluationError.
     * u is the least of the flat/corner value, the curved value and 0 (rim).
+      Only points whose lam peaks past slope0 are searched; one chord at
+      slope0 gives the corner value and G's sign there.  _minimize returns
+      the chord and w at y* too, so the gradient reads neither again.
     """
 
     # u is even in x1 and in x2 bit for bit (the search runs on |x1|, lam
@@ -180,20 +188,14 @@ class BodyEvaluator:
         out = self.table.eval(y)
         return float(out) if out.ndim == 0 else out
 
-    def _curved(self, a, x2sq, c, hi):
-        """Minimizer of F on y in [slope0, hi] for x1 = a >= 0; F' > 0 past hi."""
+    def _curved(self, a, x2sq, c, hi, g_lo):
+        """Minimizer of F on y in [slope0, hi] for x1 = a >= 0, F' > 0 past hi."""
         table, tol = self.table, 1e-13
-
-        def sdg(y):   # sqrt(D)*G, exactly 0 on the ridge at y = |x1|
-            lam, sd = _chord(y, a, x2sq, c)
-            w, wp, _ = table.jet(y)
-            return (a - y * lam) * w + sd * wp
-
-        lo = np.full(a.shape, table.s0)
-        g_lo, g_hi = sdg(lo), sdg(hi)
-        out = np.where(g_lo >= 0.0, lo, hi)
-        idx = np.flatnonzero((g_lo < 0.0) & (g_hi > 0.0))
-        lo, hi, g_lo, g_hi = lo[idx], hi[idx], g_lo[idx], g_hi[idx]
+        (lam, sd), (w, wp, _) = _chord(hi, a, x2sq, c), table.jet(hi)
+        # sqrt(D)*G: g_lo < 0 at slope0; exactly 0 on the ridge at hi = |x1|
+        g_hi = (a - hi * lam) * w + sd * wp
+        out, idx = hi.copy(), np.flatnonzero(g_hi > 0.0)
+        lo, hi, g_lo, g_hi = np.full(len(idx), table.s0), hi[idx], g_lo[idx], g_hi[idx]
         y = np.clip(lo - g_lo * (hi - lo) / (g_hi - g_lo), lo, hi)   # regula falsi
         state = [y, lo, hi, hi - lo, a[idx], x2sq[idx], c[idx]]
         # a bisection halves the bracket; Newton runs only while it halves the step
@@ -216,39 +218,50 @@ class BodyEvaluator:
             step = np.abs(yn - y)
             done |= step <= tol
             out[idx[done]] = yn[done]
-            idx = idx[~done]
-            state = [v[~done] for v in (yn, lo, hi, step, xa, xx, cc)]
+            keep = ~done
+            idx = idx[keep]
+            state = [v[keep] for v in (yn, lo, hi, step, xa, xx, cc)]
         if len(idx):
             raise EvaluationError(f"hull minimizer did not converge at {len(idx)} point(s)")
         return out
 
     def _minimize(self, x1, x2):
-        """Minimizing generator y* and height min(0, lam(y*)*w(y*)) per point."""
+        """Rows y*, height min(0, lam*w), and the chord's lam, sqrt(D) and w at y*."""
         x2sq = x2 * x2
         c = 1.0 - x1 * x1 - x2sq
         if not np.all(c >= -1e-9):
             raise EvaluationError("point outside the unit disk")
         c = np.maximum(c, 0.0)
-        s0 = self.table.s0
+        table, s0, a = self.table, self.table.s0, np.abs(x1)
         peak = x1 / np.maximum(1.0 - np.abs(x2), 1e-300)   # where lam peaks
-        yf = np.clip(peak, -s0, s0)                          # flat/corner branch
-        ff = -self.table.M * _chord(yf, x1, x2sq, c)[0]
-        a = np.abs(x1)
-        yc = self._curved(a, x2sq, c, np.clip(np.abs(peak), s0, 1.0))
-        fc = _chord(yc, a, x2sq, c)[0] * self.table.jet(yc)[0]
-        flat = ff <= fc
-        f = np.minimum(np.where(flat, ff, fc), 0.0)
-        y = np.where(flat, yf, np.copysign(yc, x1))
-        return np.where(f < 0.0, y, np.copysign(1.0, x1)), f, x2sq, c  # rim: w = 0
+        # start at the corner, where the table's -M makes lam*w tie -M*lam
+        lam, sd = _chord(s0, a, x2sq, c)
+        w0, wp0, _ = np.ravel(table.jet(np.array([s0])))
+        out = np.array([np.copysign(s0, x1), lam * w0, lam, sd, np.full(x1.shape, w0)])
+        i = np.flatnonzero(np.abs(peak) <= s0)   # flat branch; it wins ties
+        lf, sf = _chord(peak[i], x1[i], x2sq[i], c[i])
+        best = np.array([peak[i], -table.M * lf, lf, sf, np.full(len(i), -table.M)])
+        win = best[1] <= out[1, i]
+        out[:, i[win]] = best.compress(win, axis=1)
+        g_lo = (a - s0 * lam) * w0 + sd * wp0   # sqrt(D)*G at the corner
+        i = np.flatnonzero((np.abs(peak) > s0) & (g_lo < 0.0))   # curved; loses ties
+        yc = self._curved(a[i], x2sq[i], c[i], np.minimum(np.abs(peak[i]), 1.0), g_lo[i])
+        (lc, sc), wc = _chord(yc, a[i], x2sq[i], c[i]), table.value(yc)
+        best = np.array([np.copysign(yc, x1[i]), lc * wc, lc, sc, wc])
+        win = ~(out[1, i] <= best[1])
+        out[:, i[win]] = best.compress(win, axis=1)
+        out[1] = np.minimum(out[1], 0.0)
+        i = np.flatnonzero(~(out[1] < 0.0))      # rim: w = 0
+        y = out[0, i] = np.copysign(1.0, x1[i])
+        out[2:, i] = *_chord(y, x1[i], x2sq[i], c[i]), table.eval(y)
+        return out
 
     def _height(self, x1, x2):
         return self._minimize(x1, x2)[1]
 
     def _gradient(self, x1, x2):
         # Danskin: grad u = w(y*) grad_x lam(y*; x), lam implicit in its quadratic
-        y, _, x2sq, c = self._minimize(x1, x2)
-        lam, sd = _chord(y, x1, x2sq, c)
-        w = self.table.eval(y)
+        y, _, lam, sd, w = self._minimize(x1, x2)
         return w * (y * lam - x1) / sd, -w * x2 / sd
 
     def _map(self, fn, k, x1, x2):

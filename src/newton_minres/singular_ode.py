@@ -562,7 +562,10 @@ class VariationalCoeffs:
 
 def variational_accel_at_origin(coeffs, ydot0):
     """y''(0) from the t->0 balance of the variational equation, from one
-    call of coeffs.fn at t = 0."""
+    call of coeffs.fn at t = 0; ydot0 must be finite."""
+    ydot0 = float(ydot0)
+    if not np.isfinite(ydot0):
+        raise DomainError(f"ydot0 must be finite, got {ydot0}")
     a0, b0, s0 = (float(c) for c in coeffs.fn(0.0))
     return ((a0 + b0) * ydot0 + s0) / (1.0 - 2.0 * coeffs.lam)
 
@@ -579,8 +582,6 @@ def integrate_variational(coeffs, ydot0, t_end):
     if not np.isfinite(t_end) or t_end == 0.0:
         raise DomainError(f"t_end must be finite and nonzero, got {t_end}")
     ydot0 = float(ydot0)
-    if not np.isfinite(ydot0):
-        raise DomainError(f"ydot0 must be finite, got {ydot0}")
     ydd0 = variational_accel_at_origin(coeffs, ydot0)
     d = 1.0 if t_end > 0 else -1.0
     s, fit, int1, int2 = _lobatto_integrals(N_ARC, -d)

@@ -771,6 +771,10 @@ NAN = float("nan")
     (lambda sol, ev: nu_derivatives_at_one(np.inf), DomainError),
     (lambda sol, ev: solve_nu(np.inf), DomainError),
     (lambda sol, ev: lagrangian_value(0.1, 0.5, 0.3, NAN), DomainError),
+    (lambda sol, ev: lagrangian_value(0.1, 0.5, 0.3, np.inf), DomainError),
+    *((lambda sol, ev, v=v: singular_ode.variational_accel_at_origin(
+        singular_ode.VariationalCoeffs(lambda t: (0.1, 0.2, 0.3), -0.25), v), DomainError)
+      for v in (NAN, np.inf)),
     (lambda sol, ev: endpoint_weight_quadrature(NAN), DomainError),
     (lambda sol, ev: endpoint_weight_closed_form(NAN), DomainError),
     (lambda sol, ev: endpoint_weight_closed_form(np.inf), DomainError),
@@ -781,7 +785,8 @@ NAN = float("nan")
         "DenseSolution", "MappedSolution", "MappedSolution-array", "ScaledProfile",
         "ExtremalSolution", "scaled_arc_ivp", "nu_derivatives_at_one", "solve_nu",
         "scaled_arc_ivp-inf", "nu_derivatives_at_one-inf", "solve_nu-inf",
-        "lagrangian_value-c",
+        "lagrangian_value-c", "lagrangian_value-c-inf",
+        "variational_accel_at_origin", "variational_accel_at_origin-inf",
         "endpoint_weight_quadrature", "endpoint_weight_closed_form",
         "endpoint_weight_closed_form-inf", "endpoint_weight_closed_form-1e300",
         "endpoint_weight_quadrature-inf", "endpoint_weight_quadrature-1e200",

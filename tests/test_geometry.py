@@ -23,6 +23,8 @@ from newton_minres import (
     mesh_boundary_report,
     mesh_is_watertight,
 )
+from newton_minres import geometry
+from newton_minres.functional import resistance_direct
 from newton_minres.geometry import _INVPHI, _chord
 
 RNG_SEED = 20240817
@@ -267,7 +269,7 @@ def test_table_pieces_are_convex(solved, M):
     # at both ends make every piece convex.  The least end value is 2.60 at
     # M = 0.0875 and grows with M
     table = BodyEvaluator(solved(M)).table
-    _, _, c2, c3 = table.coef.T
+    _, _, c2, c3 = table.coef
     ends = np.concatenate([2.0 * c2, 6.0 * c3 + 2.0 * c2]) / (table.h * table.h)
     assert ends.min() > 0.0
 
@@ -320,6 +322,77 @@ def test_gradient_mirror_symmetry_and_domain(ev):
     assert isinstance(gx, float) and isinstance(gy, float)
     with pytest.raises(EvaluationError):
         ev.gradient(1.01, 0.1)
+
+
+def _rim_ridge_points():
+    """The golden-section test's points (one in six on the rim) plus the
+    ridge x2 = 0."""
+    rng = np.random.default_rng(RNG_SEED + 8)
+    th = rng.uniform(0.0, 2.0 * np.pi, 3000)
+    rr = np.minimum(1.0, 1.1 * np.sqrt(rng.uniform(0.0, 1.0, 3000)))
+    ridge = np.linspace(-1.0, 1.0, 801)
+    return (np.concatenate([rr * np.cos(th), ridge]),
+            np.concatenate([rr * np.sin(th), np.zeros_like(ridge)]))
+
+
+@pytest.mark.parametrize("M", [0.0875, 1.0, 10.0, 1e4])
+def test_gradient_is_the_danskin_formula_bit_for_bit(solved, M):
+    # the gradient reuses the minimizer's chord and table read at y*; a
+    # fresh chord and table read there must give the same bits (on the
+    # ridge sqrt(D) = 0 and both read 0/0)
+    body = BodyEvaluator(solved(M))
+    x1, x2 = _rim_ridge_points()
+    y = body._minimize(x1, x2)[0]
+    assert np.any(np.abs(y) == 1.0) and np.any(np.abs(y) == solved(M).slope0)
+    x2sq = x2 * x2
+    lam, sd = _chord(y, x1, x2sq, np.maximum(1.0 - x1 * x1 - x2sq, 0.0))
+    w = body.table.eval(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = (w * (y * lam - x1) / sd, -w * x2 / sd)
+        got = body.gradient(x1, x2)
+    assert all(np.array_equal(g, v, equal_nan=True) for g, v in zip(got, want))
+
+
+def test_oracle_work_per_grid_point(solved, monkeypatch):
+    # machine-independent work of the 2-D oracle: chord evaluations and
+    # cubic-table reads, counted in points, per grid point of
+    # resistance_direct
+    body = BodyEvaluator(solved(1.0))
+    count = dict.fromkeys(("points", "chord", "piece"), 0)
+    minimize, chord, piece = BodyEvaluator._minimize, geometry._chord, geometry._VStarTable._piece
+
+    def counted_minimize(self, x1, x2):
+        count["points"] += x1.size
+        return minimize(self, x1, x2)
+
+    def counted_chord(y, x1, x2sq, c):
+        out = chord(y, x1, x2sq, c)
+        count["chord"] += out[0].size
+        return out
+
+    def counted_piece(self, y):
+        count["piece"] += np.size(y)
+        return piece(self, y)
+
+    monkeypatch.setattr(BodyEvaluator, "_minimize", counted_minimize)
+    monkeypatch.setattr(geometry, "_chord", counted_chord)
+    monkeypatch.setattr(geometry._VStarTable, "_piece", counted_piece)
+    resistance_direct(body, n=800)
+    assert count["points"] == 200_000     # one quadrant of the n and n/2 grids
+    assert count["chord"] <= 3 * count["points"]
+    assert count["piece"] <= count["points"]
+
+
+@pytest.mark.parametrize("chunk, n", [(7, 1500), (50_000, 12_000)])
+def test_results_do_not_depend_on_the_chunk_size(ev, monkeypatch, chunk, n):
+    # the minimizer works point by point, so how the points are split into
+    # vectorized passes moves no bit; 12,000 points span two default passes
+    x1, x2 = _disk_points(RNG_SEED + 9, n, rmax=1.0)
+    u, (ux, uy) = ev(x1, x2), ev.gradient(x1, x2)
+    monkeypatch.setattr(geometry, "_CHUNK", chunk)
+    assert np.array_equal(ev(x1, x2), u)
+    gx, gy = ev.gradient(x1, x2)
+    assert np.array_equal(gx, ux) and np.array_equal(gy, uy)
 
 
 @pytest.mark.parametrize("M", [0.5, 1.0, 3.7, 9.9])
