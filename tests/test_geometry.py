@@ -324,24 +324,19 @@ def test_gradient_mirror_symmetry_and_domain(ev):
         ev.gradient(1.01, 0.1)
 
 
-def _rim_ridge_points():
-    """The golden-section test's points (one in six on the rim) plus the
-    ridge x2 = 0."""
+@pytest.mark.parametrize("M", [0.0875, 1.0, 10.0, 1e4])
+def test_gradient_is_the_danskin_formula_bit_for_bit(solved, M):
+    # the gradient reuses the minimizer's chord and table read at y*; a
+    # fresh chord and table read there must give the same bits.  The
+    # golden-section test's points (one in six on the rim) plus the ridge
+    # x2 = 0, where sqrt(D) = 0 and both read 0/0
+    body = BodyEvaluator(solved(M))
     rng = np.random.default_rng(RNG_SEED + 8)
     th = rng.uniform(0.0, 2.0 * np.pi, 3000)
     rr = np.minimum(1.0, 1.1 * np.sqrt(rng.uniform(0.0, 1.0, 3000)))
     ridge = np.linspace(-1.0, 1.0, 801)
-    return (np.concatenate([rr * np.cos(th), ridge]),
-            np.concatenate([rr * np.sin(th), np.zeros_like(ridge)]))
-
-
-@pytest.mark.parametrize("M", [0.0875, 1.0, 10.0, 1e4])
-def test_gradient_is_the_danskin_formula_bit_for_bit(solved, M):
-    # the gradient reuses the minimizer's chord and table read at y*; a
-    # fresh chord and table read there must give the same bits (on the
-    # ridge sqrt(D) = 0 and both read 0/0)
-    body = BodyEvaluator(solved(M))
-    x1, x2 = _rim_ridge_points()
+    x1 = np.concatenate([rr * np.cos(th), ridge])
+    x2 = np.concatenate([rr * np.sin(th), np.zeros_like(ridge)])
     y = body._minimize(x1, x2)[0]
     assert np.any(np.abs(y) == 1.0) and np.any(np.abs(y) == solved(M).slope0)
     x2sq = x2 * x2
