@@ -7,6 +7,7 @@ formatted explicitly so repeated runs are byte-identical.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -131,7 +132,9 @@ def _solution_dict(sol):
             "J": sol.J, "resistance": 2.0 * sol.J}
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parse_args keeps no state in it."""
     ap = _Parser(prog="newton-minres",
                  description="Minimal-resistance convex bodies with one flat "
                              "symmetry cross-section")

@@ -8,8 +8,8 @@ slope curve:
     w(x1) = -M                         for |x1| <= slope0,
     w(x1) = p*x1 - v(p), v'(p) = x1    for slope0 < |x1| <= 1.
 
-w is tabulated once per body (_VStarTable) and read through
-BodyEvaluator.vstar.
+_conjugate samples w exactly; the hull evaluator reads it through a cubic
+table (_VStarTable, BodyEvaluator.vstar), the mesh at its own samples.
 
 Two independent height evaluators:
 
@@ -56,49 +56,47 @@ def _chord(y, x1, x2sq, c):
 # conjugate curve table
 # ---------------------------------------------------------------------------
 
+def _conjugate(sol, n):
+    """y, p, v(p) and w = p*y - v(p) at n uniform y in [slope0, 1], with
+    v'(p) = y by two Newton steps in [r, p0] from v' read off at least 2051
+    uniform p (2n + 1 alone leaves |v'(p) - y| = 3.6e-14 at n = 8, M = 5).
+    Exact ends: p = r and w = -M at slope0 (where v(r) = M + r*slope0),
+    p = p0 at y = 1."""
+    s0, r, p0 = float(sol.slope0), float(sol.r), float(sol.p0)
+    y = np.linspace(s0, 1.0, n)
+    dense_p = np.linspace(r, p0, max(2 * n + 1, 2051))
+    dense_y = sol.eval(dense_p)[1]
+    dense_y[0], dense_y[-1] = s0, 1.0  # exactize the monotone ends
+    p = np.interp(y, dense_y, dense_p)
+    for _ in range(2):
+        _, v1, v2 = sol.eval(p)
+        resid = v1 - y
+        # p = r reads the flat side (v'' = 0, v' = slope0) when r/p0 rounds below rho
+        step = np.divide(resid, v2, out=np.zeros_like(resid), where=v2 > 0.0)
+        p = np.clip(p - step, r, p0)
+    p[0], p[-1] = r, p0
+    v = sol.eval(p)[0]
+    w = p * y - v
+    w[0] = -float(sol.M)
+    return y, p, v, w
+
+
 class _VStarTable:
-    """Cubic-Hermite interpolant of w(y) on [slope0, 1] through exact w and
-    slope p(y) at uniform nodes; piece j reads w = ((c3*s + c2)*s + c1)*s + c0,
-    s in [0, 1], from column j of the contiguous (4, n) array coef.  eval,
-    value and jet share _piece.
+    """Cubic-Hermite interpolant of w(y) on [slope0, 1] through the exact w
+    and slope p(y) of `_conjugate` at 4097 uniform nodes; piece j reads
+    w = ((c3*s + c2)*s + c1)*s + c0, s in [0, 1], from column j of the
+    contiguous (4, n) array coef.  eval, value and jet share _piece.
     """
 
-    def __init__(self, sol, n_nodes=4097):
-        s0 = float(sol.slope0)
-        self.sol = sol
-        self.s0 = s0
+    def __init__(self, sol):
         self.M = float(sol.M)
-        self.r, self.p0 = float(sol.r), float(sol.p0)
-        self.y_nodes = np.linspace(s0, 1.0, int(n_nodes))
-        self.h = (1.0 - s0) / (int(n_nodes) - 1)
-
-        dense_p = np.linspace(self.r, self.p0, 2 * int(n_nodes) + 1)
-        dense_y = sol.eval(dense_p)[1]
-        dense_y[0], dense_y[-1] = s0, 1.0  # exactize the monotone table ends
-        p = self._newton(np.interp(self.y_nodes, dense_y, dense_p), self.y_nodes)
-        p[0], p[-1] = self.r, self.p0
-        self.p_nodes = p
-        self.z_nodes = z = p * self.y_nodes - sol.eval(p)[0]
-        z[0] = -self.M  # exact at the corner, where v(r) = M + r*slope0
-        m = p * self.h
+        self.y_nodes, p, _, self.z_nodes = _conjugate(sol, 4097)
+        self.s0 = s0 = float(sol.slope0)
+        self.h = (1.0 - s0) / (len(p) - 1)
+        z, m = self.z_nodes, p * self.h
         self.coef = np.array([
             z[:-1], m[:-1], 3.0 * (z[1:] - z[:-1]) - 2.0 * m[:-1] - m[1:],
             2.0 * (z[:-1] - z[1:]) + m[:-1] + m[1:]])
-
-    def _newton(self, p, y):
-        """Two Newton steps on v'(p) = y from p, kept in [r, p0]."""
-        for _ in range(2):
-            _, v1, v2 = self.sol.eval(p)
-            resid = v1 - y
-            # p = r reads the flat side (v'' = 0, v' = slope0) when r/p0 rounds below rho
-            step = np.divide(resid, v2, out=np.zeros_like(resid), where=v2 > 0.0)
-            p = np.clip(p - step, self.r, self.p0)
-        return p
-
-    def p_of_slope(self, yabs):
-        """Generator parameter p with v'(p) = y, vectorized, y in [slope0, 1]."""
-        yabs = np.asarray(yabs, float)
-        return self._newton(np.interp(yabs, self.y_nodes, self.p_nodes), yabs)
 
     def _piece(self, y):
         """Coefficients (c0, c1, c2, c3) and local s of y in [slope0, 1]."""
@@ -380,8 +378,9 @@ class BodyMesh:
 def build_mesh(sol, n_profile=1024, n_circle=256):
     """Triangulate the lower surface from the ruled-generator structure.
 
-    Curve samples are uniform in the conjugate variable y; each pairs with
-    the rim point at angle phi, cos(phi) = p / v(p) along its generator.
+    Curve samples are uniform in the conjugate variable y, with w and p
+    exact from `_conjugate`; each pairs with the rim point at angle phi,
+    cos(phi) = p / v(p) along its generator.
     The flat part of the curve fans out to the rim arc between the corner
     angle and the axis, and two planar keel triangles connect the corner
     points to (0, +-1, 0).  One quadrant's index pattern serves all four
@@ -395,12 +394,8 @@ def build_mesh(sol, n_profile=1024, n_circle=256):
     C = int(n_circle)
     if P < 8 or C < 4:
         raise DomainError(f"resolution too small: n_profile={P}, n_circle={C}")
-    table = _VStarTable(sol, max(2 * P + 1, 1025))
-    y = np.linspace(table.s0, 1.0, P)
-    z = table.eval(y)
-    pcur = table.p_of_slope(y)
-    cphi = np.clip(pcur / sol.eval(pcur)[0], 0.0, 1.0)
-    phi = np.arccos(cphi)             # decreasing: corner angle -> 0
+    y, p, v, z = _conjugate(sol, P)
+    phi = np.arccos(np.clip(p / v, 0.0, 1.0))   # decreasing: corner angle -> 0
     fan_phi = np.linspace(phi[0], 0.5 * np.pi, C)
 
     # quadrant signs of (x1, x2), in vertex order
@@ -429,7 +424,7 @@ def build_mesh(sol, n_profile=1024, n_circle=256):
     flip = ~((bx - ax) * (cy - ay) - (by - ay) * (cx - ax) < 0.0)   # not clockwise
     faces[flip] = faces[flip][:, [0, 2, 1]]
 
-    meta = {"M": table.M, "p0": float(sol.p0), "n_profile": P, "n_circle": C}
+    meta = {"M": float(sol.M), "p0": float(sol.p0), "n_profile": P, "n_circle": C}
     return BodyMesh(vertices=verts, faces=faces, metadata=meta)
 
 

@@ -100,7 +100,8 @@ class SingularIVP:
     """Problem definition for x'' = lam*x'^2/x + g(t, x, x'), x(0)=x'(0)=0.
 
     g, g_x, g_xdot are callables of (t, x, xdot) that must accept numpy
-    arrays (elementwise); a constant may be returned as a scalar.
+    arrays (elementwise); a constant may be returned as a scalar, which
+    numpy broadcasting carries through every use.
     g_origin is g(0,0,0).  The partials size the seed interval and make
     the Jacobian of the arc's Newton collocation, so they should be
     exact: a wrong partial slows or stalls Newton (BlowUp); the arc's residual
@@ -124,11 +125,6 @@ class SingularIVP:
 def accel_at_origin(ivp):
     """Initial curvature xdd0 = g(0,0,0) / (1 - 2*lam)."""
     return ivp.g_origin / (1.0 - 2.0 * ivp.lam)
-
-
-def _call_vec(fn, t, *args):
-    """fn on arrays; a constant returned as a scalar is broadcast to t's shape."""
-    return np.broadcast_to(np.asarray(fn(t, *args), float), np.shape(t))
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +314,11 @@ def _band_norms(ivp, taus, eps, xdd0):
     xd = xdd0 * tt * scales[:, None]
     tt, x, xd = np.broadcast_arrays(tt, x, xd)
     ht = 1e-6 * np.maximum(tau, 1e-3)
-    gp = _call_vec(ivp.g, tt + ht, x, xd)
-    gm = _call_vec(ivp.g, tt - ht, x, xd)
+    # a constant returned as a scalar is spread over the grid that sup reduces
+    gx, gxd, gp, gm = np.broadcast_arrays(tt, ivp.g_x(tt, x, xd), ivp.g_xdot(tt, x, xd),
+                                          ivp.g(tt + ht, x, xd), ivp.g(tt - ht, x, xd))[1:]
     sup = lambda v: np.max(np.abs(v), axis=(1, 2, 3))
-    return (sup(_call_vec(ivp.g_x, tt, x, xd)), sup(_call_vec(ivp.g_xdot, tt, x, xd)),
-            sup(gp - gm) / (2.0 * ht[:, 0, 0, 0]))
+    return sup(gx), sup(gxd), sup(gp - gm) / (2.0 * ht[:, 0, 0, 0])
 
 
 def picard_seed(ivp):
@@ -393,7 +389,7 @@ def picard_seed(ivp):
         xd = Xd @ xdd
         if np.any(x * np.sign(xdd0) <= 0.0):
             raise ContractionFailure("iterate left the admissible band (x hit 0)")
-        new = lam * xd * xd / x + _call_vec(ivp.g, t, x, xd)
+        new = lam * xd * xd / x + ivp.g(t, x, xd)
         d = float(np.max(np.abs(new - xdd)))
         diffs.append(d)
         xdd = new
@@ -445,10 +441,10 @@ def _arc_system(ivp, t, X, Xd, xdd0, u):
                      f"on the arc's Newton iterate")
     q = xd / x
     F = u - xdd0
-    F[rest] = u[rest] - ivp.lam * xd * q - _call_vec(ivp.g, t, x, xd)
+    F[rest] = u[rest] - ivp.lam * xd * q - ivp.g(t, x, xd)
     r0, r1 = np.zeros_like(u), np.zeros_like(u)
-    r0[rest] = _call_vec(ivp.g_x, t, x, xd) - ivp.lam * q * q
-    r1[rest] = _call_vec(ivp.g_xdot, t, x, xd) + 2.0 * ivp.lam * q
+    r0[rest] = ivp.g_x(t, x, xd) - ivp.lam * q * q
+    r1[rest] = ivp.g_xdot(t, x, xd) + 2.0 * ivp.lam * q
     return F, _collocation_matrix(r0, r1, X, Xd)
 
 
@@ -520,7 +516,7 @@ def integrate(ivp, t_end, start=None):
     x, xd, xdd = jet[:, :tr.size]
     if np.any(x * np.sign(xdd0) <= 0.0):
         raise BlowUp("the arc series reaches x = 0 between its nodes")
-    residual = float(np.max(np.abs(xdd - ivp.lam * xd * xd / x - _call_vec(ivp.g, tr, x, xd))))
+    residual = float(np.max(np.abs(xdd - ivp.lam * xd * xd / x - ivp.g(tr, x, xd))))
     if not (residual <= ARC_BUDGET * scale and tail <= ARC_BUDGET * scale):  # NaN fails
         raise BlowUp(f"arc series misses its budget: residual {residual:.2e}, "
                      f"tail {tail:.2e}, max|x''| {scale:.3g}")
@@ -544,11 +540,12 @@ class VariationalCoeffs:
     """Coefficients of y'' = 4*lam*(t*y'-y)/t^2 + alpha(t)*y/t + beta(t)*y' + sigma(t).
 
     fn(t) returns (alpha, beta, sigma) at t: it must accept numpy arrays
-    (elementwise; a constant may be returned as a scalar) and be finite at
-    t=0 (stabilized forms); lam must lie in (-1/2, 0) so the singular
-    indicial mode decays outward.  `breaks` lists the points where the
-    coefficients are continuous but not smooth; the solution gets one
-    Chebyshev series per smooth interval between them.
+    (elementwise; a constant may be returned as a scalar, which numpy
+    broadcasting carries) and be finite at t=0 (stabilized forms); lam
+    must lie in (-1/2, 0) so the singular indicial mode decays outward.
+    `breaks` lists the points where the coefficients are continuous but not
+    smooth; the solution gets one Chebyshev series per smooth interval
+    between them.
     """
 
     def __init__(self, fn, lam, breaks=()):
@@ -591,7 +588,7 @@ def integrate_variational(coeffs, ydot0, t_end):
     for t_in, t_out in zip(ends[:-1], ends[1:]):
         mid, half = 0.5 * (t_in + t_out), 0.5 * abs(t_out - t_in)
         t = mid + half * s
-        a, b, sig = np.broadcast_arrays(t, *coeffs.fn(t))[1:]
+        a, b, sig = coeffs.fn(t)
         # the right side without sigma is r0*y + r1*y'; the origin node of
         # the first piece takes u = ydd0 (r0 = r1 = 0 there)
         live = t != 0.0

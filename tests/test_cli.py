@@ -346,6 +346,22 @@ def test_table_bytes_do_not_depend_on_the_thread_count(capsys):
     assert outputs[0:2] == outputs[2:4] == outputs[4:6]
 
 
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    # the parser is built once per process, and each call still parses
+    # from its defaults
+    parsers = []
+    parse = cli._Parser.parse_args
+
+    def recorded(self, *args, **kwargs):
+        parsers.append(self)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", recorded)
+    assert run(capsys, "constants", "--format", "text")[0] == 0
+    assert run(capsys, "constants") == (0, GOLDEN_CONSTANTS, "")
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+
 def test_no_command_starts_a_worker_thread(capsys, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a command started a worker pool")

@@ -491,6 +491,36 @@ def test_mesh_is_finite_where_the_corner_radius_rounds_onto_the_flat(sol):
     assert mesh_is_watertight(mesh)
 
 
+@pytest.mark.parametrize("M", [0.0875, 1.0, 5.0, 1e4])
+def test_mesh_reads_exact_conjugate_samples(solved, monkeypatch, M):
+    # the mesh solves v'(p) = y at its own curve samples and builds no
+    # cubic table of the cross-section
+    sol, seen = solved(M), []
+    conjugate = geometry._conjugate
+
+    def recorded(*args):
+        seen.append(conjugate(*args))
+        return seen[-1]
+
+    def refused(*args):
+        raise AssertionError("build_mesh built a conjugate table")
+
+    monkeypatch.setattr(geometry, "_conjugate", recorded)
+    monkeypatch.setattr(geometry._VStarTable, "__init__", refused)
+    for P in (8, 64, 1024):
+        mesh = build_mesh(sol, n_profile=P, n_circle=4)
+        y, p, v, w = seen[-1]
+        v_p, v1, _ = sol.eval(p)
+        assert np.max(np.abs(v1 - y)) <= 1e-13
+        assert np.array_equal(v, v_p)
+        assert np.array_equal(w[1:], p[1:] * y[1:] - v[1:])
+        # the corner is the flat height, where v(r) = M + r*slope0
+        assert w[0] == -sol.M
+        assert p[0] * y[0] - v[0] == pytest.approx(-sol.M, rel=1e-14)
+        assert np.array_equal(mesh.vertices[:P, 0], y)
+        assert np.array_equal(mesh.vertices[:P, 2], w)
+
+
 def test_mesh_reaches_prescribed_depth(solved):
     sol15 = solved(1.5)
     mesh = build_mesh(sol15, n_profile=128, n_circle=32)

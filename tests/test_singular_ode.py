@@ -66,6 +66,25 @@ def test_scalar_only_forcing_is_rejected():
         picard_seed(ivp)
 
 
+def test_scalar_constants_match_their_array_twins():
+    # a constant g, g_x or g_xdot may come back as a scalar; broadcasting
+    # must carry it exactly as the same constant spread over the array
+    scalar = const_ivp()
+    zeros = lambda t, x, xd: np.zeros_like(t)
+    arrays = SingularIVP(-0.25, lambda t, x, xd: np.full_like(t, 1.5), zeros, zeros,
+                         g_origin=1.5)
+    (tau_s, seed_s), (tau_a, seed_a) = picard_seed(scalar), picard_seed(arrays)
+    assert tau_s == tau_a
+    assert seed_s.info["picard_diffs"] == seed_a.info["picard_diffs"]
+    t = np.linspace(-tau_s, tau_s, 33)
+    assert np.array_equal(np.stack(seed_s.eval(t)), np.stack(seed_a.eval(t)))
+    arc_s, arc_a = integrate(scalar, -1.0), integrate(arrays, -1.0)
+    assert np.array_equal(arc_s.info["xdd_nodes"], arc_a.info["xdd_nodes"])
+    assert arc_s.info["residual"] == arc_a.info["residual"]
+    t = np.linspace(-1.0, 0.0, 33)
+    assert np.array_equal(np.stack(arc_s.eval(t)), np.stack(arc_a.eval(t)))
+
+
 def test_rejects_zero_origin_forcing():
     with pytest.raises(DomainError):
         SingularIVP(-0.25, _zero, _zero, _zero, g_origin=0.0)
@@ -469,6 +488,16 @@ def test_integrate_raises_when_the_seed_disagrees(monkeypatch, wrong):
 
 def _const_coeffs(a=0.0, b=0.0, s=0.0, lam=-0.25):
     return VariationalCoeffs(lambda t: (a, b, s), lam)
+
+
+def test_scalar_variational_coefficients_match_their_array_twins():
+    a, b, sig = 0.1, 0.2, 0.3
+    scalar = _const_coeffs(a, b, sig)
+    arrays = VariationalCoeffs(
+        lambda t: (np.full_like(t, a), np.full_like(t, b), np.full_like(t, sig)), -0.25)
+    t = np.linspace(0.0, 0.5, 33)
+    assert np.array_equal(np.stack(integrate_variational(scalar, 1.0, 0.5).eval(t)),
+                          np.stack(integrate_variational(arrays, 1.0, 0.5).eval(t)))
 
 
 def test_scalar_only_variational_coefficient_is_rejected():
