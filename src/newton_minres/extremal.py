@@ -102,7 +102,7 @@ def scaled_arc_ivp(alpha):
 
 def solve_nu(alpha, start=None):
     """Arc solution nu(q) on [0,1] with nu(1)=nu'(1)=1, solved afresh on
-    every call (assemble_profile is the cache).
+    every call (assemble_profile and solve_for_height cache their results).
 
     start is None (Newton from the osculating parabola) or a nearby arc
     solve_nu(alpha'), whose x'' node values Newton starts from: every arc
@@ -213,7 +213,7 @@ def find_switch(alpha, nu):
     eigenvalue of the colleague matrix (chebroots), is rho; any other count
     is NoRoot.  One call of I_of, whose graded Gauss-Legendre panels are an
     independent quadrature, verifies |I(rho)| < 1e-12.  No warm start:
-    assemble_profile's cache calls this once per alpha.
+    assemble_profile and the height root call this once per arc they solve.
     """
     alpha = float(alpha)
     if not 0.0 <= alpha < ALPHA_MAX:
@@ -301,21 +301,15 @@ class ScaledProfile:
 
 
 @lru_cache(maxsize=64)
-def _assemble_cached(alpha, start=None):
-    """The profile at alpha, its arc solved from the arc of the profile start
-    if one is given (solve_nu); keyed on start too, so a warm profile is
-    found again only from the same start object."""
-    nu = solve_nu(alpha, None if start is None else start.nu)
-    return ScaledProfile.at_switch(alpha, nu, find_switch(alpha, nu))
-
-
 def assemble_profile(alpha):
     """Solve the arc from the osculating parabola, locate the switching
-    radius, return the C^1 profile."""
+    radius, return the C^1 profile: cached by alpha, a number (an array
+    raises TypeError), so a repeated alpha returns the same frozen profile."""
     alpha = float(alpha)
     if not 0.0 <= alpha < ALPHA_MAX:
         raise NoRoot(_VALIDITY_MSG.format(alpha))
-    return _assemble_cached(alpha)
+    nu = solve_nu(alpha)
+    return ScaledProfile.at_switch(alpha, nu, find_switch(alpha, nu))
 
 
 # ---------------------------------------------------------------------------
@@ -562,16 +556,18 @@ def unscale(profile, p0):
                             slope0=profile.slope, J=J, profile=profile)
 
 
+@lru_cache(maxsize=64)
 def solve_for_height(M):
     """Synthesize the extremal solution with prescribed height M.
 
     Newton's method on h(p0) = p0 * height0(1/p0^2) - M, with the exact
     slope h' = -B(0), the field bracket at q = 0, from the root of the
     flat-height asymptote M = _M_HAT*p0 - 0.65/p0 (within 1.1e-3 relative
-    for M >= 0.5).  The first arc is assemble_profile's; each later arc's
-    Newton collocation starts from the previous arc's x'' node values
-    (continuation in alpha), which moves it by round-off only, and is
-    cached with that start, so a repeated call solves no arc.  h
+    for M >= 0.5).  The first arc starts from the osculating parabola;
+    each later arc's Newton collocation starts from the previous arc's x''
+    node values (continuation in alpha), which moves it by round-off only.
+    Cached by M, a number (an array raises TypeError), so a repeated M
+    solves nothing and returns the same frozen ExtremalSolution.  h
     increases with p0, from about 0.0869 at the validity edge p0 = sqrt(3)
     to _M_TOP at _P0_TOP, where 1/p0^2 is the smallest normal double;
     larger M is refused up front.  height0 < _H0_HI bounds the root below,
@@ -596,7 +592,8 @@ def solve_for_height(M):
     slope = profile = None
     for _ in range(_HEIGHT_MAXITER):
         alpha = 1.0 / (p * p)
-        profile = assemble_profile(alpha) if profile is None else _assemble_cached(alpha, profile)
+        nu = solve_nu(alpha, None if profile is None else profile.nu)
+        profile = ScaledProfile.at_switch(alpha, nu, find_switch(alpha, nu))
         hp = p * profile.height0 - M
         if p == lo and hp >= 0.0:
             raise NoRoot(f"M={M} below the reachable range (min height "

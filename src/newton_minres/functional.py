@@ -67,14 +67,14 @@ def thread_count():
 # ---------------------------------------------------------------------------
 
 def _lagrangian_args(name, q, y, yp, c):
-    """q, y, y' as arrays, s2 = y^2 - q^2, s = sqrt(s2) and d = y^2 + c;
-    raises DomainError, naming the caller, unless y > q >= 0 and 0 <= c < inf."""
+    """q, y, y' as arrays, s2 = y^2 - q^2, s = sqrt(s2) and d = y^2 + c; raises
+    DomainError, naming the caller, unless y > q >= 0, y and y' finite, 0 <= c < inf."""
     q, y, yp = (np.asarray(v, float) for v in (q, y, yp))
     if not 0.0 <= c < np.inf:
         raise DomainError(f"c must be finite and >= 0, got {c}")
     s2 = y * y - q * q
-    if np.any(s2 <= 0.0) or np.any(y <= 0.0) or np.any(q < 0.0):
-        raise DomainError(f"{name} needs y > q >= 0")
+    if not np.all((s2 > 0.0) & (y > 0.0) & (q >= 0.0) & np.isfinite(y) & np.isfinite(yp)):
+        raise DomainError(f"{name} needs y > q >= 0 and finite y and y'")
     return q, y, yp, s2, np.sqrt(s2), y * y + c
 
 
@@ -109,7 +109,9 @@ def lagrangian_partials(q, y, yp, c):
 
 
 def el_residual(q, y, yp, ypp, c):
-    """(L_y - L_qy' - y'*L_yy')/L_y'y' - y'' — zero along arc solutions."""
+    """(L_y - L_qy' - y'*L_yy')/L_y'y' - y'' — zero along arc solutions; y'' finite."""
+    if not np.all(np.isfinite(ypp)):
+        raise DomainError("el_residual needs a finite y''")
     parts = lagrangian_partials(q, y, yp, c)
     return (parts["y"] - parts["qyp"] - yp * parts["yyp"]) / parts["ypyp"] - ypp
 

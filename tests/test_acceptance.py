@@ -6,8 +6,8 @@ One test per shipping criterion, each printing a single
 
 line straight to the terminal (capture disabled), so the verdicts are
 visible in any run log.  Criteria with a runtime budget are timed on cold
-caches: `_cold_caches` empties the session's solve cache and the package's
-own, so the result does not depend on which modules ran before.
+caches: conftest's `cold_caches` empties the package's solver caches, so
+the result does not depend on which modules ran before.
 """
 
 import time
@@ -17,7 +17,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import _solved
+from conftest import cold_caches
 from newton_minres import (
     BodyEvaluator,
     I_closed_form_alpha0,
@@ -33,12 +33,11 @@ from newton_minres import (
     limit_constants,
     nu_derivatives_at_one,
     resistance_direct,
+    solve_for_height,
     solve_nu,
     thread_count,
     unscale,
 )
-from newton_minres import singular_ode
-from newton_minres.extremal import _assemble_cached
 from newton_minres.geometry import _INVPHI
 
 # (M, p0, r, v'(0+), J) across the height family
@@ -68,20 +67,13 @@ def verdict(capsys, num, name):
             print(f"\nACCEPTANCE {num} ({name}): {'PASS' if ok else 'FAIL'}")
 
 
-def _cold_caches():
-    _solved.cache_clear()
-    _assemble_cached.cache_clear()
-    singular_ode._lobatto_integrals.cache_clear()
-    singular_ode._segment_maps.cache_clear()
-
-
 def test_criterion_1_parameter_table(capsys):
     with verdict(capsys, 1, "height-family parameter table"):
-        _cold_caches()
+        cold_caches()
         heights = [row[0] for row in TABLE_ROWS]
         t0 = time.perf_counter()
         with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-            sols = dict(zip(heights, pool.map(_solved, heights)))
+            sols = dict(zip(heights, pool.map(solve_for_height, heights)))
         elapsed = time.perf_counter() - t0
 
         for M, p0, r, vp0, J in TABLE_ROWS:
@@ -95,7 +87,7 @@ def test_criterion_1_parameter_table(capsys):
 
 def test_criterion_2_limit_constants(capsys):
     with verdict(capsys, 2, "scale-out limit constants"):
-        _cold_caches()
+        cold_caches()
         t0 = time.perf_counter()
         lc = limit_constants()
         prof = assemble_profile(0.0)
@@ -122,7 +114,7 @@ def test_criterion_3_direct_resistance_oracle(capsys):
         assert resistance_direct(cone) == pytest.approx(np.pi / 2.0, abs=1e-3)
 
         for M in (0.5, 1.0, 1.5):
-            sol = _solved(M)
+            sol = solve_for_height(M)
             body = BodyEvaluator(sol)
             t0 = time.perf_counter()
             direct = resistance_direct(body)
@@ -195,7 +187,7 @@ def test_criterion_6_endpoint_taylor_anchors(capsys):
 
 def test_criterion_7_convex_geometry(capsys):
     with verdict(capsys, 7, "convex-geometry properties"):
-        sol = _solved(1.0)
+        sol = solve_for_height(1.0)
         ev = BodyEvaluator(sol)
 
         # conjugating twice returns the curve

@@ -19,11 +19,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import _solved
+from conftest import cold_caches
 from newton_minres import (DomainError, NoRoot, cli, extremal, functional, geometry,
                            singular_ode, solve_for_height)
 from newton_minres.cli import DEFAULT_TABLE_ROWS, _check_one, main
-from newton_minres.extremal import _P0_TOP, _assemble_cached
+from newton_minres.extremal import _P0_TOP
 from newton_minres.functional import P0_MAX
 
 # a fresh _check_one call costs about 0.015-0.03 s on two vCPUs (mostly its
@@ -337,9 +337,7 @@ def test_table_bytes_do_not_depend_on_the_thread_count(capsys):
     rows = DEFAULT_TABLE_ROWS + ",3.3,7.7"
     outputs = []
     for _ in range(3):
-        _assemble_cached.cache_clear()
-        singular_ode._lobatto_integrals.cache_clear()
-        singular_ode._segment_maps.cache_clear()
+        cold_caches()
         for fmt in ("csv", "json"):
             outputs.append(run(capsys, "table", "--rows", rows, "--format", fmt))
     assert outputs[0][0] == 0 and outputs[0][1].count("\n") == 12
@@ -491,7 +489,7 @@ def test_check_solves_one_arc_and_one_jacobi_field_per_alpha(capsys, monkeypatch
 
     for name in calls:
         monkeypatch.setattr(extremal, name, counted(name))
-    _assemble_cached.cache_clear()
+    cold_caches()
     assert run(capsys, "check")[0] == 0
     assert calls == {"integrate": 3, "integrate_variational": 3}
 
@@ -514,9 +512,7 @@ def test_curves_are_read_without_chebyshev_sums(capsys, monkeypatch):
 
     for name in ("chebval", "chebint"):
         monkeypatch.setattr(cheb, name, recorded(getattr(cheb, name)))
-    _assemble_cached.cache_clear()
-    singular_ode._lobatto_integrals.cache_clear()
-    singular_ode._segment_maps.cache_clear()
+    cold_caches()
     solve_for_height(1.0)
     assert callers == {"_lobatto_integrals", "_segment_maps"}
     callers.clear()
@@ -718,12 +714,8 @@ def test_a_finer_arc_rule_moves_no_printed_digit(capsys, monkeypatch, n_arc):
     commands = [("table",), ("table", "--rows", "0.0875,0.2,3,20,1000,1e6"),
                 ("constants",), ("solve", "--M", "1.0")]
 
-    def cold():
-        _assemble_cached.cache_clear()
-        _solved.cache_clear()
-
     def outputs():
-        cold()
+        cold_caches()
         code, out, _ = run(capsys, "check", "--alpha", "0,0.01,0.1,0.2,0.3,0.33")
         reports = [(r["rho"], r["verdicts"]) for r in json.loads(out)["reports"]]
         return [run(capsys, *argv) for argv in commands], code, reports
@@ -745,7 +737,7 @@ def test_a_finer_arc_rule_moves_no_printed_digit(capsys, monkeypatch, n_arc):
             m.setattr(singular_ode, "N_ARC", n_arc)
             fine = outputs()
     finally:
-        cold()  # no finer arc outlives this test
+        cold_caches()  # no finer arc outlives this test
     assert singular_ode.N_ARC == 64 and sizes == {n_arc}
     assert fine == coarse and coarse[1] == 0
 

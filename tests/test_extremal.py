@@ -11,6 +11,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from conftest import cold_caches
 from newton_minres import (
     BodyEvaluator,
     DomainError,
@@ -429,7 +430,7 @@ def test_field_jacobian_solves_one_arc(alpha, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(extremal, name, counted(name))
-    extremal._assemble_cached.cache_clear()
+    cold_caches()
     prof = assemble_profile(alpha)
     assert field_jacobian_check(prof, jacobi_check(prof)[1]) == -1
     assert calls == {"integrate": 1, "find_switch": 1}
@@ -567,8 +568,7 @@ def test_solve_for_height_roundtrip(solved):
 
 
 def test_solve_for_height_locates_each_switch_once(monkeypatch):
-    # every height evaluation goes through _assemble_cached, so each arc
-    # the height root solves locates its switch once
+    # each arc the height root solves locates its switch once
     calls = {"find_switch": 0, "integrate": 0}
 
     def counted(name):
@@ -581,7 +581,7 @@ def test_solve_for_height_locates_each_switch_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(extremal, name, counted(name))
-    extremal._assemble_cached.cache_clear()
+    cold_caches()
     solve_for_height(1.0)
     assert calls["integrate"] > 0
     assert calls["find_switch"] == calls["integrate"]
@@ -611,7 +611,7 @@ def test_default_rows_solve_at_most_24_arcs_from_cold_caches(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(extremal, name, counted(name))
-    extremal._assemble_cached.cache_clear()
+    cold_caches()
     arcs, fields = [], []
     for M in DEFAULT_TABLE_ROWS.split(","):
         before = dict(calls)
@@ -623,7 +623,7 @@ def test_default_rows_solve_at_most_24_arcs_from_cold_caches(monkeypatch):
     assert sum(info["newton_iters"] for info in arcs_info) <= 90
     assert sum(len(info["picard_diffs"]) for info in arcs_info) <= 23 * 14
 
-    extremal._assemble_cached.cache_clear()
+    cold_caches()
     before = calls["integrate"]
     with pytest.raises(NoRoot, match="below the reachable range"):
         solve_for_height(0.05)
@@ -634,7 +634,7 @@ def test_default_rows_solve_at_most_24_arcs_from_cold_caches(monkeypatch):
 def test_continued_arcs_are_the_cold_arcs_and_are_cached(M, monkeypatch):
     # every arc after a row's first starts from the previous arc's x'' node
     # values; Newton then ends where it ends from the parabola, to
-    # round-off, and a repeated solve finds each warm arc in the cache
+    # round-off, and a repeated solve is found in the cache
     solved_arcs = []
 
     def recorded(ivp, t_end, start=None):
@@ -643,7 +643,7 @@ def test_continued_arcs_are_the_cold_arcs_and_are_cached(M, monkeypatch):
         return sol
 
     monkeypatch.setattr(extremal, "integrate", recorded)
-    extremal._assemble_cached.cache_clear()
+    cold_caches()
     first = solve_for_height(M)
     warm = [(ivp, sol) for ivp, is_warm, sol in solved_arcs if is_warm]
     assert not solved_arcs[0][1] and len(warm) == len(solved_arcs) - 1 >= 1
@@ -659,19 +659,48 @@ def test_continued_arcs_are_the_cold_arcs_and_are_cached(M, monkeypatch):
     assert [is_warm for _, is_warm, _ in solved_arcs] == [False]
 
 
+@pytest.mark.parametrize("M", [1.0, 3.3, 9.0])
+def test_a_repeated_height_solves_no_arc_and_no_jacobi_field(M, monkeypatch):
+    # the solution is cached by M: a second call returns the same object
+    # and solves nothing, the Jacobi fields of the height root included
+    cold_caches()
+    first = solve_for_height(M)
+    calls = []
+
+    def counted(name):
+        fn = getattr(extremal, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("integrate", "integrate_variational"):
+        monkeypatch.setattr(extremal, name, counted(name))
+    again = solve_for_height(M)
+    assert calls == [] and again is first
+    assert solve_for_height(np.float64(M)) is first
+    with pytest.raises(TypeError, match="unhashable"):
+        solve_for_height(np.array(M))
+
+
 def test_height_root_safeguard_survives_a_wrong_slope(solved, monkeypatch):
     # with the slope's sign flipped every Newton step leaves the bracket, so
     # the root comes from evaluating the bracket ends and bisecting
+    # solve_for_height caches by M, so each solve under a patched name
+    # starts from cold caches
     ref = solved(1.0).p0
     bracket = extremal._field_bracket
     monkeypatch.setattr(extremal, "_field_bracket", lambda *args: -bracket(*args))
+    cold_caches()
     assert abs(solve_for_height(1.0).p0 - ref) <= 1e-10 + 1e-12 * ref
-    # its first iterates are cached now, so only the height root's bound acts
+    cold_caches()
     with monkeypatch.context() as m:
         m.setattr(extremal, "_HEIGHT_MAXITER", 3)
         with pytest.raises(NoRoot, match="height root: no convergence in 3 iterations"):
             solve_for_height(1.0)
     # a bracket whose upper end lies below the root is refused
+    cold_caches()
     monkeypatch.setattr(extremal, "_H0_HI", 1.0)
     monkeypatch.setattr(extremal, "_H0_LO", 0.9)
     with pytest.raises(NoRoot, match="could not bracket p0 for M=100.0"):
@@ -772,6 +801,14 @@ NAN = float("nan")
     (lambda sol, ev: solve_nu(np.inf), DomainError),
     (lambda sol, ev: lagrangian_value(0.1, 0.5, 0.3, NAN), DomainError),
     (lambda sol, ev: lagrangian_value(0.1, 0.5, 0.3, np.inf), DomainError),
+    (lambda sol, ev: lagrangian_value(NAN, 0.5, 0.3, 1.0), DomainError),
+    (lambda sol, ev: lagrangian_value(0.1, NAN, 0.3, 1.0), DomainError),
+    (lambda sol, ev: lagrangian_value(0.1, 0.5, NAN, 1.0), DomainError),
+    (lambda sol, ev: lagrangian_value(0.1, np.inf, 0.3, 1.0), DomainError),
+    (lambda sol, ev: lagrangian_value(0.1, 0.5, np.inf, 1.0), DomainError),
+    (lambda sol, ev: functional.lagrangian_partials(0.1, 0.5, NAN, 1.0), DomainError),
+    (lambda sol, ev: functional.el_residual(0.1, 0.5, 0.3, NAN, 1.0), DomainError),
+    (lambda sol, ev: functional.el_residual(0.1, 0.5, 0.3, np.inf, 1.0), DomainError),
     *((lambda sol, ev, v=v: singular_ode.variational_accel_at_origin(
         singular_ode.VariationalCoeffs(lambda t: (0.1, 0.2, 0.3), -0.25), v), DomainError)
       for v in (NAN, np.inf)),
@@ -785,7 +822,10 @@ NAN = float("nan")
         "DenseSolution", "MappedSolution", "MappedSolution-array", "ScaledProfile",
         "ExtremalSolution", "scaled_arc_ivp", "nu_derivatives_at_one", "solve_nu",
         "scaled_arc_ivp-inf", "nu_derivatives_at_one-inf", "solve_nu-inf",
-        "lagrangian_value-c", "lagrangian_value-c-inf",
+        "lagrangian_value-c", "lagrangian_value-c-inf", "lagrangian_value-q",
+        "lagrangian_value-y", "lagrangian_value-yp", "lagrangian_value-y-inf",
+        "lagrangian_value-yp-inf", "lagrangian_partials-yp", "el_residual-ypp",
+        "el_residual-ypp-inf",
         "variational_accel_at_origin", "variational_accel_at_origin-inf",
         "endpoint_weight_quadrature", "endpoint_weight_closed_form",
         "endpoint_weight_closed_form-inf", "endpoint_weight_closed_form-1e300",
