@@ -383,22 +383,23 @@ def variational_coeffs_along(profile):
     return VariationalCoeffs(fn, LAM, breaks=(t_arc_min,))
 
 
-def _jacobi_field(profile):
-    """Jacobi field zeta(1)=0, zeta'(1)=1 along the profile, by a fixed linear collocation."""
-    return MappedSolution(integrate_variational(variational_coeffs_along(profile), 1.0, -1.0),
-                          offset=-1.0)
+def _jacobi_field(profile, q_end):
+    """Jacobi field zeta(1)=0, zeta'(1)=1 along the profile on [q_end, 1], by a
+    fixed linear collocation: the arc piece for q_end = rho, both for 0."""
+    return MappedSolution(integrate_variational(variational_coeffs_along(profile), 1.0,
+                                                q_end - 1.0), offset=-1.0)
 
 
 def jacobi_check(profile):
     """Conjugate-point scan: report (min |zeta| on [0, 0.999], zeta) for the
-    Jacobi field zeta = _jacobi_field(profile), sampled at 2000 evenly
+    Jacobi field zeta = _jacobi_field(profile, 0.0), sampled at 2000 evenly
     spaced points.
 
     A zero of zeta inside [0, 1) would be a conjugate point and kill local
     optimality; min_abs = 0.0 is returned if a sign change is detected.
     The field bracket reads the same zeta: pass it to field_jacobian_check.
     """
-    zeta = _jacobi_field(profile)
+    zeta = _jacobi_field(profile, 0.0)
     qs = np.linspace(0.0, 0.999, 2000)
     vals = zeta.eval(qs)[0]
     if np.any(vals[:-1] * vals[1:] < 0.0):
@@ -407,19 +408,21 @@ def jacobi_check(profile):
 
 
 def _field_bracket(profile, zeta, q):
-    """B = q*kappa' - kappa + 2*alpha*dkappa/dalpha at q, from zeta = jacobi_check(profile)[1].
+    """B = q*kappa' - kappa + 2*alpha*dkappa/dalpha at q, from any Jacobi field zeta
+    of the profile that covers [rho, 1], such as _jacobi_field(profile, rho).
 
     B = -dv/dp0 of the unscaled family is a Jacobi field with zeta's data
     at the rim, so B = nu''(1)*zeta on [rho, 1].  On [0, rho] it is affine
     with slope Y'(rho) + nu''(rho)*2*alpha*rho', Y = 2*alpha*dnu/dalpha =
-    B - q*nu' + nu.  2*alpha*rho' = -D_alpha/D_rho: central differences
-    (eps = 1e-6) of _switch_rule along the tangent of nu + eps*Y at
-    alpha*(1 + 2*eps) and along the tangent at rho + eps.  No arc and no
-    Jacobi field is solved here, and nothing is divided by alpha.
+    B - q*nu' + nu, so zeta is read only on [rho, 1].  2*alpha*rho' =
+    -D_alpha/D_rho: central differences (eps = 1e-6) of _switch_rule along
+    the tangent of nu + eps*Y at alpha*(1 + 2*eps) and along the tangent
+    at rho + eps.  No arc and no Jacobi field is solved here, and nothing
+    is divided by alpha.
     """
     alpha, rho, s, h0 = profile.alpha, profile.rho, profile.slope, profile.height0
     nu2 = nu_derivatives_at_one(alpha)[2]
-    z, zd, _ = zeta.eval(np.append(q, rho))
+    z, zd, _ = zeta.eval(np.maximum(np.append(q, rho), rho))
     n2 = profile.nu.eval(rho)[2]
     y0, y1 = nu2 * z[-1] + h0, nu2 * zd[-1] - rho * n2  # Y(rho), Y'(rho)
     ea, er = np.array([[1e-6, -1e-6, 0.0, 0.0], [0.0, 0.0, 1e-6, -1e-6]])
@@ -561,11 +564,12 @@ def solve_for_height(M):
     """Synthesize the extremal solution with prescribed height M.
 
     Newton's method on h(p0) = p0 * height0(1/p0^2) - M, with the exact
-    slope h' = -B(0), the field bracket at q = 0, from the root of the
-    flat-height asymptote M = _M_HAT*p0 - 0.65/p0 (within 1.1e-3 relative
-    for M >= 0.5).  The first arc starts from the osculating parabola;
-    each later arc's Newton collocation starts from the previous arc's x''
-    node values (continuation in alpha), which moves it by round-off only.
+    slope h' = -B(0), the field bracket at q = 0 from the Jacobi field
+    solved on the arc [rho, 1] alone, from the root of the flat-height
+    asymptote M = _M_HAT*p0 - 0.65/p0 (within 1.1e-3 relative for
+    M >= 0.5).  The first arc starts from the osculating parabola; each
+    later arc's Newton collocation starts from the previous arc's x'' node
+    values (continuation in alpha), which moves it by round-off only.
     Cached by M, a number (an array raises TypeError), so a repeated M
     solves nothing and returns the same frozen ExtremalSolution.  h
     increases with p0, from about 0.0869 at the validity edge p0 = sqrt(3)
@@ -604,7 +608,7 @@ def solve_for_height(M):
         if hp == 0.0 or (slope is not None and abs(hp / slope) <= 1e-10 + 1e-13 * p):
             return unscale(profile, p)
         a, b = (p, b) if hp < 0.0 else (a, p)
-        slope = -float(_field_bracket(profile, _jacobi_field(profile), np.zeros(1))[0])
+        slope = -float(_field_bracket(profile, _jacobi_field(profile, profile.rho), np.zeros(1))[0])
         p = p - hp / slope
         if not a < p < b:
             end = a if hp > 0.0 else b

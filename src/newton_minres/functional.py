@@ -66,6 +66,14 @@ def thread_count():
 # pointwise Lagrangian family
 # ---------------------------------------------------------------------------
 
+def _refusing(name):
+    """np.errstate under which an overflow, invalid operation or division by
+    zero raises DomainError naming name, instead of a NaN, inf or lost 0."""
+    def call(err, flag):
+        raise DomainError(f"{name} leaves the doubles: {err}")
+    return np.errstate(over="call", invalid="call", divide="call", call=call)
+
+
 def _lagrangian_args(name, q, y, yp, c):
     """q, y, y' as arrays, s2 = y^2 - q^2, s = sqrt(s2) and d = y^2 + c; raises
     DomainError, naming the caller, unless y > q >= 0, y and y' finite, 0 <= c < inf."""
@@ -78,6 +86,7 @@ def _lagrangian_args(name, q, y, yp, c):
     return q, y, yp, s2, np.sqrt(s2), y * y + c
 
 
+@_refusing("lagrangian_value")
 def lagrangian_value(q, y, yp, c):
     """L(q, y, y', c); requires y > q >= 0 pointwise and finite c >= 0."""
     q, y, yp, _, s, d = _lagrangian_args("lagrangian_value", q, y, yp, c)
@@ -85,6 +94,7 @@ def lagrangian_value(q, y, yp, c):
     return float(out) if out.ndim == 0 else out
 
 
+@_refusing("lagrangian_partials")
 def lagrangian_partials(q, y, yp, c):
     """First/mixed/second partials of L as a dict.
 
@@ -108,6 +118,7 @@ def lagrangian_partials(q, y, yp, c):
     return parts
 
 
+@_refusing("el_residual")
 def el_residual(q, y, yp, ypp, c):
     """(L_y - L_qy' - y'*L_yy')/L_y'y' - y'' — zero along arc solutions; y'' finite."""
     if not np.all(np.isfinite(ypp)):

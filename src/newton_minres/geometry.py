@@ -9,7 +9,8 @@ slope curve:
     w(x1) = p*x1 - v(p), v'(p) = x1    for slope0 < |x1| <= 1.
 
 _conjugate samples w exactly; the hull evaluator reads it through a cubic
-table (_VStarTable, BodyEvaluator.vstar), the mesh at its own samples.
+table of w on [slope0, 1] (_VStarTable), which BodyEvaluator.vstar extends
+flat and even to [-1, 1]; the mesh reads it at its own samples.
 
 Two independent height evaluators:
 
@@ -85,7 +86,8 @@ class _VStarTable:
     """Cubic-Hermite interpolant of w(y) on [slope0, 1] through the exact w
     and slope p(y) of `_conjugate` at 4097 uniform nodes; piece j reads
     w = ((c3*s + c2)*s + c1)*s + c0, s in [0, 1], from column j of the
-    contiguous (4, n) array coef.  eval, value and jet share _piece.
+    contiguous (4, n) array coef.  value and jet share _piece; the flat
+    -M and the evenness are BodyEvaluator.vstar's.
     """
 
     def __init__(self, sol):
@@ -116,15 +118,6 @@ class _VStarTable:
         return (((c3 * s + c2) * s + c1) * s + c0,
                 ((3.0 * c3 * s + 2.0 * c2) * s + c1) / h,
                 (6.0 * c3 * s + 2.0 * c2) / (h * h))
-
-    def eval(self, y):
-        """w(y) for y in [-1, 1] (even; flat -M inside [-slope0, slope0])."""
-        ya = np.abs(np.asarray(y, float))
-        ya = np.minimum(ya, 1.0)
-        out = np.full(ya.shape, -self.M)
-        m = ya > self.s0
-        out[m] = self.value(ya[m])
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +172,12 @@ class BodyEvaluator:
         self.table = _VStarTable(sol)
 
     def vstar(self, y):
-        """Cross-section height w(y) (vectorized; even in y)."""
-        y = np.asarray(y, float)
-        if not np.all(np.abs(y) <= 1.0 + 1e-9):
+        """Cross-section height w(y), vectorized: the table's cubic at |y| > slope0, else -M."""
+        y = np.abs(np.asarray(y, float))
+        if not np.all(y <= 1.0 + 1e-9):
             raise EvaluationError("w is only defined on [-1, 1]")
-        out = self.table.eval(y)
+        s0 = self.table.s0
+        out = np.where(y > s0, self.table.value(np.clip(y, s0, 1.0)), -self.table.M)
         return float(out) if out.ndim == 0 else out
 
     def _curved(self, a, x2sq, c, hi, g_lo):
@@ -251,7 +245,7 @@ class BodyEvaluator:
         out[1] = np.minimum(out[1], 0.0)
         i = np.flatnonzero(~(out[1] < 0.0))      # rim: w = 0
         y = out[0, i] = np.copysign(1.0, x1[i])
-        out[2:, i] = *_chord(y, x1[i], x2sq[i], c[i]), table.eval(y)
+        out[2:, i] = *_chord(y, x1[i], x2sq[i], c[i]), table.value(np.abs(y))
         return out
 
     def _height(self, x1, x2):

@@ -484,6 +484,66 @@ def test_field_bracket_is_the_jacobi_field(alpha):
     assert np.max(np.abs(bracket / (nu2 * zeta) - 1.0)) <= 1e-7
 
 
+class _ReadOnlyFrom:
+    """A Jacobi field that refuses any read below q = lo."""
+
+    def __init__(self, zeta, lo):
+        self.zeta, self.lo = zeta, lo
+
+    def eval(self, q):
+        if not np.all(np.asarray(q) >= self.lo):
+            raise AssertionError(f"zeta read below rho = {self.lo}")
+        return self.zeta.eval(q)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.01, 0.1, 0.3])
+def test_field_bracket_reads_zeta_on_the_arc_alone(alpha):
+    # below rho the bracket is affine by construction, so it reads zeta only
+    # at rho and at the q >= rho; the arc piece alone gives the same bits
+    prof = assemble_profile(alpha)
+    whole = jacobi_check(prof)[1]
+    arc = extremal._jacobi_field(prof, prof.rho)
+    for q in (np.linspace(0.0, 0.99, 241), np.zeros(1)):
+        want = extremal._field_bracket(prof, whole, q)
+        for zeta in (whole, arc):
+            got = extremal._field_bracket(prof, _ReadOnlyFrom(zeta, prof.rho), q)
+            assert np.array_equal(got, want)
+
+
+def test_the_certificate_keeps_both_pieces_of_the_jacobi_field():
+    # jacobi_check scans [0, 1): the affine piece too; the height root's
+    # slope needs the arc piece alone
+    prof = assemble_profile(0.1)
+    assert len(jacobi_check(prof)[1].base.segments) == 2
+    arc = extremal._jacobi_field(prof, prof.rho).base
+    assert len(arc.segments) == 1 and arc.domain == (prof.rho - 1.0, 0.0)
+
+
+@pytest.mark.parametrize("M", [0.5, 1.0, 100.0])
+def test_the_height_root_solves_each_jacobi_field_on_the_arc_alone(M, monkeypatch):
+    # one variational solve per non-final arc, each one piece that ends at
+    # the switch, t = rho - 1
+    profiles, fields, arcs = [], [], []
+
+    def recorded(fn, out):
+        def wrapper(*args):
+            out.append((args, fn(*args)))
+            return out[-1][1]
+        return wrapper
+
+    monkeypatch.setattr(extremal, "variational_coeffs_along",
+                        recorded(variational_coeffs_along, profiles))
+    monkeypatch.setattr(extremal, "integrate_variational",
+                        recorded(extremal.integrate_variational, fields))
+    monkeypatch.setattr(extremal, "integrate", recorded(integrate, arcs))
+    cold_caches()
+    solve_for_height(M)
+    assert len(fields) == len(profiles) == len(arcs) - 1 >= 1
+    for ((prof,), _), ((_, _, t_end), field) in zip(profiles, fields):
+        assert t_end == prof.rho - 1.0 and len(field.segments) == 1
+        assert field.domain == (prof.rho - 1.0, 0.0)
+
+
 def test_first_order_reduction_residual():
     nu = solve_nu(0.0)
     for q in (0.3, 0.5, 0.9):

@@ -49,6 +49,36 @@ def test_scaled_integrand_spot_values():
         lagrangian_value(0.7, 0.7, 1.0, 0.0)
 
 
+INF = float("inf")
+
+
+@pytest.mark.parametrize("fn, args", [
+    (lagrangian_value, (0.1, 1e160, 0.3, 1.0)),
+    (lagrangian_value, (0.1, 1e78, 0.3, 1.0)),
+    (lagrangian_value, (0.1, 0.5, 1e200, 1.0)),
+    (lagrangian_value, (0.0, 1e-160, 0.3, 0.0)),
+    (lagrangian_value, (INF, INF, 0.3, 1.0)),
+    (lagrangian_partials, (0.1, 1e78, 0.3, 1.0)),
+    (lagrangian_partials, (0.1, 1e76, 0.3, 1.0)),
+    (lagrangian_partials, (0.1, 0.5, 1e155, 1.0)),
+    (el_residual, (0.1, 1e78, 0.3, 0.0, 1.0)),
+    (el_residual, (0.1, 0.5, 1e155, 0.0, 1.0)),
+], ids=["value-y-1e160", "value-y-1e78", "value-yp-1e200", "value-y-1e-160",
+        "value-inf-inf", "partials-y-1e78", "partials-y-1e76", "partials-yp-1e155",
+        "el_residual-y-1e78", "el_residual-yp-1e155"])
+def test_lagrangian_family_refuses_what_leaves_the_doubles(fn, args):
+    # finite arguments whose intermediates overflow, divide by zero or make
+    # a NaN are refused with DomainError, not returned as NaN, inf or 0.0
+    with pytest.raises(DomainError, match="lagrangian_"):
+        fn(*args)
+
+
+def test_lagrangian_family_is_finite_just_inside_the_doubles():
+    assert 0.0 < lagrangian_value(0.1, 1e70, 0.3, 1.0) < INF
+    assert all(np.isfinite(v) for v in lagrangian_partials(0.1, 1e30, 0.3, 1.0).values())
+    assert np.isfinite(el_residual(0.1, 1e30, 0.3, 0.0, 1.0))
+
+
 def test_second_slope_derivative_spot_value():
     # 4*sqrt(v^2-p^2)/(v^2+1)^2 at (0, 1): exactly 1
     assert lagrangian_partials(0.0, 1.0, 0.3, 1.0)["ypyp"] == pytest.approx(1.0)

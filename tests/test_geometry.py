@@ -341,7 +341,7 @@ def test_gradient_is_the_danskin_formula_bit_for_bit(solved, M):
     assert np.any(np.abs(y) == 1.0) and np.any(np.abs(y) == solved(M).slope0)
     x2sq = x2 * x2
     lam, sd = _chord(y, x1, x2sq, np.maximum(1.0 - x1 * x1 - x2sq, 0.0))
-    w = body.table.eval(y)
+    w = body.vstar(y)
     with np.errstate(divide="ignore", invalid="ignore"):
         want = (w * (y * lam - x1) / sd, -w * x2 / sd)
         got = body.gradient(x1, x2)
