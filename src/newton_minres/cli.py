@@ -263,13 +263,13 @@ def _check_one(alpha, inject_fault):
     n3 = np.dot([25.0, -48.0, 36.0, -16.0, 3.0], n2) / (12.0 * delta)
     verdicts["endpoint_taylor"] = abs(n2[0] - x2) < 1e-6 and abs(n3 - x3) < 1e-6
 
-    if alpha == 0.0:
+    p0 = 1.0 / np.sqrt(alpha) if alpha > 0.0 else math.inf
+    if p0 > functional.P0_MAX:   # J_unscaled would overflow; the profile is alpha = 0's bit for bit
         closed = extremal.I_closed_form_alpha0(prof.rho, prof.nu)
         verdicts["switching_closed_form"] = abs(switch_val - closed) < 1e-8
         resid = max(abs(extremal.abel_residual(prof.nu, q)) for q in (0.3, 0.5, 0.9))
         verdicts["abel_reduction"] = resid < 1e-6
     else:
-        p0 = 1.0 / np.sqrt(alpha)
         sol = extremal.unscale(prof, p0)
         ju = functional.J_unscaled(sol)
         verdicts["scaling_identity"] = abs(ju - sol.J) < 1e-8 * abs(sol.J)

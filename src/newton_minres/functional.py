@@ -275,6 +275,8 @@ def resistance_direct(body, n=800):
     and never sample the crease x2 = 0, where the midpoint rule would lose
     its h^2 error; a mirror_symmetric body is summed over one quadrant.
     """
+    if not float(n).is_integer():   # also nan and inf
+        raise DomainError(f"n must be a finite integer, got {n!r}")
     n = int(n)
     if n < 8 or n % 4:
         raise DomainError(f"n must be a multiple of 4 and >= 8, got {n}")

@@ -133,11 +133,12 @@ class BodyEvaluator:
     * side lemma: for x1, y >= 0, B and D are no larger at +y than at -y, so
       lam(y) >= lam(-y) and, as w <= 0 is even, F(y) <= F(-y).  Only
       y*sign(x1) in [0, 1] is searched.
-    * flat and corner branches, closed form: on |y| <= slope0, F = -M*lam.
-      lam is quasi-concave in y: for t in [0, 1], lam >= t exactly when
+    * keel, closed form: on |y| <= slope0, F = -M*lam.  lam is
+      quasi-concave in y: for t in [0, 1], lam >= t exactly when
       |x - t*(y, 0)| <= 1 - t, a disk cut by a line, an interval of y.  Its
       peak, where x1 = y*lam, is y = x1/(1 - |x2|); clipped to [-slope0,
-      slope0] it minimizes F there, and the clip is the corner.
+      slope0] it minimizes F there.  Where the clip binds it is the corner,
+      and the one chord there gives both F and the sign of G below.
     * curved branch, y in [slope0, 1]: F' = lam*G, G = (x1 - y*lam)*w/sqrt(D)
       + w'.  G changes sign at most once: inside the disk C = 1 - |x|^2 > 0
       and F = -C*|w| / (B + sqrt(D)).  D's discriminant in y is
@@ -151,16 +152,17 @@ class BodyEvaluator:
       [slope0, hi], hi = the peak clipped to [slope0, 1].  sqrt(D)*G at the
       ends decides the corner (>= 0 at slope0: y* = slope0) and the ridge
       x2 = 0, where lam(|x1|) = 1 and sqrt(D) = 0 make it exactly 0 at
-      hi = |x1| (<= 0 at hi: y* = hi, and u = w(x1) bit for bit, but where
-      -M undercuts the cubic by a round-off ulp a few ulps above slope0).
+      hi = |x1| (<= 0 at hi: y* = hi, and u = w(x1) bit for bit).
       Elsewhere one regula-falsi step starts safeguarded Newton steps on G,
       with G' from the cubic's jet, inside the bracket.  A point still
       moving after twice the halvings from the full bracket [slope0, 1] to
       the tolerance raises EvaluationError.
-    * u is the least of the flat/corner value, the curved value and 0 (rim).
-      Only points whose lam peaks past slope0 are searched; one chord at
-      slope0 gives the corner value and G's sign there.  _minimize returns
-      the chord and w at y* too, so the gradient reads neither again.
+    * u is the least of 0 (rim) and one candidate: the keel value, or,
+      where lam peaks past slope0 and G < 0 at the corner, the curved
+      minimum.  F falls past the corner there, so the curved minimum lies
+      below the corner value and needs no comparison with it.  _minimize
+      returns the chord and w at y* too, so the gradient reads neither
+      again.
     """
 
     # u is even in x1 and in x2 bit for bit (the search runs on |x1|, lam
@@ -224,24 +226,17 @@ class BodyEvaluator:
         if not np.all(c >= -1e-9):
             raise EvaluationError("point outside the unit disk")
         c = np.maximum(c, 0.0)
-        table, s0, a = self.table, self.table.s0, np.abs(x1)
+        table, s0, a, m = self.table, self.table.s0, np.abs(x1), self.table.M
         peak = x1 / np.maximum(1.0 - np.abs(x2), 1e-300)   # where lam peaks
-        # start at the corner, where the table's -M makes lam*w tie -M*lam
-        lam, sd = _chord(s0, a, x2sq, c)
-        w0, wp0, _ = np.ravel(table.jet(np.array([s0])))
-        out = np.array([np.copysign(s0, x1), lam * w0, lam, sd, np.full(x1.shape, w0)])
-        i = np.flatnonzero(np.abs(peak) <= s0)   # flat branch; it wins ties
-        lf, sf = _chord(peak[i], x1[i], x2sq[i], c[i])
-        best = np.array([peak[i], -table.M * lf, lf, sf, np.full(len(i), -table.M)])
-        win = best[1] <= out[1, i]
-        out[:, i[win]] = best.compress(win, axis=1)
-        g_lo = (a - s0 * lam) * w0 + sd * wp0   # sqrt(D)*G at the corner
-        i = np.flatnonzero((np.abs(peak) > s0) & (g_lo < 0.0))   # curved; loses ties
+        y = np.clip(peak, -s0, s0)   # the keel's minimum of -M*lam; the corner if clipped
+        lam, sd = _chord(y, x1, x2sq, c)
+        out = np.array([y, -m * lam, lam, sd, np.full(x1.shape, -m)])
+        wp0 = table.jet(np.array([s0]))[1][0]
+        g_lo = (a - s0 * lam) * -m + sd * wp0   # sqrt(D)*G at the corner, where |peak| > s0
+        i = np.flatnonzero((np.abs(peak) > s0) & (g_lo < 0.0))   # F falls past the corner
         yc = self._curved(a[i], x2sq[i], c[i], np.minimum(np.abs(peak[i]), 1.0), g_lo[i])
         (lc, sc), wc = _chord(yc, a[i], x2sq[i], c[i]), table.value(yc)
-        best = np.array([np.copysign(yc, x1[i]), lc * wc, lc, sc, wc])
-        win = ~(out[1, i] <= best[1])
-        out[:, i[win]] = best.compress(win, axis=1)
+        out[:, i] = np.copysign(yc, x1[i]), lc * wc, lc, sc, wc
         out[1] = np.minimum(out[1], 0.0)
         i = np.flatnonzero(~(out[1] < 0.0))      # rim: w = 0
         y = out[0, i] = np.copysign(1.0, x1[i])
@@ -384,6 +379,8 @@ def build_mesh(sol, n_profile=1024, n_circle=256):
     strips, four fans, the two keels, each turned clockwise in plan view so
     normals point downward/outward.
     """
+    if not (float(n_profile).is_integer() and float(n_circle).is_integer()):
+        raise DomainError(f"resolution not a finite integer: {n_profile!r}, {n_circle!r}")
     P = int(n_profile)
     C = int(n_circle)
     if P < 8 or C < 4:

@@ -23,7 +23,6 @@ from conftest import cold_caches
 from newton_minres import (DomainError, NoRoot, cli, extremal, functional, geometry,
                            singular_ode, solve_for_height)
 from newton_minres.cli import DEFAULT_TABLE_ROWS, _check_one, main
-from newton_minres.extremal import _P0_TOP
 from newton_minres.functional import P0_MAX
 
 # a fresh _check_one call costs about 0.015-0.03 s on two vCPUs (mostly its
@@ -422,6 +421,27 @@ def test_check_alpha_list_parsing(capsys):
     assert json.loads(out)["alphas"] == [0.0, 0.01]
 
 
+def test_check_certifies_alphas_below_1e_152_with_the_alpha0_identities(capsys):
+    # below alpha of about 1e-152, p0 = 1/sqrt(alpha) > P0_MAX and the
+    # unscaled functional behind scaling_identity would overflow; the
+    # profile there is the alpha = 0 one bit for bit, so the alpha = 0
+    # identities certify it, and no error names a p0 the user never gave
+    for alpha in ("1e-160", "1e-153", "2.2e-308", "5e-324"):
+        code, out, err = run(capsys, "check", "--alpha", alpha)
+        assert (code, err) == (0, ""), alpha
+        d = json.loads(out)
+        verdicts = d["reports"][0]["verdicts"]
+        assert d["pass"] is True and all(verdicts.values())
+        assert {"switching_closed_form", "abel_reduction"} <= set(verdicts)
+        assert "scaling_identity" not in verdicts
+    code, out, _ = run(capsys, "check", "--alpha", "0,1e-160,0.1")
+    assert code == 0
+    assert [r["alpha"] for r in json.loads(out)["reports"]] == [0.0, 1e-160, 0.1]
+    code, out, _ = run(capsys, "check", "--alpha", "1e-152")
+    assert code == 0
+    assert json.loads(out)["reports"][0]["verdicts"]["scaling_identity"] is True
+
+
 def test_check_rejects_invalid_family_parameter(capsys):
     code, _, err = run(capsys, "check", "--alpha", "0.5")
     assert code == 2
@@ -664,27 +684,23 @@ def test_check_switch_integrals_are_round_off(capsys):
 @settings(max_examples=MAX_CHECK_EXAMPLES, deadline=None)
 @given(st.floats(0.0, 0.32))
 @example(0.0)
+@example(1e-160)
 @example(5e-324)
 @example(0.32)
 def test_check_verdicts_pass_across_the_family(alpha):
     # every certificate holds on the validity range, or the solver refuses
-    # with the documented NoRoot; beyond P0_MAX (alpha below about 1e-152)
-    # the unscaled functional behind the scaling identity is refused, and
-    # past _P0_TOP (subnormal alpha) so is the unscaled solution itself
-    if alpha > 0.0 and 1.0 / math.sqrt(alpha) > _P0_TOP:
-        with pytest.raises(NoRoot, match="max p0 6.7039e"):
-            _check_one(alpha, False)
-        return
-    if alpha > 0.0 and 1.0 / math.sqrt(alpha) > P0_MAX:
-        with pytest.raises(DomainError, match="integrand overflows"):
-            _check_one(alpha, False)
-        return
+    # with the documented NoRoot; beyond P0_MAX (alpha below about 1e-152,
+    # subnormal alpha too) the unscaled functional behind the scaling
+    # identity would overflow, and the alpha = 0 identities certify instead
     try:
         report = _check_one(alpha, False)
     except NoRoot:
         return
     assert all(report["verdicts"].values()), report["verdicts"]
     assert abs(report["switch_integral"]) < 1e-12
+    beyond = alpha == 0.0 or 1.0 / math.sqrt(alpha) > P0_MAX
+    assert ("abel_reduction" in report["verdicts"]) == beyond
+    assert ("scaling_identity" in report["verdicts"]) != beyond
 
 
 @settings(max_examples=MAX_HEIGHT_EXAMPLES, deadline=None)

@@ -238,6 +238,14 @@ def test_direct_resistance_rejects_bad_resolution():
         # even but not a multiple of 4: the coarse level n/2 = 401 would
         # centre a cell on the crease x2 = 0
         resistance_direct(disk, n=802)
+    # a size that is not a finite integer is refused, never truncated (8.5
+    # ran at n = 8) nor left to int()'s ValueError or OverflowError
+    for n in (8.5, 800.25, np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="finite integer"):
+            resistance_direct(disk, n=n)
+    # integral floats and numpy integers are sizes
+    ref = resistance_direct(disk, n=8)
+    assert resistance_direct(disk, n=8.0) == resistance_direct(disk, n=np.int64(8)) == ref
 
 
 def test_direct_resistance_vs_functional_value(solved):

@@ -145,14 +145,20 @@ def test_chord_weight_stays_at_most_one_on_the_ridge():
 @pytest.mark.parametrize("M", [0.0875, 0.5, 1.0, 1.5, 2.5, 10.0])
 def test_table_corner_is_exactly_the_flat_height(solved, M):
     # the cubic starts at exactly -M, so on the flat bottom and at the
-    # corners the curved branch cannot undercut the flat one by an ulp
+    # corners the curved branch cannot undercut the flat one by an ulp;
+    # within 2000 ulps on either side of each corner the keel value -M*lam
+    # and the cubic's w tie to round-off, and u must still read w bit for
+    # bit, in array calls and in scalar calls (a thinner sample)
     sol = solved(M)
     ev = BodyEvaluator(sol)
     s0 = sol.slope0
     assert ev.table.jet(np.array([s0]))[0][0] == -sol.M
-    near = s0 - np.arange(0, 2001) * np.spacing(s0)
+    k = np.arange(-2000, 2001)
+    near = s0 + k * np.spacing(s0)
     x1 = np.concatenate([np.linspace(-s0, s0, 2001), near, -near])
     assert np.array_equal(ev(x1, np.zeros_like(x1)), ev.vstar(x1))
+    thin = near[(np.abs(k) <= 20) | (k % 100 == 0)].tolist()
+    assert all(ev(x, 0.0) == ev.vstar(x) and ev(-x, 0.0) == ev.vstar(-x) for x in thin)
 
 
 def test_evaluator_symmetries_and_range(sol, ev):
@@ -374,7 +380,7 @@ def test_oracle_work_per_grid_point(solved, monkeypatch):
     monkeypatch.setattr(geometry._VStarTable, "_piece", counted_piece)
     resistance_direct(body, n=800)
     assert count["points"] == 200_000     # one quadrant of the n and n/2 grids
-    assert count["chord"] <= 3 * count["points"]
+    assert count["chord"] <= 2 * count["points"]
     assert count["piece"] <= count["points"]
 
 
@@ -423,6 +429,16 @@ def test_mesh_smoke_minimal_resolution(sol):
     assert boundary > 0
     with pytest.raises(DomainError):
         build_mesh(sol, n_profile=4, n_circle=4)
+    # a size that is not a finite integer is refused, never truncated (8.7
+    # ran at 8) nor left to int()'s ValueError or OverflowError
+    for sizes in [(8.7, 4), (8, 4.9), (np.nan, 4), (8, np.inf), (-np.inf, 4)]:
+        with pytest.raises(DomainError, match="not a finite integer"):
+            build_mesh(sol, *sizes)
+    # integral floats and numpy integers are sizes
+    for sizes in [(8.0, 4.0), (np.int64(8), np.int32(4))]:
+        same = build_mesh(sol, *sizes)
+        assert np.array_equal(same.vertices, mesh.vertices)
+        assert np.array_equal(same.faces, mesh.faces) and same.metadata == mesh.metadata
 
 
 def _drop_faces_at(*vertices):
