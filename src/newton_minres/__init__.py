@@ -27,12 +27,11 @@ from .extremal import (
     nu_derivatives_at_one, scaled_arc_ivp, solve_nu,
     I_of, I_closed_form_alpha0, find_switch, assemble_profile,
     adjoint_omega, jacobi_check, field_jacobian_check, abel_residual,
-    endpoint_weight_quadrature, endpoint_weight_closed_form,
-    unscale, solve_for_height, limit_constants,
+    endpoint_weight_closed_form, unscale, solve_for_height, limit_constants,
 )
 from .geometry import (
-    BodyEvaluator, BodyMesh, body_evaluate, build_mesh, mesh_is_watertight,
-    mesh_boundary_report, export_obj,
+    BodyEvaluator, BodyMesh, build_mesh, mesh_is_watertight, mesh_boundary_report,
+    export_obj,
 )
 
 __version__ = "0.1.0"

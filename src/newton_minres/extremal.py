@@ -133,9 +133,7 @@ def _graded_ends(rho, a, b, nr):
     the integrand's singular points on the real line, at distance
     d = b/(1+a) below 0 if a > -1 and (nr-rho)/(1-a) above rho if a < 1:
     at d, 3d, 7d, ... from 0 (resp. rho), i.e. 2d, 4d, 8d, ... from the
-    point, inside [0, rho].  For I_of these are where eta = a*q + b meets
-    eta = -q and eta = q; endpoint_weight_quadrature (a = 0, nr = inf)
-    grades toward 0 alone, from the width of its peak there."""
+    point, inside [0, rho]: where eta = a*q + b meets eta = -q and eta = q."""
     ends = [0.0, 0.5 * rho, rho]
     for d, origin, sign in ((b / (1.0 + a) if a > -1.0 else np.inf, 0.0, 1.0),
                             ((nr - rho) / (1.0 - a) if a < 1.0 else np.inf, rho, -1.0)):
@@ -470,33 +468,11 @@ def abel_residual(nu_hat, q):
 # endpoint weight (validity-range certificate)
 # ---------------------------------------------------------------------------
 
-def endpoint_weight_quadrature(alpha):
-    """int_0^1 sqrt(q)(1-2q) / ((q^2+alpha)^2 sqrt(1-q)) dq, via q = sin^2(phi).
-
-    The substitution leaves 2*s2*(1-2*s2)/(s2^2+alpha)^2, s2 = sin^2(phi),
-    analytic on [0, pi/2]; its peak at phi = 0 has a width of about
-    alpha^(1/4), toward which the N_PANEL-point Gauss-Legendre panels of
-    _graded_ends are graded.  Raises DomainError where the denominator
-    (s2^2+alpha)^2 overflows or falls below the smallest normal double,
-    where it loses digits silently: alpha = inf, above about 1.3e154 and
-    below about 1.5e-154.
-    """
-    alpha = float(alpha)
-    if not 0.0 < alpha < np.inf:
-        raise DomainError(f"alpha must be positive and finite, got {alpha}")
-    phi, w = _panel_rule(_graded_ends(0.5 * np.pi, 0.0, 0.5 * alpha ** 0.25, np.inf), N_PANEL)
-    s2 = np.sin(phi) ** 2
-    with np.errstate(over="ignore"):
-        den = (s2 * s2 + alpha) ** 2
-    if not np.all((np.finfo(float).tiny <= den) & (den < np.inf)):
-        raise DomainError(f"alpha = {alpha!r}: the integrand's denominator leaves "
-                          f"the normal doubles")
-    return float(w @ (2.0 * s2 * (1.0 - 2.0 * s2) / den))
-
-
 def endpoint_weight_closed_form(alpha):
-    """Closed form of the endpoint weight; zero exactly at alpha = 1/3.  Raises
-    DomainError where it overflows: alpha below about 1e-247 or above 5e102."""
+    """Closed form of the endpoint weight
+    int_0^1 sqrt(q)(1-2q) / ((q^2+alpha)^2 sqrt(1-q)) dq; zero exactly at
+    alpha = 1/3 (ALPHA_MAX).  Raises DomainError where it overflows: alpha
+    below about 1e-247 or above 5e102."""
     alpha = float(alpha)
     if not 0.0 < alpha < np.inf:
         raise DomainError(f"alpha must be positive and finite, got {alpha}")

@@ -26,8 +26,8 @@ for J_scaled, the one route here that reads the solver's movable frame
 (`profile.nu.base`).
 
 Every rule here is a fixed numpy rule: Gauss-Legendre panels
-(`_panel_rule`, which the switching integral I_of and the endpoint weight
-read too) or Clenshaw-Curtis, so the package runs on numpy alone.
+(`_panel_rule`, which the switching integral I_of reads too) or
+Clenshaw-Curtis, so the package runs on numpy alone.
 """
 
 import os

@@ -12,24 +12,21 @@ _conjugate samples w exactly; the hull evaluator reads it through a cubic
 table of w on [slope0, 1] (_VStarTable), which BodyEvaluator.vstar extends
 flat and even to [-1, 1]; the mesh reads it at its own samples.
 
-Two independent height evaluators:
+The hull route evaluates the height: every boundary point lies on a
+segment from a curve point (y, 0, w(y)) to a rim point, and the segment
+through a given (x1, x2) at parameter y has height lam(y; x)*w(y) with lam
+the smaller root of A*lam^2 - 2*B*lam + C = 0,
 
-* the hull route (fast, vectorized): every boundary point lies on a segment
-  from a curve point (y, 0, w(y)) to a rim point, and the segment through a
-  given (x1, x2) at parameter y has height lam(y; x)*w(y) with lam the
-  smaller root of A*lam^2 - 2*B*lam + C = 0,
+    lam = C / (B + sqrt(D)),  A = 1-y^2, B = 1-x1*y, C = 1-|x|^2,
+    D = B^2 - A*C = (x1-y)^2 + x2^2*A;
 
-      lam = C / (B + sqrt(D)),  A = 1-y^2, B = 1-x1*y, C = 1-|x|^2,
-      D = B^2 - A*C = (x1-y)^2 + x2^2*A;
-
-  u(x1, x2) is the minimum over y (see BodyEvaluator).  By Danskin's
-  envelope theorem its gradient is the x-gradient of the chord height at the
-  minimizer y*, grad u = w(y*) * (y*lam - x1, -x2) / sqrt(D), also at
-  y* = +-1.  D vanishes only on the ridge x2 = 0 at y* = x1, where u creases
-  and the gradient is undefined (the 2-D oracle's grids never sample x2 = 0).
-
-* the conjugate route (slow, used for cross-checks): u as the biconjugate
-  sup_p <p, x> - max(|p|, v(|p1|)), by a 1-D search (see body_evaluate).
+u(x1, x2) is the minimum over y (see BodyEvaluator).  By Danskin's envelope
+theorem its gradient is the x-gradient of the chord height at the minimizer
+y*, grad u = w(y*) * (y*lam - x1, -x2) / sqrt(D), also at y* = +-1.  D
+vanishes only on the ridge x2 = 0 at y* = x1, where u creases and the
+gradient is undefined (the 2-D oracle's grids never sample x2 = 0).  The
+tests judge it against the support-function route, the supremum over p of
+<p, x> - max(|p|, v(|p1|)), which reads v alone.
 """
 
 from dataclasses import dataclass, field
@@ -38,7 +35,6 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError
 
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _CHUNK = 10_000   # points per vectorized pass; a pass's arrays stay in a 2 MiB L2
 
 
@@ -149,20 +145,23 @@ class BodyEvaluator:
       pseudoconvex there.  The table's cubic pieces are convex too (w'' > 0
       at both ends of each), so this holds for the interpolant the
       minimizer reads.  At the peak of lam, F' = lam*w' > 0, so y* lies in
-      [slope0, hi], hi = the peak clipped to [slope0, 1].  sqrt(D)*G at the
-      ends decides the corner (>= 0 at slope0: y* = slope0) and the ridge
-      x2 = 0, where lam(|x1|) = 1 and sqrt(D) = 0 make it exactly 0 at
-      hi = |x1| (<= 0 at hi: y* = hi, and u = w(x1) bit for bit).
-      Elsewhere one regula-falsi step starts safeguarded Newton steps on G,
-      with G' from the cubic's jet, inside the bracket.  A point still
-      moving after twice the halvings from the full bracket [slope0, 1] to
-      the tolerance raises EvaluationError.
+      [slope0, hi], hi = the peak clipped to [slope0, 1].  sqrt(D)*G at
+      slope0 decides the corner (>= 0: y* = slope0), except on the ridge
+      x2 = 0: there it is delta*(w'(slope0) - M/(1 - slope0)) < 0 for
+      delta = |x1| - slope0, but reads >= 0 by round-off a few ulps past
+      the corner, so every ridge point past it is searched.  At hi = |x1|,
+      lam = 1 and sqrt(D) = 0 make sqrt(D)*G exactly 0 (<= 0 at hi:
+      y* = hi, and u = w(x1) bit for bit).  Elsewhere one regula-falsi
+      step starts safeguarded Newton steps on G, with G' from the cubic's
+      jet, inside the bracket.  A point still moving after twice the
+      halvings from the full bracket [slope0, 1] to the tolerance raises
+      EvaluationError.
     * u is the least of 0 (rim) and one candidate: the keel value, or,
-      where lam peaks past slope0 and G < 0 at the corner, the curved
-      minimum.  F falls past the corner there, so the curved minimum lies
-      below the corner value and needs no comparison with it.  _minimize
-      returns the chord and w at y* too, so the gradient reads neither
-      again.
+      where lam peaks past slope0 and G < 0 at the corner (or x2 = 0), the
+      curved minimum.  F falls past the corner there, so the curved
+      minimum lies below the corner value and needs no comparison with
+      it.  _minimize returns the chord and w at y* too, so the gradient
+      reads neither again.
     """
 
     # u is even in x1 and in x2 bit for bit (the search runs on |x1|, lam
@@ -233,7 +232,8 @@ class BodyEvaluator:
         out = np.array([y, -m * lam, lam, sd, np.full(x1.shape, -m)])
         wp0 = table.jet(np.array([s0]))[1][0]
         g_lo = (a - s0 * lam) * -m + sd * wp0   # sqrt(D)*G at the corner, where |peak| > s0
-        i = np.flatnonzero((np.abs(peak) > s0) & (g_lo < 0.0))   # F falls past the corner
+        # F falls past the corner; on the ridge always, whatever g_lo's round-off
+        i = np.flatnonzero((np.abs(peak) > s0) & ((g_lo < 0.0) | (x2sq == 0.0)))
         yc = self._curved(a[i], x2sq[i], c[i], np.minimum(np.abs(peak[i]), 1.0), g_lo[i])
         (lc, sc), wc = _chord(yc, a[i], x2sq[i], c[i]), table.value(yc)
         out[:, i] = np.copysign(yc, x1[i]), lc * wc, lc, sc, wc
@@ -281,56 +281,6 @@ class BodyEvaluator:
         """
         ux, uy = self._map(self._gradient, 2, x1, x2)
         return ux, uy
-
-
-def body_evaluate(ev, x1, x2):
-    """Height u(x1, x2) via the conjugate sup route (slow; cross-check).
-
-    u(x) = sup_p <p, x> - vt(p) with vt(p) = max(|p|, v(|p1|)).  vt is the
-    max of two convex pieces; for x inside the disk the concave gain pushes
-    the optimizer onto the seam |p| = v(p1) (the rim-norm piece grows slower
-    than <p, x> below it, faster above), so the search reduces to the 1-D
-    concave problem
-
-        max over p1 in [-p0, p0] of  p1*x1 + |x2|*sqrt(v(p1)^2 - p1^2) - v(p1),
-
-    solved by a dense scan plus golden polish.  Deliberately independent of
-    BodyEvaluator's chord minimum: only v itself is used, never the
-    conjugate curve or hull structure.
-    """
-    sol = ev.sol if isinstance(ev, BodyEvaluator) else ev
-    p0 = float(sol.p0)
-    x1 = float(x1)
-    x2 = float(x2)
-    if not x1 * x1 + x2 * x2 <= 1.0 + 1e-9:
-        raise EvaluationError("point outside the unit disk")
-    ax2 = abs(x2)
-
-    def seam_gain(p1):
-        v = sol.eval(np.abs(p1))[0]
-        p2 = np.sqrt(np.maximum(v * v - p1 * p1, 0.0))
-        return p1 * x1 + ax2 * p2 - v
-
-    grid = np.linspace(-p0, p0, 4097)
-    g = seam_gain(grid)
-    j = int(np.argmax(g))
-    lo = grid[max(j - 1, 0)]
-    hi = grid[min(j + 1, len(grid) - 1)]
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = float(seam_gain(c)), float(seam_gain(d))
-    for _ in range(60):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = float(seam_gain(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = float(seam_gain(d))
-    best = max(float(g[j]), fc, fd, float(seam_gain(0.5 * (a + b))))
-    return min(best, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,16 @@
-"""Shared fixtures.  solve_for_height caches its solution by height, so the
-`solved` fixture is solve_for_height itself: many tests read the same few
-heights and pay for each once.  `cold_caches` empties every solver cache,
-for a test that counts or times the work of a cold solve, or that patches a
-name a solve reads and so must not be handed a cached result."""
+"""Shared fixtures and scipy references.  solve_for_height caches its
+solution by height, so the `solved` fixture is solve_for_height itself:
+many tests read the same few heights and pay for each once.  `cold_caches`
+empties every solver cache, for a test that counts or times the work of a
+cold solve, or that patches a name a solve reads and so must not be handed
+a cached result.  The references judge the package with library calls:
+the body's height by the support-function route, and the endpoint weight
+by adaptive quadrature."""
 
+import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 from newton_minres import assemble_profile, singular_ode, solve_for_height
 
@@ -23,3 +29,48 @@ def cold_caches():
 @pytest.fixture(scope="session")
 def solved():
     return solve_for_height
+
+
+def sup_route_height(sol, x1, x2):
+    """Height u(x1, x2) of the body by the support-function route, from v alone.
+
+    u(x) = sup_p <p, x> - max(|p|, v(|p1|)).  Inside the disk the optimizer
+    lies on the seam |p| = v(p1) (the rim-norm piece grows slower than
+    <p, x> below it, faster above), so u is the maximum over p1 in [-p0, p0]
+    of the concave seam gain p1*x1 + |x2|*sqrt(v(p1)^2 - p1^2) - v(p1),
+    capped at 0.  The gain is read through sol.eval only, never through the
+    conjugate curve or the hull, on a 4097-point scan; scipy's bounded
+    minimize_scalar polishes it on the two grid cells around the best node.
+    """
+    p0, ax2 = float(sol.p0), abs(float(x2))
+
+    def seam_gain(p1):
+        v = sol.eval(np.abs(p1))[0]
+        return p1 * x1 + ax2 * np.sqrt(np.maximum(v * v - p1 * p1, 0.0)) - v
+
+    grid = np.linspace(-p0, p0, 4097)
+    gains = seam_gain(grid)
+    j = int(np.argmax(gains))
+    polish = minimize_scalar(lambda p1: -float(seam_gain(p1)), method="bounded",
+                             bounds=(grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]),
+                             options={"xatol": 1e-12})
+    return min(max(float(gains[j]), -polish.fun), 0.0)
+
+
+def endpoint_weight_reference(alpha):
+    """int_0^1 sqrt(q)(1-2q) / ((q^2+alpha)^2 sqrt(1-q)) dq by scipy's quad.
+
+    q = sin^2(phi) leaves 2*s2*(1-2*s2)/(s2^2+alpha)^2, s2 = sin^2(phi),
+    smooth on [0, pi/2].  It changes sign at phi = pi/4, where the range is
+    split, and peaks at phi = 0 with a width of about alpha^(1/4), so
+    alpha^(1/4), 4*alpha^(1/4) and 16*alpha^(1/4) below pi/4 are break
+    points.  Without the split quad warns near alpha = 0.49 and 1.
+    """
+    def f(phi):
+        s2 = np.sin(phi) ** 2
+        return 2.0 * s2 * (1.0 - 2.0 * s2) / (s2 * s2 + alpha) ** 2
+
+    width = alpha ** 0.25
+    points = [k * width for k in (1.0, 4.0, 16.0) if k * width < 0.25 * np.pi] or None
+    return sum(quad(f, lo, hi, points=pts, epsabs=0.0, epsrel=2e-14)[0]
+               for lo, hi, pts in ((0.0, 0.25 * np.pi, points), (0.25 * np.pi, 0.5 * np.pi, None)))

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import cold_caches
+from conftest import cold_caches, endpoint_weight_reference
 from newton_minres import (
     BodyEvaluator,
     I_closed_form_alpha0,
@@ -27,7 +27,6 @@ from newton_minres import (
     assemble_profile,
     el_residual,
     endpoint_weight_closed_form,
-    endpoint_weight_quadrature,
     field_jacobian_check,
     jacobi_check,
     limit_constants,
@@ -38,7 +37,6 @@ from newton_minres import (
     thread_count,
     unscale,
 )
-from newton_minres.geometry import _INVPHI
 
 # (M, p0, r, v'(0+), J) across the height family
 TABLE_ROWS = [
@@ -54,6 +52,7 @@ TABLE_ROWS = [
 ]
 
 CHECK_ALPHAS = (0.0, 0.01, 0.1)
+_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0   # the golden-section ratio of criterion 7
 
 
 @contextmanager
@@ -152,7 +151,7 @@ def test_criterion_5_analytic_identities(capsys):
             assert gap <= 1e-8, f"switching closed form at rho={rho}"
 
         for alpha in (0.1, 0.2, 0.3):
-            gap = abs(endpoint_weight_quadrature(alpha)
+            gap = abs(endpoint_weight_reference(alpha)
                       - endpoint_weight_closed_form(alpha))
             assert gap <= 1e-8, f"endpoint weight at alpha={alpha}"
         assert abs(endpoint_weight_closed_form(1.0 / 3.0)) <= 1e-10

@@ -20,8 +20,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import cold_caches
-from newton_minres import (DomainError, NoRoot, cli, extremal, functional, geometry,
-                           singular_ode, solve_for_height)
+from newton_minres import (DomainError, NoRoot, SignChange, cli, extremal, functional,
+                           geometry, singular_ode, solve_for_height)
 from newton_minres.cli import DEFAULT_TABLE_ROWS, _check_one, main
 from newton_minres.functional import P0_MAX
 
@@ -494,6 +494,35 @@ def test_check_reports_a_solver_failure_of_the_field_check(capsys, monkeypatch):
     assert err.strip() == "error: stub"
 
 
+class _CrossingField:
+    """A stand-in Jacobi field zeta(q) = q - 0.5: a conjugate point at 0.5."""
+
+    def eval(self, q):
+        q = np.asarray(q, float)
+        return q - 0.5, np.ones_like(q), np.zeros_like(q)
+
+
+def test_check_reports_a_conjugate_point(capsys, monkeypatch):
+    # the field bracket reads the same field, so it changes sign at 0.5 too
+    monkeypatch.setattr(extremal, "_jacobi_field", lambda profile, q_end: _CrossingField())
+    code, out, _ = run(capsys, "check", "--alpha", "0.1")
+    assert code == 3
+    verdicts = json.loads(out)["reports"][0]["verdicts"]
+    assert [k for k, v in verdicts.items() if not v] == ["no_conjugate_point",
+                                                         "field_sign_constant"]
+
+
+def test_check_reports_a_field_sign_change(capsys, monkeypatch):
+    def changing(prof, zeta):
+        raise SignChange("stub")
+
+    monkeypatch.setattr(extremal, "field_jacobian_check", changing)
+    code, out, _ = run(capsys, "check", "--alpha", "0.1")
+    assert code == 3
+    verdicts = json.loads(out)["reports"][0]["verdicts"]
+    assert [k for k, v in verdicts.items() if not v] == ["field_sign_constant"]
+
+
 def test_check_solves_one_arc_and_one_jacobi_field_per_alpha(capsys, monkeypatch):
     # from cold caches the default battery (three alphas) solves each arc
     # once and each profile's Jacobi field once
@@ -542,9 +571,9 @@ def test_curves_are_read_without_chebyshev_sums(capsys, monkeypatch):
 
 def test_no_command_loads_scipy(tmp_path):
     # the package and every command run on numpy alone: in a fresh
-    # interpreter where any scipy import fails, the import, every command
-    # and the endpoint-weight quadrature run and leave no scipy module, and
-    # none of them loads numpy.ma (11-17 ms of import, e.g. behind np.unique)
+    # interpreter where any scipy import fails, the import and every command
+    # run and leave no scipy module, and none of them loads numpy.ma
+    # (11-17 ms of import, e.g. behind np.unique)
     src = os.path.dirname(os.path.dirname(cli.__file__))
     argvs = [["solve", "--M", "1.0"], ["table"], ["constants"], ["check"],
              ["mesh", "--M", "1.0", "--resolution", "64", "--out", str(tmp_path / "b.obj")],
@@ -559,16 +588,13 @@ def test_no_command_loads_scipy(tmp_path):
             "from newton_minres import cli\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    status = cli.main(argv)\n"
-            "    print(json.dumps([argv[0], status, unwanted_modules()]), file=sys.stderr)\n"
-            "weight = newton_minres.endpoint_weight_quadrature(0.1)\n"
-            "print(json.dumps(['endpoint_weight', int(weight > 0.0), unwanted_modules()]),\n"
-            "      file=sys.stderr)\n")
+            "    print(json.dumps([argv[0], status, unwanted_modules()]), file=sys.stderr)\n")
     env = dict(os.environ, PYTHONPATH=src)
     err = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
                          check=True, capture_output=True, text=True).stderr
     seen = [json.loads(line) for line in err.splitlines()]
     names = ["import"] + [a[0] for a in argvs]
-    assert seen == [[name, 0, []] for name in names] + [["endpoint_weight", 1, []]]
+    assert seen == [[name, 0, []] for name in names]
 
 
 def test_numpy_is_the_only_runtime_dependency():

@@ -6,14 +6,18 @@ hand-derived formula is additionally cross-checked against quadrature or
 finite differences of the solved curves.
 """
 
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from conftest import cold_caches
+from conftest import cold_caches, endpoint_weight_reference
 from newton_minres import (
     BodyEvaluator,
+    BodyMesh,
     DomainError,
     EvaluationError,
     InconsistentScale,
@@ -24,9 +28,8 @@ from newton_minres import (
     abel_residual,
     adjoint_omega,
     assemble_profile,
-    body_evaluate,
     endpoint_weight_closed_form,
-    endpoint_weight_quadrature,
+    export_obj,
     field_jacobian_check,
     find_switch,
     jacobi_check,
@@ -42,6 +45,16 @@ from newton_minres.extremal import scaled_arc_ivp, variational_coeffs_along
 from newton_minres.functional import lagrangian_value
 
 RHO_HAT = 0.108984
+
+
+class _Curve:
+    """A stand-in curve whose eval(q) returns fn(q) -> (value, slope, second)."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def eval(self, q):
+        return self.fn(np.asarray(q, float))
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +362,13 @@ def test_no_conjugate_point(alpha):
     assert (z1 - zeta.eval(1.0 - h)[0]) / h == pytest.approx(1.0, abs=1e-4)
 
 
+def test_conjugate_point_is_reported(monkeypatch):
+    # a field that crosses zero inside [0, 1) reports min |zeta| = 0, with itself
+    crossing = _Curve(lambda q: (q - 0.5, np.ones_like(q), np.zeros_like(q)))
+    monkeypatch.setattr(extremal, "_jacobi_field", lambda profile, q_end: crossing)
+    assert jacobi_check(assemble_profile(0.1)) == (0.0, crossing)
+
+
 def test_variational_coefficients_finite_at_rim():
     coeffs = variational_coeffs_along(assemble_profile(0.0))
     at_rim = coeffs.fn(0.0)
@@ -554,13 +574,13 @@ def test_first_order_reduction_residual():
 
 def test_endpoint_weight_closed_form_vs_quadrature():
     for alpha in (0.1, 0.2, 0.3):
-        assert abs(endpoint_weight_quadrature(alpha)
+        assert abs(endpoint_weight_reference(alpha)
                    - endpoint_weight_closed_form(alpha)) <= 1e-8
-    # the graded rule holds to round-off from the sharp peak at small alpha
+    # the closed form holds to round-off from the sharp peak at small alpha
     # to alphas past the validity range
     for alpha in [*np.geomspace(1e-12, 1.0, 40), 2.0, 100.0]:
         exact = endpoint_weight_closed_form(alpha)
-        assert endpoint_weight_quadrature(alpha) == pytest.approx(exact, rel=1e-13, abs=0.0)
+        assert endpoint_weight_reference(alpha) == pytest.approx(exact, rel=1e-13, abs=0.0)
     assert abs(endpoint_weight_closed_form(1.0 / 3.0)) <= 1e-10
     assert endpoint_weight_closed_form(0.3) > 0.0
     assert endpoint_weight_closed_form(0.4) < 0.0
@@ -846,7 +866,6 @@ NAN = float("nan")
     (lambda sol, ev: ev(NAN, 0.0), EvaluationError),
     (lambda sol, ev: ev(np.array([0.1, NAN]), np.array([0.2, 0.3])), EvaluationError),
     (lambda sol, ev: ev.gradient(NAN, 0.3), EvaluationError),
-    (lambda sol, ev: body_evaluate(ev, NAN, 0.0), EvaluationError),
     (lambda sol, ev: ev.vstar(NAN), EvaluationError),
     (lambda sol, ev: solve_nu(0.1).base.eval(NAN), DomainError),
     (lambda sol, ev: solve_nu(0.1).eval(NAN), DomainError),
@@ -872,13 +891,10 @@ NAN = float("nan")
     *((lambda sol, ev, v=v: singular_ode.variational_accel_at_origin(
         singular_ode.VariationalCoeffs(lambda t: (0.1, 0.2, 0.3), -0.25), v), DomainError)
       for v in (NAN, np.inf)),
-    (lambda sol, ev: endpoint_weight_quadrature(NAN), DomainError),
     (lambda sol, ev: endpoint_weight_closed_form(NAN), DomainError),
     (lambda sol, ev: endpoint_weight_closed_form(np.inf), DomainError),
     (lambda sol, ev: endpoint_weight_closed_form(1e300), DomainError),
-    *((lambda sol, ev, a=a: endpoint_weight_quadrature(a), DomainError)
-      for a in (np.inf, 1e200, 1e300, 1e-158, 1e-160, 1e-250, 1e-300)),
-], ids=["evaluator", "evaluator-array", "gradient", "body_evaluate", "vstar",
+], ids=["evaluator", "evaluator-array", "gradient", "vstar",
         "DenseSolution", "MappedSolution", "MappedSolution-array", "ScaledProfile",
         "ExtremalSolution", "scaled_arc_ivp", "nu_derivatives_at_one", "solve_nu",
         "scaled_arc_ivp-inf", "nu_derivatives_at_one-inf", "solve_nu-inf",
@@ -887,16 +903,74 @@ NAN = float("nan")
         "lagrangian_value-yp-inf", "lagrangian_partials-yp", "el_residual-ypp",
         "el_residual-ypp-inf",
         "variational_accel_at_origin", "variational_accel_at_origin-inf",
-        "endpoint_weight_quadrature", "endpoint_weight_closed_form",
-        "endpoint_weight_closed_form-inf", "endpoint_weight_closed_form-1e300",
-        "endpoint_weight_quadrature-inf", "endpoint_weight_quadrature-1e200",
-        "endpoint_weight_quadrature-1e300", "endpoint_weight_quadrature-1e-158",
-        "endpoint_weight_quadrature-1e-160", "endpoint_weight_quadrature-1e-250",
-        "endpoint_weight_quadrature-1e-300"])
+        "endpoint_weight_closed_form", "endpoint_weight_closed_form-inf",
+        "endpoint_weight_closed_form-1e300"])
 def test_nan_is_refused_at_each_evaluation_boundary(solved, call, error):
     # each check is written so that NaN fails it, with the check's own error;
-    # so do an infinite alpha and the alphas where the endpoint weights
-    # overflow
+    # so do an infinite alpha and the alphas where the endpoint weight's
+    # closed form overflows
     sol = solved(1.0)
     with pytest.raises(error):
         call(sol, BodyEvaluator(sol))
+
+
+# ---------------------------------------------------------------------------
+# refusals of out-of-range input
+# ---------------------------------------------------------------------------
+
+_LOW = _Curve(lambda q: (np.full_like(q, 0.1), np.full_like(q, 0.5), np.zeros_like(q)))
+_DIAGONAL = _Curve(lambda q: (q, np.ones_like(q), np.zeros_like(q)))   # nu = q: no room
+_TOO_HIGH = _Curve(lambda q: (q + 1.0, np.ones_like(q), np.ones_like(q)))
+
+
+def _profile(**fields):
+    return extremal.ScaledProfile(**{**dict(alpha=0.1, rho=0.5, nu=solve_nu(0.1), slope=0.5,
+                                           height0=0.3), **fields})
+
+
+def _mesh(vertices, faces=((0, 1, 2),), **metadata):
+    return BodyMesh(np.array(vertices, float), np.array(faces, np.int64), metadata)
+
+
+_TRIANGLE = [(0.0, 0.0, -0.1), (0.5, 0.0, -0.1), (0.0, 0.5, -0.1)]
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda sol, path: _profile(rho=1.2), DomainError, "rho out of range"),
+    (lambda sol, path: _profile(slope=1.5), DomainError, "switch slope out of range"),
+    (lambda sol, path: _profile(height0=-0.1), DomainError, "flat height must be positive"),
+    (lambda sol, path: _profile(nu=_TOO_HIGH), DomainError, r"nu\(1\) = nu'\(1\) = 1"),
+    (lambda sol, path: _profile(nu=_DIAGONAL), DomainError, "nu > q or convexity"),
+    (lambda sol, path: dataclasses.replace(sol, M=0.1), DomainError, "p <= v <= p \\+ M"),
+    (lambda sol, path: I_of(1.0, 0.1, solve_nu(0.1)), DomainError, r"rho must be in \(0,1\)"),
+    (lambda sol, path: I_of(0.5, 0.1, _LOW), DomainError, "admissible region"),
+    (lambda sol, path: I_closed_form_alpha0(0.0, solve_nu(0.0)), DomainError,
+     r"rho must be in \(0,1\)"),
+    (lambda sol, path: I_closed_form_alpha0(0.5, _LOW), DomainError, "degenerate continuation"),
+    (lambda sol, path: abel_residual(solve_nu(0.0), 1.0), DomainError, r"q must be in \(0,1\)"),
+    (lambda sol, path: functional.J_unscaled(SimpleNamespace(p0=1e77)), DomainError,
+     "the unscaled integrand overflows"),
+    (lambda sol, path: functional.resistance_direct(lambda x1, x2: 0.0 * x1, n=100_000),
+     DomainError, "too fine for FD step"),
+    (lambda sol, path: _mesh([v[:2] for v in _TRIANGLE]), DomainError, r"vertices must be \(n, 3\)"),
+    (lambda sol, path: _mesh(_TRIANGLE, [(0, 1)]), DomainError, r"faces must be \(m, 3\)"),
+    (lambda sol, path: _mesh(_TRIANGLE, [(0, 1, 3)]), DomainError, "face indices out of range"),
+    (lambda sol, path: _mesh(_TRIANGLE[:2] + [(1.0, 0.5, 0.0)]), DomainError,
+     "outside the unit cylinder"),
+    (lambda sol, path: _mesh(_TRIANGLE[:2] + [(0.0, 0.5, 0.1)]), DomainError, "above z = 0"),
+    (lambda sol, path: _mesh(_TRIANGLE, M=0.05), DomainError, "below z = -M"),
+    (lambda sol, path: export_obj(_mesh(np.zeros((0, 3)), np.zeros((0, 3))), path),
+     EvaluationError, "refusing to write empty mesh"),
+    (lambda sol, path: singular_ode.VariationalCoeffs(lambda t: (0.0, 0.0, 0.0), 0.5),
+     DomainError, "need -1/2 < lam < 0"),
+], ids=["ScaledProfile-rho", "ScaledProfile-slope", "ScaledProfile-height0",
+        "ScaledProfile-rim", "ScaledProfile-convexity", "ExtremalSolution", "I_of-rho",
+        "I_of-continuation", "I_closed_form_alpha0-rho", "I_closed_form_alpha0-continuation",
+        "abel_residual-q", "J_unscaled-p0", "resistance_direct-fd-step", "BodyMesh-vertices",
+        "BodyMesh-faces", "BodyMesh-indices", "BodyMesh-cylinder", "BodyMesh-above",
+        "BodyMesh-below", "export_obj-empty", "VariationalCoeffs-lam"])
+def test_out_of_range_input_is_refused(solved, tmp_path, call, error, match):
+    path = tmp_path / "empty.obj"
+    with pytest.raises(error, match=match):
+        call(solved(1.0), path)
+    assert not path.exists()

@@ -10,6 +10,7 @@ share no code beyond the integrand itself.
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from hypothesis import given, settings, strategies as st
 
 from newton_minres import (
@@ -267,6 +268,65 @@ def test_direct_resistance_never_calls_the_1d_functional(solved, monkeypatch):
         monkeypatch.setattr(functional, name, forbidden)
     val = resistance_direct(BodyEvaluator(sol), n=64)
     assert val == pytest.approx(2.0 * sol.J, rel=1e-2)
+
+
+class _NewtonRevolutionBody:
+    """Newton's body of revolution over the unit disk, sharing nothing with
+    the package: flat on the disk of radius r0, then u'(r) = p >= 1 along
+    r = (r0/4)(1 + p^2)^2/p up to the rim.  Its depth and drag are scipy
+    quad integrals in p; its gradient is exact, with p(r) the root of the
+    convex p^3 + 2p + 1/p = 4r/r0, reached by Newton's method from the
+    right."""
+
+    mirror_symmetric = True
+
+    def __init__(self, r0):
+        self.r0 = r0
+        p_rim = brentq(lambda p: self.radius(p) - 1.0, 1.0, 1e3, xtol=1e-15, rtol=1e-15)
+        self.depth = quad(lambda p: p * self.dradius(p), 1.0, p_rim,
+                          epsabs=0.0, epsrel=2e-14)[0]
+        self.drag = np.pi * r0 * r0 + 2.0 * np.pi * quad(
+            lambda p: self.radius(p) * self.dradius(p) / (1.0 + p * p), 1.0, p_rim,
+            epsabs=0.0, epsrel=2e-14)[0]
+
+    def radius(self, p):
+        return 0.25 * self.r0 * (1.0 + p * p) ** 2 / p
+
+    def dradius(self, p):
+        return 0.25 * self.r0 * (1.0 + p * p) * (3.0 * p * p - 1.0) / (p * p)
+
+    def gradient(self, x1, x2):
+        r = np.hypot(x1, x2)
+        t = 4.0 * np.maximum(r, self.r0) / self.r0
+        p = np.cbrt(t)   # p^3 < t: right of the root
+        for _ in range(100):
+            step = (p ** 3 + 2.0 * p + 1.0 / p - t) / (3.0 * p * p + 2.0 - 1.0 / (p * p))
+            p = p - step
+            if np.all(np.abs(step) <= 4e-16 * p):
+                break
+        p = np.where(r > self.r0, p, 0.0)
+        return p * x1 / r, p * x2 / r
+
+
+def test_direct_resistance_meets_a_closed_form_body():
+    # r0 = 1/2 lies on a cell edge of every grid, so the integrand's jump
+    # from 1 to 1/2 at the flat edge costs the midpoint rule nothing, and
+    # the Richardson step leaves a fourth-order error (8.3e-13 at n = 800)
+    body = _NewtonRevolutionBody(0.5)
+    assert body.depth == pytest.approx(0.67274, abs=5e-6)
+    assert resistance_direct(body, n=800) == pytest.approx(body.drag, rel=1e-11, abs=0.0)
+
+
+def test_direct_resistance_error_estimate_is_not_a_bound():
+    # r0 = 1/3 falls inside a cell: the jump makes the error first order
+    # (relative 1.5e-3 at n = 400, 7.7e-4 at n = 800), and |fine - coarse|/3,
+    # the error a smooth integrand would leave, reads half of it
+    body = _NewtonRevolutionBody(1.0 / 3.0)
+    err = {n: abs(resistance_direct(body, n=n) / body.drag - 1.0) for n in (400, 800)}
+    assert 1.8 <= err[400] / err[800] <= 2.2
+    assert 5e-4 <= err[800] <= 1e-3
+    estimate = abs(functional._grid_sum(body, 800) - functional._grid_sum(body, 400)) / 3.0
+    assert estimate <= 0.6 * err[800] * body.drag
 
 
 class _PlainBody:
