@@ -19,8 +19,8 @@ from .singular_ode import (
     variational_accel_at_origin,
 )
 from .functional import (
-    lagrangian_value, lagrangian_partials, el_residual, J_scaled, J_unscaled,
-    gamma_form_J, resistance_direct, thread_count,
+    lagrangian_value, J_scaled, J_unscaled, gamma_form_J, resistance_direct,
+    thread_count,
 )
 from .extremal import (
     ScaledProfile, ExtremalSolution, AdjointProfile, LimitConstants,

@@ -144,6 +144,18 @@ def _graded_ends(rho, a, b, nr):
     return np.array(sorted(set(ends)))  # np.unique would import numpy.ma
 
 
+def _tangent(rho, nu):
+    """(a, b, nu(rho)) of nu's tangent eta = a*q + b at rho; DomainError unless
+    0 < rho < 1, b is finite and eta - q, affine, is > 0 at 0 and rho (NaN fails)."""
+    if not 0.0 < rho < 1.0:
+        raise DomainError(f"rho must be in (0,1), got {rho}")
+    nr, a, _ = nu.eval(rho)
+    b = nr - rho * a
+    if not (0.0 < b < np.inf and nr - rho > 0.0):
+        raise DomainError("degenerate continuation: tangent leaves the admissible region eta > q")
+    return a, b, nr
+
+
 def I_of(rho, alpha, nu):
     """Switching integral I(rho): first-variation cost of the tangent cut.
 
@@ -163,13 +175,7 @@ def I_of(rho, alpha, nu):
     Raises DomainError if the continuation touches eta <= q on [0, rho].
     """
     rho = float(rho)
-    if not 0.0 < rho < 1.0:
-        raise DomainError(f"rho must be in (0,1), got {rho}")
-    nr, a, _ = nu.eval(rho)
-    b = nr - rho * a
-    # eta - q is affine; positivity at both ends covers the whole interval
-    if b <= 0.0 or nr - rho <= 0.0:
-        raise DomainError("tangent continuation leaves the admissible region eta > q")
+    a, b, nr = _tangent(rho, nu)
     q, w = _panel_rule(_graded_ends(rho, a, b, nr), N_PANEL)
     return float(w @ _switch_kernel(q, a, b, alpha, q))
 
@@ -177,12 +183,7 @@ def I_of(rho, alpha, nu):
 def I_closed_form_alpha0(rho, nu_hat):
     """Closed form of I(rho, alpha=0) along the tangent continuation."""
     rho = float(rho)
-    if not 0.0 < rho < 1.0:
-        raise DomainError(f"rho must be in (0,1), got {rho}")
-    nr, a, _ = nu_hat.eval(rho)
-    b = nr - rho * a
-    if b <= 0.0:
-        raise DomainError("degenerate continuation: nu - rho*nu' <= 0")
+    a, b, nr = _tangent(rho, nu_hat)
     u1 = rho / nr
     s = np.sqrt(1.0 - u1 * u1)
     bracket = (3.0 * a * np.arcsin(u1) - 2.0 - 2.0 * a * a
@@ -227,7 +228,7 @@ def find_switch(alpha, nu):
         raise NoRoot(f"I already positive at rho={grid[0]:.3f}; no bracket found")
     ups = np.flatnonzero((scan[:-1] < 0.0) & (scan[1:] >= 0.0))
     if not ups.size:
-        raise NoRoot(f"switching integral has no sign change on [{grid[0]}, {grid[-1]}]")
+        raise NoRoot(f"switching integral has no sign change on [{grid[0]:.3f}, {grid[-1]:.3f}]")
     lo, hi = grid[ups[0]], grid[ups[0] + 1]
 
     def rho_at(x):  # [-1, 1] onto the bracket
@@ -457,8 +458,8 @@ def abel_residual(nu_hat, q):
     nv, npv, npp = nu_hat.eval(q)
     t = nv / q
     x = (q * npv - nv) / q
-    if abs(x) < 1e-13 or abs(t * t - 1.0) < 1e-10:
-        raise DomainError("reduction variables degenerate (x=0 or t=+-1)")
+    if not (1e-13 <= abs(x) < np.inf and abs(t * t - 1.0) >= 1e-10):
+        raise DomainError("reduction variables degenerate (x = 0 or infinite, or t = +-1)")
     dxdt = npp * q / x - 1.0
     rhs = 2.0 + 1.5 * (x / t + t / x) - x / (2.0 * t * (t * t - 1.0))
     return dxdt - rhs

@@ -10,7 +10,10 @@ Two independent evaluation routes are kept deliberately separate:
                     - (p*v' - v) / (v*(1+v^2)*sqrt(v^2-p^2));
 
   the generic family L(q, y, y', c) with denominator (y^2+c) covers both the
-  unscaled problem (c=1) and the scaled one (c=alpha);
+  unscaled problem (c=1) and the scaled one (c=alpha).  Pointwise,
+  L_y - L_qy' - y'*L_yy' = L_y'y'*R, L_y'y' = 4*sqrt(y^2-q^2)/(y^2+c)^2 > 0,
+  R the arc equation's right side (`extremal`): the identity the switching
+  integral and the adjoint rest on, which the tests prove symbolically;
 
 * the 2-D route: `resistance_direct` integrates 1/(1+|grad u|^2) over the
   unit disk.  A body with a `gradient(x1, x2)` method (BodyEvaluator) supplies
@@ -74,57 +77,19 @@ def _refusing(name):
     return np.errstate(over="call", invalid="call", divide="call", call=call)
 
 
-def _lagrangian_args(name, q, y, yp, c):
-    """q, y, y' as arrays, s2 = y^2 - q^2, s = sqrt(s2) and d = y^2 + c; raises
-    DomainError, naming the caller, unless y > q >= 0, y and y' finite, 0 <= c < inf."""
+@_refusing("lagrangian_value")
+def lagrangian_value(q, y, yp, c):
+    """L(q, y, y', c); raises DomainError unless y > q >= 0 pointwise, y and y'
+    are finite and 0 <= c < inf."""
     q, y, yp = (np.asarray(v, float) for v in (q, y, yp))
     if not 0.0 <= c < np.inf:
         raise DomainError(f"c must be finite and >= 0, got {c}")
     s2 = y * y - q * q
     if not np.all((s2 > 0.0) & (y > 0.0) & (q >= 0.0) & np.isfinite(y) & np.isfinite(yp)):
-        raise DomainError(f"{name} needs y > q >= 0 and finite y and y'")
-    return q, y, yp, s2, np.sqrt(s2), y * y + c
-
-
-@_refusing("lagrangian_value")
-def lagrangian_value(q, y, yp, c):
-    """L(q, y, y', c); requires y > q >= 0 pointwise and finite c >= 0."""
-    q, y, yp, _, s, d = _lagrangian_args("lagrangian_value", q, y, yp, c)
+        raise DomainError("lagrangian_value needs y > q >= 0 and finite y and y'")
+    s, d = np.sqrt(s2), y * y + c
     out = 2.0 * s * yp * yp / (d * d) - (q * yp - y) / (y * d * s)
     return float(out) if out.ndim == 0 else out
-
-
-@_refusing("lagrangian_partials")
-def lagrangian_partials(q, y, yp, c):
-    """First/mixed/second partials of L as a dict.
-
-    Keys: 'y' (L_y), 'yp' (L_y'), 'qyp' (L_qy'), 'yyp' (L_yy'),
-    'ypyp' (L_y'y').  These satisfy the exact identity
-    L_y - L_qy' - y'*L_yy' = L_y'y' * R with R the arc-equation right side,
-    which is what the switching integral and adjoint are built on.
-    """
-    q, y, yp, s2, s, d = _lagrangian_args("lagrangian_partials", q, y, yp, c)
-    core = (s2 * (d + 2.0 * y * y) + y * y * d) / (y * y * d * d * s * s2)
-    parts = {
-        "yp": 4.0 * s * yp / (d * d) - q / (y * d * s),
-        "ypyp": 4.0 * s / (d * d),
-        "qyp": -4.0 * q * yp / (s * d * d) - y / (d * s * s2),
-        "yyp": 4.0 * y * yp / (s * d * d) - 16.0 * s * y * yp / (d ** 3) + q * core,
-        "y": (2.0 * y * yp * yp / (s * d * d) - 8.0 * y * s * yp * yp / (d ** 3)
-              + 1.0 / (y * d * s) + (q * yp - y) * core),
-    }
-    if np.ndim(q) == 0 and np.ndim(y) == 0 and np.ndim(yp) == 0:
-        parts = {k: float(v) for k, v in parts.items()}
-    return parts
-
-
-@_refusing("el_residual")
-def el_residual(q, y, yp, ypp, c):
-    """(L_y - L_qy' - y'*L_yy')/L_y'y' - y'' — zero along arc solutions; y'' finite."""
-    if not np.all(np.isfinite(ypp)):
-        raise DomainError("el_residual needs a finite y''")
-    parts = lagrangian_partials(q, y, yp, c)
-    return (parts["y"] - parts["qyp"] - yp * parts["yyp"]) / parts["ypyp"] - ypp
 
 
 # ---------------------------------------------------------------------------

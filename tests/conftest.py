@@ -4,11 +4,17 @@ many tests read the same few heights and pay for each once.  `cold_caches`
 empties every solver cache, for a test that counts or times the work of a
 cold solve, or that patches a name a solve reads and so must not be handed
 a cached result.  The references judge the package with library calls:
-the body's height by the support-function route, and the endpoint weight
-by adaptive quadrature."""
+scipy for the body's height by the support-function route and for the
+endpoint weight by adaptive quadrature; sympy (`arc_calculus`) for the
+reduced integrand L, its Euler-Lagrange expression and the arc equation's
+forcing, derived from L's formula and the arc equation alone."""
+
+from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import sympy as sp
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
@@ -74,3 +80,37 @@ def endpoint_weight_reference(alpha):
     points = [k * width for k in (1.0, 4.0, 16.0) if k * width < 0.25 * np.pi] or None
     return sum(quad(f, lo, hi, points=pts, epsabs=0.0, epsrel=2e-14)[0]
                for lo, hi, pts in ((0.0, 0.25 * np.pi, points), (0.25 * np.pi, 0.5 * np.pi, None)))
+
+
+@lru_cache(maxsize=None)
+def arc_calculus():
+    """The reduced integrand and the arc equation in sympy, built once.
+
+    L(q, y, y', c) = 2*sqrt(y^2-q^2)*y'^2/(y^2+c)^2
+                     - (q*y' - y)/(y*(y^2+c)*sqrt(y^2-q^2)),
+
+    EL = L_y - L_qy' - y'*L_yy' (the Euler-Lagrange equation reads
+    EL = L_y'y'*y''), every partial by sp.diff, and R(q, y, y', c) the arc
+    equation's right side.  g = R + x'^2/(4x) is R in the movable frame
+    q = t + 1, y = x + q, less its singular part -x'^2/(4x), which cancels
+    as an expression, so no rounding enters.  The lambdified callables take
+    numpy arrays: lagrangian (L), euler_lagrange (EL), residual
+    (EL/L_y'y' - y'') and arc_forcing (g, g_x, g_x').
+    """
+    q, y, c = sp.symbols("q y c", positive=True)
+    yp, ypp = sp.symbols("yp ypp", real=True)
+    t, x, xd = sp.symbols("t x xd", real=True)
+    s, d = sp.sqrt(y ** 2 - q ** 2), y ** 2 + c
+    L = 2 * s * yp ** 2 / d ** 2 - (q * yp - y) / (y * d * s)
+    L_yp = sp.diff(L, yp)
+    L_ypyp = sp.diff(L_yp, yp)
+    EL = sp.diff(L, y) - sp.diff(L_yp, q) - yp * sp.diff(L_yp, y)
+    R = (-(yp - 1) ** 2 / (4 * (y - q)) - (yp + 1) ** 2 / (4 * (y + q))
+         + 2 * y * yp ** 2 / d)
+    g = (R + (yp - 1) ** 2 / (4 * (y - q))).subs({q: t + 1, y: x + t + 1, yp: xd + 1})
+    return SimpleNamespace(
+        q=q, y=y, yp=yp, c=c, t=t, L_ypyp=L_ypyp, EL=EL, R=R,
+        lagrangian=sp.lambdify((q, y, yp, c), L, "numpy"),
+        euler_lagrange=sp.lambdify((q, y, yp, c), EL, "numpy"),
+        residual=sp.lambdify((q, y, yp, ypp, c), EL / L_ypyp - ypp, "numpy"),
+        arc_forcing=sp.lambdify((t, x, xd, c), [g, sp.diff(g, x), sp.diff(g, xd)], "numpy"))

@@ -571,18 +571,18 @@ def test_curves_are_read_without_chebyshev_sums(capsys, monkeypatch):
 
 def test_no_command_loads_scipy(tmp_path):
     # the package and every command run on numpy alone: in a fresh
-    # interpreter where any scipy import fails, the import and every command
-    # run and leave no scipy module, and none of them loads numpy.ma
-    # (11-17 ms of import, e.g. behind np.unique)
+    # interpreter where any scipy or sympy import fails, the import and
+    # every command run and leave no scipy or sympy module, and none of them
+    # loads numpy.ma (11-17 ms of import, e.g. behind np.unique)
     src = os.path.dirname(os.path.dirname(cli.__file__))
     argvs = [["solve", "--M", "1.0"], ["table"], ["constants"], ["check"],
              ["mesh", "--M", "1.0", "--resolution", "64", "--out", str(tmp_path / "b.obj")],
              ["resistance", "--M", "1.0", "--resolution", "64"]]
     code = ("import json, sys\n"
-            "sys.modules['scipy'] = None\n"
+            "sys.modules['scipy'] = sys.modules['sympy'] = None\n"
             "def unwanted_modules():\n"
             "    return [m for m, mod in sys.modules.items() if mod is not None\n"
-            "            and (m == 'scipy' or m.startswith('scipy.') or m == 'numpy.ma')]\n"
+            "            and (m.split('.')[0] in ('scipy', 'sympy') or m == 'numpy.ma')]\n"
             "import newton_minres\n"
             "print(json.dumps(['import', 0, unwanted_modules()]), file=sys.stderr)\n"
             "from newton_minres import cli\n"
@@ -598,8 +598,8 @@ def test_no_command_loads_scipy(tmp_path):
 
 
 def test_numpy_is_the_only_runtime_dependency():
-    # no module of the package imports scipy, not even inside a function,
-    # and pyproject's [project] dependencies name numpy alone
+    # no module of the package imports scipy or sympy, not even inside a
+    # function, and pyproject's [project] dependencies name numpy alone
     pkg = os.path.dirname(cli.__file__)
     for name in sorted(f for f in os.listdir(pkg) if f.endswith(".py")):
         with open(os.path.join(pkg, name)) as fh:
@@ -608,7 +608,7 @@ def test_numpy_is_the_only_runtime_dependency():
                     for alias in node.names]
         imported += [node.module for node in ast.walk(tree)
                      if isinstance(node, ast.ImportFrom) and node.module]
-        assert not [m for m in imported if m.split(".")[0] == "scipy"], name
+        assert not [m for m in imported if m.split(".")[0] in ("scipy", "sympy")], name
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     with open(os.path.join(os.path.dirname(os.path.dirname(pkg)), "pyproject.toml"), "rb") as fh:
         deps = tomllib.load(fh)["project"]["dependencies"]

@@ -11,10 +11,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import sympy as sp
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from conftest import cold_caches, endpoint_weight_reference
+from conftest import arc_calculus, cold_caches, endpoint_weight_reference
 from newton_minres import (
     BodyEvaluator,
     BodyMesh,
@@ -72,6 +73,39 @@ def test_endpoint_taylor_closed_forms():
     assert nu_derivatives_at_one(3.0)[2] == 0.0  # curvature degenerates
 
 
+def test_taylor_anchors_solve_the_arc_equation_symbolically():
+    # x = A*t^2/2 + B*t^3/6 in y'' = R(q, y, y') at q = 1 + t, y = x + q:
+    # the t^0 and t^1 terms of the balance have one nonzero root, the
+    # closed forms of the second and third derivatives of nu at 1
+    ac = arc_calculus()
+    t, c = ac.t, ac.c
+    A, B = sp.symbols("A B")
+    x = A * t ** 2 / 2 + B * t ** 3 / 6
+    arc = {ac.q: t + 1, ac.y: x + t + 1, ac.yp: sp.diff(x, t) + 1}
+    balance = sp.series(sp.diff(x, t, 2) - ac.R.subs(arc), t, 0, 2).removeO()
+    [root] = [r for r in sp.solve([balance.coeff(t, k) for k in (0, 1)], [A, B], dict=True)
+              if r[A] != 0]
+    assert sp.simplify(root[A] - (3 - c) / (3 * (1 + c))) == 0
+    assert sp.simplify(root[B] - (3 + 2 * c + c ** 2) / (2 * (1 + c) ** 2)) == 0
+    for alpha in (0.0, 0.01, 0.05, 0.1, 0.2, 0.3, 1.0 / 3.0, 1.0, 10.0):
+        exact = [float(root[k].subs(c, alpha)) for k in (A, B)]
+        assert nu_derivatives_at_one(alpha)[2:] == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.05, 0.3])
+def test_arc_forcing_matches_its_symbolic_form(alpha):
+    # g, g_x and g_x' of scaled_arc_ivp against sympy's g = R + x'^2/(4x) in
+    # the movable frame and its partials, at 500 points of the solved arc:
+    # the arc's Newton Jacobian and the Jacobi field read g_x and g_x'
+    ivp = scaled_arc_ivp(alpha)
+    t = np.linspace(-1.0, 0.0, 500)
+    x, xd, _ = solve_nu(alpha).base.eval(t)
+    refs = arc_calculus().arc_forcing(t, x, xd, alpha)
+    for got, ref in zip((ivp.g(t, x, xd), ivp.g_x(t, x, xd), ivp.g_xdot(t, x, xd)), refs):
+        # g_x changes sign on the arc: the floor is relative to its largest value
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-14 * np.max(np.abs(ref)))
+
+
 def test_solved_arc_hits_endpoint_data():
     nu = solve_nu(0.0)
     assert nu.eval(1.0)[0] == pytest.approx(1.0, abs=1e-12)
@@ -107,6 +141,21 @@ def test_scaled_integrand_positivity_on_arc():
 # ---------------------------------------------------------------------------
 # switching integral
 # ---------------------------------------------------------------------------
+
+def test_switch_kernel_is_a_quarter_of_the_euler_lagrange_expression():
+    # _switch_kernel(q, a, b, alpha, 1) = L_y'y'*R/4 = EL/4 along the tangent
+    # eta = a*q + b, eta' = a: the integrands of I_of and adjoint_omega are
+    # L's Euler-Lagrange expression, with EL from sympy
+    rng = np.random.default_rng(11)
+    rho = rng.uniform(0.01, 0.99, 500)
+    a = rng.uniform(0.0, 0.99, 500)
+    b = rho * (1.0 - a) + rng.uniform(0.005, 0.5, 500)   # eta > q on [0, rho]
+    q = rho * rng.uniform(0.0, 1.0, 500)
+    for alpha in (0.0, 0.05, 0.3):
+        ref = 0.25 * arc_calculus().euler_lagrange(q, a * q + b, a, alpha)
+        np.testing.assert_allclose(extremal._switch_kernel(q, a, b, alpha, 1.0), ref,
+                                   rtol=1e-12, atol=1e-14 * np.max(np.abs(ref)))
+
 
 def test_switching_integral_against_closed_form():
     nu = solve_nu(0.0)
@@ -885,9 +934,6 @@ NAN = float("nan")
     (lambda sol, ev: lagrangian_value(0.1, 0.5, NAN, 1.0), DomainError),
     (lambda sol, ev: lagrangian_value(0.1, np.inf, 0.3, 1.0), DomainError),
     (lambda sol, ev: lagrangian_value(0.1, 0.5, np.inf, 1.0), DomainError),
-    (lambda sol, ev: functional.lagrangian_partials(0.1, 0.5, NAN, 1.0), DomainError),
-    (lambda sol, ev: functional.el_residual(0.1, 0.5, 0.3, NAN, 1.0), DomainError),
-    (lambda sol, ev: functional.el_residual(0.1, 0.5, 0.3, np.inf, 1.0), DomainError),
     *((lambda sol, ev, v=v: singular_ode.variational_accel_at_origin(
         singular_ode.VariationalCoeffs(lambda t: (0.1, 0.2, 0.3), -0.25), v), DomainError)
       for v in (NAN, np.inf)),
@@ -900,8 +946,7 @@ NAN = float("nan")
         "scaled_arc_ivp-inf", "nu_derivatives_at_one-inf", "solve_nu-inf",
         "lagrangian_value-c", "lagrangian_value-c-inf", "lagrangian_value-q",
         "lagrangian_value-y", "lagrangian_value-yp", "lagrangian_value-y-inf",
-        "lagrangian_value-yp-inf", "lagrangian_partials-yp", "el_residual-ypp",
-        "el_residual-ypp-inf",
+        "lagrangian_value-yp-inf",
         "variational_accel_at_origin", "variational_accel_at_origin-inf",
         "endpoint_weight_closed_form", "endpoint_weight_closed_form-inf",
         "endpoint_weight_closed_form-1e300"])
@@ -974,3 +1019,47 @@ def test_out_of_range_input_is_refused(solved, tmp_path, call, error, match):
     with pytest.raises(error, match=match):
         call(solved(1.0), path)
     assert not path.exists()
+
+
+def _flat(value, slope):
+    return _Curve(lambda q: (np.full_like(q, value), np.full_like(q, slope), np.zeros_like(q)))
+
+
+_BELOW = _flat(0.4, 0.1)   # nu(0.5) < 0.5, with b = nu - 0.5*nu' > 0
+_NAN_VALUE = _flat(NAN, 0.5)
+_NAN_SLOPE = _flat(0.6, NAN)
+_STEEP = _flat(0.6, -np.inf)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: I_closed_form_alpha0(0.5, _BELOW),
+    lambda: I_of(0.5, 0.1, _NAN_VALUE),
+    lambda: I_closed_form_alpha0(0.5, _NAN_VALUE),
+    lambda: I_of(0.5, 0.1, _NAN_SLOPE),
+    lambda: I_closed_form_alpha0(0.5, _NAN_SLOPE),
+    lambda: I_of(0.5, 0.1, _STEEP),
+    lambda: I_closed_form_alpha0(0.5, _STEEP),
+    lambda: abel_residual(_NAN_VALUE, 0.5),
+    lambda: abel_residual(_NAN_SLOPE, 0.5),
+    lambda: abel_residual(_STEEP, 0.5),
+], ids=["I_closed_form_alpha0-below", "I_of-nan-value", "I_closed_form_alpha0-nan-value",
+        "I_of-nan-slope", "I_closed_form_alpha0-nan-slope", "I_of-steep",
+        "I_closed_form_alpha0-steep", "abel_residual-nan-value", "abel_residual-nan-slope",
+        "abel_residual-steep"])
+def test_tangent_readers_refuse_what_their_formulas_cannot_take(call):
+    # nu(rho) <= rho (nu = 0.4 at rho = 0.5), a NaN value or slope, or an
+    # infinite slope at rho: DomainError, never a NaN or a numpy warning
+    with pytest.raises(DomainError, match="degenerate"):
+        call()
+
+
+@pytest.mark.parametrize("sign, match", [
+    (1.0, r"I already positive at rho=0\.015;"),
+    (-1.0, r"no sign change on \[0\.015, 0\.975\]$"),
+], ids=["rises-nowhere-positive", "rises-nowhere-negative"])
+def test_find_switch_refuses_an_integral_that_never_rises(monkeypatch, sign, match):
+    nu = solve_nu(0.1)
+    monkeypatch.setattr(extremal, "_switch_rule",
+                        lambda rho, a, b, alpha: np.full(np.shape(rho), sign))
+    with pytest.raises(NoRoot, match=match):
+        find_switch(0.1, nu)

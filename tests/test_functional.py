@@ -1,27 +1,26 @@
 """Reduced 1-D functional, its integrand algebra, and the 2-D oracle.
 
-Key cross-checks: the hand partials against finite differences of the
-integrand (the partials feed the switching machinery, so they get their
-own oracle), and the three independent routes to the functional value
-(scaled bracket, direct quadrature, rearranged boundary-term form), which
-share no code beyond the integrand itself.
+Key cross-checks: the integrand against its sympy form, whose
+Euler-Lagrange identity and Legendre condition sympy proves exactly (the
+identity feeds the switching machinery), and the three independent routes
+to the functional value (scaled bracket, direct quadrature, rearranged
+boundary-term form), which share no code beyond the integrand itself.
 """
 
 import numpy as np
 import pytest
+import sympy as sp
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from hypothesis import given, settings, strategies as st
 
+from conftest import arc_calculus
 from newton_minres import (
     BodyEvaluator,
     DomainError,
     J_scaled,
     J_unscaled,
     assemble_profile,
-    el_residual,
     gamma_form_J,
-    lagrangian_partials,
     lagrangian_value,
     resistance_direct,
 )
@@ -53,77 +52,50 @@ def test_scaled_integrand_spot_values():
 INF = float("inf")
 
 
-@pytest.mark.parametrize("fn, args", [
-    (lagrangian_value, (0.1, 1e160, 0.3, 1.0)),
-    (lagrangian_value, (0.1, 1e78, 0.3, 1.0)),
-    (lagrangian_value, (0.1, 0.5, 1e200, 1.0)),
-    (lagrangian_value, (0.0, 1e-160, 0.3, 0.0)),
-    (lagrangian_value, (INF, INF, 0.3, 1.0)),
-    (lagrangian_partials, (0.1, 1e78, 0.3, 1.0)),
-    (lagrangian_partials, (0.1, 1e76, 0.3, 1.0)),
-    (lagrangian_partials, (0.1, 0.5, 1e155, 1.0)),
-    (el_residual, (0.1, 1e78, 0.3, 0.0, 1.0)),
-    (el_residual, (0.1, 0.5, 1e155, 0.0, 1.0)),
+@pytest.mark.parametrize("args", [
+    (0.1, 1e160, 0.3, 1.0),
+    (0.1, 1e78, 0.3, 1.0),
+    (0.1, 0.5, 1e200, 1.0),
+    (0.0, 1e-160, 0.3, 0.0),
+    (INF, INF, 0.3, 1.0),
 ], ids=["value-y-1e160", "value-y-1e78", "value-yp-1e200", "value-y-1e-160",
-        "value-inf-inf", "partials-y-1e78", "partials-y-1e76", "partials-yp-1e155",
-        "el_residual-y-1e78", "el_residual-yp-1e155"])
-def test_lagrangian_family_refuses_what_leaves_the_doubles(fn, args):
+        "value-inf-inf"])
+def test_lagrangian_family_refuses_what_leaves_the_doubles(args):
     # finite arguments whose intermediates overflow, divide by zero or make
     # a NaN are refused with DomainError, not returned as NaN, inf or 0.0
     with pytest.raises(DomainError, match="lagrangian_"):
-        fn(*args)
+        lagrangian_value(*args)
 
 
 def test_lagrangian_family_is_finite_just_inside_the_doubles():
     assert 0.0 < lagrangian_value(0.1, 1e70, 0.3, 1.0) < INF
-    assert all(np.isfinite(v) for v in lagrangian_partials(0.1, 1e30, 0.3, 1.0).values())
-    assert np.isfinite(el_residual(0.1, 1e30, 0.3, 0.0, 1.0))
 
 
-def test_second_slope_derivative_spot_value():
-    # 4*sqrt(v^2-p^2)/(v^2+1)^2 at (0, 1): exactly 1
-    assert lagrangian_partials(0.0, 1.0, 0.3, 1.0)["ypyp"] == pytest.approx(1.0)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.floats(0.0, 3.0), st.floats(0.02, 4.0), st.floats(-1.0, 5.0))
-def test_second_slope_derivative_positive(p, gap, vp):
-    v = p + gap
-    assert lagrangian_partials(p, v, vp, 1.0)["ypyp"] > 0.0
-
-
-def test_partials_match_finite_differences():
+def test_symbolic_integrand_matches_lagrangian_value():
+    # the sympy L of the conftest reference is the package's integrand
     rng = np.random.default_rng(7)
-    h = 1e-6
-    for _ in range(20):
-        q = rng.uniform(0.0, 2.0)
-        y = q + rng.uniform(0.1, 2.0)
-        yp = rng.uniform(-0.5, 3.0)
-        c = rng.uniform(0.0, 1.0)
-        parts = lagrangian_partials(q, y, yp, c)
-        fd_y = (lagrangian_value(q, y + h, yp, c) - lagrangian_value(q, y - h, yp, c)) / (2 * h)
-        fd_yp = (lagrangian_value(q, y, yp + h, c) - lagrangian_value(q, y, yp - h, c)) / (2 * h)
-        scale = max(1.0, abs(fd_y), abs(fd_yp))
-        assert abs(parts["y"] - fd_y) <= 2e-5 * scale
-        assert abs(parts["yp"] - fd_yp) <= 2e-5 * scale
-        # mixed/second partials against differences of the first ones
-        fd_yyp = (lagrangian_partials(q, y + h, yp, c)["yp"]
-                  - lagrangian_partials(q, y - h, yp, c)["yp"]) / (2 * h)
-        fd_qyp = (lagrangian_partials(q + h, y, yp, c)["yp"]
-                  - lagrangian_partials(q - h, y, yp, c)["yp"]) / (2 * h)
-        fd_ypyp = (lagrangian_partials(q, y, yp + h, c)["yp"]
-                   - lagrangian_partials(q, y, yp - h, c)["yp"]) / (2 * h)
-        assert abs(parts["yyp"] - fd_yyp) <= 2e-4 * max(1.0, abs(fd_yyp))
-        assert abs(parts["qyp"] - fd_qyp) <= 2e-4 * max(1.0, abs(fd_qyp))
-        assert abs(parts["ypyp"] - fd_ypyp) <= 2e-4 * max(1.0, abs(fd_ypyp))
+    q = rng.uniform(0.0, 2.0, 2000)
+    y = q + rng.uniform(0.05, 2.0, 2000)
+    yp = rng.uniform(-0.5, 3.0, 2000)
+    for c in (0.0, 0.05, 1.0 / 3.0, 1.0):
+        assert lagrangian_value(q, y, yp, c) == pytest.approx(
+            arc_calculus().lagrangian(q, y, yp, c), rel=1e-13, abs=0.0)
 
 
-def test_el_residual_vanishes_on_manufactured_solution():
-    # whatever ypp the equation dictates at (q, y, yp) must zero the residual
-    for q, y, yp, c in [(0.3, 1.2, 0.5, 0.0), (0.8, 1.1, 1.7, 0.25)]:
-        parts = lagrangian_partials(q, y, yp, c)
-        ypp = (parts["y"] - parts["qyp"] - yp * parts["yyp"]) / parts["ypyp"]
-        assert abs(el_residual(q, y, yp, ypp, c)) <= 1e-12
+def test_euler_lagrange_identity_holds_exactly():
+    # L_y - L_qy' - y'*L_yy' = L_y'y' * R: the Euler-Lagrange equation of L
+    # is the arc equation y'' = R, which I_of and adjoint_omega rest on
+    ac = arc_calculus()
+    assert sp.simplify(ac.EL - ac.L_ypyp * ac.R) == 0
+
+
+def test_legendre_condition_holds_exactly():
+    # L_y'y' = 4*sqrt(y^2-q^2)/(y^2+c)^2, positive wherever y > q >= 0
+    ac = arc_calculus()
+    s = sp.sqrt(ac.y ** 2 - ac.q ** 2)
+    assert sp.simplify(ac.L_ypyp - 4 * s / (ac.y ** 2 + ac.c) ** 2) == 0
+    w = sp.Symbol("w", positive=True)   # w = sqrt(y^2 - q^2)
+    assert ac.L_ypyp.subs(ac.y, sp.sqrt(ac.q ** 2 + w ** 2)).is_positive
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +299,17 @@ def test_direct_resistance_error_estimate_is_not_a_bound():
     assert 5e-4 <= err[800] <= 1e-3
     estimate = abs(functional._grid_sum(body, 800) - functional._grid_sum(body, 400)) / 3.0
     assert estimate <= 0.6 * err[800] * body.drag
+
+
+@pytest.mark.parametrize("M, ratio", [(0.5, 1.1140), (2.0, 0.8830)])
+def test_family_against_the_radial_body_of_equal_depth(solved, M, ratio):
+    # the family's drag 2J over that of Newton's body of revolution of the
+    # same depth M (its flat radius r0 by brentq): the radial body wins at
+    # M = 0.5 and the family at M = 2; they cross near M = 1.076
+    r0 = brentq(lambda r: _NewtonRevolutionBody(r).depth - M, 1e-3, 0.999, xtol=1e-14)
+    value = 2.0 * solved(M).J / _NewtonRevolutionBody(r0).drag
+    assert np.sign(value - 1.0) == np.sign(ratio - 1.0)
+    assert value == pytest.approx(ratio, abs=1e-3)
 
 
 class _PlainBody:

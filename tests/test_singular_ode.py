@@ -300,6 +300,18 @@ def test_seed_fails_cleanly_when_no_tau_contracts():
         picard_seed(ivp)
 
 
+def test_seed_fails_cleanly_when_no_band_contracts():
+    # (8/3)|lam| is within 3e-13 of 1: no band leaves the lam-term room
+    with pytest.raises(ContractionFailure, match="cannot make the lam-term contract"):
+        picard_seed(const_ivp(0.375 - 1e-13))
+
+
+def test_seed_stops_at_its_iteration_cap(monkeypatch):
+    monkeypatch.setattr(singular_ode, "PICARD_MAX_ITER", 1)
+    with pytest.raises(ContractionFailure, match="did not reach its stop in 1 steps"):
+        picard_seed(scaled_arc_ivp(0.1))
+
+
 # ---------------------------------------------------------------------------
 # dense solutions
 # ---------------------------------------------------------------------------
