@@ -10,6 +10,7 @@ boundary-term form), which share no code beyond the integrand itself.
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -96,6 +97,21 @@ def test_legendre_condition_holds_exactly():
     assert sp.simplify(ac.L_ypyp - 4 * s / (ac.y ** 2 + ac.c) ** 2) == 0
     w = sp.Symbol("w", positive=True)   # w = sqrt(y^2 - q^2)
     assert ac.L_ypyp.subs(ac.y, sp.sqrt(ac.q ** 2 + w ** 2)).is_positive
+
+
+def test_second_slope_derivative_spot_value():
+    # 4*sqrt(y^2-q^2)/(y^2+1)^2 at (0, 1): exactly 1, whatever y'
+    ac = arc_calculus()
+    assert ac.L_ypyp.subs({ac.q: 0, ac.y: 1, ac.yp: sp.Rational(3, 10), ac.c: 1}) == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.0, 3.0), st.floats(0.02, 4.0), st.floats(-1.0, 5.0))
+def test_second_slope_derivative_positive(p, gap, vp):
+    # the sympy L_y'y' evaluated in floats stays positive across the domain
+    ac = arc_calculus()
+    ypyp = sp.lambdify((ac.q, ac.y, ac.yp, ac.c), ac.L_ypyp, "math")
+    assert ypyp(p, p + gap, vp, 1.0) > 0.0
 
 
 # ---------------------------------------------------------------------------
