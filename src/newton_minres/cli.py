@@ -255,13 +255,7 @@ def _check_one(alpha, inject_fault):
     except SignChange:
         verdicts["field_sign_constant"] = False
 
-    # nu''(1) and the one-sided five-point difference for nu'''(1), from nu''
-    # at q = 1 - k*delta; a spectral x''' at the end loses digits like N^2
-    x2, x3 = extremal.nu_derivatives_at_one(alpha)[2:]
-    delta = 5e-3
-    n2 = prof.nu.eval(1.0 - delta * np.arange(5))[2]
-    n3 = np.dot([25.0, -48.0, 36.0, -16.0, 3.0], n2) / (12.0 * delta)
-    verdicts["endpoint_taylor"] = abs(n2[0] - x2) < 1e-6 and abs(n3 - x3) < 1e-6
+    verdicts["endpoint_taylor"] = extremal.endpoint_taylor_holds(alpha, prof.nu)
 
     p0 = 1.0 / np.sqrt(alpha) if alpha > 0.0 else math.inf
     if p0 > functional.P0_MAX:   # J_unscaled would overflow; the profile is alpha = 0's bit for bit

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from .errors import DomainError, InconsistentScale, NoRoot, SignChange
+from .errors import BlowUp, DomainError, InconsistentScale, NoRoot, SignChange
 from .functional import J_scaled, _panel_rule
 # unused here: perfbench/spans.py wraps this module binding by name
 from .functional import quad_value  # noqa: F401
@@ -74,6 +74,18 @@ def nu_derivatives_at_one(alpha):
             (3.0 + 2.0 * alpha + alpha * alpha) / (2.0 * (1.0 + alpha) ** 2)]
 
 
+def endpoint_taylor_holds(alpha, nu):
+    """Whether the arc nu's nu''(1) and nu'''(1) are within 1e-6 of
+    nu_derivatives_at_one(alpha), nu'''(1) the one-sided five-point
+    difference of nu'' at q = 1 - k*0.005, k = 0..4 (a spectral x''' at
+    the end loses digits like N^2); NaN fails."""
+    x2, x3 = nu_derivatives_at_one(alpha)[2:]
+    delta = 5e-3
+    n2 = nu.eval(1.0 - delta * np.arange(5))[2]
+    n3 = np.dot([25.0, -48.0, 36.0, -16.0, 3.0], n2) / (12.0 * delta)
+    return bool(abs(n2[0] - x2) < 1e-6 and abs(n3 - x3) < 1e-6)
+
+
 def scaled_arc_ivp(alpha):
     """SingularIVP for the scaled arc in the movable frame (t=q-1, x=nu-q)."""
     alpha = float(alpha)
@@ -108,10 +120,15 @@ def solve_nu(alpha, start=None):
     solve_nu(alpha'), whose x'' node values Newton starts from: every arc
     lives on t in [-1, 0] at the same N_ARC nodes.  Returned as a view over
     the movable-frame solution, so downstream code can read x = nu - q
-    directly from .base without cancellation.
+    directly from .base without cancellation.  A continued arc runs no
+    Picard seed, so it must pass endpoint_taylor_holds instead (BlowUp).
     """
     xdd = None if start is None else start.base.info["xdd_nodes"]
-    return MappedSolution(integrate(scaled_arc_ivp(alpha), -1.0, xdd), offset=-1.0, add1=1.0)
+    nu = MappedSolution(integrate(scaled_arc_ivp(alpha), -1.0, xdd), offset=-1.0, add1=1.0)
+    if start is not None and not endpoint_taylor_holds(alpha, nu):
+        raise BlowUp(f"the continued arc at alpha={alpha!r} misses nu''(1) or nu'''(1) "
+                     f"of the Taylor data at q = 1 by 1e-6 or more")
+    return nu
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +150,16 @@ def _graded_ends(rho, a, b, nr):
     the integrand's singular points on the real line, at distance
     d = b/(1+a) below 0 if a > -1 and (nr-rho)/(1-a) above rho if a < 1:
     at d, 3d, 7d, ... from 0 (resp. rho), i.e. 2d, 4d, 8d, ... from the
-    point, inside [0, rho]: where eta = a*q + b meets eta = -q and eta = q."""
+    point, inside [0, rho]: where eta = a*q + b meets eta = -q and eta = q.
+    DomainError if a d is 0 (an underflow; k would never grow) or inf."""
     ends = [0.0, 0.5 * rho, rho]
-    for d, origin, sign in ((b / (1.0 + a) if a > -1.0 else np.inf, 0.0, 1.0),
-                            ((nr - rho) / (1.0 - a) if a < 1.0 else np.inf, rho, -1.0)):
+    for gap, rate, origin, sign in ((b, 1.0 + a, 0.0, 1.0), (nr - rho, 1.0 - a, rho, -1.0)):
+        if not rate > 0.0:  # a <= -1, resp. a >= 1: no point on this side
+            continue
+        d = gap / rate
+        if not 0.0 < d < np.inf:
+            raise DomainError(f"degenerate continuation: a branch point of the switching "
+                              f"integrand lies {d!r} from [0, rho]")
         k = d
         while k < 0.5 * rho:
             ends.append(origin + sign * k)
@@ -149,7 +172,7 @@ def _tangent(rho, nu):
     0 < rho < 1, b is finite and eta - q, affine, is > 0 at 0 and rho (NaN fails)."""
     if not 0.0 < rho < 1.0:
         raise DomainError(f"rho must be in (0,1), got {rho}")
-    nr, a, _ = nu.eval(rho)
+    nr, a, _ = map(float, nu.eval(rho))
     b = nr - rho * a
     if not (0.0 < b < np.inf and nr - rho > 0.0):
         raise DomainError("degenerate continuation: tangent leaves the admissible region eta > q")
@@ -544,9 +567,10 @@ def solve_for_height(M):
     slope h' = -B(0), the field bracket at q = 0 from the Jacobi field
     solved on the arc [rho, 1] alone, from the root of the flat-height
     asymptote M = _M_HAT*p0 - 0.65/p0 (within 1.1e-3 relative for
-    M >= 0.5).  The first arc starts from the osculating parabola; each
-    later arc's Newton collocation starts from the previous arc's x'' node
-    values (continuation in alpha), which moves it by round-off only.
+    M >= 0.5).  The first arc starts from the osculating parabola and is
+    the only one seeded; each later arc's Newton collocation starts from
+    the previous arc's x'' node values (continuation in alpha), which
+    moves it by round-off only, and meets the Taylor data at q = 1.
     Cached by M, a number (an array raises TypeError), so a repeated M
     solves nothing and returns the same frozen ExtremalSolution.  h
     increases with p0, from about 0.0869 at the validity edge p0 = sqrt(3)

@@ -7,6 +7,7 @@ finite differences of the solved curves.
 """
 
 import dataclasses
+import signal
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,6 +18,7 @@ from scipy.optimize import brentq
 
 from conftest import arc_calculus, cold_caches, endpoint_weight_reference
 from newton_minres import (
+    BlowUp,
     BodyEvaluator,
     BodyMesh,
     DomainError,
@@ -722,8 +724,9 @@ def test_default_rows_solve_at_most_24_arcs_from_cold_caches(monkeypatch):
     # one Jacobi field fewer, since the last iterate needs none; below the
     # validity edge it refuses after the one arc at the bracket's low end.
     # Each arc after a row's first starts its Newton collocation from the
-    # previous arc (87 steps here; 132 from the parabola), and each seed
-    # stops at its contraction bound (14 Picard iterations; 19 before)
+    # previous arc (87 steps here; 132 from the parabola) and runs no
+    # Picard seed, so each row seeds exactly one arc, and each seed stops
+    # at its contraction bound (14 Picard iterations; 19 before)
     calls = {"integrate": 0, "integrate_variational": 0}
     arcs_info = []
 
@@ -741,22 +744,73 @@ def test_default_rows_solve_at_most_24_arcs_from_cold_caches(monkeypatch):
     for name in calls:
         monkeypatch.setattr(extremal, name, counted(name))
     cold_caches()
-    arcs, fields = [], []
+    arcs, fields, seeded = [], [], []
     for M in DEFAULT_TABLE_ROWS.split(","):
         before = dict(calls)
         solve_for_height(float(M))
         arcs.append(calls["integrate"] - before["integrate"])
         fields.append(calls["integrate_variational"] - before["integrate_variational"])
+        seeded.append(sum("tau" in info for info in arcs_info[before["integrate"]:]))
     assert max(arcs) <= 3 and sum(arcs) <= 24
     assert fields == [n - 1 for n in arcs]
+    assert seeded == [1] * 9
     assert sum(info["newton_iters"] for info in arcs_info) <= 90
-    assert sum(len(info["picard_diffs"]) for info in arcs_info) <= 23 * 14
+    assert sum(len(info["picard_diffs"]) for info in arcs_info if "tau" in info) <= 9 * 14
 
     cold_caches()
     before = calls["integrate"]
     with pytest.raises(NoRoot, match="below the reachable range"):
         solve_for_height(0.05)
     assert calls["integrate"] - before == 1
+
+
+def test_only_the_cold_arcs_run_the_picard_seed(monkeypatch):
+    # the seed decides the branch: each height's first arc and each
+    # assemble_profile run it once, and the arcs continued from them none
+    seeds, starts = [], []
+    seed_for = singular_ode.picard_seed
+
+    def recorded(ivp, t_end, start=None):
+        n = len(seeds)
+        sol = integrate(ivp, t_end, start)
+        starts.append((start is not None, len(seeds) - n))
+        return sol
+
+    monkeypatch.setattr(singular_ode, "picard_seed", lambda ivp: seeds.append(ivp) or seed_for(ivp))
+    monkeypatch.setattr(extremal, "integrate", recorded)
+    cold_caches()
+    for M in (0.0875, 1.0, 1e6):
+        del starts[:]
+        solve_for_height(M)
+        assert starts[0] == (False, 1) and len(starts) >= 2
+        assert starts[1:] == [(True, 0)] * (len(starts) - 1)
+    del starts[:]
+    assemble_profile(0.1)
+    assert starts == [(False, 1)]
+
+
+def test_a_continued_arc_that_misses_the_taylor_data_raises(monkeypatch):
+    # a continued arc runs no seed, so solve_nu checks nu''(1) and the
+    # five-point nu'''(1) against the closed forms with check's 1e-6
+    # bounds; shifted by 1e-5, the closed nu'''(1) fails the height root's
+    # second arc.  A cold assemble_profile, checked by its seed, is the same
+    exact = extremal.nu_derivatives_at_one
+    cold_caches()
+    reference = assemble_profile(0.1)
+
+    def shifted(alpha):
+        v = exact(alpha)
+        v[3] += 1e-5
+        return v
+
+    monkeypatch.setattr(extremal, "nu_derivatives_at_one", shifted)
+    cold_caches()
+    with pytest.raises(BlowUp, match=r"continued arc at alpha=.* misses nu''\(1\) or nu"):
+        solve_for_height(1.0)
+    prof = assemble_profile(0.1)
+    assert (prof.rho, prof.slope, prof.height0) == (reference.rho, reference.slope,
+                                                   reference.height0)
+    assert np.array_equal(prof.nu.base.info["xdd_nodes"], reference.nu.base.info["xdd_nodes"])
 
 
 @pytest.mark.parametrize("M", [0.0875, 0.146, 1.0, 10.0, 1e6])
@@ -1051,6 +1105,27 @@ def test_tangent_readers_refuse_what_their_formulas_cannot_take(call):
     # infinite slope at rho: DomainError, never a NaN or a numpy warning
     with pytest.raises(DomainError, match="degenerate"):
         call()
+
+
+@pytest.mark.parametrize("curve", [
+    _flat(0.5000000000000001, -1e308),   # (nu - rho)/(1 - a) underflows to 0
+    _flat(1e300, -0.9999999999999999),   # b/(1 + a) overflows to inf
+], ids=["distance-underflows", "distance-overflows"])
+def test_I_of_refuses_a_branch_point_distance_it_cannot_grade_from(curve):
+    # the tangent passes _tangent's checks, but the panel grading doubles
+    # d away from the branch point and would never pass rho/2 from d = 0;
+    # the alarm turns such a hang into a failure
+    def hang(signum, frame):
+        raise TimeoutError("I_of did not return in 5 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        with pytest.raises(DomainError, match="degenerate continuation: a branch point"):
+            I_of(0.5, 0.1, curve)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("sign, match", [

@@ -494,6 +494,36 @@ def test_integrate_raises_when_the_seed_disagrees(monkeypatch, wrong):
         integrate(scaled_arc_ivp(0.0), -1.0)
 
 
+def test_only_an_integrate_without_start_runs_the_seed(monkeypatch):
+    # a cold arc runs the seed once and carries its info; an arc given
+    # start runs none, carries no seed key, and is the same arc
+    seeds = []
+    seed_for = singular_ode.picard_seed
+    monkeypatch.setattr(singular_ode, "picard_seed", lambda ivp: seeds.append(ivp) or seed_for(ivp))
+    ivp = scaled_arc_ivp(0.1)
+    cold = integrate(ivp, -1.0)
+    assert len(seeds) == 1
+    warm = integrate(ivp, -1.0, integrate(scaled_arc_ivp(0.11), -1.0).info["xdd_nodes"])
+    assert len(seeds) == 2
+    assert sorted(warm.info) == ["newton_iters", "radius_estimate", "residual", "xdd_nodes"]
+    assert set(cold.info) - set(warm.info) == {"tau", "epsilon", "rho_target", "rho_bound",
+                                               "picard_diffs", "band_dev"}
+    gap = np.max(np.abs(warm.info["xdd_nodes"] - cold.info["xdd_nodes"]))
+    assert gap <= 1e-13 * np.max(np.abs(cold.info["xdd_nodes"]))
+
+
+@pytest.mark.parametrize("t_end", [1.0, 0.25 * singular_ode.CONTINUED_H])
+def test_an_arc_given_start_keeps_its_residual_check(t_end):
+    # forcing wiggles far finer than the nodes: Newton from the parabola's
+    # nodes converges there, and the residual read from CONTINUED_H (or
+    # from the middle of a shorter arc) still finds the equation broken
+    w = 200.0 / t_end
+    ivp = SingularIVP(-0.25, lambda t, x, xd: 1.5 + 0.5 * np.sin(w * t), _zero, _zero,
+                      g_origin=1.5)
+    with pytest.raises(BlowUp, match="misses its budget"):
+        integrate(ivp, t_end, np.full(singular_ode.N_ARC, accel_at_origin(ivp)))
+
+
 # ---------------------------------------------------------------------------
 # variational equation
 # ---------------------------------------------------------------------------
