@@ -49,8 +49,28 @@ _VALIDITY_MSG = ("alpha = {!r} is outside [0, 1/3): the switching-integral "
 N_PANEL = 16
 # the height root raises NoRoot after this many iterations
 _HEIGHT_MAXITER = 100
-# the limit flat height limit_constants().M_hat: the start of the height root
+# the limit flat height limit_constants().M_hat to 5 digits: the root of the
+# flat-height asymptote M = _M_HAT*p0 - 0.65/p0 is _height_root_start's first p0
 _M_HAT = 0.31574
+# height0(alpha) on [0, 0.2] as a degree-8 Chebyshev series in x = 10*alpha - 1:
+# the least-squares fit at the 41 Lobatto points, within 2.8e-8 relative between
+# them (the tests recompute both); alpha > 0.2 has none, as the validity edge
+# alpha -> 1/3 slows any polynomial fit there (degree 30: 1e-8 on [0.2, 1/3])
+_H0_SERIES = (0.25047789613987165, -0.06575533187345386, -7.931785886003928e-4,
+              -3.0417311736170274e-4, -1.591724139042774e-5, -7.442751356511141e-6,
+              -8.752163303336021e-8, -2.423393099992631e-7, -6.0282625682441074e-9)
+
+
+def _fitted_height0(alpha):
+    """(h, dh/dalpha) of the _H0_SERIES fit of height0 at alpha, in floats:
+    the Chebyshev recurrences for T_k(x) and T_k'(x), x = 10*alpha - 1."""
+    x = 10.0 * alpha - 1.0
+    t, t_prev, d, d_prev = x, 1.0, 1.0, 0.0
+    h, dh = _H0_SERIES[0] + _H0_SERIES[1] * x, _H0_SERIES[1]
+    for c in _H0_SERIES[2:]:
+        t, t_prev, d, d_prev = 2.0 * x * t - t_prev, t, 2.0 * t + 2.0 * x * d - d_prev, d
+        h, dh = h + c * t, dh + c * d
+    return h, 10.0 * dh
 
 
 def brentq(*args, **kwargs):
@@ -559,15 +579,30 @@ def unscale(profile, p0):
                             slope0=profile.slope, J=J, profile=profile)
 
 
+def _height_root_start(M):
+    """The p0 that starts the height root: the root of the flat-height
+    asymptote M = _M_HAT*p0 - 0.65/p0 and, where that is above sqrt(5)
+    (alpha < 0.2, M >= 0.42 or so), three Newton steps from it on
+    p*h(1/p^2) = M for h the _H0_SERIES fit of height0, which land within
+    1.2e-8 relative of the solved p0 (4.3e-3 for the asymptote alone)."""
+    p = (M + np.sqrt(M * M + 2.6 * _M_HAT)) / (2.0 * _M_HAT)
+    if p > np.sqrt(5.0):
+        for _ in range(3):
+            h, dh = _fitted_height0(1.0 / (p * p))
+            p -= (p * h - M) / (h - 2.0 * dh / (p * p))
+    return p
+
+
 @lru_cache(maxsize=64)
 def solve_for_height(M):
     """Synthesize the extremal solution with prescribed height M.
 
     Newton's method on h(p0) = p0 * height0(1/p0^2) - M, with the exact
     slope h' = -B(0), the field bracket at q = 0 from the Jacobi field
-    solved on the arc [rho, 1] alone, from the root of the flat-height
-    asymptote M = _M_HAT*p0 - 0.65/p0 (within 1.1e-3 relative for
-    M >= 0.5).  The first arc starts from the osculating parabola and is
+    solved on the arc [rho, 1] alone, from _height_root_start(M): within
+    1.2e-8 relative from M = 0.42 up, so one Newton step lands within the
+    stop rule there, and each such height solves 2 arcs and 1 Jacobi
+    field.  The first arc starts from the osculating parabola and is
     the only one seeded; each later arc's Newton collocation starts from
     the previous arc's x'' node values (continuation in alpha), which
     moves it by round-off only, and meets the Taylor data at q = 1.
@@ -593,7 +628,7 @@ def solve_for_height(M):
     lo = max(np.sqrt(3.0) * (1.0 + 1e-6) + 1e-9, M / _H0_HI)
     hi = min(max(M / _H0_LO, lo) + 1.0, _P0_TOP)
     a, b, unseen = lo, hi, {lo, hi}
-    p = min(max((M + np.sqrt(M * M + 2.6 * _M_HAT)) / (2.0 * _M_HAT), lo), hi)
+    p = min(max(_height_root_start(M), lo), hi)
     slope = profile = None
     for _ in range(_HEIGHT_MAXITER):
         alpha = 1.0 / (p * p)
@@ -602,7 +637,7 @@ def solve_for_height(M):
         hp = p * profile.height0 - M
         if p == lo and hp >= 0.0:
             raise NoRoot(f"M={M} below the reachable range (min height "
-                         f"{hp + M:.4g} at the validity edge)")
+                         f"{hp + M:.7g} at the validity edge)")
         if p == hi and hp <= 0.0:
             raise NoRoot(f"could not bracket p0 for M={M}")
         unseen.discard(p)

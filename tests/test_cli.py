@@ -99,9 +99,12 @@ def test_solve_reaches_down_to_the_validity_edge(capsys):
     code, out, _ = run(capsys, "solve", "--M", "0.1")
     assert code == 0
     assert json.loads(out)["M"] == pytest.approx(0.1, rel=1e-8)
-    code, _, err = run(capsys, "solve", "--M", "0.05")
-    assert code == 2
-    assert "min height 0.08686 at the validity edge" in err
+    # the stated minimum, 0.0868616064 to 10 digits, rounds up, so it
+    # exceeds each refused M, also one just below it
+    for M in ("0.05", "0.0868601"):
+        code, _, err = run(capsys, "solve", "--M", M)
+        assert code == 2
+        assert f"M={M} below the reachable range (min height 0.08686161 at the validity edge)" in err
     # p0 just below sqrt(3) names its alpha in full: six digits would
     # print 0.333333, which reads as inside [0, 1/3)
     code, out, err = run(capsys, "solve", "--p0", "1.7320508")
