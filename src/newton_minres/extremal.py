@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from .errors import BlowUp, DomainError, InconsistentScale, NoRoot, SignChange
+from .errors import DomainError, InconsistentScale, NoRoot, SignChange
 from .functional import J_scaled, _panel_rule
 # unused here: perfbench/spans.py wraps this module binding by name
 from .functional import quad_value  # noqa: F401
@@ -47,36 +47,51 @@ _VALIDITY_MSG = ("alpha = {!r} is outside [0, 1/3): the switching-integral "
                  "uniqueness hypothesis fails there (endpoint weight changes sign at 1/3)")
 # Gauss-Legendre nodes per panel of I_of's graded rule
 N_PANEL = 16
-# the height root raises NoRoot after this many iterations
+# the height root's Newton on the series and its arc loop take at most this
+# many iterations each; the arc loop raises NoRoot after them
 _HEIGHT_MAXITER = 100
-# the limit flat height limit_constants().M_hat to 5 digits: the root of the
-# flat-height asymptote M = _M_HAT*p0 - 0.65/p0 is _height_root_start's first p0
-_M_HAT = 0.31574
-# height0(alpha) on [0, 0.2] as a degree-8 Chebyshev series in x = 10*alpha - 1:
-# the least-squares fit at the 41 Lobatto points, within 2.8e-8 relative between
-# them (the tests recompute both); alpha > 0.2 has none, as the validity edge
-# alpha -> 1/3 slows any polynomial fit there (degree 30: 1e-8 on [0.2, 1/3])
-_H0_SERIES = (0.25047789613987165, -0.06575533187345386, -7.931785886003928e-4,
-              -3.0417311736170274e-4, -1.591724139042774e-5, -7.442751356511141e-6,
-              -8.752163303336021e-8, -2.423393099992631e-7, -6.0282625682441074e-9)
+# height0 over the whole validity range as one degree-48 Chebyshev series in
+# x = 2*s/sqrt(1/3) - 1, s = sqrt(1/3 - alpha), which takes the square-root
+# branch point at alpha = 1/3 out of the interpolant: the interpolant of
+# assemble_profile(alpha).height0 at the 49 first-kind Chebyshev points, all
+# inside (0, 1/3), within 7.3e-14 relative between them (the tests recompute both)
+_H0_SERIES = (0.1624697953751606, 0.13474842150940108, 0.018572184815788793,
+              -0.0014284589284898144, 0.0016699399628068406, -0.000492115588299188,
+              0.00023125787851194956, -5.09936410371629e-05, 9.523650565694535e-06,
+              1.0339922415514077e-05, -8.141450203125006e-06, 5.943647923389761e-06,
+              -2.6662763084997387e-06, 1.0698573780086828e-06, -1.7846784159620374e-07,
+              -1.0187884452900038e-07, 1.4913862177274718e-07, -1.1084265506308424e-07,
+              5.892600421624381e-08, -2.5472723952942602e-08, 5.485267458352895e-09,
+              1.333942716470981e-09, -3.452467887435857e-09, 2.5601470013827804e-09,
+              -1.606329489866634e-09, 6.62046910005815e-10, -2.1012467836306357e-10,
+              -3.147010367576732e-11, 7.67494193495125e-11, -7.41301687432505e-11,
+              4.307167175307547e-11, -2.16333685288467e-11, 6.229968396406277e-12,
+              -1.0499808784913982e-13, -2.2437783941497973e-12, 2.0103718247685646e-12,
+              -1.3719470177729962e-12, 6.526078243862307e-13, -2.373552647161052e-13,
+              1.1514919127773422e-14, 5.6307817521353645e-14, -6.299366932429484e-14,
+              4.2362361317929675e-14, -2.2386323391798452e-14, 8.084194430413432e-15,
+              -1.043687669564668e-15, -1.4661151117836133e-15, 1.6781925543270242e-15,
+              -1.2414298231291611e-15)
 
 
-def _fitted_height0(alpha):
-    """(h, dh/dalpha) of the _H0_SERIES fit of height0 at alpha, in floats:
-    the Chebyshev recurrences for T_k(x) and T_k'(x), x = 10*alpha - 1."""
-    x = 10.0 * alpha - 1.0
+def _series_height(p):
+    """(H, dH/dp) of H(p) = p*h(1/p^2), h the _H0_SERIES interpolant of height0,
+    in floats: the Chebyshev recurrences for T_k(x) and T_k'(x); p > sqrt(3)."""
+    alpha = 1.0 / (p * p)
+    s = np.sqrt(ALPHA_MAX - alpha)
+    x = 2.0 * np.sqrt(3.0) * s - 1.0
     t, t_prev, d, d_prev = x, 1.0, 1.0, 0.0
     h, dh = _H0_SERIES[0] + _H0_SERIES[1] * x, _H0_SERIES[1]
     for c in _H0_SERIES[2:]:
         t, t_prev, d, d_prev = 2.0 * x * t - t_prev, t, 2.0 * t + 2.0 * x * d - d_prev, d
         h, dh = h + c * t, dh + c * d
-    return h, 10.0 * dh
+    # dh/dalpha = -sqrt(3)/s * dh/dx, and dH/dp = h - 2*alpha*dh/dalpha
+    return p * h, h + 2.0 * np.sqrt(3.0) * alpha / s * dh
 
 
 def brentq(*args, **kwargs):
     """Placeholder that nothing here calls: perfbench/spans.py wraps this
-    module binding by name until the bench reads the stats record of
-    ROADMAP item 1b, which deletes it."""
+    module binding by name until the bench reads a stats record instead."""
     raise NotImplementedError("extremal finds its roots without Brent's method")
 
 
@@ -132,23 +147,14 @@ def scaled_arc_ivp(alpha):
     return SingularIVP(LAM, g, g_x, g_xdot, g0)
 
 
-def solve_nu(alpha, start=None):
-    """Arc solution nu(q) on [0,1] with nu(1)=nu'(1)=1, solved afresh on
-    every call (assemble_profile and solve_for_height cache their results).
-
-    start is None (Newton from the osculating parabola) or a nearby arc
-    solve_nu(alpha'), whose x'' node values Newton starts from: every arc
-    lives on t in [-1, 0] at the same N_ARC nodes.  Returned as a view over
-    the movable-frame solution, so downstream code can read x = nu - q
-    directly from .base without cancellation.  A continued arc runs no
-    Picard seed, so it must pass endpoint_taylor_holds instead (BlowUp).
+def solve_nu(alpha):
+    """Arc solution nu(q) on [0,1] with nu(1)=nu'(1)=1, solved afresh from the
+    osculating parabola on every call (assemble_profile and solve_for_height
+    cache their results).  Returned as a view over the movable-frame
+    solution, so downstream code can read x = nu - q directly from .base
+    without cancellation.
     """
-    xdd = None if start is None else start.base.info["xdd_nodes"]
-    nu = MappedSolution(integrate(scaled_arc_ivp(alpha), -1.0, xdd), offset=-1.0, add1=1.0)
-    if start is not None and not endpoint_taylor_holds(alpha, nu):
-        raise BlowUp(f"the continued arc at alpha={alpha!r} misses nu''(1) or nu'''(1) "
-                     f"of the Taylor data at q = 1 by 1e-6 or more")
-    return nu
+    return MappedSolution(integrate(scaled_arc_ivp(alpha), -1.0), offset=-1.0, add1=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -425,23 +431,23 @@ def variational_coeffs_along(profile):
     return VariationalCoeffs(fn, LAM, breaks=(t_arc_min,))
 
 
-def _jacobi_field(profile, q_end):
-    """Jacobi field zeta(1)=0, zeta'(1)=1 along the profile on [q_end, 1], by a
-    fixed linear collocation: the arc piece for q_end = rho, both for 0."""
-    return MappedSolution(integrate_variational(variational_coeffs_along(profile), 1.0,
-                                                q_end - 1.0), offset=-1.0)
+def _jacobi_field(profile):
+    """Jacobi field zeta(1)=0, zeta'(1)=1 along the profile on [0, 1], by a
+    fixed linear collocation: one piece on the arc, one on the flat."""
+    return MappedSolution(integrate_variational(variational_coeffs_along(profile), 1.0, -1.0),
+                          offset=-1.0)
 
 
 def jacobi_check(profile):
     """Conjugate-point scan: report (min |zeta| on [0, 0.999], zeta) for the
-    Jacobi field zeta = _jacobi_field(profile, 0.0), sampled at 2000 evenly
+    Jacobi field zeta = _jacobi_field(profile), sampled at 2000 evenly
     spaced points.
 
     A zero of zeta inside [0, 1) would be a conjugate point and kill local
     optimality; min_abs = 0.0 is returned if a sign change is detected.
     The field bracket reads the same zeta: pass it to field_jacobian_check.
     """
-    zeta = _jacobi_field(profile, 0.0)
+    zeta = _jacobi_field(profile)
     qs = np.linspace(0.0, 0.999, 2000)
     vals = zeta.eval(qs)[0]
     if np.any(vals[:-1] * vals[1:] < 0.0):
@@ -451,7 +457,7 @@ def jacobi_check(profile):
 
 def _field_bracket(profile, zeta, q):
     """B = q*kappa' - kappa + 2*alpha*dkappa/dalpha at q, from any Jacobi field zeta
-    of the profile that covers [rho, 1], such as _jacobi_field(profile, rho).
+    of the profile that covers [rho, 1], such as jacobi_check's.
 
     B = -dv/dp0 of the unscaled family is a Jacobi field with zeta's data
     at the rim, so B = nu''(1)*zeta on [rho, 1].  On [0, rho] it is affine
@@ -579,17 +585,19 @@ def unscale(profile, p0):
                             slope0=profile.slope, J=J, profile=profile)
 
 
-def _height_root_start(M):
-    """The p0 that starts the height root: the root of the flat-height
-    asymptote M = _M_HAT*p0 - 0.65/p0 and, where that is above sqrt(5)
-    (alpha < 0.2, M >= 0.42 or so), three Newton steps from it on
-    p*h(1/p^2) = M for h the _H0_SERIES fit of height0, which land within
-    1.2e-8 relative of the solved p0 (4.3e-3 for the asymptote alone)."""
-    p = (M + np.sqrt(M * M + 2.6 * _M_HAT)) / (2.0 * _M_HAT)
-    if p > np.sqrt(5.0):
-        for _ in range(3):
-            h, dh = _fitted_height0(1.0 / (p * p))
-            p -= (p * h - M) / (h - 2.0 * dh / (p * p))
+def _height_root_start(M, lo, hi):
+    """The float root of H(p) = M on the series (_series_height): Newton from
+    lo, each iterate clamped into [lo, hi], until a step no longer moves p
+    up.  H is increasing and concave (its slope falls from 1.62 at the
+    validity edge to M_hat), so from lo the iterates rise to the root; a
+    start at lo means M is at or below H(lo)."""
+    p = lo
+    for _ in range(_HEIGHT_MAXITER):
+        H, dH = _series_height(p)
+        p_next = min(max(p - (H - M) / dH, lo), hi)
+        if not p_next > p:
+            break
+        p = p_next
     return p
 
 
@@ -597,26 +605,22 @@ def _height_root_start(M):
 def solve_for_height(M):
     """Synthesize the extremal solution with prescribed height M.
 
-    Newton's method on h(p0) = p0 * height0(1/p0^2) - M, with the exact
-    slope h' = -B(0), the field bracket at q = 0 from the Jacobi field
-    solved on the arc [rho, 1] alone, from _height_root_start(M): within
-    1.2e-8 relative from M = 0.42 up, so one Newton step lands within the
-    stop rule there, and each such height solves 2 arcs and 1 Jacobi
-    field.  The first arc starts from the osculating parabola and is
-    the only one seeded; each later arc's Newton collocation starts from
-    the previous arc's x'' node values (continuation in alpha), which
-    moves it by round-off only, and meets the Taylor data at q = 1.
-    Cached by M, a number (an array raises TypeError), so a repeated M
-    solves nothing and returns the same frozen ExtremalSolution.  h
-    increases with p0, from about 0.0869 at the validity edge p0 = sqrt(3)
-    to _M_TOP at _P0_TOP, where 1/p0^2 is the smallest normal double;
-    larger M is refused up front.  height0 < _H0_HI bounds the root below,
-    and hi = max(M/_H0_LO, lo) + 1 >= 2.73, capped at _P0_TOP, bounds it
-    above, as height0 > _H0_LO there.  Each h shrinks [lo, hi] by its
-    sign; a step that leaves it evaluates the end it crosses, or bisects
-    if that end is known.  The root is the first iterate that the previous
-    slope puts within 1e-10 + 1e-13*p0 of the next, so the last arc needs
-    no Jacobi field.
+    h(p0) = p0 * height0(1/p0^2) - M is solved in p0.  Its float root on
+    the stored series of height0 (_height_root_start) is within 3.1e-11
+    relative of the solver's root, so one cold arc solved there meets the
+    stop rule |h/h'| <= 1e-10 + 1e-13*p0, with the series slope H'(p0) for
+    h': every height solves one arc, one Picard seed and no Jacobi field.
+    Otherwise the series slope is a chord slope in a safeguarded Newton
+    loop, so a series that drifts from the solver costs arcs, not
+    correctness.  Cached by M, a number (an array raises TypeError), so a
+    repeated M solves nothing and returns the same frozen ExtremalSolution.
+    h increases with p0, from about 0.0869 at the validity edge
+    p0 = sqrt(3) to _M_TOP at _P0_TOP, where 1/p0^2 is the smallest normal
+    double; larger M is refused up front.  height0 < _H0_HI bounds the
+    root below, and hi = max(M/_H0_LO, lo) + 1 >= 2.73, capped at _P0_TOP,
+    bounds it above, as height0 > _H0_LO there.  Each h shrinks [lo, hi]
+    by its sign; a step that leaves it evaluates the end it crosses, or
+    bisects if that end is known.
     """
     M = float(M)
     if not 0.0 < M < np.inf:
@@ -628,11 +632,10 @@ def solve_for_height(M):
     lo = max(np.sqrt(3.0) * (1.0 + 1e-6) + 1e-9, M / _H0_HI)
     hi = min(max(M / _H0_LO, lo) + 1.0, _P0_TOP)
     a, b, unseen = lo, hi, {lo, hi}
-    p = min(max(_height_root_start(M), lo), hi)
-    slope = profile = None
+    p = _height_root_start(M, lo, hi)
     for _ in range(_HEIGHT_MAXITER):
         alpha = 1.0 / (p * p)
-        nu = solve_nu(alpha, None if profile is None else profile.nu)
+        nu = solve_nu(alpha)
         profile = ScaledProfile.at_switch(alpha, nu, find_switch(alpha, nu))
         hp = p * profile.height0 - M
         if p == lo and hp >= 0.0:
@@ -641,10 +644,10 @@ def solve_for_height(M):
         if p == hi and hp <= 0.0:
             raise NoRoot(f"could not bracket p0 for M={M}")
         unseen.discard(p)
-        if hp == 0.0 or (slope is not None and abs(hp / slope) <= 1e-10 + 1e-13 * p):
+        slope = _series_height(p)[1]
+        if abs(hp / slope) <= 1e-10 + 1e-13 * p:
             return unscale(profile, p)
         a, b = (p, b) if hp < 0.0 else (a, p)
-        slope = -float(_field_bracket(profile, _jacobi_field(profile, profile.rho), np.zeros(1))[0])
         p = p - hp / slope
         if not a < p < b:
             end = a if hp > 0.0 else b

@@ -24,7 +24,8 @@ u(x1, x2) is the minimum over y (see BodyEvaluator).  By Danskin's envelope
 theorem its gradient is the x-gradient of the chord height at the minimizer
 y*, grad u = w(y*) * (y*lam - x1, -x2) / sqrt(D), also at y* = +-1.  D
 vanishes only on the ridge x2 = 0 at y* = x1, where u creases and the
-gradient is undefined (the 2-D oracle's grids never sample x2 = 0).  The
+gradient is undefined: `gradient` refuses it with DomainError (the 2-D
+oracle's grids never sample x2 = 0).  The
 tests judge it against the support-function route, the supremum over p of
 <p, x> - max(|p|, v(|p1|)), which reads v alone.
 """
@@ -248,6 +249,8 @@ class BodyEvaluator:
 
     def _gradient(self, x1, x2):
         # Danskin: grad u = w(y*) grad_x lam(y*; x), lam implicit in its quadratic
+        if np.any(x2 == 0.0):
+            raise DomainError("gradient undefined on the ridge x2 = 0, where u creases")
         y, _, lam, sd, w = self._minimize(x1, x2)
         return w * (y * lam - x1) / sd, -w * x2 / sd
 
@@ -277,7 +280,7 @@ class BodyEvaluator:
         One minimization per point, then the envelope theorem at the
         minimizing generator y*; same broadcasting and errors as calling
         the evaluator.  Undefined on the ridge x2 = 0 (the cross-section
-        curve, where u has a crease).
+        curve, where u has a crease): a point there raises DomainError.
         """
         ux, uy = self._map(self._gradient, 2, x1, x2)
         return ux, uy

@@ -13,13 +13,11 @@ a parabola, so x'^2/x stays finite).  The strategy:
    with it (the exact integrals of its interpolant from t=0, so x(0) =
    x'(0) = 0 hold exactly), the origin node takes x'' = xdd0 =
    g(0,0,0)/(1-2*lam), and every other node the equation itself.  Newton
-   starts from the osculating parabola x0(t) = xdd0*t^2/2, or from the
-   x'' node values of a nearby arc that the caller passes, and the result
+   starts from the osculating parabola x0(t) = xdd0*t^2/2, and the result
    is one Chebyshev series for (x, x', x''), checked by its residual on an
    oversampled grid and its trailing coefficients;
-2. on a cold arc (no start), cross-check it near the origin against a
-   small analytic seed on [-tau, tau], built independently by Picard
-   iteration of
+2. cross-check it near the origin against a small analytic seed on
+   [-tau, tau], built independently by Picard iteration of
 
        F(x)(t) = int_0^t (t - s) * (lam*x'^2/x + g)(s) ds
 
@@ -35,9 +33,7 @@ a parabola, so x'^2/x stays finite).  The strategy:
    arc's agreement budget.  The seed only checks: the arc, however short,
    must agree with it and stay in its band on [-h, h], h = tau, or
    |t_end|/2 on an arc no longer than tau, whose residual is then checked
-   on [h, |t_end|].  It only decides the branch, so a continued arc (one
-   given start) runs none: h = CONTINUED_H, and its caller checks the
-   origin against exact data (extremal.solve_nu's Taylor check).
+   on [h, |t_end|].
 
 Every fit here is a fixed linear map on node values: `_lobatto_integrals`
 builds, once per node count and anchor, the inverse Chebyshev Vandermonde
@@ -87,9 +83,6 @@ NEWTON_STEP_FLOOR = 1e-13
 # to max|x''|: about 1e-10 on the family's arcs, 2e-8 at alpha = 0.4
 ARC_BUDGET = 1e-6
 ARC_TAIL = 4
-# a continued arc runs no seed; its residual is read from t = +-CONTINUED_H,
-# the largest tau that the family's seeds pick (2^-10 below alpha ~ 0.3)
-CONTINUED_H = 2.0 ** -9
 _DOMAIN_SLACK = 1e-11
 # points per block of a barycentric read (see _barycentric)
 _BARY_ROWS = 512
@@ -97,8 +90,7 @@ _BARY_ROWS = 512
 
 def solve_ivp(*args, **kwargs):
     """Placeholder that nothing here calls: perfbench/spans.py wraps this
-    module binding by name until the bench reads the stats record of
-    ROADMAP item 1b, which deletes it."""
+    module binding by name until the bench reads a stats record instead."""
     raise NotImplementedError("singular_ode integrates by collocation; it has no stepper")
 
 
@@ -454,37 +446,30 @@ def _arc_system(ivp, t, X, Xd, xdd0, u):
     return F, _collocation_matrix(r0, r1, X, Xd)
 
 
-def integrate(ivp, t_end, start=None):
+def integrate(ivp, t_end):
     """Solve the singular IVP out to a finite t_end (either sign), t_end != 0.
 
     Returns a DenseSolution on [t_end, 0] (or [0, t_end]) with a single
-    Chebyshev segment, solved by Newton collocation (module docstring, step
-    1) to the round-off floor NEWTON_STEP_FLOOR, so no tolerance steers it.
-    Newton starts from the osculating parabola, or from start, x'' at the
-    N_ARC Lobatto nodes of the interval (info['xdd_nodes'] of a nearby
-    problem's arc on the same interval), which moves the result by
-    round-off only.  A cold arc (start None) is cross-checked on [-h, h]
-    by the Picard seed (picard_seed), h = tau, or |t_end|/2 when
+    Chebyshev segment, solved by Newton collocation from the osculating
+    parabola (module docstring, step 1) to the round-off floor
+    NEWTON_STEP_FLOOR, so no tolerance steers it, and cross-checked on
+    [-h, h] by the Picard seed (picard_seed), h = tau, or |t_end|/2 when
     |t_end| <= tau, so that the residual keeps the interval [h, |t_end|].
-    An arc given start runs no seed (start has chosen the branch), with
-    h = CONTINUED_H in its place; its caller checks its origin.
 
     Raises BlowUp if an iterate has x*sign(xdd0) <= 0 off the origin, if
     Newton takes more than NEWTON_MAX_ITER steps, if the residual on
     [h, |t_end|] or the last ARC_TAIL x'' coefficients exceed
-    ARC_BUDGET*max|x''|, or, on a cold arc, if the arc's x'' leaves the
-    seed's certified band or differs from the seed's by more than
-    ARC_BUDGET*|xdd0|.  info holds the seed's info on a cold arc only
-    ("tau" in info tells whether the arc was seeded) and, on every arc,
-    newton_iters, residual (the max on 2*N_ARC points in [h, |t_end|]),
-    radius_estimate = ||F||*||J^-1|| (max norm, last iterate), a
-    Kantorovich-style size of the correction left, not a proof, and
-    xdd_nodes, the solved x'' at the nodes.
+    ARC_BUDGET*max|x''|, or if the arc's x'' leaves the seed's certified
+    band or differs from the seed's by more than ARC_BUDGET*|xdd0|.  info
+    holds the seed's info and newton_iters, residual (the max on 2*N_ARC
+    points in [h, |t_end|]) and radius_estimate = ||F||*||J^-1|| (max
+    norm, last iterate), a Kantorovich-style size of the correction left,
+    not a proof.
     """
     t_end = float(t_end)
     if not np.isfinite(t_end) or t_end == 0.0:
         raise DomainError(f"t_end must be finite and nonzero, got {t_end}")
-    tau, seed = picard_seed(ivp) if start is None else (CONTINUED_H, None)
+    tau, seed = picard_seed(ivp)
     lo, hi = min(t_end, 0.0), max(t_end, 0.0)
     d = 1.0 if t_end > 0 else -1.0
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -494,9 +479,7 @@ def integrate(ivp, t_end, start=None):
     X, Xd = half * half * int2, half * int1
     xdd0 = accel_at_origin(ivp)
 
-    u = np.full(N_ARC, xdd0) if start is None else np.array(start, float)
-    if u.shape != (N_ARC,) or not np.all(np.isfinite(u)):
-        raise DomainError(f"start must hold N_ARC = {N_ARC} finite x'' node values")
+    u = np.full(N_ARC, xdd0)
     for k in range(1, NEWTON_MAX_ITER + 1):
         F, J = _arc_system(ivp, t, X, Xd, xdd0, u)
         try:
@@ -516,9 +499,9 @@ def integrate(ivp, t_end, start=None):
 
     scale = np.max(np.abs(u))
     tail = np.max(np.abs(c2[-ARC_TAIL:]))
-    # the residual beyond h, where x'^2/x is well conditioned, and a cold
-    # arc's seed check on [-h, h], from one read; an arc no longer than h
-    # is split between the two at its middle
+    # the residual beyond h, where x'^2/x is well conditioned, and the seed
+    # check on [-h, h], from one read; an arc no longer than h is split
+    # between the two at its middle
     dh = d * (tau if abs(t_end) > tau else 0.5 * abs(t_end))
     tr = np.linspace(dh, t_end, 2 * N_ARC)
     ts = dh * np.linspace(0.0, 1.0, 9)
@@ -530,17 +513,14 @@ def integrate(ivp, t_end, start=None):
     if not (residual <= ARC_BUDGET * scale and tail <= ARC_BUDGET * scale):  # NaN fails
         raise BlowUp(f"arc series misses its budget: residual {residual:.2e}, "
                      f"tail {tail:.2e}, max|x''| {scale:.3g}")
-    if seed is not None:
-        # the seed, an independent solve, bounds the arc on [-h, h]
-        xdd = jet[2, tr.size:]
-        gap = np.max(np.abs(xdd - seed.eval(ts)[2]))
-        dev = np.max(np.abs(xdd - xdd0))
-        if not (gap <= ARC_BUDGET * abs(xdd0)
-                and dev <= 1.05 * seed.info["epsilon"] * abs(xdd0)):
-            raise BlowUp(f"arc disagrees with the Picard seed near t=0: "
-                         f"|x'' - seed| {gap:.2e}, |x'' - xdd0| {dev:.2e}")
-    info = dict(seed.info if seed is not None else {}, newton_iters=k, residual=residual,
-                radius_estimate=radius, xdd_nodes=u)
+    # the seed, an independent solve, bounds the arc on [-h, h]
+    xdd = jet[2, tr.size:]
+    gap = np.max(np.abs(xdd - seed.eval(ts)[2]))
+    dev = np.max(np.abs(xdd - xdd0))
+    if not (gap <= ARC_BUDGET * abs(xdd0) and dev <= 1.05 * seed.info["epsilon"] * abs(xdd0)):
+        raise BlowUp(f"arc disagrees with the Picard seed near t=0: "
+                     f"|x'' - seed| {gap:.2e}, |x'' - xdd0| {dev:.2e}")
+    info = dict(seed.info, newton_iters=k, residual=residual, radius_estimate=radius)
     return DenseSolution([lo, hi], [seg], info=info)
 
 

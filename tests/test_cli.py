@@ -507,7 +507,7 @@ class _CrossingField:
 
 def test_check_reports_a_conjugate_point(capsys, monkeypatch):
     # the field bracket reads the same field, so it changes sign at 0.5 too
-    monkeypatch.setattr(extremal, "_jacobi_field", lambda profile, q_end: _CrossingField())
+    monkeypatch.setattr(extremal, "_jacobi_field", lambda profile: _CrossingField())
     code, out, _ = run(capsys, "check", "--alpha", "0.1")
     assert code == 3
     verdicts = json.loads(out)["reports"][0]["verdicts"]

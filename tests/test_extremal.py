@@ -18,7 +18,6 @@ from scipy.optimize import brentq
 
 from conftest import arc_calculus, cold_caches, endpoint_weight_reference
 from newton_minres import (
-    BlowUp,
     BodyEvaluator,
     BodyMesh,
     DomainError,
@@ -416,7 +415,7 @@ def test_no_conjugate_point(alpha):
 def test_conjugate_point_is_reported(monkeypatch):
     # a field that crosses zero inside [0, 1) reports min |zeta| = 0, with itself
     crossing = _Curve(lambda q: (q - 0.5, np.ones_like(q), np.zeros_like(q)))
-    monkeypatch.setattr(extremal, "_jacobi_field", lambda profile, q_end: crossing)
+    monkeypatch.setattr(extremal, "_jacobi_field", lambda profile: crossing)
     assert jacobi_check(assemble_profile(0.1)) == (0.0, crossing)
 
 
@@ -570,49 +569,20 @@ class _ReadOnlyFrom:
 @pytest.mark.parametrize("alpha", [0.0, 0.01, 0.1, 0.3])
 def test_field_bracket_reads_zeta_on_the_arc_alone(alpha):
     # below rho the bracket is affine by construction, so it reads zeta only
-    # at rho and at the q >= rho; the arc piece alone gives the same bits
+    # at rho and at the q >= rho
     prof = assemble_profile(alpha)
-    whole = jacobi_check(prof)[1]
-    arc = extremal._jacobi_field(prof, prof.rho)
+    zeta = jacobi_check(prof)[1]
     for q in (np.linspace(0.0, 0.99, 241), np.zeros(1)):
-        want = extremal._field_bracket(prof, whole, q)
-        for zeta in (whole, arc):
-            got = extremal._field_bracket(prof, _ReadOnlyFrom(zeta, prof.rho), q)
-            assert np.array_equal(got, want)
+        got = extremal._field_bracket(prof, _ReadOnlyFrom(zeta, prof.rho), q)
+        assert np.array_equal(got, extremal._field_bracket(prof, zeta, q))
 
 
 def test_the_certificate_keeps_both_pieces_of_the_jacobi_field():
-    # jacobi_check scans [0, 1): the affine piece too; the height root's
-    # slope needs the arc piece alone
+    # jacobi_check scans [0, 1): the affine piece too, from a break at rho
     prof = assemble_profile(0.1)
-    assert len(jacobi_check(prof)[1].base.segments) == 2
-    arc = extremal._jacobi_field(prof, prof.rho).base
-    assert len(arc.segments) == 1 and arc.domain == (prof.rho - 1.0, 0.0)
-
-
-@pytest.mark.parametrize("M", [0.5, 1.0, 100.0])
-def test_the_height_root_solves_each_jacobi_field_on_the_arc_alone(M, monkeypatch):
-    # one variational solve per non-final arc, each one piece that ends at
-    # the switch, t = rho - 1
-    profiles, fields, arcs = [], [], []
-
-    def recorded(fn, out):
-        def wrapper(*args):
-            out.append((args, fn(*args)))
-            return out[-1][1]
-        return wrapper
-
-    monkeypatch.setattr(extremal, "variational_coeffs_along",
-                        recorded(variational_coeffs_along, profiles))
-    monkeypatch.setattr(extremal, "integrate_variational",
-                        recorded(extremal.integrate_variational, fields))
-    monkeypatch.setattr(extremal, "integrate", recorded(integrate, arcs))
-    cold_caches()
-    solve_for_height(M)
-    assert len(fields) == len(profiles) == len(arcs) - 1 >= 1
-    for ((prof,), _), ((_, _, t_end), field) in zip(profiles, fields):
-        assert t_end == prof.rho - 1.0 and len(field.segments) == 1
-        assert field.domain == (prof.rho - 1.0, 0.0)
+    field = jacobi_check(prof)[1].base
+    assert len(field.segments) == 2 and field.domain == (-1.0, 0.0)
+    assert field.breakpoints[1] == prof.rho - 1.0
 
 
 def test_first_order_reduction_residual():
@@ -718,169 +688,79 @@ def test_solve_for_height_locates_each_switch_once(monkeypatch):
     assert calls["find_switch"] == calls["integrate"]
 
 
-def test_default_rows_solve_two_arcs_each_from_cold_caches(monkeypatch):
-    # the height root starts within 1.2e-8 of each row's p0 (the fitted
-    # flat-height series) and takes one Newton step with the slope from the
-    # Jacobi field: 2 arcs a row and 1 Jacobi field, since the last iterate
-    # needs none; below the validity edge it refuses after the one
-    # arc at the bracket's low end.  The second arc starts its Newton
-    # collocation from the first (69 steps here; 87 from the asymptote
-    # start, 132 from the parabola) and runs no Picard seed, so each row
-    # seeds exactly one arc, and each seed stops at its contraction bound
-    # (14 Picard iterations; 19 before)
-    calls = {"integrate": 0, "integrate_variational": 0}
-    arcs_info = []
-
-    def counted(name):
-        fn = getattr(extremal, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            out = fn(*args, **kwargs)
-            if name == "integrate":
-                arcs_info.append(out.info)
-            return out
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(extremal, name, counted(name))
-    cold_caches()
-    arcs, fields, seeded = [], [], []
-    for M in DEFAULT_TABLE_ROWS.split(","):
-        before = dict(calls)
-        solve_for_height(float(M))
-        arcs.append(calls["integrate"] - before["integrate"])
-        fields.append(calls["integrate_variational"] - before["integrate_variational"])
-        seeded.append(sum("tau" in info for info in arcs_info[before["integrate"]:]))
-    assert arcs == [2] * 9
-    assert fields == [1] * 9
-    assert seeded == [1] * 9
-    assert sum(info["newton_iters"] for info in arcs_info) <= 72
-    assert sum(len(info["picard_diffs"]) for info in arcs_info if "tau" in info) <= 9 * 14
-
-    cold_caches()
-    before = calls["integrate"]
-    with pytest.raises(NoRoot, match="below the reachable range"):
-        solve_for_height(0.05)
-    assert calls["integrate"] - before == 1
-
-
-@pytest.mark.parametrize("M, most", [*((M, 2) for M in (0.42, 0.93, 17.3, 1e3, 1e100, 2e153)),
-                                     (0.0875, 3), (0.1, 5), (0.2, 5), (0.3, 4), (0.41, 4)])
-def test_arcs_per_height_from_the_fitted_start(M, most, monkeypatch):
-    # from M = 0.42 up (alpha < 0.2) the fitted start leaves one Newton step:
-    # 2 arcs, 1 Jacobi field and 1 seed; below, where the series does not
-    # reach, the asymptote start solves no more arcs than before the fit
-    arcs, fields = [], []
-    monkeypatch.setattr(extremal, "integrate",
-                        lambda *args: arcs.append(integrate(*args)) or arcs[-1])
-    monkeypatch.setattr(extremal, "integrate_variational",
-                        lambda *args: fields.append(args) or singular_ode.integrate_variational(*args))
+@pytest.mark.parametrize("M", [0.08687, 0.0875, 0.1, 0.146, 0.2, 0.3, 0.41, 0.42, 0.93,
+                               *map(float, DEFAULT_TABLE_ROWS.split(",")), 17.3, 1e3, 1e6,
+                               1e100, 2e153])
+def test_each_height_solves_one_cold_arc(M, monkeypatch):
+    # the float root on the flat-height series meets the stop rule at the
+    # first arc, so from cold caches a height solves one arc from the
+    # osculating parabola, runs one Picard seed and solves no Jacobi field;
+    # the arc's Newton takes at most 6 steps and its seed 14 iterations
+    arcs, seeds, fields = [], [], []
+    seed_for = singular_ode.picard_seed
+    monkeypatch.setattr(extremal, "integrate", lambda *args: arcs.append(integrate(*args)) or arcs[-1])
+    monkeypatch.setattr(singular_ode, "picard_seed", lambda ivp: seeds.append(ivp) or seed_for(ivp))
+    monkeypatch.setattr(extremal, "integrate_variational", lambda *args: fields.append(args))
     cold_caches()
     solve_for_height(M)
-    assert len(arcs) <= most and (len(arcs) == 2 or M < 0.42)
-    assert (len(fields), sum("tau" in arc.info for arc in arcs)) == (len(arcs) - 1, 1)
+    assert (len(arcs), len(seeds), len(fields)) == (1, 1, 0)
+    assert arcs[0].info["newton_iters"] <= 6 and len(arcs[0].info["picard_diffs"]) <= 14
+
+
+def test_a_height_below_the_validity_edge_solves_one_arc(monkeypatch):
+    # the series root clamps to the bracket's low end, and the one arc
+    # solved there refuses the height with the edge's height
+    arcs = []
+    monkeypatch.setattr(extremal, "integrate", lambda *args: arcs.append(integrate(*args)) or arcs[-1])
+    cold_caches()
+    with pytest.raises(NoRoot, match=r"below the reachable range \(min height 0\.08686161 "):
+        solve_for_height(0.05)
+    assert len(arcs) == 1
+
+
+def _height0(alphas):
+    return np.array([assemble_profile(float(a)).height0 for a in np.atleast_1d(alphas)])
+
+
+def test_flat_height_series_is_the_degree_48_interpolant():
+    # the stored coefficients are chebinterpolate's at its 49 first-kind
+    # points in x = 2*s/sqrt(1/3) - 1, s = sqrt(1/3 - alpha), all inside
+    # (0, 1/3): recomputed from the solver, they agree to round-off
+    c = np.polynomial.chebyshev.chebinterpolate(
+        lambda x: _height0(1.0 / 3.0 - (x + 1.0) ** 2 / 12.0), 48)
+    assert np.max(np.abs(c - np.array(extremal._H0_SERIES))) <= 1e-13
 
 
 def test_fitted_flat_height_series_matches_the_solver():
-    # the stored series against assemble_profile between its 41 Lobatto fit
-    # nodes on alpha in [0, 0.2] (2.8e-8 measured), and _fitted_height0's
-    # float recurrences against numpy's sums of the series and its derivative
+    # the stored series against assemble_profile at the 48 midpoints between
+    # its nodes (7.3e-14 measured), and _series_height's float recurrences
+    # against numpy's sums of the series and of its derivative, with
+    # H = p*h and dH/dp = h - 2*alpha*dh/dalpha, dx/dalpha = -sqrt(3)/s
+    cheb = np.polynomial.chebyshev
     c = np.array(extremal._H0_SERIES)
-    nodes = np.cos(np.pi * np.arange(41) / 40)
-    x = 0.5 * (nodes[:-1] + nodes[1:])
-    alphas = (x + 1.0) / 10.0
-    exact = np.array([assemble_profile(float(a)).height0 for a in alphas])
-    assert np.max(np.abs(np.polynomial.chebyshev.chebval(x, c) / exact - 1.0)) <= 5e-8
-    for a, xa in zip(alphas, x):
-        h, dh = extremal._fitted_height0(float(a))
-        assert h == pytest.approx(np.polynomial.chebyshev.chebval(xa, c), rel=1e-14, abs=0.0)
-        d = 10.0 * np.polynomial.chebyshev.chebval(xa, np.polynomial.chebyshev.chebder(c))
-        assert dh == pytest.approx(d, rel=1e-12)
+    nodes = np.cos(np.pi * (np.arange(49) + 0.5) / 49)
+    x = 0.5 * (nodes[1:] + nodes[:-1])
+    alphas = 1.0 / 3.0 - (x + 1.0) ** 2 / 12.0
+    assert np.all((alphas > 0.0) & (alphas < 1.0 / 3.0))
+    assert np.max(np.abs(cheb.chebval(x, c) / _height0(alphas) - 1.0)) <= 2e-13
+    for p in 1.0 / np.sqrt(alphas):
+        a = 1.0 / (p * p)
+        s = np.sqrt(1.0 / 3.0 - a)
+        H, dH = extremal._series_height(p)
+        h = cheb.chebval(2.0 * np.sqrt(3.0) * s - 1.0, c)
+        assert H / p == pytest.approx(h, rel=1e-14, abs=0.0)
+        dh = cheb.chebval(2.0 * np.sqrt(3.0) * s - 1.0, cheb.chebder(c)) * -np.sqrt(3.0) / s
+        assert dH == pytest.approx(h - 2.0 * a * dh, rel=1e-12)
 
 
 def test_height_root_start_is_within_2e_8_of_the_solved_p0():
+    # the series root is not only within 2e-8: the one arc solved there is
+    # accepted, so it is the solved p0
     for M in [*np.geomspace(0.42, 1e6, 40), 1e100, 2e153]:
-        start = extremal._height_root_start(float(M))
-        assert abs(start / solve_for_height(float(M)).p0 - 1.0) <= 2e-8
-
-
-def test_only_the_cold_arcs_run_the_picard_seed(monkeypatch):
-    # the seed decides the branch: each height's first arc and each
-    # assemble_profile run it once, and the arcs continued from them none
-    seeds, starts = [], []
-    seed_for = singular_ode.picard_seed
-
-    def recorded(ivp, t_end, start=None):
-        n = len(seeds)
-        sol = integrate(ivp, t_end, start)
-        starts.append((start is not None, len(seeds) - n))
-        return sol
-
-    monkeypatch.setattr(singular_ode, "picard_seed", lambda ivp: seeds.append(ivp) or seed_for(ivp))
-    monkeypatch.setattr(extremal, "integrate", recorded)
-    cold_caches()
-    for M in (0.0875, 1.0, 1e6):
-        del starts[:]
-        solve_for_height(M)
-        assert starts[0] == (False, 1) and len(starts) >= 2
-        assert starts[1:] == [(True, 0)] * (len(starts) - 1)
-    del starts[:]
-    assemble_profile(0.1)
-    assert starts == [(False, 1)]
-
-
-def test_a_continued_arc_that_misses_the_taylor_data_raises(monkeypatch):
-    # a continued arc runs no seed, so solve_nu checks nu''(1) and the
-    # five-point nu'''(1) against the closed forms with check's 1e-6
-    # bounds; shifted by 1e-5, the closed nu'''(1) fails the height root's
-    # second arc.  A cold assemble_profile, checked by its seed, is the same
-    exact = extremal.nu_derivatives_at_one
-    cold_caches()
-    reference = assemble_profile(0.1)
-
-    def shifted(alpha):
-        v = exact(alpha)
-        v[3] += 1e-5
-        return v
-
-    monkeypatch.setattr(extremal, "nu_derivatives_at_one", shifted)
-    cold_caches()
-    with pytest.raises(BlowUp, match=r"continued arc at alpha=.* misses nu''\(1\) or nu"):
-        solve_for_height(1.0)
-    prof = assemble_profile(0.1)
-    assert (prof.rho, prof.slope, prof.height0) == (reference.rho, reference.slope,
-                                                   reference.height0)
-    assert np.array_equal(prof.nu.base.info["xdd_nodes"], reference.nu.base.info["xdd_nodes"])
-
-
-@pytest.mark.parametrize("M", [0.0875, 0.146, 1.0, 10.0, 1e6])
-def test_continued_arcs_are_the_cold_arcs_and_are_cached(M, monkeypatch):
-    # every arc after a row's first starts from the previous arc's x'' node
-    # values; Newton then ends where it ends from the parabola, to
-    # round-off, and a repeated solve is found in the cache
-    solved_arcs = []
-
-    def recorded(ivp, t_end, start=None):
-        sol = integrate(ivp, t_end, start)
-        solved_arcs.append((ivp, start is not None, sol))
-        return sol
-
-    monkeypatch.setattr(extremal, "integrate", recorded)
-    cold_caches()
-    first = solve_for_height(M)
-    warm = [(ivp, sol) for ivp, is_warm, sol in solved_arcs if is_warm]
-    assert not solved_arcs[0][1] and len(warm) == len(solved_arcs) - 1 >= 1
-    for ivp, sol in warm:
-        cold = integrate(ivp, -1.0).info["xdd_nodes"]
-        gap = np.max(np.abs(sol.info["xdd_nodes"] - cold))
-        assert gap <= 1e-13 * np.max(np.abs(cold))
-    solved_arcs.clear()
-    again = solve_for_height(M)
-    assert solved_arcs == [] and (again.p0, again.J) == (first.p0, first.J)
-    # assemble_profile stays cold: at the root's alpha it solves its own arc
-    assemble_profile(1.0 / (first.p0 * first.p0))
-    assert [is_warm for _, is_warm, _ in solved_arcs] == [False]
+        M = float(M)
+        lo = max(np.sqrt(3.0) * (1.0 + 1e-6) + 1e-9, M / extremal._H0_HI)
+        hi = min(max(M / extremal._H0_LO, lo) + 1.0, extremal._P0_TOP)
+        assert extremal._height_root_start(M, lo, hi) == solve_for_height(M).p0
 
 
 @pytest.mark.parametrize("M", [1.0, 3.3, 9.0])
@@ -909,20 +789,27 @@ def test_a_repeated_height_solves_no_arc_and_no_jacobi_field(M, monkeypatch):
 
 
 def test_height_root_safeguard_survives_a_wrong_slope(solved, monkeypatch):
-    # with the slope's sign flipped every Newton step leaves the bracket, so
-    # the root comes from evaluating the bracket ends and bisecting
-    # solve_for_height caches by M, so each solve under a patched name
-    # starts from cold caches
+    # a series that drifts from the solver costs arcs, not correctness.  With
+    # its slope's sign flipped the series root stays at the bracket's low
+    # end and every chord step leaves the bracket, so the root comes from
+    # the bracket ends and bisection; with its coefficients scaled by
+    # 1 + 1e-6 the first arc misses the stop rule and a chord step follows.
+    # solve_for_height caches by M, so each patched solve starts from cold
+    # caches
     ref = solved(1.0).p0
-    bracket = extremal._field_bracket
-    monkeypatch.setattr(extremal, "_field_bracket", lambda *args: -bracket(*args))
-    cold_caches()
-    assert abs(solve_for_height(1.0).p0 - ref) <= 1e-10 + 1e-12 * ref
-    cold_caches()
+    series, coeffs = extremal._series_height, np.array(extremal._H0_SERIES)
     with monkeypatch.context() as m:
+        m.setattr(extremal, "_series_height", lambda p: series(p) * np.array([1.0, -1.0]))
+        cold_caches()
+        assert abs(solve_for_height(1.0).p0 - ref) <= 1e-10 + 1e-12 * ref
+        cold_caches()
         m.setattr(extremal, "_HEIGHT_MAXITER", 3)
         with pytest.raises(NoRoot, match="height root: no convergence in 3 iterations"):
             solve_for_height(1.0)
+    with monkeypatch.context() as m:
+        m.setattr(extremal, "_H0_SERIES", tuple(coeffs * (1.0 + 1e-6)))
+        cold_caches()
+        assert abs(solve_for_height(1.0).p0 - ref) <= 1e-10 + 1e-12 * ref
     # a bracket whose upper end lies below the root is refused
     cold_caches()
     monkeypatch.setattr(extremal, "_H0_HI", 1.0)
@@ -984,10 +871,10 @@ def test_limit_constants_values():
 
 
 def test_height_root_starts_from_the_limit_flat_height():
-    # the start's first p0 = (M + sqrt(M^2 + 2.6*M_hat))/(2*M_hat), the root
-    # of the flat-height asymptote M = M_hat*p0 - 0.65/p0, is the whole start
-    # below M = 0.42; above, the Newton steps on the fitted series start there
-    assert abs(extremal._M_HAT - limit_constants().M_hat) <= 1e-5
+    # at alpha = 0 (x = 1) the flat-height series is the limit flat height
+    # (8e-15 measured), which no node of the interpolant reaches
+    series = np.polynomial.chebyshev.chebval(1.0, extremal._H0_SERIES)
+    assert abs(series - limit_constants().M_hat) <= 2e-14
 
 
 def test_profile_families_deform_continuously():

@@ -9,6 +9,7 @@ cross-section map.
 
 import dataclasses
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -312,7 +313,8 @@ def test_gradient_is_the_danskin_formula_bit_for_bit(solved, M):
     # the gradient reuses the minimizer's chord and table read at y*; a
     # fresh chord and table read there must give the same bits.  The
     # golden-section test's points (one in six on the rim) plus the ridge
-    # x2 = 0, where sqrt(D) = 0 and both read 0/0
+    # x2 = 0, where sqrt(D) = 0: the minimizer is read there too, but the
+    # gradient refuses it (test_gradient_refuses_the_ridge)
     body = BodyEvaluator(solved(M))
     rng = np.random.default_rng(RNG_SEED + 8)
     th = rng.uniform(0.0, 2.0 * np.pi, 3000)
@@ -325,10 +327,22 @@ def test_gradient_is_the_danskin_formula_bit_for_bit(solved, M):
     x2sq = x2 * x2
     lam, sd = _chord(y, x1, x2sq, np.maximum(1.0 - x1 * x1 - x2sq, 0.0))
     w = body.vstar(y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        want = (w * (y * lam - x1) / sd, -w * x2 / sd)
-        got = body.gradient(x1, x2)
-    assert all(np.array_equal(g, v, equal_nan=True) for g, v in zip(got, want))
+    off = x2 != 0.0
+    want = (w[off] * (y[off] * lam[off] - x1[off]) / sd[off], -w[off] * x2[off] / sd[off])
+    got = body.gradient(x1[off], x2[off])
+    assert all(np.array_equal(g, v) and np.all(np.isfinite(g)) for g, v in zip(got, want))
+
+
+@pytest.mark.parametrize("x1, x2", [(0.3, 0.0), (0.3, -0.0),
+                                    (np.array([0.1, 0.3, -0.2]), np.array([0.4, 0.0, -0.5]))],
+                         ids=["scalar", "negative-zero", "array"])
+def test_gradient_refuses_the_ridge(ev, x1, x2):
+    # u creases on x2 = 0, so its gradient is undefined there: a point on
+    # the ridge is refused by name, before any division makes a NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="ridge x2 = 0"):
+            ev.gradient(x1, x2)
 
 
 def test_oracle_work_per_grid_point(solved, monkeypatch):

@@ -79,7 +79,7 @@ def test_scalar_constants_match_their_array_twins():
     t = np.linspace(-tau_s, tau_s, 33)
     assert np.array_equal(np.stack(seed_s.eval(t)), np.stack(seed_a.eval(t)))
     arc_s, arc_a = integrate(scalar, -1.0), integrate(arrays, -1.0)
-    assert np.array_equal(arc_s.info["xdd_nodes"], arc_a.info["xdd_nodes"])
+    assert np.array_equal(arc_s.segments[0].c2, arc_a.segments[0].c2)
     assert arc_s.info["residual"] == arc_a.info["residual"]
     t = np.linspace(-1.0, 0.0, 33)
     assert np.array_equal(np.stack(arc_s.eval(t)), np.stack(arc_a.eval(t)))
@@ -316,12 +316,6 @@ def test_seed_stops_at_its_iteration_cap(monkeypatch):
 # dense solutions
 # ---------------------------------------------------------------------------
 
-def test_integrate_refuses_a_start_of_the_wrong_shape_or_not_finite():
-    for start in (np.ones(3), np.full(singular_ode.N_ARC, np.nan)):
-        with pytest.raises(DomainError, match="start must hold"):
-            integrate(const_ivp(), -1.0, start)
-
-
 def test_solution_domain_is_enforced():
     sol = integrate(const_ivp(), 0.5)
     lo, hi = sol.domain
@@ -494,34 +488,17 @@ def test_integrate_raises_when_the_seed_disagrees(monkeypatch, wrong):
         integrate(scaled_arc_ivp(0.0), -1.0)
 
 
-def test_only_an_integrate_without_start_runs_the_seed(monkeypatch):
-    # a cold arc runs the seed once and carries its info; an arc given
-    # start runs none, carries no seed key, and is the same arc
+def test_every_arc_runs_the_seed_once_and_carries_its_info(monkeypatch):
+    # the seed decides the branch at the singular point, so each integrate
+    # runs it once, and info holds its keys beside the arc's own
     seeds = []
     seed_for = singular_ode.picard_seed
     monkeypatch.setattr(singular_ode, "picard_seed", lambda ivp: seeds.append(ivp) or seed_for(ivp))
     ivp = scaled_arc_ivp(0.1)
-    cold = integrate(ivp, -1.0)
-    assert len(seeds) == 1
-    warm = integrate(ivp, -1.0, integrate(scaled_arc_ivp(0.11), -1.0).info["xdd_nodes"])
-    assert len(seeds) == 2
-    assert sorted(warm.info) == ["newton_iters", "radius_estimate", "residual", "xdd_nodes"]
-    assert set(cold.info) - set(warm.info) == {"tau", "epsilon", "rho_target", "rho_bound",
-                                               "picard_diffs", "band_dev"}
-    gap = np.max(np.abs(warm.info["xdd_nodes"] - cold.info["xdd_nodes"]))
-    assert gap <= 1e-13 * np.max(np.abs(cold.info["xdd_nodes"]))
-
-
-@pytest.mark.parametrize("t_end", [1.0, 0.25 * singular_ode.CONTINUED_H])
-def test_an_arc_given_start_keeps_its_residual_check(t_end):
-    # forcing wiggles far finer than the nodes: Newton from the parabola's
-    # nodes converges there, and the residual read from CONTINUED_H (or
-    # from the middle of a shorter arc) still finds the equation broken
-    w = 200.0 / t_end
-    ivp = SingularIVP(-0.25, lambda t, x, xd: 1.5 + 0.5 * np.sin(w * t), _zero, _zero,
-                      g_origin=1.5)
-    with pytest.raises(BlowUp, match="misses its budget"):
-        integrate(ivp, t_end, np.full(singular_ode.N_ARC, accel_at_origin(ivp)))
+    arc = integrate(ivp, -1.0)
+    assert seeds == [ivp]
+    assert sorted(arc.info) == ["band_dev", "epsilon", "newton_iters", "picard_diffs",
+                                "radius_estimate", "residual", "rho_bound", "rho_target", "tau"]
 
 
 # ---------------------------------------------------------------------------
