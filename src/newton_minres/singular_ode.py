@@ -36,13 +36,16 @@ a parabola, so x'^2/x stays finite).  The strategy:
    on [h, |t_end|].
 
 Every fit here is a fixed linear map on node values: `_lobatto_integrals`
-builds, once per node count and anchor, the inverse Chebyshev Vandermonde
-matrix (values to coefficients) and the exact first and second integral
-matrices, and the seed, the arc collocation and the variational solve
-share it.  Every solved series is read the same way: `_segment_maps`
-builds, once per coefficient count and anchor, the maps from x''
-coefficients to (x, x', x'') at a few more Lobatto nodes, and each read
-is one barycentric interpolation of those node values.
+builds, once per node count and anchor, the DCT-I matrix (values to
+coefficients) and the exact first and second integral matrices, and the
+seed, the arc collocation and the variational solve share it.  Every
+solved series is read the same way: `_segment_maps` builds, once per
+coefficient count and anchor, the maps from x'' coefficients to
+(x, x', x'') at a few more Lobatto nodes, and each read is one
+barycentric interpolation of those node values.  Both are closed-form
+products: the Chebyshev polynomials at Lobatto nodes are sines of
+multiples of pi/(4(m-1)), read from one table, and one banded map per
+anchor integrates coefficients.
 
 The linearized (variational) equation
 
@@ -63,7 +66,6 @@ y = y'(0)*t + t^2*z it reads z + t*z'.
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
 
 from .errors import BlowUp, ContractionFailure, DomainError
 
@@ -258,44 +260,88 @@ class MappedSolution:
         return x, xd, xdd
 
 
+def _lobatto_basis(m, degree, anchor):
+    """The m Chebyshev-Lobatto nodes s_j = cos(theta_j), theta_j =
+    pi*j/(m-1), from s = 1 down to s = -1 (in sine form, in which -1, 0
+    and 1 are exact), with T_k(s_j) and T_k(s_j) - T_k(anchor) for
+    k = 0..degree and anchor = cos(phi) one of 1, 0, -1.
+
+    All three are read from one table of sin(pi*r/(4(m-1))) at integers r
+    reduced to one period: T_k(s_j) = cos(k*theta_j) and the difference
+    -2*sin(k*(theta_j + phi)/2)*sin(k*(theta_j - phi)/2), which keeps its
+    relative accuracy at the nodes next to the anchor, where integrals
+    from the anchor are small.
+    """
+    M = m - 1
+    sines = np.sin(np.pi * np.arange(-4 * M, 4 * M) / (4 * M))
+    read = lambda r: sines[(r + 4 * M) % (8 * M)]
+    j, k = np.arange(m)[:, None], np.arange(degree + 1)
+    h = M * {1.0: 0, 0.0: 1, -1.0: 2}[anchor]  # phi = 2*h*pi/(4(m-1))
+    return (read(2 * M - 4 * j[:, 0]), read(2 * M - 4 * j * k),
+            -2.0 * read(k * (2 * j + h)) * read(k * (2 * j - h)))
+
+
+def _integral_map(n, anchor):
+    """The banded (n+2, n+1) map from Chebyshev coefficients a_0..a_n to
+    those of their integral from s = anchor: b_1 = a_0 - a_2/2,
+    b_k = (a_{k-1} - a_{k+1})/(2k), and row 0 makes the integral vanish at
+    anchor.  Its leading (n+1, n) block is the same map on a_0..a_{n-1}."""
+    K = np.zeros((n + 2, n + 1))
+    k = np.arange(1, n + 2)
+    K[k, k - 1] = 0.5 / k
+    K[1, 0] = 1.0
+    K[k[:-2], k[:-2] + 1] = -0.5 / k[:-2]
+    t = [1.0, anchor]  # T_k(anchor) by the three-term recurrence
+    for _ in range(n):
+        t.append(2.0 * anchor * t[-1] - t[-2])
+    K[0] = -np.array(t[1:]) @ K[1:]
+    return K
+
+
 @lru_cache(maxsize=None)
 def _lobatto_integrals(n, anchor):
     """The n Chebyshev-Lobatto nodes s of [-1, 1] and three fixed maps on
     values there: to their interpolant's Chebyshev coefficients (fit, the
-    inverse Vandermonde matrix), and to its exact first and second
-    integrals from s = anchor, read at the nodes (int1, int2).
+    DCT-I matrix 2*T_k(s_j)/((n-1)*c_j*c_k), c = 2 at both ends and 1
+    elsewhere), and to its exact first and second integrals from s = anchor,
+    read at the nodes (int1, int2): products of fit, `_integral_map` and
+    the differences T_k(s_j) - T_k(anchor) of `_lobatto_basis`.  No matrix
+    is inverted and no series is summed.
 
     Built on first use, for (N_ARC, 0) and (N_ARC, -1 or 1).  Row 0 of int1
     at anchor -1 is the Clenshaw-Curtis rule on [-1, 1].
     """
+    _, V, D = _lobatto_basis(n, n + 1, anchor)
+    c = np.ones(n)
+    c[[0, -1]] = 2.0
+    fit = 2.0 * V[:, :n] / ((n - 1) * c[:, None] * c)
+    K = _integral_map(n, anchor)
+    c1 = K[:n + 1, :n] @ fit
     s = np.cos(np.pi * np.arange(n) / (n - 1))
-    fit = np.linalg.inv(_cheb.chebvander(s, n - 1))
-    c1 = _cheb.chebint(fit, lbnd=anchor)
-    c2 = _cheb.chebint(c1, lbnd=anchor)
-    return s, fit, _cheb.chebvander(s, n) @ c1, _cheb.chebvander(s, n + 1) @ c2
+    return s, fit, D[:, :n + 1] @ c1, D @ (K @ c1)
 
 
 @lru_cache(maxsize=None)
 def _segment_maps(n, anchor):
     """What a `_ChebSegment` of n x'' coefficients reads its node values
-    through: the n+3 Chebyshev-Lobatto nodes s of [-1, 1], their weights,
-    the index of the node s = anchor, and the (3, n+3, n) maps from the
-    coefficients to x, x' and x'' there, with x' and x the exact first and
-    second integrals from s = anchor (before scaling and initial data).
+    through: the n+3 Chebyshev-Lobatto nodes s of [-1, 1] (sine form), their
+    weights, the indices of the node s = anchor (none for anchor 0 when n
+    is odd), and the (3, n+3, n) maps from the coefficients to x, x' and x''
+    there, with x' and x the exact first and second integrals from
+    s = anchor (before scaling and initial data): products of
+    `_integral_map` and the tables of `_lobatto_basis`.
 
     n+3 nodes carry x's degree n+1, and for the even N_ARC their count is
     odd; in sine form the nodes -1, 0 and 1 are then exact.
     """
-    m = n + 3
-    s = np.sin(0.5 * np.pi * np.arange(m - 1, -m, -2) / (m - 1))
-    c1 = _cheb.chebint(np.eye(n), lbnd=anchor)
-    c0 = _cheb.chebint(c1, lbnd=anchor)
-    maps = np.stack([_cheb.chebvander(s, n + 1) @ c0, _cheb.chebvander(s, n) @ c1,
-                     _cheb.chebvander(s, n - 1)])
-    w = _lobatto_weights(m)
+    s, V, D = _lobatto_basis(n + 3, n + 1, anchor)
+    K = _integral_map(n, anchor)
+    c1 = K[:n + 1, :n]
+    maps = np.stack([D @ (K @ c1), D[:, :n + 1] @ c1, V[:, :n]])
+    w = _lobatto_weights(n + 3)
     for shared in (s, w, maps):  # every segment of this shape holds them
         shared.flags.writeable = False
-    return s, w, int(np.flatnonzero(s == anchor)[0]), maps
+    return s, w, np.flatnonzero(s == anchor), maps
 
 
 # ---------------------------------------------------------------------------

@@ -548,9 +548,9 @@ def test_check_solves_one_arc_and_one_jacobi_field_per_alpha(capsys, monkeypatch
 
 def test_curves_are_read_without_chebyshev_sums(capsys, monkeypatch):
     # solved curves are read by the barycentric formula on cached node
-    # values: numpy's Clenshaw sums and integrals run only while the cached
-    # Lobatto maps are built, so a warm check (endpoint_taylor's nu''' a
-    # difference of curvature values) runs none
+    # values, and the Lobatto maps behind them are closed-form products, so
+    # neither a cold solve nor a check (endpoint_taylor's nu''' a difference
+    # of curvature values) runs numpy's Clenshaw sums or integrals
     cheb = np.polynomial.chebyshev
     package = os.path.dirname(cli.__file__)
     callers = set()
@@ -566,8 +566,7 @@ def test_curves_are_read_without_chebyshev_sums(capsys, monkeypatch):
         monkeypatch.setattr(cheb, name, recorded(getattr(cheb, name)))
     cold_caches()
     solve_for_height(1.0)
-    assert callers == {"_lobatto_integrals", "_segment_maps"}
-    callers.clear()
+    assert callers == set()
     assert run(capsys, "check")[0] == 0
     assert callers == set()
 
@@ -630,7 +629,7 @@ GOLDEN_CHECK = """\
     {
       "alpha": 0.0000000e+00,
       "rho": 1.0898362e-01,
-      "switch_integral": -3.8055496e-17,
+      "switch_integral": -1.6241349e-16,
       "verdicts": {
         "switching_zero": true,
         "adjoint_negative": true,
@@ -645,7 +644,7 @@ GOLDEN_CHECK = """\
     {
       "alpha": 1.0000000e-02,
       "rho": 1.4420312e-01,
-      "switch_integral": 8.2399365e-18,
+      "switch_integral": 1.8257965e-16,
       "verdicts": {
         "switching_zero": true,
         "adjoint_negative": true,
@@ -659,7 +658,7 @@ GOLDEN_CHECK = """\
     {
       "alpha": 1.0000000e-01,
       "rho": 3.9697116e-01,
-      "switch_integral": 5.6920614e-17,
+      "switch_integral": -1.3140530e-16,
       "verdicts": {
         "switching_zero": true,
         "adjoint_negative": true,
@@ -698,7 +697,12 @@ def test_check_output_bytes_are_pinned(capsys):
     # -2.9631245e-16 -> 5.6920614e-17) when rho became the root of the
     # switching integral's Chebyshev interpolant on the scan's bracket
     # instead of Brent's iterate to xtol 1e-12: rho moves by at most 1.7e-15
-    # at these alphas and is now a zero of I_of to round-off
+    # at these alphas and is now a zero of I_of to round-off.  And again
+    # (-3.8055496e-17 -> -1.6241349e-16, 8.2399365e-18 -> 1.8257965e-16,
+    # 5.6920614e-17 -> -1.3140530e-16) when the Lobatto and segment maps
+    # became closed-form products instead of numpy's inverse Vandermonde
+    # matrix and chebint: the arc's node values move by round-off, and rho
+    # by at most 6e-16 at these alphas
     assert run(capsys, "check") == (0, GOLDEN_CHECK, "")
 
 

@@ -156,9 +156,9 @@ def test_seed_shrinks_band_when_lam_term_leaves_no_room(monkeypatch):
 
 
 @pytest.mark.parametrize("alpha, tau, rho_bound, band_dev", [
-    (0.0, 2.0**-10, 0.7402150967439891, 0.0014660603162974795),
-    (0.1, 2.0**-10, 0.7398599597757459, 0.0014750638032696602),
-    (0.3, 2.0**-9, 0.741833354756446, 0.0030827999340059032),
+    (0.0, 2.0**-10, 0.7402150967439891, 0.0014660603162977015),
+    (0.1, 2.0**-10, 0.7398599597757459, 0.0014750638032699128),
+    (0.3, 2.0**-9, 0.741833354756446, 0.0030827999340060637),
 ])
 def test_seed_certificate_pins_on_the_family_arc(alpha, tau, rho_bound, band_dev):
     # exact: the admissible tau is the largest of 0.5*2^-k, and the band
@@ -167,7 +167,11 @@ def test_seed_certificate_pins_on_the_family_arc(alpha, tau, rho_bound, band_dev
     # maps give it after the contraction-bound stop, 14 iterations, where
     # the distance to the fixed point is at most 1e-2*ARC_BUDGET*|xdd0|; the
     # old stop at steps below 1e-11 ran 19 and gave band_dev about 2e-7
-    # (relative) away, e.g. 0.0014660606178256153 at alpha = 0
+    # (relative) away, e.g. 0.0014660606178256153 at alpha = 0.  It moved in
+    # the 15th digit (0.0014660603162974795 -> 0.0014660603162977015,
+    # 0.0014750638032696602 -> 0.0014750638032699128, 0.0030827999340059032
+    # -> 0.0030827999340060637) when the Lobatto maps became closed-form
+    # products instead of numpy's inverse Vandermonde matrix and chebint
     got, seed = picard_seed(scaled_arc_ivp(alpha))
     info = seed.info
     assert got == info["tau"] == tau
@@ -177,20 +181,47 @@ def test_seed_certificate_pins_on_the_family_arc(alpha, tau, rho_bound, band_dev
     assert len(info["picard_diffs"]) == 14
 
 
-@pytest.mark.parametrize("n, anchor", [(64, 0.0), (64, -1.0), (64, 1.0)])
+_MAP_CASES = pytest.mark.parametrize(
+    "n, anchor", [(n, anchor) for n in (8, 17, 64) for anchor in (0.0, -1.0, 1.0)])
+
+
+def _close(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@_MAP_CASES
 def test_lobatto_maps_are_exact_on_series_of_full_degree(n, anchor):
+    # the closed-form maps against numpy's sums and integrals of a random
+    # series of degree n - 1, and against the inverse Vandermonde matrix
+    cheb = np.polynomial.chebyshev
     s, fit, int1, int2 = singular_ode._lobatto_integrals(n, anchor)
+    np.testing.assert_array_equal(s, np.cos(np.pi * np.arange(n) / (n - 1)))
     c = np.random.default_rng(n + 7 * int(anchor)).standard_normal(n)
-    v = np.polynomial.chebyshev.chebval(s, c)
+    v = cheb.chebval(s, c)
+    _close(fit @ v, c)
+    _close(fit, np.linalg.inv(cheb.chebvander(s, n - 1)))
+    c1 = cheb.chebint(c, lbnd=anchor)
+    _close(int1 @ v, cheb.chebval(s, c1))
+    _close(int2 @ v, cheb.chebval(s, cheb.chebint(c1, lbnd=anchor)))
 
-    def close(got, want):
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    close(fit @ v, c)
-    c1 = np.polynomial.chebyshev.chebint(c, lbnd=anchor)
-    close(int1 @ v, np.polynomial.chebyshev.chebval(s, c1))
-    close(int2 @ v, np.polynomial.chebyshev.chebval(
-        s, np.polynomial.chebyshev.chebint(c1, lbnd=anchor)))
+@_MAP_CASES
+def test_segment_maps_are_exact_on_series_of_full_degree(n, anchor):
+    # x'', x' and x at the n + 3 nodes from n coefficients, against numpy's
+    # Vandermonde matrices and integrals; the anchor is a node except 0 at
+    # odd n, where no node holds the initial data
+    cheb = np.polynomial.chebyshev
+    s, w, at, maps = singular_ode._segment_maps(n, anchor)
+    m = n + 3
+    np.testing.assert_array_equal(s, np.sin(0.5 * np.pi * np.arange(m - 1, -m, -2) / (m - 1)))
+    np.testing.assert_array_equal(at, np.flatnonzero(s == anchor))
+    assert at.size == (0 if anchor == 0.0 and n % 2 else 1)
+    c = np.random.default_rng(n + 7 * int(anchor)).standard_normal(n)
+    c1 = cheb.chebint(c, lbnd=anchor)
+    c0 = cheb.chebint(c1, lbnd=anchor)
+    for got, want in zip(maps @ c, (cheb.chebvander(s, n + 1) @ c0,
+                                    cheb.chebvander(s, n) @ c1, cheb.chebvander(s, n - 1) @ c)):
+        _close(got, want)
 
 
 def _segment_cases():
@@ -243,7 +274,7 @@ def test_no_chebyshev_fit_is_a_least_squares_solve(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("chebfit called")
 
-    monkeypatch.setattr(singular_ode._cheb, "chebfit", refuse)
+    monkeypatch.setattr(np.polynomial.chebyshev, "chebfit", refuse)
     picard_seed(scaled_arc_ivp(0.1))
     integrate(scaled_arc_ivp(0.1), -1.0)
 
