@@ -381,18 +381,21 @@ def mesh_boundary_report(mesh):
     ends = np.divmod(keys[counts == 1], n)
     if np.any(np.unique(np.concatenate(ends), return_counts=True)[1] != 2):
         return nonmanifold, len(ends[0]), -1  # boundary is not a disjoint loop union
-    adj = {}
-    for u, v in zip(*(e.tolist() for e in ends)):
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    loops, unseen = 0, set(adj)
-    while unseen:   # walk each loop from any vertex not yet seen until it closes
-        loops += 1
-        cur = unseen.pop()
-        while nxt := [v for v in adj[cur] if v in unseen]:
-            cur = nxt[0]
-            unseen.remove(cur)
-    return nonmanifold, len(ends[0]), loops
+    # each boundary edge both ways; a directed edge a->b is followed by b's
+    # other edge, so each loop (3 or more edges, as edges are distinct) is
+    # two cycles, which pointer doubling labels by their least edge
+    src, dst = np.concatenate(ends), np.concatenate(ends[::-1])
+    out = np.argsort(src, kind="stable")   # each vertex's two edges, side by side
+    first = np.empty(n, np.int64)
+    first[src[out[::2]]] = np.arange(0, len(src), 2)
+    e0, e1 = out[first[dst]], out[first[dst] + 1]   # the two edges out of dst
+    succ = np.where(dst[e0] == src, e1, e0)           # the one not going back
+    edges = np.arange(len(src))
+    label = edges
+    for _ in range(max(len(src), 1).bit_length()):
+        label = np.minimum(label, label[succ])
+        succ = succ[succ]
+    return nonmanifold, len(ends[0]), int(np.count_nonzero(label == edges)) // 2
 
 
 def mesh_is_watertight(mesh):
@@ -406,8 +409,13 @@ def export_obj(mesh, path):
     """Write Wavefront OBJ (deterministic bytes); refuses empty meshes."""
     if len(mesh.vertices) == 0 or len(mesh.faces) == 0:
         raise EvaluationError(f"refusing to write empty mesh to {path}")
-    v, f = mesh.vertices, mesh.faces + 1
+    v, f = mesh.vertices.ravel(), mesh.faces + 1
+    # each distinct |coordinate| is formatted once, and its sign comes from
+    # signbit, so -0.0 keeps the "-" that %.10e gives it
+    mags, at = np.unique(np.abs(v), return_inverse=True)
+    text = np.array(["%.10e" % x for x in mags.tolist()], dtype=object)[at]
+    text[np.signbit(v)] = "-" + text[np.signbit(v)]
     with open(path, "w") as fh:
         fh.write("# minimal-resistance body mesh\n"
-                 + ("v %.10e %.10e %.10e\n" * len(v)) % tuple(v.ravel().tolist())
+                 + ("v %s %s %s\n" * (len(v) // 3)) % tuple(text.tolist())
                  + ("f %d %d %d\n" * len(f)) % tuple(f.ravel().tolist()))

@@ -567,3 +567,19 @@ def test_obj_export_roundtrip(sol, tmp_path):
     first = path.read_bytes()
     export_obj(mesh, path)
     assert path.read_bytes() == first
+
+
+def test_obj_vertices_read_as_percent_e_writes_them(tmp_path):
+    # each distinct |coordinate| is formatted once and signed by signbit:
+    # -0.0 keeps its "-", and a repeated value or its negative writes the
+    # same digits each time
+    v = np.array([[0.0, -0.0, -0.0], [0.25, -0.25, -1e-12], [-0.0, 0.25, 0.0],
+                  [1.0 / 3.0, -1.0 / 3.0, -0.75]])
+    mesh = BodyMesh(v, np.array([[0, 1, 2], [1, 3, 2]]))
+    path = tmp_path / "v.obj"
+    export_obj(mesh, path)
+    want = ("# minimal-resistance body mesh\n"
+            + "".join("v %.10e %.10e %.10e\n" % tuple(row) for row in v.tolist())
+            + "f 1 2 3\nf 2 4 3\n")
+    assert path.read_text() == want
+    assert "v 0.0000000000e+00 -0.0000000000e+00 -0.0000000000e+00\n" in want
