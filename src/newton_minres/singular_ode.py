@@ -270,10 +270,12 @@ def _lobatto_basis(m, degree, anchor):
     reduced to one period: T_k(s_j) = cos(k*theta_j) and the difference
     -2*sin(k*(theta_j + phi)/2)*sin(k*(theta_j - phi)/2), which keeps its
     relative accuracy at the nodes next to the anchor, where integrals
-    from the anchor are small.
+    from the anchor are small.  The table is odd and symmetric about
+    pi/2, as sin is, so its zeros are exact.
     """
     M = m - 1
-    sines = np.sin(np.pi * np.arange(-4 * M, 4 * M) / (4 * M))
+    r = np.arange(-4 * M, 4 * M)
+    sines = np.sin(np.pi * (np.sign(r) * (2 * M - abs(2 * M - abs(r)))) / (4 * M))
     read = lambda r: sines[(r + 4 * M) % (8 * M)]
     j, k = np.arange(m)[:, None], np.arange(degree + 1)
     h = M * {1.0: 0, 0.0: 1, -1.0: 2}[anchor]  # phi = 2*h*pi/(4(m-1))

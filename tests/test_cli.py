@@ -629,7 +629,7 @@ GOLDEN_CHECK = """\
     {
       "alpha": 0.0000000e+00,
       "rho": 1.0898362e-01,
-      "switch_integral": -1.6241349e-16,
+      "switch_integral": -6.7979476e-17,
       "verdicts": {
         "switching_zero": true,
         "adjoint_negative": true,
@@ -644,7 +644,7 @@ GOLDEN_CHECK = """\
     {
       "alpha": 1.0000000e-02,
       "rho": 1.4420312e-01,
-      "switch_integral": 1.8257965e-16,
+      "switch_integral": 2.2529721e-16,
       "verdicts": {
         "switching_zero": true,
         "adjoint_negative": true,
@@ -658,7 +658,7 @@ GOLDEN_CHECK = """\
     {
       "alpha": 1.0000000e-01,
       "rho": 3.9697116e-01,
-      "switch_integral": -1.3140530e-16,
+      "switch_integral": -1.2576745e-16,
       "verdicts": {
         "switching_zero": true,
         "adjoint_negative": true,
@@ -698,11 +698,11 @@ def test_check_output_bytes_are_pinned(capsys):
     # switching integral's Chebyshev interpolant on the scan's bracket
     # instead of Brent's iterate to xtol 1e-12: rho moves by at most 1.7e-15
     # at these alphas and is now a zero of I_of to round-off.  And again
-    # (-3.8055496e-17 -> -1.6241349e-16, 8.2399365e-18 -> 1.8257965e-16,
-    # 5.6920614e-17 -> -1.3140530e-16) when the Lobatto and segment maps
+    # (-3.8055496e-17 -> -6.7979476e-17, 8.2399365e-18 -> 2.2529721e-16,
+    # 5.6920614e-17 -> -1.2576745e-16) when the Lobatto and segment maps
     # became closed-form products instead of numpy's inverse Vandermonde
     # matrix and chebint: the arc's node values move by round-off, and rho
-    # by at most 6e-16 at these alphas
+    # by at most 7e-16 at these alphas
     assert run(capsys, "check") == (0, GOLDEN_CHECK, "")
 
 

