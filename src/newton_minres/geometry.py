@@ -413,8 +413,8 @@ def export_obj(mesh, path):
     # each distinct |coordinate| is formatted once, and its sign comes from
     # signbit, so -0.0 keeps the "-" that %.10e gives it
     mags, at = np.unique(np.abs(v), return_inverse=True)
-    text = np.array(["%.10e" % x for x in mags.tolist()], dtype=object)[at]
-    text[np.signbit(v)] = "-" + text[np.signbit(v)]
+    text, neg = np.array(["%.10e" % x for x in mags.tolist()], dtype=object)[at], np.signbit(v)
+    text[neg] = "-" + text[neg]
     with open(path, "w") as fh:
         fh.write("# minimal-resistance body mesh\n"
                  + ("v %s %s %s\n" * (len(v) // 3)) % tuple(text.tolist())
