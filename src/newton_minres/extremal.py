@@ -37,9 +37,9 @@ from .singular_ode import (MappedSolution, SingularIVP, integrate, integrate_var
 
 LAM = -0.25
 ALPHA_MAX = 1.0 / 3.0
-# the flat height is below _H0_HI on the validity range and above _H0_LO for
-# p0 >= 2.43 only (it falls to about 0.05 as alpha -> 1/3): see solve_for_height
-_H0_LO, _H0_HI = 0.20, 0.3158
+# the flat height is below _H0_HI on the validity range, so M/_H0_HI bounds
+# the height root below: see solve_for_height
+_H0_HI = 0.3158
 # past _P0_TOP, alpha = 1/p0^2 leaves the normal doubles; the height there,
 # p0 * height0, is 2.116663e153 (measured), so _M_TOP is the largest height
 _P0_TOP, _M_TOP = 1.0 / np.sqrt(np.finfo(float).tiny), 2.1166e153
@@ -47,8 +47,7 @@ _VALIDITY_MSG = ("alpha = {!r} is outside [0, 1/3): the switching-integral "
                  "uniqueness hypothesis fails there (endpoint weight changes sign at 1/3)")
 # Gauss-Legendre nodes per panel of I_of's graded rule
 N_PANEL = 16
-# the height root's Newton on the series and its arc loop take at most this
-# many iterations each; the arc loop raises NoRoot after them
+# the height root's Newton on the series takes at most this many steps
 _HEIGHT_MAXITER = 100
 # height0 over the whole validity range as one degree-48 Chebyshev series in
 # x = 2*s/sqrt(1/3) - 1, s = sqrt(1/3 - alpha), which takes the square-root
@@ -244,10 +243,10 @@ def I_closed_form_alpha0(rho, nu_hat):
 def _switch_rule(rho, a, b, alpha):
     """I(rho) along eta = a*q + b, Clenshaw-Curtis on the N_ARC Lobatto nodes
     of each [0, rho]; the arguments broadcast to one 1-D array."""
-    s, _, int1, _ = singular_ode._lobatto_integrals(singular_ode.N_ARC, -1.0)
+    s, _, int1, _ = singular_ode._lobatto_integrals(singular_ode.N_ARC, 1.0)
     rho, a, b, alpha = (v[:, None] for v in np.broadcast_arrays(*np.atleast_1d(rho, a, b, alpha)))
     q = 0.5 * rho * (s + 1.0)
-    return 0.5 * rho[:, 0] * (_switch_kernel(q, a, b, alpha, q) @ int1[0])
+    return -0.5 * rho[:, 0] * (_switch_kernel(q, a, b, alpha, q) @ int1[-1])
 
 
 def find_switch(alpha, nu):
@@ -605,22 +604,19 @@ def _height_root_start(M, lo, hi):
 def solve_for_height(M):
     """Synthesize the extremal solution with prescribed height M.
 
-    h(p0) = p0 * height0(1/p0^2) - M is solved in p0.  Its float root on
-    the stored series of height0 (_height_root_start) is within 3.1e-11
-    relative of the solver's root, so one cold arc solved there meets the
-    stop rule |h/h'| <= 1e-10 + 1e-13*p0, with the series slope H'(p0) for
-    h': every height solves one arc, one Picard seed and no Jacobi field.
-    Otherwise the series slope is a chord slope in a safeguarded Newton
-    loop, so a series that drifts from the solver costs arcs, not
-    correctness.  Cached by M, a number (an array raises TypeError), so a
+    h(p0) = p0 * height0(1/p0^2) - M is solved in p0.  p0 is the float
+    root of H(p0) = M on the stored series of height0 (_height_root_start,
+    Newton from the lower bound M/_H0_HI, clamped at _P0_TOP), within
+    3.1e-11 relative of the solver's root.  One cold arc and its switching
+    root, solved there, check it: they must meet the stop rule
+    |h/H'(p0)| <= 1e-10 + 1e-13*p0, with the series slope H'.  A miss is
+    NoRoot naming p0, M and h; there is no second root finder.  So every
+    height solves one arc, one Picard seed and no Jacobi field, refusals
+    included.  Cached by M, a number (an array raises TypeError), so a
     repeated M solves nothing and returns the same frozen ExtremalSolution.
     h increases with p0, from about 0.0869 at the validity edge
     p0 = sqrt(3) to _M_TOP at _P0_TOP, where 1/p0^2 is the smallest normal
-    double; larger M is refused up front.  height0 < _H0_HI bounds the
-    root below, and hi = max(M/_H0_LO, lo) + 1 >= 2.73, capped at _P0_TOP,
-    bounds it above, as height0 > _H0_LO there.  Each h shrinks [lo, hi]
-    by its sign; a step that leaves it evaluates the end it crosses, or
-    bisects if that end is known.
+    double; larger M is refused up front, smaller M by the arc at the edge.
     """
     M = float(M)
     if not 0.0 < M < np.inf:
@@ -630,29 +626,19 @@ def solve_for_height(M):
                      f"where 1/p0^2 reaches the smallest normal double)")
 
     lo = max(np.sqrt(3.0) * (1.0 + 1e-6) + 1e-9, M / _H0_HI)
-    hi = min(max(M / _H0_LO, lo) + 1.0, _P0_TOP)
-    a, b, unseen = lo, hi, {lo, hi}
-    p = _height_root_start(M, lo, hi)
-    for _ in range(_HEIGHT_MAXITER):
-        alpha = 1.0 / (p * p)
-        nu = solve_nu(alpha)
-        profile = ScaledProfile.at_switch(alpha, nu, find_switch(alpha, nu))
-        hp = p * profile.height0 - M
-        if p == lo and hp >= 0.0:
-            raise NoRoot(f"M={M} below the reachable range (min height "
-                         f"{hp + M:.7g} at the validity edge)")
-        if p == hi and hp <= 0.0:
-            raise NoRoot(f"could not bracket p0 for M={M}")
-        unseen.discard(p)
-        slope = _series_height(p)[1]
-        if abs(hp / slope) <= 1e-10 + 1e-13 * p:
-            return unscale(profile, p)
-        a, b = (p, b) if hp < 0.0 else (a, p)
-        p = p - hp / slope
-        if not a < p < b:
-            end = a if hp > 0.0 else b
-            p = end if end in unseen else 0.5 * (a + b)
-    raise NoRoot(f"height root: no convergence in {_HEIGHT_MAXITER} iterations for M={M}")
+    p = _height_root_start(M, lo, _P0_TOP)
+    alpha = 1.0 / (p * p)
+    nu = solve_nu(alpha)
+    profile = ScaledProfile.at_switch(alpha, nu, find_switch(alpha, nu))
+    hp = p * profile.height0 - M
+    if p == lo and hp >= 0.0:
+        raise NoRoot(f"M={M} below the reachable range (min height "
+                     f"{hp + M:.7g} at the validity edge)")
+    tol = 1e-10 + 1e-13 * p
+    if not abs(hp / _series_height(p)[1]) <= tol:
+        raise NoRoot(f"height root: the arc at the series root p0={p:.17g} misses M={M} "
+                     f"by h={hp:.3e} (|h/H'| above {tol:.3e})")
+    return unscale(profile, p)
 
 
 LimitConstants = namedtuple("LimitConstants", ["r_hat", "M_hat", "slope_hat", "J_hat"])

@@ -47,7 +47,7 @@ from . import singular_ode
 def quad_value(*args, **kwargs):
     """Placeholder that nothing here calls: perfbench/spans.py wraps this
     binding on both `functional` and `extremal` by name until the bench
-    reads the stats record of ROADMAP item 1b, which deletes it."""
+    reads the stats record of ROADMAP item 3, which deletes it."""
     raise NotImplementedError("functional integrates on fixed rules; it has no adaptive quadrature")
 
 
@@ -109,8 +109,8 @@ def J_scaled(profile):
     rho = profile.rho
     a = profile.slope
     b = profile.height0
-    s, _, int1, _ = singular_ode._lobatto_integrals(singular_ode.N_ARC, -1.0)
-    w = 0.5 * int1[0]  # weights of [0, 1] at the nodes (s + 1)/2
+    s, _, int1, _ = singular_ode._lobatto_integrals(singular_ode.N_ARC, 1.0)
+    w = -0.5 * int1[-1]  # weights of [0, 1] at the nodes (s + 1)/2
 
     q = 0.5 * rho * (s + 1.0)
     aff = rho * (w @ lagrangian_value(q, b + a * q, a, alpha))

@@ -170,7 +170,6 @@ class BodyEvaluator:
     mirror_symmetric = True
 
     def __init__(self, sol):
-        self.sol = sol
         self.table = _VStarTable(sol)
 
     def vstar(self, y):

@@ -310,8 +310,11 @@ def _lobatto_integrals(n, anchor):
     the differences T_k(s_j) - T_k(anchor) of `_lobatto_basis`.  No matrix
     is inverted and no series is summed.
 
-    Built on first use, for (N_ARC, 0) and (N_ARC, -1 or 1).  Row 0 of int1
-    at anchor -1 is the Clenshaw-Curtis rule on [-1, 1].
+    Built on first use: (N_ARC, 0) for the Picard seed, (N_ARC, 1) for the
+    arc, the Jacobi field and the adjoint.  Minus the last row of int1 at
+    anchor 1 (the integral from s = 1 down to the node -1) is the
+    Clenshaw-Curtis rule on [-1, 1], which the switching rule and J_scaled
+    read.
     """
     _, V, D = _lobatto_basis(n, n + 1, anchor)
     c = np.ones(n)

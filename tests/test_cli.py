@@ -791,6 +791,17 @@ def test_a_finer_arc_rule_moves_no_printed_digit(capsys, monkeypatch, n_arc):
     assert fine == coarse and coarse[1] == 0
 
 
+def test_a_cold_table_and_check_build_two_lobatto_and_two_segment_tables(capsys):
+    # the Picard seed's Lobatto table (anchor 0) and the arc's (anchor 1),
+    # which the Jacobi field and the adjoint read too, as do the switching
+    # integral and J_scaled: their Clenshaw-Curtis weights are minus the
+    # last row of its int1.  No table at anchor -1 is built
+    cold_caches()
+    assert run(capsys, "table")[0] == 0 and run(capsys, "check")[0] == 0
+    assert singular_ode._lobatto_integrals.cache_info().currsize == 2
+    assert singular_ode._segment_maps.cache_info().currsize == 2
+
+
 # ---------------------------------------------------------------------------
 # mesh / resistance
 # ---------------------------------------------------------------------------
