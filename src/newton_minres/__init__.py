@@ -14,9 +14,8 @@ from .errors import (
     SignChange, InconsistentScale, EvaluationError,
 )
 from .singular_ode import (
-    SingularIVP, VariationalCoeffs, DenseSolution, MappedSolution,
+    SingularIVP, DenseSolution, MappedSolution,
     accel_at_origin, picard_seed, integrate, integrate_variational,
-    variational_accel_at_origin,
 )
 from .functional import (
     lagrangian_value, J_scaled, J_unscaled, gamma_form_J, resistance_direct,

@@ -33,7 +33,7 @@ from .functional import J_scaled, _panel_rule
 from .functional import quad_value  # noqa: F401
 from . import singular_ode
 from .singular_ode import (MappedSolution, SingularIVP, integrate, integrate_variational,
-                           VariationalCoeffs)
+                           linearized)
 
 LAM = -0.25
 ALPHA_MAX = 1.0 / 3.0
@@ -386,54 +386,32 @@ def adjoint_omega(profile):
     return AdjointProfile(qt, seg.eval(qt)[0])
 
 
-def variational_coeffs_along(profile):
-    """Linearization of the arc equation along the assembled kappa.
-
-    Written in the frame t = q-1, x = kappa - q; the coefficient function
-    takes an array of t, reads the state (x, x') once, and returns
-    (alpha, beta, 0) in the cancellation-free forms
-
-        alpha = lam (2x - t x')(2x + t x')/(t x^2) + t g_x,
-        beta  = 2 lam (t x' - 2x)/(t x) + g_xdot,
-
-    finite at t=0 with limits -(4/3) lam nu'''/nu'' and
-    (2/3) lam nu'''/nu'' + g_xdot(0,0,0), returned at t=0 itself.  On the
-    arc x is read from the movable-frame series (profile.nu.base), free of
-    the cancellation in kappa - q.  Below the switching point the same
-    formulas are evaluated along the affine branch (kappa is not an arc
-    solution there; that is intentional: the check certifies the assembled
-    composite, not the arc alone).  The coefficients are only continuous
-    at the switching point t = rho - 1, which is declared as a break.
-    """
-    alpha = profile.alpha
-    ivp = scaled_arc_ivp(alpha)
-    base = profile.nu.base
-    t_arc_min = profile.rho - 1.0
-    _, _, xdd0, x3 = nu_derivatives_at_one(alpha)
-    a_lim = -(4.0 / 3.0) * LAM * x3 / xdd0
-    b_lim = (2.0 / 3.0) * LAM * x3 / xdd0 + ivp.g_xdot(0.0, 0.0, 0.0)
-
-    def fn(t):
-        t = np.asarray(t, float)
-        a, b = np.full(t.shape, a_lim), np.full(t.shape, b_lim)
-        off = t != 0.0
-        t = t[off]
-        on_arc = t >= t_arc_min
-        x, xd, _ = base.eval(np.where(on_arc, t, 0.0))
-        x = np.where(on_arc, x, profile.height0 + (profile.slope - 1.0) * (t + 1.0))
-        xd = np.where(on_arc, xd, profile.slope - 1.0)
-        a[off] = (LAM * (2.0 * x - t * xd) * (2.0 * x + t * xd) / (t * x * x)
-                  + t * ivp.g_x(t, x, xd))
-        b[off] = 2.0 * LAM * (t * xd - 2.0 * x) / (t * x) + ivp.g_xdot(t, x, xd)
-        return a, b, 0.0
-
-    return VariationalCoeffs(fn, LAM, breaks=(t_arc_min,))
-
-
 def _jacobi_field(profile):
     """Jacobi field zeta(1)=0, zeta'(1)=1 along the profile on [0, 1], by a
-    fixed linear collocation: one piece on the arc, one on the flat."""
-    return MappedSolution(integrate_variational(variational_coeffs_along(profile), 1.0, -1.0),
+    fixed linear collocation: one piece on the arc, one on the flat.
+
+    Its coefficients are `linearized` along kappa in the frame t = q-1,
+    x = kappa - q: on the arc from the movable-frame series
+    (profile.nu.base), free of the cancellation in kappa - q, and below the
+    switching point along the affine branch (kappa is not an arc solution
+    there; that is intentional: the check certifies the assembled
+    composite, not the arc alone).  They are only continuous at the
+    switching point t = rho - 1, which is declared as a break.  zeta''(1)
+    is the t->0 balance (g_xdot(0,0,0) - (2/3) lam nu'''/nu'') / (1 - 2 lam).
+    """
+    ivp = scaled_arc_ivp(profile.alpha)
+    t_arc_min = profile.rho - 1.0
+
+    def fn(t):
+        on_arc = t >= t_arc_min
+        x, xd, _ = profile.nu.base.eval(np.where(on_arc, t, 0.0))
+        x = np.where(on_arc, x, profile.height0 + (profile.slope - 1.0) * (t + 1.0))
+        xd = np.where(on_arc, xd, profile.slope - 1.0)
+        return (*linearized(ivp, t, x, xd), 0.0)
+
+    _, _, nu2, nu3 = nu_derivatives_at_one(profile.alpha)
+    zdd1 = (ivp.g_xdot(0.0, 0.0, 0.0) - (2.0 / 3.0) * LAM * nu3 / nu2) / (1.0 - 2.0 * LAM)
+    return MappedSolution(integrate_variational(fn, zdd1, 1.0, -1.0, breaks=(t_arc_min,)),
                           offset=-1.0)
 
 

@@ -49,18 +49,20 @@ anchor integrates coefficients.
 
 The linearized (variational) equation
 
-    y'' = 4*lam*(t*y' - y)/t^2 + alpha(t)*y/t + beta(t)*y' + sigma(t)
+    y'' = r0(t)*y + r1(t)*y' + sigma(t),    y(0) = 0, y'(0) and y''(0) given,
 
-with y(0) = 0 and prescribed y'(0) is linear, so it needs no stepper: the
-coefficient 4*lam*(t*y'-y)/t^2 is what the lam*x'^2/x term contributes
-after linearization along a solved arc.  On each interval where
-the coefficients are smooth, y'' at Chebyshev-Lobatto nodes is the
-unknown; y' and y are its exact Chebyshev integrals from the piece's inner
-end, where they are taken from the data (y(0) = 0, y'(0)) or from the
-previous piece at the shared break.  Collocating the equation at the nodes
-(y''(0) from the t->0 balance at the origin node) gives one dense linear
-system per piece.  The singular term is harmless there: with
-y = y'(0)*t + t^2*z it reads z + t*z'.
+is linear, so it needs no stepper.  Along a solved curve, (r0, r1) are
+`linearized`'s partials of lam*x'^2/x + g, the ones the arc's Newton step
+reads; they grow like 1/t^2 and 1/t at the origin, so the caller supplies
+y''(0), the t->0 balance of its equation, and the coefficients are read
+only off the origin.  On each interval where the coefficients are smooth,
+y'' at Chebyshev-Lobatto nodes is the unknown; y' and y are its exact
+Chebyshev integrals from the piece's inner end, where they are taken from
+the data (y(0) = 0, y'(0)) or from the previous piece at the shared break.
+Collocating the equation at the nodes (y''(0) at the origin node) gives
+one dense linear system per piece.  The singular part is harmless there:
+near t = 0 it is 4*lam*(t*y' - y)/t^2, and with y = y'(0)*t + t^2*z it
+reads 4*lam*(z + t*z').
 """
 
 from functools import lru_cache
@@ -478,6 +480,14 @@ def _collocation_matrix(r0, r1, X, Xd):
     return np.eye(len(r0)) - r0[:, None] * X - r1[:, None] * Xd
 
 
+def linearized(ivp, t, x, xd):
+    """(r0, r1) = the partials of lam*x'^2/x + g(t, x, x') in x and x' at
+    (t, x, x'), x != 0: the coefficients of the equation linearized there,
+    read by the arc's Newton step and by the Jacobi field alike."""
+    q = xd / x
+    return ivp.g_x(t, x, xd) - ivp.lam * q * q, ivp.g_xdot(t, x, xd) + 2.0 * ivp.lam * q
+
+
 def _arc_system(ivp, t, X, Xd, xdd0, u):
     """Newton residual F(u) and Jacobian of the arc collocation at nodes t:
     u = xdd0 at the origin node and u = lam*x'^2/x + g(t, x, x') at the
@@ -488,12 +498,10 @@ def _arc_system(ivp, t, X, Xd, xdd0, u):
     if np.any(bad):
         raise BlowUp(f"x reached 0 at t={t[bad][np.argmin(np.abs(t[bad]))]:.6g} "
                      f"on the arc's Newton iterate")
-    q = xd / x
     F = u - xdd0
-    F[rest] = u[rest] - ivp.lam * xd * q - ivp.g(t, x, xd)
+    F[rest] = u[rest] - ivp.lam * xd * (xd / x) - ivp.g(t, x, xd)
     r0, r1 = np.zeros_like(u), np.zeros_like(u)
-    r0[rest] = ivp.g_x(t, x, xd) - ivp.lam * q * q
-    r1[rest] = ivp.g_xdot(t, x, xd) + 2.0 * ivp.lam * q
+    r0[rest], r1[rest] = linearized(ivp, t, x, xd)
     return F, _collocation_matrix(r0, r1, X, Xd)
 
 
@@ -579,73 +587,45 @@ def integrate(ivp, t_end):
 # variational (linearized) equation
 # ---------------------------------------------------------------------------
 
-class VariationalCoeffs:
-    """Coefficients of y'' = 4*lam*(t*y'-y)/t^2 + alpha(t)*y/t + beta(t)*y' + sigma(t).
+def integrate_variational(fn, ydd0, ydot0, t_end, breaks=()):
+    """Solve y'' = r0(t)*y + r1(t)*y' + sigma(t) with y(0) = 0, y'(0) = ydot0
+    and y''(0) = ydd0 out to a finite t_end != 0.
 
-    fn(t) returns (alpha, beta, sigma) at t: it must accept numpy arrays
-    (elementwise; a constant may be returned as a scalar, which numpy
-    broadcasting carries) and be finite at t=0 (stabilized forms); lam
-    must lie in (-1/2, 0) so the singular indicial mode decays outward.
-    `breaks` lists the points where the coefficients are continuous but not
-    smooth; the solution gets one Chebyshev series per smooth interval
-    between them.
-    """
-
-    def __init__(self, fn, lam, breaks=()):
-        lam = float(lam)
-        if not -0.5 < lam < 0.0:
-            raise DomainError(f"need -1/2 < lam < 0, got {lam}")
-        self.fn = fn
-        self.lam = lam
-        self.breaks = tuple(float(b) for b in breaks)
-
-
-def variational_accel_at_origin(coeffs, ydot0):
-    """y''(0) from the t->0 balance of the variational equation, from one
-    call of coeffs.fn at t = 0; ydot0 must be finite."""
-    ydot0 = float(ydot0)
-    if not np.isfinite(ydot0):
-        raise DomainError(f"ydot0 must be finite, got {ydot0}")
-    a0, b0, s0 = (float(c) for c in coeffs.fn(0.0))
-    return ((a0 + b0) * ydot0 + s0) / (1.0 - 2.0 * coeffs.lam)
-
-
-def integrate_variational(coeffs, ydot0, t_end):
-    """Solve the variational equation with y(0)=0, y'(0)=ydot0 out to a
-    finite t_end != 0.
-
-    One linear collocation solve for y'' at the N_ARC Lobatto nodes of each
-    smooth interval (0, the coefficient breaks and t_end delimit them);
-    returns a DenseSolution of one Chebyshev series per interval.
+    fn(t) returns (r0, r1, sigma) at a 1-D array of nonzero t (elementwise;
+    a constant may be returned as a scalar, which numpy broadcasting
+    carries).  The caller supplies y''(0), the t->0 balance of its
+    equation, which the origin node takes.  `breaks` lists the points where
+    the coefficients are continuous but not smooth.  One linear collocation
+    solve for y'' at the N_ARC Lobatto nodes of each smooth interval (0, the
+    breaks and t_end delimit them); returns a DenseSolution of one
+    Chebyshev series per interval.
     """
     t_end = float(t_end)
     if not np.isfinite(t_end) or t_end == 0.0:
         raise DomainError(f"t_end must be finite and nonzero, got {t_end}")
-    ydot0 = float(ydot0)
-    ydd0 = variational_accel_at_origin(coeffs, ydot0)
+    ydd0, ydot0 = float(ydd0), float(ydot0)
+    if not (np.isfinite(ydd0) and np.isfinite(ydot0)):
+        raise DomainError(f"ydd0 and ydot0 must be finite, got {ydd0} and {ydot0}")
     d = 1.0 if t_end > 0 else -1.0
     s, fit, int1, int2 = _lobatto_integrals(N_ARC, -d)
-    ends = [0.0, *sorted({b for b in coeffs.breaks if 0.0 < d * b < d * t_end}, key=abs), t_end]
+    ends = [0.0, *sorted({b for b in breaks if 0.0 < d * b < d * t_end}, key=abs), t_end]
     y_in, yd_in = 0.0, ydot0
     segs = []
     for t_in, t_out in zip(ends[:-1], ends[1:]):
         mid, half = 0.5 * (t_in + t_out), 0.5 * abs(t_out - t_in)
         t = mid + half * s
-        a, b, sig = coeffs.fn(t)
-        # the right side without sigma is r0*y + r1*y'; the origin node of
-        # the first piece takes u = ydd0 (r0 = r1 = 0 there)
+        # the origin node of the first piece takes u = ydd0 (r0 = r1 = 0, sigma = ydd0)
         live = t != 0.0
-        tc = np.where(live, t, 1.0)
-        r0 = np.where(live, a / tc - 4.0 * coeffs.lam / (tc * tc), 0.0)
-        r1 = np.where(live, 4.0 * coeffs.lam / tc + b, 0.0)
+        r0, r1, sig = np.zeros(N_ARC), np.zeros(N_ARC), np.full(N_ARC, ydd0)
+        r0[live], r1[live], sig[live] = fn(t[live])
         # for u = y'' at the nodes: y = y0 + half^2*int2 @ u, y' = yd_in + half*int1 @ u
         y0 = y_in + yd_in * (t - t_in)
         A = _collocation_matrix(r0, r1, half * half * int2, half * int1)
-        rhs = np.where(live, r0 * y0 + r1 * yd_in + sig, ydd0)
+        rhs = r0 * y0 + r1 * yd_in + sig
         # y and y' start from y_in and yd_in at t_in, where s = -d
         seg = _ChebSegment(mid, half, fit @ np.linalg.solve(A, rhs), -d, y_in, yd_in)
         y_in, yd_in, _ = seg.eval(t_out)
         segs.append(seg)
     if d < 0:
         segs.reverse()
-    return DenseSolution(sorted(ends), segs, info={"ydd0": ydd0})
+    return DenseSolution(sorted(ends), segs)

@@ -43,7 +43,7 @@ from newton_minres import (
 )
 from newton_minres import extremal, functional, integrate, singular_ode
 from newton_minres.cli import DEFAULT_TABLE_ROWS
-from newton_minres.extremal import scaled_arc_ivp, variational_coeffs_along
+from newton_minres.extremal import scaled_arc_ivp
 from newton_minres.functional import lagrangian_value
 
 RHO_HAT = 0.108984
@@ -419,43 +419,42 @@ def test_conjugate_point_is_reported(monkeypatch):
     assert jacobi_check(assemble_profile(0.1)) == (0.0, crossing)
 
 
-def test_variational_coefficients_finite_at_rim():
-    coeffs = variational_coeffs_along(assemble_profile(0.0))
-    at_rim = coeffs.fn(0.0)
-    # exact t=0 limits: (-4/3)*lam*nu3/nu2 and (2/3)*lam*nu3/nu2 + g_xd(0,0,0)
-    assert at_rim[0] == pytest.approx(0.5, abs=1e-8)
-    assert at_rim[1] == pytest.approx(3.25, abs=1e-8)
-    # smooth approach at the scale the integrator actually samples
-    # (below ~1e-4 the movable-frame state x = O(t^2) drops under the dense
-    # solution's absolute accuracy, so closer probes are meaningless)
-    for near, at in zip(coeffs.fn(-1e-3), at_rim):
-        assert np.isfinite(at)
-        assert near == pytest.approx(at, abs=5e-2)
+def test_jacobi_field_curvature_at_rim_is_the_closed_form():
+    # zeta''(1) is the t->0 balance (g_xdot(0,0,0) - (2/3) lam nu'''/nu'')/(1 - 2 lam):
+    # 2.5 at alpha = 0, which is (0.5 + 3.25)/1.5, with 0.5 and 3.25 the t = 0
+    # limits of t*r0 + 4 lam/t and r1 - 4 lam/t, the coefficients of y/t and
+    # y' once the singular part 4 lam (t y' - y)/t^2 is split off
+    nu2, nu3 = nu_derivatives_at_one(0.0)[2:]
+    closed = ((scaled_arc_ivp(0.0).g_xdot(0.0, 0.0, 0.0) + (2.0 / 3.0) * 0.25 * nu3 / nu2)
+              / 1.5)
+    assert closed == pytest.approx((0.5 + 3.25) / 1.5, rel=1e-15) == 2.5
+    zeta = jacobi_check(assemble_profile(0.0))[1]
+    assert zeta.eval(1.0)[2] == pytest.approx(closed, rel=1e-12)
+    # smooth approach at the scale the collocation resolves
+    assert abs(zeta.eval(1.0 - 1e-3)[2] - closed) <= 1e-2
 
 
-@pytest.mark.parametrize("alpha", [0.0, 0.1])
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 0.33])
 def test_variational_coefficients_linearize_the_arc_operator(alpha):
-    # y'' = 4 lam (t y' - y)/t^2 + a y/t + b y' must be the
-    # linearization of F = lam x'^2/x + g along kappa on both branches, so
-    # t F_x + 4 lam/t = a and F_xd - 4 lam/t = b, with F_x and
-    # F_xd from central differences of the nonlinear right side
+    # linearized's (r0, r1) along kappa, on both branches, must be the
+    # partials of F = lam x'^2/x + g in x and x', here central differences
+    # of F
     prof = assemble_profile(alpha)
-    coeffs = variational_coeffs_along(prof)
-    g = scaled_arc_ivp(alpha).g
+    ivp = scaled_arc_ivp(alpha)
 
     def F(t, x, xd):
-        return coeffs.lam * xd * xd / x + g(t, x, xd)
+        return ivp.lam * xd * xd / x + ivp.g(t, x, xd)
 
-    t = np.linspace(-0.95, -0.1, 18)
+    t = np.linspace(-0.95, -0.01, 48)
+    assert np.sum(t < prof.rho - 1.0) >= 2 and np.sum(t > prof.rho - 1.0) >= 4
     kap, kp, _ = prof.eval(t + 1.0)
     x, xd = kap - (t + 1.0), kp - 1.0
     hx, h = 1e-5 * x, 1e-6  # F ~ 1/x, and x = O(t^2) is small near the rim
     f_x = (F(t, x + hx, xd) - F(t, x - hx, xd)) / (2.0 * hx)
     f_xd = (F(t, x, xd + h) - F(t, x, xd - h)) / (2.0 * h)
-    lam4 = 4.0 * coeffs.lam / t
-    a, b, _ = coeffs.fn(t)
-    np.testing.assert_allclose(a, t * f_x + lam4, rtol=0.0, atol=1e-7)
-    np.testing.assert_allclose(b, f_xd - lam4, rtol=0.0, atol=1e-7)
+    r0, r1 = singular_ode.linearized(ivp, t, x, xd)
+    np.testing.assert_allclose(r0, f_x, rtol=1e-7, atol=0.0)
+    np.testing.assert_allclose(r1, f_xd, rtol=1e-7, atol=0.0)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.01, 0.1])
@@ -826,7 +825,7 @@ def test_a_drifted_height_series_is_refused_after_one_arc(monkeypatch):
     (lambda solved: solved(1.0), BodyEvaluator, 4),
     (lambda solved: solved(1.0), functional.J_unscaled, 1),
     (lambda solved: solved(1.0), functional.gamma_form_J, 1),
-    (lambda solved: assemble_profile(0.1), jacobi_check, 7),
+    (lambda solved: assemble_profile(0.1), jacobi_check, 6),
 ], ids=["ScaledProfile.at_switch", "integrate", "BodyEvaluator", "J_unscaled",
         "gamma_form_J", "jacobi_check"])
 def test_each_caller_reads_the_series_once(monkeypatch, solved, setup, call, reads):
@@ -835,7 +834,7 @@ def test_each_caller_reads_the_series_once(monkeypatch, solved, setup, call, rea
     # grid and the seed points together, the conjugate table v' and v''
     # together in each Newton step, the two reference routes for J all
     # their quadrature nodes (gamma_form_J with both ends) together, and the
-    # Jacobi field its coefficients once at the origin and once per piece,
+    # Jacobi field its coefficients once per piece (y''(0) is a closed form),
     # its piece ends once each, and zeta on both pieces
     arg = setup(solved)
     count = [0]
@@ -918,9 +917,9 @@ NAN = float("nan")
     (lambda sol, ev: lagrangian_value(0.1, 0.5, NAN, 1.0), DomainError),
     (lambda sol, ev: lagrangian_value(0.1, np.inf, 0.3, 1.0), DomainError),
     (lambda sol, ev: lagrangian_value(0.1, 0.5, np.inf, 1.0), DomainError),
-    *((lambda sol, ev, v=v: singular_ode.variational_accel_at_origin(
-        singular_ode.VariationalCoeffs(lambda t: (0.1, 0.2, 0.3), -0.25), v), DomainError)
-      for v in (NAN, np.inf)),
+    *((lambda sol, ev, v=v: singular_ode.integrate_variational(
+        lambda t: (0.1, 0.2, 0.3), *v, -1.0), DomainError)
+      for v in ((NAN, 1.0), (np.inf, 1.0), (1.0, NAN), (1.0, np.inf))),
     (lambda sol, ev: endpoint_weight_closed_form(NAN), DomainError),
     (lambda sol, ev: endpoint_weight_closed_form(np.inf), DomainError),
     (lambda sol, ev: endpoint_weight_closed_form(1e300), DomainError),
@@ -931,7 +930,8 @@ NAN = float("nan")
         "lagrangian_value-c", "lagrangian_value-c-inf", "lagrangian_value-q",
         "lagrangian_value-y", "lagrangian_value-yp", "lagrangian_value-y-inf",
         "lagrangian_value-yp-inf",
-        "variational_accel_at_origin", "variational_accel_at_origin-inf",
+        "integrate_variational-ydd0", "integrate_variational-ydd0-inf",
+        "integrate_variational-ydot0", "integrate_variational-ydot0-inf",
         "endpoint_weight_closed_form", "endpoint_weight_closed_form-inf",
         "endpoint_weight_closed_form-1e300"])
 def test_nan_is_refused_at_each_evaluation_boundary(solved, call, error):
@@ -990,14 +990,12 @@ _TRIANGLE = [(0.0, 0.0, -0.1), (0.5, 0.0, -0.1), (0.0, 0.5, -0.1)]
     (lambda sol, path: _mesh(_TRIANGLE, M=0.05), DomainError, "below z = -M"),
     (lambda sol, path: export_obj(_mesh(np.zeros((0, 3)), np.zeros((0, 3))), path),
      EvaluationError, "refusing to write empty mesh"),
-    (lambda sol, path: singular_ode.VariationalCoeffs(lambda t: (0.0, 0.0, 0.0), 0.5),
-     DomainError, "need -1/2 < lam < 0"),
 ], ids=["ScaledProfile-rho", "ScaledProfile-slope", "ScaledProfile-height0",
         "ScaledProfile-rim", "ScaledProfile-convexity", "ExtremalSolution", "I_of-rho",
         "I_of-continuation", "I_closed_form_alpha0-rho", "I_closed_form_alpha0-continuation",
         "abel_residual-q", "J_unscaled-p0", "resistance_direct-fd-step", "BodyMesh-vertices",
         "BodyMesh-faces", "BodyMesh-indices", "BodyMesh-cylinder", "BodyMesh-above",
-        "BodyMesh-below", "export_obj-empty", "VariationalCoeffs-lam"])
+        "BodyMesh-below", "export_obj-empty"])
 def test_out_of_range_input_is_refused(solved, tmp_path, call, error, match):
     path = tmp_path / "empty.obj"
     with pytest.raises(error, match=match):

@@ -24,12 +24,10 @@ from newton_minres import (
     DenseSolution,
     DomainError,
     SingularIVP,
-    VariationalCoeffs,
     accel_at_origin,
     integrate,
     integrate_variational,
     picard_seed,
-    variational_accel_at_origin,
 )
 from newton_minres import singular_ode
 from newton_minres.extremal import scaled_arc_ivp
@@ -229,7 +227,7 @@ def _segment_cases():
     two-piece variational solution, with the data each was built from."""
     arc = integrate(scaled_arc_ivp(0.1), -1.0).segments[0]
     _, seed = picard_seed(scaled_arc_ivp(0.1))
-    outer, inner = integrate_variational(_kinked_coeffs((_TB,)), 1.0, -1.0).segments
+    outer, inner = _variational(_kinked_coeffs, 1.0, -1.0, breaks=(_TB,)).segments
     y, yd, _ = inner.eval(_TB)
     return [(arc, 1.0, 0.0, 0.0), (seed.segments[0], 0.0, 0.0, 0.0),
             (inner, 1.0, 0.0, 1.0), (outer, 1.0, y, yd)]
@@ -536,54 +534,63 @@ def test_every_arc_runs_the_seed_once_and_carries_its_info(monkeypatch):
 # variational equation
 # ---------------------------------------------------------------------------
 
-def _const_coeffs(a=0.0, b=0.0, s=0.0, lam=-0.25):
-    return VariationalCoeffs(lambda t: (a, b, s), lam)
+def _variational(fn, ydot0, t_end, lam=-0.25, breaks=()):
+    """integrate_variational on the model form
+
+        y'' = 4*lam*(t*y' - y)/t^2 + a(t)*y/t + b(t)*y' + sigma(t),
+
+    (a, b, sigma) = fn(t), whose 4*lam term is what lam*x'^2/x contributes
+    along an arc: r0 = a/t - 4*lam/t^2, r1 = 4*lam/t + b, and
+    y''(0) = ((a + b)*y'(0) + sigma)(0) / (1 - 2*lam), the t->0 balance."""
+    def coeffs(t):
+        a, b, sigma = fn(t)
+        return a / t - 4.0 * lam / (t * t), 4.0 * lam / t + b, sigma
+
+    a0, b0, s0 = (float(c) for c in fn(0.0))
+    ydd0 = ((a0 + b0) * ydot0 + s0) / (1.0 - 2.0 * lam)
+    return integrate_variational(coeffs, ydd0, ydot0, t_end, breaks)
+
+
+def _const(a=0.0, b=0.0, s=0.0):
+    return lambda t: (a, b, s)
 
 
 def test_scalar_variational_coefficients_match_their_array_twins():
     a, b, sig = 0.1, 0.2, 0.3
-    scalar = _const_coeffs(a, b, sig)
-    arrays = VariationalCoeffs(
-        lambda t: (np.full_like(t, a), np.full_like(t, b), np.full_like(t, sig)), -0.25)
+    arrays = lambda t: (np.full_like(t, a), np.full_like(t, b), np.full_like(t, sig))
     t = np.linspace(0.0, 0.5, 33)
-    assert np.array_equal(np.stack(integrate_variational(scalar, 1.0, 0.5).eval(t)),
-                          np.stack(integrate_variational(arrays, 1.0, 0.5).eval(t)))
+    assert np.array_equal(np.stack(_variational(_const(a, b, sig), 1.0, 0.5).eval(t)),
+                          np.stack(_variational(arrays, 1.0, 0.5).eval(t)))
 
 
 def test_scalar_only_variational_coefficient_is_rejected():
     # the coefficients are read once per piece on the node array; a
     # scalar-only one fails loudly instead of being looped over point by point
-    coeffs = VariationalCoeffs(lambda t: (0.1 * math.cos(t), 0.0, 0.0), -0.25)
     with pytest.raises(TypeError):
-        integrate_variational(coeffs, 1.0, 0.5)
+        _variational(lambda t: (0.1 * math.cos(t), 0.0, 0.0), 1.0, 0.5)
 
 
 @pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf])
 def test_variational_rejects_nonfinite_end(t_end):
     with pytest.raises(DomainError, match="finite"):
-        integrate_variational(_const_coeffs(), 1.0, t_end)
+        _variational(_const(), 1.0, t_end)
 
 
 @pytest.mark.parametrize("ydot0", [math.nan, math.inf, -math.inf])
 def test_variational_rejects_nonfinite_slope(ydot0):
     with pytest.raises(DomainError, match="finite"):
-        integrate_variational(_const_coeffs(), ydot0, -1.0)
-
-
-def test_variational_accel_closed_form():
-    assert variational_accel_at_origin(_const_coeffs(s=1.5), 0.0) == pytest.approx(1.0)
-    assert variational_accel_at_origin(_const_coeffs(a=3.0), 1.0) == pytest.approx(2.0)
+        _variational(_const(), ydot0, -1.0)
 
 
 def test_variational_zero_data_stays_zero():
-    y = integrate_variational(_const_coeffs(a=0.5, b=0.2), 0.0, 1.0)
+    y = _variational(_const(a=0.5, b=0.2), 0.0, 1.0)
     ts = np.linspace(0.0, 1.0, 50)
     assert np.max(np.abs(y.eval(ts)[0])) <= 1e-12
 
 
 def test_variational_linear_solution_is_exact():
     # with a=b=s=0 the equation is y'' = 4*lam*(t*y'-y)/t^2, solved by y=c*t
-    y = integrate_variational(_const_coeffs(), 0.7, 1.0)
+    y = _variational(_const(), 0.7, 1.0)
     ts = np.linspace(0.0, 1.0, 50)
     np.testing.assert_allclose(y.eval(ts)[0], 0.7 * ts, atol=5e-11)
 
@@ -592,10 +599,9 @@ def test_variational_quadratic_solution_is_exact():
     # y = t + t^2 solves the equation with sigma = 2 - 4*lam - a - b - (a + 2b)*t,
     # so y''(0) = 2 comes from the t->0 balance, in either direction
     a, b, lam = 0.3, 0.2, -0.25
-    coeffs = VariationalCoeffs(
-        lambda t: (a, b, 2.0 - 4.0 * lam - a - b - (a + 2.0 * b) * t), lam)
+    fn = lambda t: (a, b, 2.0 - 4.0 * lam - a - b - (a + 2.0 * b) * t)
     for t_end in (1.0, -1.0):
-        y = integrate_variational(coeffs, 1.0, t_end)
+        y = _variational(fn, 1.0, t_end, lam)
         ts = np.linspace(0.0, t_end, 50)
         val, _, second = y.eval(ts)
         np.testing.assert_allclose(val, ts + ts * ts, rtol=0.0, atol=1e-13)
@@ -607,7 +613,7 @@ def test_variational_a_priori_bound_on_short_interval():
     #   max|y''| <= ((|a|+|b|)|y'(0)| + |s|) / (1 - 2|lam| - (a/2 + b) t0)
     # has a positive denominator
     a, b, s, lam, t0 = 0.3, 0.2, 0.1, -0.25, 0.1
-    y = integrate_variational(_const_coeffs(a, b, s, lam), 1.0, t0)
+    y = _variational(_const(a, b, s), 1.0, t0, lam)
     denom = 1.0 - 2.0 * abs(lam) - (0.5 * a + b) * t0
     bound = ((a + b) * 1.0 + s) / denom
     ts = np.linspace(0.0, t0, 200)
@@ -618,9 +624,9 @@ def test_variational_a_priori_bound_on_short_interval():
 @given(st.floats(-3.0, 3.0).filter(lambda c: abs(c) > 1e-3),
        st.floats(0.1, 2.0))
 def test_variational_solution_scales_linearly_in_data(c, ydot0):
-    coeffs = _const_coeffs(a=0.4, b=-0.3)
-    base = integrate_variational(coeffs, ydot0, 0.5)
-    scaled = integrate_variational(coeffs, c * ydot0, 0.5)
+    fn = _const(a=0.4, b=-0.3)
+    base = _variational(fn, ydot0, 0.5)
+    scaled = _variational(fn, c * ydot0, 0.5)
     ts = np.linspace(0.05, 0.5, 7)
     np.testing.assert_allclose(scaled.eval(ts)[0], c * base.eval(ts)[0],
                                rtol=1e-8, atol=1e-10)
@@ -637,19 +643,14 @@ def _kinked_exact(t):
     return np.sin(t) + k ** 3, np.cos(t) - 3.0 * k * k, -np.sin(t) + 6.0 * k
 
 
-def _kinked_coeffs(breaks, lam=-0.25):
-    def a_fn(t):
-        return 0.8 * np.abs(t - _TB)
-
-    def sigma_fn(t):
-        y, yd, ydd = _kinked_exact(t)
-        ts = np.where(t == 0.0, 1.0, t)  # the t = 0 value is the limit below
-        off = ydd - 4.0 * lam * (ts * yd - y) / (ts * ts) - a_fn(t) * y / ts - _B * yd
-        # limits of (t*y' - y)/t^2 and y/t at t = 0
-        at0 = (1.0 - 2.0 * lam) * ydd - (a_fn(0.0) + _B) * yd
-        return np.where(t == 0.0, at0, off)
-
-    return VariationalCoeffs(lambda t: (a_fn(t), _B, sigma_fn(t)), lam, breaks=breaks)
+def _kinked_coeffs(t, lam=-0.25):
+    a = 0.8 * np.abs(t - _TB)
+    y, yd, ydd = _kinked_exact(t)
+    ts = np.where(t == 0.0, 1.0, t)  # the t = 0 value is the limit below
+    off = ydd - 4.0 * lam * (ts * yd - y) / (ts * ts) - a * y / ts - _B * yd
+    # limits of (t*y' - y)/t^2 and y/t at t = 0
+    at0 = (1.0 - 2.0 * lam) * ydd - (a + _B) * yd
+    return a, _B, np.where(t == 0.0, at0, off)
 
 
 def _max_err(sol, lo, hi):
@@ -658,7 +659,7 @@ def _max_err(sol, lo, hi):
 
 
 def test_variational_pieces_meet_at_declared_break():
-    sol = integrate_variational(_kinked_coeffs((_TB,)), 1.0, -1.0)
+    sol = _variational(_kinked_coeffs, 1.0, -1.0, breaks=(_TB,))
     assert len(sol.segments) == 2
     assert _max_err(sol, -1.0, _TB) <= 1e-10
     assert _max_err(sol, _TB, 0.0) <= 1e-10
@@ -671,7 +672,7 @@ def test_variational_pieces_meet_at_declared_break():
 
 
 def test_variational_without_break_misses_the_kink():
-    split = integrate_variational(_kinked_coeffs((_TB,)), 1.0, -1.0)
-    whole = integrate_variational(_kinked_coeffs(()), 1.0, -1.0)
+    split = _variational(_kinked_coeffs, 1.0, -1.0, breaks=(_TB,))
+    whole = _variational(_kinked_coeffs, 1.0, -1.0)
     assert len(whole.segments) == 1
     assert _max_err(whole, -1.0, 0.0) > 100.0 * _max_err(split, -1.0, 0.0)
