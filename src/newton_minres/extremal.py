@@ -305,7 +305,7 @@ class ScaledProfile:
 
     kappa(q) = height0 + slope*q below rho and nu(q) above; at_switch matches
     value and slope at rho, so kappa is C^1 and convex.  eval is the one
-    reader: it returns (kappa, kappa', kappa'') from one read of the arc.
+    reader: (kappa, kappa', kappa'') from one read of the arc at q >= rho.
     """
     alpha: float
     rho: float
@@ -343,7 +343,7 @@ class ScaledProfile:
         out = np.array([self.height0 + self.slope * q, np.full_like(q, self.slope),
                         np.zeros_like(q)])
         if np.any(on_arc):
-            out = np.where(on_arc, self.nu.eval(np.where(on_arc, q, 1.0)), out)
+            out[:, on_arc] = self.nu.eval(q[on_arc])
         return tuple(map(float, out)) if q.ndim == 0 else tuple(out)
 
 
@@ -392,11 +392,11 @@ def _jacobi_field(profile):
 
     Its coefficients are `linearized` along kappa in the frame t = q-1,
     x = kappa - q: on the arc from the movable-frame series
-    (profile.nu.base), free of the cancellation in kappa - q, and below the
-    switching point along the affine branch (kappa is not an arc solution
-    there; that is intentional: the check certifies the assembled
-    composite, not the arc alone).  They are only continuous at the
-    switching point t = rho - 1, which is declared as a break.  zeta''(1)
+    (profile.nu.base, read at those nodes only), free of the cancellation
+    in kappa - q, and below the switching point along the affine branch
+    (kappa is not an arc solution there; that is intentional: the check
+    certifies the assembled composite, not the arc alone).  They are only
+    continuous at the switching point t = rho - 1, declared as a break.  zeta''(1)
     is the t->0 balance (g_xdot(0,0,0) - (2/3) lam nu'''/nu'') / (1 - 2 lam).
     """
     ivp = scaled_arc_ivp(profile.alpha)
@@ -404,9 +404,9 @@ def _jacobi_field(profile):
 
     def fn(t):
         on_arc = t >= t_arc_min
-        x, xd, _ = profile.nu.base.eval(np.where(on_arc, t, 0.0))
-        x = np.where(on_arc, x, profile.height0 + (profile.slope - 1.0) * (t + 1.0))
-        xd = np.where(on_arc, xd, profile.slope - 1.0)
+        x = profile.height0 + (profile.slope - 1.0) * (t + 1.0)
+        xd = np.full_like(t, profile.slope - 1.0)
+        x[on_arc], xd[on_arc], _ = profile.nu.base.eval(t[on_arc])
         return (*linearized(ivp, t, x, xd), 0.0)
 
     _, _, nu2, nu3 = nu_derivatives_at_one(profile.alpha)
@@ -492,29 +492,6 @@ def abel_residual(nu_hat, q):
 
 
 # ---------------------------------------------------------------------------
-# endpoint weight (validity-range certificate)
-# ---------------------------------------------------------------------------
-
-def endpoint_weight_closed_form(alpha):
-    """Closed form of the endpoint weight
-    int_0^1 sqrt(q)(1-2q) / ((q^2+alpha)^2 sqrt(1-q)) dq; zero exactly at
-    alpha = 1/3 (ALPHA_MAX).  Raises DomainError where it overflows: alpha
-    below about 1e-247 or above 5e102."""
-    alpha = float(alpha)
-    if not 0.0 < alpha < np.inf:
-        raise DomainError(f"alpha must be positive and finite, got {alpha}")
-    alpha = np.float64(alpha)
-    sa = np.sqrt(alpha)
-    s1 = np.sqrt(1.0 + alpha)
-    with np.errstate(over="ignore", divide="ignore"):
-        den = alpha ** 1.25 * (1.0 + alpha) ** 1.5 * np.sqrt(sa + s1)
-        weight = np.pi * np.sqrt(2.0) / 8.0 * (1.0 - alpha - sa * s1) / den
-    if not (den < np.inf and abs(weight) < np.inf):
-        raise DomainError(f"alpha = {float(alpha)!r}: the closed form overflows a double")
-    return weight
-
-
-# ---------------------------------------------------------------------------
 # unscaling and top-level solves
 # ---------------------------------------------------------------------------
 
@@ -585,12 +562,13 @@ def solve_for_height(M):
     h(p0) = p0 * height0(1/p0^2) - M is solved in p0.  p0 is the float
     root of H(p0) = M on the stored series of height0 (_height_root_start,
     Newton from the lower bound M/_H0_HI, clamped at _P0_TOP), within
-    3.1e-11 relative of the solver's root.  One cold arc and its switching
-    root, solved there, check it: they must meet the stop rule
+    3.1e-11 relative of the solver's root.  assemble_profile(1/p0^2), one
+    cold arc and its switching root, checks it by the stop rule
     |h/H'(p0)| <= 1e-10 + 1e-13*p0, with the series slope H'.  A miss is
     NoRoot naming p0, M and h; there is no second root finder.  So every
     height solves one arc, one Picard seed and no Jacobi field, refusals
-    included.  Cached by M, a number (an array raises TypeError), so a
+    included, and its profile also sits in assemble_profile's 64-entry
+    cache.  Cached by M, a number (an array raises TypeError), so a
     repeated M solves nothing and returns the same frozen ExtremalSolution.
     h increases with p0, from about 0.0869 at the validity edge
     p0 = sqrt(3) to _M_TOP at _P0_TOP, where 1/p0^2 is the smallest normal
@@ -605,9 +583,7 @@ def solve_for_height(M):
 
     lo = max(np.sqrt(3.0) * (1.0 + 1e-6) + 1e-9, M / _H0_HI)
     p = _height_root_start(M, lo, _P0_TOP)
-    alpha = 1.0 / (p * p)
-    nu = solve_nu(alpha)
-    profile = ScaledProfile.at_switch(alpha, nu, find_switch(alpha, nu))
+    profile = assemble_profile(1.0 / (p * p))
     hp = p * profile.height0 - M
     if p == lo and hp >= 0.0:
         raise NoRoot(f"M={M} below the reachable range (min height "

@@ -7,7 +7,10 @@ a cached result.  The references judge the package with library calls:
 scipy for the body's height by the support-function route and for the
 endpoint weight by adaptive quadrature; sympy (`arc_calculus`) for the
 reduced integrand L, its Euler-Lagrange expression and the arc equation's
-forcing, derived from L's formula and the arc equation alone."""
+forcing, derived from L's formula and the arc equation alone.  The endpoint
+weight's closed form (`endpoint_weight_closed_form`), the judge of the
+validity edge alpha = 1/3, lives here too: test_acceptance (criterion 5)
+and test_extremal import it, and nothing in the package reads it."""
 
 from functools import lru_cache
 from types import SimpleNamespace
@@ -18,7 +21,7 @@ import sympy as sp
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from newton_minres import assemble_profile, singular_ode, solve_for_height
+from newton_minres import DomainError, assemble_profile, singular_ode, solve_for_height
 
 # bound at import, so a test that patches one of these names still clears it
 _CACHES = (assemble_profile, solve_for_height, singular_ode._lobatto_integrals,
@@ -80,6 +83,25 @@ def endpoint_weight_reference(alpha):
     points = [k * width for k in (1.0, 4.0, 16.0) if k * width < 0.25 * np.pi] or None
     return sum(quad(f, lo, hi, points=pts, epsabs=0.0, epsrel=2e-14)[0]
                for lo, hi, pts in ((0.0, 0.25 * np.pi, points), (0.25 * np.pi, 0.5 * np.pi, None)))
+
+
+def endpoint_weight_closed_form(alpha):
+    """Closed form of the endpoint weight
+    int_0^1 sqrt(q)(1-2q) / ((q^2+alpha)^2 sqrt(1-q)) dq; zero exactly at
+    alpha = 1/3 (extremal.ALPHA_MAX).  Raises DomainError where it
+    overflows: alpha below about 1e-247 or above 5e102."""
+    alpha = float(alpha)
+    if not 0.0 < alpha < np.inf:
+        raise DomainError(f"alpha must be positive and finite, got {alpha}")
+    alpha = np.float64(alpha)
+    sa = np.sqrt(alpha)
+    s1 = np.sqrt(1.0 + alpha)
+    with np.errstate(over="ignore", divide="ignore"):
+        den = alpha ** 1.25 * (1.0 + alpha) ** 1.5 * np.sqrt(sa + s1)
+        weight = np.pi * np.sqrt(2.0) / 8.0 * (1.0 - alpha - sa * s1) / den
+    if not (den < np.inf and abs(weight) < np.inf):
+        raise DomainError(f"alpha = {float(alpha)!r}: the closed form overflows a double")
+    return weight
 
 
 @lru_cache(maxsize=None)

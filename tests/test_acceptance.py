@@ -17,7 +17,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import arc_calculus, cold_caches, endpoint_weight_reference
+from conftest import (arc_calculus, cold_caches, endpoint_weight_closed_form,
+                      endpoint_weight_reference)
 from newton_minres import (
     BodyEvaluator,
     I_closed_form_alpha0,
@@ -25,7 +26,6 @@ from newton_minres import (
     abel_residual,
     adjoint_omega,
     assemble_profile,
-    endpoint_weight_closed_form,
     field_jacobian_check,
     jacobi_check,
     limit_constants,

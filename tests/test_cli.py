@@ -332,10 +332,9 @@ def test_table_default_rows(capsys):
     assert run(capsys, "table", "--format", "json") == (0, GOLDEN_TABLE_JSON, "")
 
 
-def test_table_bytes_do_not_depend_on_the_thread_count(capsys):
-    # rows are solved in order and the package starts no threads, so no
-    # thread count can move a byte; three runs that each start from cold
-    # caches must give the same bytes
+def test_table_bytes_repeat_from_cold_caches(capsys):
+    # rows are solved in order and nothing carries over from an earlier
+    # solve: three runs that each start from cold caches give the same bytes
     rows = DEFAULT_TABLE_ROWS + ",3.3,7.7"
     outputs = []
     for _ in range(3):
@@ -344,6 +343,28 @@ def test_table_bytes_do_not_depend_on_the_thread_count(capsys):
             outputs.append(run(capsys, "table", "--rows", rows, "--format", fmt))
     assert outputs[0][0] == 0 and outputs[0][1].count("\n") == 12
     assert outputs[0:2] == outputs[2:4] == outputs[4:6]
+
+
+def test_bytes_do_not_depend_on_the_blas_thread_count():
+    # numpy's BLAS reads its thread count at import, so each count runs the
+    # commands in a fresh interpreter; their exit codes and stdout bytes
+    # must not depend on it.  Two threads at most, so that the test does
+    # not oversubscribe a 2-core machine
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    argvs = [["table"], ["check", "--alpha", "0,0.01,0.1,0.2,0.3,0.33"],
+             ["resistance", "--M", "1.0", "--resolution", "64"]]
+    code = ("import json, sys\n"
+            "from newton_minres import cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    print(json.dumps([argv[0], cli.main(argv)]), file=sys.stderr)\n")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
+                              check=True, capture_output=True, text=True)
+        outputs.append((done.stdout, done.stderr))
+    assert outputs[0][1].splitlines() == [json.dumps([a[0], 0]) for a in argvs]
+    assert outputs[0][0].count("\n") > 20 and outputs[0] == outputs[1]
 
 
 def test_main_builds_its_parser_once(capsys, monkeypatch):

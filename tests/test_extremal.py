@@ -16,7 +16,8 @@ import sympy as sp
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from conftest import arc_calculus, cold_caches, endpoint_weight_reference
+from conftest import (arc_calculus, cold_caches, endpoint_weight_closed_form,
+                      endpoint_weight_reference)
 from newton_minres import (
     BodyEvaluator,
     BodyMesh,
@@ -30,7 +31,6 @@ from newton_minres import (
     abel_residual,
     adjoint_omega,
     assemble_profile,
-    endpoint_weight_closed_form,
     export_obj,
     field_jacobian_check,
     find_switch,
@@ -604,6 +604,11 @@ def test_endpoint_weight_closed_form_vs_quadrature():
     assert abs(endpoint_weight_closed_form(1.0 / 3.0)) <= 1e-10
     assert endpoint_weight_closed_form(0.3) > 0.0
     assert endpoint_weight_closed_form(0.4) < 0.0
+    # NaN, an infinite alpha and an alpha where the closed form overflows
+    # are refused with DomainError
+    for alpha in (np.nan, np.inf, 1e300):
+        with pytest.raises(DomainError):
+            endpoint_weight_closed_form(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -796,6 +801,15 @@ def test_a_repeated_height_solves_no_arc_and_no_jacobi_field(M, monkeypatch):
         solve_for_height(np.array(M))
 
 
+@pytest.mark.parametrize("M", [1.0, 3.3, 9.0])
+def test_the_height_profile_is_assemble_profiles(M):
+    # solve_for_height assembles no profile of its own: its profile is
+    # assemble_profile's at alpha = 1/p0^2, the same cached object
+    cold_caches()
+    sol = solve_for_height(M)
+    assert sol.profile is assemble_profile(1.0 / (sol.p0 * sol.p0))
+
+
 def test_a_drifted_height_series_is_refused_after_one_arc(monkeypatch):
     # the series root is the height root; the one arc solved there is its
     # check, and there is no second root finder.  With the series slope's
@@ -818,35 +832,70 @@ def test_a_drifted_height_series_is_refused_after_one_arc(monkeypatch):
         assert len(arcs) == 1, name
 
 
-@pytest.mark.parametrize("setup, call, reads", [
+@pytest.mark.parametrize("setup, call, reads, points", [
     (lambda solved: (0.1, solve_nu(0.1), find_switch(0.1, solve_nu(0.1))),
-     lambda args: extremal.ScaledProfile.at_switch(*args), 2),
-    (lambda solved: scaled_arc_ivp(0.1), lambda ivp: integrate(ivp, -1.0), 2),
-    (lambda solved: solved(1.0), BodyEvaluator, 4),
-    (lambda solved: solved(1.0), functional.J_unscaled, 1),
-    (lambda solved: solved(1.0), functional.gamma_form_J, 1),
-    (lambda solved: assemble_profile(0.1), jacobi_check, 6),
+     lambda args: extremal.ScaledProfile.at_switch(*args), 2, 66),
+    (lambda solved: scaled_arc_ivp(0.1), lambda ivp: integrate(ivp, -1.0), 2, 146),
+    (lambda solved: solved(1.0), BodyEvaluator, 4, 20482),
+    (lambda solved: solved(1.0), functional.J_unscaled, 1, 64),
+    (lambda solved: solved(1.0), functional.gamma_form_J, 1, 65),
+    (lambda solved: assemble_profile(0.1),
+     lambda prof: prof.eval(np.linspace(0.0, 1.0, 101)), 1, 61),
+    (lambda solved: assemble_profile(0.1), jacobi_check, 6, 2065),
 ], ids=["ScaledProfile.at_switch", "integrate", "BodyEvaluator", "J_unscaled",
-        "gamma_form_J", "jacobi_check"])
-def test_each_caller_reads_the_series_once(monkeypatch, solved, setup, call, reads):
+        "gamma_form_J", "ScaledProfile.eval", "jacobi_check"])
+def test_each_caller_reads_the_series_once(monkeypatch, solved, setup, call, reads, points):
     # a caller takes the columns it needs from one eval: the profile check
     # reads nu on its grid and at q = 1 together, the arc check its residual
     # grid and the seed points together, the conjugate table v' and v''
     # together in each Newton step, the two reference routes for J all
     # their quadrature nodes (gamma_form_J with both ends) together, and the
     # Jacobi field its coefficients once per piece (y''(0) is a closed form),
-    # its piece ends once each, and zeta on both pieces
+    # its piece ends once each, and zeta on both pieces.  The profile reads
+    # the arc only at its points at or above rho: 61 of linspace(0, 1, 101)
+    # at alpha = 0.1, half of J_unscaled's 128 nodes at M = 1, and none of
+    # the Jacobi field's 64 coefficient nodes on the flat piece
     arg = setup(solved)
-    count = [0]
+    count = [0, 0]
     seg_eval = singular_ode._ChebSegment.eval
 
     def counted(seg, t):
         count[0] += 1
+        count[1] += np.size(t)
         return seg_eval(seg, t)
 
     monkeypatch.setattr(singular_ode._ChebSegment, "eval", counted)
     call(arg)
-    assert count[0] == reads
+    assert count == [reads, points]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 0.33])
+def test_the_profile_reads_its_arc_only_on_the_arc(monkeypatch, alpha):
+    # below rho kappa is affine, and neither the profile nor the Jacobi
+    # field's coefficients evaluate the arc series there, not even to throw
+    # the values away: the profile reads exactly its points at or above rho,
+    # the Jacobi field the N_ARC - 1 nodes of its arc piece off the origin
+    # and at most one of the flat piece's, its end at the break where that
+    # rounds to t >= rho - 1
+    prof = assemble_profile(alpha)
+    reads = []
+    dense_eval = singular_ode.DenseSolution.eval
+
+    def recorded(sol, t):
+        if sol is prof.nu.base:
+            reads.append(np.ravel(t))
+        return dense_eval(sol, t)
+
+    monkeypatch.setattr(singular_ode.DenseSolution, "eval", recorded)
+    q = np.linspace(0.0, 1.0, 101)
+    prof.eval(q)
+    assert len(reads) == 1 and np.array_equal(reads[0], q[q >= prof.rho] - 1.0)
+    reads.clear()
+    prof.eval(0.5 * prof.rho)
+    assert reads == []
+    jacobi_check(prof)
+    t = np.concatenate(reads)
+    assert singular_ode.N_ARC - 1 <= t.size <= singular_ode.N_ARC and np.all(t >= prof.rho - 1.0)
 
 
 def test_solve_for_height_rejects_nonpositive():
@@ -920,9 +969,6 @@ NAN = float("nan")
     *((lambda sol, ev, v=v: singular_ode.integrate_variational(
         lambda t: (0.1, 0.2, 0.3), *v, -1.0), DomainError)
       for v in ((NAN, 1.0), (np.inf, 1.0), (1.0, NAN), (1.0, np.inf))),
-    (lambda sol, ev: endpoint_weight_closed_form(NAN), DomainError),
-    (lambda sol, ev: endpoint_weight_closed_form(np.inf), DomainError),
-    (lambda sol, ev: endpoint_weight_closed_form(1e300), DomainError),
 ], ids=["evaluator", "evaluator-array", "gradient", "vstar",
         "DenseSolution", "MappedSolution", "MappedSolution-array", "ScaledProfile",
         "ExtremalSolution", "scaled_arc_ivp", "nu_derivatives_at_one", "solve_nu",
@@ -931,13 +977,10 @@ NAN = float("nan")
         "lagrangian_value-y", "lagrangian_value-yp", "lagrangian_value-y-inf",
         "lagrangian_value-yp-inf",
         "integrate_variational-ydd0", "integrate_variational-ydd0-inf",
-        "integrate_variational-ydot0", "integrate_variational-ydot0-inf",
-        "endpoint_weight_closed_form", "endpoint_weight_closed_form-inf",
-        "endpoint_weight_closed_form-1e300"])
+        "integrate_variational-ydot0", "integrate_variational-ydot0-inf"])
 def test_nan_is_refused_at_each_evaluation_boundary(solved, call, error):
     # each check is written so that NaN fails it, with the check's own error;
-    # so do an infinite alpha and the alphas where the endpoint weight's
-    # closed form overflows
+    # so does an infinite input
     sol = solved(1.0)
     with pytest.raises(error):
         call(sol, BodyEvaluator(sol))
