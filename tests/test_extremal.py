@@ -604,11 +604,6 @@ def test_endpoint_weight_closed_form_vs_quadrature():
     assert abs(endpoint_weight_closed_form(1.0 / 3.0)) <= 1e-10
     assert endpoint_weight_closed_form(0.3) > 0.0
     assert endpoint_weight_closed_form(0.4) < 0.0
-    # NaN, an infinite alpha and an alpha where the closed form overflows
-    # are refused with DomainError
-    for alpha in (np.nan, np.inf, 1e300):
-        with pytest.raises(DomainError):
-            endpoint_weight_closed_form(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -969,6 +964,9 @@ NAN = float("nan")
     *((lambda sol, ev, v=v: singular_ode.integrate_variational(
         lambda t: (0.1, 0.2, 0.3), *v, -1.0), DomainError)
       for v in ((NAN, 1.0), (np.inf, 1.0), (1.0, NAN), (1.0, np.inf))),
+    (lambda sol, ev: endpoint_weight_closed_form(NAN), DomainError),
+    (lambda sol, ev: endpoint_weight_closed_form(np.inf), DomainError),
+    (lambda sol, ev: endpoint_weight_closed_form(1e300), DomainError),
 ], ids=["evaluator", "evaluator-array", "gradient", "vstar",
         "DenseSolution", "MappedSolution", "MappedSolution-array", "ScaledProfile",
         "ExtremalSolution", "scaled_arc_ivp", "nu_derivatives_at_one", "solve_nu",
@@ -977,10 +975,13 @@ NAN = float("nan")
         "lagrangian_value-y", "lagrangian_value-yp", "lagrangian_value-y-inf",
         "lagrangian_value-yp-inf",
         "integrate_variational-ydd0", "integrate_variational-ydd0-inf",
-        "integrate_variational-ydot0", "integrate_variational-ydot0-inf"])
+        "integrate_variational-ydot0", "integrate_variational-ydot0-inf",
+        "endpoint_weight_closed_form", "endpoint_weight_closed_form-inf",
+        "endpoint_weight_closed_form-1e300"])
 def test_nan_is_refused_at_each_evaluation_boundary(solved, call, error):
     # each check is written so that NaN fails it, with the check's own error;
-    # so does an infinite input
+    # so do an infinite alpha and the alphas where the endpoint weight's
+    # closed form (the tests' oracle) overflows
     sol = solved(1.0)
     with pytest.raises(error):
         call(sol, BodyEvaluator(sol))
