@@ -26,7 +26,7 @@ from .extremal import (
     nu_derivatives_at_one, scaled_arc_ivp, solve_nu,
     I_of, I_closed_form_alpha0, find_switch, assemble_profile,
     adjoint_omega, jacobi_check, field_jacobian_check, abel_residual,
-    unscale, solve_for_height, limit_constants,
+    unscale, solve_for_height, solve_for_edge_slope, limit_constants,
 )
 from .geometry import (
     BodyEvaluator, BodyMesh, build_mesh, mesh_is_watertight, mesh_boundary_report,

@@ -117,13 +117,12 @@ def _obj_path(text):
 def _add_size_arg(sub):
     g = sub.add_mutually_exclusive_group(required=True)
     g.add_argument("--M", type=_positive, help="prescribed body height")
-    g.add_argument("--p0", type=_positive, help="prescribed edge slope (sqrt(3), inf)")
+    g.add_argument("--p0", type=_positive, help="prescribed edge slope in (sqrt(3), 6.7039e153]")
 
 
 def _solution_from_args(args):
     if args.p0 is not None:
-        alpha = 1.0 / (args.p0 * args.p0)
-        return extremal.unscale(extremal.assemble_profile(alpha), args.p0)
+        return extremal.solve_for_edge_slope(args.p0)
     return extremal.solve_for_height(args.M)
 
 

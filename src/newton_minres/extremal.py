@@ -45,6 +45,8 @@ _H0_HI = 0.3158
 _P0_TOP, _M_TOP = 1.0 / np.sqrt(np.finfo(float).tiny), 2.1166e153
 _VALIDITY_MSG = ("alpha = {!r} is outside [0, 1/3): the switching-integral "
                  "uniqueness hypothesis fails there (endpoint weight changes sign at 1/3)")
+_P0_TOP_MSG = (f"p0={{!r}} above the reachable range (max p0 {_P0_TOP:.5g}, where 1/p0^2 "
+               "reaches the smallest normal double)")
 # Gauss-Legendre nodes per panel of I_of's graded rule
 N_PANEL = 16
 # the height root's Newton on the series takes at most this many steps
@@ -527,8 +529,7 @@ def unscale(profile, p0):
     """Map a scaled profile to the unscaled frame; requires p0 = 1/sqrt(alpha) <= _P0_TOP."""
     p0 = float(p0)
     if _P0_TOP < p0 < np.inf:
-        raise NoRoot(f"p0={p0!r} above the reachable range (max p0 {_P0_TOP:.5g}, "
-                     f"where 1/p0^2 reaches the smallest normal double)")
+        raise NoRoot(_P0_TOP_MSG.format(p0))
     if profile.alpha <= 0.0:
         raise InconsistentScale("alpha = 0 profile has no finite p0 (it is the scale-out limit)")
     if not np.isfinite(p0) or abs(p0 - 1.0 / np.sqrt(profile.alpha)) > 1e-12 * p0:
@@ -593,6 +594,19 @@ def solve_for_height(M):
         raise NoRoot(f"height root: the arc at the series root p0={p:.17g} misses M={M} "
                      f"by h={hp:.3e} (|h/H'| above {tol:.3e})")
     return unscale(profile, p)
+
+
+def solve_for_edge_slope(p0):
+    """The twin of solve_for_height for a prescribed edge slope p0, at
+    alpha = 1/p0^2: p0 outside (sqrt(3), _P0_TOP] is a NoRoot that starts
+    with p0, raised before any arc is solved."""
+    p0 = float(p0)
+    if p0 > _P0_TOP:   # also inf
+        raise NoRoot(_P0_TOP_MSG.format(p0))
+    if not p0 > np.sqrt(3.0):   # also nan; in doubles, 1/p0^2 < 1/3 exactly when p0 > sqrt(3)
+        raise NoRoot(f"p0={p0!r} is not above sqrt(3)" + (
+            ": " + _VALIDITY_MSG.format(1.0 / (p0 * p0)) if p0 > 0.0 and p0 * p0 > 0.0 else ""))
+    return unscale(assemble_profile(1.0 / (p0 * p0)), p0)
 
 
 LimitConstants = namedtuple("LimitConstants", ["r_hat", "M_hat", "slope_hat", "J_hat"])

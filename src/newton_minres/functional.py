@@ -16,10 +16,10 @@ Two independent evaluation routes are kept deliberately separate:
   integral and the adjoint rest on, which the tests prove symbolically;
 
 * the 2-D route: `resistance_direct` integrates 1/(1+|grad u|^2) over the
-  unit disk.  A body with a `gradient(x1, x2)` method (BodyEvaluator) supplies
-  exact gradients from the hull geometry; any other height callable gets
-  central differences.  Either way it never touches the 1-D machinery, so
-  agreement between the two is a real consistency check, not a tautology.
+  unit disk, reading a body only through its exact `gradient(x1, x2)`
+  (BodyEvaluator: from the hull geometry).  It never touches the 1-D
+  machinery, so agreement between the two is a real consistency check, not
+  a tautology.
 
 Profile/solution arguments are duck-typed: a curve exposes p0 and
 eval(p) -> (v, v', v''), and r when it has a flat piece; J_unscaled and
@@ -51,8 +51,6 @@ def quad_value(*args, **kwargs):
     raise NotImplementedError("functional integrates on fixed rules; it has no adaptive quadrature")
 
 
-# finite-difference step for resistance_direct on plain height callables
-FD_H = 1e-5
 # J_unscaled and gamma_form_J divide by (1 + v^2)^2, v <= p0: overflow past
 # 1.16e77; `_curve_rule`, which both integrate on, refuses p0 > P0_MAX
 P0_MAX = 1e76
@@ -192,25 +190,12 @@ def gamma_form_J(sol):
 # ---------------------------------------------------------------------------
 
 def _grid_sum(u, n):
-    """Midpoint-rule integral of 1/(1+|grad u|^2) over the unit disk.
-
-    The gradient is u.gradient(x1, x2) -> (ux, uy) when u has one (exact,
-    e.g. BodyEvaluator); a plain callable gets central differences with
-    step FD_H, which the grid spacing must exceed.  The polar grid of n by n
-    cells (n even) is symmetric across both axes, so a u that declares
+    """Midpoint-rule integral of 1/(1+|grad u|^2) over the unit disk, with
+    the gradient from u.gradient(x1, x2) -> (ux, uy).  The polar grid of n
+    by n cells (n even) is symmetric across both axes, so a u that declares
     mirror_symmetric is summed over the angular cells with theta <= pi/2:
     weight 4, or 2 for the cell on theta = pi/2 that n = 2 (mod 4) has.
     """
-    grad = getattr(u, "gradient", None)
-    if grad is None:
-        h = FD_H
-        if 0.5 / n <= h:
-            raise DomainError(f"grid n={n} too fine for FD step h={h}")
-
-        def grad(x, y):
-            return ((u(x + h, y) - u(x - h, y)) / (2.0 * h),
-                    (u(x, y + h) - u(x, y - h)) / (2.0 * h))
-
     dr = 1.0 / n
     dth = 2.0 * np.pi / n
     radii = (np.arange(n) + 0.5) * dr
@@ -223,23 +208,24 @@ def _grid_sum(u, n):
     rows_per = max(1, 200_000 // len(k))   # blocks of about 200k points
     for i in range(0, n, rows_per):
         r = radii[i:i + rows_per][:, None]
-        ux, uy = grad(r * np.cos(theta), r * np.sin(theta))
+        ux, uy = u.gradient(r * np.cos(theta), r * np.sin(theta))
         s = 1.0 / (1.0 + ux * ux + uy * uy)
         total += float(np.sum(s * (r * weight)) * dr * dth)
     return total
 
 
 def resistance_direct(body, n=800):
-    """2-D resistance of a body height function by direct grid quadrature.
+    """2-D resistance of a body by direct grid quadrature.
 
-    body maps (x1, x2) arrays to u values.  Uses midpoint polar grids at n
-    and n//2 and one Richardson step.  Gradients come from body.gradient
-    when the body has that method (BodyEvaluator: exact, from the hull
-    geometry alone); otherwise from central differences of body with step
-    FD_H.  n must be a multiple of 4, so both grids have even angle counts
+    body.gradient(x1, x2) maps arrays to the exact gradient of the height
+    (BodyEvaluator: from the hull geometry alone); a body without one is a
+    DomainError.  Uses midpoint polar grids at n and n//2 and one Richardson
+    step.  n must be a multiple of 4, so both grids have even angle counts
     and never sample the crease x2 = 0, where the midpoint rule would lose
     its h^2 error; a mirror_symmetric body is summed over one quadrant.
     """
+    if not callable(getattr(body, "gradient", None)):
+        raise DomainError(f"resistance_direct: {type(body).__name__} has no gradient(x1, x2) method")
     if not float(n).is_integer():   # also nan and inf
         raise DomainError(f"n must be a finite integer, got {n!r}")
     n = int(n)

@@ -10,7 +10,9 @@ reduced integrand L, its Euler-Lagrange expression and the arc equation's
 forcing, derived from L's formula and the arc equation alone.  The endpoint
 weight's closed form (`endpoint_weight_closed_form`), the judge of the
 validity edge alpha = 1/3, lives here too: test_acceptance (criterion 5)
-and test_extremal import it, and nothing in the package reads it."""
+and test_extremal import it, and nothing in the package reads it.
+`PlaneConeBody` is a closed-form body for the 2-D oracle, which reads a body
+only through its exact gradient."""
 
 from functools import lru_cache
 from types import SimpleNamespace
@@ -38,6 +40,19 @@ def cold_caches():
 @pytest.fixture(scope="session")
 def solved():
     return solve_for_height
+
+
+class PlaneConeBody:
+    """The body u = a*x1 + b*x2 + slope*(|x| - 1) on the unit disk, given by
+    its exact gradient: the flat disk (drag pi) at a = b = slope = 0, a plane
+    at slope = 0, the right cone (drag pi/2) at a = b = 0, slope = 1."""
+
+    def __init__(self, a=0.0, b=0.0, slope=0.0):
+        self.a, self.b, self.slope = a, b, slope
+
+    def gradient(self, x1, x2):
+        r = np.hypot(x1, x2)
+        return self.a + self.slope * x1 / r, self.b + self.slope * x2 / r
 
 
 def sup_route_height(sol, x1, x2):

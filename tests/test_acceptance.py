@@ -17,7 +17,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import (arc_calculus, cold_caches, endpoint_weight_closed_form,
+from conftest import (PlaneConeBody, arc_calculus, cold_caches, endpoint_weight_closed_form,
                       endpoint_weight_reference)
 from newton_minres import (
     BodyEvaluator,
@@ -103,12 +103,8 @@ def test_criterion_2_limit_constants(capsys):
 
 def test_criterion_3_direct_resistance_oracle(capsys):
     with verdict(capsys, 3, "2-D resistance oracle closure"):
-        disk = lambda x1, x2: np.zeros_like(np.asarray(x1, float))
-        assert resistance_direct(disk) == pytest.approx(np.pi, abs=1e-3)
-
-        def cone(x1, x2):
-            return np.hypot(np.asarray(x1, float), x2) - 1.0
-
+        assert resistance_direct(PlaneConeBody()) == pytest.approx(np.pi, abs=1e-3)
+        cone = PlaneConeBody(slope=1.0)
         assert resistance_direct(cone) == pytest.approx(np.pi / 2.0, abs=1e-3)
 
         for M in (0.5, 1.0, 1.5):

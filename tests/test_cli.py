@@ -136,6 +136,23 @@ def test_solve_by_edge_slope_stops_at_the_normal_doubles(capsys):
         assert "max p0 6.7039e+153" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "resistance", "mesh"])
+@pytest.mark.parametrize("p0", ["1.5", "7e153", "1e160"])
+def test_a_bad_edge_slope_is_refused_before_any_arc(capsys, monkeypatch, tmp_path, command, p0):
+    # p0 is checked against (sqrt(3), 6.7039e153] first: 1.5 is below the
+    # validity edge, 7e153 would solve an arc at a subnormal alpha and 1e160
+    # one at alpha = 0 (1/p0^2 underflows) before the refusal
+    arcs = []
+    integrate = extremal.integrate
+    monkeypatch.setattr(extremal, "integrate", lambda *a, **k: arcs.append(a) or integrate(*a, **k))
+    cold_caches()
+    extra = ("--out", str(tmp_path / "body.obj")) if command == "mesh" else ()
+    code, out, err = run(capsys, command, "--p0", p0, *extra)
+    assert (code, out, arcs) == (2, "", [])
+    assert err.startswith(f"error: p0={float(p0)!r} ")
+    assert not list(tmp_path.iterdir())
+
+
 GOLDEN_SOLVE = """\
 {
   "M": 1.0000000e+00,

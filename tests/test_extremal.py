@@ -7,6 +7,7 @@ finite differences of the solved curves.
 """
 
 import dataclasses
+import re
 import signal
 from types import SimpleNamespace
 
@@ -37,6 +38,7 @@ from newton_minres import (
     jacobi_check,
     limit_constants,
     nu_derivatives_at_one,
+    solve_for_edge_slope,
     solve_for_height,
     solve_nu,
     unscale,
@@ -637,6 +639,28 @@ def test_unscale_known_member():
     assert sol.r == pytest.approx(1.96456, abs=1e-3)
 
 
+@pytest.mark.parametrize("p0, tail", [
+    (-2.0, "is not above sqrt(3)"), (0.0, "is not above sqrt(3)"),
+    (1e-200, "is not above sqrt(3)"), (np.nan, "is not above sqrt(3)"),
+    (np.sqrt(3.0), "is not above sqrt(3): alpha = 0.33333333333333337 is outside"),
+    (np.inf, "above the reachable range (max p0 6.7039e+153"),
+])
+def test_edge_slope_refusals_start_with_p0(monkeypatch, p0, tail):
+    # refused before any arc, naming p0; alpha = 1/p0^2 is named only where
+    # it is a finite number
+    monkeypatch.setattr(extremal, "integrate", lambda *args: pytest.fail("arc solved"))
+    with pytest.raises(NoRoot, match=re.escape(f"p0={float(p0)!r} {tail}")):
+        solve_for_edge_slope(p0)
+
+
+def test_edge_slope_is_unscale_of_its_profile():
+    p0 = 2.43337
+    sol, ref = solve_for_edge_slope(p0), unscale(assemble_profile(1.0 / (p0 * p0)), p0)
+    assert (sol.p0, sol.M, sol.r, sol.slope0, sol.J) == (ref.p0, ref.M, ref.r, ref.slope0, ref.J)
+    # just above sqrt(3) is inside the validity range
+    assert solve_for_edge_slope(np.nextafter(np.sqrt(3.0), 2.0)).profile.alpha < 1.0 / 3.0
+
+
 def test_unscale_is_pointwise_covariant():
     p0 = 5.0
     prof = assemble_profile(1.0 / p0**2)
@@ -1023,8 +1047,8 @@ _TRIANGLE = [(0.0, 0.0, -0.1), (0.5, 0.0, -0.1), (0.0, 0.5, -0.1)]
     (lambda sol, path: abel_residual(solve_nu(0.0), 1.0), DomainError, r"q must be in \(0,1\)"),
     (lambda sol, path: functional.J_unscaled(SimpleNamespace(p0=1e77)), DomainError,
      "the unscaled integrand overflows"),
-    (lambda sol, path: functional.resistance_direct(lambda x1, x2: 0.0 * x1, n=100_000),
-     DomainError, "too fine for FD step"),
+    (lambda sol, path: functional.resistance_direct(lambda x1, x2: 0.0 * x1, n=800),
+     DomainError, r"has no gradient\(x1, x2\) method"),
     (lambda sol, path: _mesh([v[:2] for v in _TRIANGLE]), DomainError, r"vertices must be \(n, 3\)"),
     (lambda sol, path: _mesh(_TRIANGLE, [(0, 1)]), DomainError, r"faces must be \(m, 3\)"),
     (lambda sol, path: _mesh(_TRIANGLE, [(0, 1, 3)]), DomainError, "face indices out of range"),
@@ -1037,7 +1061,7 @@ _TRIANGLE = [(0.0, 0.0, -0.1), (0.5, 0.0, -0.1), (0.0, 0.5, -0.1)]
 ], ids=["ScaledProfile-rho", "ScaledProfile-slope", "ScaledProfile-height0",
         "ScaledProfile-rim", "ScaledProfile-convexity", "ExtremalSolution", "I_of-rho",
         "I_of-continuation", "I_closed_form_alpha0-rho", "I_closed_form_alpha0-continuation",
-        "abel_residual-q", "J_unscaled-p0", "resistance_direct-fd-step", "BodyMesh-vertices",
+        "abel_residual-q", "J_unscaled-p0", "resistance_direct-no-gradient", "BodyMesh-vertices",
         "BodyMesh-faces", "BodyMesh-indices", "BodyMesh-cylinder", "BodyMesh-above",
         "BodyMesh-below", "export_obj-empty"])
 def test_out_of_range_input_is_refused(solved, tmp_path, call, error, match):

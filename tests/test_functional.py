@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from conftest import arc_calculus
+from conftest import PlaneConeBody, arc_calculus
 from newton_minres import (
     BodyEvaluator,
     DomainError,
@@ -194,31 +194,33 @@ def test_routes_agree_on_synthetic_curve():
 # ---------------------------------------------------------------------------
 
 def test_direct_resistance_flat_disk_and_cone():
-    disk = lambda x1, x2: np.zeros_like(np.asarray(x1, float))
-    assert resistance_direct(disk, n=200) == pytest.approx(np.pi, abs=1e-3)
-
-    def cone(x1, x2):
-        x1 = np.asarray(x1, float)
-        return np.hypot(x1, x2) - 1.0
-
+    assert resistance_direct(PlaneConeBody(), n=200) == pytest.approx(np.pi, abs=1e-3)
+    cone = PlaneConeBody(slope=1.0)
     assert resistance_direct(cone, n=240) == pytest.approx(np.pi / 2.0, abs=1e-3)
 
 
 def test_direct_resistance_mirror_symmetry():
-    def tilted(x1, x2):
-        x1 = np.asarray(x1, float)
-        return np.minimum(0.0, -0.2 - 0.1 * np.asarray(x2, float))
-
-    def mirrored(x1, x2):
-        return tilted(x1, -np.asarray(x2, float))
-
-    a = resistance_direct(tilted, n=160)
-    b = resistance_direct(mirrored, n=160)
+    # the plane u = -0.1*x2 and its mirror image u = 0.1*x2
+    a = resistance_direct(PlaneConeBody(b=-0.1), n=160)
+    b = resistance_direct(PlaneConeBody(b=0.1), n=160)
     assert a == pytest.approx(b, rel=1e-12)
 
 
+def test_direct_resistance_refuses_a_body_without_gradient(monkeypatch):
+    # the oracle reads a body only through its exact gradient: a plain
+    # height callable, or a gradient that is not a method, is refused
+    # before any grid is summed
+    def forbidden(*args, **kwargs):
+        raise AssertionError("grid summed for a body without a gradient")
+
+    monkeypatch.setattr(functional, "_grid_sum", forbidden)
+    for body in (lambda x1, x2: 0.0 * x1, type("NoGradient", (), {"gradient": None})()):
+        with pytest.raises(DomainError, match=r"has no gradient\(x1, x2\) method"):
+            resistance_direct(body, n=800)
+
+
 def test_direct_resistance_rejects_bad_resolution():
-    disk = lambda x1, x2: np.zeros_like(np.asarray(x1, float))
+    disk = PlaneConeBody()
     with pytest.raises(DomainError):
         resistance_direct(disk, n=7)
     with pytest.raises(DomainError):
