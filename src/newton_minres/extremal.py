@@ -23,6 +23,7 @@ a genuine local minimizer, not just a stationary point.
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
+import math
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
@@ -78,16 +79,17 @@ _H0_SERIES = (0.1624697953751606, 0.13474842150940108, 0.018572184815788793,
 def _series_height(p):
     """(H, dH/dp) of H(p) = p*h(1/p^2), h the _H0_SERIES interpolant of height0,
     in floats: the Chebyshev recurrences for T_k(x) and T_k'(x); p > sqrt(3)."""
+    p = float(p)
     alpha = 1.0 / (p * p)
-    s = np.sqrt(ALPHA_MAX - alpha)
-    x = 2.0 * np.sqrt(3.0) * s - 1.0
+    s = math.sqrt(ALPHA_MAX - alpha)
+    x = 2.0 * math.sqrt(3.0) * s - 1.0
     t, t_prev, d, d_prev = x, 1.0, 1.0, 0.0
     h, dh = _H0_SERIES[0] + _H0_SERIES[1] * x, _H0_SERIES[1]
     for c in _H0_SERIES[2:]:
         t, t_prev, d, d_prev = 2.0 * x * t - t_prev, t, 2.0 * t + 2.0 * x * d - d_prev, d
         h, dh = h + c * t, dh + c * d
     # dh/dalpha = -sqrt(3)/s * dh/dx, and dH/dp = h - 2*alpha*dh/dalpha
-    return p * h, h + 2.0 * np.sqrt(3.0) * alpha / s * dh
+    return p * h, h + 2.0 * math.sqrt(3.0) * alpha / s * dh
 
 
 def brentq(*args, **kwargs):

@@ -28,12 +28,13 @@ a parabola, so x'^2/x stays finite).  The strategy:
    largest of 0.5*2^-k, k = 0..59, whose sampled bounds certify a
    contraction factor rho <= rho_target and a band that maps into itself
    (k = 0..15 are sampled first, the rest only if none of them passes).
-   The iteration stops once the contraction bound d*rho/(1-rho) on the
-   distance to the fixed point, d the last step, is within 1e-2 of the
-   arc's agreement budget.  The seed only checks: the arc, however short,
-   must agree with it and stay in its band on [-h, h], h = tau, or
-   |t_end|/2 on an arc no longer than tau, whose residual is then checked
-   on [h, |t_end|].
+   The iteration starts from the Taylor jet x'' = xdd0 + b*t, b from the
+   equation's t-balance at the origin, and stops once the contraction
+   bound d*rho/(1-rho) on the distance to the fixed point, d the last
+   step, is within 1e-2 of the arc's agreement budget.  The seed only
+   checks: the arc, however short, must agree with it and stay in its band
+   on [-h, h], h = tau, or |t_end|/2 on an arc no longer than tau, whose
+   residual is then checked on [h, |t_end|].
 
 Every fit here is a fixed linear map on node values: `_lobatto_integrals`
 builds, once per node count and anchor, the DCT-I matrix (values to
@@ -387,7 +388,11 @@ def picard_seed(ivp):
     rho <= rho_target and the self-map bound hold.  The band norms of
     k = 0..15 are sampled in one pass, and those of k = 16..59 in a second
     only if none of the first passes; each candidate's norms are sampled
-    on their own, so the split picks the tau a single pass would.  Each
+    on their own, so the split picks the tau a single pass would.  The
+    iteration starts from the Taylor jet xdd0 + b*t of x'', with
+    b*(1 - 4*lam/3) = g_t + g_xdot*xdd0 (the t-balance at the origin, g_t a
+    central difference) clipped to half the band; from the constant xdd0
+    the linear term shrank only by (4/3)|lam| per step.  Each
     iteration maps x'' at the N_ARC Lobatto nodes of [-tau, tau] (the
     arc's count) to x and x' there with the fixed integral matrices of
     `_lobatto_integrals`, and the seed series is the fit of the last
@@ -433,7 +438,12 @@ def picard_seed(ivp):
     t = tau * s
     X, Xd = tau * tau * int2, tau * int1
 
-    xdd = np.full(N_ARC, xdd0)
+    # the Taylor jet start, g_t taken as _band_norms takes it
+    ht = 1e-6 * max(tau, 1e-3)
+    gt = (ivp.g(ht, 0.0, 0.0) - ivp.g(-ht, 0.0, 0.0)) / (2.0 * ht)
+    b = (gt + ivp.g_xdot(0.0, 0.0, 0.0) * xdd0) / (1.0 - 4.0 * lam / 3.0)
+    cap = 0.5 * eps * abs(xdd0) / tau
+    xdd = xdd0 + np.clip(b, -cap, cap) * t
     diffs = []
     for _ in range(PICARD_MAX_ITER):
         x = X @ xdd
@@ -521,9 +531,9 @@ def integrate(ivp, t_end):
     ARC_BUDGET*max|x''|, or if the arc's x'' leaves the seed's certified
     band or differs from the seed's by more than ARC_BUDGET*|xdd0|.  info
     holds the seed's info and newton_iters, residual (the max on 2*N_ARC
-    points in [h, |t_end|]) and radius_estimate = ||F||*||J^-1|| (max
-    norm, last iterate), a Kantorovich-style size of the correction left,
-    not a proof.
+    points in [h, |t_end|]) and radius_estimate, max|du| of the Newton step
+    the stop rule accepted (at most NEWTON_STEP_FLOOR*max|x''| at the
+    nodes): the size of the last correction, not a proof.
     """
     t_end = float(t_end)
     if not np.isfinite(t_end) or t_end == 0.0:
@@ -546,12 +556,11 @@ def integrate(ivp, t_end):
         except np.linalg.LinAlgError as exc:
             raise BlowUp(f"arc Newton step failed: {exc}") from exc
         u = u - du
-        if np.max(np.abs(du)) <= NEWTON_STEP_FLOOR * np.max(np.abs(u)):
+        radius = float(np.max(np.abs(du)))
+        if radius <= NEWTON_STEP_FLOOR * np.max(np.abs(u)):
             break
     else:
         raise BlowUp(f"arc Newton collocation did not converge in {NEWTON_MAX_ITER} steps")
-    F, J = _arc_system(ivp, t, X, Xd, xdd0, u)
-    radius = float(np.max(np.abs(F)) * np.linalg.norm(np.linalg.inv(J), np.inf))
 
     c2 = fit @ u
     seg = _ChebSegment(mid, half, c2, s0)

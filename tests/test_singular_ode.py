@@ -153,30 +153,72 @@ def test_seed_shrinks_band_when_lam_term_leaves_no_room(monkeypatch):
     assert seed.info["epsilon"] < 1e-3
 
 
-@pytest.mark.parametrize("alpha, tau, rho_bound, band_dev", [
-    (0.0, 2.0**-10, 0.7402150967439891, 0.0014660603162977015),
-    (0.1, 2.0**-10, 0.7398599597757459, 0.0014750638032697866),
-    (0.3, 2.0**-9, 0.741833354756446, 0.0030827999340057428),
+@pytest.mark.parametrize("alpha, tau, rho_bound, band_dev, steps", [
+    (0.0, 2.0**-10, 0.7402150967439891, 0.0014660603243323855, 6),
+    (0.1, 2.0**-10, 0.7398599597757459, 0.001475063856819836, 6),
+    (0.3, 2.0**-9, 0.741833354756446, 0.0030828007303759226, 7),
 ])
-def test_seed_certificate_pins_on_the_family_arc(alpha, tau, rho_bound, band_dev):
+def test_seed_certificate_pins_on_the_family_arc(alpha, tau, rho_bound, band_dev, steps):
     # exact: the admissible tau is the largest of 0.5*2^-k, and the band
     # norms behind it are maxima of the same sampled values however the
-    # candidates are evaluated.  band_dev is pinned as the fixed Lobatto
-    # maps give it after the contraction-bound stop, 14 iterations, where
-    # the distance to the fixed point is at most 1e-2*ARC_BUDGET*|xdd0|; the
-    # old stop at steps below 1e-11 ran 19 and gave band_dev about 2e-7
-    # (relative) away, e.g. 0.0014660606178256153 at alpha = 0.  It moved in
-    # the 15th digit (0.0014660603162974795 -> 0.0014660603162977015,
-    # 0.0014750638032696602 -> 0.0014750638032697866, 0.0030827999340059032
-    # -> 0.0030827999340057428) when the Lobatto maps became closed-form
-    # products instead of numpy's inverse Vandermonde matrix and chebint
+    # candidates are evaluated, and the start of the iteration does not
+    # enter them.  band_dev is pinned as the fixed Lobatto maps give it
+    # after the contraction-bound stop, where the distance to the fixed
+    # point is at most 1e-2*ARC_BUDGET*|xdd0|: from the Taylor jet
+    # xdd0 + b*t the stop comes after 6 or 7 iterations.  The constant start
+    # xdd0 took 14 (its linear term shrinks by 1/3 per step) and stopped at
+    # most 8e-10 away, inside the 2e-8 the two stops allow together
     got, seed = picard_seed(scaled_arc_ivp(alpha))
     info = seed.info
     assert got == info["tau"] == tau
     assert info["epsilon"] == 0.025
     assert info["rho_bound"] == rho_bound
     assert info["band_dev"] == band_dev
-    assert len(info["picard_diffs"]) == 14
+    assert len(info["picard_diffs"]) == steps
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 0.3, 0.33])
+def test_seed_starts_from_its_taylor_jet_inside_the_band(alpha):
+    # the start is xdd0 + b*t with b*(1 - 4*lam/3) = g_t + g_xdot*xdd0, here
+    # with the closed-form g_t of the family's g at the origin; the first
+    # Picard step reads it at the nodes as x = xdd0*t^2/2 + b*t^3/6
+    ivp = scaled_arc_ivp(alpha)
+    xdd0, lam = accel_at_origin(ivp), ivp.lam
+    g_t = 0.5 + 2.0 * (alpha - 1.0) / (1.0 + alpha) ** 2
+    b = (g_t + ivp.g_xdot(0.0, 0.0, 0.0) * xdd0) / (1.0 - 4.0 * lam / 3.0)
+    g, reads = ivp.g, []
+
+    def reading(t, x, xd):
+        if np.shape(t) == (singular_ode.N_ARC,):
+            reads.append((t, x, xd))
+        return g(t, x, xd)
+
+    ivp.g = reading
+    tau, seed = picard_seed(ivp)
+    info = seed.info
+    assert abs(b) * tau <= 0.5 * info["epsilon"] * abs(xdd0)
+    t, x, xd = reads[0]
+    np.testing.assert_allclose(xd - xdd0 * t, 0.5 * b * t * t, rtol=1e-6, atol=1e-18)
+    np.testing.assert_allclose(x - 0.5 * xdd0 * t * t, b * t ** 3 / 6.0, rtol=1e-6, atol=1e-21)
+    # the jet's first step moves x'' by about 1e-6*|xdd0|, the constant
+    # start's by about 2e-3*|xdd0|
+    diffs, rho = info["picard_diffs"], info["rho_bound"]
+    assert diffs[0] < 1e-4 * abs(xdd0)
+    # the seed's node values are within the stop's contraction bound of the
+    # limit that the same Picard map reaches from them
+    s, _, int1, int2 = singular_ode._lobatto_integrals(singular_ode.N_ARC, 0.0)
+    t = tau * s
+    X, Xd = tau * tau * int2, tau * int1
+    got = limit = seed.eval(t)[2]
+    for _ in range(100):
+        x, xd = X @ limit, Xd @ limit
+        new = lam * xd * xd / x + g(t, x, xd)
+        step, limit = np.max(np.abs(new - limit)), new
+        if step < 1e-15 * abs(xdd0):
+            break
+    else:
+        pytest.fail("the Picard map did not reach its limit")
+    assert np.max(np.abs(got - limit)) <= diffs[-1] * rho / (1.0 - rho)
 
 
 _MAP_CASES = pytest.mark.parametrize(
@@ -515,6 +557,26 @@ def test_integrate_raises_when_the_seed_disagrees(monkeypatch, wrong):
     monkeypatch.setattr(singular_ode, "picard_seed", bad_seed)
     with pytest.raises(BlowUp, match="disagrees with the Picard seed"):
         integrate(scaled_arc_ivp(0.0), -1.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 0.33])
+def test_arc_newton_builds_one_system_per_step_and_inverts_nothing(monkeypatch, alpha):
+    # radius_estimate is the size of the step the stop rule accepted, so no
+    # system is built after the loop and no Jacobian is inverted
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.inv called")
+
+    systems = []
+    build = singular_ode._arc_system
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(singular_ode, "_arc_system",
+                        lambda *args: systems.append(args) or build(*args))
+    arc = integrate(scaled_arc_ivp(alpha), -1.0)
+    info = arc.info
+    assert len(systems) == info["newton_iters"]
+    nodes = -0.5 + 0.5 * np.cos(np.pi * np.arange(singular_ode.N_ARC) / (singular_ode.N_ARC - 1))
+    xdd = arc.eval(nodes)[2]
+    assert info["radius_estimate"] <= singular_ode.NEWTON_STEP_FLOOR * np.max(np.abs(xdd))
 
 
 def test_every_arc_runs_the_seed_once_and_carries_its_info(monkeypatch):
