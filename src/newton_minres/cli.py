@@ -108,8 +108,15 @@ def _quarter_resolution(text):
     return n
 
 
+def _out_path(text):
+    if not text:   # _emit would print to stdout instead
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _obj_path(text):
-    if Path(text).suffix == ".json":   # the sidecar would overwrite the mesh
+    # the sidecar would overwrite the mesh, on a case-insensitive filesystem too
+    if Path(_out_path(text)).suffix.lower() == ".json":
         raise argparse.ArgumentTypeError(f"must not end in .json, got {text!r}")
     return text
 
@@ -142,24 +149,24 @@ def build_parser():
     s = sp.add_parser("solve", help="solve for a given height or edge slope")
     _add_size_arg(s)
     s.add_argument("--format", choices=("json", "text"), default="json")
-    s.add_argument("--out", default=None)
+    s.add_argument("--out", type=_out_path, default=None)
 
     t = sp.add_parser("table", help="solve a list of heights, print a table")
     t.add_argument("--rows", type=_numbers, default=DEFAULT_TABLE_ROWS,
                    help="comma-separated heights M")
     t.add_argument("--format", choices=("csv", "json"), default="csv")
-    t.add_argument("--out", default=None)
+    t.add_argument("--out", type=_out_path, default=None)
 
     c = sp.add_parser("constants", help="scale-out limit constants")
     c.add_argument("--format", choices=("json", "text"), default="json")
-    c.add_argument("--out", default=None)
+    c.add_argument("--out", type=_out_path, default=None)
 
     k = sp.add_parser("check", help="run the optimality-certificate battery")
     k.add_argument("--alpha", type=_numbers, action="append", default=None,
                    help="scale parameter(s) in [0, 1/3); repeat or comma-separate")
     k.add_argument("--inject-fault", action="store_true",
                    help="perturb the switching radius to demonstrate detection")
-    k.add_argument("--out", default=None)
+    k.add_argument("--out", type=_out_path, default=None)
 
     m = sp.add_parser("mesh", help="triangulate the body and write an OBJ file")
     _add_size_arg(m)
@@ -171,7 +178,7 @@ def build_parser():
     _add_size_arg(r)
     r.add_argument("--resolution", type=_quarter_resolution, default=800,
                    help="radial grid size of the direct integral (a multiple of 4)")
-    r.add_argument("--out", default=None)
+    r.add_argument("--out", type=_out_path, default=None)
     return ap
 
 
@@ -218,13 +225,12 @@ def _cmd_table(args):
 
 def _cmd_constants(args):
     lc = extremal.limit_constants()
-    nu0, nup0, _ = extremal.assemble_profile(0.0).nu.eval(0.0)
     d = {
         "switch_radius": lc.r_hat,
         "flat_height": lc.M_hat,            # kappa(0) = height of the flat cut
-        "arc_value_at_zero": nu0,
+        "arc_value_at_zero": lc.arc_value0,
         "switch_slope": lc.slope_hat,       # kappa'(rho)
-        "arc_slope_at_zero": nup0,
+        "arc_slope_at_zero": lc.arc_slope0,
         "J_limit": lc.J_hat,
     }
     return _emit_record(d, args)

@@ -152,10 +152,10 @@ def scaled_arc_ivp(alpha):
 
 def solve_nu(alpha):
     """Arc solution nu(q) on [0,1] with nu(1)=nu'(1)=1, solved afresh from the
-    osculating parabola on every call (assemble_profile and solve_for_height
-    cache their results).  Returned as a view over the movable-frame
-    solution, so downstream code can read x = nu - q directly from .base
-    without cancellation.
+    osculating parabola on every call (only solve_for_height caches its
+    result).  Returned as a view over the movable-frame solution, so
+    downstream code can read x = nu - q directly from .base without
+    cancellation.
     """
     return MappedSolution(integrate(scaled_arc_ivp(alpha), -1.0), offset=-1.0, add1=1.0)
 
@@ -351,11 +351,9 @@ class ScaledProfile:
         return tuple(map(float, out)) if q.ndim == 0 else tuple(out)
 
 
-@lru_cache(maxsize=64)
 def assemble_profile(alpha):
     """Solve the arc from the osculating parabola, locate the switching
-    radius, return the C^1 profile: cached by alpha, a number (an array
-    raises TypeError), so a repeated alpha returns the same frozen profile."""
+    radius, return the C^1 profile; every call solves its own arc."""
     alpha = float(alpha)
     if not 0.0 <= alpha < ALPHA_MAX:
         raise NoRoot(_VALIDITY_MSG.format(alpha))
@@ -570,9 +568,9 @@ def solve_for_height(M):
     |h/H'(p0)| <= 1e-10 + 1e-13*p0, with the series slope H'.  A miss is
     NoRoot naming p0, M and h; there is no second root finder.  So every
     height solves one arc, one Picard seed and no Jacobi field, refusals
-    included, and its profile also sits in assemble_profile's 64-entry
-    cache.  Cached by M, a number (an array raises TypeError), so a
-    repeated M solves nothing and returns the same frozen ExtremalSolution.
+    included.  The package's one solve cache, by M, a number (an array
+    raises TypeError): a repeated M (mesh after resistance at one height,
+    in one process) solves nothing and returns the same ExtremalSolution.
     h increases with p0, from about 0.0869 at the validity edge
     p0 = sqrt(3) to _M_TOP at _P0_TOP, where 1/p0^2 is the smallest normal
     double; larger M is refused up front, smaller M by the arc at the edge.
@@ -611,12 +609,15 @@ def solve_for_edge_slope(p0):
     return unscale(assemble_profile(1.0 / (p0 * p0)), p0)
 
 
-LimitConstants = namedtuple("LimitConstants", ["r_hat", "M_hat", "slope_hat", "J_hat"])
+LimitConstants = namedtuple("LimitConstants", ["r_hat", "M_hat", "slope_hat", "J_hat",
+                                               "arc_value0", "arc_slope0"])
 
 
 def limit_constants():
     """Scale-out (alpha=0) constants: switching radius, flat height,
-    switch slope, and the limit functional value."""
+    switch slope, the limit functional value, and the arc's value and slope
+    at q = 0, all from one solved arc."""
     prof = assemble_profile(0.0)
-    return LimitConstants(r_hat=prof.rho, M_hat=prof.height0,
-                          slope_hat=prof.slope, J_hat=J_scaled(prof))
+    nu0, nup0, _ = prof.nu.eval(0.0)
+    return LimitConstants(r_hat=prof.rho, M_hat=prof.height0, slope_hat=prof.slope,
+                          J_hat=J_scaled(prof), arc_value0=nu0, arc_slope0=nup0)

@@ -1,13 +1,14 @@
 """Shared fixtures and scipy references.  solve_for_height caches its
 solution by height, so the `solved` fixture is solve_for_height itself:
 many tests read the same few heights and pay for each once.  `cold_caches`
-empties every solver cache, for a test that counts or times the work of a
-cold solve, or that patches a name a solve reads and so must not be handed
-a cached result.  The references judge the package with library calls:
-scipy for the body's height by the support-function route and for the
-endpoint weight by adaptive quadrature; sympy (`arc_calculus`) for the
-reduced integrand L, its Euler-Lagrange expression and the arc equation's
-forcing, derived from L's formula and the arc equation alone.  The endpoint
+empties that cache and the Lobatto tables behind every arc, for a test that
+counts or times the work of a cold solve, or that patches a name a solve
+reads and so must not be handed a cached result (assemble_profile keeps no
+cache: every call solves its arc).  The references judge the package with
+library calls: scipy for the body's height by the support-function route
+and for the endpoint weight by adaptive quadrature; sympy (`arc_calculus`)
+for the reduced integrand L, its Euler-Lagrange expression and the arc
+equation's forcing, derived from L's formula and the arc equation alone.  The endpoint
 weight's closed form (`endpoint_weight_closed_form`), the judge of the
 validity edge alpha = 1/3, lives here too: test_acceptance (criterion 5)
 and test_extremal import it, and nothing in the package reads it.
@@ -23,16 +24,15 @@ import sympy as sp
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from newton_minres import DomainError, assemble_profile, singular_ode, solve_for_height
+from newton_minres import DomainError, singular_ode, solve_for_height
 
 # bound at import, so a test that patches one of these names still clears it
-_CACHES = (assemble_profile, solve_for_height, singular_ode._lobatto_integrals,
-           singular_ode._segment_maps)
+_CACHES = (solve_for_height, singular_ode._lobatto_integrals, singular_ode._segment_maps)
 
 
 def cold_caches():
-    """Clear assemble_profile, solve_for_height and singular_ode's Lobatto
-    rules and segment maps."""
+    """Clear solve_for_height and singular_ode's Lobatto rules and segment
+    maps."""
     for cached in _CACHES:
         cached.cache_clear()
 

@@ -182,6 +182,21 @@ def test_default_output_bytes_are_pinned(capsys):
     assert run(capsys, "constants") == (0, GOLDEN_CONSTANTS, "")
 
 
+def test_constants_solves_one_arc(capsys, monkeypatch):
+    # limit_constants reads the arc's value and slope at q = 0 from the one
+    # profile it assembles, so constants needs no cache to solve one arc
+    arcs = []
+    integrate = extremal.integrate
+    monkeypatch.setattr(extremal, "integrate", lambda *a: arcs.append(integrate(*a)) or arcs[-1])
+    cold_caches()
+    assert run(capsys, "constants") == (0, GOLDEN_CONSTANTS, "")
+    assert len(arcs) == 1
+    lc = extremal.limit_constants()
+    nu0, nup0 = extremal.assemble_profile(0.0).nu.eval(0.0)[:2]
+    assert (float.hex(lc.arc_value0), float.hex(lc.arc_slope0)) == (float.hex(nu0),
+                                                                    float.hex(nup0))
+
+
 GOLDEN_MESH_SIDECAR = """\
 {
   "M": 1.0000000e+00,
@@ -921,6 +936,9 @@ def test_resistance_matches_functional_value(capsys):
     (("resistance", "--M", "1", "--resolution", "65540"), "must be <= 65536"),
     # the sidecar goes to the .json beside the OBJ: it would overwrite the mesh
     (("mesh", "--M", "1", "--out", "body.json"), "must not end in .json"),
+    # on a case-insensitive filesystem body.JSON and body.json are one file
+    (("mesh", "--M", "1", "--out", "body.JSON"), "must not end in .json"),
+    (("mesh", "--M", "1", "--out", "body.Json"), "must not end in .json"),
 ])
 def test_bad_input_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -928,3 +946,16 @@ def test_bad_input_is_a_usage_error(capsys, argv, message):
     assert out == ""
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "table", "constants", "check", "mesh",
+                                     "resistance"])
+def test_an_empty_out_path_is_a_usage_error(capsys, monkeypatch, tmp_path, command):
+    # --out '' names no file: refused at parse time, not printed to stdout
+    # (or, for mesh, written to the directory '.')
+    monkeypatch.chdir(tmp_path)
+    size = ("--M", "1") if command in ("solve", "mesh", "resistance") else ()
+    code, out, err = run(capsys, command, *size, "--out", "")
+    assert (code, out) == (1, "")
+    assert "argument --out: must not be empty" in err
+    assert not list(tmp_path.iterdir())

@@ -850,12 +850,36 @@ def test_a_repeated_height_solves_no_arc_and_no_jacobi_field(M, monkeypatch):
 
 
 @pytest.mark.parametrize("M", [1.0, 3.3, 9.0])
-def test_the_height_profile_is_assemble_profiles(M):
-    # solve_for_height assembles no profile of its own: its profile is
-    # assemble_profile's at alpha = 1/p0^2, the same cached object
+def test_the_height_profile_is_assemble_profiles(M, monkeypatch):
+    # solve_for_height assembles no profile of its own: it calls
+    # assemble_profile once, at alpha = 1/p0^2, and keeps what it returns
+    assembled = []
+    assemble = extremal.assemble_profile
+
+    def counted(alpha):
+        assembled.append((alpha, assemble(alpha)))
+        return assembled[-1][1]
+
+    monkeypatch.setattr(extremal, "assemble_profile", counted)
     cold_caches()
     sol = solve_for_height(M)
-    assert sol.profile is assemble_profile(1.0 / (sol.p0 * sol.p0))
+    assert len(assembled) == 1
+    alpha, profile = assembled[0]
+    assert alpha == 1.0 / (sol.p0 * sol.p0) and sol.profile is profile
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 0.33])
+def test_assemble_profile_solves_its_arc_on_every_call(alpha, monkeypatch):
+    # no cache: each call solves one arc and returns a new profile, and the
+    # two profiles agree to the last bit
+    arcs = []
+    monkeypatch.setattr(extremal, "integrate", lambda *args: arcs.append(integrate(*args)) or arcs[-1])
+    first = assemble_profile(alpha)
+    assert len(arcs) == 1
+    second = assemble_profile(alpha)
+    assert len(arcs) == 2 and second is not first
+    for name in ("rho", "slope", "height0"):
+        assert float.hex(getattr(second, name)) == float.hex(getattr(first, name)), name
 
 
 def test_a_drifted_height_series_is_refused_after_one_arc(monkeypatch):
