@@ -7,9 +7,11 @@ formatted explicitly so repeated runs are byte-identical.
 """
 
 import argparse
+import ctypes
 import functools
 import json
 import math
+import os
 import sys
 # unused here: perfbench/spans.py wraps this module binding by name
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -280,7 +282,7 @@ def _check_one(alpha, inject_fault):
 
 def _cmd_check(args):
     lists = args.alpha if args.alpha is not None else [_numbers(DEFAULT_CHECK_ALPHAS)]
-    alphas = [a for chunk in lists for a in chunk]
+    alphas = [a + 0.0 for chunk in lists for a in chunk]   # -0.0 + 0.0 is +0.0
     reports = [_check_one(a, args.inject_fault) for a in alphas]
     ok = all(r["pass"] for r in reports)
     text = _jdump({"pass": ok, "alphas": alphas, "reports": reports})
@@ -322,12 +324,32 @@ _DISPATCH = {
 }
 
 
+@functools.cache
+def _keep_freed_heap():
+    """On glibc, once per process: keep 16 MiB of freed heap past a trim
+    (M_TOP_PAD = -2), so the 2-D oracle's scratch arrays are not faulted in
+    afresh on every gradient call, and mmap only blocks of 32 MiB or more
+    (M_MMAP_THRESHOLD = -3), the ceiling glibc raises that threshold to by
+    itself until either is set.  Returns 1 when glibc takes both, None on
+    another C library."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):   # no confstr, or no such name
+        return None
+    if not (libc or "").startswith("glibc"):
+        return None
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return mallopt(-3, 32 << 20) & mallopt(-2, 16 << 20)
+
+
 def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    _keep_freed_heap()
     try:
         return _DISPATCH[args.command](args)
     except (SolverError, OSError) as exc:

@@ -55,6 +55,7 @@ def quad_value(*args, **kwargs):
 # 1.16e77; `_curve_rule`, which both integrate on, refuses p0 > P0_MAX
 P0_MAX = 1e76
 N_GL = 64  # Gauss-Legendre nodes per smooth piece of the curve
+GRADIENT_POINTS = 10_000  # points per body.gradient call of the 2-D oracle
 
 
 def thread_count():
@@ -195,6 +196,10 @@ def _grid_sum(u, n):
     by n cells (n even) is symmetric across both axes, so a u that declares
     mirror_symmetric is summed over the angular cells with theta <= pi/2:
     weight 4, or 2 for the cell on theta = pi/2 that n = 2 (mod 4) has.
+
+    Each block of about 200k points is one np.sum of a (rows, angles) array,
+    filled GRADIENT_POINTS points at a time in row-major order: the value
+    does not depend on GRADIENT_POINTS, and the scratch memory not on n.
     """
     dr = 1.0 / n
     dth = 2.0 * np.pi / n
@@ -203,14 +208,19 @@ def _grid_sum(u, n):
     k = np.arange((n + 2) // 4 if fold else n)
     weight = np.where(4 * k + 2 < n, 4.0, 2.0) if fold else np.ones(n)
     theta = (k + 0.5) * dth
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
 
     total = 0.0
     rows_per = max(1, 200_000 // len(k))   # blocks of about 200k points
     for i in range(0, n, rows_per):
-        r = radii[i:i + rows_per][:, None]
-        ux, uy = u.gradient(r * np.cos(theta), r * np.sin(theta))
-        s = 1.0 / (1.0 + ux * ux + uy * uy)
-        total += float(np.sum(s * (r * weight)) * dr * dth)
+        block = np.empty((min(rows_per, n - i), len(k)))
+        flat = block.reshape(-1)
+        for j in range(0, flat.size, GRADIENT_POINTS):
+            row, col = np.divmod(np.arange(j, min(j + GRADIENT_POINTS, flat.size)), len(k))
+            r = radii[i + row]
+            ux, uy = u.gradient(r * cos_t[col], r * sin_t[col])
+            flat[j:j + len(row)] = 1.0 / (1.0 + ux * ux + uy * uy) * (r * weight[col])
+        total += float(np.sum(block) * dr * dth)
     return total
 
 

@@ -36,7 +36,9 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError
 
-_CHUNK = 10_000   # points per vectorized pass; a pass's arrays stay in a 2 MiB L2
+# points per vectorized pass: 80 kB per array, so a pass stays in a 2 MiB L2;
+# the 2-D oracle asks for gradients this many points at a time
+_CHUNK = 10_000
 
 
 def _chord(y, x1, x2sq, c):

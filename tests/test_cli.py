@@ -10,10 +10,12 @@ import hashlib
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
 import traceback
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -425,6 +427,59 @@ def test_no_command_starts_a_worker_thread(capsys, monkeypatch):
     assert run(capsys, "resistance", "--M", "1.0", "--resolution", "64")[0] == 0
 
 
+@pytest.fixture
+def fresh_heap_setting():
+    """cli._keep_freed_heap as if no command had run in this process yet."""
+    cli._keep_freed_heap.cache_clear()
+    yield
+    cli._keep_freed_heap.cache_clear()
+
+
+def _fake_libc(calls):
+    """A stand-in for ctypes.CDLL(None) whose mallopt records its calls."""
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+    return lambda name: SimpleNamespace(mallopt=mallopt)
+
+
+def test_main_keeps_freed_heap_once_per_process(capsys, monkeypatch, fresh_heap_setting):
+    calls, seen = [], []
+    monkeypatch.setattr(cli.os, "confstr", lambda name: "glibc 2.36")
+    monkeypatch.setattr(cli.ctypes, "CDLL", _fake_libc(calls))
+    constants = cli._DISPATCH["constants"]
+
+    def dispatched(args):
+        seen.append(list(calls))
+        return constants(args)
+
+    monkeypatch.setitem(cli._DISPATCH, "constants", dispatched)
+    assert run(capsys, "constants")[0] == 0
+    assert run(capsys, "constants")[0] == 0
+    assert calls == [(-3, 32 << 20), (-2, 16 << 20)]
+    assert seen == [calls, calls]   # set before the first dispatch
+
+
+@pytest.mark.parametrize("libc", [ValueError("unrecognized configuration name"),
+                                  "musl 1.2.4", None])
+def test_main_leaves_other_allocators_alone(capsys, monkeypatch, fresh_heap_setting, libc):
+    def confstr(name):
+        if isinstance(libc, Exception):
+            raise libc
+        return libc
+
+    calls = []
+    monkeypatch.setattr(cli.os, "confstr", confstr)
+    monkeypatch.setattr(cli.ctypes, "CDLL", _fake_libc(calls))
+    assert run(capsys, "constants") == (0, GOLDEN_CONSTANTS, "")
+    assert calls == []
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
+def test_glibc_accepts_the_heap_setting(fresh_heap_setting):
+    assert cli._keep_freed_heap() == 1
+
+
 def test_table_bad_rows_are_usage_errors(capsys):
     code, _, err = run(capsys, "table", "--rows", "1.0,abc")
     assert code == 1
@@ -475,6 +530,10 @@ def test_check_alpha_list_parsing(capsys):
     code, out, _ = run(capsys, "check", "--alpha", "0,0.01")
     assert code == 0
     assert json.loads(out)["alphas"] == [0.0, 0.01]
+
+
+def test_check_prints_negative_zero_as_zero(capsys):
+    assert run(capsys, "check", "--alpha", "-0") == run(capsys, "check", "--alpha", "0")
 
 
 def test_check_certifies_alphas_below_1e_152_with_the_alpha0_identities(capsys):

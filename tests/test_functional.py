@@ -353,3 +353,32 @@ def test_direct_resistance_quadrant_equals_full_disk(solved, n):
     full = resistance_direct(_PlainBody(ev), n=n)
     assert quadrant == pytest.approx(full, rel=1e-14, abs=0.0)
 
+
+class _CountingBody:
+    """A BodyEvaluator that records the point count of each gradient call."""
+
+    mirror_symmetric = True
+
+    def __init__(self, ev):
+        self.ev, self.calls = ev, []
+
+    def gradient(self, x1, x2):
+        self.calls.append(np.size(x1))
+        return self.ev.gradient(x1, x2)
+
+
+@pytest.mark.parametrize("M", [1.0, 3.7])
+@pytest.mark.parametrize("n", [64, 800, 2000])
+def test_direct_resistance_reads_the_gradient_in_small_calls(solved, monkeypatch, M, n):
+    # 2000 spans several sum blocks of about 200k points: the coarse level
+    # has 2, the fine one 5; the value is the one-call-per-block value bit for bit
+    body = _CountingBody(BodyEvaluator(solved(M)))
+    val = resistance_direct(body, n=n)
+    assert 0 < max(body.calls) <= 10_000
+    assert sum(body.calls) == ((n + 2) // 4) * n + ((n // 2 + 2) // 4) * (n // 2)
+
+    monkeypatch.setattr(functional, "GRADIENT_POINTS", 10 ** 9)
+    ref = _CountingBody(body.ev)
+    assert resistance_direct(ref, n=n).hex() == val.hex()
+    blocks = {64: 2, 800: 2, 2000: 7}[n]
+    assert len(ref.calls) == blocks
