@@ -17,9 +17,9 @@ Two independent evaluation routes are kept deliberately separate:
 
 * the 2-D route: `resistance_direct` integrates 1/(1+|grad u|^2) over the
   unit disk, reading a body only through its exact `gradient(x1, x2)`
-  (BodyEvaluator: from the hull geometry).  It never touches the 1-D
-  machinery, so agreement between the two is a real consistency check, not
-  a tautology.
+  (BodyEvaluator: from the hull geometry) and its declared seams.  It
+  never touches the 1-D machinery, so agreement between the two is a real
+  consistency check, not a tautology.
 
 Profile/solution arguments are duck-typed: a curve exposes p0 and
 eval(p) -> (v, v', v''), and r when it has a flat piece; J_unscaled and
@@ -56,6 +56,7 @@ def quad_value(*args, **kwargs):
 P0_MAX = 1e76
 N_GL = 64  # Gauss-Legendre nodes per smooth piece of the curve
 GRADIENT_POINTS = 10_000  # points per body.gradient call of the 2-D oracle
+N_MAX = 1024  # the 2-D oracle's largest n: leggauss(n) builds an n x n matrix
 
 
 def thread_count():
@@ -190,57 +191,47 @@ def gamma_form_J(sol):
 # 2-D oracle
 # ---------------------------------------------------------------------------
 
-def _grid_sum(u, n):
-    """Midpoint-rule integral of 1/(1+|grad u|^2) over the unit disk, with
-    the gradient from u.gradient(x1, x2) -> (ux, uy).  The polar grid of n
-    by n cells (n even) is symmetric across both axes, so a u that declares
-    mirror_symmetric is summed over the angular cells with theta <= pi/2:
-    weight 4, or 2 for the cell on theta = pi/2 that n = 2 (mod 4) has.
+def resistance_direct(body, n=48):
+    """2-D resistance: the integral of s = 1/(1+|grad u|^2) over the unit
+    disk, read from the exact body.gradient(x1, x2) (a body without one is
+    a DomainError) at most GRADIENT_POINTS points per call.  n x n
+    Gauss-Legendre nodes per piece in polar coordinates (rho, psi) about an
+    apex (a, 0), t = rho/L on [0, 1] along a ray of length L, weight L^2 t,
+    so no node lies on x2 = 0 or on a seam; 8 <= n <= N_MAX.  The pieces
+    are what the body declares:
 
-    Each block of about 200k points is one np.sum of a (rows, angles) array,
-    filled GRADIENT_POINTS points at a time in row-major order: the value
-    does not depend on GRADIENT_POINTS, and the scratch memory not on n.
-    """
-    dr = 1.0 / n
-    dth = 2.0 * np.pi / n
-    radii = (np.arange(n) + 0.5) * dr
-    fold = getattr(u, "mirror_symmetric", False)
-    k = np.arange((n + 2) // 4 if fold else n)
-    weight = np.where(4 * k + 2 < n, 4.0, 2.0) if fold else np.ones(n)
-    theta = (k + 0.5) * dth
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-
-    total = 0.0
-    rows_per = max(1, 200_000 // len(k))   # blocks of about 200k points
-    for i in range(0, n, rows_per):
-        block = np.empty((min(rows_per, n - i), len(k)))
-        flat = block.reshape(-1)
-        for j in range(0, flat.size, GRADIENT_POINTS):
-            row, col = np.divmod(np.arange(j, min(j + GRADIENT_POINTS, flat.size)), len(k))
-            r = radii[i + row]
-            ux, uy = u.gradient(r * cos_t[col], r * sin_t[col])
-            flat[j:j + len(row)] = 1.0 / (1.0 + ux * ux + uy * uy) * (r * weight[col])
-        total += float(np.sum(block) * dr * dth)
-    return total
-
-
-def resistance_direct(body, n=800):
-    """2-D resistance of a body by direct grid quadrature.
-
-    body.gradient(x1, x2) maps arrays to the exact gradient of the height
-    (BodyEvaluator: from the hull geometry alone); a body without one is a
-    DomainError.  Uses midpoint polar grids at n and n//2 and one Richardson
-    step.  n must be a multiple of 4, so both grids have even angle counts
-    and never sample the crease x2 = 0, where the midpoint rule would lose
-    its h^2 error; a mirror_symmetric body is summed over one quadrant.
+    * a mirror_symmetric body is summed over the quadrant x1, x2 >= 0,
+      times 4, any other over the disk about the origin;
+    * its seams = (a, psis), if any, break psi at the rays from (a, 0) at
+      psis and at psi_keel = atan2(1, -a), to the corner (0, 1): rays end
+      on the rim before psi_keel and on x1 = 0 past it;
+    * radial_breaks break every ray at those t (about the origin, radii).
     """
     if not callable(getattr(body, "gradient", None)):
         raise DomainError(f"resistance_direct: {type(body).__name__} has no gradient(x1, x2) method")
     if not float(n).is_integer():   # also nan and inf
         raise DomainError(f"n must be a finite integer, got {n!r}")
     n = int(n)
-    if n < 8 or n % 4:
-        raise DomainError(f"n must be a multiple of 4 and >= 8, got {n}")
-    coarse = _grid_sum(body, n // 2)
-    fine = _grid_sum(body, n)
-    return fine + (fine - coarse) / 3.0
+    if not 8 <= n <= N_MAX:
+        raise DomainError(f"n must be in [8, {N_MAX}], got {n}")
+    if getattr(body, "mirror_symmetric", False):
+        a, seams = getattr(body, "seams", (0.0, ()))
+        keel = np.arctan2(1.0, -a)
+        ends, fold = [0.0, *seams, keel] + ([np.pi] if a else []), 4.0
+    else:
+        a, keel, ends, fold = 0.0, 2.0 * np.pi, [0.0, 2.0 * np.pi], 1.0
+    psi, w_psi = _panel_rule(ends, n)
+    t, w_t = _panel_rule([0.0, *getattr(body, "radial_breaks", ()), 1.0], n)
+    cos_p, sin_p = np.cos(psi), np.sin(psi)
+    ray = np.sqrt(1.0 - (a * sin_p) ** 2) - a * cos_p   # to the rim
+    past = psi > keel
+    ray[past] = -a / cos_p[past]                        # to x1 = 0
+
+    s = np.empty((len(psi), len(t)))
+    flat = s.reshape(-1)
+    for j in range(0, flat.size, GRADIENT_POINTS):
+        i, k = np.divmod(np.arange(j, min(j + GRADIENT_POINTS, flat.size)), len(t))
+        rho = ray[i] * t[k]
+        ux, uy = body.gradient(a + rho * cos_p[i], rho * sin_p[i])
+        flat[j:j + len(i)] = 1.0 / (1.0 + ux * ux + uy * uy)
+    return fold * float(np.sum(w_psi * ray * ray * np.sum(s * (w_t * t), axis=1)))

@@ -25,7 +25,7 @@ theorem its gradient is the x-gradient of the chord height at the minimizer
 y*, grad u = w(y*) * (y*lam - x1, -x2) / sqrt(D), also at y* = +-1.  D
 vanishes only on the ridge x2 = 0 at y* = x1, where u creases and the
 gradient is undefined: `gradient` refuses it with DomainError (the 2-D
-oracle's grids never sample x2 = 0).  The
+oracle's nodes never lie on x2 = 0).  The
 tests judge it against the support-function route, the supremum over p of
 <p, x> - max(|p|, v(|p1|)), which reads v alone.
 """
@@ -173,6 +173,17 @@ class BodyEvaluator:
 
     def __init__(self, sol):
         self.table = _VStarTable(sol)
+
+    @property
+    def seams(self):
+        """(slope0, (psi_seam,)) for resistance_direct: the keel corner A,
+        apex of the fan, and the angle about A of the generator parting the
+        fan from the ruled strip, which ends on the rim at angle phi0,
+        cos phi0 = p/(p*slope0 + M), p = w'(slope0+): from the table alone."""
+        t = self.table
+        p = t.coef[1, 0] / t.h
+        c = p / (p * t.s0 + t.M)
+        return t.s0, (float(np.arctan2(np.sqrt(1.0 - c * c), c - t.s0)),)
 
     def vstar(self, y):
         """Cross-section height w(y), vectorized: the table's cubic at |y| > slope0, else -M."""

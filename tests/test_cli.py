@@ -258,11 +258,37 @@ def test_mesh_vertices_are_pinned_at_eight_digits(capsys, tmp_path):
 
 def test_resistance_output_is_pinned(capsys):
     # rel_diff is a difference of nearly equal numbers, so only its inputs
-    # are pinned at 8 digits
+    # are pinned at 8 digits: the seam rule carries 2J's 8 digits
     code, out, _ = run(capsys, "resistance", "--M", "1.0", "--resolution", "64")
     assert code == 0
-    assert '  "resistance_direct": 1.1956689e+00,\n' in out
+    assert '  "resistance_direct": 1.1955818e+00,\n' in out
     assert '  "two_J": 1.1955818e+00,\n' in out
+
+
+@pytest.mark.parametrize("M", ["0.0875", "0.5", "1", "3.3", "9.9", "1000"])
+def test_default_resistance_carries_two_J(capsys, M):
+    code, out, _ = run(capsys, "resistance", "--M", M)
+    assert code == 0
+    d = json.loads(out)
+    assert format(d["resistance_direct"], ".7e") == format(d["two_J"], ".7e")
+    assert d["rel_diff"] < 1e-9
+
+
+def test_resistance_resolution_is_any_size_up_to_the_cap(monkeypatch, capsys):
+    parse = cli.build_parser().parse_args
+    for n in (8, 9, 251, 802, 1024):
+        assert parse(["resistance", "--M", "1", "--resolution", str(n)]).resolution == n
+    assert parse(["resistance", "--M", "1"]).resolution == 48
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an over-cap resolution reached the solver")
+
+    # past the cap, refused while parsing: nothing is solved or summed
+    monkeypatch.setattr(extremal, "solve_for_height", forbidden)
+    monkeypatch.setattr(functional, "resistance_direct", forbidden)
+    code, out, err = run(capsys, "resistance", "--M", "1", "--resolution", "1025")
+    assert (code, out) == (1, "")
+    assert "must be <= 1024, got 1025" in err
 
 
 def test_solve_deterministic_bytes(capsys, tmp_path):
@@ -974,7 +1000,7 @@ def test_resistance_matches_functional_value(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (("resistance", "--M", "1", "--resolution", "7"), "must be >= 8"),
-    (("resistance", "--M", "1", "--resolution", "9"), "must be a multiple of 4"),
+    (("resistance", "--M", "1", "--resolution", "1025"), "must be <= 1024"),
     (("resistance", "--M", "1", "--resolution", "x"), "not an integer"),
     (("mesh", "--M", "1", "--resolution", "0", "--out", "unused.obj"), "must be >= 8"),
     (("mesh", "--M", "1", "--resolution", "7", "--out", "unused.obj"), "must be >= 8"),
@@ -988,11 +1014,11 @@ def test_resistance_matches_functional_value(capsys):
     (("check", "--tol", "1e-10"), "unrecognized arguments"),
     (("mesh", "--M", "1", "--tol", "1e-10", "--out", "unused.obj"), "unrecognized arguments"),
     (("resistance", "--M", "1", "--tol", "1e-10"), "unrecognized arguments"),
-    # even but not a multiple of 4: the oracle's coarse grid would be odd
-    (("resistance", "--M", "1", "--resolution", "802"), "must be a multiple of 4"),
+    # leggauss(n) builds an n x n matrix: 34 GB at the old cap of 65536
+    (("resistance", "--M", "1", "--resolution", "2000"), "must be <= 1024"),
     # past the cap a mesh no longer fits in memory: refused, not killed
     (("mesh", "--M", "1", "--resolution", "65540", "--out", "unused.obj"), "must be <= 65536"),
-    (("resistance", "--M", "1", "--resolution", "65540"), "must be <= 65536"),
+    (("resistance", "--M", "1", "--resolution", "65540"), "must be <= 1024"),
     # the sidecar goes to the .json beside the OBJ: it would overwrite the mesh
     (("mesh", "--M", "1", "--out", "body.json"), "must not end in .json"),
     # on a case-insensitive filesystem body.JSON and body.json are one file

@@ -25,7 +25,7 @@ from newton_minres import (
     lagrangian_value,
     resistance_direct,
 )
-from newton_minres import functional
+from newton_minres import extremal, functional, singular_ode
 
 
 # ---------------------------------------------------------------------------
@@ -209,26 +209,24 @@ def test_direct_resistance_mirror_symmetry():
 def test_direct_resistance_refuses_a_body_without_gradient(monkeypatch):
     # the oracle reads a body only through its exact gradient: a plain
     # height callable, or a gradient that is not a method, is refused
-    # before any grid is summed
+    # before any rule is built
     def forbidden(*args, **kwargs):
-        raise AssertionError("grid summed for a body without a gradient")
+        raise AssertionError("rule built for a body without a gradient")
 
-    monkeypatch.setattr(functional, "_grid_sum", forbidden)
+    monkeypatch.setattr(functional, "_panel_rule", forbidden)
     for body in (lambda x1, x2: 0.0 * x1, type("NoGradient", (), {"gradient": None})()):
         with pytest.raises(DomainError, match=r"has no gradient\(x1, x2\) method"):
-            resistance_direct(body, n=800)
+            resistance_direct(body, n=48)
 
 
 def test_direct_resistance_rejects_bad_resolution():
     disk = PlaneConeBody()
-    with pytest.raises(DomainError):
-        resistance_direct(disk, n=7)
-    with pytest.raises(DomainError):
-        resistance_direct(disk, n=250 + 1)  # odd
-    with pytest.raises(DomainError):
-        # even but not a multiple of 4: the coarse level n/2 = 401 would
-        # centre a cell on the crease x2 = 0
-        resistance_direct(disk, n=802)
+    for n in (7, -48, functional.N_MAX + 1, 65536):
+        with pytest.raises(DomainError, match=r"n must be in \[8, 1024\]"):
+            resistance_direct(disk, n=n)
+    # odd sizes and sizes that are not multiples of 4 are rules like any other
+    for n in (251, 802):
+        assert resistance_direct(disk, n=n) == pytest.approx(np.pi, rel=1e-13)
     # a size that is not a finite integer is refused, never truncated (8.5
     # ran at n = 8) nor left to int()'s ValueError or OverflowError
     for n in (8.5, 800.25, np.nan, np.inf, -np.inf):
@@ -248,16 +246,22 @@ def test_direct_resistance_vs_functional_value(solved):
 
 
 def test_direct_resistance_never_calls_the_1d_functional(solved, monkeypatch):
-    # the 2-D route is a cross-check only while it shares nothing with 1-D
-    sol = solved(1.0)
+    # the 2-D route is a cross-check only while it shares nothing with 1-D:
+    # the bodies are solved first, then no functional, arc or profile may run
+    bodies = [(BodyEvaluator(solved(M)), 2.0 * solved(M).J) for M in (1.0, 3.7)]
+    bodies.append((PlaneConeBody(slope=1.0), np.pi / 2.0))
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("2-D oracle called into the 1-D functional")
+        raise AssertionError("2-D oracle called into the 1-D machinery")
 
     for name in ("quad_value", "J_scaled", "J_unscaled", "gamma_form_J"):
         monkeypatch.setattr(functional, name, forbidden)
-    val = resistance_direct(BodyEvaluator(sol), n=64)
-    assert val == pytest.approx(2.0 * sol.J, rel=1e-2)
+    for module in (singular_ode, extremal):
+        monkeypatch.setattr(module, "integrate", forbidden)
+    for name in ("solve_nu", "assemble_profile"):
+        monkeypatch.setattr(extremal, name, forbidden)
+    for body, drag in bodies:
+        assert resistance_direct(body) == pytest.approx(drag, rel=1e-10)
 
 
 class _NewtonRevolutionBody:
@@ -266,12 +270,14 @@ class _NewtonRevolutionBody:
     r = (r0/4)(1 + p^2)^2/p up to the rim.  Its depth and drag are scipy
     quad integrals in p; its gradient is exact, with p(r) the root of the
     convex p^3 + 2p + 1/p = 4r/r0, reached by Newton's method from the
-    right."""
+    right.  It declares the radius r0, where the drag integrand jumps from
+    1 to 1/2, as the oracle's radial break."""
 
     mirror_symmetric = True
 
     def __init__(self, r0):
         self.r0 = r0
+        self.radial_breaks = (r0,)
         p_rim = brentq(lambda p: self.radius(p) - 1.0, 1.0, 1e3, xtol=1e-15, rtol=1e-15)
         self.depth = quad(lambda p: p * self.dradius(p), 1.0, p_rim,
                           epsabs=0.0, epsrel=2e-14)[0]
@@ -299,24 +305,25 @@ class _NewtonRevolutionBody:
 
 
 def test_direct_resistance_meets_a_closed_form_body():
-    # r0 = 1/2 lies on a cell edge of every grid, so the integrand's jump
-    # from 1 to 1/2 at the flat edge costs the midpoint rule nothing, and
-    # the Richardson step leaves a fourth-order error (8.3e-13 at n = 800)
+    # the declared break r0 = 1/2 puts the integrand's jump from 1 to 1/2 at
+    # the flat edge between two radial panels, each smooth (2e-16 at n = 48)
     body = _NewtonRevolutionBody(0.5)
     assert body.depth == pytest.approx(0.67274, abs=5e-6)
-    assert resistance_direct(body, n=800) == pytest.approx(body.drag, rel=1e-11, abs=0.0)
+    assert resistance_direct(body, n=48) == pytest.approx(body.drag, rel=1e-11, abs=0.0)
 
 
 def test_direct_resistance_error_estimate_is_not_a_bound():
-    # r0 = 1/3 falls inside a cell: the jump makes the error first order
-    # (relative 1.5e-3 at n = 400, 7.7e-4 at n = 800), and |fine - coarse|/3,
-    # the error a smooth integrand would leave, reads half of it
+    # with r0 = 1/3 left undeclared the jump falls inside a radial panel:
+    # the error no longer falls steadily with n (relative 6.9e-3 at n = 48,
+    # 6.2e-4 at 64, 6.3e-3 at 96), and |I_48 - I_96| reads a tenth of the
+    # error at 48, so the n versus 2n difference is an estimate, not a bound
     body = _NewtonRevolutionBody(1.0 / 3.0)
-    err = {n: abs(resistance_direct(body, n=n) / body.drag - 1.0) for n in (400, 800)}
-    assert 1.8 <= err[400] / err[800] <= 2.2
-    assert 5e-4 <= err[800] <= 1e-3
-    estimate = abs(functional._grid_sum(body, 800) - functional._grid_sum(body, 400)) / 3.0
-    assert estimate <= 0.6 * err[800] * body.drag
+    assert resistance_direct(body, n=48) == pytest.approx(body.drag, rel=1e-13, abs=0.0)
+    body.radial_breaks = ()
+    coarse, fine = resistance_direct(body, n=48), resistance_direct(body, n=96)
+    err = abs(coarse - body.drag)
+    assert err > 1e-3 * body.drag
+    assert abs(fine - coarse) < 0.5 * err
 
 
 @pytest.mark.parametrize("M, ratio", [(0.5, 1.1140), (2.0, 0.8830)])
@@ -331,36 +338,35 @@ def test_family_against_the_radial_body_of_equal_depth(solved, M, ratio):
 
 
 class _PlainBody:
-    """A BodyEvaluator without its mirror_symmetric declaration."""
+    """A body's gradient and radial breaks without its mirror_symmetric
+    declaration."""
 
-    def __init__(self, ev):
-        self.ev = ev
-
-    def __call__(self, x1, x2):
-        return self.ev(x1, x2)
+    def __init__(self, body):
+        self.body, self.radial_breaks = body, body.radial_breaks
 
     def gradient(self, x1, x2):
-        return self.ev.gradient(x1, x2)
+        return self.body.gradient(x1, x2)
 
 
 @pytest.mark.parametrize("n", [64, 320, 804])
-def test_direct_resistance_quadrant_equals_full_disk(solved, n):
-    # 804's coarse level n/2 = 402 has a cell centred on theta = pi/2,
-    # which the quadrant sum weights by 2; 64 and 320 have none
-    ev = BodyEvaluator(solved(1.0))
-    assert ev.mirror_symmetric
-    quadrant = resistance_direct(ev, n=n)
-    full = resistance_direct(_PlainBody(ev), n=n)
+def test_direct_resistance_quadrant_equals_full_disk(n):
+    # the radial body's integrand does not depend on the angle, so the psi
+    # rules of the quadrant and of the full disk both sum it exactly
+    body = _NewtonRevolutionBody(0.4)
+    quadrant = resistance_direct(body, n=n)
+    full = resistance_direct(_PlainBody(body), n=n)
     assert quadrant == pytest.approx(full, rel=1e-14, abs=0.0)
+    assert quadrant == pytest.approx(body.drag, rel=1e-13, abs=0.0)
 
 
 class _CountingBody:
-    """A BodyEvaluator that records the point count of each gradient call."""
+    """A BodyEvaluator, seams and all, that records the point count of each
+    gradient call."""
 
     mirror_symmetric = True
 
     def __init__(self, ev):
-        self.ev, self.calls = ev, []
+        self.ev, self.seams, self.calls = ev, ev.seams, []
 
     def gradient(self, x1, x2):
         self.calls.append(np.size(x1))
@@ -368,17 +374,28 @@ class _CountingBody:
 
 
 @pytest.mark.parametrize("M", [1.0, 3.7])
-@pytest.mark.parametrize("n", [64, 800, 2000])
+@pytest.mark.parametrize("n", [64, 800])
 def test_direct_resistance_reads_the_gradient_in_small_calls(solved, monkeypatch, M, n):
-    # 2000 spans several sum blocks of about 200k points: the coarse level
-    # has 2, the fine one 5; the value is the one-call-per-block value bit for bit
+    # three pieces of n x n nodes (strip, fan, keel), read in calls of at
+    # most 10,000 points: 2 calls at n = 64, 192 at 800; the value is the
+    # one-call value bit for bit
     body = _CountingBody(BodyEvaluator(solved(M)))
     val = resistance_direct(body, n=n)
     assert 0 < max(body.calls) <= 10_000
-    assert sum(body.calls) == ((n + 2) // 4) * n + ((n // 2 + 2) // 4) * (n // 2)
+    assert sum(body.calls) == 3 * n * n
 
     monkeypatch.setattr(functional, "GRADIENT_POINTS", 10 ** 9)
     ref = _CountingBody(body.ev)
     assert resistance_direct(ref, n=n).hex() == val.hex()
-    blocks = {64: 2, 800: 2, 2000: 7}[n]
-    assert len(ref.calls) == blocks
+    assert ref.calls == [3 * n * n]
+
+
+@pytest.mark.parametrize("M", [0.0875, 0.5, 1.0, 3.3, 9.9, 1000.0])
+def test_seam_rule_converges_to_the_functional_value(solved, M):
+    # split at the body's seams the integrand is smooth on every piece, so
+    # the rule converges fast: relative to 2J at most 4.8e-8 at n = 16,
+    # 1.7e-10 at 32 and 5.4e-12 at 48 over these heights
+    sol = solved(M)
+    body = BodyEvaluator(sol)
+    for n, bound in ((16, 1e-7), (32, 1e-9), (48, 1e-10)):
+        assert resistance_direct(body, n=n) == pytest.approx(2.0 * sol.J, rel=bound, abs=0.0), n

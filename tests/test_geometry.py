@@ -346,9 +346,10 @@ def test_gradient_refuses_the_ridge(ev, x1, x2):
 
 
 def test_oracle_work_per_grid_point(solved, monkeypatch):
-    # machine-independent work of the 2-D oracle: chord evaluations and
-    # cubic-table reads, counted in points, per grid point of
-    # resistance_direct
+    # machine-independent work of the 2-D oracle at its default n = 48:
+    # 3 * 48^2 points, with 23,003 chord evaluations and 16,092 cubic-table
+    # reads, against about 380,000 and 180,000 for the 200,000 points of
+    # the midpoint grid this rule replaced
     body = BodyEvaluator(solved(1.0))
     count = dict.fromkeys(("points", "chord", "piece"), 0)
     minimize, chord, piece = BodyEvaluator._minimize, geometry._chord, geometry._VStarTable._piece
@@ -369,10 +370,26 @@ def test_oracle_work_per_grid_point(solved, monkeypatch):
     monkeypatch.setattr(BodyEvaluator, "_minimize", counted_minimize)
     monkeypatch.setattr(geometry, "_chord", counted_chord)
     monkeypatch.setattr(geometry._VStarTable, "_piece", counted_piece)
-    resistance_direct(body, n=800)
-    assert count["points"] == 200_000     # one quadrant of the n and n/2 grids
-    assert count["chord"] <= 2 * count["points"]
-    assert count["piece"] <= count["points"]
+    resistance_direct(body, n=48)
+    assert count["points"] == 3 * 48 * 48     # strip, fan and keel of one quadrant
+    assert count["chord"] <= 24_000
+    assert count["piece"] <= 17_000
+
+
+@pytest.mark.parametrize("M", [0.0875, 0.5, 1.0, 3.7, 9.9, 1000.0])
+def test_seams_meet_the_corner_generator(solved, M):
+    # the seam ray from the corner (slope0, 0) at psi_seam, read from the
+    # table alone, ends on the rim where the solver's corner generator does:
+    # at angle phi0, cos phi0 = r / v(r) with v(r) = M + r*slope0
+    sol = solved(M)
+    apex, (psi,) = BodyEvaluator(sol).seams
+    assert apex == sol.slope0
+    assert 0.0 < psi < np.arctan2(1.0, -apex)   # inside the quadrant, before the keel
+    reach = np.sqrt(1.0 - (apex * np.sin(psi)) ** 2) - apex * np.cos(psi)
+    rim = apex + reach * np.cos(psi), reach * np.sin(psi)
+    cos_phi0 = sol.r / (sol.M + sol.r * sol.slope0)
+    assert rim[0] == pytest.approx(cos_phi0, abs=1e-12)
+    assert rim[1] == pytest.approx(np.sqrt(1.0 - cos_phi0 ** 2), abs=1e-12)
 
 
 @pytest.mark.parametrize("chunk, n", [(7, 1500), (50_000, 12_000)])
