@@ -47,7 +47,7 @@ from . import singular_ode
 def quad_value(*args, **kwargs):
     """Placeholder that nothing here calls: perfbench/spans.py wraps this
     binding on both `functional` and `extremal` by name until the bench
-    reads the stats record of ROADMAP item 3, which deletes it."""
+    reads the stats record of ROADMAP item 2; item 3 deletes it."""
     raise NotImplementedError("functional integrates on fixed rules; it has no adaptive quadrature")
 
 
@@ -55,7 +55,6 @@ def quad_value(*args, **kwargs):
 # 1.16e77; `_curve_rule`, which both integrate on, refuses p0 > P0_MAX
 P0_MAX = 1e76
 N_GL = 64  # Gauss-Legendre nodes per smooth piece of the curve
-GRADIENT_POINTS = 10_000  # points per body.gradient call of the 2-D oracle
 N_MAX = 1024  # the 2-D oracle's largest n: leggauss(n) builds an n x n matrix
 
 
@@ -194,7 +193,7 @@ def gamma_form_J(sol):
 def resistance_direct(body, n=48):
     """2-D resistance: the integral of s = 1/(1+|grad u|^2) over the unit
     disk, read from the exact body.gradient(x1, x2) (a body without one is
-    a DomainError) at most GRADIENT_POINTS points per call.  n x n
+    a DomainError) in one call over all the nodes.  n x n
     Gauss-Legendre nodes per piece in polar coordinates (rho, psi) about an
     apex (a, 0), t = rho/L on [0, 1] along a ray of length L, weight L^2 t,
     so no node lies on x2 = 0 or on a seam; 8 <= n <= N_MAX.  The pieces
@@ -227,11 +226,7 @@ def resistance_direct(body, n=48):
     past = psi > keel
     ray[past] = -a / cos_p[past]                        # to x1 = 0
 
-    s = np.empty((len(psi), len(t)))
-    flat = s.reshape(-1)
-    for j in range(0, flat.size, GRADIENT_POINTS):
-        i, k = np.divmod(np.arange(j, min(j + GRADIENT_POINTS, flat.size)), len(t))
-        rho = ray[i] * t[k]
-        ux, uy = body.gradient(a + rho * cos_p[i], rho * sin_p[i])
-        flat[j:j + len(i)] = 1.0 / (1.0 + ux * ux + uy * uy)
+    rho = ray[:, None] * t
+    ux, uy = body.gradient(a + rho * cos_p[:, None], rho * sin_p[:, None])
+    s = 1.0 / (1.0 + ux * ux + uy * uy)
     return fold * float(np.sum(w_psi * ray * ray * np.sum(s * (w_t * t), axis=1)))

@@ -36,8 +36,7 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError
 
-# points per vectorized pass: 80 kB per array, so a pass stays in a 2 MiB L2;
-# the 2-D oracle asks for gradients this many points at a time
+# points per vectorized pass: 80 kB per array, so a pass stays in a 2 MiB L2
 _CHUNK = 10_000
 
 

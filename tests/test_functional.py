@@ -373,21 +373,24 @@ class _CountingBody:
         return self.ev.gradient(x1, x2)
 
 
-@pytest.mark.parametrize("M", [1.0, 3.7])
-@pytest.mark.parametrize("n", [64, 800])
-def test_direct_resistance_reads_the_gradient_in_small_calls(solved, monkeypatch, M, n):
-    # three pieces of n x n nodes (strip, fan, keel), read in calls of at
-    # most 10,000 points: 2 calls at n = 64, 192 at 800; the value is the
-    # one-call value bit for bit
-    body = _CountingBody(BodyEvaluator(solved(M)))
-    val = resistance_direct(body, n=n)
-    assert 0 < max(body.calls) <= 10_000
-    assert sum(body.calls) == 3 * n * n
+@pytest.mark.parametrize("M, value", [(1.0, "0x1.3211a69271a05p+0"),
+                                      (3.7, "0x1.2e2be1ecb3c43p-3")], ids=["1.0", "3.7"])
+def test_direct_resistance_reads_the_gradient_in_one_call(solved, monkeypatch, M, value):
+    # three pieces of 64 x 64 nodes (strip, fan, keel) in one gradient call,
+    # which BodyEvaluator splits into passes of at most 10,000 points; the
+    # split moves no bit of the pinned value
+    passes = []
+    minimize = BodyEvaluator._minimize
 
-    monkeypatch.setattr(functional, "GRADIENT_POINTS", 10 ** 9)
-    ref = _CountingBody(body.ev)
-    assert resistance_direct(ref, n=n).hex() == val.hex()
-    assert ref.calls == [3 * n * n]
+    def counted(self, x1, x2):
+        passes.append(len(x1))
+        return minimize(self, x1, x2)
+
+    monkeypatch.setattr(BodyEvaluator, "_minimize", counted)
+    body = _CountingBody(BodyEvaluator(solved(M)))
+    assert resistance_direct(body, n=64).hex() == value
+    assert body.calls == [3 * 64 * 64]
+    assert passes == [10_000, 3 * 64 * 64 - 10_000]
 
 
 @pytest.mark.parametrize("M", [0.0875, 0.5, 1.0, 3.3, 9.9, 1000.0])
@@ -399,3 +402,56 @@ def test_seam_rule_converges_to_the_functional_value(solved, M):
     body = BodyEvaluator(sol)
     for n, bound in ((16, 1e-7), (32, 1e-9), (48, 1e-10)):
         assert resistance_direct(body, n=n) == pytest.approx(2.0 * sol.J, rel=bound, abs=0.0), n
+
+
+# ---------------------------------------------------------------------------
+# zero order: the extremal against competitors from the class
+# ---------------------------------------------------------------------------
+
+class _BumpedCurve:
+    """The extremal's curve plus eps*phi, phi = 64*(t*(1 - t))^3 with
+    t = (p - a)/(b - a) on the 0.4 to 0.9 fraction [a, b] of the arc
+    [r, p0], 0 elsewhere: v(0) = M, the flat piece and v(p0) = p0 stay, and
+    v is C^2, so BodyEvaluator builds its hull as for the extremal."""
+
+    def __init__(self, sol, eps):
+        self.sol, self.eps = sol, eps
+        self.p0, self.r, self.slope0, self.M = sol.p0, sol.r, sol.slope0, sol.M
+        self.a, self.b = (sol.r + f * (sol.p0 - sol.r) for f in (0.4, 0.9))
+
+    def eval(self, p):
+        v, vp, vpp = self.sol.eval(p)
+        h, e = self.b - self.a, 64.0 * self.eps
+        t = np.clip((np.asarray(p, float) - self.a) / h, 0.0, 1.0)
+        u, du = t * (1.0 - t), 1.0 - 2.0 * t
+        return (v + e * u ** 3, vp + 3.0 * e * u * u * du / h,
+                vpp + 6.0 * e * u * (du * du - u) / (h * h))
+
+    def J(self):
+        # J_unscaled's panels break only at r: the bump's C^2 ends at a and
+        # b would leave an error of about 1e-7, odd in eps, so break there
+        p, w = functional._panel_rule([0.0, self.r, self.a, self.b, self.p0], functional.N_GL)
+        v, vp, _ = self.eval(p)
+        return float(w @ lagrangian_value(p, v, vp, 1.0))
+
+
+@pytest.mark.parametrize("M", [0.5, 1.0, 3.3])
+def test_two_sided_bumps_raise_the_functional_quadratically(solved, M):
+    # the optimality theorem at order zero: an admissible bump of either
+    # sign costs drag, as eps^2 (the even part of dJ grows 4-fold when eps
+    # doubles); the seam rule on each competitor's hull, 12,288 points in
+    # one gradient call, matches its 2J to at most 5.1e-10 over these cases
+    sol = solved(M)
+    J0 = _BumpedCurve(sol, 0.0).J()
+    p = np.linspace(sol.r, sol.p0, 2001)[1:-1]
+    dJ = {}
+    for eps in (5e-4, -5e-4, 1e-3, -1e-3):
+        bumped = _BumpedCurve(sol, eps)
+        assert np.all(bumped.eval(p)[2] > 0.0), eps   # convex: in the class
+        J = bumped.J()
+        dJ[eps] = J - J0
+        assert dJ[eps] > 0.0, eps
+        drag = resistance_direct(BodyEvaluator(bumped), n=64)
+        assert drag == pytest.approx(2.0 * J, rel=1e-9, abs=0.0), eps
+    even = [(dJ[e] + dJ[-e]) / 2.0 for e in (5e-4, 1e-3)]
+    assert even[1] / even[0] == pytest.approx(4.0, rel=0.05)
