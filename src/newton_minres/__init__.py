@@ -24,7 +24,7 @@ from .functional import (
 from .extremal import (
     ScaledProfile, ExtremalSolution, AdjointProfile, LimitConstants,
     nu_derivatives_at_one, scaled_arc_ivp, solve_nu,
-    I_of, I_closed_form_alpha0, find_switch, assemble_profile,
+    I_of, I_closed_form_alpha0, find_switch, assemble_profile, certify,
     adjoint_omega, jacobi_check, field_jacobian_check, abel_residual,
     unscale, solve_for_height, solve_for_edge_slope, limit_constants,
 )

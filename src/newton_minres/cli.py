@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import extremal, functional, geometry
-from .errors import SignChange, SolverError
+from .errors import SolverError
 
 DEFAULT_TABLE_ROWS = "0.5,1,1.5,2,2.5,5,10,50,100"
 DEFAULT_CHECK_ALPHAS = "0,0.01,0.1"
@@ -239,42 +239,9 @@ def _check_one(alpha, inject_fault):
     prof = extremal.assemble_profile(alpha)
     if inject_fault:
         prof = extremal.ScaledProfile.at_switch(alpha, prof.nu, prof.rho + 1e-2)
-
-    verdicts = {}
-    switch_val = extremal.I_of(prof.rho, alpha, prof.nu)
-    verdicts["switching_zero"] = abs(switch_val) < 1e-10
-
-    adj = extremal.adjoint_omega(prof)
-    interior = (adj.q > 0.01) & (adj.q < prof.rho - 0.01)
-    # omega(0) = -I(rho); with the switching condition satisfied it vanishes
-    verdicts["adjoint_negative"] = (bool(np.all(adj.omega[interior] < 0.0))
-                                    and abs(adj.omega[0]) < 1e-8)
-
-    min_abs, zeta = extremal.jacobi_check(prof)
-    verdicts["no_conjugate_point"] = min_abs > 0.0
-
-    try:
-        extremal.field_jacobian_check(prof, zeta)
-        verdicts["field_sign_constant"] = True
-    except SignChange:
-        verdicts["field_sign_constant"] = False
-
-    verdicts["endpoint_taylor"] = extremal.endpoint_taylor_holds(alpha, prof.nu)
-
-    p0 = 1.0 / np.sqrt(alpha) if alpha > 0.0 else math.inf
-    if p0 > functional.P0_MAX:   # J_unscaled would overflow; the profile is alpha = 0's bit for bit
-        closed = extremal.I_closed_form_alpha0(prof.rho, prof.nu)
-        verdicts["switching_closed_form"] = abs(switch_val - closed) < 1e-8
-        resid = max(abs(extremal.abel_residual(prof.nu, q)) for q in (0.3, 0.5, 0.9))
-        verdicts["abel_reduction"] = resid < 1e-6
-    else:
-        sol = extremal.unscale(prof, p0)
-        ju = functional.J_unscaled(sol)
-        verdicts["scaling_identity"] = abs(ju - sol.J) < 1e-8 * abs(sol.J)
-
-    report = {"alpha": alpha, "rho": prof.rho, "switch_integral": switch_val,
-              "verdicts": verdicts, "pass": all(verdicts.values())}
-    return report
+    switch_val, verdicts = extremal.certify(prof)
+    return {"alpha": alpha, "rho": prof.rho, "switch_integral": switch_val,
+            "verdicts": verdicts, "pass": all(verdicts.values())}
 
 
 def _cmd_check(args):

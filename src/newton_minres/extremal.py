@@ -17,7 +17,7 @@ The switching radius rho is the zero of the switching integral I(rho):
 the first-order cost of replacing the arc by its tangent continuation on
 [0, rho].  Everything downstream (adjoint certificate, conjugate-point
 check, embedding-field Jacobian sign) certifies that the assembled kappa is
-a genuine local minimizer, not just a stationary point.
+a genuine local minimizer, not just a stationary point; certify runs them all.
 """
 
 from collections import namedtuple
@@ -32,7 +32,7 @@ from .errors import DomainError, InconsistentScale, NoRoot, SignChange
 from .functional import J_scaled, _panel_rule
 # unused here: perfbench/spans.py wraps this module binding by name
 from .functional import quad_value  # noqa: F401
-from . import singular_ode
+from . import functional, singular_ode
 from .singular_ode import (MappedSolution, SingularIVP, integrate, integrate_variational,
                            linearized)
 
@@ -110,18 +110,6 @@ def nu_derivatives_at_one(alpha):
     return [1.0, 1.0,
             (3.0 - alpha) / (3.0 * (1.0 + alpha)),
             (3.0 + 2.0 * alpha + alpha * alpha) / (2.0 * (1.0 + alpha) ** 2)]
-
-
-def endpoint_taylor_holds(alpha, nu):
-    """Whether the arc nu's nu''(1) and nu'''(1) are within 1e-6 of
-    nu_derivatives_at_one(alpha), nu'''(1) the one-sided five-point
-    difference of nu'' at q = 1 - k*0.005, k = 0..4 (a spectral x''' at
-    the end loses digits like N^2); NaN fails."""
-    x2, x3 = nu_derivatives_at_one(alpha)[2:]
-    delta = 5e-3
-    n2 = nu.eval(1.0 - delta * np.arange(5))[2]
-    n3 = np.dot([25.0, -48.0, 36.0, -16.0, 3.0], n2) / (12.0 * delta)
-    return bool(abs(n2[0] - x2) < 1e-6 and abs(n3 - x3) < 1e-6)
 
 
 def scaled_arc_ivp(alpha):
@@ -491,6 +479,51 @@ def abel_residual(nu_hat, q):
     dxdt = npp * q / x - 1.0
     rhs = 2.0 + 1.5 * (x / t + t / x) - x / (2.0 * t * (t * t - 1.0))
     return dxdt - rhs
+
+
+def certify(profile):
+    """The optimality battery on one profile: (I(rho), verdicts), a dict of
+    bools in a fixed order; a solver failure other than the field bracket's
+    SignChange propagates.  nu'''(1) is the one-sided five-point difference
+    of nu'' at q = 1 - k*0.005, k = 0..4 (a spectral x''' loses digits like
+    N^2 at the end).  Past functional.P0_MAX J_unscaled would overflow; the
+    profile is alpha = 0's bit for bit, and its identities certify instead."""
+    alpha, rho, nu = profile.alpha, profile.rho, profile.nu
+    verdicts = {}
+    switch_val = I_of(rho, alpha, nu)
+    verdicts["switching_zero"] = abs(switch_val) < 1e-10
+
+    adj = adjoint_omega(profile)
+    interior = (adj.q > 0.01) & (adj.q < rho - 0.01)
+    # omega(0) = -I(rho); with the switching condition satisfied it vanishes
+    verdicts["adjoint_negative"] = (np.all(adj.omega[interior] < 0.0)
+                                    and abs(adj.omega[0]) < 1e-8)
+
+    min_abs, zeta = jacobi_check(profile)
+    verdicts["no_conjugate_point"] = min_abs > 0.0
+    try:
+        field_jacobian_check(profile, zeta)
+        verdicts["field_sign_constant"] = True
+    except SignChange:
+        verdicts["field_sign_constant"] = False
+
+    x2, x3 = nu_derivatives_at_one(alpha)[2:]
+    delta = 5e-3
+    n2 = nu.eval(1.0 - delta * np.arange(5))[2]
+    n3 = np.dot([25.0, -48.0, 36.0, -16.0, 3.0], n2) / (12.0 * delta)
+    verdicts["endpoint_taylor"] = abs(n2[0] - x2) < 1e-6 and abs(n3 - x3) < 1e-6
+
+    p0 = 1.0 / np.sqrt(alpha) if alpha > 0.0 else math.inf
+    if p0 > functional.P0_MAX:
+        closed = I_closed_form_alpha0(rho, nu)
+        verdicts["switching_closed_form"] = abs(switch_val - closed) < 1e-8
+        resid = max(abs(abel_residual(nu, q)) for q in (0.3, 0.5, 0.9))
+        verdicts["abel_reduction"] = resid < 1e-6
+    else:
+        sol = unscale(profile, p0)
+        ju = functional.J_unscaled(sol)
+        verdicts["scaling_identity"] = abs(ju - sol.J) < 1e-8 * abs(sol.J)
+    return switch_val, {k: bool(v) for k, v in verdicts.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -84,8 +84,8 @@ class _VStarTable:
     """Cubic-Hermite interpolant of w(y) on [slope0, 1] through the exact w
     and slope p(y) of `_conjugate` at 4097 uniform nodes; piece j reads
     w = ((c3*s + c2)*s + c1)*s + c0, s in [0, 1], from column j of the
-    contiguous (4, n) array coef.  value and jet share _piece; the flat
-    -M and the evenness are BodyEvaluator.vstar's.
+    contiguous (4, n) array coef; wp0 is w'(slope0+).  The flat -M and the
+    evenness are BodyEvaluator.vstar's.
     """
 
     def __init__(self, sol):
@@ -97,17 +97,13 @@ class _VStarTable:
         self.coef = np.array([
             z[:-1], m[:-1], 3.0 * (z[1:] - z[:-1]) - 2.0 * m[:-1] - m[1:],
             2.0 * (z[:-1] - z[1:]) + m[:-1] + m[1:]])
+        self.wp0 = self.coef[1, 0] / self.h
 
     def _piece(self, y):
         """Coefficients (c0, c1, c2, c3) and local s of y in [slope0, 1]."""
         s = (y - self.s0) / self.h
         j = np.minimum(s.astype(np.intp), self.coef.shape[1] - 1)
         return np.take(self.coef, j, axis=1), s - j
-
-    def value(self, y):
-        """w at y in [slope0, 1]."""
-        (c0, c1, c2, c3), s = self._piece(y)
-        return ((c3 * s + c2) * s + c1) * s + c0
 
     def jet(self, y):
         """w, w', w'' at y in [slope0, 1]."""
@@ -180,8 +176,7 @@ class BodyEvaluator:
         fan from the ruled strip, which ends on the rim at angle phi0,
         cos phi0 = p/(p*slope0 + M), p = w'(slope0+): from the table alone."""
         t = self.table
-        p = t.coef[1, 0] / t.h
-        c = p / (p * t.s0 + t.M)
+        c = t.wp0 / (t.wp0 * t.s0 + t.M)
         return t.s0, (float(np.arctan2(np.sqrt(1.0 - c * c), c - t.s0)),)
 
     def vstar(self, y):
@@ -190,7 +185,7 @@ class BodyEvaluator:
         if not np.all(y <= 1.0 + 1e-9):
             raise EvaluationError("w is only defined on [-1, 1]")
         s0 = self.table.s0
-        out = np.where(y > s0, self.table.value(np.clip(y, s0, 1.0)), -self.table.M)
+        out = np.where(y > s0, self.table.jet(np.clip(y, s0, 1.0))[0], -self.table.M)
         return float(out) if out.ndim == 0 else out
 
     def _curved(self, a, x2sq, c, hi, g_lo):
@@ -242,17 +237,16 @@ class BodyEvaluator:
         y = np.clip(peak, -s0, s0)   # the keel's minimum of -M*lam; the corner if clipped
         lam, sd = _chord(y, x1, x2sq, c)
         out = np.array([y, -m * lam, lam, sd, np.full(x1.shape, -m)])
-        wp0 = table.jet(np.array([s0]))[1][0]
-        g_lo = (a - s0 * lam) * -m + sd * wp0   # sqrt(D)*G at the corner, where |peak| > s0
+        g_lo = (a - s0 * lam) * -m + sd * table.wp0   # sqrt(D)*G at the corner, where |peak| > s0
         # F falls past the corner; on the ridge always, whatever g_lo's round-off
         i = np.flatnonzero((np.abs(peak) > s0) & ((g_lo < 0.0) | (x2sq == 0.0)))
         yc = self._curved(a[i], x2sq[i], c[i], np.minimum(np.abs(peak[i]), 1.0), g_lo[i])
-        (lc, sc), wc = _chord(yc, a[i], x2sq[i], c[i]), table.value(yc)
+        (lc, sc), wc = _chord(yc, a[i], x2sq[i], c[i]), table.jet(yc)[0]
         out[:, i] = np.copysign(yc, x1[i]), lc * wc, lc, sc, wc
         out[1] = np.minimum(out[1], 0.0)
         i = np.flatnonzero(~(out[1] < 0.0))      # rim: w = 0
         y = out[0, i] = np.copysign(1.0, x1[i])
-        out[2:, i] = *_chord(y, x1[i], x2sq[i], c[i]), table.value(np.abs(y))
+        out[2:, i] = *_chord(y, x1[i], x2sq[i], c[i]), table.jet(np.abs(y))[0]
         return out
 
     def _height(self, x1, x2):

@@ -583,6 +583,37 @@ def test_check_certifies_alphas_below_1e_152_with_the_alpha0_identities(capsys):
     assert json.loads(out)["reports"][0]["verdicts"]["scaling_identity"] is True
 
 
+_BATTERY = ["switching_zero", "adjoint_negative", "no_conjugate_point",
+            "field_sign_constant", "endpoint_taylor"]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1e-160, 0.01, 0.1, 0.3])
+def test_certify_is_the_check_battery(alpha):
+    # the Python API certifies a profile with the verdicts `check` prints,
+    # in its order: the alpha = 0 identities past P0_MAX, else the scaling
+    # identity
+    switch_val, verdicts = extremal.certify(extremal.assemble_profile(alpha))
+    report = _check_one(alpha, False)
+    assert list(verdicts.items()) == list(report["verdicts"].items())
+    assert switch_val == report["switch_integral"]
+    tail = (["switching_closed_form", "abel_reduction"] if alpha < 1e-152
+            else ["scaling_identity"])
+    assert list(verdicts) == _BATTERY + tail
+    assert all(verdicts.values()), verdicts
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1e-160, 0.01, 0.1, 0.3])
+def test_certify_flags_a_moved_switching_radius(alpha):
+    # the --inject-fault profile: the clean switching radius moved by 1e-2
+    # fails the first-order certificates and no other
+    prof = extremal.assemble_profile(alpha)
+    faulted = extremal.ScaledProfile.at_switch(alpha, prof.nu, prof.rho + 1e-2)
+    switch_val, verdicts = extremal.certify(faulted)
+    assert abs(switch_val) > 1e-10
+    assert [k for k, v in verdicts.items() if not v] == ["switching_zero", "adjoint_negative"]
+    assert verdicts == _check_one(alpha, True)["verdicts"]
+
+
 def test_check_rejects_invalid_family_parameter(capsys):
     code, _, err = run(capsys, "check", "--alpha", "0.5")
     assert code == 2

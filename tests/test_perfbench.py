@@ -43,3 +43,23 @@ def test_bench_tracer_installs_and_uninstalls(monkeypatch):
         assert now.keys() == attrs.keys()
         for attr, old in attrs.items():
             assert now[attr] is old, f"{owner.__name__}.{attr} not restored"
+
+
+def test_traced_check_counts_every_certificate(monkeypatch, capsys):
+    # the bench's per-layer metrics of the `certify` workload read these
+    # spans; a certificate reached through a binding the tracer does not
+    # wrap would read 0 calls there on working code
+    spans = _load_spans(monkeypatch)
+    tracer = spans.instrument(spans.Tracer())
+    try:
+        assert cli.main(["check", "--alpha", "0.1"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    layers = spans.layer_metrics(tracer.spans, 1.0, 1.0, [])
+    expected = {"cli.main": 1, "extremal.I_of": 2, "extremal.adjoint_omega": 1,
+                "extremal.jacobi_check": 1, "extremal.field_jacobian_check": 1,
+                "functional.J_unscaled": 1}
+    assert {name: layers[f"{name}.calls"] for name in expected} == expected
+    # one I_of verifies the switching root, the other is the certificate
+    assert layers["extremal.find_switch.I_evals"] == 1
