@@ -19,7 +19,6 @@ from .singular_ode import (
 )
 from .functional import (
     lagrangian_value, J_scaled, J_unscaled, gamma_form_J, resistance_direct,
-    thread_count,
 )
 from .extremal import (
     ScaledProfile, ExtremalSolution, AdjointProfile, LimitConstants,

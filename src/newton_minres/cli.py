@@ -42,14 +42,10 @@ def _jdump(obj, indent=0):
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         items = [f"{inner}{json.dumps(str(k))}: {_jdump(v, indent + 1)}"
                  for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
-        if not len(obj):
-            return "[]"
         items = [f"{inner}{_jdump(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     return _fmt(obj)
@@ -215,11 +211,10 @@ def _cmd_table(args):
                 lines.append(f"{m:.6g},{p0:.6g},{r:.6g},{s:.6g},{j:.6g}")
         text = "\n".join(lines)
     _emit(text, args.out)
-    if failed:
-        for m, *_rest, err in failed:
-            print(f"M={m}: {err}", file=sys.stderr)
-        return 2
-    return 0
+    for m, *_rest, err in failed:   # the row's label, unless err names it
+        label = f"M={m}"
+        print(err if label in err.split() else f"{label}: {err}", file=sys.stderr)
+    return 2 if failed else 0
 
 
 def _cmd_constants(args):

@@ -59,8 +59,8 @@ N_MAX = 1024  # the 2-D oracle's largest n: leggauss(n) builds an n x n matrix
 
 
 def thread_count():
-    """Worker cap for a caller's own pool: min(cpu, 8).  The package itself
-    starts no threads."""
+    """min(cpu, 8).  Only perfbench/worker.py reads it; the package starts
+    no threads."""
     return max(1, min(os.cpu_count() or 1, 8))
 
 
@@ -68,15 +68,13 @@ def thread_count():
 # pointwise Lagrangian family
 # ---------------------------------------------------------------------------
 
-def _refusing(name):
-    """np.errstate under which an overflow, invalid operation or division by
-    zero raises DomainError naming name, instead of a NaN, inf or lost 0."""
-    def call(err, flag):
-        raise DomainError(f"{name} leaves the doubles: {err}")
-    return np.errstate(over="call", invalid="call", divide="call", call=call)
+def _refuse(err, flag):
+    raise DomainError(f"lagrangian_value leaves the doubles: {err}")
 
 
-@_refusing("lagrangian_value")
+# an overflow, invalid operation or division by zero raises DomainError,
+# instead of a NaN, inf or lost 0
+@np.errstate(over="call", invalid="call", divide="call", call=_refuse)
 def lagrangian_value(q, y, yp, c):
     """L(q, y, y', c); raises DomainError unless y > q >= 0 pointwise, y and y'
     are finite and 0 <= c < inf."""

@@ -249,9 +249,6 @@ class BodyEvaluator:
         out[2:, i] = *_chord(y, x1[i], x2sq[i], c[i]), table.jet(np.abs(y))[0]
         return out
 
-    def _height(self, x1, x2):
-        return self._minimize(x1, x2)[1]
-
     def _gradient(self, x1, x2):
         # Danskin: grad u = w(y*) grad_x lam(y*; x), lam implicit in its quadratic
         if np.any(x2 == 0.0):
@@ -277,7 +274,7 @@ class BodyEvaluator:
         return out.reshape((k,) + shape)
 
     def __call__(self, x1, x2):
-        return self._map(self._height, 1, x1, x2)[0]
+        return self._map(lambda a, b: self._minimize(a, b)[1], 1, x1, x2)[0]
 
     def gradient(self, x1, x2):
         """Exact gradient (u_x1, u_x2) of the height function.

@@ -134,15 +134,6 @@ def accel_at_origin(ivp):
 # dense solution container
 # ---------------------------------------------------------------------------
 
-def _lobatto_weights(n):
-    """Barycentric weights of the n Chebyshev-Lobatto nodes, ordered from
-    s = 1 down to s = -1: (-1)^k, halved at both ends."""
-    w = np.ones(n)
-    w[1::2] = -1.0
-    w[[0, -1]] *= 0.5
-    return w
-
-
 def _barycentric(x, nodes, w, vals):
     """Rows of the Lobatto interpolant of vals' columns at the 1-D points x,
     by the second-kind barycentric formula (Berrut and Trefethen 2004).
@@ -346,7 +337,9 @@ def _segment_maps(n, anchor):
     K = _integral_map(n, anchor)
     c1 = K[:n + 1, :n]
     maps = np.stack([D @ (K @ c1), D[:, :n + 1] @ c1, V[:, :n]])
-    w = _lobatto_weights(n + 3)
+    w = np.ones(n + 3)   # barycentric weights from s = 1 down: (-1)^k, halved at the ends
+    w[1::2] = -1.0
+    w[[0, -1]] *= 0.5
     for shared in (s, w, maps):  # every segment of this shape holds them
         shared.flags.writeable = False
     return s, w, np.flatnonzero(s == anchor), maps

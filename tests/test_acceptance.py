@@ -11,7 +11,6 @@ the result does not depend on which modules ran before.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -33,7 +32,6 @@ from newton_minres import (
     resistance_direct,
     solve_for_height,
     solve_nu,
-    thread_count,
     unscale,
 )
 
@@ -70,8 +68,7 @@ def test_criterion_1_parameter_table(capsys):
         cold_caches()
         heights = [row[0] for row in TABLE_ROWS]
         t0 = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-            sols = dict(zip(heights, pool.map(solve_for_height, heights)))
+        sols = {M: solve_for_height(M) for M in heights}
         elapsed = time.perf_counter() - t0
 
         for M, p0, r, vp0, J in TABLE_ROWS:

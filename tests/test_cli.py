@@ -14,6 +14,7 @@ import platform
 import re
 import subprocess
 import sys
+import threading
 import traceback
 from types import SimpleNamespace
 
@@ -445,10 +446,10 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
 
 def test_no_command_starts_a_worker_thread(capsys, monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("a command started a worker pool")
+        raise AssertionError("a command started a thread")
 
-    for mod in (cli, functional):
-        monkeypatch.setattr(mod, "ThreadPoolExecutor", forbidden)
+    # a pool started from any module starts its threads here
+    monkeypatch.setattr(threading.Thread, "start", forbidden)
     assert run(capsys, "table")[0] == 0
     assert run(capsys, "resistance", "--M", "1.0", "--resolution", "64")[0] == 0
 
@@ -519,6 +520,25 @@ def test_table_row_failure_is_marked(capsys):
     lines = out.strip().splitlines()
     assert any("FAILED" in ln for ln in lines)
     assert "M=-0.5" in err
+
+
+def test_table_names_each_failed_row_once(capsys, monkeypatch):
+    code, out, err = run(capsys, "table", "--rows", "0.05,1,-0.5,3e153")
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 3
+    for line, m in zip(lines, ("M=0.05", "M=-0.5", "M=3e+153")):
+        assert line.count(m) == 1 and line.count("M=") == 1, line
+    # the JSON error field keeps the solver's message as it is
+    _, out, _ = run(capsys, "table", "--rows", "0.05", "--format", "json")
+    assert json.loads(out)[0]["error"] == lines[0]
+
+    # a message that does not name M keeps the row's label
+    def fail(M):
+        raise NoRoot("the arc blew up")
+
+    monkeypatch.setattr(extremal, "solve_for_height", fail)
+    assert run(capsys, "table", "--rows", "2")[::2] == (2, "M=2.0: the arc blew up\n")
 
 
 # ---------------------------------------------------------------------------

@@ -254,7 +254,7 @@ def test_direct_resistance_never_calls_the_1d_functional(solved, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("2-D oracle called into the 1-D machinery")
 
-    for name in ("quad_value", "J_scaled", "J_unscaled", "gamma_form_J"):
+    for name in ("J_scaled", "J_unscaled", "gamma_form_J"):
         monkeypatch.setattr(functional, name, forbidden)
     for module in (singular_ode, extremal):
         monkeypatch.setattr(module, "integrate", forbidden)
